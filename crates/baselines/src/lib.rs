@@ -18,6 +18,8 @@
 //!   per landmark maintained per single update + bounded online search
 //!   (see DESIGN.md §4 for the bit-parallel substitution note).
 
+#![forbid(unsafe_code)]
+
 pub mod bibfs;
 pub mod bit_parallel;
 pub mod dec_pll;

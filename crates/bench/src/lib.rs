@@ -10,6 +10,8 @@
 //!   each printing the same rows/series the paper reports. Run them via
 //!   `cargo run -p batchhl-bench --release --bin experiments -- <id>`.
 
+#![forbid(unsafe_code)]
+
 pub mod bench_support;
 pub mod datasets;
 pub mod experiments;

@@ -31,6 +31,8 @@
 //! Everything here is deliberately free of dependencies so that the hot
 //! paths of the index are fully under our control.
 
+#![forbid(unsafe_code)]
+
 pub mod binio;
 pub mod bitset;
 pub mod cache;

@@ -26,10 +26,9 @@ use crate::reader::{Reader, SharedReader, SnapshotQuery};
 use crate::stats::UpdateStats;
 use crate::workspace::UpdateWorkspace;
 use batchhl_common::{Dist, Vertex, INF};
+use batchhl_graph::bfs::BiBfs;
 use batchhl_graph::{Batch, CsrDelta, DynamicGraph, VertexRemap};
-use batchhl_hcl::{
-    build_labelling_parallel, LabelStore, Labelling, LandmarkSelection, QueryEngine, Versioned,
-};
+use batchhl_hcl::{build_labelling_parallel, LabelStore, Labelling, LandmarkSelection, Versioned};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -164,7 +163,7 @@ pub struct BatchIndex {
     /// snapshot for a buffer that predates any setter call.
     config: IndexConfig,
     ws: UpdateWorkspace,
-    engine: QueryEngine,
+    engine: BiBfs,
 }
 
 impl Clone for BatchIndex {
@@ -176,7 +175,7 @@ impl Clone for BatchIndex {
             recycler: engine::Recycler::new(),
             config: self.config.clone(),
             ws: UpdateWorkspace::new(n),
-            engine: QueryEngine::new(n),
+            engine: BiBfs::new(n),
         }
     }
 }
@@ -224,7 +223,7 @@ impl BatchIndex {
             recycler: engine::Recycler::new(),
             config,
             ws: UpdateWorkspace::new(n),
-            engine: QueryEngine::new(n),
+            engine: BiBfs::new(n),
         }
     }
 
@@ -234,17 +233,6 @@ impl BatchIndex {
     pub fn set_compaction(&mut self, policy: CompactionPolicy) {
         self.config.compaction = policy;
         self.work.view.set_policy(policy);
-    }
-
-    #[deprecated(note = "use `set_compaction(CompactionPolicy { fraction, .. })` instead")]
-    pub fn set_compaction_fraction(&mut self, fraction: f32) {
-        let min_entries = self.config.compaction.min_entries;
-        self.set_compaction(CompactionPolicy::new(fraction, min_entries));
-    }
-
-    #[deprecated(note = "use `set_compaction(CompactionPolicy::new(fraction, min_entries))`")]
-    pub fn set_compaction_policy(&mut self, fraction: f32, min_entries: usize) {
-        self.set_compaction(CompactionPolicy::new(fraction, min_entries));
     }
 
     pub fn graph(&self) -> &DynamicGraph {
@@ -296,17 +284,14 @@ impl BatchIndex {
     /// the CSR view). Answers against the *working* snapshot — the
     /// owner always sees its own latest batch.
     pub fn query(&mut self, s: Vertex, t: Vertex) -> Option<Dist> {
-        let n = self.work.view.num_vertices();
-        if (s as usize) >= n || (t as usize) >= n {
-            return None;
-        }
-        self.engine.query(&self.work.lab, &self.work.view, s, t)
+        let d = self.query_dist(s, t);
+        (d != INF).then_some(d)
     }
 
-    /// As [`BatchIndex::query`], returning `INF` for disconnected pairs.
+    /// As [`BatchIndex::query`], returning `INF` for disconnected or
+    /// out-of-range pairs.
     pub fn query_dist(&mut self, s: Vertex, t: Vertex) -> Dist {
-        self.engine
-            .query_dist(&self.work.lab, &self.work.view, s, t)
+        self.work.snapshot_query_dist(&mut self.engine, s, t)
     }
 
     /// Batched pair queries: groups the pairs by source and reuses the
@@ -390,7 +375,7 @@ impl BatchIndex {
         self.recycler.clear();
         let n = self.work.graph.num_vertices();
         self.ws = UpdateWorkspace::new(n);
-        self.engine = QueryEngine::new(n);
+        self.engine = BiBfs::new(n);
     }
 
     /// One search+repair pass over a normalized, conflict-free batch:
@@ -659,6 +644,11 @@ mod tests {
     fn batch_with_new_vertices_grows_index() {
         let g0 = path(5);
         let mut index = BatchIndex::build(g0, config(Algorithm::BhlPlus, 2));
+        // Out-of-range endpoints answer "disconnected", never panic.
+        for (s, t) in [(9, 0), (0, 9), (9, 9)] {
+            assert_eq!(index.query_dist(s, t), INF, "({s},{t})");
+            assert_eq!(index.query(s, t), None, "({s},{t})");
+        }
         let mut b = Batch::new();
         b.insert(4, 9); // vertex 9 does not exist yet
         index.apply_batch(&b);
@@ -845,18 +835,6 @@ mod tests {
                 assert_eq!(expect, got, "relabeled twin diverged at s={s} k={k}");
             }
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_compaction_setters_delegate_to_policy() {
-        let mut index = BatchIndex::build(path(6), config(Algorithm::BhlPlus, 1));
-        index.set_compaction_fraction(0.5);
-        assert_eq!(index.config().compaction.fraction, 0.5);
-        index.set_compaction_policy(0.25, 7);
-        assert_eq!(index.config().compaction, CompactionPolicy::new(0.25, 7));
-        index.set_compaction(CompactionPolicy::eager(0.1));
-        assert_eq!(index.config().compaction.min_entries, 0);
     }
 
     #[test]

@@ -58,8 +58,19 @@
 //! directions of the directed index through the generic `Reversed`
 //! adapter) or Dijkstra over a weighted adjacency view. The undirected,
 //! directed and weighted indexes are thin compositions of the store,
-//! the engine and their query path; the weighted index inherits
+//! the engine and the query path; the weighted index inherits
 //! landmark-parallel updates from the shared engine.
+//!
+//! **One query path.** Section 4's query — the Eq. 3 label bound, then
+//! a bounded search on `G[V\R]` — is implemented once, in
+//! `batchhl_hcl::query` (`point_dist`, `distances_from`, `top_k`),
+//! generic over the labels (`LabelView`) and the search
+//! (`BoundedSearch`). Each family's [`reader::SnapshotQuery`] impl only
+//! names its graph view, its `(fwd, bwd)` labellings (the undirected
+//! and weighted families pass one labelling twice) and its engine
+//! (BiBFS or BiDijkstra). The [`whatif`] sessions call the same
+//! functions over `PatchedLabels` views, so a hypothetical is answered
+//! by the code that answers a committed generation.
 //!
 //! **CSR snapshot views.** Every generation carries, next to the
 //! dynamic writer graph, a frozen CSR view of it
@@ -93,6 +104,8 @@
 //! assert_eq!(index.query(3, 77), Some(1));
 //! # let _ = d0;
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod admission;
 pub mod backend;

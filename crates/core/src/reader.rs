@@ -28,15 +28,14 @@
 //! reader never observes a half-applied batch, because generations are
 //! immutable snapshots swapped in atomically.
 
-use crate::directed::{directed_distances_from, directed_query_dist, DirectedSnapshot};
+use crate::directed::DirectedSnapshot;
 use crate::index::IndexSnapshot;
-use crate::weighted::{
-    weighted_distances_from, weighted_query_dist, weighted_top_k, WeightedSnapshot,
-};
+use crate::weighted::WeightedSnapshot;
 use batchhl_common::{Dist, Vertex, INF};
 use batchhl_graph::bfs::BiBfs;
 use batchhl_graph::weighted::BiDijkstra;
-use batchhl_hcl::{LabelStore, QueryEngine, ReaderHandle, Versioned};
+use batchhl_hcl::query::{distances_from, point_dist, top_k};
+use batchhl_hcl::{LabelStore, ReaderHandle, Versioned};
 use std::fmt::Debug;
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -46,6 +45,11 @@ use std::sync::{Arc, Mutex, RwLock};
 /// of the contract so every consumer of a snapshot — the owning index,
 /// [`GenReader`] handles, [`SharedReader`] handles and the type-erased
 /// [`crate::backend::Backend`] — serves the identical query surface.
+/// Every impl is a one-line call into the single Section 4 query path
+/// of `batchhl_hcl::query` ([`point_dist`], [`distances_from`],
+/// [`top_k`]), naming its graph view, its `(fwd, bwd)` labellings and
+/// its search engine; the what-if sessions of [`crate::whatif`] call
+/// the same three functions over patched labels.
 pub trait SnapshotQuery {
     /// The reusable search workspace a reader keeps per handle.
     type Engine: Default + Debug + Send + Sync;
@@ -76,35 +80,10 @@ pub trait SnapshotQuery {
 // not the dynamic writer graph it also carries: reader traversal is
 // sequential array access.
 impl SnapshotQuery for IndexSnapshot {
-    type Engine = QueryEngine;
-
-    fn snapshot_query_dist(&self, engine: &mut QueryEngine, s: Vertex, t: Vertex) -> Dist {
-        let n = self.view.num_vertices();
-        if (s as usize) >= n || (t as usize) >= n {
-            return INF;
-        }
-        engine.query_dist(&self.lab, &self.view, s, t)
-    }
-
-    fn snapshot_distances_from(
-        &self,
-        engine: &mut QueryEngine,
-        s: Vertex,
-        targets: &[Vertex],
-    ) -> Vec<Dist> {
-        engine.distances_from(&self.lab, &self.view, s, targets)
-    }
-
-    fn snapshot_top_k(&self, engine: &mut QueryEngine, s: Vertex, k: usize) -> Vec<(Vertex, Dist)> {
-        engine.top_k_closest(&self.view, s, k)
-    }
-}
-
-impl SnapshotQuery for DirectedSnapshot {
     type Engine = BiBfs;
 
     fn snapshot_query_dist(&self, engine: &mut BiBfs, s: Vertex, t: Vertex) -> Dist {
-        directed_query_dist(&self.view, &self.fwd, &self.bwd, engine, s, t)
+        point_dist(&self.view, &self.lab, &self.lab, engine, s, t)
     }
 
     fn snapshot_distances_from(
@@ -113,11 +92,32 @@ impl SnapshotQuery for DirectedSnapshot {
         s: Vertex,
         targets: &[Vertex],
     ) -> Vec<Dist> {
-        directed_distances_from(&self.view, &self.fwd, &self.bwd, engine, s, targets)
+        distances_from(&self.view, &self.lab, &self.lab, engine, s, targets)
     }
 
     fn snapshot_top_k(&self, engine: &mut BiBfs, s: Vertex, k: usize) -> Vec<(Vertex, Dist)> {
-        batchhl_hcl::query::bfs_top_k(engine, &self.view, s, k)
+        top_k(&self.view, engine, s, k)
+    }
+}
+
+impl SnapshotQuery for DirectedSnapshot {
+    type Engine = BiBfs;
+
+    fn snapshot_query_dist(&self, engine: &mut BiBfs, s: Vertex, t: Vertex) -> Dist {
+        point_dist(&self.view, &self.fwd, &self.bwd, engine, s, t)
+    }
+
+    fn snapshot_distances_from(
+        &self,
+        engine: &mut BiBfs,
+        s: Vertex,
+        targets: &[Vertex],
+    ) -> Vec<Dist> {
+        distances_from(&self.view, &self.fwd, &self.bwd, engine, s, targets)
+    }
+
+    fn snapshot_top_k(&self, engine: &mut BiBfs, s: Vertex, k: usize) -> Vec<(Vertex, Dist)> {
+        top_k(&self.view, engine, s, k)
     }
 }
 
@@ -125,7 +125,7 @@ impl SnapshotQuery for WeightedSnapshot {
     type Engine = BiDijkstra;
 
     fn snapshot_query_dist(&self, engine: &mut BiDijkstra, s: Vertex, t: Vertex) -> Dist {
-        weighted_query_dist(&self.view, &self.lab, engine, s, t)
+        point_dist(&self.view, &self.lab, &self.lab, engine, s, t)
     }
 
     fn snapshot_distances_from(
@@ -134,11 +134,11 @@ impl SnapshotQuery for WeightedSnapshot {
         s: Vertex,
         targets: &[Vertex],
     ) -> Vec<Dist> {
-        weighted_distances_from(&self.view, &self.lab, engine, s, targets)
+        distances_from(&self.view, &self.lab, &self.lab, engine, s, targets)
     }
 
     fn snapshot_top_k(&self, engine: &mut BiDijkstra, s: Vertex, k: usize) -> Vec<(Vertex, Dist)> {
-        weighted_top_k(&self.view, engine, s, k)
+        top_k(&self.view, engine, s, k)
     }
 }
 

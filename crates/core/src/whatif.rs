@@ -15,10 +15,16 @@
 //!   ([`engine::run_landmarks_speculative`]) write into detached
 //!   copies of the affected landmark rows instead of the labelling.
 //!
-//! Queries then run the ordinary Section 4 paths over a
-//! [`PatchedLabels`] merge view ("patch row if present, base row
-//! otherwise"). Dropping the session drops the overlay and the patch —
-//! no generation bump, no publication, no writer involvement — so any
+//! Queries then call the one Section 4 query path of
+//! `batchhl_hcl::query` (`point_dist`, `distances_from`) — the same
+//! functions a committed generation's readers call — with the overlay
+//! as the graph and a [`PatchedLabels`] merge view ("patch row if
+//! present, base row otherwise") as the labels. A session's answer is
+//! therefore the ordinary query on the edited graph, not a second
+//! implementation of it.
+//!
+//! Dropping the session drops the overlay and the patch — no
+//! generation bump, no publication, no writer involvement — so any
 //! number of concurrent hypotheticals (distinct failure scenarios,
 //! capacity studies, rollout rehearsals) can share one published
 //! snapshot, each on its own reader thread.
@@ -28,23 +34,21 @@
 //! [`crate::backend::BackendReader::what_if`].
 
 use crate::backend::{unweighted_batch, BackendFamily, Edit, OracleError};
-use crate::directed::{
-    directed_distances_from_patched, directed_query_dist_patched, DirectedSnapshot,
-};
+use crate::directed::DirectedSnapshot;
 use crate::engine::{self, BfsKernel};
 use crate::index::IndexSnapshot;
 use crate::reader::{GenReader, SharedReader};
 use crate::weighted::{
-    effect_endpoints, normalize_weighted, weighted_distances_from_patched,
-    weighted_query_dist_patched, DijkstraKernel, Effect, WeightedSnapshot,
+    effect_endpoints, normalize_weighted, DijkstraKernel, Effect, WeightedSnapshot,
 };
 use batchhl_common::{Dist, FxHashMap, Vertex, INF};
 use batchhl_graph::bfs::BiBfs;
 use batchhl_graph::weighted::{BiDijkstra, Weight, WeightedUpdate};
 use batchhl_graph::{
-    AdjacencyView, Batch, CsrDelta, CsrDiDelta, Reversed, Update, WeightedCsrDelta,
+    AdjacencyView, Batch, BoundedSearch, CsrDelta, CsrDiDelta, Reversed, Update, WeightedCsrDelta,
 };
-use batchhl_hcl::{LabelPatch, PatchedLabels, QueryEngine, Versioned};
+use batchhl_hcl::query::{distances_from, point_dist};
+use batchhl_hcl::{LabelPatch, PatchedLabels, Versioned};
 use std::sync::Arc;
 
 /// The query surface of a what-if session, type-erased for the oracle
@@ -68,11 +72,48 @@ pub trait WhatIfQuery: Send {
 
     /// Batched pair queries under the hypothetical (order of results
     /// matches `pairs`).
-    fn query_many(&mut self, pairs: &[(Vertex, Vertex)]) -> Vec<Option<Dist>>;
+    fn query_many(&mut self, pairs: &[(Vertex, Vertex)]) -> Vec<Option<Dist>> {
+        pairs.iter().map(|&(s, t)| self.query(s, t)).collect()
+    }
 
     /// One-source-to-many-targets under the hypothetical; `None` marks
     /// disconnected or out-of-range endpoints.
     fn distances_from(&mut self, s: Vertex, targets: &[Vertex]) -> Vec<Option<Dist>>;
+}
+
+/// What a session hands the shared query path: the overlay graph, the
+/// `(fwd, bwd)` patched label views and the search engine.
+type Parts<'a, G, S> = (&'a G, PatchedLabels<'a>, PatchedLabels<'a>, &'a mut S);
+
+/// One family's session as the query path sees it (undirected and
+/// weighted sessions pass one label view twice). [`WhatIfQuery`] is
+/// implemented once, over this.
+trait Hypothetical: Send {
+    type Graph;
+    type Search: BoundedSearch<Self::Graph>;
+
+    fn pinned_version(&self) -> u64;
+
+    fn parts(&mut self) -> Parts<'_, Self::Graph, Self::Search>;
+}
+
+impl<H: Hypothetical> WhatIfQuery for H {
+    fn version(&self) -> u64 {
+        self.pinned_version()
+    }
+
+    fn query_dist(&mut self, s: Vertex, t: Vertex) -> Dist {
+        let (graph, fwd, bwd, search) = self.parts();
+        point_dist(graph, &fwd, &bwd, search, s, t)
+    }
+
+    fn distances_from(&mut self, s: Vertex, targets: &[Vertex]) -> Vec<Option<Dist>> {
+        let (graph, fwd, bwd, search) = self.parts();
+        distances_from(graph, &fwd, &bwd, search, s, targets)
+            .into_iter()
+            .map(|d| (d != INF).then_some(d))
+            .collect()
+    }
 }
 
 /// How a snapshot family builds a what-if session over one of its
@@ -133,7 +174,7 @@ pub struct WhatIf {
     pinned: Arc<Versioned<IndexSnapshot>>,
     view: CsrDelta,
     patch: LabelPatch,
-    engine: QueryEngine,
+    engine: BiBfs,
 }
 
 impl WhatIf {
@@ -166,7 +207,7 @@ impl WhatIf {
                 (view, patch)
             }
         };
-        let engine = QueryEngine::new(view.num_vertices());
+        let engine = BiBfs::new(view.num_vertices());
         WhatIf {
             pinned,
             view,
@@ -179,54 +220,19 @@ impl WhatIf {
     pub fn patched_rows(&self) -> usize {
         self.patch.num_rows()
     }
+}
 
-    pub fn version(&self) -> u64 {
+impl Hypothetical for WhatIf {
+    type Graph = CsrDelta;
+    type Search = BiBfs;
+
+    fn pinned_version(&self) -> u64 {
         self.pinned.version()
     }
 
-    pub fn query(&mut self, s: Vertex, t: Vertex) -> Option<Dist> {
-        let d = self.query_dist(s, t);
-        (d != INF).then_some(d)
-    }
-
-    pub fn query_dist(&mut self, s: Vertex, t: Vertex) -> Dist {
-        let n = self.view.num_vertices();
-        if (s as usize) >= n || (t as usize) >= n {
-            return INF;
-        }
+    fn parts(&mut self) -> Parts<'_, CsrDelta, BiBfs> {
         let pl = PatchedLabels::new(&self.pinned.value().lab, &self.patch);
-        self.engine.query_dist_patched(&pl, &self.view, s, t)
-    }
-
-    pub fn query_many(&mut self, pairs: &[(Vertex, Vertex)]) -> Vec<Option<Dist>> {
-        pairs.iter().map(|&(s, t)| self.query(s, t)).collect()
-    }
-
-    pub fn distances_from(&mut self, s: Vertex, targets: &[Vertex]) -> Vec<Option<Dist>> {
-        let pl = PatchedLabels::new(&self.pinned.value().lab, &self.patch);
-        self.engine
-            .distances_from_patched(&pl, &self.view, s, targets)
-            .into_iter()
-            .map(|d| (d != INF).then_some(d))
-            .collect()
-    }
-}
-
-impl WhatIfQuery for WhatIf {
-    fn version(&self) -> u64 {
-        WhatIf::version(self)
-    }
-
-    fn query_dist(&mut self, s: Vertex, t: Vertex) -> Dist {
-        WhatIf::query_dist(self, s, t)
-    }
-
-    fn query_many(&mut self, pairs: &[(Vertex, Vertex)]) -> Vec<Option<Dist>> {
-        WhatIf::query_many(self, pairs)
-    }
-
-    fn distances_from(&mut self, s: Vertex, targets: &[Vertex]) -> Vec<Option<Dist>> {
-        WhatIf::distances_from(self, s, targets)
+        (&self.view, pl, pl, &mut self.engine)
     }
 }
 
@@ -342,53 +348,21 @@ impl DirectedWhatIf {
             bibfs,
         }
     }
+}
 
-    pub fn version(&self) -> u64 {
+impl Hypothetical for DirectedWhatIf {
+    type Graph = CsrDiDelta;
+    type Search = BiBfs;
+
+    fn pinned_version(&self) -> u64 {
         self.pinned.version()
     }
 
-    pub fn query(&mut self, s: Vertex, t: Vertex) -> Option<Dist> {
-        let d = self.query_dist(s, t);
-        (d != INF).then_some(d)
-    }
-
-    pub fn query_dist(&mut self, s: Vertex, t: Vertex) -> Dist {
+    fn parts(&mut self) -> Parts<'_, CsrDiDelta, BiBfs> {
         let snap = self.pinned.value();
         let fwd = PatchedLabels::new(&snap.fwd, &self.fwd_patch);
         let bwd = PatchedLabels::new(&snap.bwd, &self.bwd_patch);
-        directed_query_dist_patched(&self.view, &fwd, &bwd, &mut self.bibfs, s, t)
-    }
-
-    pub fn query_many(&mut self, pairs: &[(Vertex, Vertex)]) -> Vec<Option<Dist>> {
-        pairs.iter().map(|&(s, t)| self.query(s, t)).collect()
-    }
-
-    pub fn distances_from(&mut self, s: Vertex, targets: &[Vertex]) -> Vec<Option<Dist>> {
-        let snap = self.pinned.value();
-        let fwd = PatchedLabels::new(&snap.fwd, &self.fwd_patch);
-        let bwd = PatchedLabels::new(&snap.bwd, &self.bwd_patch);
-        directed_distances_from_patched(&self.view, &fwd, &bwd, &mut self.bibfs, s, targets)
-            .into_iter()
-            .map(|d| (d != INF).then_some(d))
-            .collect()
-    }
-}
-
-impl WhatIfQuery for DirectedWhatIf {
-    fn version(&self) -> u64 {
-        DirectedWhatIf::version(self)
-    }
-
-    fn query_dist(&mut self, s: Vertex, t: Vertex) -> Dist {
-        DirectedWhatIf::query_dist(self, s, t)
-    }
-
-    fn query_many(&mut self, pairs: &[(Vertex, Vertex)]) -> Vec<Option<Dist>> {
-        DirectedWhatIf::query_many(self, pairs)
-    }
-
-    fn distances_from(&mut self, s: Vertex, targets: &[Vertex]) -> Vec<Option<Dist>> {
-        DirectedWhatIf::distances_from(self, s, targets)
+        (&self.view, fwd, bwd, &mut self.bibfs)
     }
 }
 
@@ -458,49 +432,19 @@ impl WeightedWhatIf {
             engine,
         }
     }
+}
 
-    pub fn version(&self) -> u64 {
+impl Hypothetical for WeightedWhatIf {
+    type Graph = WeightedCsrDelta;
+    type Search = BiDijkstra;
+
+    fn pinned_version(&self) -> u64 {
         self.pinned.version()
     }
 
-    pub fn query(&mut self, s: Vertex, t: Vertex) -> Option<Dist> {
-        let d = self.query_dist(s, t);
-        (d != INF).then_some(d)
-    }
-
-    pub fn query_dist(&mut self, s: Vertex, t: Vertex) -> Dist {
+    fn parts(&mut self) -> Parts<'_, WeightedCsrDelta, BiDijkstra> {
         let pl = PatchedLabels::new(&self.pinned.value().lab, &self.patch);
-        weighted_query_dist_patched(&self.view, &pl, &mut self.engine, s, t)
-    }
-
-    pub fn query_many(&mut self, pairs: &[(Vertex, Vertex)]) -> Vec<Option<Dist>> {
-        pairs.iter().map(|&(s, t)| self.query(s, t)).collect()
-    }
-
-    pub fn distances_from(&mut self, s: Vertex, targets: &[Vertex]) -> Vec<Option<Dist>> {
-        let pl = PatchedLabels::new(&self.pinned.value().lab, &self.patch);
-        weighted_distances_from_patched(&self.view, &pl, &mut self.engine, s, targets)
-            .into_iter()
-            .map(|d| (d != INF).then_some(d))
-            .collect()
-    }
-}
-
-impl WhatIfQuery for WeightedWhatIf {
-    fn version(&self) -> u64 {
-        WeightedWhatIf::version(self)
-    }
-
-    fn query_dist(&mut self, s: Vertex, t: Vertex) -> Dist {
-        WeightedWhatIf::query_dist(self, s, t)
-    }
-
-    fn query_many(&mut self, pairs: &[(Vertex, Vertex)]) -> Vec<Option<Dist>> {
-        WeightedWhatIf::query_many(self, pairs)
-    }
-
-    fn distances_from(&mut self, s: Vertex, targets: &[Vertex]) -> Vec<Option<Dist>> {
-        WeightedWhatIf::distances_from(self, s, targets)
+        (&self.view, pl, pl, &mut self.engine)
     }
 }
 

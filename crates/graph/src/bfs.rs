@@ -7,7 +7,7 @@
 //! sparsely (only touched entries), which matters when thousands of
 //! queries run back-to-back.
 
-use crate::AdjacencyView;
+use crate::{AdjacencyView, BoundedSearch};
 use batchhl_common::{dist_add1, Dist, Vertex, INF};
 use std::collections::VecDeque;
 
@@ -329,6 +329,47 @@ impl BiBfs {
         self.frontier_s.clear();
         self.frontier_t.clear();
         self.next.clear();
+    }
+}
+
+impl<A: AdjacencyView> BoundedSearch<A> for BiBfs {
+    #[inline]
+    fn num_vertices(g: &A) -> usize {
+        g.num_vertices()
+    }
+
+    #[inline]
+    fn run<F: Fn(Vertex) -> bool>(
+        &mut self,
+        g: &A,
+        s: Vertex,
+        t: Vertex,
+        bound: Dist,
+        allowed: F,
+    ) -> Option<Dist> {
+        BiBfs::run(self, g, s, t, bound, allowed)
+    }
+
+    #[inline]
+    fn sweep<F: Fn(Vertex) -> bool>(
+        &mut self,
+        g: &A,
+        s: Vertex,
+        bound: Dist,
+        cap: usize,
+        allowed: F,
+    ) {
+        BiBfs::sweep(self, g, s, bound, cap, allowed)
+    }
+
+    #[inline]
+    fn swept(&self) -> &[Vertex] {
+        BiBfs::swept(self)
+    }
+
+    #[inline]
+    fn sweep_dist(&self, v: Vertex) -> Dist {
+        BiBfs::sweep_dist(self, v)
     }
 }
 

@@ -21,13 +21,17 @@
 //! * [`update`] — the update/batch model with the paper's normalization
 //!   rules (cancel insert+delete pairs, drop invalid/duplicate updates),
 //! * [`bfs`] — reusable BFS workspaces, including the distance-bounded
-//!   bidirectional search that powers query answering (Section 4),
+//!   bidirectional search that powers query answering (Section 4);
+//!   [`BoundedSearch`] abstracts it and its weighted counterpart
+//!   ([`weighted::BiDijkstra`]) for the one generic query path,
 //! * [`generators`] — seeded synthetic graphs standing in for the
 //!   paper's 14 datasets (see DESIGN.md §4),
 //! * [`stream`] — an evolving timestamped edge stream standing in for
 //!   the real dynamic Wikipedia networks,
 //! * [`io`] — SNAP-style edge-list reading/writing,
 //! * [`components`] — connectivity helpers used by tests and workloads.
+
+#![forbid(unsafe_code)]
 
 pub mod bfs;
 pub mod components;
@@ -50,6 +54,45 @@ pub use update::{Batch, Update};
 pub use weighted::WeightedAdjacencyView;
 
 pub use batchhl_common::{Dist, Vertex, INF};
+
+/// The search half of a Section 4 query over a graph type `G`: a
+/// distance-bounded bidirectional search for one pair plus a one-sided
+/// bounded sweep for one-to-many calls, both restricted to the vertices
+/// passing `allowed`. [`bfs::BiBfs`] implements it over any
+/// [`AdjacencyView`] and [`weighted::BiDijkstra`] over any
+/// [`WeightedAdjacencyView`]; every method forwards to the inherent one
+/// of the same name, so the contracts are documented there.
+pub trait BoundedSearch<G> {
+    /// Number of vertices of `g` (`0..n` ids are valid endpoints).
+    fn num_vertices(g: &G) -> usize;
+
+    /// Exact `d(s, t)` in the allowed subgraph if it is `< bound`.
+    fn run<F: Fn(Vertex) -> bool>(
+        &mut self,
+        g: &G,
+        s: Vertex,
+        t: Vertex,
+        bound: Dist,
+        allowed: F,
+    ) -> Option<Dist>;
+
+    /// Bounded sweep from `s`, stopping past `bound` or once `cap`
+    /// vertices are reached.
+    fn sweep<F: Fn(Vertex) -> bool>(
+        &mut self,
+        g: &G,
+        s: Vertex,
+        bound: Dist,
+        cap: usize,
+        allowed: F,
+    );
+
+    /// Vertices the last sweep reached, nondecreasing by distance.
+    fn swept(&self) -> &[Vertex];
+
+    /// Distance recorded by the last sweep (`INF` when unreached).
+    fn sweep_dist(&self, v: Vertex) -> Dist;
+}
 
 /// Uniform view over the adjacency of directed and undirected graphs.
 ///

@@ -8,6 +8,7 @@
 //! rely on (distances live in `N⁺`, Definition 3.2).
 
 use crate::update::Update;
+use crate::BoundedSearch;
 use batchhl_common::{Dist, Vertex, INF};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -465,6 +466,47 @@ impl BiDijkstra {
         }
         self.touched_s.clear();
         self.touched_t.clear();
+    }
+}
+
+impl<W: WeightedAdjacencyView> BoundedSearch<W> for BiDijkstra {
+    #[inline]
+    fn num_vertices(g: &W) -> usize {
+        g.num_vertices()
+    }
+
+    #[inline]
+    fn run<F: Fn(Vertex) -> bool>(
+        &mut self,
+        g: &W,
+        s: Vertex,
+        t: Vertex,
+        bound: Dist,
+        allowed: F,
+    ) -> Option<Dist> {
+        BiDijkstra::run(self, g, s, t, bound, allowed)
+    }
+
+    #[inline]
+    fn sweep<F: Fn(Vertex) -> bool>(
+        &mut self,
+        g: &W,
+        s: Vertex,
+        bound: Dist,
+        cap: usize,
+        allowed: F,
+    ) {
+        BiDijkstra::sweep(self, g, s, bound, cap, allowed)
+    }
+
+    #[inline]
+    fn swept(&self) -> &[Vertex] {
+        BiDijkstra::swept(self)
+    }
+
+    #[inline]
+    fn sweep_dist(&self, v: Vertex) -> Dist {
+        BiDijkstra::sweep_dist(self, v)
     }
 }
 

@@ -126,6 +126,93 @@ fn index_landmarks(n: usize, landmarks: &[Vertex]) -> Result<Vec<u16>, LabelErro
     Ok(lm_index)
 }
 
+/// Read access to a labelling, as the Section 4 query path sees it.
+///
+/// Implemented by [`Labelling`] and by the what-if merge view
+/// [`crate::patch::PatchedLabels`]; the Eq. 3 bound code and the query
+/// functions of [`crate::query`] are generic over it, so a hypothetical
+/// is answered by the same code as a committed generation.
+pub trait LabelView {
+    fn num_landmarks(&self) -> usize;
+
+    /// Landmark index of `v`, if it is one.
+    fn landmark_index(&self, v: Vertex) -> Option<usize>;
+
+    #[inline]
+    fn is_landmark(&self, v: Vertex) -> bool {
+        self.landmark_index(v).is_some()
+    }
+
+    /// The `r_i`-label of `v` ([`NO_LABEL`] if absent).
+    fn label(&self, i: usize, v: Vertex) -> Dist;
+
+    /// Highway distance `δ_H(r_i, r_j)`.
+    fn highway(&self, i: usize, j: usize) -> Dist;
+
+    /// Exact `d_G(r_i, v)` recovered from the labels (Eq. 2): the label
+    /// if present, otherwise the best label + highway detour.
+    fn landmark_to_vertex(&self, i: usize, v: Vertex) -> Dist {
+        if let Some(j) = self.landmark_index(v) {
+            return if i == j { 0 } else { self.highway(i, j) };
+        }
+        let lab = self.label(i, v);
+        if lab != NO_LABEL {
+            return lab;
+        }
+        let mut best = u64::from(INF);
+        for k in 0..self.num_landmarks() {
+            let lk = self.label(k, v);
+            let h = self.highway(i, k);
+            if lk != NO_LABEL && h != INF {
+                best = best.min(u64::from(lk) + u64::from(h));
+            }
+        }
+        best.min(u64::from(INF)) as Dist
+    }
+
+    /// Escape hook to the packed/SIMD kernels: the base labelling when
+    /// its packed mirror answers for `v` exactly as this view does,
+    /// `None` when the caller must take the exact loop over this view.
+    fn packed_base(&self, v: Vertex) -> Option<&Labelling>;
+}
+
+impl LabelView for Labelling {
+    #[inline]
+    fn num_landmarks(&self) -> usize {
+        Labelling::num_landmarks(self)
+    }
+
+    #[inline]
+    fn landmark_index(&self, v: Vertex) -> Option<usize> {
+        Labelling::landmark_index(self, v)
+    }
+
+    #[inline]
+    fn is_landmark(&self, v: Vertex) -> bool {
+        Labelling::is_landmark(self, v)
+    }
+
+    #[inline]
+    fn label(&self, i: usize, v: Vertex) -> Dist {
+        Labelling::label(self, i, v)
+    }
+
+    #[inline]
+    fn highway(&self, i: usize, j: usize) -> Dist {
+        Labelling::highway(self, i, j)
+    }
+
+    #[inline]
+    fn landmark_to_vertex(&self, i: usize, v: Vertex) -> Dist {
+        Labelling::landmark_to_vertex(self, i, v)
+    }
+
+    #[inline]
+    fn packed_base(&self, _v: Vertex) -> Option<&Labelling> {
+        Some(self)
+    }
+}
+
 /// A highway cover labelling `Γ = (H, L)`.
 ///
 /// The dense landmark-major rows are the canonical, mutable substrate

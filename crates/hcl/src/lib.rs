@@ -27,7 +27,11 @@
 //! * [`kernel`] — SIMD min-plus kernels (SSE2/AVX2 with runtime
 //!   detection, branch-free scalar default) serving the Eq. 3 scans,
 //! * [`build`] — construction by flagged BFS (sequential and parallel),
-//! * [`query`] — the combined labelling + bounded-search query engine,
+//! * [`query`] — the one Section 4 query path (Eq. 3 bound + bounded
+//!   search), generic over [`LabelView`] labels and the graph crate's
+//!   `BoundedSearch` engines,
+//! * [`patch`] — scoped label patches and the [`PatchedLabels`] merge
+//!   view that what-if sessions query through,
 //! * [`store`] — the generation-based shared label store: immutable
 //!   published snapshots, lock-free reader handles, atomic-swap
 //!   publication (the substrate of concurrent query serving),
@@ -46,10 +50,10 @@ pub mod store;
 
 pub use build::{build_labelling, build_labelling_parallel};
 pub use kernel::{active_kernel, Kernel};
-pub use labelling::{LabelError, Labelling, NO_LABEL};
+pub use labelling::{LabelError, LabelView, Labelling, NO_LABEL};
 pub use landmarks::LandmarkSelection;
 pub use packed::{PackedHighway, PackedIndex, PackedLabels};
-pub use patch::{upper_bound_pair_patched, LabelPatch, PatchRow, PatchedLabels};
+pub use patch::{LabelPatch, PatchRow, PatchedLabels};
 pub use query::{sweep_min_targets, upper_bound_pair, QueryEngine, SourcePlan, SWEEP_MIN_TARGETS};
 pub use serde_io::SnapshotError;
 pub use store::{LabelStore, ReaderHandle, Versioned};

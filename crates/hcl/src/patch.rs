@@ -9,6 +9,12 @@
 //! base row" to the query layer, so the pinned snapshot's labelling is
 //! never touched and any number of hypotheticals can share it.
 //!
+//! The view implements [`LabelView`], so a session runs the one query
+//! path of [`crate::query`] unchanged: while its patch is empty the
+//! view hands the base's packed mirror to the SIMD kernels
+//! ([`LabelView::packed_base`]); otherwise the bound code takes its
+//! exact loop over the merged rows.
+//!
 //! The highway matrix follows the same row discipline the parallel
 //! repair relies on: landmark `i`'s pass is the only writer of highway
 //! row `i`, so `highway(i, j)` reads patch row `i`'s copy when it
@@ -16,10 +22,9 @@
 //! long as *all* landmarks were run (the speculative driver always
 //! does).
 
-use batchhl_common::{Dist, FxHashMap, LandmarkLength, Vertex, INF};
+use batchhl_common::{Dist, FxHashMap, Vertex};
 
-use crate::labelling::{Labelling, NO_LABEL};
-use crate::query::upper_bound_pair;
+use crate::labelling::{LabelView, Labelling, NO_LABEL};
 
 /// One landmark's repaired rows: the full label row over the
 /// (possibly grown) vertex range, plus that landmark's highway row.
@@ -83,7 +88,7 @@ impl LabelPatch {
 /// A read view merging a frozen base [`Labelling`] with a
 /// [`LabelPatch`]: patch row if present, base row otherwise. `Copy` by
 /// design — query code passes it around like the `&Labelling` it
-/// stands in for.
+/// stands in for, through the [`LabelView`] trait.
 #[derive(Debug, Clone, Copy)]
 pub struct PatchedLabels<'a> {
     base: &'a Labelling,
@@ -94,34 +99,18 @@ impl<'a> PatchedLabels<'a> {
     pub fn new(base: &'a Labelling, patch: &'a LabelPatch) -> Self {
         PatchedLabels { base, patch }
     }
+}
 
-    /// The frozen base labelling.
+impl LabelView for PatchedLabels<'_> {
     #[inline]
-    pub fn base(&self) -> &'a Labelling {
-        self.base
-    }
-
-    /// Whether the view degenerates to the plain base labelling.
-    #[inline]
-    pub fn patch_is_empty(&self) -> bool {
-        self.patch.is_empty()
-    }
-
-    #[inline]
-    pub fn num_vertices(&self) -> usize {
-        self.base.num_vertices().max(self.patch.num_vertices())
-    }
-
-    #[inline]
-    pub fn num_landmarks(&self) -> usize {
+    fn num_landmarks(&self) -> usize {
         self.base.num_landmarks()
     }
 
-    /// Landmark index of `v`, if it is one. Landmarks are fixed for
-    /// the life of a session; vertices the hypothetical batch grew
-    /// past the base range are never landmarks.
+    /// Landmarks are fixed for the life of a session; vertices the
+    /// hypothetical batch grew past the base range are never landmarks.
     #[inline]
-    pub fn landmark_index(&self, v: Vertex) -> Option<usize> {
+    fn landmark_index(&self, v: Vertex) -> Option<usize> {
         if (v as usize) < self.base.num_vertices() {
             self.base.landmark_index(v)
         } else {
@@ -130,14 +119,7 @@ impl<'a> PatchedLabels<'a> {
     }
 
     #[inline]
-    pub fn is_landmark(&self, v: Vertex) -> bool {
-        self.landmark_index(v).is_some()
-    }
-
-    /// The `r_i`-label of `v` under the hypothetical ([`NO_LABEL`] if
-    /// absent).
-    #[inline]
-    pub fn label(&self, i: usize, v: Vertex) -> Dist {
+    fn label(&self, i: usize, v: Vertex) -> Dist {
         if let Some(row) = self.patch.row(i) {
             row.label.get(v as usize).copied().unwrap_or(NO_LABEL)
         } else if (v as usize) < self.base.num_vertices() {
@@ -147,9 +129,8 @@ impl<'a> PatchedLabels<'a> {
         }
     }
 
-    /// Highway distance `δ_H(r_i, r_j)` under the hypothetical.
     #[inline]
-    pub fn highway(&self, i: usize, j: usize) -> Dist {
+    fn highway(&self, i: usize, j: usize) -> Dist {
         if let Some(row) = self.patch.row(i) {
             row.highway[j]
         } else {
@@ -157,91 +138,12 @@ impl<'a> PatchedLabels<'a> {
         }
     }
 
-    /// Exact `d_G(r_i, v)` under the hypothetical (Eq. 2).
-    pub fn landmark_to_vertex(&self, i: usize, v: Vertex) -> Dist {
-        self.landmark_dist(i, v).dist()
+    /// The base's packed mirror serves the view only while the patch
+    /// is empty and `v` lies inside the base range.
+    #[inline]
+    fn packed_base(&self, v: Vertex) -> Option<&Labelling> {
+        (self.patch.is_empty() && (v as usize) < self.base.num_vertices()).then_some(self.base)
     }
-
-    /// The landmark-distance oracle `d^L_G(r_i, v)` under the
-    /// hypothetical — mirrors [`Labelling::landmark_dist`] over the
-    /// merged rows.
-    pub fn landmark_dist(&self, i: usize, v: Vertex) -> LandmarkLength {
-        if let Some(j) = self.landmark_index(v) {
-            return if i == j {
-                LandmarkLength::ZERO
-            } else {
-                LandmarkLength::new(self.highway(i, j), true)
-            };
-        }
-        let lab = self.label(i, v);
-        if lab != NO_LABEL {
-            return LandmarkLength::new(lab, false);
-        }
-        let r = self.num_landmarks();
-        let mut best = u64::from(INF);
-        for k in 0..r {
-            let lk = self.label(k, v);
-            if lk == NO_LABEL {
-                continue;
-            }
-            let h = self.highway(i, k);
-            if h == INF {
-                continue;
-            }
-            best = best.min(lk as u64 + h as u64);
-        }
-        if best >= u64::from(INF) {
-            LandmarkLength::INFINITE
-        } else {
-            LandmarkLength::new(best as Dist, true)
-        }
-    }
-
-    /// The Eq. 3 upper bound `d⊤(s, t)` under the hypothetical.
-    pub fn upper_bound(&self, s: Vertex, t: Vertex) -> Dist {
-        upper_bound_pair_patched(self, self, self, s, t)
-    }
-}
-
-/// Eq. 3 across possibly distinct source / highway / target views
-/// (directed indexes bound `s → t` with `source` = the backward
-/// labelling and `highway`/`target` = the forward one). Escapes to the
-/// packed [`upper_bound_pair`] kernels when no patch is in play.
-pub fn upper_bound_pair_patched(
-    source: &PatchedLabels<'_>,
-    highway: &PatchedLabels<'_>,
-    target: &PatchedLabels<'_>,
-    s: Vertex,
-    t: Vertex,
-) -> Dist {
-    if source.patch_is_empty()
-        && highway.patch_is_empty()
-        && target.patch_is_empty()
-        && (s as usize) < source.base.num_vertices()
-        && (t as usize) < target.base.num_vertices()
-    {
-        return upper_bound_pair(source.base, highway.base, target.base, s, t);
-    }
-    let r = source.num_landmarks();
-    let mut best = u64::from(INF);
-    for i in 0..r {
-        let ls = source.label(i, s);
-        if ls == NO_LABEL {
-            continue;
-        }
-        for j in 0..r {
-            let h = highway.highway(i, j);
-            if h == INF {
-                continue;
-            }
-            let lt = target.label(j, t);
-            if lt == NO_LABEL {
-                continue;
-            }
-            best = best.min(ls as u64 + h as u64 + lt as u64);
-        }
-    }
-    best.min(u64::from(INF)) as Dist
 }
 
 #[cfg(test)]
@@ -259,7 +161,9 @@ mod tests {
         let base = labelled_path(8);
         let patch = LabelPatch::new(base.num_vertices());
         let pl = PatchedLabels::new(&base, &patch);
-        assert!(pl.patch_is_empty());
+        // The packed mirror serves in range, never past it.
+        assert!(pl.packed_base(7).is_some());
+        assert!(pl.packed_base(8).is_none());
         for i in 0..base.num_landmarks() {
             for v in 0..8u32 {
                 assert_eq!(pl.label(i, v), base.label(i, v));
@@ -275,7 +179,11 @@ mod tests {
         }
         for s in 0..8u32 {
             for t in 0..8u32 {
-                assert_eq!(pl.upper_bound(s, t), base.upper_bound(s, t), "({s},{t})");
+                assert_eq!(
+                    crate::upper_bound_pair(&pl, &pl, &pl, s, t),
+                    base.upper_bound(s, t),
+                    "({s},{t})"
+                );
             }
         }
     }
@@ -292,8 +200,7 @@ mod tests {
         };
         patch.insert_row(0, row);
         let pl = PatchedLabels::new(&base, &patch);
-        assert!(!pl.patch_is_empty());
-        assert_eq!(pl.num_vertices(), n);
+        assert!(pl.packed_base(0).is_none(), "a patch disables the mirror");
         // Patched row shadows the base; unpatched rows fall through.
         assert_eq!(pl.label(0, 3), 7);
         if r > 1 {

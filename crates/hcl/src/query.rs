@@ -1,10 +1,30 @@
-//! Query processing (Section 4).
+//! Query processing (Section 4): the one query path every index
+//! family and every what-if session runs.
 //!
 //! `Q(s, t) = min(d_{G[V\R]}(s, t), d⊤_{st})`: compute the highway upper
-//! bound from the labelling (Eq. 3), then run a distance-bounded
-//! bidirectional BFS on the landmark-sparsified graph. Landmark
-//! endpoints are answered from the labelling alone via the highway cover
-//! property (Eq. 2) — for them the bound is already exact.
+//! bound from the labelling (Eq. 3), then run a distance-bounded search
+//! on the landmark-sparsified graph. Landmark endpoints are answered from
+//! the labelling alone via the highway cover property (Eq. 2) — for them
+//! the bound is already exact.
+//!
+//! Directed and weighted graphs change only *which* labels and *which*
+//! search are used, so [`point_dist`], [`distances_from`] and [`top_k`]
+//! are generic over both:
+//!
+//! * the labels are a `(fwd, bwd)` pair of [`LabelView`]s. Forward
+//!   labels answer `d(r → v)` and carry the highway; backward labels
+//!   answer `d(v → r)`. Undirected and weighted callers pass one
+//!   labelling twice. A what-if session passes
+//!   [`crate::patch::PatchedLabels`] views, so a hypothetical is answered
+//!   by the same code as a committed generation.
+//! * the search is a [`BoundedSearch`]: [`BiBfs`] over an
+//!   `AdjacencyView`, `BiDijkstra` over a `WeightedAdjacencyView`.
+//!
+//! The Eq. 3 code ([`upper_bound_pair`], [`SourcePlan`]) has one packed
+//! SIMD fast path, taken when [`LabelView::packed_base`] hands back a
+//! labelling whose packed mirror serves the call, and one exact loop
+//! over the view's accessors for everything else (a non-empty what-if
+//! patch, grown vertices, distances outside the clamped kernel domain).
 //!
 //! # Batched queries: pinning the source's label row
 //!
@@ -17,18 +37,16 @@
 //! every target costs a single `O(|R|)` pass over its own labels
 //! instead of re-reading the source row and the highway per pair.
 //!
-//! [`QueryEngine::distances_from`] builds on that: for large target
-//! sets it additionally replaces the per-target bidirectional searches
-//! with **one** bounded BFS sweep from `s` on `G[V\R]`
-//! ([`BiBfs::sweep`]), amortizing the source side of Section 4's search
-//! across the whole call.
+//! [`distances_from`] builds on that: for large target sets it
+//! additionally replaces the per-target bidirectional searches with
+//! **one** bounded sweep from `s` on `G[V\R]`, amortizing the source
+//! side of Section 4's search across the whole call.
 
 use crate::kernel::{self, clamp_to_inf, CLAMP_INF};
-use crate::labelling::{Labelling, NO_LABEL};
-use crate::patch::{upper_bound_pair_patched, PatchedLabels};
+use crate::labelling::{LabelView, Labelling, NO_LABEL};
 use batchhl_common::{Dist, Vertex, INF};
 use batchhl_graph::bfs::BiBfs;
-use batchhl_graph::AdjacencyView;
+use batchhl_graph::{AdjacencyView, BoundedSearch};
 
 /// Calibration anchor for [`sweep_min_targets`]: the measured sweep /
 /// per-search cost crossover on the standard bench graph (~2 000
@@ -78,8 +96,8 @@ pub struct SourcePlan {
 
 /// Fill `via` (clamped domain, pre-initialized to [`CLAMP_INF`]) from
 /// `s`'s packed label row and the packed highway — `|L(s)|` dense
-/// min-plus kernel calls. Returns `false` (leaving `via` untouched)
-/// when the inputs fall outside the clamped domain.
+/// min-plus kernel calls. Returns `false` when the inputs fall outside
+/// the clamped domain.
 fn fill_via_clamped(
     source_lab: &Labelling,
     highway_lab: &Labelling,
@@ -102,114 +120,28 @@ fn fill_via_clamped(
     true
 }
 
-/// Exact-domain `via` fill over the dense rows (`INF` sentinel, `u64`
-/// accumulation) — the escape path for distances at or above
-/// [`CLAMP_INF`], bit-identical to the pre-packed implementation.
-fn fill_via_exact(source_lab: &Labelling, highway_lab: &Labelling, s: Vertex, via: &mut [Dist]) {
-    for i in 0..source_lab.num_landmarks() {
-        let ls = source_lab.label(i, s);
-        if ls == NO_LABEL {
-            continue;
-        }
-        for (j, slot) in via.iter_mut().enumerate() {
-            let h = highway_lab.highway(i, j);
-            if h == INF {
-                continue;
-            }
-            let cand = ls as u64 + h as u64;
-            if cand < *slot as u64 {
-                *slot = cand as Dist;
-            }
-        }
-    }
-}
-
 impl SourcePlan {
-    pub fn new(source_lab: &Labelling, highway_lab: &Labelling, s: Vertex) -> Self {
+    pub fn new<S: LabelView, H: LabelView>(source_lab: &S, highway_lab: &H, s: Vertex) -> Self {
         let r = highway_lab.num_landmarks();
-        let mut via = vec![CLAMP_INF; r].into_boxed_slice();
-        if fill_via_clamped(source_lab, highway_lab, s, &mut via) {
-            return SourcePlan {
-                source: s,
-                via,
-                clamped: true,
-            };
-        }
-        via.fill(INF);
-        fill_via_exact(source_lab, highway_lab, s, &mut via);
-        SourcePlan {
-            source: s,
-            via,
-            clamped: false,
-        }
-    }
-
-    /// The source vertex this plan prices routes from.
-    #[inline]
-    pub fn source(&self) -> Vertex {
-        self.source
-    }
-
-    /// The Eq. 3 upper bound `d⊤(s, t)` priced against `t`'s labels in
-    /// `target_lab` — equal to `Labelling::upper_bound(s, t)` but
-    /// `O(|L(t)|)` per target instead of `O(|L(s)|·|R|)`. Clamped plans
-    /// use the sparse gather min-plus kernel over `t`'s packed row.
-    pub fn bound_to(&self, target_lab: &Labelling, t: Vertex) -> Dist {
-        if self.clamped {
-            let trow = target_lab.packed().labels.row(t);
-            if trow.clamp_safe {
-                return clamp_to_inf(kernel::gather_min(&self.via, trow.ids, trow.dists));
-            }
-            // Huge (weighted) target distances: exact u64 over the
-            // packed row, clamped via slots mapped back to INF.
-            let mut best = u64::from(INF);
-            for k in 0..trow.len() {
-                let (j, lt) = trow.entry(k);
-                let via = self.via[j as usize];
-                if via >= CLAMP_INF {
-                    continue;
-                }
-                best = best.min(via as u64 + lt as u64);
-            }
-            return best.min(u64::from(INF)) as Dist;
-        }
-        let mut best = u64::from(INF);
-        for (j, &via) in self.via.iter().enumerate() {
-            if via == INF {
-                continue;
-            }
-            let lt = target_lab.label(j, t);
-            if lt == NO_LABEL {
-                continue;
-            }
-            let cand = via as u64 + lt as u64;
-            if cand < best {
-                best = cand;
+        if let (Some(sb), Some(hb)) = (source_lab.packed_base(s), highway_lab.packed_base(s)) {
+            let mut via = vec![CLAMP_INF; r].into_boxed_slice();
+            if fill_via_clamped(sb, hb, s, &mut via) {
+                return SourcePlan {
+                    source: s,
+                    via,
+                    clamped: true,
+                };
             }
         }
-        best.min(u64::from(INF)) as Dist
-    }
-
-    /// As [`SourcePlan::new`] over patched views (what-if sessions).
-    /// Degenerates to the clamped-kernel path when neither view carries
-    /// a patch; otherwise fills `via` with an exact dense scan over the
-    /// merged rows.
-    pub fn new_patched(source: &PatchedLabels<'_>, highway: &PatchedLabels<'_>, s: Vertex) -> Self {
-        if source.patch_is_empty()
-            && highway.patch_is_empty()
-            && (s as usize) < source.base().num_vertices()
-        {
-            return SourcePlan::new(source.base(), highway.base(), s);
-        }
-        let r = highway.num_landmarks();
+        // Exact domain: `INF` sentinel, `u64` accumulation.
         let mut via = vec![INF; r].into_boxed_slice();
-        for i in 0..source.num_landmarks() {
-            let ls = source.label(i, s);
+        for i in 0..source_lab.num_landmarks() {
+            let ls = source_lab.label(i, s);
             if ls == NO_LABEL {
                 continue;
             }
             for (j, slot) in via.iter_mut().enumerate() {
-                let h = highway.highway(i, j);
+                let h = highway_lab.highway(i, j);
                 if h == INF {
                     continue;
                 }
@@ -226,106 +158,246 @@ impl SourcePlan {
         }
     }
 
-    /// As [`SourcePlan::bound_to`] against a patched target view.
-    /// Handles both `via` domains: clamped plans (built by
-    /// [`SourcePlan::new`] before the target's patch existed) keep the
-    /// [`CLAMP_INF`] no-route sentinel, exact plans use [`INF`].
-    pub fn bound_to_patched(&self, target: &PatchedLabels<'_>, t: Vertex) -> Dist {
-        if target.patch_is_empty() && (t as usize) < target.base().num_vertices() {
-            return self.bound_to(target.base(), t);
+    /// The source vertex this plan prices routes from.
+    #[inline]
+    pub fn source(&self) -> Vertex {
+        self.source
+    }
+
+    /// The Eq. 3 upper bound `d⊤(s, t)` priced against `t`'s labels in
+    /// `target_lab` — equal to [`upper_bound_pair`] but `O(|L(t)|)` per
+    /// target instead of `O(|L(s)|·|L(t)|)`. Clamped plans use the
+    /// sparse gather min-plus kernel over `t`'s packed row when the
+    /// view has one.
+    pub fn bound_to<T: LabelView>(&self, target_lab: &T, t: Vertex) -> Dist {
+        if self.clamped {
+            if let Some(tb) = target_lab.packed_base(t) {
+                let trow = tb.packed().labels.row(t);
+                if trow.clamp_safe {
+                    return clamp_to_inf(kernel::gather_min(&self.via, trow.ids, trow.dists));
+                }
+            }
         }
+        // Exact loop; a clamped plan keeps its `CLAMP_INF` no-route
+        // sentinel.
         let no_route = if self.clamped { CLAMP_INF } else { INF };
         let mut best = u64::from(INF);
         for (j, &via) in self.via.iter().enumerate() {
             if via >= no_route {
                 continue;
             }
-            let lt = target.label(j, t);
-            if lt == NO_LABEL {
-                continue;
-            }
-            let cand = u64::from(via) + u64::from(lt);
-            if cand < best {
-                best = cand;
+            let lt = target_lab.label(j, t);
+            if lt != NO_LABEL {
+                best = best.min(u64::from(via) + u64::from(lt));
             }
         }
         best.min(u64::from(INF)) as Dist
     }
 }
 
-/// Eq. 3 over a `(source, highway, target)` labelling triple, served
-/// from the packed mirrors: `min_{i,j} ls_i + δ_H(r_i, r_j) + lt_j`
-/// over *logical* entries — `O(|L(s)|·|L(t)|)` instead of the dense
-/// `O(|R|²)`. Undirected callers pass the same labelling three times
-/// ([`Labelling::upper_bound`] does); the directed index passes
-/// `(bwd, fwd, fwd)`. Exact for every width tier (`u64` accumulation).
-pub fn upper_bound_pair(
-    source_lab: &Labelling,
-    highway_lab: &Labelling,
-    target_lab: &Labelling,
+/// Eq. 3 over a `(source, highway, target)` labelling triple:
+/// `min_{i,j} ls_i + δ_H(r_i, r_j) + lt_j`. The packed path iterates
+/// *logical* entries — `O(|L(s)|·|L(t)|)` instead of the dense
+/// `O(|R|²)` of the exact loop. Undirected callers pass the same
+/// labelling three times ([`Labelling::upper_bound`] does); directed
+/// callers pass `(bwd, fwd, fwd)`. Exact for every width tier (`u64`
+/// accumulation).
+pub fn upper_bound_pair<S: LabelView, H: LabelView, T: LabelView>(
+    source_lab: &S,
+    highway_lab: &H,
+    target_lab: &T,
     s: Vertex,
     t: Vertex,
 ) -> Dist {
-    let srow = source_lab.packed().labels.row(s);
-    let trow = target_lab.packed().labels.row(t);
-    if srow.is_empty() || trow.is_empty() {
-        return INF;
-    }
-    let hp = &highway_lab.packed().highway;
     let mut best = u64::from(INF);
-    for a in 0..srow.len() {
-        let (i, ls) = srow.entry(a);
-        for b in 0..trow.len() {
-            let (j, lt) = trow.entry(b);
-            let h = hp.get(i as usize, j as usize);
-            if h == INF {
-                continue;
+    if let (Some(sb), Some(hb), Some(tb)) = (
+        source_lab.packed_base(s),
+        highway_lab.packed_base(s),
+        target_lab.packed_base(t),
+    ) {
+        let srow = sb.packed().labels.row(s);
+        let trow = tb.packed().labels.row(t);
+        let hp = &hb.packed().highway;
+        for a in 0..srow.len() {
+            let (i, ls) = srow.entry(a);
+            for b in 0..trow.len() {
+                let (j, lt) = trow.entry(b);
+                let h = hp.get(i as usize, j as usize);
+                if h != INF {
+                    best = best.min(u64::from(ls) + u64::from(h) + u64::from(lt));
+                }
             }
-            best = best.min(ls as u64 + h as u64 + lt as u64);
+        }
+        return best.min(u64::from(INF)) as Dist;
+    }
+    let r = source_lab.num_landmarks();
+    for i in 0..r {
+        let ls = source_lab.label(i, s);
+        if ls == NO_LABEL {
+            continue;
+        }
+        for j in 0..r {
+            let h = highway_lab.highway(i, j);
+            let lt = target_lab.label(j, t);
+            if h != INF && lt != NO_LABEL {
+                best = best.min(u64::from(ls) + u64::from(h) + u64::from(lt));
+            }
         }
     }
     best.min(u64::from(INF)) as Dist
 }
 
+/// Exact `d(s → t)` (Section 4): Eq. 2 for landmark endpoints,
+/// otherwise the Eq. 3 bound refined by one bounded search on
+/// `G[V\R]`. `INF` when disconnected or when either endpoint lies
+/// outside `graph`.
+pub fn point_dist<G, L: LabelView, S: BoundedSearch<G>>(
+    graph: &G,
+    fwd: &L,
+    bwd: &L,
+    search: &mut S,
+    s: Vertex,
+    t: Vertex,
+) -> Dist {
+    let n = S::num_vertices(graph);
+    if (s as usize) >= n || (t as usize) >= n {
+        return INF;
+    }
+    if s == t {
+        return 0;
+    }
+    if let Some(i) = fwd.landmark_index(s) {
+        return fwd.landmark_to_vertex(i, t);
+    }
+    if let Some(j) = bwd.landmark_index(t) {
+        return bwd.landmark_to_vertex(j, s);
+    }
+    let bound = upper_bound_pair(bwd, fwd, fwd, s, t);
+    search
+        .run(graph, s, t, bound, |v| !fwd.is_landmark(v))
+        .unwrap_or(bound)
+}
+
+/// One source, many targets (see the module docs): build a
+/// [`SourcePlan`] once, price every target's Eq. 3 bound in
+/// `O(|L(t)|)`, then refine non-landmark targets — per-target bounded
+/// searches when few remain, or a single bounded sweep of `G[V\R]`
+/// from `s` once [`sweep_min_targets`] of them need search.
+///
+/// Answers equal [`point_dist`] pair by pair; `INF` marks disconnected
+/// or out-of-range endpoints.
+pub fn distances_from<G, L: LabelView, S: BoundedSearch<G>>(
+    graph: &G,
+    fwd: &L,
+    bwd: &L,
+    search: &mut S,
+    s: Vertex,
+    targets: &[Vertex],
+) -> Vec<Dist> {
+    let n = S::num_vertices(graph);
+    let mut out = vec![INF; targets.len()];
+    if (s as usize) >= n {
+        return out;
+    }
+    // Landmark sources are exact from the labelling alone (Eq. 2).
+    if let Some(i) = fwd.landmark_index(s) {
+        for (slot, &t) in out.iter_mut().zip(targets) {
+            if (t as usize) < n {
+                *slot = fwd.landmark_to_vertex(i, t);
+            }
+        }
+        return out;
+    }
+    let plan = SourcePlan::new(bwd, fwd, s);
+    let mut refine: Vec<usize> = Vec::new();
+    for (k, &t) in targets.iter().enumerate() {
+        if (t as usize) >= n {
+            continue;
+        }
+        if t == s {
+            out[k] = 0;
+            continue;
+        }
+        if let Some(j) = bwd.landmark_index(t) {
+            out[k] = bwd.landmark_to_vertex(j, s);
+            continue;
+        }
+        out[k] = plan.bound_to(fwd, t);
+        refine.push(k);
+    }
+    let allowed = |v| !fwd.is_landmark(v);
+    if refine.len() >= sweep_min_targets(n) {
+        // One sweep bounded by the largest per-target bound: a
+        // restricted path shorter than its pair's bound lies within
+        // the horizon, so min(bound, sweep) is exact per pair.
+        let horizon = refine.iter().map(|&k| out[k]).max().unwrap_or(0);
+        search.sweep(graph, s, horizon, usize::MAX, allowed);
+        for &k in &refine {
+            out[k] = out[k].min(search.sweep_dist(targets[k]));
+        }
+    } else {
+        for &k in &refine {
+            let bound = out[k];
+            out[k] = search
+                .run(graph, s, targets[k], bound, allowed)
+                .unwrap_or(bound);
+        }
+    }
+    out
+}
+
+/// The `k` vertices closest to `s` (excluding `s`), nondecreasing by
+/// distance: a plain capped sweep of the *full* graph — distances there
+/// are exact, so no labelling is consulted.
+///
+/// The answer set is **deterministic**: the sweep always completes the
+/// distance level the cap lands in (so every vertex at the boundary
+/// distance is a candidate), and ties at the boundary are broken by
+/// ascending vertex id. The same query therefore answers identically
+/// before and after CSR compaction or any other adjacency reordering of
+/// an identical graph.
+pub fn top_k<G, S: BoundedSearch<G>>(
+    graph: &G,
+    search: &mut S,
+    s: Vertex,
+    k: usize,
+) -> Vec<(Vertex, Dist)> {
+    if (s as usize) >= S::num_vertices(graph) || k == 0 {
+        return Vec::new();
+    }
+    search.sweep(graph, s, INF, k.saturating_add(1), |_| true);
+    let mut out: Vec<(Vertex, Dist)> = search
+        .swept()
+        .iter()
+        .filter(|&&v| v != s)
+        .map(|&v| (v, search.sweep_dist(v)))
+        .collect();
+    // The sweep is nondecreasing by distance but adjacency- or
+    // heap-ordered within a distance; canonicalize to (distance, id)
+    // and cut at k.
+    out.sort_unstable_by_key(|&(v, d)| (d, v));
+    out.truncate(k);
+    out
+}
+
 /// Reusable query engine for undirected graphs: owns the bidirectional
-/// search workspace and a `via` scratch buffer so back-to-back queries
-/// allocate nothing.
+/// search workspace so back-to-back queries allocate nothing. A thin
+/// wrapper over [`point_dist`], [`distances_from`] and [`top_k`] with
+/// one labelling in both directions.
 #[derive(Debug, Default)]
 pub struct QueryEngine {
     bibfs: BiBfs,
-    /// Per-pair Eq. 3 scratch: the clamped `via` accumulator, reused
-    /// across queries (see [`QueryEngine::pair_bound`]).
-    via: Vec<Dist>,
 }
 
 impl QueryEngine {
     pub fn new(n: usize) -> Self {
         QueryEngine {
             bibfs: BiBfs::new(n),
-            via: Vec::new(),
         }
-    }
-
-    /// The Eq. 3 bound for one pair through the SIMD kernels: refill
-    /// the engine's `via` scratch from `s`'s packed row (dense
-    /// accumulate min-plus per source label), then price `t` with one
-    /// sparse gather. Falls back to the exact packed double loop when
-    /// the labelling leaves the clamped domain.
-    fn pair_bound(&mut self, lab: &Labelling, s: Vertex, t: Vertex) -> Dist {
-        let r = lab.num_landmarks();
-        self.via.clear();
-        self.via.resize(r, CLAMP_INF);
-        if fill_via_clamped(lab, lab, s, &mut self.via) {
-            let trow = lab.packed().labels.row(t);
-            if trow.clamp_safe {
-                return clamp_to_inf(kernel::gather_min(&self.via, trow.ids, trow.dists));
-            }
-        }
-        upper_bound_pair(lab, lab, lab, s, t)
     }
 
     /// Exact distance between `s` and `t` on the graph `g` that `lab`
-    /// currently describes; `None` if disconnected.
+    /// currently describes; `None` if disconnected or out of range.
     pub fn query<A: AdjacencyView>(
         &mut self,
         lab: &Labelling,
@@ -345,37 +417,10 @@ impl QueryEngine {
         s: Vertex,
         t: Vertex,
     ) -> Dist {
-        if s == t {
-            return 0;
-        }
-        match (lab.landmark_index(s), lab.landmark_index(t)) {
-            (Some(i), Some(j)) => lab.highway(i, j),
-            // Landmark–vertex distances are exact by the highway cover
-            // property (Eq. 2).
-            (Some(i), None) => lab.landmark_to_vertex(i, t),
-            (None, Some(j)) => lab.landmark_to_vertex(j, s),
-            (None, None) => {
-                let bound = self.pair_bound(lab, s, t);
-                let found = self.bibfs.run(g, s, t, bound, |v| !lab.is_landmark(v));
-                found.unwrap_or(bound)
-            }
-        }
+        point_dist(g, lab, lab, &mut self.bibfs, s, t)
     }
 
-    /// The labelling-only upper bound (for diagnostics / benches).
-    pub fn upper_bound(&self, lab: &Labelling, s: Vertex, t: Vertex) -> Dist {
-        lab.upper_bound(s, t)
-    }
-
-    /// One source, many targets (see the module docs): build a
-    /// [`SourcePlan`] once, price every target's Eq. 3 bound in
-    /// `O(|L(t)|)`, then refine non-landmark targets — per-target
-    /// bounded BiBFS when few remain, or a single bounded sweep of
-    /// `G[V\R]` from `s` once [`sweep_min_targets`] of them need
-    /// search.
-    ///
-    /// Answers equal [`QueryEngine::query_dist`] pair by pair; `INF`
-    /// marks disconnected or out-of-range endpoints.
+    /// See [`distances_from`].
     pub fn distances_from<A: AdjacencyView>(
         &mut self,
         lab: &Labelling,
@@ -383,190 +428,18 @@ impl QueryEngine {
         s: Vertex,
         targets: &[Vertex],
     ) -> Vec<Dist> {
-        let n = g.num_vertices();
-        let mut out = vec![INF; targets.len()];
-        if (s as usize) >= n {
-            return out;
-        }
-        // Landmark sources are exact from the labelling alone (Eq. 2).
-        if let Some(i) = lab.landmark_index(s) {
-            for (slot, &t) in out.iter_mut().zip(targets) {
-                if (t as usize) < n {
-                    *slot = lab.landmark_to_vertex(i, t);
-                }
-            }
-            return out;
-        }
-        let plan = SourcePlan::new(lab, lab, s);
-        let mut refine: Vec<usize> = Vec::new();
-        for (k, &t) in targets.iter().enumerate() {
-            if (t as usize) >= n {
-                continue;
-            }
-            if t == s {
-                out[k] = 0;
-                continue;
-            }
-            if let Some(j) = lab.landmark_index(t) {
-                out[k] = lab.landmark_to_vertex(j, s);
-                continue;
-            }
-            out[k] = plan.bound_to(lab, t);
-            refine.push(k);
-        }
-        if refine.len() >= sweep_min_targets(n) {
-            // One sweep bounded by the largest per-target bound: a
-            // restricted path shorter than its pair's bound lies within
-            // the horizon, so min(bound, sweep) is exact per pair.
-            let horizon = refine.iter().map(|&k| out[k]).max().unwrap_or(0);
-            self.bibfs
-                .sweep(g, s, horizon, usize::MAX, |v| !lab.is_landmark(v));
-            for &k in &refine {
-                out[k] = out[k].min(self.bibfs.sweep_dist(targets[k]));
-            }
-        } else {
-            for &k in &refine {
-                let bound = out[k];
-                let found = self
-                    .bibfs
-                    .run(g, s, targets[k], bound, |v| !lab.is_landmark(v));
-                out[k] = found.unwrap_or(bound);
-            }
-        }
-        out
+        distances_from(g, lab, lab, &mut self.bibfs, s, targets)
     }
 
-    /// As [`QueryEngine::query_dist`] over a patched labelling view —
-    /// the per-pair path of a what-if session. `g` is the session's
-    /// private overlay view of the hypothetical graph.
-    pub fn query_dist_patched<A: AdjacencyView>(
-        &mut self,
-        pl: &PatchedLabels<'_>,
-        g: &A,
-        s: Vertex,
-        t: Vertex,
-    ) -> Dist {
-        if s == t {
-            return 0;
-        }
-        match (pl.landmark_index(s), pl.landmark_index(t)) {
-            (Some(i), Some(j)) => pl.highway(i, j),
-            (Some(i), None) => pl.landmark_to_vertex(i, t),
-            (None, Some(j)) => pl.landmark_to_vertex(j, s),
-            (None, None) => {
-                let bound = upper_bound_pair_patched(pl, pl, pl, s, t);
-                let found = self.bibfs.run(g, s, t, bound, |v| !pl.is_landmark(v));
-                found.unwrap_or(bound)
-            }
-        }
-    }
-
-    /// As [`QueryEngine::distances_from`] over a patched labelling
-    /// view, with the same landmark-source, sweep-vs-search and
-    /// range-handling structure. Answers equal
-    /// [`QueryEngine::query_dist_patched`] pair by pair.
-    pub fn distances_from_patched<A: AdjacencyView>(
-        &mut self,
-        pl: &PatchedLabels<'_>,
-        g: &A,
-        s: Vertex,
-        targets: &[Vertex],
-    ) -> Vec<Dist> {
-        let n = g.num_vertices();
-        let mut out = vec![INF; targets.len()];
-        if (s as usize) >= n {
-            return out;
-        }
-        if let Some(i) = pl.landmark_index(s) {
-            for (slot, &t) in out.iter_mut().zip(targets) {
-                if (t as usize) < n {
-                    *slot = pl.landmark_to_vertex(i, t);
-                }
-            }
-            return out;
-        }
-        let plan = SourcePlan::new_patched(pl, pl, s);
-        let mut refine: Vec<usize> = Vec::new();
-        for (k, &t) in targets.iter().enumerate() {
-            if (t as usize) >= n {
-                continue;
-            }
-            if t == s {
-                out[k] = 0;
-                continue;
-            }
-            if let Some(j) = pl.landmark_index(t) {
-                out[k] = pl.landmark_to_vertex(j, s);
-                continue;
-            }
-            out[k] = plan.bound_to_patched(pl, t);
-            refine.push(k);
-        }
-        if refine.len() >= sweep_min_targets(n) {
-            let horizon = refine.iter().map(|&k| out[k]).max().unwrap_or(0);
-            self.bibfs
-                .sweep(g, s, horizon, usize::MAX, |v| !pl.is_landmark(v));
-            for &k in &refine {
-                out[k] = out[k].min(self.bibfs.sweep_dist(targets[k]));
-            }
-        } else {
-            for &k in &refine {
-                let bound = out[k];
-                let found = self
-                    .bibfs
-                    .run(g, s, targets[k], bound, |v| !pl.is_landmark(v));
-                out[k] = found.unwrap_or(bound);
-            }
-        }
-        out
-    }
-
-    /// The `k` vertices closest to `s` (excluding `s` itself), as
-    /// `(vertex, distance)` in nondecreasing-distance order (see
-    /// [`bfs_top_k`]).
+    /// See [`top_k`].
     pub fn top_k_closest<A: AdjacencyView>(
         &mut self,
         g: &A,
         s: Vertex,
         k: usize,
     ) -> Vec<(Vertex, Dist)> {
-        bfs_top_k(&mut self.bibfs, g, s, k)
+        top_k(g, &mut self.bibfs, s, k)
     }
-}
-
-/// The `k` vertices closest to `s` (excluding `s`), nondecreasing by
-/// distance: a plain capped BFS sweep of the *full* graph — distances
-/// there are exact, so no labelling is consulted. Shared by the
-/// undirected query engine and the directed snapshot path (which
-/// follows out-arcs through its `AdjacencyView`).
-///
-/// The answer set is **deterministic**: the sweep always completes the
-/// BFS level the cap lands in (so every vertex at the boundary distance
-/// is a candidate), and ties at the boundary are broken by ascending
-/// vertex id. The same query therefore answers identically before and
-/// after CSR compaction or any other adjacency reordering of an
-/// identical graph.
-pub fn bfs_top_k<A: AdjacencyView>(
-    bibfs: &mut BiBfs,
-    g: &A,
-    s: Vertex,
-    k: usize,
-) -> Vec<(Vertex, Dist)> {
-    if (s as usize) >= g.num_vertices() || k == 0 {
-        return Vec::new();
-    }
-    bibfs.sweep(g, s, INF, k.saturating_add(1), |_| true);
-    let mut out: Vec<(Vertex, Dist)> = bibfs
-        .swept()
-        .iter()
-        .filter(|&&v| v != s)
-        .map(|&v| (v, bibfs.sweep_dist(v)))
-        .collect();
-    // The sweep is nondecreasing by distance but adjacency-ordered
-    // within a level; canonicalize to (distance, id) and cut at k.
-    out.sort_unstable_by_key(|&(v, d)| (d, v));
-    out.truncate(k);
-    out
 }
 
 #[cfg(test)]
@@ -736,6 +609,11 @@ mod tests {
         );
         // Out-of-range source.
         assert_eq!(engine.distances_from(&lab, &g, 17, &targets), vec![INF; 6]);
+        // Out-of-range endpoints of a single pair, including `s == t`.
+        for (s, t) in [(9, 0), (0, 9), (9, 9)] {
+            assert_eq!(engine.query_dist(&lab, &g, s, t), INF, "({s},{t})");
+            assert_eq!(engine.query(&lab, &g, s, t), None, "({s},{t})");
+        }
     }
 
     #[test]
@@ -758,10 +636,9 @@ mod tests {
         let g = barabasi_albert(120, 3, 11);
         let lab = build_labelling(&g, LandmarkSelection::TopDegree(8).select(&g)).unwrap();
         let truth = all_pairs_bfs(&g);
-        let engine = QueryEngine::new(g.num_vertices());
         for s in (0..120u32).step_by(7) {
             for t in (0..120u32).step_by(11) {
-                let ub = engine.upper_bound(&lab, s, t);
+                let ub = lab.upper_bound(s, t);
                 let d = truth[s as usize][t as usize];
                 if !lab.is_landmark(s) && !lab.is_landmark(t) && s != t {
                     assert!(ub as u64 >= d as u64, "bound must be admissible");

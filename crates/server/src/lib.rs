@@ -46,6 +46,8 @@
 //! # let _ = d;
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod chaos;
 pub mod client;
 pub mod coalescer;

@@ -38,6 +38,8 @@
 //! cover labelling), [`graph`] (dynamic graphs + CSR snapshots),
 //! [`baselines`] and [`common`].
 
+#![forbid(unsafe_code)]
+
 pub mod oracle;
 
 pub use oracle::{

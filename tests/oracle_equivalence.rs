@@ -29,6 +29,8 @@ const N: usize = 60;
 const CORE: u32 = 54;
 const ROUNDS: usize = 4;
 const BATCH: usize = 14;
+/// Top-degree landmarks of every family's oracle.
+const LANDMARKS: usize = 5;
 
 fn pair(rng: &mut StdRng) -> Option<(Vertex, Vertex)> {
     let a = rng.gen_range(0..CORE);
@@ -45,12 +47,13 @@ fn check_consistency(
     ctx: &str,
 ) {
     let sources: Vec<Vertex> = (0..N as Vertex).step_by(7).collect();
-    let all: Vec<Vertex> = (0..N as Vertex).collect();
+    // Every vertex twice: the targets left to search once the source
+    // and the landmarks drop out of each copy must cross the real
+    // sweep threshold, or the sweep branch never runs.
+    let all: Vec<Vertex> = (0..N as Vertex).chain(0..N as Vertex).collect();
     let small: Vec<Vertex> = (0..N as Vertex).step_by(13).collect();
-    assert!(
-        small.len() < batchhl::hcl::SWEEP_MIN_TARGETS
-            && all.len() >= batchhl::hcl::SWEEP_MIN_TARGETS
-    );
+    let threshold = batchhl::hcl::sweep_min_targets(N);
+    assert!(small.len() < threshold && all.len() - 2 * (LANDMARKS + 1) >= threshold);
 
     for &s in &sources {
         let dist = truth(s);
@@ -62,17 +65,22 @@ fn check_consistency(
                 "{ctx}: query({s},{t})"
             );
         }
-        // One-to-many: the sweep path (N targets) and the per-target
-        // path (few targets) both match truth; the reader matches the
-        // owner.
-        assert_eq!(oracle.distances_from(s, &all), want, "{ctx}: fanout({s})");
+        // One-to-many: the sweep path (repeated targets) and the
+        // per-target path (few targets) both match truth; the reader
+        // matches the owner.
+        let want_all: Vec<Option<Dist>> = all.iter().map(|&t| want[t as usize]).collect();
+        assert_eq!(
+            oracle.distances_from(s, &all),
+            want_all,
+            "{ctx}: fanout({s})"
+        );
         let got_small = oracle.distances_from(s, &small);
         for (&t, &d) in small.iter().zip(&got_small) {
             assert_eq!(d, want[t as usize], "{ctx}: direct fanout({s},{t})");
         }
         assert_eq!(
             reader.distances_from(s, &all),
-            want,
+            want_all,
             "{ctx}: reader fanout({s})"
         );
 
@@ -142,7 +150,7 @@ fn undirected_backend_matches_truth_and_baseline() {
         }
     }
     let mut oracle = Oracle::builder()
-        .landmarks(LandmarkSelection::TopDegree(5))
+        .landmarks(LandmarkSelection::TopDegree(LANDMARKS))
         .build(mirror.clone())
         .expect("undirected source");
     let reader = oracle.reader();
@@ -194,7 +202,7 @@ fn directed_backend_matches_truth_and_baseline() {
     }
     let mut oracle = Oracle::builder()
         .directed(true)
-        .landmarks(LandmarkSelection::TopDegree(5))
+        .landmarks(LandmarkSelection::TopDegree(LANDMARKS))
         .build(mirror.clone())
         .expect("directed source");
     let reader = oracle.reader();
@@ -245,7 +253,7 @@ fn weighted_backend_matches_truth_and_baseline() {
     }
     let mut oracle = Oracle::builder()
         .weighted(true)
-        .landmarks(LandmarkSelection::TopDegree(5))
+        .landmarks(LandmarkSelection::TopDegree(LANDMARKS))
         .build(mirror.clone())
         .expect("weighted source");
     let reader = oracle.reader();

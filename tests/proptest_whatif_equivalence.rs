@@ -20,6 +20,7 @@ use proptest::prelude::*;
 use std::collections::HashSet;
 
 const N: usize = 22;
+const LANDMARKS: usize = 4;
 
 fn edges_strategy() -> impl Strategy<Value = Vec<(Vertex, Vertex)>> {
     prop::collection::vec((0..N as Vertex, 0..N as Vertex), 8..50)
@@ -31,7 +32,7 @@ fn toggles_strategy() -> impl Strategy<Value = Vec<(Vertex, Vertex)>> {
 
 fn build(graph: impl Into<batchhl::GraphSource>) -> DistanceOracle {
     Oracle::builder()
-        .landmarks(LandmarkSelection::TopDegree(4))
+        .landmarks(LandmarkSelection::TopDegree(LANDMARKS))
         .build(graph)
         .expect("build oracle")
 }
@@ -55,6 +56,26 @@ fn answer_grid(f: &mut dyn FnMut(Vertex, Vertex) -> Option<Dist>) -> Vec<Option<
         }
     }
     grid
+}
+
+/// Every vertex, repeated until the targets left to search (all but the
+/// source and the landmarks of each copy) cross the real sweep
+/// threshold, so `distances_from` from a non-landmark source takes its
+/// sweep branch. Its answers are checked against per-pair queries,
+/// which never sweep, so a fault shared by the session and the twin
+/// still shows.
+fn sweep_targets() -> Vec<Vertex> {
+    let searched_per_copy = N - LANDMARKS - 1;
+    let copies = batchhl::hcl::sweep_min_targets(N).div_ceil(searched_per_copy);
+    (0..copies).flat_map(|_| 0..N as Vertex).collect()
+}
+
+/// Row `s` of an [`answer_grid`], gathered at `targets`.
+fn grid_row(grid: &[Option<Dist>], s: Vertex, targets: &[Vertex]) -> Vec<Option<Dist>> {
+    targets
+        .iter()
+        .map(|&t| grid[s as usize * N + t as usize])
+        .collect()
 }
 
 proptest! {
@@ -103,6 +124,12 @@ proptest! {
             session.distances_from(1, &targets),
             twin.distances_from(1, &targets)
         );
+        let many = sweep_targets();
+        for s in 0..N as Vertex {
+            let per_pair = grid_row(&want, s, &many);
+            prop_assert_eq!(&session.distances_from(s, &many), &per_pair);
+            prop_assert_eq!(twin.distances_from(s, &many), per_pair);
+        }
 
         // 2. the base reader is untouched while the session lives...
         let during = answer_grid(&mut |s, t| reader.query(s, t));
@@ -153,6 +180,12 @@ proptest! {
             session.distances_from(2, &targets),
             twin.distances_from(2, &targets)
         );
+        let many = sweep_targets();
+        for s in 0..N as Vertex {
+            let per_pair = grid_row(&want, s, &many);
+            prop_assert_eq!(&session.distances_from(s, &many), &per_pair);
+            prop_assert_eq!(twin.distances_from(s, &many), per_pair);
+        }
 
         prop_assert_eq!(session.version(), v0);
         drop(session);
@@ -207,6 +240,12 @@ proptest! {
             session.distances_from(0, &targets),
             twin.distances_from(0, &targets)
         );
+        let many = sweep_targets();
+        for s in 0..N as Vertex {
+            let per_pair = grid_row(&want, s, &many);
+            prop_assert_eq!(&session.distances_from(s, &many), &per_pair);
+            prop_assert_eq!(twin.distances_from(s, &many), per_pair);
+        }
 
         prop_assert_eq!(session.version(), v0);
         drop(session);
