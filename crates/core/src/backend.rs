@@ -1,13 +1,13 @@
 //! The type-erased backend surface behind the `DistanceOracle` facade.
 //!
-//! The workspace grows three index families — [`BatchIndex`]
-//! (undirected), [`DirectedBatchIndex`] and [`WeightedBatchIndex`] —
-//! whose public methods historically mirrored each other call for
-//! call. [`Backend`] states that contract *once*: a facade caller
-//! picks a family at **runtime** (from the kind of graph it feeds the
-//! builder), and everything downstream — queries, batched query plans,
-//! the update session, reader handles — goes through `Box<dyn
-//! Backend>` with no per-family code.
+//! The workspace has three index families — [`BatchIndex`]
+//! (undirected), [`DirectedBatchIndex`] and [`WeightedBatchIndex`],
+//! each the generic [`Index`] over its [`Family`]. [`Backend`] erases
+//! the family: a facade caller picks one at **runtime** (from the kind
+//! of graph it feeds the builder), and everything downstream —
+//! queries, batched query plans, the update session, reader handles —
+//! goes through `Box<dyn Backend>`. There is one implementation, for
+//! every `Index<F>`.
 //!
 //! The mutation side is normalized too: every family consumes the same
 //! [`Edit`] list, committed as one batch. Unweighted families reject
@@ -15,17 +15,20 @@
 //! rather than silently dropping the weight.
 
 use crate::directed::DirectedBatchIndex;
-use crate::index::{BatchIndex, CompactionPolicy, IndexConfig};
+use crate::family::Family;
+use crate::index::{BatchIndex, CompactionPolicy, Index, IndexConfig};
 use crate::persist::{self, CheckpointMeta, PersistError};
 use crate::reader::SharedReader;
 use crate::stats::UpdateStats;
 use crate::weighted::WeightedBatchIndex;
-use crate::whatif::WhatIfQuery;
-use batchhl_common::{Dist, Vertex};
-use batchhl_graph::weighted::{Weight, WeightedGraph, WeightedUpdate};
+use crate::whatif::{WhatIf, WhatIfQuery};
+use batchhl_common::{Dist, SplitMix64, Vertex, INF};
+use batchhl_graph::weighted::{Weight, WeightedGraph};
 use batchhl_graph::{Batch, DynamicDiGraph, DynamicGraph};
-use batchhl_hcl::{LabelError, LandmarkSelection};
+use batchhl_hcl::{LabelError, Versioned};
+use std::any::Any;
 use std::fmt;
+use std::sync::Arc;
 
 /// Which index family a backend (or a graph source) belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -202,27 +205,23 @@ impl From<LabelError> for OracleError {
 /// [`Backend::reader`] hands out `&self`-querying [`BackendReader`]
 /// handles for serving threads.
 ///
-/// # Adding a fourth backend
+/// # Adding a fourth backend: implement [`Family`]
 ///
-/// A new family (say, a directed *weighted* index, or an approximate
-/// sketch index) plugs in without touching the facade:
+/// A new family (say, a directed *weighted* index, or a road-network
+/// labelling) plugs in without touching the facade:
 ///
-/// 1. Give the index a snapshot type and implement
-///    [`crate::reader::SnapshotQuery`] for it — the three query-plan
-///    methods (`snapshot_query_dist`, `snapshot_distances_from`,
-///    `snapshot_top_k`) are the whole query surface; the generic
-///    machinery (readers, grouped `query_many`, generation pinning)
-///    is inherited.
-/// 2. Implement `Backend` for the index type, mapping [`Edit`] lists
-///    onto its native batch type in `commit_edits` (reject edit kinds
-///    the family cannot express with a typed [`OracleError`] instead
-///    of dropping them).
-/// 3. Return a [`SharedReader`] over the index's `LabelStore` from
-///    `reader` — `SharedReader<S>` already implements
-///    [`BackendReader`] for any `SnapshotQuery` snapshot.
-/// 4. Add a [`GraphSource`] variant (plus a `From` impl) and a match
-///    arm in [`build_backend`]; the builder then reaches the new
-///    family with no new facade API.
+/// 1. Give it a generation type (graph, labelling(s), CSR view) and
+///    implement [`Family`] for it: the graph, update and search types,
+///    construction, normalization, one search→repair pass, its replay,
+///    the [`Edit`] translation (reject edit kinds the family cannot
+///    express with a typed [`OracleError`] instead of dropping them),
+///    the speculative overlay, the checkpoint graph block and the
+///    audit. [`Index`] over it then has the whole index surface, this
+///    trait, readers, what-if sessions and checkpoints.
+/// 2. Add a [`BackendFamily`] and a [`GraphSource`] variant (plus a
+///    `From` impl), a match arm in [`build_backend`] and a family code
+///    in [`crate::persist`]; the builder then reaches the new family
+///    with no new facade API.
 ///
 /// Invariants expected by the facade: `commit_edits` applies the whole
 /// list as **one** batch per the index's configured algorithm
@@ -318,34 +317,6 @@ pub trait Backend: Send {
     fn verify_integrity(&mut self, samples: usize) -> Result<(), OracleError>;
 }
 
-/// Deterministically sample `k` distinct source vertices for the
-/// integrity audit's truth sweeps.
-fn audit_sources(n: usize, k: usize) -> Vec<Vertex> {
-    let mut order: Vec<Vertex> = (0..n as Vertex).collect();
-    batchhl_common::rng::SplitMix64::new(0x5EED_AD17).shuffle(&mut order);
-    order.truncate(k);
-    order
-}
-
-/// Compare one source's truth vector against the index's answers.
-fn audit_source<Q: FnMut(Vertex) -> Option<Dist>>(
-    s: Vertex,
-    truth: &[Dist],
-    mut query: Q,
-) -> Result<(), OracleError> {
-    use batchhl_common::INF;
-    for (t, &want) in truth.iter().enumerate() {
-        let want = (want != INF).then_some(want);
-        let got = query(t as Vertex);
-        if got != want {
-            return Err(OracleError::Integrity {
-                reason: format!("query({s}, {t}) = {got:?}, ground truth says {want:?}"),
-            });
-        }
-    }
-    Ok(())
-}
-
 /// Deserialize a `BHL2` checkpoint into whichever backend family it
 /// holds (the load hook paired with [`Backend::save`]). Also returns
 /// the checkpoint's generation metadata — the WAL replay cursor.
@@ -404,10 +375,7 @@ pub trait BackendReader: Send + Sync {
     fn clone_reader(&self) -> Box<dyn BackendReader>;
 }
 
-impl<S> BackendReader for SharedReader<S>
-where
-    S: crate::whatif::SnapshotWhatIf + Send + Sync + 'static,
-{
+impl<F: Family> BackendReader for SharedReader<F> {
     fn version(&self) -> u64 {
         SharedReader::version(self)
     }
@@ -429,17 +397,12 @@ where
     }
 
     fn what_if(&self, edits: &[Edit]) -> Result<Box<dyn WhatIfQuery>, OracleError> {
-        S::what_if_session(self.pin(), edits)
+        let batch = F::from_edits(edits)?;
+        Ok(Box::new(WhatIf::build(self.pin(), &batch)))
     }
 
     fn clone_reader(&self) -> Box<dyn BackendReader> {
         Box::new(self.clone())
-    }
-}
-
-fn foreign_token(family: BackendFamily) -> OracleError {
-    OracleError::Integrity {
-        reason: format!("rollback token does not belong to the {family} backend"),
     }
 }
 
@@ -465,113 +428,25 @@ pub(crate) fn unweighted_batch(
     Ok(batch)
 }
 
-impl Backend for BatchIndex {
+impl<F: Family> Backend for Index<F> {
     fn family(&self) -> BackendFamily {
-        BackendFamily::Undirected
+        F::KIND
     }
 
     fn num_vertices(&self) -> usize {
-        BatchIndex::num_vertices(self)
+        Index::num_vertices(self)
     }
 
     fn version(&self) -> u64 {
-        BatchIndex::version(self)
+        Index::version(self)
     }
 
     fn label_entries(&self) -> usize {
-        self.labelling().size_entries()
-    }
-
-    fn label_size_bytes(&self) -> usize {
-        self.labelling().size_bytes()
-    }
-
-    fn query(&mut self, s: Vertex, t: Vertex) -> Option<Dist> {
-        BatchIndex::query(self, s, t)
-    }
-
-    fn query_many(&mut self, pairs: &[(Vertex, Vertex)]) -> Vec<Option<Dist>> {
-        BatchIndex::query_many(self, pairs)
-    }
-
-    fn distances_from(&mut self, s: Vertex, targets: &[Vertex]) -> Vec<Option<Dist>> {
-        BatchIndex::distances_from(self, s, targets)
-    }
-
-    fn top_k_closest(&mut self, s: Vertex, k: usize) -> Vec<(Vertex, Dist)> {
-        BatchIndex::top_k_closest(self, s, k)
-    }
-
-    fn neighbors(&self, v: Vertex) -> Vec<Vertex> {
-        if (v as usize) < self.graph().num_vertices() {
-            self.graph().neighbors(v).to_vec()
-        } else {
-            Vec::new()
-        }
-    }
-
-    fn degree(&self, v: Vertex) -> usize {
-        if (v as usize) < self.graph().num_vertices() {
-            self.graph().degree(v)
-        } else {
-            0
-        }
-    }
-
-    fn commit_edits(&mut self, edits: &[Edit]) -> Result<UpdateStats, OracleError> {
-        let batch = unweighted_batch(edits, BackendFamily::Undirected)?;
-        Ok(self.apply_batch(&batch))
-    }
-
-    fn reader(&self) -> Box<dyn BackendReader> {
-        Box::new(self.shared_reader())
-    }
-
-    fn set_compaction(&mut self, policy: CompactionPolicy) {
-        BatchIndex::set_compaction(self, policy);
-    }
-
-    fn save(&self, out: &mut dyn std::io::Write) -> Result<(), PersistError> {
-        persist::save_undirected(self, out)
-    }
-
-    fn rollback_token(&self) -> Box<dyn std::any::Any + Send> {
-        Box::new(self.published())
-    }
-
-    fn restore(&mut self, token: Box<dyn std::any::Any + Send>) -> Result<(), OracleError> {
-        let snap = token
-            .downcast::<std::sync::Arc<batchhl_hcl::Versioned<crate::index::IndexSnapshot>>>()
-            .map_err(|_| foreign_token(BackendFamily::Undirected))?;
-        self.restore_generation(snap.value());
-        Ok(())
-    }
-
-    fn verify_integrity(&mut self, samples: usize) -> Result<(), OracleError> {
-        BatchIndex::verify(self).map_err(|reason| OracleError::Integrity { reason })?;
-        for s in audit_sources(self.num_vertices(), samples) {
-            let truth = batchhl_graph::bfs::bfs_distances(self.graph(), s);
-            audit_source(s, &truth, |t| BatchIndex::query(self, s, t))?;
-        }
-        Ok(())
-    }
-}
-
-impl Backend for DirectedBatchIndex {
-    fn family(&self) -> BackendFamily {
-        BackendFamily::Directed
-    }
-
-    fn num_vertices(&self) -> usize {
-        DirectedBatchIndex::num_vertices(self)
-    }
-
-    fn version(&self) -> u64 {
-        DirectedBatchIndex::version(self)
-    }
-
-    fn label_entries(&self) -> usize {
-        self.forward_labelling().size_entries() + self.backward_labelling().size_entries()
+        self.work
+            .labellings()
+            .iter()
+            .map(|l| l.size_entries())
+            .sum()
     }
 
     fn label_size_bytes(&self) -> usize {
@@ -579,39 +454,35 @@ impl Backend for DirectedBatchIndex {
     }
 
     fn query(&mut self, s: Vertex, t: Vertex) -> Option<Dist> {
-        DirectedBatchIndex::query(self, s, t)
+        Index::query(self, s, t)
     }
 
     fn query_many(&mut self, pairs: &[(Vertex, Vertex)]) -> Vec<Option<Dist>> {
-        DirectedBatchIndex::query_many(self, pairs)
+        Index::query_many(self, pairs)
     }
 
     fn distances_from(&mut self, s: Vertex, targets: &[Vertex]) -> Vec<Option<Dist>> {
-        DirectedBatchIndex::distances_from(self, s, targets)
+        Index::distances_from(self, s, targets)
     }
 
     fn top_k_closest(&mut self, s: Vertex, k: usize) -> Vec<(Vertex, Dist)> {
-        DirectedBatchIndex::top_k_closest(self, s, k)
+        Index::top_k_closest(self, s, k)
     }
 
     fn neighbors(&self, v: Vertex) -> Vec<Vertex> {
-        if (v as usize) < self.graph().num_vertices() {
-            self.graph().out_neighbors(v).to_vec()
+        if (v as usize) < Index::num_vertices(self) {
+            self.work.neighbors(v)
         } else {
             Vec::new()
         }
     }
 
     fn degree(&self, v: Vertex) -> usize {
-        if (v as usize) < self.graph().num_vertices() {
-            self.graph().out_neighbors(v).len()
-        } else {
-            0
-        }
+        Backend::neighbors(self, v).len()
     }
 
     fn commit_edits(&mut self, edits: &[Edit]) -> Result<UpdateStats, OracleError> {
-        let batch = unweighted_batch(edits, BackendFamily::Directed)?;
+        let batch = F::from_edits(edits)?;
         Ok(self.apply_batch(&batch))
     }
 
@@ -620,228 +491,75 @@ impl Backend for DirectedBatchIndex {
     }
 
     fn set_compaction(&mut self, policy: CompactionPolicy) {
-        DirectedBatchIndex::set_compaction(self, policy);
+        Index::set_compaction(self, policy);
     }
 
     fn save(&self, out: &mut dyn std::io::Write) -> Result<(), PersistError> {
-        persist::save_directed(self, out)
+        persist::save_body(self, out)
     }
 
-    fn rollback_token(&self) -> Box<dyn std::any::Any + Send> {
+    fn rollback_token(&self) -> Box<dyn Any + Send> {
         Box::new(self.published())
     }
 
-    fn restore(&mut self, token: Box<dyn std::any::Any + Send>) -> Result<(), OracleError> {
+    fn restore(&mut self, token: Box<dyn Any + Send>) -> Result<(), OracleError> {
         let snap = token
-            .downcast::<std::sync::Arc<batchhl_hcl::Versioned<crate::directed::DirectedSnapshot>>>()
-            .map_err(|_| foreign_token(BackendFamily::Directed))?;
-        self.restore_generation(snap.value());
-        Ok(())
-    }
-
-    fn verify_integrity(&mut self, samples: usize) -> Result<(), OracleError> {
-        use batchhl_graph::Reversed;
-        batchhl_hcl::oracle::check_minimal(self.graph(), self.forward_labelling()).map_err(
-            |reason| OracleError::Integrity {
-                reason: format!("forward labelling: {reason}"),
-            },
-        )?;
-        batchhl_hcl::oracle::check_minimal(&Reversed(self.graph()), self.backward_labelling())
-            .map_err(|reason| OracleError::Integrity {
-                reason: format!("backward labelling: {reason}"),
+            .downcast::<Arc<Versioned<F>>>()
+            .map_err(|_| OracleError::Integrity {
+                reason: format!("rollback token does not belong to the {} backend", F::KIND),
             })?;
-        for s in audit_sources(self.num_vertices(), samples) {
-            let truth = batchhl_graph::bfs::bfs_distances(self.graph(), s);
-            audit_source(s, &truth, |t| DirectedBatchIndex::query(self, s, t))?;
-        }
-        Ok(())
-    }
-}
-
-impl Backend for WeightedBatchIndex {
-    fn family(&self) -> BackendFamily {
-        BackendFamily::Weighted
-    }
-
-    fn num_vertices(&self) -> usize {
-        WeightedBatchIndex::num_vertices(self)
-    }
-
-    fn version(&self) -> u64 {
-        WeightedBatchIndex::version(self)
-    }
-
-    fn label_entries(&self) -> usize {
-        self.labelling().size_entries()
-    }
-
-    fn label_size_bytes(&self) -> usize {
-        self.labelling().size_bytes()
-    }
-
-    fn query(&mut self, s: Vertex, t: Vertex) -> Option<Dist> {
-        WeightedBatchIndex::query(self, s, t)
-    }
-
-    fn query_many(&mut self, pairs: &[(Vertex, Vertex)]) -> Vec<Option<Dist>> {
-        WeightedBatchIndex::query_many(self, pairs)
-    }
-
-    fn distances_from(&mut self, s: Vertex, targets: &[Vertex]) -> Vec<Option<Dist>> {
-        WeightedBatchIndex::distances_from(self, s, targets)
-    }
-
-    fn top_k_closest(&mut self, s: Vertex, k: usize) -> Vec<(Vertex, Dist)> {
-        WeightedBatchIndex::top_k_closest(self, s, k)
-    }
-
-    fn neighbors(&self, v: Vertex) -> Vec<Vertex> {
-        if (v as usize) < self.graph().num_vertices() {
-            self.graph().neighbors(v).iter().map(|&(w, _)| w).collect()
-        } else {
-            Vec::new()
-        }
-    }
-
-    fn degree(&self, v: Vertex) -> usize {
-        if (v as usize) < self.graph().num_vertices() {
-            self.graph().degree(v)
-        } else {
-            0
-        }
-    }
-
-    fn commit_edits(&mut self, edits: &[Edit]) -> Result<UpdateStats, OracleError> {
-        let updates: Vec<WeightedUpdate> = edits
-            .iter()
-            .map(|&e| match e {
-                Edit::Insert(a, b) => WeightedUpdate::Insert(a, b, 1),
-                Edit::InsertWeighted(a, b, w) => WeightedUpdate::Insert(a, b, w),
-                Edit::Remove(a, b) => WeightedUpdate::Delete(a, b),
-                Edit::SetWeight(a, b, w) => WeightedUpdate::SetWeight(a, b, w),
-            })
-            .collect();
-        Ok(self.apply_batch(&updates))
-    }
-
-    fn reader(&self) -> Box<dyn BackendReader> {
-        Box::new(self.shared_reader())
-    }
-
-    fn set_compaction(&mut self, policy: CompactionPolicy) {
-        WeightedBatchIndex::set_compaction(self, policy);
-    }
-
-    fn save(&self, out: &mut dyn std::io::Write) -> Result<(), PersistError> {
-        persist::save_weighted(self, out)
-    }
-
-    fn rollback_token(&self) -> Box<dyn std::any::Any + Send> {
-        Box::new(self.published())
-    }
-
-    fn restore(&mut self, token: Box<dyn std::any::Any + Send>) -> Result<(), OracleError> {
-        let snap = token
-            .downcast::<std::sync::Arc<batchhl_hcl::Versioned<crate::weighted::WeightedSnapshot>>>()
-            .map_err(|_| foreign_token(BackendFamily::Weighted))?;
         self.restore_generation(snap.value());
         Ok(())
     }
 
     fn verify_integrity(&mut self, samples: usize) -> Result<(), OracleError> {
-        // No minimality audit on the weighted family (the highway-cover
-        // minimality characterization is defined for unweighted
-        // labellings); sampled Dijkstra truth covers the query surface.
-        for s in audit_sources(self.num_vertices(), samples) {
-            let truth = batchhl_graph::weighted::dijkstra(self.graph(), s);
-            audit_source(s, &truth, |t| WeightedBatchIndex::query(self, s, t))?;
+        self.work
+            .audit()
+            .map_err(|reason| OracleError::Integrity { reason })?;
+        // A deterministic sample of sources, each checked against a
+        // full truth sweep.
+        let mut sources: Vec<Vertex> = (0..Index::num_vertices(self) as Vertex).collect();
+        SplitMix64::new(0x5EED_AD17).shuffle(&mut sources);
+        for &s in sources.iter().take(samples) {
+            for (t, want) in self.work.truth(s).into_iter().enumerate() {
+                let want = (want != INF).then_some(want);
+                let got = Index::query(self, s, t as Vertex);
+                if got != want {
+                    return Err(OracleError::Integrity {
+                        reason: format!("query({s}, {t}) = {got:?}, ground truth says {want:?}"),
+                    });
+                }
+            }
         }
         Ok(())
     }
-}
-
-/// Validate a materialized landmark list the way `Labelling::empty`
-/// will, without allocating label rows — so the facade surfaces a
-/// typed [`OracleError::Label`] instead of the index constructors'
-/// panic on a bad user-supplied [`Explicit`] list.
-///
-/// [`Explicit`]: batchhl_hcl::LandmarkSelection::Explicit
-fn validate_landmarks(landmarks: &[Vertex], n: usize) -> Result<(), LabelError> {
-    if landmarks.len() >= u16::MAX as usize {
-        return Err(LabelError::TooManyLandmarks {
-            count: landmarks.len(),
-            max: u16::MAX as usize - 1,
-        });
-    }
-    let mut sorted = landmarks.to_vec();
-    sorted.sort_unstable();
-    for pair in sorted.windows(2) {
-        if pair[0] == pair[1] {
-            return Err(LabelError::DuplicateLandmark { landmark: pair[0] });
-        }
-    }
-    if let Some(&last) = sorted.last() {
-        if (last as usize) >= n {
-            return Err(LabelError::LandmarkOutOfBounds {
-                landmark: last,
-                num_vertices: n,
-            });
-        }
-    }
-    Ok(())
 }
 
 /// Construct the backend a graph source calls for. The facade's
 /// `Oracle::builder()` is the intended entry point; this is the family
-/// dispatch it bottoms out in.
+/// dispatch it bottoms out in. An invalid explicit landmark list is a
+/// typed [`OracleError::Label`], not a panic.
 pub fn build_backend(
     source: GraphSource,
     config: IndexConfig,
 ) -> Result<Box<dyn Backend>, OracleError> {
-    match source {
-        GraphSource::Undirected(g) => {
-            let landmarks = config.selection.select(&g);
-            validate_landmarks(&landmarks, g.num_vertices())?;
-            // Hand the materialized list back so construction does not
-            // re-run the selection.
-            let config = IndexConfig {
-                selection: LandmarkSelection::Explicit(landmarks),
-                ..config
-            };
-            Ok(Box::new(BatchIndex::build(g, config)))
-        }
-        GraphSource::Directed(g) => {
-            let landmarks = config.selection.select_directed(&g);
-            validate_landmarks(&landmarks, g.num_vertices())?;
-            let config = IndexConfig {
-                selection: LandmarkSelection::Explicit(landmarks),
-                ..config
-            };
-            Ok(Box::new(DirectedBatchIndex::build(g, config)))
-        }
-        GraphSource::Weighted(g) => {
-            let landmarks = config.selection.select_weighted(&g);
-            let index = WeightedBatchIndex::build_with_landmarks(g, landmarks)?
-                .with_threads(config.threads)
-                .with_compaction(config.compaction);
-            Ok(Box::new(index))
-        }
-    }
+    Ok(match source {
+        GraphSource::Undirected(g) => Box::new(BatchIndex::try_build(g, config)?),
+        GraphSource::Directed(g) => Box::new(DirectedBatchIndex::try_build(g, config)?),
+        GraphSource::Weighted(g) => Box::new(WeightedBatchIndex::try_build(g, config)?),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::testing::config;
     use crate::index::Algorithm;
     use batchhl_graph::generators::path;
     use batchhl_hcl::LandmarkSelection;
 
     fn small_config() -> IndexConfig {
-        IndexConfig {
-            selection: LandmarkSelection::TopDegree(2),
-            algorithm: Algorithm::BhlPlus,
-            ..IndexConfig::default()
-        }
+        config(Algorithm::BhlPlus, 2)
     }
 
     fn backends() -> Vec<Box<dyn Backend>> {

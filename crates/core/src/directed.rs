@@ -1,12 +1,12 @@
-//! Directed BatchHL (Section 6).
+//! Directed BatchHL (Section 6): the directed [`Family`].
 //!
 //! Directed graphs keep **two** labellings: a forward one on `G`
 //! (entries `(r, d(r→v))`, highway `δ_Hf(r_i, r_j) = d(r_i→r_j)`) and a
 //! backward one that is simply the forward structure of the *reversed*
-//! graph (entries `(r, d(v→r))`). Both passes run through the unified
-//! update engine ([`crate::engine`]) with the same BFS kernel the
-//! undirected index uses — the backward pass just hands it the
-//! generic `Reversed` adapter and arc-reversed updates:
+//! graph (entries `(r, d(v→r))`). A pass runs the unified update engine
+//! ([`crate::engine`]) once per labelling with the same BFS kernel the
+//! undirected index uses — the backward run just hands it the generic
+//! `Reversed` adapter and arc-reversed updates:
 //!
 //! * the search anchors only arc *heads* (`directed = true`): an arc
 //!   `a→b` can only carry `r`-paths through it in its own direction;
@@ -19,24 +19,33 @@
 //! bidirectional BFS on `G[V \ R]` — the shared query path of
 //! `batchhl_hcl::query` with `(fwd, bwd)` as its label pair.
 //!
-//! Like the undirected index, the directed index publishes immutable
-//! `(graph, forward, backward)` generations; [`DirectedBatchIndex::reader`]
-//! hands out concurrent [`DirectedReader`] query handles.
+//! [`DirectedBatchIndex`] is [`Index`] over [`DirectedSnapshot`]: the
+//! same generations, readers and variant dispatch as the undirected
+//! index.
 
+use crate::backend::{unweighted_batch, BackendFamily, Edit, OracleError};
 use crate::engine::{self, BfsKernel};
-use crate::reader::{DirectedReader, SharedReader, SnapshotQuery};
+use crate::family::Family;
+use crate::persist::PersistError;
 use crate::stats::UpdateStats;
+use crate::whatif::{grown_n, rewrite_lists};
 use crate::workspace::UpdateWorkspace;
-use batchhl_common::{Dist, Vertex, INF};
-use batchhl_graph::bfs::BiBfs;
-use batchhl_graph::{Batch, CsrDiDelta, DynamicDiGraph, Reversed, Update};
-use batchhl_hcl::{
-    build_labelling_parallel, upper_bound_pair, LabelError, LabelStore, Labelling, Versioned,
+use batchhl_common::{Dist, Vertex};
+use batchhl_graph::bfs::{bfs_distances, BiBfs};
+use batchhl_graph::io::{digraph_bin_len, read_digraph_bin, write_digraph_bin, BinGraphError};
+use batchhl_graph::{
+    AdjacencyView, Batch, CompactionPolicy, CsrDiDelta, DynamicDiGraph, Reversed, Update,
 };
-use std::sync::Arc;
-use std::time::Instant;
+use batchhl_hcl::{
+    build_labelling_parallel, oracle, upper_bound_pair, LabelError, LabelPatch, Labelling,
+};
+use std::io::{Read, Write};
 
-pub use crate::index::{Algorithm, CompactionPolicy, IndexConfig};
+use crate::index::Index;
+pub use crate::index::{Algorithm, IndexConfig};
+
+/// Batch-dynamic distance index over a directed graph.
+pub type DirectedBatchIndex = Index<DirectedSnapshot>;
 
 /// One immutable generation of the directed index. `graph` is the
 /// writer's mutation substrate; `view` is the frozen two-direction CSR
@@ -51,140 +60,257 @@ pub struct DirectedSnapshot {
     pub view: CsrDiDelta,
 }
 
-impl DirectedSnapshot {
-    fn placeholder() -> Self {
-        let lab = Labelling::empty(0, Vec::new()).expect("empty labelling is valid");
-        let graph = DynamicDiGraph::new(0);
-        DirectedSnapshot {
-            view: CsrDiDelta::from_adjacency(&graph),
-            graph,
-            fwd: lab.clone(),
-            bwd: lab,
-        }
-    }
-}
-
-/// What one pass changed — enough to replay it onto a recycled buffer.
+/// What one directed pass changed.
 #[derive(Debug)]
-struct PassLog {
+pub struct DirectedPassLog {
     norm: Batch,
     fwd_aff: engine::AffectedLists,
     bwd_aff: engine::AffectedLists,
 }
 
-/// Batch-dynamic distance index over a directed graph.
-pub struct DirectedBatchIndex {
-    work: DirectedSnapshot,
-    store: LabelStore<DirectedSnapshot>,
-    recycler: engine::Recycler<DirectedSnapshot, PassLog>,
-    config: IndexConfig,
-    ws: UpdateWorkspace,
-    bibfs: BiBfs,
+/// The arcs of `updates` reversed: what the backward labelling sees.
+fn reversed(updates: &[Update]) -> Vec<Update> {
+    updates
+        .iter()
+        .map(|u| match *u {
+            Update::Insert(a, b) => Update::Insert(b, a),
+            Update::Delete(a, b) => Update::Delete(b, a),
+        })
+        .collect()
 }
 
-impl Clone for DirectedBatchIndex {
-    fn clone(&self) -> Self {
-        let n = self.work.graph.num_vertices();
-        DirectedBatchIndex {
-            work: self.work.clone(),
-            store: LabelStore::new(self.work.clone()),
-            recycler: engine::Recycler::new(),
-            config: self.config.clone(),
-            ws: UpdateWorkspace::new(n),
-            bibfs: BiBfs::new(n),
+/// The arcs of a normalized batch as `(tail, head)` pairs — what the
+/// CSR view's absorption re-freezes.
+fn arc_list(norm: &Batch) -> Vec<(Vertex, Vertex)> {
+    norm.updates().iter().map(|u| u.endpoints()).collect()
+}
+
+impl Family for DirectedSnapshot {
+    const KIND: BackendFamily = BackendFamily::Directed;
+    const HONOURS_ALGORITHM: bool = true;
+    const LABELLINGS: usize = 2;
+    type Graph = DynamicDiGraph;
+    type Labels = [Labelling; 2];
+    type Update = Update;
+    type Batch = Batch;
+    type Norm = Batch;
+    type Log = DirectedPassLog;
+    type Workspace = UpdateWorkspace;
+    type View = CsrDiDelta;
+    type Search = BiBfs;
+
+    fn build(
+        graph: DynamicDiGraph,
+        landmarks: Vec<Vertex>,
+        threads: usize,
+    ) -> Result<Self, LabelError> {
+        // Both construction passes run over the frozen CSR snapshot.
+        let view = CsrDiDelta::from_adjacency(&graph);
+        let fwd = build_labelling_parallel(&view, landmarks.clone(), threads)?;
+        let bwd = build_labelling_parallel(&Reversed(&view), landmarks, threads)?;
+        Ok(DirectedSnapshot {
+            graph,
+            fwd,
+            bwd,
+            view,
+        })
+    }
+
+    fn assemble(graph: DynamicDiGraph, [fwd, bwd]: [Labelling; 2]) -> Self {
+        let view = CsrDiDelta::from_adjacency(&graph);
+        DirectedSnapshot {
+            graph,
+            fwd,
+            bwd,
+            view,
         }
+    }
+
+    fn graph(&self) -> &DynamicDiGraph {
+        &self.graph
+    }
+
+    fn view(&self) -> &CsrDiDelta {
+        &self.view
+    }
+
+    fn labellings(&self) -> Vec<&Labelling> {
+        vec![&self.fwd, &self.bwd]
+    }
+
+    fn query_labels(&self) -> (&Labelling, &Labelling) {
+        (&self.fwd, &self.bwd)
+    }
+
+    fn set_compaction(&mut self, policy: CompactionPolicy) {
+        self.view.set_policy(policy);
+    }
+
+    fn neighbors(&self, v: Vertex) -> Vec<Vertex> {
+        self.graph.out_neighbors(v).to_vec()
+    }
+
+    fn updates(batch: &Batch) -> &[Update] {
+        batch.updates()
+    }
+
+    fn single(update: Update) -> Box<Batch> {
+        Box::new(Batch::from_updates(vec![update]))
+    }
+
+    fn normalize(&self, batch: &Batch) -> Batch {
+        batch.normalize_directed(&self.graph)
+    }
+
+    fn split(norm: Batch) -> (Batch, Batch) {
+        norm.split()
+    }
+
+    fn pass(
+        &mut self,
+        old: &Self,
+        norm: Batch,
+        config: &IndexConfig,
+        ws: &mut UpdateWorkspace,
+        stats: &mut UpdateStats,
+    ) -> Option<DirectedPassLog> {
+        if norm.is_empty() {
+            return None;
+        }
+        stats.applied = self.graph.apply_batch(&norm);
+        stats.insertions = norm.num_insertions();
+        stats.deletions = norm.num_deletions();
+
+        let n = self.graph.num_vertices();
+        self.fwd.ensure_vertices(n);
+        self.bwd.ensure_vertices(n);
+        ws.grow(n);
+
+        // Freeze the batch's arcs into the two-direction CSR view; the
+        // forward and backward searches below traverse it.
+        self.view.set_policy(config.compaction);
+        self.view.absorb_arcs(&self.graph, &arc_list(&norm));
+
+        let kernel = BfsKernel {
+            improved: config.algorithm.improved_search(),
+            directed: true,
+        };
+        let fwd_aff = engine::run_landmarks(
+            &kernel,
+            &engine::oracle_for(&old.fwd, n),
+            &self.view,
+            norm.updates(),
+            &mut self.fwd,
+            config.threads,
+            ws,
+        );
+        // The backward pass sees every arc reversed.
+        let bwd_aff = engine::run_landmarks(
+            &kernel,
+            &engine::oracle_for(&old.bwd, n),
+            &Reversed(&self.view),
+            &reversed(norm.updates()),
+            &mut self.bwd,
+            config.threads,
+            ws,
+        );
+        stats.affected_per_landmark = fwd_aff
+            .iter()
+            .zip(&bwd_aff)
+            .map(|(f, b)| f.len() + b.len())
+            .collect();
+        Some(DirectedPassLog {
+            norm,
+            fwd_aff,
+            bwd_aff,
+        })
+    }
+
+    fn replay(buf: &mut Self, fresh: &Self, log: &DirectedPassLog) {
+        buf.graph.apply_batch(&log.norm);
+        buf.view.absorb_arcs(&buf.graph, &arc_list(&log.norm));
+        engine::sync_affected(&fresh.fwd, &mut buf.fwd, &log.fwd_aff);
+        engine::sync_affected(&fresh.bwd, &mut buf.bwd, &log.bwd_aff);
+    }
+
+    fn from_edits(edits: &[Edit]) -> Result<Box<Batch>, OracleError> {
+        unweighted_batch(edits, Self::KIND).map(Box::new)
+    }
+
+    /// One patch per labelling, mirroring the committed two-run repair.
+    fn speculate(&self, norm: &Batch) -> (CsrDiDelta, Vec<LabelPatch>) {
+        let mut view = self.view.clone();
+        let n = grown_n(
+            norm.updates().iter().map(|u| u.endpoints()),
+            view.num_vertices(),
+        );
+        view.ensure_vertices(n);
+        let arcs = || {
+            norm.updates()
+                .iter()
+                .map(|u| (u.endpoints(), u.is_insert()))
+        };
+        let outs = arcs().map(|((a, b), kept)| (a, b, kept.then_some(b)));
+        rewrite_lists(
+            &mut view,
+            outs,
+            |&x| x,
+            CsrDiDelta::out_neighbors,
+            CsrDiDelta::set_vertex_out,
+        );
+        let ins = arcs().map(|((a, b), kept)| (b, a, kept.then_some(a)));
+        rewrite_lists(
+            &mut view,
+            ins,
+            |&x| x,
+            CsrDiDelta::in_neighbors,
+            CsrDiDelta::set_vertex_in,
+        );
+        let kernel = BfsKernel {
+            improved: true,
+            directed: true,
+        };
+        let fwd = engine::run_landmarks_speculative(
+            &kernel,
+            &engine::oracle_for(&self.fwd, n),
+            &view,
+            norm.updates(),
+        );
+        let bwd = engine::run_landmarks_speculative(
+            &kernel,
+            &engine::oracle_for(&self.bwd, n),
+            &Reversed(&view),
+            &reversed(norm.updates()),
+        );
+        (view, vec![fwd, bwd])
+    }
+
+    fn write_graph(graph: &DynamicDiGraph, out: &mut dyn Write) -> Result<(), PersistError> {
+        out.write_all(&digraph_bin_len(graph).to_le_bytes())?;
+        Ok(write_digraph_bin(graph, out)?)
+    }
+
+    fn read_graph<R: Read>(r: &mut R) -> Result<DynamicDiGraph, BinGraphError> {
+        read_digraph_bin(r)
+    }
+
+    fn audit(&self) -> Result<(), String> {
+        oracle::check_minimal(&self.graph, &self.fwd)
+            .map_err(|reason| format!("forward labelling: {reason}"))?;
+        oracle::check_minimal(&Reversed(&self.graph), &self.bwd)
+            .map_err(|reason| format!("backward labelling: {reason}"))
+    }
+
+    fn truth(&self, s: Vertex) -> Vec<Dist> {
+        bfs_distances(&self.graph, s)
     }
 }
 
 impl DirectedBatchIndex {
+    /// Build with the given configuration; panics on an invalid
+    /// explicit landmark list (see [`Index::try_build`]).
     pub fn build(graph: DynamicDiGraph, config: IndexConfig) -> Self {
-        let landmarks = config.selection.select_directed(&graph);
-        let threads = config.threads.max(1);
-        // Both construction passes run over the frozen CSR snapshot.
-        let view = CsrDiDelta::from_adjacency(&graph);
-        let fwd = build_labelling_parallel(&view, landmarks.clone(), threads)
-            .expect("selected landmarks are valid");
-        let bwd = build_labelling_parallel(&Reversed(&view), landmarks, threads)
-            .expect("selected landmarks are valid");
-        let n = graph.num_vertices();
-        let work = DirectedSnapshot {
-            graph,
-            fwd,
-            bwd,
-            view,
-        };
-        DirectedBatchIndex {
-            store: LabelStore::new(work.clone()),
-            work,
-            recycler: engine::Recycler::new(),
-            config,
-            ws: UpdateWorkspace::new(n),
-            bibfs: BiBfs::new(n),
-        }
-    }
-
-    pub fn with_defaults(graph: DynamicDiGraph) -> Self {
-        Self::build(graph, IndexConfig::default())
-    }
-
-    /// Assemble an index from externally persisted parts (the directed
-    /// load path of `crate::persist`): a graph plus previously
-    /// constructed forward and backward labellings.
-    ///
-    /// Performs structural validation (dimensions, landmark agreement
-    /// between the two directions, highway diagonals); it does *not*
-    /// prove the labellings match the graph — pair with
-    /// `oracle::check_minimal` when provenance is in doubt.
-    pub fn from_parts(
-        graph: DynamicDiGraph,
-        fwd: Labelling,
-        bwd: Labelling,
-        config: IndexConfig,
-    ) -> Result<Self, LabelError> {
-        let n = graph.num_vertices();
-        for lab in [&fwd, &bwd] {
-            if lab.num_vertices() != n {
-                return Err(LabelError::VertexCountMismatch {
-                    labelling: lab.num_vertices(),
-                    graph: n,
-                });
-            }
-            for i in 0..lab.num_landmarks() {
-                if lab.highway(i, i) != 0 {
-                    return Err(LabelError::CorruptHighwayDiagonal { index: i });
-                }
-            }
-        }
-        if fwd.landmarks() != bwd.landmarks() {
-            return Err(LabelError::ShapeMismatch {
-                what: "backward landmark list",
-                expected: fwd.num_landmarks(),
-                found: bwd.num_landmarks(),
-            });
-        }
-        let view = CsrDiDelta::from_adjacency(&graph);
-        let work = DirectedSnapshot {
-            graph,
-            fwd,
-            bwd,
-            view,
-        };
-        Ok(DirectedBatchIndex {
-            store: LabelStore::new(work.clone()),
-            work,
-            recycler: engine::Recycler::new(),
-            config,
-            ws: UpdateWorkspace::new(n),
-            bibfs: BiBfs::new(n),
-        })
-    }
-
-    pub fn graph(&self) -> &DynamicDiGraph {
-        &self.work.graph
-    }
-
-    pub fn config(&self) -> &IndexConfig {
-        &self.config
+        Self::try_build(graph, config).expect("selected landmarks are valid")
     }
 
     pub fn forward_labelling(&self) -> &Labelling {
@@ -195,234 +321,20 @@ impl DirectedBatchIndex {
         &self.work.bwd
     }
 
-    pub fn num_vertices(&self) -> usize {
-        self.work.graph.num_vertices()
-    }
-
-    /// Combined logical size of both labellings in bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.work.fwd.size_bytes() + self.work.bwd.size_bytes()
-    }
-
-    /// The most recently published generation (what readers see).
-    pub fn published(&self) -> Arc<Versioned<DirectedSnapshot>> {
-        self.store.snapshot()
-    }
-
-    /// The version number of the published generation.
-    pub fn version(&self) -> u64 {
-        self.store.version()
-    }
-
-    /// A `Send + Sync` query handle over the published generations.
-    pub fn reader(&self) -> DirectedReader {
-        DirectedReader::new(self.store.reader())
-    }
-
-    /// A `Send + Sync` query handle whose queries take `&self` (see
-    /// [`SharedReader`]).
-    pub fn shared_reader(&self) -> SharedReader<DirectedSnapshot> {
-        SharedReader::new(self.store.clone())
-    }
-
-    /// Tune the CSR compaction policy of both direction overlays
-    /// (normally set up front through [`IndexConfig::compaction`]).
-    pub fn set_compaction(&mut self, policy: CompactionPolicy) {
-        self.config.compaction = policy;
-        self.work.view.set_policy(policy);
-    }
-
-    /// Exact directed distance `d(s → t)`; `None` if unreachable.
-    pub fn query(&mut self, s: Vertex, t: Vertex) -> Option<Dist> {
-        let d = self.query_dist(s, t);
-        (d != INF).then_some(d)
-    }
-
-    /// As [`DirectedBatchIndex::query`] with `INF` for unreachable.
-    pub fn query_dist(&mut self, s: Vertex, t: Vertex) -> Dist {
-        self.work.snapshot_query_dist(&mut self.bibfs, s, t)
-    }
-
     /// Eq. 3 for directed graphs: `min_{i,j} d(s→r_i) + δ_Hf(r_i, r_j)
     /// + d(r_j→t)` over the backward labels of `s` and forward labels
     /// of `t`.
     pub fn upper_bound(&self, s: Vertex, t: Vertex) -> Dist {
         upper_bound_pair(&self.work.bwd, &self.work.fwd, &self.work.fwd, s, t)
     }
-
-    /// Batched pair queries (order of results matches `pairs`); pairs
-    /// sharing a source reuse one [`batchhl_hcl::SourcePlan`] over
-    /// `s`'s backward labels.
-    pub fn query_many(&mut self, pairs: &[(Vertex, Vertex)]) -> Vec<Option<Dist>> {
-        crate::reader::query_many_on(&self.work, &mut self.bibfs, pairs)
-    }
-
-    /// One-source-to-many-targets directed distances `d(s → t)`;
-    /// `None` marks unreachable or out-of-range endpoints.
-    pub fn distances_from(&mut self, s: Vertex, targets: &[Vertex]) -> Vec<Option<Dist>> {
-        self.work
-            .snapshot_distances_from(&mut self.bibfs, s, targets)
-            .into_iter()
-            .map(|d| (d != INF).then_some(d))
-            .collect()
-    }
-
-    /// The `k` vertices closest to `s` by forward distance `d(s → v)`
-    /// (excluding `s`), nondecreasing by distance.
-    pub fn top_k_closest(&mut self, s: Vertex, k: usize) -> Vec<(Vertex, Dist)> {
-        self.work.snapshot_top_k(&mut self.bibfs, s, k)
-    }
-
-    /// Apply a batch of *directed* updates (Algorithm 1, run once per
-    /// direction through the unified engine).
-    pub fn apply_batch(&mut self, batch: &Batch) -> UpdateStats {
-        let start = Instant::now();
-        let norm = batch.normalize_directed(&self.work.graph);
-        let mut stats = UpdateStats {
-            passes: 1,
-            ..Default::default()
-        };
-        if norm.is_empty() {
-            stats.elapsed = start.elapsed();
-            return stats;
-        }
-        let old = self.store.snapshot();
-
-        stats.applied = self.work.graph.apply_batch(&norm);
-        stats.insertions = norm.num_insertions();
-        stats.deletions = norm.num_deletions();
-
-        let n = self.work.graph.num_vertices();
-        self.work.fwd.ensure_vertices(n);
-        self.work.bwd.ensure_vertices(n);
-        self.ws.grow(n);
-
-        // Freeze the batch's arcs into the two-direction CSR view; the
-        // forward and backward searches below traverse it. The policy is
-        // re-applied every pass because publish/recycle may have swapped
-        // in a buffer that predates a setter call.
-        self.work.view.set_policy(self.config.compaction);
-        let graph = &self.work.graph;
-        self.work.view.absorb_arcs(graph, &arc_list(&norm));
-
-        // Backward pass sees every arc reversed.
-        let rev_updates: Vec<Update> = norm
-            .updates()
-            .iter()
-            .map(|u| match *u {
-                Update::Insert(a, b) => Update::Insert(b, a),
-                Update::Delete(a, b) => Update::Delete(b, a),
-            })
-            .collect();
-
-        let kernel = BfsKernel {
-            improved: self.config.algorithm.improved_search(),
-            directed: true,
-        };
-        let threads = self.config.threads;
-
-        let mut grown_fwd = None;
-        let oracle_fwd = engine::oracle_for(&old.fwd, n, &mut grown_fwd);
-        let fwd_aff = engine::run_landmarks(
-            &kernel,
-            oracle_fwd,
-            &self.work.view,
-            norm.updates(),
-            &mut self.work.fwd,
-            threads,
-            &mut self.ws,
-        );
-        let mut grown_bwd = None;
-        let oracle_bwd = engine::oracle_for(&old.bwd, n, &mut grown_bwd);
-        let bwd_aff = engine::run_landmarks(
-            &kernel,
-            oracle_bwd,
-            &Reversed(&self.work.view),
-            &rev_updates,
-            &mut self.work.bwd,
-            threads,
-            &mut self.ws,
-        );
-
-        let r = self.work.fwd.num_landmarks();
-        stats.affected_per_landmark = (0..r)
-            .map(|i| fwd_aff[i].len() + bwd_aff[i].len())
-            .collect();
-        stats.affected_total = stats.affected_per_landmark.iter().sum();
-
-        // Publish and recycle a retired generation's buffers.
-        engine::publish_pass(
-            &self.store,
-            &mut self.recycler,
-            &mut self.work,
-            DirectedSnapshot::placeholder(),
-            old,
-            PassLog {
-                norm,
-                fwd_aff,
-                bwd_aff,
-            },
-            |buf, fresh, log| {
-                buf.graph.apply_batch(&log.norm);
-                let graph = &buf.graph;
-                buf.view.absorb_arcs(graph, &arc_list(&log.norm));
-                engine::sync_affected(&fresh.fwd, &mut buf.fwd, &log.fwd_aff);
-                engine::sync_affected(&fresh.bwd, &mut buf.bwd, &log.bwd_aff);
-            },
-        );
-
-        stats.elapsed = start.elapsed();
-        stats
-    }
-
-    /// Rebuild both labellings from scratch and publish the result.
-    pub fn rebuild(&mut self) {
-        let landmarks = self.work.fwd.landmarks().to_vec();
-        let threads = self.config.threads.max(1);
-        self.work.fwd = build_labelling_parallel(&self.work.view, landmarks.clone(), threads)
-            .expect("existing landmarks are valid");
-        self.work.bwd = build_labelling_parallel(&Reversed(&self.work.view), landmarks, threads)
-            .expect("existing landmarks are valid");
-        self.store.publish(self.work.clone());
-        // Retained retired buffers predate the rebuild.
-        self.recycler.clear();
-    }
-
-    /// Roll the writer back to the generation captured in `snap` and
-    /// republish it (see `BatchIndex::restore_generation`; same
-    /// contract, directed snapshot).
-    pub(crate) fn restore_generation(&mut self, snap: &DirectedSnapshot) {
-        self.work = snap.clone();
-        self.work.view.set_policy(self.config.compaction);
-        self.store.publish(self.work.clone());
-        self.recycler.clear();
-        let n = self.work.graph.num_vertices();
-        self.ws = UpdateWorkspace::new(n);
-        self.bibfs = BiBfs::new(n);
-    }
-}
-
-/// The arcs of a normalized batch as `(tail, head)` pairs — what the
-/// CSR view's absorption re-freezes.
-fn arc_list(norm: &Batch) -> Vec<(Vertex, Vertex)> {
-    norm.updates().iter().map(|u| u.endpoints()).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use batchhl_hcl::{oracle, LandmarkSelection};
+    use crate::index::testing::{config, random_batch};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-
-    fn config(algorithm: Algorithm, k: usize) -> IndexConfig {
-        IndexConfig {
-            selection: LandmarkSelection::TopDegree(k),
-            algorithm,
-            threads: 1,
-            ..IndexConfig::default()
-        }
-    }
 
     fn random_digraph(n: usize, m: usize, seed: u64) -> DynamicDiGraph {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -435,24 +347,6 @@ mod tests {
             }
         }
         g
-    }
-
-    fn random_batch(g: &DynamicDiGraph, size: usize, rng: &mut StdRng) -> Batch {
-        let n = g.num_vertices() as Vertex;
-        let mut b = Batch::new();
-        for _ in 0..size {
-            let x = rng.gen_range(0..n);
-            let y = rng.gen_range(0..n);
-            if x == y {
-                continue;
-            }
-            if g.has_edge(x, y) {
-                b.delete(x, y);
-            } else {
-                b.insert(x, y);
-            }
-        }
-        b
     }
 
     fn assert_both_minimal(index: &DirectedBatchIndex) {

@@ -26,6 +26,7 @@ use crate::workspace::UpdateWorkspace;
 use batchhl_common::{Dist, Vertex};
 use batchhl_graph::{AdjacencyView, Update};
 use batchhl_hcl::{labelling::RowPair, LabelPatch, Labelling, PatchRow};
+use std::borrow::Cow;
 
 /// Per-landmark affected-vertex lists, in landmark order. The writer
 /// uses them to bring the recycled old buffer up to date
@@ -198,8 +199,9 @@ where
 ///
 /// Only rows the batch actually changed are kept (affected vertices or
 /// a rewritten highway entry); untouched landmarks fall through to the
-/// base when queried. Sessions are built on reader threads — no
-/// failpoints, no parallel fan-out, no writer state.
+/// base when queried, and an empty batch yields an empty patch.
+/// Sessions are built on reader threads — no failpoints, no parallel
+/// fan-out, no writer state.
 pub(crate) fn run_landmarks_speculative<G, K>(
     kernel: &K,
     old: &Labelling,
@@ -213,6 +215,10 @@ where
     let n = old.num_vertices();
     let r = old.num_landmarks();
     let mut patch = LabelPatch::new(n);
+    if updates.is_empty() {
+        // Nothing to search from: every row falls through to the base.
+        return patch;
+    }
     let mut ws = kernel.workspace(n);
     for i in 0..r {
         let mut label_row: Box<[Dist]> = old.label_row(i).into();
@@ -300,10 +306,6 @@ impl<S, L> Default for Recycler<S, L> {
 }
 
 impl<S, L> Recycler<S, L> {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Forget every retained candidate (used when a publish bypasses
     /// pass logging, e.g. a from-scratch rebuild — replaying logs over
     /// a pre-rebuild buffer would skip the rebuild's changes).
@@ -377,17 +379,13 @@ pub(crate) fn publish_pass<S: Clone, L>(
 /// The old labelling `Γ` may describe fewer vertices than `G′` when the
 /// batch introduced new ones; kernels index it by `G′` vertex ids, so
 /// grow a copy on (rare) vertex growth and borrow in place otherwise.
-pub(crate) fn oracle_for<'a>(
-    old: &'a Labelling,
-    n: usize,
-    grown: &'a mut Option<Labelling>,
-) -> &'a Labelling {
+pub(crate) fn oracle_for(old: &Labelling, n: usize) -> Cow<'_, Labelling> {
     if old.num_vertices() >= n {
-        old
+        Cow::Borrowed(old)
     } else {
         let mut copy = old.clone();
         copy.ensure_vertices(n);
-        grown.insert(copy)
+        Cow::Owned(copy)
     }
 }
 
@@ -411,8 +409,7 @@ mod tests {
         g1.apply_batch(&norm);
         let mut new_lab = old.clone();
         new_lab.ensure_vertices(g1.num_vertices());
-        let mut grown = None;
-        let oracle = oracle_for(&old, g1.num_vertices(), &mut grown);
+        let oracle = oracle_for(&old, g1.num_vertices());
         let kernel = BfsKernel {
             improved,
             directed: false,
@@ -420,7 +417,7 @@ mod tests {
         let mut ws = UpdateKernel::<DynamicGraph>::workspace(&kernel, g1.num_vertices());
         run_landmarks(
             &kernel,
-            oracle,
+            &oracle,
             &g1,
             norm.updates(),
             &mut new_lab,
@@ -474,7 +471,7 @@ mod tests {
         use batchhl_hcl::LabelStore;
 
         let store = LabelStore::new(0u64);
-        let mut recycler: Recycler<u64, u64> = Recycler::new();
+        let mut recycler: Recycler<u64, u64> = Recycler::default();
         let replay = |buf: &mut u64, log: &u64| *buf += log;
 
         // Reader pins each generation the way real readers do: it holds
@@ -526,10 +523,9 @@ mod tests {
     fn oracle_for_grows_only_when_needed() {
         let g = path(4);
         let old = build_labelling(&g, vec![0]).unwrap();
-        let mut grown = None;
-        assert!(std::ptr::eq(oracle_for(&old, 4, &mut grown), &old));
-        assert!(grown.is_none());
-        let bigger = oracle_for(&old, 8, &mut grown);
+        assert!(matches!(oracle_for(&old, 4), Cow::Borrowed(l) if std::ptr::eq(l, &old)));
+        let bigger = oracle_for(&old, 8);
+        assert!(matches!(bigger, Cow::Owned(_)));
         assert_eq!(bigger.num_vertices(), 8);
         assert_eq!(bigger.label(0, 2), old.label(0, 2));
     }

@@ -1,34 +1,47 @@
-//! The public batch-dynamic index (Algorithm 1 and its variants).
+//! The batch-dynamic index (Algorithm 1 and its variants), written once
+//! for every graph family, and the undirected family.
 //!
-//! [`BatchIndex`] separates the two roles a production index serves:
+//! [`Index<F>`] separates the two roles a production index serves:
 //!
 //! * **Writer** — the index owns a mutable working snapshot (graph +
-//!   labelling `Γ′`) that [`BatchIndex::apply_batch`] repairs in place,
+//!   labelling `Γ′`) that [`Index::apply_batch`] repairs in place,
 //!   reading the immutable published generation `Γ` as the
 //!   old-labelling oracle of Algorithm 1.
-//! * **Readers** — [`BatchIndex::reader`] hands out cheap
-//!   `Send + Sync` [`Reader`] handles that answer queries against the
-//!   published generation without locks, even while a batch is being
-//!   applied on another thread.
+//! * **Readers** — [`Index::reader`] hands out cheap `Send + Sync`
+//!   [`GenReader`] handles that answer queries against the published
+//!   generation without locks, even while a batch is being applied on
+//!   another thread.
 //!
 //! After repair the working snapshot is published with a single atomic
 //! swap and the previous generation's buffers are recycled (only the
 //! affected entries are re-synced), so the steady-state cost per batch
 //! is `O(affected + batch)`, not `O(|R|·|V|)`.
 //!
-//! The per-landmark search→repair loop itself lives in
-//! [`crate::engine`], shared with the directed and weighted variants;
+//! What differs between families is the [`Family`] parameter:
+//! [`BatchIndex`] is `Index<IndexSnapshot>` (this module),
+//! `DirectedBatchIndex` and `WeightedBatchIndex` are the same index over
+//! [`crate::DirectedSnapshot`] and [`crate::WeightedSnapshot`]. The
+//! per-landmark search→repair loop lives in [`crate::engine`];
 //! `threads > 1` in the config runs it with landmark-level parallelism
 //! (BHLₚ, Section 6).
 
+use crate::backend::{unweighted_batch, BackendFamily, Edit, OracleError};
 use crate::engine::{self, BfsKernel};
-use crate::reader::{Reader, SharedReader, SnapshotQuery};
+use crate::family::Family;
+use crate::persist::PersistError;
+use crate::reader::{query_many_on, GenReader, SharedReader};
 use crate::stats::UpdateStats;
+use crate::whatif::{grown_n, rewrite_lists};
 use crate::workspace::UpdateWorkspace;
 use batchhl_common::{Dist, Vertex, INF};
-use batchhl_graph::bfs::BiBfs;
-use batchhl_graph::{Batch, CsrDelta, DynamicGraph, VertexRemap};
-use batchhl_hcl::{build_labelling_parallel, LabelStore, Labelling, LandmarkSelection, Versioned};
+use batchhl_graph::bfs::{bfs_distances, BiBfs};
+use batchhl_graph::io::{graph_bin_len, read_graph_bin, write_graph_bin, BinGraphError};
+use batchhl_graph::{Batch, CsrDelta, DynamicGraph, Update, VertexRemap};
+use batchhl_hcl::{
+    build_labelling_parallel, oracle, DegreeOrder, LabelError, LabelPatch, LabelStore, Labelling,
+    LandmarkSelection, Versioned,
+};
+use std::io::{Read, Write};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -72,7 +85,9 @@ impl Algorithm {
 pub struct IndexConfig {
     /// How to choose the landmark set (paper default: 20 top-degree).
     pub selection: LandmarkSelection,
-    /// Update variant.
+    /// Update variant, honoured by the undirected and directed
+    /// families. The weighted family runs one basic pass per batch
+    /// whatever is set here (and its checkpoints do not record it).
     pub algorithm: Algorithm,
     /// Worker threads for construction and updates. `> 1` turns BHL⁺
     /// into the paper's BHLₚ.
@@ -94,13 +109,246 @@ impl Default for IndexConfig {
     }
 }
 
-impl IndexConfig {
-    /// The paper's BHLₚ configuration.
-    pub fn parallel(threads: usize) -> Self {
-        IndexConfig {
-            threads,
-            ..Default::default()
+/// Batch-dynamic distance index over the graph family `F`.
+///
+/// Cloning copies the working snapshot into an independent index with
+/// its own (single-generation) store; reader handles of the original
+/// keep following the original.
+pub struct Index<F: Family> {
+    /// The writer's working snapshot: the current graph and `Γ′`.
+    pub(crate) work: F,
+    /// Published generations; outside `apply_batch` the newest one has
+    /// the same content as `work`.
+    store: LabelStore<F>,
+    /// Retired-buffer recycling (see [`engine::Recycler`]).
+    recycler: engine::Recycler<F, F::Log>,
+    /// Holds the CSR compaction policy too — it is re-applied to the
+    /// view every pass, because publish/recycle swaps the working
+    /// snapshot for a buffer that predates any setter call.
+    config: IndexConfig,
+    ws: F::Workspace,
+    engine: F::Search,
+}
+
+/// Batch-dynamic distance index over an undirected graph.
+pub type BatchIndex = Index<IndexSnapshot>;
+
+impl<F: Family> Clone for Index<F> {
+    fn clone(&self) -> Self {
+        Index::new(self.work.clone(), self.config.clone())
+    }
+}
+
+impl<F: Family> Index<F> {
+    /// Build the index: select landmarks, freeze the graph into a CSR
+    /// snapshot and construct the minimal labelling(s) over it
+    /// (`O(|R|·(|V|+|E|))` per labelling). Errors on an invalid
+    /// explicit landmark list.
+    pub fn try_build(graph: F::Graph, config: IndexConfig) -> Result<Self, LabelError> {
+        let landmarks = config.selection.select(&graph);
+        let work = F::build(graph, landmarks, config.threads.max(1))?;
+        Ok(Index::new(work, config))
+    }
+
+    pub(crate) fn new(work: F, config: IndexConfig) -> Self {
+        Index {
+            store: LabelStore::new(work.clone()),
+            work,
+            recycler: engine::Recycler::default(),
+            config,
+            ws: F::Workspace::default(),
+            engine: F::Search::default(),
         }
+    }
+
+    /// Use `threads` workers for landmark-parallel updates (BHLₚ).
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.config.threads = threads.max(1);
+        self
+    }
+
+    /// Tune when the published CSR view compacts its delta overlay into
+    /// a fresh base snapshot (see [`CompactionPolicy`]; normally set up
+    /// front through [`IndexConfig::compaction`]).
+    pub fn set_compaction(&mut self, policy: CompactionPolicy) {
+        self.config.compaction = policy;
+        self.work.set_compaction(policy);
+    }
+
+    pub fn graph(&self) -> &F::Graph {
+        self.work.graph()
+    }
+
+    pub fn config(&self) -> &IndexConfig {
+        &self.config
+    }
+
+    pub fn num_vertices(&self) -> usize {
+        self.work.graph().num_vertices()
+    }
+
+    /// Combined logical size of the labelling(s) in bytes.
+    pub fn size_bytes(&self) -> usize {
+        self.work.labellings().iter().map(|l| l.size_bytes()).sum()
+    }
+
+    /// The most recently published generation (what readers see).
+    pub fn published(&self) -> Arc<Versioned<F>> {
+        self.store.snapshot()
+    }
+
+    /// The version number of the published generation. Bumps once per
+    /// search→repair pass (so once per batch for BHL/BHL⁺, once per
+    /// sub-batch for BHLₛ, once per update for UHL/UHL⁺).
+    pub fn version(&self) -> u64 {
+        self.store.version()
+    }
+
+    /// A `Send + Sync` query handle over the published generations.
+    ///
+    /// Readers are independent of the index value: they can be moved to
+    /// other threads and keep answering (against the freshest published
+    /// generation) while [`Index::apply_batch`] runs.
+    pub fn reader(&self) -> GenReader<F> {
+        GenReader::new(self.store.reader())
+    }
+
+    /// A `Send + Sync` query handle whose queries take `&self` (shared
+    /// across serving threads without cloning): the handle re-pins the
+    /// freshest generation internally. See [`SharedReader`].
+    pub fn shared_reader(&self) -> SharedReader<F> {
+        SharedReader::new(self.store.clone())
+    }
+
+    /// Exact distance (`d(s → t)` on directed graphs), `None` when
+    /// disconnected (Section 4: labelling upper bound + bounded
+    /// bidirectional search on `G[V\R]`, run over the CSR view).
+    /// Answers against the *working* snapshot — the owner always sees
+    /// its own latest batch.
+    pub fn query(&mut self, s: Vertex, t: Vertex) -> Option<Dist> {
+        let d = self.query_dist(s, t);
+        (d != INF).then_some(d)
+    }
+
+    /// As [`Index::query`], returning `INF` for disconnected or
+    /// out-of-range pairs.
+    pub fn query_dist(&mut self, s: Vertex, t: Vertex) -> Dist {
+        self.work.query_dist(&mut self.engine, s, t)
+    }
+
+    /// Batched pair queries: groups the pairs by source and reuses the
+    /// per-source label plan across each group (see
+    /// [`batchhl_hcl::SourcePlan`]). Order of results matches `pairs`.
+    pub fn query_many(&mut self, pairs: &[(Vertex, Vertex)]) -> Vec<Option<Dist>> {
+        query_many_on(&self.work, &mut self.engine, pairs)
+    }
+
+    /// One-source-to-many-targets distances (the batched fast path:
+    /// one generation, one source plan, one sweep for large target
+    /// sets). `None` marks disconnected or out-of-range endpoints.
+    pub fn distances_from(&mut self, s: Vertex, targets: &[Vertex]) -> Vec<Option<Dist>> {
+        self.work.distances_from(&mut self.engine, s, targets)
+    }
+
+    /// The `k` vertices closest to `s` (excluding `s`), nondecreasing
+    /// by distance.
+    pub fn top_k_closest(&mut self, s: Vertex, k: usize) -> Vec<(Vertex, Dist)> {
+        self.work.top_k(&mut self.engine, s, k)
+    }
+
+    /// Apply a batch of updates and repair the labelling(s)
+    /// (Algorithm 1, dispatched per the configured [`Algorithm`] on the
+    /// families that honour it).
+    pub fn apply_batch(&mut self, batch: &F::Batch) -> UpdateStats {
+        let start = Instant::now();
+        let algorithm = if F::HONOURS_ALGORITHM {
+            self.config.algorithm
+        } else {
+            Algorithm::Bhl
+        };
+        let mut stats = match algorithm {
+            Algorithm::Bhl | Algorithm::BhlPlus => {
+                let norm = self.work.normalize(batch);
+                self.run_pass(norm)
+            }
+            Algorithm::BhlS => {
+                let (deletions, insertions) = F::split(self.work.normalize(batch));
+                let mut s = self.run_pass(deletions);
+                s.absorb(self.run_pass(insertions));
+                s
+            }
+            Algorithm::Uhl | Algorithm::UhlPlus => {
+                let mut s = UpdateStats::default();
+                for &u in F::updates(batch) {
+                    let norm = self.work.normalize(&F::single(u));
+                    s.absorb(self.run_pass(norm));
+                }
+                s
+            }
+        };
+        stats.elapsed = start.elapsed();
+        stats
+    }
+
+    /// Rebuild the labelling(s) from scratch (used by tests) and publish
+    /// the result as a new generation.
+    pub fn rebuild(&mut self) {
+        let landmarks = self.work.labellings()[0].landmarks().to_vec();
+        let graph = self.work.graph().clone();
+        self.work = F::build(graph, landmarks, self.config.threads.max(1))
+            .expect("existing landmarks are valid");
+        self.store.publish(self.work.clone());
+        // Retained retired buffers predate the rebuild; replaying pass
+        // logs over them would skip the rebuild's changes.
+        self.recycler.clear();
+    }
+
+    /// Reset the writer to the generation captured in `snap` and
+    /// republish it, so readers re-pin content identical to `snap`
+    /// under a fresh version number. Used by the facade to roll back a
+    /// batch whose application failed mid-way: the working snapshot may
+    /// be arbitrarily damaged (even mid-panic), but `snap` is immutable
+    /// and shares its CSR base + label buffers behind `Arc`s, so the
+    /// restore is a cheap clone. Workspaces are rebuilt from scratch —
+    /// they may hold state from the aborted pass.
+    pub(crate) fn restore_generation(&mut self, snap: &F) {
+        self.work = snap.clone();
+        self.work.set_compaction(self.config.compaction);
+        self.store.publish(self.work.clone());
+        self.recycler.clear();
+        self.ws = F::Workspace::default();
+        self.engine = F::Search::default();
+    }
+
+    /// One search+repair pass over a normalized, conflict-free batch:
+    /// mutate the working graph, repair `Γ′` against the published `Γ`,
+    /// publish, and rebuild the working buffer from a retired
+    /// generation (replay the logged pass on its graph, re-freeze the
+    /// replayed endpoints into its CSR view, and copy back only the
+    /// entries the pass repaired).
+    fn run_pass(&mut self, norm: F::Norm) -> UpdateStats {
+        let mut stats = UpdateStats {
+            passes: 1,
+            ..Default::default()
+        };
+        let old = self.store.snapshot();
+        let Some(log) = self
+            .work
+            .pass(old.value(), norm, &self.config, &mut self.ws, &mut stats)
+        else {
+            return stats;
+        };
+        stats.affected_total = stats.affected_per_landmark.iter().sum();
+        engine::publish_pass(
+            &self.store,
+            &mut self.recycler,
+            &mut self.work,
+            F::placeholder(),
+            old,
+            log,
+            F::replay,
+        );
+        stats
     }
 }
 
@@ -121,23 +369,9 @@ pub struct IndexSnapshot {
     pub view: CsrDelta,
 }
 
-impl IndexSnapshot {
-    fn new(graph: DynamicGraph, lab: Labelling) -> Self {
-        let view = CsrDelta::from_adjacency(&graph);
-        IndexSnapshot { graph, lab, view }
-    }
-
-    fn placeholder() -> Self {
-        IndexSnapshot::new(
-            DynamicGraph::new(0),
-            Labelling::empty(0, Vec::new()).expect("empty labelling is valid"),
-        )
-    }
-}
-
-/// What one pass changed — enough to replay it onto a recycled buffer.
+/// What one undirected pass changed.
 #[derive(Debug)]
-struct PassLog {
+pub struct PassLog {
     norm: Batch,
     /// Distinct endpoints of `norm` — the vertices the CSR overlay
     /// must re-freeze after replaying the batch.
@@ -145,52 +379,191 @@ struct PassLog {
     affected: engine::AffectedLists,
 }
 
-/// Batch-dynamic distance index over an undirected graph.
-///
-/// Cloning copies the working snapshot into an independent index with
-/// its own (single-generation) store; reader handles of the original
-/// keep following the original.
-pub struct BatchIndex {
-    /// The writer's working snapshot: the current graph and `Γ′`.
-    work: IndexSnapshot,
-    /// Published generations; outside `apply_batch` the newest one has
-    /// the same content as `work`.
-    store: LabelStore<IndexSnapshot>,
-    /// Retired-buffer recycling (see [`engine::Recycler`]).
-    recycler: engine::Recycler<IndexSnapshot, PassLog>,
-    /// Holds the CSR compaction policy too — it is re-applied to the
-    /// view every pass, because publish/recycle swaps the working
-    /// snapshot for a buffer that predates any setter call.
-    config: IndexConfig,
-    ws: UpdateWorkspace,
-    engine: BiBfs,
-}
+impl Family for IndexSnapshot {
+    const KIND: BackendFamily = BackendFamily::Undirected;
+    const HONOURS_ALGORITHM: bool = true;
+    const LABELLINGS: usize = 1;
+    type Graph = DynamicGraph;
+    type Labels = [Labelling; 1];
+    type Update = Update;
+    type Batch = Batch;
+    type Norm = Batch;
+    type Log = PassLog;
+    type Workspace = UpdateWorkspace;
+    type View = CsrDelta;
+    type Search = BiBfs;
 
-impl Clone for BatchIndex {
-    fn clone(&self) -> Self {
-        let n = self.work.graph.num_vertices();
-        BatchIndex {
-            work: self.work.clone(),
-            store: LabelStore::new(self.work.clone()),
-            recycler: engine::Recycler::new(),
-            config: self.config.clone(),
-            ws: UpdateWorkspace::new(n),
-            engine: BiBfs::new(n),
+    fn build(
+        graph: DynamicGraph,
+        landmarks: Vec<Vertex>,
+        threads: usize,
+    ) -> Result<Self, LabelError> {
+        let view = CsrDelta::from_adjacency(&graph);
+        let lab = build_labelling_parallel(&view, landmarks, threads)?;
+        Ok(IndexSnapshot { graph, lab, view })
+    }
+
+    fn assemble(graph: DynamicGraph, [lab]: [Labelling; 1]) -> Self {
+        let view = CsrDelta::from_adjacency(&graph);
+        IndexSnapshot { graph, lab, view }
+    }
+
+    fn graph(&self) -> &DynamicGraph {
+        &self.graph
+    }
+
+    fn view(&self) -> &CsrDelta {
+        &self.view
+    }
+
+    fn labellings(&self) -> Vec<&Labelling> {
+        vec![&self.lab]
+    }
+
+    fn query_labels(&self) -> (&Labelling, &Labelling) {
+        (&self.lab, &self.lab)
+    }
+
+    fn set_compaction(&mut self, policy: CompactionPolicy) {
+        self.view.set_policy(policy);
+    }
+
+    fn neighbors(&self, v: Vertex) -> Vec<Vertex> {
+        self.graph.neighbors(v).to_vec()
+    }
+
+    fn updates(batch: &Batch) -> &[Update] {
+        batch.updates()
+    }
+
+    fn single(update: Update) -> Box<Batch> {
+        Box::new(Batch::from_updates(vec![update]))
+    }
+
+    fn normalize(&self, batch: &Batch) -> Batch {
+        batch.normalize(&self.graph)
+    }
+
+    fn split(norm: Batch) -> (Batch, Batch) {
+        norm.split()
+    }
+
+    fn pass(
+        &mut self,
+        old: &Self,
+        norm: Batch,
+        config: &IndexConfig,
+        ws: &mut UpdateWorkspace,
+        stats: &mut UpdateStats,
+    ) -> Option<PassLog> {
+        if norm.is_empty() {
+            return None;
         }
+        stats.applied = self.graph.apply_batch(&norm);
+        debug_assert_eq!(stats.applied, norm.len(), "normalized batches are valid");
+        stats.insertions = norm.num_insertions();
+        stats.deletions = norm.num_deletions();
+
+        let n = self.graph.num_vertices();
+        self.lab.ensure_vertices(n);
+        ws.grow(n);
+
+        // Freeze the batch's endpoints into the CSR view (and compact
+        // when the overlay crossed its threshold): everything below —
+        // landmark searches, repair relaxation, owner and reader
+        // queries — traverses this view, never the Vec<Vec<_>> graph.
+        let touched = norm.touched_vertices();
+        self.view.set_policy(config.compaction);
+        let graph = &self.graph;
+        self.view
+            .absorb(n, touched.iter().copied(), |v| graph.neighbors(v));
+        let affected = engine::run_landmarks(
+            &BfsKernel {
+                improved: config.algorithm.improved_search(),
+                directed: false,
+            },
+            &engine::oracle_for(&old.lab, n),
+            &self.view,
+            norm.updates(),
+            &mut self.lab,
+            config.threads,
+            ws,
+        );
+        stats.affected_per_landmark = affected.iter().map(Vec::len).collect();
+        Some(PassLog {
+            norm,
+            touched,
+            affected,
+        })
+    }
+
+    fn replay(buf: &mut Self, fresh: &Self, log: &PassLog) {
+        buf.graph.apply_batch(&log.norm);
+        let graph = &buf.graph;
+        buf.view
+            .absorb(graph.num_vertices(), log.touched.iter().copied(), |v| {
+                graph.neighbors(v)
+            });
+        engine::sync_affected(&fresh.lab, &mut buf.lab, &log.affected);
+    }
+
+    fn from_edits(edits: &[Edit]) -> Result<Box<Batch>, OracleError> {
+        unweighted_batch(edits, Self::KIND).map(Box::new)
+    }
+
+    fn speculate(&self, norm: &Batch) -> (CsrDelta, Vec<LabelPatch>) {
+        let mut view = self.view.clone();
+        let n = grown_n(
+            norm.updates().iter().map(|u| u.endpoints()),
+            view.num_vertices(),
+        );
+        view.ensure_vertices(n);
+        let changes = norm.updates().iter().flat_map(|u| {
+            let ((a, b), kept) = (u.endpoints(), u.is_insert());
+            [(a, b, kept.then_some(b)), (b, a, kept.then_some(a))]
+        });
+        rewrite_lists(
+            &mut view,
+            changes,
+            |&x| x,
+            CsrDelta::list,
+            CsrDelta::set_vertex,
+        );
+        let patch = engine::run_landmarks_speculative(
+            &BfsKernel {
+                improved: true,
+                directed: false,
+            },
+            &engine::oracle_for(&self.lab, n),
+            &view,
+            norm.updates(),
+        );
+        (view, vec![patch])
+    }
+
+    fn write_graph(graph: &DynamicGraph, out: &mut dyn Write) -> Result<(), PersistError> {
+        out.write_all(&graph_bin_len(graph).to_le_bytes())?;
+        Ok(write_graph_bin(graph, out)?)
+    }
+
+    fn read_graph<R: Read>(r: &mut R) -> Result<DynamicGraph, BinGraphError> {
+        read_graph_bin(r)
+    }
+
+    fn audit(&self) -> Result<(), String> {
+        oracle::check_minimal(&self.graph, &self.lab)
+    }
+
+    fn truth(&self, s: Vertex) -> Vec<Dist> {
+        bfs_distances(&self.graph, s)
     }
 }
 
 impl BatchIndex {
-    /// Build the index: select landmarks, construct the minimal
-    /// labelling (`O(|R|·(|V|+|E|))`). The graph is frozen into a CSR
-    /// snapshot first, so every per-landmark construction BFS runs over
-    /// flat arrays.
+    /// Build with the given configuration; panics on an invalid
+    /// explicit landmark list (see [`Index::try_build`]).
     pub fn build(graph: DynamicGraph, config: IndexConfig) -> Self {
-        let landmarks = config.selection.select(&graph);
-        let view = CsrDelta::from_adjacency(&graph);
-        let lab = build_labelling_parallel(&view, landmarks, config.threads.max(1))
-            .expect("selected landmarks are valid");
-        Self::assemble_snapshot(IndexSnapshot { graph, lab, view }, config)
+        Self::try_build(graph, config).expect("selected landmarks are valid")
     }
 
     /// Build over a degree-descending relabeling of `graph`: vertices
@@ -205,287 +578,46 @@ impl BatchIndex {
         (Self::build(relabeled, config), remap)
     }
 
-    /// Convenience: build with the default configuration.
-    pub fn with_defaults(graph: DynamicGraph) -> Self {
-        Self::build(graph, IndexConfig::default())
-    }
-
-    /// Assemble from pre-validated parts (see `snapshot` module).
-    pub(crate) fn assemble(graph: DynamicGraph, lab: Labelling, config: IndexConfig) -> Self {
-        Self::assemble_snapshot(IndexSnapshot::new(graph, lab), config)
-    }
-
-    fn assemble_snapshot(work: IndexSnapshot, config: IndexConfig) -> Self {
-        let n = work.graph.num_vertices();
-        BatchIndex {
-            store: LabelStore::new(work.clone()),
-            work,
-            recycler: engine::Recycler::new(),
-            config,
-            ws: UpdateWorkspace::new(n),
-            engine: BiBfs::new(n),
-        }
-    }
-
-    /// Tune when the published CSR view compacts its delta overlay into
-    /// a fresh base snapshot (see [`CompactionPolicy`]; normally set up
-    /// front through [`IndexConfig::compaction`]).
-    pub fn set_compaction(&mut self, policy: CompactionPolicy) {
-        self.config.compaction = policy;
-        self.work.view.set_policy(policy);
-    }
-
-    pub fn graph(&self) -> &DynamicGraph {
-        &self.work.graph
-    }
-
     pub fn labelling(&self) -> &Labelling {
         &self.work.lab
     }
 
-    pub fn config(&self) -> &IndexConfig {
-        &self.config
-    }
-
-    pub fn num_vertices(&self) -> usize {
-        self.work.graph.num_vertices()
-    }
-
-    /// The most recently published generation (what readers see).
-    pub fn published(&self) -> Arc<Versioned<IndexSnapshot>> {
-        self.store.snapshot()
-    }
-
-    /// The version number of the published generation. Bumps once per
-    /// search→repair pass (so once per batch for BHL/BHL⁺, once per
-    /// sub-batch for BHLₛ, once per update for UHL/UHL⁺).
-    pub fn version(&self) -> u64 {
-        self.store.version()
-    }
-
-    /// A `Send + Sync` query handle over the published generations.
-    ///
-    /// Readers are independent of the index value: they can be moved to
-    /// other threads and keep answering (against the freshest published
-    /// generation) while [`BatchIndex::apply_batch`] runs.
-    pub fn reader(&self) -> Reader {
-        Reader::new(self.store.reader())
-    }
-
-    /// A `Send + Sync` query handle whose queries take `&self` (shared
-    /// across serving threads without cloning): the handle re-pins the
-    /// freshest generation internally. See [`SharedReader`].
-    pub fn shared_reader(&self) -> SharedReader<IndexSnapshot> {
-        SharedReader::new(self.store.clone())
-    }
-
-    /// Exact distance, `None` when disconnected (Section 4: labelling
-    /// upper bound + bounded bidirectional BFS on `G[V\R]`, run over
-    /// the CSR view). Answers against the *working* snapshot — the
-    /// owner always sees its own latest batch.
-    pub fn query(&mut self, s: Vertex, t: Vertex) -> Option<Dist> {
-        let d = self.query_dist(s, t);
-        (d != INF).then_some(d)
-    }
-
-    /// As [`BatchIndex::query`], returning `INF` for disconnected or
-    /// out-of-range pairs.
-    pub fn query_dist(&mut self, s: Vertex, t: Vertex) -> Dist {
-        self.work.snapshot_query_dist(&mut self.engine, s, t)
-    }
-
-    /// Batched pair queries: groups the pairs by source and reuses the
-    /// per-source label plan across each group (see
-    /// [`batchhl_hcl::SourcePlan`]). Order of results matches `pairs`.
-    pub fn query_many(&mut self, pairs: &[(Vertex, Vertex)]) -> Vec<Option<Dist>> {
-        crate::reader::query_many_on(&self.work, &mut self.engine, pairs)
-    }
-
-    /// One-source-to-many-targets distances (the batched fast path:
-    /// one generation, one source plan, one sweep for large target
-    /// sets). `None` marks disconnected or out-of-range endpoints.
-    pub fn distances_from(&mut self, s: Vertex, targets: &[Vertex]) -> Vec<Option<Dist>> {
-        self.work
-            .snapshot_distances_from(&mut self.engine, s, targets)
-            .into_iter()
-            .map(|d| (d != INF).then_some(d))
-            .collect()
-    }
-
-    /// The `k` vertices closest to `s` (excluding `s`), nondecreasing
-    /// by distance.
-    pub fn top_k_closest(&mut self, s: Vertex, k: usize) -> Vec<(Vertex, Dist)> {
-        self.work.snapshot_top_k(&mut self.engine, s, k)
-    }
-
-    /// Apply a batch of updates and repair the labelling (Algorithm 1,
-    /// dispatched per the configured [`Algorithm`]).
-    pub fn apply_batch(&mut self, batch: &Batch) -> UpdateStats {
-        let start = Instant::now();
-        let mut stats = match self.config.algorithm {
-            Algorithm::Bhl | Algorithm::BhlPlus => {
-                let norm = batch.normalize(&self.work.graph);
-                self.run_pass(&norm)
-            }
-            Algorithm::BhlS => {
-                let norm = batch.normalize(&self.work.graph);
-                let (deletions, insertions) = norm.split();
-                let mut s = self.run_pass(&deletions);
-                s.absorb(self.run_pass(&insertions));
-                s
-            }
-            Algorithm::Uhl | Algorithm::UhlPlus => {
-                let mut s = UpdateStats::default();
-                for &u in batch.updates() {
-                    let single = Batch::from_updates(vec![u]).normalize(&self.work.graph);
-                    s.absorb(self.run_pass(&single));
-                }
-                s
-            }
-        };
-        stats.elapsed = start.elapsed();
-        stats
-    }
-
-    /// Rebuild the labelling from scratch (used by tests and the
-    /// construction benchmarks) and publish it as a new generation.
-    pub fn rebuild(&mut self) {
-        let landmarks = self.work.lab.landmarks().to_vec();
-        self.work.lab =
-            build_labelling_parallel(&self.work.view, landmarks, self.config.threads.max(1))
-                .expect("existing landmarks are valid");
-        self.store.publish(self.work.clone());
-        // Retained retired buffers predate the rebuild; replaying pass
-        // logs over them would skip the rebuild's changes.
-        self.recycler.clear();
-    }
-
-    /// Reset the writer to the generation captured in `snap` and
-    /// republish it, so readers re-pin content identical to `snap`
-    /// under a fresh version number. Used by the facade to roll back a
-    /// batch whose application failed mid-way: the working snapshot may
-    /// be arbitrarily damaged (even mid-panic), but `snap` is immutable
-    /// and shares its CSR base + label buffers behind `Arc`s, so the
-    /// restore is a cheap clone. Workspaces are rebuilt from scratch —
-    /// they may hold state from the aborted pass.
-    pub(crate) fn restore_generation(&mut self, snap: &IndexSnapshot) {
-        self.work = snap.clone();
-        self.work.view.set_policy(self.config.compaction);
-        self.store.publish(self.work.clone());
-        self.recycler.clear();
-        let n = self.work.graph.num_vertices();
-        self.ws = UpdateWorkspace::new(n);
-        self.engine = BiBfs::new(n);
-    }
-
-    /// One search+repair pass over a normalized, conflict-free batch:
-    /// mutate the working graph, repair `Γ′` against the published `Γ`,
-    /// publish, and recycle the previous generation's buffers.
-    fn run_pass(&mut self, norm: &Batch) -> UpdateStats {
-        let mut stats = UpdateStats {
-            passes: 1,
-            ..Default::default()
-        };
-        if norm.is_empty() {
-            return stats;
-        }
-        let old = self.store.snapshot();
-
-        stats.applied = self.work.graph.apply_batch(norm);
-        debug_assert_eq!(stats.applied, norm.len(), "normalized batches are valid");
-        stats.insertions = norm.num_insertions();
-        stats.deletions = norm.num_deletions();
-
-        let n = self.work.graph.num_vertices();
-        self.work.lab.ensure_vertices(n);
-        self.ws.grow(n);
-
-        // Freeze the batch's endpoints into the CSR view (and compact
-        // when the overlay crossed its threshold): everything below —
-        // landmark searches, repair relaxation, owner and reader
-        // queries — traverses this view, never the Vec<Vec<_>> graph.
-        let touched = norm.touched_vertices();
-        self.work.view.set_policy(self.config.compaction);
-        let graph = &self.work.graph;
-        self.work
-            .view
-            .absorb(n, touched.iter().copied(), |v| graph.neighbors(v));
-
-        let mut grown = None;
-        let oracle = engine::oracle_for(&old.lab, n, &mut grown);
-
-        let kernel = BfsKernel {
-            improved: self.config.algorithm.improved_search(),
-            directed: false,
-        };
-        let affected = engine::run_landmarks(
-            &kernel,
-            oracle,
-            &self.work.view,
-            norm.updates(),
-            &mut self.work.lab,
-            self.config.threads,
-            &mut self.ws,
-        );
-        stats.affected_per_landmark = affected.iter().map(Vec::len).collect();
-        stats.affected_total = stats.affected_per_landmark.iter().sum();
-
-        // Publish Γ′ and rebuild the working buffer from a retired
-        // generation: replay the logged batch(es) on its graph, re-
-        // freeze the replayed endpoints into its CSR view, and copy
-        // back only the entries the logged passes repaired.
-        engine::publish_pass(
-            &self.store,
-            &mut self.recycler,
-            &mut self.work,
-            IndexSnapshot::placeholder(),
-            old,
-            PassLog {
-                norm: norm.clone(),
-                touched,
-                affected,
-            },
-            |buf, fresh, log| {
-                buf.graph.apply_batch(&log.norm);
-                let graph = &buf.graph;
-                buf.view
-                    .absorb(graph.num_vertices(), log.touched.iter().copied(), |v| {
-                        graph.neighbors(v)
-                    });
-                engine::sync_affected(&fresh.lab, &mut buf.lab, &log.affected);
-            },
-        );
-        stats
+    /// Full semantic audit: the labelling must equal the unique minimal
+    /// highway cover labelling of the current graph. `O(|R|·(|V|+|E|))`
+    /// — intended for tests and offline checks, not the hot path.
+    pub fn verify(&self) -> Result<(), String> {
+        self.work.audit()
     }
 }
 
+/// Helpers shared by the unit tests of every family.
 #[cfg(test)]
-mod tests {
+pub(crate) mod testing {
     use super::*;
-    use batchhl_graph::generators::{barabasi_albert, erdos_renyi_gnm, path};
-    use batchhl_hcl::oracle;
+    use batchhl_graph::AdjacencyView;
     use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use rand::Rng;
 
-    fn config(algorithm: Algorithm, k: usize) -> IndexConfig {
+    /// `k` top-degree landmarks, `algorithm`, one thread.
+    pub(crate) fn config(algorithm: Algorithm, k: usize) -> IndexConfig {
         IndexConfig {
             selection: LandmarkSelection::TopDegree(k),
             algorithm,
-            threads: 1,
             ..IndexConfig::default()
         }
     }
 
-    fn random_batch(g: &DynamicGraph, size: usize, rng: &mut StdRng) -> Batch {
+    /// Up to `size` random toggles: remove the pair (arc) if present,
+    /// insert it otherwise; self-loops are skipped.
+    pub(crate) fn random_batch<G: AdjacencyView>(g: &G, size: usize, rng: &mut StdRng) -> Batch {
         let n = g.num_vertices() as Vertex;
         let mut b = Batch::new();
         for _ in 0..size {
-            let a = rng.gen_range(0..n);
-            let c = rng.gen_range(0..n);
+            let (a, c) = (rng.gen_range(0..n), rng.gen_range(0..n));
             if a == c {
                 continue;
             }
-            if g.has_edge(a, c) {
+            if g.out_neighbors(a).contains(&c) {
                 b.delete(a, c);
             } else {
                 b.insert(a, c);
@@ -493,6 +625,16 @@ mod tests {
         }
         b
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::testing::{config, random_batch};
+    use super::*;
+    use batchhl_graph::generators::{barabasi_albert, erdos_renyi_gnm, path};
+    use batchhl_hcl::oracle;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     /// Core invariant: after any update sequence, the maintained
     /// labelling equals the from-scratch minimal labelling (unique!).

@@ -13,9 +13,13 @@
 //!    labels from the boundary of unaffected vertices inward, restoring
 //!    correctness *and minimality* (Theorem 5.21).
 //!
-//! The public entry point is [`index::BatchIndex`] (undirected) and
-//! [`directed::DirectedBatchIndex`] (Section 6), configured by
-//! [`index::IndexConfig`] with an [`index::Algorithm`] variant:
+//! The public entry point is [`index::Index`], generic over a
+//! [`family::Family`]: [`index::BatchIndex`] (undirected),
+//! [`directed::DirectedBatchIndex`] (Section 6) and
+//! [`weighted::WeightedBatchIndex`] (Section 6) are its three
+//! instances. It is configured by [`index::IndexConfig`] with an
+//! [`index::Algorithm`] variant (the weighted family always runs one
+//! basic pass per batch):
 //!
 //! | Variant | Paper name | Meaning |
 //! |---------|-----------|---------|
@@ -44,33 +48,42 @@
 //! the affected entries re-synced — `O(affected + batch)` per pass, the
 //! same asymptotics the paper's in-place variant has.
 //!
-//! **Readers.** [`BatchIndex::reader`] (and the directed/weighted
-//! counterparts) returns a `Send + Sync` [`reader::Reader`]: a handle
+//! **Readers.** [`Index::reader`] returns a `Send + Sync`
+//! [`reader::GenReader`] ([`reader::Reader`] on the undirected family): a handle
 //! that pins a generation and answers queries lock-free against it,
 //! re-pinning with one atomic version check when the writer publishes.
 //! A reader never sees a half-applied batch; pinned readers can serve a
 //! consistent stale view for as long as they need it.
+//!
+//! **One index.** [`index::Index`] is written once: construction, the
+//! variant dispatch of Algorithm 1, publication and buffer recycling,
+//! rollback, readers, the type-erased [`backend::Backend`], the
+//! [`whatif`] session and the checkpoint frame of [`persist`]. What a
+//! family changes sits behind [`family::Family`], implemented by its
+//! generation type ([`IndexSnapshot`], [`DirectedSnapshot`],
+//! [`WeightedSnapshot`]): its graph and update types, normalization,
+//! one search→repair pass, its replay, the edit translation, the
+//! speculative overlay, the checkpoint graph block and the audit.
 //!
 //! **One engine.** The per-landmark search→repair orchestration —
 //! sequential or landmark-parallel — is implemented once in
 //! [`engine`], generic over an [`engine::UpdateKernel`] describing the
 //! search space: BFS over an adjacency view (undirected, and both
 //! directions of the directed index through the generic `Reversed`
-//! adapter) or Dijkstra over a weighted adjacency view. The undirected,
-//! directed and weighted indexes are thin compositions of the store,
-//! the engine and the query path; the weighted index inherits
-//! landmark-parallel updates from the shared engine.
+//! adapter) or Dijkstra over a weighted adjacency view. A family's pass
+//! hook calls it once per labelling.
 //!
 //! **One query path.** Section 4's query — the Eq. 3 label bound, then
 //! a bounded search on `G[V\R]` — is implemented once, in
 //! `batchhl_hcl::query` (`point_dist`, `distances_from`, `top_k`),
 //! generic over the labels (`LabelView`) and the search
-//! (`BoundedSearch`). Each family's [`reader::SnapshotQuery`] impl only
-//! names its graph view, its `(fwd, bwd)` labellings (the undirected
-//! and weighted families pass one labelling twice) and its engine
-//! (BiBFS or BiDijkstra). The [`whatif`] sessions call the same
-//! functions over `PatchedLabels` views, so a hypothetical is answered
-//! by the code that answers a committed generation.
+//! (`BoundedSearch`). [`family::Family`] provides the three query
+//! methods over it; a family only names its graph view, its
+//! `(fwd, bwd)` labellings (the undirected and weighted families pass
+//! one labelling twice) and its engine (BiBFS or BiDijkstra). The
+//! [`whatif`] session calls the same functions over `PatchedLabels`
+//! views, so a hypothetical is answered by the code that answers a
+//! committed generation.
 //!
 //! **CSR snapshot views.** Every generation carries, next to the
 //! dynamic writer graph, a frozen CSR view of it
@@ -111,6 +124,7 @@ pub mod admission;
 pub mod backend;
 pub mod directed;
 pub mod engine;
+pub mod family;
 pub mod index;
 pub mod paths;
 pub mod persist;
@@ -131,10 +145,11 @@ pub use backend::{
     OracleError,
 };
 pub use directed::{DirectedBatchIndex, DirectedSnapshot};
-pub use index::{Algorithm, BatchIndex, CompactionPolicy, IndexConfig, IndexSnapshot};
+pub use family::Family;
+pub use index::{Algorithm, BatchIndex, CompactionPolicy, Index, IndexConfig, IndexSnapshot};
 pub use persist::{CheckpointMeta, PersistError};
-pub use reader::{DirectedReader, Reader, SharedReader, SnapshotQuery, WeightedReader};
+pub use reader::{DirectedReader, GenReader, Reader, SharedReader, WeightedReader};
 pub use stats::UpdateStats;
 pub use wal::{recover_wal, TxnId, WalRecord, WalRecovery, WalWriter};
 pub use weighted::{WeightedBatchIndex, WeightedSnapshot};
-pub use whatif::{DirectedWhatIf, SnapshotWhatIf, WeightedWhatIf, WhatIf, WhatIfQuery};
+pub use whatif::{WhatIf, WhatIfQuery};

@@ -47,15 +47,13 @@
 //! counter for diagnostics, but reader handles never survive a restart,
 //! so nothing can observe the reset.
 
-use crate::backend::{Backend, OracleError};
-use crate::directed::DirectedBatchIndex;
-use crate::index::{Algorithm, BatchIndex, CompactionPolicy, IndexConfig};
-use crate::weighted::WeightedBatchIndex;
+use crate::backend::{Backend, BackendFamily, OracleError};
+use crate::directed::DirectedSnapshot;
+use crate::family::Family;
+use crate::index::{Algorithm, CompactionPolicy, Index, IndexConfig, IndexSnapshot};
+use crate::weighted::WeightedSnapshot;
 use batchhl_common::{binio, Crc32Reader, Crc32Writer};
-use batchhl_graph::io::{
-    digraph_bin_len, graph_bin_len, read_digraph_bin, read_graph_bin, read_weighted_bin,
-    weighted_bin_len, write_digraph_bin, write_graph_bin, write_weighted_bin, BinGraphError,
-};
+use batchhl_graph::io::BinGraphError;
 use batchhl_hcl::serde_io::{
     labelling_encoded_len, read_labelling, write_labelling, SnapshotError,
 };
@@ -239,9 +237,9 @@ pub fn read_checkpoint<R: Read>(r: R) -> Result<(Box<dyn Backend>, CheckpointMet
         version: read_u64(&mut r, "header")?,
     };
     let backend: Box<dyn Backend> = match family {
-        0 => Box::new(load_undirected(&mut r)?),
-        1 => Box::new(load_directed(&mut r)?),
-        2 => Box::new(load_weighted(&mut r)?),
+        0 => Box::new(load_body::<IndexSnapshot, _>(&mut r)?),
+        1 => Box::new(load_body::<DirectedSnapshot, _>(&mut r)?),
+        2 => Box::new(load_body::<WeightedSnapshot, _>(&mut r)?),
         other => {
             return Err(PersistError::Header {
                 reason: format!("unknown backend family code {other}"),
@@ -264,11 +262,11 @@ pub fn read_checkpoint<R: Read>(r: R) -> Result<(Box<dyn Backend>, CheckpointMet
     Ok((backend, meta))
 }
 
-pub(crate) fn family_code(family: crate::backend::BackendFamily) -> u8 {
+pub(crate) fn family_code(family: BackendFamily) -> u8 {
     match family {
-        crate::backend::BackendFamily::Undirected => 0,
-        crate::backend::BackendFamily::Directed => 1,
-        crate::backend::BackendFamily::Weighted => 2,
+        BackendFamily::Undirected => 0,
+        BackendFamily::Directed => 1,
+        BackendFamily::Weighted => 2,
     }
 }
 
@@ -319,12 +317,6 @@ fn read_u8<R: Read>(r: &mut R, section: &'static str) -> Result<u8, PersistError
     Ok(b[0])
 }
 
-fn read_f32<R: Read>(r: &mut R, section: &'static str) -> Result<f32, PersistError> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b).map_err(|e| truncated(e, section))?;
-    Ok(f32::from_le_bytes(b))
-}
-
 /// Run `f` over exactly `len` bytes of `r`; trailing unconsumed bytes
 /// are a typed error (a block that lied about its length).
 fn read_section<R: Read, T>(
@@ -343,121 +335,56 @@ fn read_section<R: Read, T>(
     Ok(v)
 }
 
-fn write_config<W: Write + ?Sized>(
-    out: &mut W,
-    algorithm: Option<Algorithm>,
-    threads: usize,
-    compaction: CompactionPolicy,
-) -> Result<(), PersistError> {
-    if let Some(a) = algorithm {
-        out.write_all(&[algorithm_code(a)])?;
-    }
-    out.write_all(&(threads as u32).to_le_bytes())?;
-    out.write_all(&compaction.fraction.to_le_bytes())?;
-    out.write_all(&(compaction.min_entries as u64).to_le_bytes())?;
-    Ok(())
-}
-
 // ---------------------------------------------------------------------
-// Per-family save/load bodies (the meat of `Backend::save`).
+// The family body (the meat of `Backend::save`): config, graph block,
+// one labelling block per labelling.
 // ---------------------------------------------------------------------
 
-pub(crate) fn save_undirected(index: &BatchIndex, out: &mut dyn Write) -> Result<(), PersistError> {
-    let config = index.config();
-    write_config(
-        out,
-        Some(config.algorithm),
-        config.threads,
-        config.compaction,
-    )?;
-    out.write_all(&graph_bin_len(index.graph()).to_le_bytes())?;
-    write_graph_bin(index.graph(), &mut *out)?;
-    out.write_all(&labelling_encoded_len(index.labelling()).to_le_bytes())?;
-    write_labelling(index.labelling(), &mut *out)?;
-    Ok(())
-}
-
-fn load_undirected<R: Read>(r: &mut R) -> Result<BatchIndex, PersistError> {
-    let algorithm = algorithm_from_code(read_u8(r, "config")?)?;
-    let threads = read_u32(r, "config")? as usize;
-    let fraction = read_f32(r, "config")?;
-    let min_entries = read_u64(r, "config")? as usize;
-    let glen = read_u64(r, "graph length")?;
-    let graph = read_section(r, glen, "graph", |s| Ok(read_graph_bin(s)?))?;
-    let llen = read_u64(r, "labelling length")?;
-    let lab = read_section(r, llen, "labelling", |s| Ok(read_labelling(s)?))?;
-    let config = IndexConfig {
-        selection: LandmarkSelection::Explicit(lab.landmarks().to_vec()),
-        algorithm,
-        threads: threads.max(1),
-        compaction: CompactionPolicy::new(fraction, min_entries),
-    };
-    Ok(BatchIndex::from_parts(graph, lab, config)?)
-}
-
-pub(crate) fn save_directed(
-    index: &DirectedBatchIndex,
+pub(crate) fn save_body<F: Family>(
+    index: &Index<F>,
     out: &mut dyn Write,
 ) -> Result<(), PersistError> {
     let config = index.config();
-    write_config(
-        out,
-        Some(config.algorithm),
-        config.threads,
-        config.compaction,
-    )?;
-    out.write_all(&digraph_bin_len(index.graph()).to_le_bytes())?;
-    write_digraph_bin(index.graph(), &mut *out)?;
-    for lab in [index.forward_labelling(), index.backward_labelling()] {
+    if F::HONOURS_ALGORITHM {
+        out.write_all(&[algorithm_code(config.algorithm)])?;
+    }
+    out.write_all(&(config.threads as u32).to_le_bytes())?;
+    out.write_all(&config.compaction.fraction.to_le_bytes())?;
+    out.write_all(&(config.compaction.min_entries as u64).to_le_bytes())?;
+    F::write_graph(index.graph(), out)?;
+    for lab in index.work.labellings() {
         out.write_all(&labelling_encoded_len(lab).to_le_bytes())?;
         write_labelling(lab, &mut *out)?;
     }
     Ok(())
 }
 
-fn load_directed<R: Read>(r: &mut R) -> Result<DirectedBatchIndex, PersistError> {
-    let algorithm = algorithm_from_code(read_u8(r, "config")?)?;
+fn load_body<F: Family, R: Read>(r: &mut R) -> Result<Index<F>, PersistError> {
+    let algorithm = if F::HONOURS_ALGORITHM {
+        algorithm_from_code(read_u8(r, "config")?)?
+    } else {
+        IndexConfig::default().algorithm
+    };
     let threads = read_u32(r, "config")? as usize;
-    let fraction = read_f32(r, "config")?;
+    let fraction = f32::from_bits(read_u32(r, "config")?);
     let min_entries = read_u64(r, "config")? as usize;
     let glen = read_u64(r, "graph length")?;
-    let graph = read_section(r, glen, "graph", |s| Ok(read_digraph_bin(s)?))?;
-    let flen = read_u64(r, "forward labelling length")?;
-    let fwd = read_section(r, flen, "forward labelling", |s| Ok(read_labelling(s)?))?;
-    let blen = read_u64(r, "backward labelling length")?;
-    let bwd = read_section(r, blen, "backward labelling", |s| Ok(read_labelling(s)?))?;
+    let graph = read_section(r, glen, "graph", |s| Ok(F::read_graph(s)?))?;
+    let mut labs = Vec::with_capacity(F::LABELLINGS);
+    for _ in 0..F::LABELLINGS {
+        let len = read_u64(r, "labelling length")?;
+        labs.push(read_section(r, len, "labelling", |s| {
+            Ok(read_labelling(s)?)
+        })?);
+    }
     let config = IndexConfig {
-        selection: LandmarkSelection::Explicit(fwd.landmarks().to_vec()),
+        selection: LandmarkSelection::Explicit(labs[0].landmarks().to_vec()),
         algorithm,
         threads: threads.max(1),
         compaction: CompactionPolicy::new(fraction, min_entries),
     };
-    Ok(DirectedBatchIndex::from_parts(graph, fwd, bwd, config)?)
-}
-
-pub(crate) fn save_weighted(
-    index: &WeightedBatchIndex,
-    out: &mut dyn Write,
-) -> Result<(), PersistError> {
-    write_config(out, None, index.threads(), index.compaction())?;
-    out.write_all(&weighted_bin_len(index.graph()).to_le_bytes())?;
-    write_weighted_bin(index.graph(), &mut *out)?;
-    out.write_all(&labelling_encoded_len(index.labelling()).to_le_bytes())?;
-    write_labelling(index.labelling(), &mut *out)?;
-    Ok(())
-}
-
-fn load_weighted<R: Read>(r: &mut R) -> Result<WeightedBatchIndex, PersistError> {
-    let threads = read_u32(r, "config")? as usize;
-    let fraction = read_f32(r, "config")?;
-    let min_entries = read_u64(r, "config")? as usize;
-    let glen = read_u64(r, "graph length")?;
-    let graph = read_section(r, glen, "graph", |s| Ok(read_weighted_bin(s)?))?;
-    let llen = read_u64(r, "labelling length")?;
-    let lab = read_section(r, llen, "labelling", |s| Ok(read_labelling(s)?))?;
-    Ok(WeightedBatchIndex::from_parts(graph, lab)?
-        .with_threads(threads.max(1))
-        .with_compaction(CompactionPolicy::new(fraction, min_entries)))
+    let labels = F::Labels::try_from(labs).expect("one block per labelling was read");
+    Ok(Index::from_parts(graph, labels, config)?)
 }
 
 #[cfg(test)]
@@ -526,10 +453,7 @@ mod tests {
 
     #[test]
     fn corruption_yields_typed_errors() {
-        let config = IndexConfig {
-            selection: LandmarkSelection::TopDegree(3),
-            ..IndexConfig::default()
-        };
+        let config = crate::index::testing::config(Algorithm::BhlPlus, 3);
         let backend =
             build_backend(GraphSource::Undirected(barabasi_albert(30, 2, 3)), config).unwrap();
         let mut buf = Vec::new();

@@ -8,11 +8,10 @@
 //! threads, lock-free in steady state, while the single writer applies
 //! batches and publishes new generations.
 //!
-//! One generic [`GenReader`] serves every index variant: a snapshot
-//! type describes how to answer a query against itself (the
-//! [`SnapshotQuery`] trait — which search engine it needs and which
-//! query path to run), and the reader supplies the pin/refresh
-//! machinery once. [`Reader`], [`DirectedReader`] and
+//! One generic [`GenReader`] serves every index family: the family's
+//! generation type answers a query against itself (the query methods
+//! [`Family`] provides, over its search engine), and the reader supplies
+//! the pin/refresh machinery once. [`Reader`], [`DirectedReader`] and
 //! [`WeightedReader`] are aliases.
 //!
 //! Two query modes:
@@ -29,128 +28,22 @@
 //! immutable snapshots swapped in atomically.
 
 use crate::directed::DirectedSnapshot;
+use crate::family::Family;
 use crate::index::IndexSnapshot;
 use crate::weighted::WeightedSnapshot;
 use batchhl_common::{Dist, Vertex, INF};
-use batchhl_graph::bfs::BiBfs;
-use batchhl_graph::weighted::BiDijkstra;
-use batchhl_hcl::query::{distances_from, point_dist, top_k};
 use batchhl_hcl::{LabelStore, ReaderHandle, Versioned};
-use std::fmt::Debug;
 use std::sync::{Arc, Mutex, RwLock};
-
-/// How a snapshot type answers distance queries against itself.
-///
-/// Single-pair queries and the batched one-to-many plan are both part
-/// of the contract so every consumer of a snapshot — the owning index,
-/// [`GenReader`] handles, [`SharedReader`] handles and the type-erased
-/// [`crate::backend::Backend`] — serves the identical query surface.
-/// Every impl is a one-line call into the single Section 4 query path
-/// of `batchhl_hcl::query` ([`point_dist`], [`distances_from`],
-/// [`top_k`]), naming its graph view, its `(fwd, bwd)` labellings and
-/// its search engine; the what-if sessions of [`crate::whatif`] call
-/// the same three functions over patched labels.
-pub trait SnapshotQuery {
-    /// The reusable search workspace a reader keeps per handle.
-    type Engine: Default + Debug + Send + Sync;
-
-    /// Exact distance on this snapshot, `INF` when disconnected or out
-    /// of this generation's vertex range.
-    fn snapshot_query_dist(&self, engine: &mut Self::Engine, s: Vertex, t: Vertex) -> Dist;
-
-    /// One-source-to-many-targets distances on this snapshot (aligned
-    /// with `targets`, `INF` for disconnected/out-of-range): builds one
-    /// source-side label plan and reuses it across every target, and
-    /// for large target sets replaces the per-target bidirectional
-    /// searches with a single bounded sweep.
-    fn snapshot_distances_from(
-        &self,
-        engine: &mut Self::Engine,
-        s: Vertex,
-        targets: &[Vertex],
-    ) -> Vec<Dist>;
-
-    /// The `k` vertices closest to `s` (excluding `s`), nondecreasing
-    /// by distance — a capped sweep of the full snapshot graph.
-    fn snapshot_top_k(&self, engine: &mut Self::Engine, s: Vertex, k: usize)
-        -> Vec<(Vertex, Dist)>;
-}
-
-// Every snapshot answers over its frozen CSR view (`snapshot.view`),
-// not the dynamic writer graph it also carries: reader traversal is
-// sequential array access.
-impl SnapshotQuery for IndexSnapshot {
-    type Engine = BiBfs;
-
-    fn snapshot_query_dist(&self, engine: &mut BiBfs, s: Vertex, t: Vertex) -> Dist {
-        point_dist(&self.view, &self.lab, &self.lab, engine, s, t)
-    }
-
-    fn snapshot_distances_from(
-        &self,
-        engine: &mut BiBfs,
-        s: Vertex,
-        targets: &[Vertex],
-    ) -> Vec<Dist> {
-        distances_from(&self.view, &self.lab, &self.lab, engine, s, targets)
-    }
-
-    fn snapshot_top_k(&self, engine: &mut BiBfs, s: Vertex, k: usize) -> Vec<(Vertex, Dist)> {
-        top_k(&self.view, engine, s, k)
-    }
-}
-
-impl SnapshotQuery for DirectedSnapshot {
-    type Engine = BiBfs;
-
-    fn snapshot_query_dist(&self, engine: &mut BiBfs, s: Vertex, t: Vertex) -> Dist {
-        point_dist(&self.view, &self.fwd, &self.bwd, engine, s, t)
-    }
-
-    fn snapshot_distances_from(
-        &self,
-        engine: &mut BiBfs,
-        s: Vertex,
-        targets: &[Vertex],
-    ) -> Vec<Dist> {
-        distances_from(&self.view, &self.fwd, &self.bwd, engine, s, targets)
-    }
-
-    fn snapshot_top_k(&self, engine: &mut BiBfs, s: Vertex, k: usize) -> Vec<(Vertex, Dist)> {
-        top_k(&self.view, engine, s, k)
-    }
-}
-
-impl SnapshotQuery for WeightedSnapshot {
-    type Engine = BiDijkstra;
-
-    fn snapshot_query_dist(&self, engine: &mut BiDijkstra, s: Vertex, t: Vertex) -> Dist {
-        point_dist(&self.view, &self.lab, &self.lab, engine, s, t)
-    }
-
-    fn snapshot_distances_from(
-        &self,
-        engine: &mut BiDijkstra,
-        s: Vertex,
-        targets: &[Vertex],
-    ) -> Vec<Dist> {
-        distances_from(&self.view, &self.lab, &self.lab, engine, s, targets)
-    }
-
-    fn snapshot_top_k(&self, engine: &mut BiDijkstra, s: Vertex, k: usize) -> Vec<(Vertex, Dist)> {
-        top_k(&self.view, engine, s, k)
-    }
-}
 
 /// Batched pair queries against one snapshot: sort the pair indices by
 /// source, answer each group of pairs sharing a source through
-/// [`SnapshotQuery::snapshot_distances_from`] (one source plan per
+/// [`Family::distances_from`] (one source plan per
 /// group), and scatter the answers back into request order. Singleton
 /// groups take the plain per-pair path — a plan would cost more than
 /// it saves.
-pub(crate) fn query_many_on<S: SnapshotQuery>(
-    snap: &S,
-    engine: &mut S::Engine,
+pub(crate) fn query_many_on<F: Family>(
+    snap: &F,
+    engine: &mut F::Search,
     pairs: &[(Vertex, Vertex)],
 ) -> Vec<Option<Dist>> {
     let mut order: Vec<usize> = (0..pairs.len()).collect();
@@ -166,14 +59,14 @@ pub(crate) fn query_many_on<S: SnapshotQuery>(
             .map_or(order.len(), |p| group + p);
         if end - group == 1 {
             let (s, t) = pairs[order[group]];
-            let d = snap.snapshot_query_dist(engine, s, t);
+            let d = snap.query_dist(engine, s, t);
             out[order[group]] = (d != INF).then_some(d);
         } else {
             targets.clear();
             targets.extend(order[group..end].iter().map(|&k| pairs[k].1));
-            let dists = snap.snapshot_distances_from(engine, s, &targets);
+            let dists = snap.distances_from(engine, s, &targets);
             for (&k, d) in order[group..end].iter().zip(dists) {
-                out[k] = (d != INF).then_some(d);
+                out[k] = d;
             }
         }
         group = end;
@@ -181,12 +74,11 @@ pub(crate) fn query_many_on<S: SnapshotQuery>(
     out
 }
 
-/// Concurrent query handle over published generations of snapshot type
-/// `S`.
+/// Concurrent query handle over published generations of family `F`.
 #[derive(Debug)]
-pub struct GenReader<S: SnapshotQuery> {
-    handle: ReaderHandle<S>,
-    engine: S::Engine,
+pub struct GenReader<F: Family> {
+    handle: ReaderHandle<F>,
+    engine: F::Search,
 }
 
 /// Concurrent query handle over an undirected [`crate::BatchIndex`].
@@ -198,20 +90,20 @@ pub type DirectedReader = GenReader<DirectedSnapshot>;
 /// Concurrent query handle over a [`crate::WeightedBatchIndex`].
 pub type WeightedReader = GenReader<WeightedSnapshot>;
 
-impl<S: SnapshotQuery> Clone for GenReader<S> {
+impl<F: Family> Clone for GenReader<F> {
     fn clone(&self) -> Self {
         GenReader {
             handle: self.handle.clone(),
-            engine: S::Engine::default(),
+            engine: F::Search::default(),
         }
     }
 }
 
-impl<S: SnapshotQuery> GenReader<S> {
-    pub(crate) fn new(handle: ReaderHandle<S>) -> Self {
+impl<F: Family> GenReader<F> {
+    pub(crate) fn new(handle: ReaderHandle<F>) -> Self {
         GenReader {
             handle,
-            engine: S::Engine::default(),
+            engine: F::Search::default(),
         }
     }
 
@@ -221,7 +113,7 @@ impl<S: SnapshotQuery> GenReader<S> {
     }
 
     /// Re-pin the freshest generation and return it.
-    pub fn pin(&mut self) -> Arc<Versioned<S>> {
+    pub fn pin(&mut self) -> Arc<Versioned<F>> {
         Arc::clone(self.handle.current())
     }
 
@@ -242,7 +134,7 @@ impl<S: SnapshotQuery> GenReader<S> {
     /// [`GenReader::pin`]).
     pub fn query_dist_pinned(&mut self, s: Vertex, t: Vertex) -> Dist {
         let snap = self.handle.pinned();
-        snap.value().snapshot_query_dist(&mut self.engine, s, t)
+        snap.value().query_dist(&mut self.engine, s, t)
     }
 
     /// Batched pair queries: re-pins the freshest generation **once**
@@ -259,18 +151,14 @@ impl<S: SnapshotQuery> GenReader<S> {
     /// disconnected or out-of-range endpoints.
     pub fn distances_from(&mut self, s: Vertex, targets: &[Vertex]) -> Vec<Option<Dist>> {
         let snap = Arc::clone(self.handle.current());
-        snap.value()
-            .snapshot_distances_from(&mut self.engine, s, targets)
-            .into_iter()
-            .map(|d| (d != INF).then_some(d))
-            .collect()
+        snap.value().distances_from(&mut self.engine, s, targets)
     }
 
     /// The `k` vertices closest to `s` (excluding `s`) on the freshest
     /// generation, nondecreasing by distance.
     pub fn top_k_closest(&mut self, s: Vertex, k: usize) -> Vec<(Vertex, Dist)> {
         let snap = Arc::clone(self.handle.current());
-        snap.value().snapshot_top_k(&mut self.engine, s, k)
+        snap.value().top_k(&mut self.engine, s, k)
     }
 }
 
@@ -287,24 +175,24 @@ impl<S: SnapshotQuery> GenReader<S> {
 /// serialize on a single engine and batched calls allocate nothing in
 /// steady state.
 #[derive(Debug)]
-pub struct SharedReader<S: SnapshotQuery> {
-    store: LabelStore<S>,
-    cached: RwLock<Arc<Versioned<S>>>,
-    engines: Mutex<Vec<S::Engine>>,
+pub struct SharedReader<F: Family> {
+    store: LabelStore<F>,
+    cached: RwLock<Arc<Versioned<F>>>,
+    engines: Mutex<Vec<F::Search>>,
 }
 
 /// Engines retained for reuse per [`SharedReader`]; more concurrent
 /// callers than this simply allocate a fresh workspace.
 const ENGINE_POOL_CAP: usize = 16;
 
-impl<S: SnapshotQuery> Clone for SharedReader<S> {
+impl<F: Family> Clone for SharedReader<F> {
     fn clone(&self) -> Self {
         SharedReader::new(self.store.clone())
     }
 }
 
-impl<S: SnapshotQuery> SharedReader<S> {
-    pub(crate) fn new(store: LabelStore<S>) -> Self {
+impl<F: Family> SharedReader<F> {
+    pub(crate) fn new(store: LabelStore<F>) -> Self {
         let cached = RwLock::new(store.snapshot());
         SharedReader {
             store,
@@ -320,7 +208,7 @@ impl<S: SnapshotQuery> SharedReader<S> {
 
     /// Pin the freshest generation (one atomic load when nothing
     /// changed; refreshes the interior cache otherwise).
-    pub fn pin(&self) -> Arc<Versioned<S>> {
+    pub fn pin(&self) -> Arc<Versioned<F>> {
         let published = self.store.version();
         {
             let cached = self.cached.read().expect("reader cache poisoned");
@@ -339,7 +227,7 @@ impl<S: SnapshotQuery> SharedReader<S> {
         }
     }
 
-    fn with_engine<R>(&self, f: impl FnOnce(&mut S::Engine) -> R) -> R {
+    fn with_engine<R>(&self, f: impl FnOnce(&mut F::Search) -> R) -> R {
         let mut engine = self
             .engines
             .lock()
@@ -364,7 +252,7 @@ impl<S: SnapshotQuery> SharedReader<S> {
     /// As [`SharedReader::query`], returning `INF` for disconnected.
     pub fn query_dist(&self, s: Vertex, t: Vertex) -> Dist {
         let snap = self.pin();
-        self.with_engine(|engine| snap.value().snapshot_query_dist(engine, s, t))
+        self.with_engine(|engine| snap.value().query_dist(engine, s, t))
     }
 
     /// Batched pair queries against one pinned generation (see
@@ -378,39 +266,25 @@ impl<S: SnapshotQuery> SharedReader<S> {
     /// generation (see [`GenReader::distances_from`]).
     pub fn distances_from(&self, s: Vertex, targets: &[Vertex]) -> Vec<Option<Dist>> {
         let snap = self.pin();
-        self.with_engine(|engine| {
-            snap.value()
-                .snapshot_distances_from(engine, s, targets)
-                .into_iter()
-                .map(|d| (d != INF).then_some(d))
-                .collect()
-        })
+        self.with_engine(|engine| snap.value().distances_from(engine, s, targets))
     }
 
     /// The `k` vertices closest to `s` (excluding `s`), nondecreasing
     /// by distance.
     pub fn top_k_closest(&self, s: Vertex, k: usize) -> Vec<(Vertex, Dist)> {
         let snap = self.pin();
-        self.with_engine(|engine| snap.value().snapshot_top_k(engine, s, k))
+        self.with_engine(|engine| snap.value().top_k(engine, s, k))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::{Algorithm, BatchIndex, IndexConfig};
+    use crate::index::testing::config;
+    use crate::index::{Algorithm, BatchIndex};
     use batchhl_graph::generators::{barabasi_albert, path};
     use batchhl_graph::Batch;
-    use batchhl_hcl::{oracle, LandmarkSelection};
-
-    fn config(k: usize) -> IndexConfig {
-        IndexConfig {
-            selection: LandmarkSelection::TopDegree(k),
-            algorithm: Algorithm::BhlPlus,
-            threads: 1,
-            ..IndexConfig::default()
-        }
-    }
+    use batchhl_hcl::oracle;
 
     #[test]
     fn reader_is_send_sync_and_matches_owner() {
@@ -420,7 +294,7 @@ mod tests {
         assert_send_sync::<WeightedReader>();
 
         let g = barabasi_albert(80, 2, 3);
-        let mut index = BatchIndex::build(g, config(4));
+        let mut index = BatchIndex::build(g, config(Algorithm::BhlPlus, 4));
         let mut reader = index.reader();
         for s in (0..80u32).step_by(9) {
             for t in (0..80u32).step_by(5) {
@@ -432,7 +306,7 @@ mod tests {
     #[test]
     fn reader_follows_batches_and_pins() {
         let g = path(6);
-        let mut index = BatchIndex::build(g, config(1));
+        let mut index = BatchIndex::build(g, config(Algorithm::BhlPlus, 1));
         let mut live = index.reader();
         let mut frozen = index.reader();
         frozen.pin();
@@ -452,7 +326,7 @@ mod tests {
     #[test]
     fn reader_handles_vertex_growth_and_range() {
         let g = path(4);
-        let mut index = BatchIndex::build(g, config(1));
+        let mut index = BatchIndex::build(g, config(Algorithm::BhlPlus, 1));
         let mut reader = index.reader();
         assert_eq!(reader.query(0, 9), None, "out of range is disconnected");
         let mut b = Batch::new();
@@ -465,7 +339,7 @@ mod tests {
     #[test]
     fn batched_reader_queries_match_per_pair() {
         let g = barabasi_albert(90, 3, 11);
-        let mut index = BatchIndex::build(g, config(5));
+        let mut index = BatchIndex::build(g, config(Algorithm::BhlPlus, 5));
         let mut reader = index.reader();
         let pairs: Vec<(u32, u32)> = (0..90u32)
             .flat_map(|s| [(s % 7, s), (s, (s * 13) % 90)])
@@ -495,7 +369,7 @@ mod tests {
         assert_send_sync::<SharedReader<IndexSnapshot>>();
 
         let g = path(6);
-        let mut index = BatchIndex::build(g, config(1));
+        let mut index = BatchIndex::build(g, config(Algorithm::BhlPlus, 1));
         let shared = index.shared_reader();
         assert_eq!(shared.query(0, 5), Some(5));
         let mut b = Batch::new();
@@ -519,7 +393,7 @@ mod tests {
     #[test]
     fn cloned_readers_are_independent() {
         let g = path(5);
-        let mut index = BatchIndex::build(g, config(1));
+        let mut index = BatchIndex::build(g, config(Algorithm::BhlPlus, 1));
         let mut a = index.reader();
         let b_reader = a.clone();
         let mut b = b_reader;

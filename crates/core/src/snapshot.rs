@@ -1,90 +1,84 @@
-//! Index snapshots: assemble a [`BatchIndex`] from externally persisted
-//! parts, and verify an index against its graph.
+//! Index snapshots: assemble an index of any family from externally
+//! persisted parts ([`Index::from_parts`]).
 //!
 //! A deployment that restarts against an unchanged graph should not pay
 //! reconstruction: persist the graph (`batchhl_graph::io`) and the
 //! labelling (`batchhl_hcl::serde_io`) and reassemble with
-//! [`BatchIndex::from_parts`]. Cheap structural sanity checks run at
-//! load time; [`BatchIndex::verify`] offers the full (expensive)
+//! [`Index::from_parts`]. Cheap structural sanity checks run at load
+//! time; [`crate::BatchIndex::verify`] offers the full (expensive)
 //! semantic check for tests and operational audits.
 //!
 //! The CSR snapshot view is *derived* data and therefore not persisted:
 //! reassembly refreezes the loaded graph into a fresh base CSR with an
 //! empty overlay (`O(n + m)`, a small fraction of construction cost).
 
-use crate::index::{BatchIndex, IndexConfig};
-use batchhl_graph::DynamicGraph;
-use batchhl_hcl::{oracle, LabelError, Labelling};
+use crate::family::Family;
+use crate::index::{Index, IndexConfig};
+use batchhl_hcl::{DegreeOrder, LabelError};
 
-impl BatchIndex {
-    /// Assemble an index from a graph and a previously constructed
-    /// labelling (e.g. loaded via `batchhl_hcl::serde_io`).
+impl<F: Family> Index<F> {
+    /// Assemble an index from a graph and previously constructed
+    /// labelling(s) (e.g. loaded via `batchhl_hcl::serde_io`): one for
+    /// the undirected and weighted families, `[forward, backward]` for
+    /// the directed one.
     ///
-    /// Performs structural validation (sizes, landmark range); it does
-    /// *not* prove the labelling matches the graph — use
-    /// [`BatchIndex::verify`] when provenance is in doubt.
+    /// Performs structural validation — every labelling covers the
+    /// graph's vertices, has a zero highway diagonal and the same
+    /// landmark list; it does *not* prove the labellings match the
+    /// graph (see [`crate::BatchIndex::verify`] and
+    /// `Backend::verify_integrity`).
     pub fn from_parts(
-        graph: DynamicGraph,
-        labelling: Labelling,
+        graph: F::Graph,
+        labels: F::Labels,
         config: IndexConfig,
-    ) -> Result<BatchIndex, LabelError> {
-        if labelling.num_vertices() != graph.num_vertices() {
-            return Err(LabelError::VertexCountMismatch {
-                labelling: labelling.num_vertices(),
-                graph: graph.num_vertices(),
-            });
-        }
-        for &lm in labelling.landmarks() {
-            if (lm as usize) >= graph.num_vertices() {
-                return Err(LabelError::LandmarkOutOfBounds {
-                    landmark: lm,
-                    num_vertices: graph.num_vertices(),
+    ) -> Result<Self, LabelError> {
+        let work = F::assemble(graph, labels);
+        let n = work.graph().num_vertices();
+        let labs = work.labellings();
+        for lab in &labs {
+            if lab.num_vertices() != n {
+                return Err(LabelError::VertexCountMismatch {
+                    labelling: lab.num_vertices(),
+                    graph: n,
+                });
+            }
+            if let Some(i) = (0..lab.num_landmarks()).find(|&i| lab.highway(i, i) != 0) {
+                return Err(LabelError::CorruptHighwayDiagonal { index: i });
+            }
+            if lab.landmarks() != labs[0].landmarks() {
+                return Err(LabelError::ShapeMismatch {
+                    what: "landmark list",
+                    expected: labs[0].num_landmarks(),
+                    found: lab.num_landmarks(),
                 });
             }
         }
-        for i in 0..labelling.num_landmarks() {
-            if labelling.highway(i, i) != 0 {
-                return Err(LabelError::CorruptHighwayDiagonal { index: i });
-            }
-        }
-        Ok(BatchIndex::assemble(graph, labelling, config))
-    }
-
-    /// Full semantic audit: the labelling must equal the unique minimal
-    /// highway cover labelling of the current graph. `O(|R|·(|V|+|E|))`
-    /// — intended for tests and offline checks, not the hot path.
-    pub fn verify(&self) -> Result<(), String> {
-        oracle::check_minimal(self.graph(), self.labelling())
+        drop(labs);
+        Ok(Index::new(work, config))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::Algorithm;
+    use crate::index::testing::config;
+    use crate::index::{Algorithm, BatchIndex};
+    use crate::{DirectedBatchIndex, WeightedBatchIndex};
     use batchhl_graph::generators::barabasi_albert;
-    use batchhl_graph::Batch;
+    use batchhl_graph::weighted::WeightedGraph;
+    use batchhl_graph::{Batch, DynamicDiGraph, Reversed};
+    use batchhl_hcl::build_labelling;
     use batchhl_hcl::serde_io::{read_labelling, write_labelling};
-    use batchhl_hcl::LandmarkSelection;
-
-    fn config() -> IndexConfig {
-        IndexConfig {
-            selection: LandmarkSelection::TopDegree(5),
-            algorithm: Algorithm::BhlPlus,
-            threads: 1,
-            ..IndexConfig::default()
-        }
-    }
 
     #[test]
     fn snapshot_roundtrip_resumes_maintenance() {
         let g = barabasi_albert(150, 3, 3);
-        let mut original = BatchIndex::build(g.clone(), config());
+        let mut original = BatchIndex::build(g.clone(), config(Algorithm::BhlPlus, 5));
         // Persist the labelling, reload, reassemble.
         let mut buf = Vec::new();
         write_labelling(original.labelling(), &mut buf).unwrap();
         let lab = read_labelling(buf.as_slice()).unwrap();
-        let mut restored = BatchIndex::from_parts(g, lab, config()).unwrap();
+        let mut restored = BatchIndex::from_parts(g, [lab], config(Algorithm::BhlPlus, 5)).unwrap();
         restored.verify().unwrap();
         assert_eq!(original.labelling(), restored.labelling());
         // Both continue to accept batches identically.
@@ -97,32 +91,84 @@ mod tests {
         restored.verify().unwrap();
     }
 
+    /// Every family refuses parts that do not fit together: a labelling
+    /// over another vertex count, a corrupt highway diagonal, and (with
+    /// two labellings) forward and backward landmark lists that differ.
     #[test]
     fn from_parts_rejects_mismatches() {
+        let mismatch = LabelError::VertexCountMismatch {
+            labelling: 60,
+            graph: 50,
+        };
         let g = barabasi_albert(50, 2, 1);
         let other = barabasi_albert(60, 2, 1);
-        let lab = batchhl_hcl::build_labelling(&other, vec![0, 1]).unwrap();
-        let err = match BatchIndex::from_parts(g, lab, config()) {
-            Err(e) => e,
-            Ok(_) => panic!("mismatched parts must be rejected"),
-        };
+        let lab60 = build_labelling(&other, vec![0, 1]).unwrap();
         assert_eq!(
-            err,
-            LabelError::VertexCountMismatch {
-                labelling: 60,
-                graph: 50
-            }
+            BatchIndex::from_parts(g.clone(), [lab60.clone()], config(Algorithm::BhlPlus, 5)).err(),
+            Some(mismatch)
+        );
+
+        let mut dg = DynamicDiGraph::new(50);
+        let mut wg = WeightedGraph::new(50);
+        for (a, b) in g.edges() {
+            dg.insert_edge(a, b);
+            wg.insert_edge(a, b, 1 + (a + b) % 4);
+        }
+        let fwd = build_labelling(&dg, vec![0, 1]).unwrap();
+        let bwd = build_labelling(&Reversed(&dg), vec![0, 1]).unwrap();
+        assert_eq!(
+            DirectedBatchIndex::from_parts(
+                dg.clone(),
+                [fwd.clone(), lab60.clone()],
+                config(Algorithm::BhlPlus, 5)
+            )
+            .err(),
+            Some(mismatch)
+        );
+        assert_eq!(
+            WeightedBatchIndex::from_parts(wg, [lab60], config(Algorithm::BhlPlus, 5)).err(),
+            Some(mismatch)
+        );
+
+        let mut corrupt = build_labelling(&g, vec![0, 1]).unwrap();
+        corrupt.set_highway_row(1, 1, 3);
+        assert_eq!(
+            BatchIndex::from_parts(g, [corrupt], config(Algorithm::BhlPlus, 5)).err(),
+            Some(LabelError::CorruptHighwayDiagonal { index: 1 })
+        );
+
+        let bwd_other = build_labelling(&Reversed(&dg), vec![0, 2]).unwrap();
+        assert_eq!(
+            DirectedBatchIndex::from_parts(
+                dg.clone(),
+                [fwd.clone(), bwd_other],
+                config(Algorithm::BhlPlus, 5)
+            )
+            .err(),
+            Some(LabelError::ShapeMismatch {
+                what: "landmark list",
+                expected: 2,
+                found: 2
+            })
+        );
+        assert!(
+            DirectedBatchIndex::from_parts(dg, [fwd, bwd], config(Algorithm::BhlPlus, 5)).is_ok()
         );
     }
 
     #[test]
     fn verify_catches_stale_labellings() {
         let g = barabasi_albert(80, 2, 5);
-        let index = BatchIndex::build(g, config());
+        let index = BatchIndex::build(g, config(Algorithm::BhlPlus, 5));
         index.verify().unwrap();
         // Same labelling, different graph: must fail.
         let other = barabasi_albert(80, 2, 6);
-        let stale = BatchIndex::from_parts(other, index.labelling().clone(), config()).unwrap();
+        let stale = BatchIndex::from_parts(
+            other,
+            [index.labelling().clone()],
+            config(Algorithm::BhlPlus, 5),
+        )
+        .unwrap();
         assert!(stale.verify().is_err());
     }
 }

@@ -22,42 +22,45 @@
 //!   Lemma 5.20 still applies verbatim).
 //!
 //! Both phases plug into the unified update engine as the
-//! `DijkstraKernel`: the per-landmark orchestration (sequential or
-//! landmark-parallel) and the generation publish/recycle cycle are the
-//! exact same code the unweighted indexes run. That unification also
-//! gives the weighted index landmark-parallel updates
-//! ([`WeightedBatchIndex::with_threads`]) and concurrent readers
-//! ([`WeightedBatchIndex::reader`]) for free.
+//! `DijkstraKernel`, and [`WeightedSnapshot`] is the weighted
+//! [`Family`]: [`WeightedBatchIndex`] is [`Index`] over it, so the
+//! per-landmark orchestration (sequential or landmark-parallel), the
+//! generation publish/recycle cycle and the readers are the exact code
+//! the unweighted indexes run. Unlike them it runs one basic pass per
+//! batch whatever [`crate::IndexConfig::algorithm`] says.
 //!
 //! The paper reports no weighted experiments, so the harness claims
 //! none either; correctness is pinned the same way as the unweighted
 //! index — the maintained labelling must equal the (unique) minimal
 //! labelling rebuilt from scratch.
 
+use crate::backend::{BackendFamily, Edit, OracleError};
 use crate::engine::{self, UpdateKernel};
-use crate::index::CompactionPolicy;
-use crate::reader::{SharedReader, SnapshotQuery, WeightedReader};
+use crate::family::Family;
+use crate::index::{Index, IndexConfig};
+use crate::persist::PersistError;
 use crate::stats::UpdateStats;
+use crate::whatif::{grown_n, rewrite_lists};
 use crate::workspace::dl_old;
 use batchhl_common::{Dist, EpochCache, FxHashMap, LandmarkLength, SparseBitSet, Vertex, INF};
+use batchhl_graph::io::{read_weighted_bin, weighted_bin_len, write_weighted_bin, BinGraphError};
 use batchhl_graph::weighted::{
-    BiDijkstra, Weight, WeightedAdjacencyView, WeightedGraph, WeightedUpdate,
+    dijkstra, BiDijkstra, Weight, WeightedAdjacencyView, WeightedGraph, WeightedUpdate,
 };
-use batchhl_graph::WeightedCsrDelta;
-use batchhl_hcl::{LabelError, LabelStore, Labelling, Versioned};
+use batchhl_graph::{CompactionPolicy, WeightedCsrDelta};
+use batchhl_hcl::{LabelError, LabelPatch, Labelling, LandmarkSelection};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
-use std::time::Instant;
+use std::io::{Read, Write};
 
 /// A normalized weighted update: the edge plus its old/new weight
 /// (`None` = absent on that side).
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Effect {
-    pub(crate) a: Vertex,
-    pub(crate) b: Vertex,
-    pub(crate) w_old: Option<Weight>,
-    pub(crate) w_new: Option<Weight>,
+pub struct Effect {
+    a: Vertex,
+    b: Vertex,
+    w_old: Option<Weight>,
+    w_new: Option<Weight>,
 }
 
 /// One immutable generation of the weighted index. `graph` is the
@@ -70,27 +73,16 @@ pub struct WeightedSnapshot {
     pub view: WeightedCsrDelta,
 }
 
-impl WeightedSnapshot {
-    fn placeholder() -> Self {
-        let graph = WeightedGraph::new(0);
-        WeightedSnapshot {
-            view: WeightedCsrDelta::from_weighted(&graph),
-            graph,
-            lab: Labelling::empty(0, Vec::new()).expect("empty labelling is valid"),
-        }
-    }
-}
-
-/// What one pass changed — enough to replay it onto a recycled buffer.
+/// What one weighted pass changed.
 #[derive(Debug)]
-struct PassLog {
+pub struct WeightedPassLog {
     effects: Vec<Effect>,
     affected: engine::AffectedLists,
 }
 
 /// Scratch state for one weighted search→repair pass.
 #[derive(Debug, Default)]
-pub(crate) struct DijkstraWorkspace {
+pub struct DijkstraWorkspace {
     aff: SparseBitSet,
     dl_cache: EpochCache,
     bounds: EpochCache,
@@ -258,323 +250,254 @@ fn weighted_repair<W: WeightedAdjacencyView>(
 }
 
 /// Batch-dynamic distance index over a positively weighted graph.
-pub struct WeightedBatchIndex {
-    work: WeightedSnapshot,
-    store: LabelStore<WeightedSnapshot>,
-    recycler: engine::Recycler<WeightedSnapshot, PassLog>,
-    threads: usize,
-    compaction: CompactionPolicy,
-    ws: DijkstraWorkspace,
-    engine: BiDijkstra,
-}
+pub type WeightedBatchIndex = Index<WeightedSnapshot>;
 
-impl Clone for WeightedBatchIndex {
-    fn clone(&self) -> Self {
-        let n = self.work.graph.num_vertices();
-        WeightedBatchIndex {
-            work: self.work.clone(),
-            store: LabelStore::new(self.work.clone()),
-            recycler: engine::Recycler::new(),
-            threads: self.threads,
-            compaction: self.compaction,
-            ws: DijkstraWorkspace::new(n),
-            engine: BiDijkstra::new(n),
-        }
-    }
-}
+impl Family for WeightedSnapshot {
+    const KIND: BackendFamily = BackendFamily::Weighted;
+    const HONOURS_ALGORITHM: bool = false;
+    const LABELLINGS: usize = 1;
+    type Graph = WeightedGraph;
+    type Labels = [Labelling; 1];
+    type Update = WeightedUpdate;
+    type Batch = [WeightedUpdate];
+    type Norm = Vec<Effect>;
+    type Log = WeightedPassLog;
+    type Workspace = DijkstraWorkspace;
+    type View = WeightedCsrDelta;
+    type Search = BiDijkstra;
 
-impl WeightedBatchIndex {
-    /// Build with `k` top-degree landmarks.
-    pub fn build(graph: WeightedGraph, k: usize) -> Self {
-        let mut order = graph.vertices_by_degree();
-        order.truncate(k.min(graph.num_vertices()));
-        Self::build_with_landmarks(graph, order).expect("top-degree landmarks are valid")
-    }
-
-    /// Build over an explicit landmark set; fails on invalid landmarks
-    /// (out of range or duplicated).
-    pub fn build_with_landmarks(
+    /// Construction runs one flagged Dijkstra per landmark, in turn
+    /// (`threads` only parallelises updates on this family).
+    fn build(
         graph: WeightedGraph,
         landmarks: Vec<Vertex>,
+        _threads: usize,
     ) -> Result<Self, LabelError> {
-        let n = graph.num_vertices();
-        let mut lab = Labelling::empty(n, landmarks.clone())?;
+        let mut lab = Labelling::empty(graph.num_vertices(), landmarks)?;
         // Construction Dijkstras run over the frozen CSR snapshot.
         let view = WeightedCsrDelta::from_weighted(&graph);
-        for i in 0..landmarks.len() {
+        for i in 0..lab.num_landmarks() {
             flagged_dijkstra(&view, &lab, i)
                 .into_iter()
                 .for_each(|(v, ll)| write_entry(&mut lab, i, v, ll));
         }
-        let work = WeightedSnapshot { graph, lab, view };
-        Ok(WeightedBatchIndex {
-            store: LabelStore::new(work.clone()),
-            work,
-            recycler: engine::Recycler::new(),
-            threads: 1,
-            compaction: CompactionPolicy::default(),
-            ws: DijkstraWorkspace::new(n),
-            engine: BiDijkstra::new(n),
-        })
+        Ok(WeightedSnapshot { graph, lab, view })
     }
 
-    /// Assemble an index from externally persisted parts (the weighted
-    /// load path of `crate::persist`): a graph plus a previously
-    /// constructed labelling.
-    ///
-    /// Performs structural validation (dimensions, highway diagonal);
-    /// it does *not* prove the labelling matches the graph.
-    pub fn from_parts(graph: WeightedGraph, lab: Labelling) -> Result<Self, LabelError> {
-        let n = graph.num_vertices();
-        if lab.num_vertices() != n {
-            return Err(LabelError::VertexCountMismatch {
-                labelling: lab.num_vertices(),
-                graph: n,
-            });
-        }
-        for i in 0..lab.num_landmarks() {
-            if lab.highway(i, i) != 0 {
-                return Err(LabelError::CorruptHighwayDiagonal { index: i });
-            }
-        }
+    fn assemble(graph: WeightedGraph, [lab]: [Labelling; 1]) -> Self {
         let view = WeightedCsrDelta::from_weighted(&graph);
-        let work = WeightedSnapshot { graph, lab, view };
-        Ok(WeightedBatchIndex {
-            store: LabelStore::new(work.clone()),
-            work,
-            recycler: engine::Recycler::new(),
-            threads: 1,
-            compaction: CompactionPolicy::default(),
-            ws: DijkstraWorkspace::new(n),
-            engine: BiDijkstra::new(n),
-        })
+        WeightedSnapshot { graph, lab, view }
     }
 
-    /// Use landmark-level parallelism for updates (the weighted BHLₚ —
-    /// a capability the unified engine provides to every variant).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
+    fn graph(&self) -> &WeightedGraph {
+        &self.graph
     }
 
-    /// Worker threads used for landmark-parallel updates.
-    pub fn threads(&self) -> usize {
-        self.threads
+    fn view(&self) -> &WeightedCsrDelta {
+        &self.view
     }
 
-    /// The CSR compaction policy of published views.
-    pub fn compaction(&self) -> CompactionPolicy {
-        self.compaction
+    fn labellings(&self) -> Vec<&Labelling> {
+        vec![&self.lab]
     }
 
-    /// Builder-style [`WeightedBatchIndex::set_compaction`].
-    pub fn with_compaction(mut self, policy: CompactionPolicy) -> Self {
-        self.set_compaction(policy);
-        self
+    fn query_labels(&self) -> (&Labelling, &Labelling) {
+        (&self.lab, &self.lab)
     }
 
-    /// Tune the CSR compaction policy of the published weighted view —
-    /// the same [`CompactionPolicy`] every index family takes.
-    pub fn set_compaction(&mut self, policy: CompactionPolicy) {
-        self.compaction = policy;
-        self.work.view.set_policy(policy);
+    fn set_compaction(&mut self, policy: CompactionPolicy) {
+        self.view.set_policy(policy);
     }
 
-    pub fn graph(&self) -> &WeightedGraph {
-        &self.work.graph
+    fn neighbors(&self, v: Vertex) -> Vec<Vertex> {
+        self.graph.neighbors(v).iter().map(|&(w, _)| w).collect()
+    }
+
+    fn updates(batch: &[WeightedUpdate]) -> &[WeightedUpdate] {
+        batch
+    }
+
+    fn single(update: WeightedUpdate) -> Box<[WeightedUpdate]> {
+        Box::new([update])
+    }
+
+    /// Canonicalize endpoints and drop self-loops, repeated updates of
+    /// an edge (only the first counts) and invalid updates (inserting a
+    /// present edge, deleting or reweighting an absent one, no-op
+    /// reweights).
+    fn normalize(&self, batch: &[WeightedUpdate]) -> Vec<Effect> {
+        let mut seen: FxHashMap<(Vertex, Vertex), ()> = FxHashMap::default();
+        let mut out = Vec::new();
+        for u in batch {
+            let u = u.canonical();
+            let (a, b) = u.endpoints();
+            if a == b || seen.contains_key(&(a, b)) {
+                continue;
+            }
+            let in_range = (b as usize) < self.graph.num_vertices();
+            let w_old = if in_range {
+                self.graph.weight(a, b)
+            } else {
+                None
+            };
+            let effect = match u {
+                WeightedUpdate::Insert(_, _, w) if w_old.is_none() => Effect {
+                    a,
+                    b,
+                    w_old: None,
+                    w_new: Some(w),
+                },
+                WeightedUpdate::Delete(..) if w_old.is_some() => Effect {
+                    a,
+                    b,
+                    w_old,
+                    w_new: None,
+                },
+                WeightedUpdate::SetWeight(_, _, w) if w_old.is_some() && w_old != Some(w) => {
+                    Effect {
+                        a,
+                        b,
+                        w_old,
+                        w_new: Some(w),
+                    }
+                }
+                _ => continue, // invalid
+            };
+            seen.insert((a, b), ());
+            out.push(effect);
+        }
+        out
+    }
+
+    /// Not reached (`HONOURS_ALGORITHM` is false): the whole batch is
+    /// one pass.
+    fn split(norm: Vec<Effect>) -> (Vec<Effect>, Vec<Effect>) {
+        (norm, Vec::new())
+    }
+
+    fn pass(
+        &mut self,
+        old: &Self,
+        effects: Vec<Effect>,
+        config: &IndexConfig,
+        ws: &mut DijkstraWorkspace,
+        stats: &mut UpdateStats,
+    ) -> Option<WeightedPassLog> {
+        if effects.is_empty() {
+            return None;
+        }
+        apply_effects(&mut self.graph, &effects, Some(&mut *stats));
+        stats.applied = effects.len();
+
+        let n = self.graph.num_vertices();
+        self.lab.ensure_vertices(n);
+        ws.grow(n);
+
+        // Freeze the batch's endpoints into the weighted CSR view; the
+        // Dijkstra searches below traverse it.
+        self.view.set_policy(config.compaction);
+        self.view
+            .absorb_from(&self.graph, effect_endpoints(&effects));
+        let affected = engine::run_landmarks(
+            &DijkstraKernel,
+            &engine::oracle_for(&old.lab, n),
+            &self.view,
+            &effects,
+            &mut self.lab,
+            config.threads,
+            ws,
+        );
+        stats.affected_per_landmark = affected.iter().map(Vec::len).collect();
+        Some(WeightedPassLog { effects, affected })
+    }
+
+    fn replay(buf: &mut Self, fresh: &Self, log: &WeightedPassLog) {
+        apply_effects(&mut buf.graph, &log.effects, None);
+        buf.view
+            .absorb_from(&buf.graph, effect_endpoints(&log.effects));
+        engine::sync_affected(&fresh.lab, &mut buf.lab, &log.affected);
+    }
+
+    fn from_edits(edits: &[Edit]) -> Result<Box<[WeightedUpdate]>, OracleError> {
+        Ok(edits
+            .iter()
+            .map(|&e| match e {
+                Edit::Insert(a, b) => WeightedUpdate::Insert(a, b, 1),
+                Edit::InsertWeighted(a, b, w) => WeightedUpdate::Insert(a, b, w),
+                Edit::Remove(a, b) => WeightedUpdate::Delete(a, b),
+                Edit::SetWeight(a, b, w) => WeightedUpdate::SetWeight(a, b, w),
+            })
+            .collect())
+    }
+
+    fn speculate(&self, effects: &Vec<Effect>) -> (WeightedCsrDelta, Vec<LabelPatch>) {
+        let mut view = self.view.clone();
+        let n = grown_n(effects.iter().map(|e| (e.a, e.b)), view.num_vertices());
+        view.ensure_vertices(n);
+        let changes = effects.iter().flat_map(|e| {
+            let (a, b) = (e.a, e.b);
+            [
+                (a, b, e.w_new.map(|w| (b, w))),
+                (b, a, e.w_new.map(|w| (a, w))),
+            ]
+        });
+        let key = |&(x, _): &(Vertex, Weight)| x;
+        rewrite_lists(
+            &mut view,
+            changes,
+            key,
+            WeightedCsrDelta::list,
+            WeightedCsrDelta::set_vertex,
+        );
+        let patch = engine::run_landmarks_speculative(
+            &DijkstraKernel,
+            &engine::oracle_for(&self.lab, n),
+            &view,
+            effects,
+        );
+        (view, vec![patch])
+    }
+
+    fn write_graph(graph: &WeightedGraph, out: &mut dyn Write) -> Result<(), PersistError> {
+        out.write_all(&weighted_bin_len(graph).to_le_bytes())?;
+        Ok(write_weighted_bin(graph, out)?)
+    }
+
+    fn read_graph<R: Read>(r: &mut R) -> Result<WeightedGraph, BinGraphError> {
+        read_weighted_bin(r)
+    }
+
+    /// No minimality audit on the weighted family (the highway-cover
+    /// minimality characterization is defined for unweighted
+    /// labellings); sampled Dijkstra truth covers the query surface.
+    fn audit(&self) -> Result<(), String> {
+        Ok(())
+    }
+
+    fn truth(&self, s: Vertex) -> Vec<Dist> {
+        dijkstra(&self.graph, s)
+    }
+}
+
+impl WeightedBatchIndex {
+    /// Build with `k` top-degree landmarks and the default
+    /// configuration (one thread; see [`Index::with_threads`]).
+    pub fn build(graph: WeightedGraph, k: usize) -> Self {
+        let config = IndexConfig {
+            selection: LandmarkSelection::TopDegree(k),
+            ..IndexConfig::default()
+        };
+        Self::try_build(graph, config).expect("top-degree landmarks are valid")
     }
 
     pub fn labelling(&self) -> &Labelling {
         &self.work.lab
     }
-
-    /// Roll the writer back to the generation captured in `snap` and
-    /// republish it (see `BatchIndex::restore_generation`; same
-    /// contract, weighted snapshot).
-    pub(crate) fn restore_generation(&mut self, snap: &WeightedSnapshot) {
-        self.work = snap.clone();
-        self.work.view.set_policy(self.compaction);
-        self.store.publish(self.work.clone());
-        self.recycler.clear();
-        let n = self.work.graph.num_vertices();
-        self.ws = DijkstraWorkspace::new(n);
-        self.engine = BiDijkstra::new(n);
-    }
-
-    pub fn num_vertices(&self) -> usize {
-        self.work.graph.num_vertices()
-    }
-
-    /// The most recently published generation (what readers see).
-    pub fn published(&self) -> Arc<Versioned<WeightedSnapshot>> {
-        self.store.snapshot()
-    }
-
-    /// The version number of the published generation.
-    pub fn version(&self) -> u64 {
-        self.store.version()
-    }
-
-    /// A `Send + Sync` query handle over the published generations.
-    pub fn reader(&self) -> WeightedReader {
-        WeightedReader::new(self.store.reader())
-    }
-
-    /// A `Send + Sync` query handle whose queries take `&self` (see
-    /// [`SharedReader`]).
-    pub fn shared_reader(&self) -> SharedReader<WeightedSnapshot> {
-        SharedReader::new(self.store.clone())
-    }
-
-    /// Exact weighted distance; `None` when disconnected.
-    pub fn query(&mut self, s: Vertex, t: Vertex) -> Option<Dist> {
-        let d = self.query_dist(s, t);
-        (d != INF).then_some(d)
-    }
-
-    pub fn query_dist(&mut self, s: Vertex, t: Vertex) -> Dist {
-        self.work.snapshot_query_dist(&mut self.engine, s, t)
-    }
-
-    /// Batched pair queries (order of results matches `pairs`); pairs
-    /// sharing a source reuse one [`batchhl_hcl::SourcePlan`].
-    pub fn query_many(&mut self, pairs: &[(Vertex, Vertex)]) -> Vec<Option<Dist>> {
-        crate::reader::query_many_on(&self.work, &mut self.engine, pairs)
-    }
-
-    /// One-source-to-many-targets weighted distances; `None` marks
-    /// disconnected or out-of-range endpoints.
-    pub fn distances_from(&mut self, s: Vertex, targets: &[Vertex]) -> Vec<Option<Dist>> {
-        self.work
-            .snapshot_distances_from(&mut self.engine, s, targets)
-            .into_iter()
-            .map(|d| (d != INF).then_some(d))
-            .collect()
-    }
-
-    /// The `k` vertices closest to `s` (excluding `s`), nondecreasing
-    /// by weighted distance.
-    pub fn top_k_closest(&mut self, s: Vertex, k: usize) -> Vec<(Vertex, Dist)> {
-        self.work.snapshot_top_k(&mut self.engine, s, k)
-    }
-
-    /// Apply a batch of weighted updates. Self-loops, invalid updates
-    /// and repeated updates of the same edge (only the first counts)
-    /// are dropped during normalization.
-    pub fn apply_batch(&mut self, updates: &[WeightedUpdate]) -> UpdateStats {
-        let start = Instant::now();
-        let mut stats = UpdateStats {
-            passes: 1,
-            ..Default::default()
-        };
-        let effects = self.normalize(updates);
-        if effects.is_empty() {
-            stats.elapsed = start.elapsed();
-            return stats;
-        }
-        let old = self.store.snapshot();
-        apply_effects(&mut self.work.graph, &effects, Some(&mut stats));
-        stats.applied = effects.len();
-
-        let n = self.work.graph.num_vertices();
-        self.work.lab.ensure_vertices(n);
-        self.ws.grow(n);
-
-        // Freeze the batch's endpoints into the weighted CSR view; the
-        // Dijkstra searches below traverse it. The policy is re-applied
-        // every pass because publish/recycle may have swapped in a
-        // buffer that predates a setter call.
-        self.work.view.set_policy(self.compaction);
-        let graph = &self.work.graph;
-        self.work
-            .view
-            .absorb_from(graph, effect_endpoints(&effects));
-        let mut grown = None;
-        let oracle = engine::oracle_for(&old.lab, n, &mut grown);
-
-        let affected = engine::run_landmarks(
-            &DijkstraKernel,
-            oracle,
-            &self.work.view,
-            &effects,
-            &mut self.work.lab,
-            self.threads,
-            &mut self.ws,
-        );
-        stats.affected_per_landmark = affected.iter().map(Vec::len).collect();
-        stats.affected_total = stats.affected_per_landmark.iter().sum();
-
-        // Publish and recycle, exactly as the unweighted indexes do.
-        engine::publish_pass(
-            &self.store,
-            &mut self.recycler,
-            &mut self.work,
-            WeightedSnapshot::placeholder(),
-            old,
-            PassLog { effects, affected },
-            |buf, fresh, log| {
-                apply_effects(&mut buf.graph, &log.effects, None);
-                let graph = &buf.graph;
-                buf.view.absorb_from(graph, effect_endpoints(&log.effects));
-                engine::sync_affected(&fresh.lab, &mut buf.lab, &log.affected);
-            },
-        );
-
-        stats.elapsed = start.elapsed();
-        stats
-    }
-
-    fn normalize(&self, updates: &[WeightedUpdate]) -> Vec<Effect> {
-        normalize_weighted(&self.work.graph, updates)
-    }
-}
-
-/// Normalize a weighted update batch against `graph`: canonicalize
-/// endpoints, drop self-loops, duplicates (only the first update of an
-/// edge counts) and invalid updates (inserting a present edge, deleting
-/// or reweighting an absent one, no-op reweights). Shared by the
-/// writer's commit path and read-only what-if sessions.
-pub(crate) fn normalize_weighted(graph: &WeightedGraph, updates: &[WeightedUpdate]) -> Vec<Effect> {
-    let mut seen: FxHashMap<(Vertex, Vertex), ()> = FxHashMap::default();
-    let mut out = Vec::new();
-    for u in updates {
-        let u = u.canonical();
-        let (a, b) = u.endpoints();
-        if a == b || seen.contains_key(&(a, b)) {
-            continue;
-        }
-        let in_range = (b as usize) < graph.num_vertices();
-        let w_old = if in_range { graph.weight(a, b) } else { None };
-        let effect = match u {
-            WeightedUpdate::Insert(_, _, w) if w_old.is_none() => Effect {
-                a,
-                b,
-                w_old: None,
-                w_new: Some(w),
-            },
-            WeightedUpdate::Delete(..) if w_old.is_some() => Effect {
-                a,
-                b,
-                w_old,
-                w_new: None,
-            },
-            WeightedUpdate::SetWeight(_, _, w) if w_old.is_some() && w_old != Some(w) => Effect {
-                a,
-                b,
-                w_old,
-                w_new: Some(w),
-            },
-            _ => continue, // invalid
-        };
-        seen.insert((a, b), ());
-        out.push(effect);
-    }
-    out
 }
 
 /// Distinct endpoints of a normalized effect list, sorted — the
 /// vertices the weighted CSR overlay must re-freeze.
-pub(crate) fn effect_endpoints(effects: &[Effect]) -> Vec<Vertex> {
+fn effect_endpoints(effects: &[Effect]) -> Vec<Vertex> {
     let mut touched: Vec<Vertex> = effects.iter().flat_map(|e| [e.a, e.b]).collect();
     touched.sort_unstable();
     touched.dedup();
@@ -665,7 +588,17 @@ fn write_entry(lab: &mut Labelling, i: usize, v: Vertex, ll: LandmarkLength) {
 mod tests {
     use super::*;
     use batchhl_common::SplitMix64;
-    use batchhl_graph::weighted::dijkstra;
+
+    fn with_landmarks(
+        g: WeightedGraph,
+        landmarks: Vec<Vertex>,
+    ) -> Result<WeightedBatchIndex, LabelError> {
+        let config = IndexConfig {
+            selection: LandmarkSelection::Explicit(landmarks),
+            ..IndexConfig::default()
+        };
+        WeightedBatchIndex::try_build(g, config)
+    }
 
     /// Brute-force minimal weighted labelling via Dijkstra matrices.
     fn bruteforce(g: &WeightedGraph, landmarks: Vec<Vertex>) -> Labelling {
@@ -831,7 +764,7 @@ mod tests {
         // Path 0 -1- 1 -1- 2; landmark 0. Bumping (0,1) to 5 must
         // raise d(0,2) to 6 and keep labels minimal.
         let g = WeightedGraph::from_edges(3, &[(0, 1, 1), (1, 2, 1)]);
-        let mut idx = WeightedBatchIndex::build_with_landmarks(g, vec![0]).unwrap();
+        let mut idx = with_landmarks(g, vec![0]).unwrap();
         assert_eq!(idx.query(0, 2), Some(2));
         idx.apply_batch(&[WeightedUpdate::SetWeight(0, 1, 5)]);
         assert_eq!(idx.query(0, 2), Some(6));
@@ -841,7 +774,7 @@ mod tests {
     #[test]
     fn weight_decrease_behaves_like_insertion() {
         let g = WeightedGraph::from_edges(3, &[(0, 1, 9), (1, 2, 1)]);
-        let mut idx = WeightedBatchIndex::build_with_landmarks(g, vec![0]).unwrap();
+        let mut idx = with_landmarks(g, vec![0]).unwrap();
         assert_eq!(idx.query(0, 2), Some(10));
         idx.apply_batch(&[WeightedUpdate::SetWeight(0, 1, 2)]);
         assert_eq!(idx.query(0, 2), Some(3));
@@ -850,8 +783,8 @@ mod tests {
     #[test]
     fn constructor_rejects_bad_landmarks() {
         let g = WeightedGraph::from_edges(3, &[(0, 1, 2)]);
-        assert!(WeightedBatchIndex::build_with_landmarks(g.clone(), vec![7]).is_err());
-        assert!(WeightedBatchIndex::build_with_landmarks(g, vec![0, 0]).is_err());
+        assert!(with_landmarks(g.clone(), vec![7]).is_err());
+        assert!(with_landmarks(g, vec![0, 0]).is_err());
     }
 
     #[test]

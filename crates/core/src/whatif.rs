@@ -12,7 +12,7 @@
 //!   speed;
 //! * a **scoped label patch** ([`LabelPatch`]) — the same search +
 //!   repair kernels a committed batch runs
-//!   ([`engine::run_landmarks_speculative`]) write into detached
+//!   (`engine::run_landmarks_speculative`) write into detached
 //!   copies of the affected landmark rows instead of the labelling.
 //!
 //! Queries then call the one Section 4 query path of
@@ -29,26 +29,18 @@
 //! capacity studies, rollout rehearsals) can share one published
 //! snapshot, each on its own reader thread.
 //!
-//! Entry points: `Reader::with_edits` / `SharedReader::with_edits`
-//! (typed, per family) and the type-erased
-//! [`crate::backend::BackendReader::what_if`].
+//! One generic session, [`WhatIf<F>`], serves every family: the
+//! family's [`Family::speculate`] hook builds the overlay and the patches
+//! (one per labelling). Entry points: `GenReader::with_edits` /
+//! `SharedReader::with_edits` (typed, taking the family's native batch)
+//! and the type-erased [`crate::backend::BackendReader::what_if`].
 
-use crate::backend::{unweighted_batch, BackendFamily, Edit, OracleError};
-use crate::directed::DirectedSnapshot;
-use crate::engine::{self, BfsKernel};
-use crate::index::IndexSnapshot;
+use crate::family::Family;
 use crate::reader::{GenReader, SharedReader};
-use crate::weighted::{
-    effect_endpoints, normalize_weighted, DijkstraKernel, Effect, WeightedSnapshot,
-};
-use batchhl_common::{Dist, FxHashMap, Vertex, INF};
-use batchhl_graph::bfs::BiBfs;
-use batchhl_graph::weighted::{BiDijkstra, Weight, WeightedUpdate};
-use batchhl_graph::{
-    AdjacencyView, Batch, BoundedSearch, CsrDelta, CsrDiDelta, Reversed, Update, WeightedCsrDelta,
-};
+use batchhl_common::{Dist, Vertex, INF};
 use batchhl_hcl::query::{distances_from, point_dist};
 use batchhl_hcl::{LabelPatch, PatchedLabels, Versioned};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The query surface of a what-if session, type-erased for the oracle
@@ -81,25 +73,54 @@ pub trait WhatIfQuery: Send {
     fn distances_from(&mut self, s: Vertex, targets: &[Vertex]) -> Vec<Option<Dist>>;
 }
 
-/// What a session hands the shared query path: the overlay graph, the
-/// `(fwd, bwd)` patched label views and the search engine.
-type Parts<'a, G, S> = (&'a G, PatchedLabels<'a>, PatchedLabels<'a>, &'a mut S);
-
-/// One family's session as the query path sees it (undirected and
-/// weighted sessions pass one label view twice). [`WhatIfQuery`] is
-/// implemented once, over this.
-trait Hypothetical: Send {
-    type Graph;
-    type Search: BoundedSearch<Self::Graph>;
-
-    fn pinned_version(&self) -> u64;
-
-    fn parts(&mut self) -> Parts<'_, Self::Graph, Self::Search>;
+/// A speculative session over one pinned generation of family `F`.
+#[derive(Debug)]
+pub struct WhatIf<F: Family> {
+    pinned: Arc<Versioned<F>>,
+    view: F::View,
+    /// One patch per labelling, in [`Family::labellings`] order.
+    patches: Vec<LabelPatch>,
+    engine: F::Search,
 }
 
-impl<H: Hypothetical> WhatIfQuery for H {
+impl<F: Family> WhatIf<F> {
+    pub(crate) fn build(pinned: Arc<Versioned<F>>, batch: &F::Batch) -> Self {
+        let snap = pinned.value();
+        let (view, patches) = snap.speculate(&snap.normalize(batch));
+        WhatIf {
+            pinned,
+            view,
+            patches,
+            engine: F::Search::default(),
+        }
+    }
+
+    /// Number of landmark rows the hypothetical batch touched.
+    pub fn patched_rows(&self) -> usize {
+        self.patches.iter().map(LabelPatch::num_rows).sum()
+    }
+
+    /// What the shared query path needs: the overlay graph, the
+    /// `(fwd, bwd)` patched label views and the search engine.
+    fn parts(
+        &mut self,
+    ) -> (
+        &F::View,
+        PatchedLabels<'_>,
+        PatchedLabels<'_>,
+        &mut F::Search,
+    ) {
+        let (fwd, bwd) = self.pinned.value().query_labels();
+        let last = self.patches.len() - 1;
+        let fwd = PatchedLabels::new(fwd, &self.patches[0]);
+        let bwd = PatchedLabels::new(bwd, &self.patches[last]);
+        (&self.view, fwd, bwd, &mut self.engine)
+    }
+}
+
+impl<F: Family> WhatIfQuery for WhatIf<F> {
     fn version(&self) -> u64 {
-        self.pinned_version()
+        self.pinned.version()
     }
 
     fn query_dist(&mut self, s: Vertex, t: Vertex) -> Dist {
@@ -116,19 +137,26 @@ impl<H: Hypothetical> WhatIfQuery for H {
     }
 }
 
-/// How a snapshot family builds a what-if session over one of its
-/// pinned generations (the hook [`crate::backend::BackendReader`]'s
-/// blanket impl dispatches through).
-pub trait SnapshotWhatIf: crate::reader::SnapshotQuery + Sized {
-    fn what_if_session(
-        pinned: Arc<Versioned<Self>>,
-        edits: &[Edit],
-    ) -> Result<Box<dyn WhatIfQuery>, OracleError>;
+impl<F: Family> GenReader<F> {
+    /// A speculative session over the freshest published generation:
+    /// answers queries as if `batch` had been committed, without
+    /// touching the index (see [`crate::whatif`]).
+    pub fn with_edits(&mut self, batch: &F::Batch) -> WhatIf<F> {
+        WhatIf::build(self.pin(), batch)
+    }
+}
+
+impl<F: Family> SharedReader<F> {
+    /// A speculative session over the freshest published generation
+    /// (see [`crate::whatif`]).
+    pub fn with_edits(&self, batch: &F::Batch) -> WhatIf<F> {
+        WhatIf::build(self.pin(), batch)
+    }
 }
 
 /// The post-batch vertex count: updates may name vertices past the
 /// pinned view's range (hypothetical growth).
-fn grown_n(endpoints: impl Iterator<Item = (Vertex, Vertex)>, base_n: usize) -> usize {
+pub(crate) fn grown_n(endpoints: impl Iterator<Item = (Vertex, Vertex)>, base_n: usize) -> usize {
     endpoints
         .map(|(a, b)| a.max(b) as usize + 1)
         .max()
@@ -136,402 +164,30 @@ fn grown_n(endpoints: impl Iterator<Item = (Vertex, Vertex)>, base_n: usize) -> 
         .max(base_n)
 }
 
-/// Re-record the post-batch adjacency of every endpoint of `norm` into
-/// the session's private undirected overlay. Normalization guarantees
-/// inserted edges are absent and deleted edges present, so retain +
-/// extend per endpoint reproduces the committed graph's adjacency.
-fn apply_undirected_edits(view: &mut CsrDelta, norm: &Batch) {
-    let mut add: FxHashMap<Vertex, Vec<Vertex>> = FxHashMap::default();
-    let mut remove: FxHashMap<Vertex, Vec<Vertex>> = FxHashMap::default();
-    for &u in norm.updates() {
-        let (a, b) = u.endpoints();
-        match u {
-            Update::Insert(..) => {
-                add.entry(a).or_default().push(b);
-                add.entry(b).or_default().push(a);
-            }
-            Update::Delete(..) => {
-                remove.entry(a).or_default().push(b);
-                remove.entry(b).or_default().push(a);
-            }
+/// Re-record, in a session's private overlay, the post-batch list of
+/// every vertex `changes` names: a change `(v, other, new)` drops `v`'s
+/// entry for `other` and appends `new` when the edge survives (inserted
+/// or reweighted). Normalization leaves one change per edge, inserted
+/// edges absent and removed ones present, so this reproduces the
+/// committed graph's adjacency up to list order.
+pub(crate) fn rewrite_lists<V, T: Copy>(
+    view: &mut V,
+    changes: impl IntoIterator<Item = (Vertex, Vertex, Option<T>)>,
+    key: fn(&T) -> Vertex,
+    list: fn(&V, Vertex) -> &[T],
+    set: fn(&mut V, Vertex, &[T]),
+) {
+    let mut by_vertex: BTreeMap<Vertex, Vec<(Vertex, Option<T>)>> = BTreeMap::new();
+    for (v, other, new) in changes {
+        by_vertex.entry(v).or_default().push((other, new));
+    }
+    for (v, edits) in by_vertex {
+        let mut entries = list(view, v).to_vec();
+        for (other, new) in edits {
+            entries.retain(|x| key(x) != other);
+            entries.extend(new);
         }
-    }
-    for v in norm.touched_vertices() {
-        let mut list: Vec<Vertex> = view.list(v).to_vec();
-        if let Some(rm) = remove.get(&v) {
-            list.retain(|x| !rm.contains(x));
-        }
-        if let Some(ad) = add.get(&v) {
-            list.extend_from_slice(ad);
-        }
-        view.set_vertex(v, &list);
-    }
-}
-
-/// A speculative session over an undirected generation.
-#[derive(Debug)]
-pub struct WhatIf {
-    pinned: Arc<Versioned<IndexSnapshot>>,
-    view: CsrDelta,
-    patch: LabelPatch,
-    engine: BiBfs,
-}
-
-impl WhatIf {
-    pub(crate) fn build(pinned: Arc<Versioned<IndexSnapshot>>, batch: &Batch) -> Self {
-        let (view, patch) = {
-            let snap = pinned.value();
-            let norm = batch.normalize(&snap.graph);
-            let mut view = snap.view.clone();
-            if norm.is_empty() {
-                let n = view.num_vertices();
-                (view, LabelPatch::new(n))
-            } else {
-                let n = grown_n(
-                    norm.updates().iter().map(|u| u.endpoints()),
-                    view.num_vertices(),
-                );
-                view.ensure_vertices(n);
-                apply_undirected_edits(&mut view, &norm);
-                let mut grown = None;
-                let old = engine::oracle_for(&snap.lab, n, &mut grown);
-                let patch = engine::run_landmarks_speculative(
-                    &BfsKernel {
-                        improved: true,
-                        directed: false,
-                    },
-                    old,
-                    &view,
-                    norm.updates(),
-                );
-                (view, patch)
-            }
-        };
-        let engine = BiBfs::new(view.num_vertices());
-        WhatIf {
-            pinned,
-            view,
-            patch,
-            engine,
-        }
-    }
-
-    /// Number of landmark rows the hypothetical batch touched.
-    pub fn patched_rows(&self) -> usize {
-        self.patch.num_rows()
-    }
-}
-
-impl Hypothetical for WhatIf {
-    type Graph = CsrDelta;
-    type Search = BiBfs;
-
-    fn pinned_version(&self) -> u64 {
-        self.pinned.version()
-    }
-
-    fn parts(&mut self) -> Parts<'_, CsrDelta, BiBfs> {
-        let pl = PatchedLabels::new(&self.pinned.value().lab, &self.patch);
-        (&self.view, pl, pl, &mut self.engine)
-    }
-}
-
-/// Re-record post-batch out-/in-adjacency of the batch's tails and
-/// heads into the session's private two-direction overlay.
-fn apply_directed_edits(view: &mut CsrDiDelta, norm: &Batch) {
-    let mut out_add: FxHashMap<Vertex, Vec<Vertex>> = FxHashMap::default();
-    let mut out_rm: FxHashMap<Vertex, Vec<Vertex>> = FxHashMap::default();
-    let mut in_add: FxHashMap<Vertex, Vec<Vertex>> = FxHashMap::default();
-    let mut in_rm: FxHashMap<Vertex, Vec<Vertex>> = FxHashMap::default();
-    for &u in norm.updates() {
-        let (a, b) = u.endpoints();
-        match u {
-            Update::Insert(..) => {
-                out_add.entry(a).or_default().push(b);
-                in_add.entry(b).or_default().push(a);
-            }
-            Update::Delete(..) => {
-                out_rm.entry(a).or_default().push(b);
-                in_rm.entry(b).or_default().push(a);
-            }
-        }
-    }
-    let mut tails: Vec<Vertex> = out_add.keys().chain(out_rm.keys()).copied().collect();
-    tails.sort_unstable();
-    tails.dedup();
-    for v in tails {
-        let mut list: Vec<Vertex> = view.out_neighbors(v).to_vec();
-        if let Some(rm) = out_rm.get(&v) {
-            list.retain(|x| !rm.contains(x));
-        }
-        if let Some(ad) = out_add.get(&v) {
-            list.extend_from_slice(ad);
-        }
-        view.set_vertex_out(v, &list);
-    }
-    let mut heads: Vec<Vertex> = in_add.keys().chain(in_rm.keys()).copied().collect();
-    heads.sort_unstable();
-    heads.dedup();
-    for v in heads {
-        let mut list: Vec<Vertex> = view.in_neighbors(v).to_vec();
-        if let Some(rm) = in_rm.get(&v) {
-            list.retain(|x| !rm.contains(x));
-        }
-        if let Some(ad) = in_add.get(&v) {
-            list.extend_from_slice(ad);
-        }
-        view.set_vertex_in(v, &list);
-    }
-}
-
-/// A speculative session over a directed generation: one patch per
-/// labelling, mirroring the committed two-pass repair.
-#[derive(Debug)]
-pub struct DirectedWhatIf {
-    pinned: Arc<Versioned<DirectedSnapshot>>,
-    view: CsrDiDelta,
-    fwd_patch: LabelPatch,
-    bwd_patch: LabelPatch,
-    bibfs: BiBfs,
-}
-
-impl DirectedWhatIf {
-    pub(crate) fn build(pinned: Arc<Versioned<DirectedSnapshot>>, batch: &Batch) -> Self {
-        let (view, fwd_patch, bwd_patch) = {
-            let snap = pinned.value();
-            let norm = batch.normalize_directed(&snap.graph);
-            let mut view = snap.view.clone();
-            if norm.is_empty() {
-                let n = view.num_vertices();
-                (view, LabelPatch::new(n), LabelPatch::new(n))
-            } else {
-                let n = grown_n(
-                    norm.updates().iter().map(|u| u.endpoints()),
-                    view.num_vertices(),
-                );
-                view.ensure_vertices(n);
-                apply_directed_edits(&mut view, &norm);
-                let kernel = BfsKernel {
-                    improved: true,
-                    directed: true,
-                };
-                let mut grown_fwd = None;
-                let old_fwd = engine::oracle_for(&snap.fwd, n, &mut grown_fwd);
-                let fwd_patch =
-                    engine::run_landmarks_speculative(&kernel, old_fwd, &view, norm.updates());
-                // Backward pass sees every arc reversed.
-                let rev_updates: Vec<Update> = norm
-                    .updates()
-                    .iter()
-                    .map(|u| match *u {
-                        Update::Insert(a, b) => Update::Insert(b, a),
-                        Update::Delete(a, b) => Update::Delete(b, a),
-                    })
-                    .collect();
-                let mut grown_bwd = None;
-                let old_bwd = engine::oracle_for(&snap.bwd, n, &mut grown_bwd);
-                let bwd_patch = engine::run_landmarks_speculative(
-                    &kernel,
-                    old_bwd,
-                    &Reversed(&view),
-                    &rev_updates,
-                );
-                (view, fwd_patch, bwd_patch)
-            }
-        };
-        let bibfs = BiBfs::new(view.num_vertices());
-        DirectedWhatIf {
-            pinned,
-            view,
-            fwd_patch,
-            bwd_patch,
-            bibfs,
-        }
-    }
-}
-
-impl Hypothetical for DirectedWhatIf {
-    type Graph = CsrDiDelta;
-    type Search = BiBfs;
-
-    fn pinned_version(&self) -> u64 {
-        self.pinned.version()
-    }
-
-    fn parts(&mut self) -> Parts<'_, CsrDiDelta, BiBfs> {
-        let snap = self.pinned.value();
-        let fwd = PatchedLabels::new(&snap.fwd, &self.fwd_patch);
-        let bwd = PatchedLabels::new(&snap.bwd, &self.bwd_patch);
-        (&self.view, fwd, bwd, &mut self.bibfs)
-    }
-}
-
-/// Re-record the post-batch weighted adjacency of every effect
-/// endpoint into the session's private weighted overlay.
-fn apply_weighted_effects(view: &mut WeightedCsrDelta, effects: &[Effect]) {
-    let mut changes: FxHashMap<Vertex, Vec<(Vertex, Option<Weight>)>> = FxHashMap::default();
-    for e in effects {
-        changes.entry(e.a).or_default().push((e.b, e.w_new));
-        changes.entry(e.b).or_default().push((e.a, e.w_new));
-    }
-    for v in effect_endpoints(effects) {
-        let mut list: Vec<(Vertex, Weight)> = view.list(v).to_vec();
-        for &(other, w_new) in &changes[&v] {
-            match w_new {
-                None => list.retain(|&(x, _)| x != other),
-                Some(w) => {
-                    if let Some(slot) = list.iter_mut().find(|&&mut (x, _)| x == other) {
-                        slot.1 = w;
-                    } else {
-                        list.push((other, w));
-                    }
-                }
-            }
-        }
-        view.set_vertex(v, &list);
-    }
-}
-
-/// A speculative session over a weighted generation.
-#[derive(Debug)]
-pub struct WeightedWhatIf {
-    pinned: Arc<Versioned<WeightedSnapshot>>,
-    view: WeightedCsrDelta,
-    patch: LabelPatch,
-    engine: BiDijkstra,
-}
-
-impl WeightedWhatIf {
-    pub(crate) fn build(
-        pinned: Arc<Versioned<WeightedSnapshot>>,
-        updates: &[WeightedUpdate],
-    ) -> Self {
-        let (view, patch) = {
-            let snap = pinned.value();
-            let effects = normalize_weighted(&snap.graph, updates);
-            let mut view = snap.view.clone();
-            if effects.is_empty() {
-                let n = view.num_vertices();
-                (view, LabelPatch::new(n))
-            } else {
-                let n = grown_n(effects.iter().map(|e| (e.a, e.b)), view.num_vertices());
-                view.ensure_vertices(n);
-                apply_weighted_effects(&mut view, &effects);
-                let mut grown = None;
-                let old = engine::oracle_for(&snap.lab, n, &mut grown);
-                let patch =
-                    engine::run_landmarks_speculative(&DijkstraKernel, old, &view, &effects);
-                (view, patch)
-            }
-        };
-        let engine = BiDijkstra::new(view.num_vertices());
-        WeightedWhatIf {
-            pinned,
-            view,
-            patch,
-            engine,
-        }
-    }
-}
-
-impl Hypothetical for WeightedWhatIf {
-    type Graph = WeightedCsrDelta;
-    type Search = BiDijkstra;
-
-    fn pinned_version(&self) -> u64 {
-        self.pinned.version()
-    }
-
-    fn parts(&mut self) -> Parts<'_, WeightedCsrDelta, BiDijkstra> {
-        let pl = PatchedLabels::new(&self.pinned.value().lab, &self.patch);
-        (&self.view, pl, pl, &mut self.engine)
-    }
-}
-
-impl SnapshotWhatIf for IndexSnapshot {
-    fn what_if_session(
-        pinned: Arc<Versioned<Self>>,
-        edits: &[Edit],
-    ) -> Result<Box<dyn WhatIfQuery>, OracleError> {
-        let batch = unweighted_batch(edits, BackendFamily::Undirected)?;
-        Ok(Box::new(WhatIf::build(pinned, &batch)))
-    }
-}
-
-impl SnapshotWhatIf for DirectedSnapshot {
-    fn what_if_session(
-        pinned: Arc<Versioned<Self>>,
-        edits: &[Edit],
-    ) -> Result<Box<dyn WhatIfQuery>, OracleError> {
-        let batch = unweighted_batch(edits, BackendFamily::Directed)?;
-        Ok(Box::new(DirectedWhatIf::build(pinned, &batch)))
-    }
-}
-
-impl SnapshotWhatIf for WeightedSnapshot {
-    fn what_if_session(
-        pinned: Arc<Versioned<Self>>,
-        edits: &[Edit],
-    ) -> Result<Box<dyn WhatIfQuery>, OracleError> {
-        let updates: Vec<WeightedUpdate> = edits
-            .iter()
-            .map(|&e| match e {
-                Edit::Insert(a, b) => WeightedUpdate::Insert(a, b, 1),
-                Edit::InsertWeighted(a, b, w) => WeightedUpdate::Insert(a, b, w),
-                Edit::Remove(a, b) => WeightedUpdate::Delete(a, b),
-                Edit::SetWeight(a, b, w) => WeightedUpdate::SetWeight(a, b, w),
-            })
-            .collect();
-        Ok(Box::new(WeightedWhatIf::build(pinned, &updates)))
-    }
-}
-
-impl GenReader<IndexSnapshot> {
-    /// A speculative session over the freshest published generation:
-    /// answers queries as if `batch` had been committed, without
-    /// touching the index (see [`crate::whatif`]).
-    pub fn with_edits(&mut self, batch: &Batch) -> WhatIf {
-        WhatIf::build(self.pin(), batch)
-    }
-}
-
-impl GenReader<DirectedSnapshot> {
-    /// A speculative session over the freshest published generation
-    /// (see [`crate::whatif`]).
-    pub fn with_edits(&mut self, batch: &Batch) -> DirectedWhatIf {
-        DirectedWhatIf::build(self.pin(), batch)
-    }
-}
-
-impl GenReader<WeightedSnapshot> {
-    /// A speculative session over the freshest published generation
-    /// (see [`crate::whatif`]).
-    pub fn with_edits(&mut self, updates: &[WeightedUpdate]) -> WeightedWhatIf {
-        WeightedWhatIf::build(self.pin(), updates)
-    }
-}
-
-impl SharedReader<IndexSnapshot> {
-    /// A speculative session over the freshest published generation
-    /// (see [`crate::whatif`]).
-    pub fn with_edits(&self, batch: &Batch) -> WhatIf {
-        WhatIf::build(self.pin(), batch)
-    }
-}
-
-impl SharedReader<DirectedSnapshot> {
-    /// A speculative session over the freshest published generation
-    /// (see [`crate::whatif`]).
-    pub fn with_edits(&self, batch: &Batch) -> DirectedWhatIf {
-        DirectedWhatIf::build(self.pin(), batch)
-    }
-}
-
-impl SharedReader<WeightedSnapshot> {
-    /// A speculative session over the freshest published generation
-    /// (see [`crate::whatif`]).
-    pub fn with_edits(&self, updates: &[WeightedUpdate]) -> WeightedWhatIf {
-        WeightedWhatIf::build(self.pin(), updates)
+        set(view, v, &entries);
     }
 }
 
@@ -539,19 +195,12 @@ impl SharedReader<WeightedSnapshot> {
 mod tests {
     use super::*;
     use crate::directed::DirectedBatchIndex;
-    use crate::index::{BatchIndex, IndexConfig};
+    use crate::index::testing::config;
+    use crate::index::{Algorithm, BatchIndex};
     use crate::weighted::WeightedBatchIndex;
     use batchhl_graph::generators::barabasi_albert;
-    use batchhl_graph::weighted::WeightedGraph;
-    use batchhl_graph::DynamicDiGraph;
-    use batchhl_hcl::LandmarkSelection;
-
-    fn config(k: usize) -> IndexConfig {
-        IndexConfig {
-            selection: LandmarkSelection::TopDegree(k),
-            ..IndexConfig::default()
-        }
-    }
+    use batchhl_graph::weighted::{Weight, WeightedGraph, WeightedUpdate};
+    use batchhl_graph::{Batch, DynamicDiGraph};
 
     /// The core invariant on every family: a session's answers equal a
     /// twin index that actually committed the batch, and the session
@@ -559,8 +208,8 @@ mod tests {
     #[test]
     fn undirected_session_matches_committed_twin() {
         let g = barabasi_albert(70, 2, 9);
-        let index = BatchIndex::build(g.clone(), config(4));
-        let mut twin = BatchIndex::build(g, config(4));
+        let index = BatchIndex::build(g.clone(), config(Algorithm::BhlPlus, 4));
+        let mut twin = BatchIndex::build(g, config(Algorithm::BhlPlus, 4));
         let mut batch = Batch::new();
         batch.delete(0, 1);
         batch.insert(5, 64);
@@ -598,10 +247,7 @@ mod tests {
                 g.insert_edge(i + 1, i);
             }
         }
-        let cfg = crate::index::IndexConfig {
-            selection: LandmarkSelection::TopDegree(3),
-            ..Default::default()
-        };
+        let cfg = config(Algorithm::BhlPlus, 3);
         let index = DirectedBatchIndex::build(g.clone(), cfg.clone());
         let mut twin = DirectedBatchIndex::build(g, cfg);
         let mut batch = Batch::new();
@@ -649,7 +295,7 @@ mod tests {
     #[test]
     fn empty_and_no_op_batches_build_trivial_sessions() {
         let g = barabasi_albert(40, 2, 4);
-        let index = BatchIndex::build(g, config(3));
+        let index = BatchIndex::build(g, config(Algorithm::BhlPlus, 3));
         let mut reader = index.reader();
         let mut batch = Batch::new();
         batch.delete(0, 39); // almost surely absent → normalizes away
@@ -668,7 +314,7 @@ mod tests {
     #[test]
     fn concurrent_sessions_share_one_generation() {
         let g = barabasi_albert(60, 2, 7);
-        let index = BatchIndex::build(g, config(4));
+        let index = BatchIndex::build(g, config(Algorithm::BhlPlus, 4));
         let shared = index.shared_reader();
         std::thread::scope(|scope| {
             for k in 0..4u32 {

@@ -107,14 +107,19 @@ fn detect() -> Kernel {
 /// `via[j] ← min(via[j], ls + hrow[j])` over the clamped domain
 /// (`hrow`'s `T::MAX` sentinel widens to [`CLAMP_INF`]). Requires
 /// `ls < CLAMP_INF` and, for `U32` rows, every finite value below
-/// `CLAMP_INF` (the `clamp_safe` gates).
+/// `CLAMP_INF` (the `clamp_safe` gates); panics when the two rows
+/// differ in length.
 #[inline]
 pub fn accumulate_via(via: &mut [u32], ls: u32, hrow: NarrowSlice<'_>) {
     debug_assert!(ls < CLAMP_INF);
-    debug_assert_eq!(via.len(), hrow.len());
+    // The SIMD loops index `hrow` by `via`'s length.
+    assert_eq!(via.len(), hrow.len(), "row lengths differ");
     match active_kernel() {
+        // SAFETY: `active_kernel` picked the kernel by runtime feature
+        // detection, and the rows have equal length (asserted above).
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         Kernel::Avx2 => unsafe { x86::accumulate_via_avx2(via, ls, hrow) },
+        // SAFETY: as above.
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         Kernel::Sse2 => unsafe { x86::accumulate_via_sse2(via, ls, hrow) },
         _ => accumulate_via_scalar(via, ls, hrow),
@@ -129,17 +134,25 @@ pub fn accumulate_via(via: &mut [u32], ls: u32, hrow: NarrowSlice<'_>) {
 pub const GATHER_SIMD_MIN_LEN: usize = 16;
 
 /// `min_k via[ids[k]] + dists[k]` over the clamped domain, `u32::MAX`
-/// when the row is empty. Requires every `ids[k] < via.len()` (landmark
-/// indices are `< |R|` by construction) and clamp-safe inputs.
+/// when the row is empty. Requires clamp-safe inputs; panics when an id
+/// is out of `via`'s range (landmark indices are `< |R|` by
+/// construction) or `ids` and `dists` differ in length.
 #[inline]
 pub fn gather_min(via: &[u32], ids: &[u16], dists: NarrowSlice<'_>) -> u32 {
-    debug_assert_eq!(ids.len(), dists.len());
+    // The SIMD loop reads `dists` by `ids`' length.
+    assert_eq!(ids.len(), dists.len(), "row lengths differ");
     if ids.len() < GATHER_SIMD_MIN_LEN {
         return gather_min_scalar(via, ids, dists);
     }
     match active_kernel() {
+        // SAFETY: AVX2 was detected at runtime, `ids` and `dists` have
+        // equal length (asserted above), and the `all` check bounds
+        // every gathered index by `via.len()` — the hardware gather
+        // does no bounds check of its own.
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        Kernel::Avx2 => unsafe { x86::gather_min_avx2(via, ids, dists) },
+        Kernel::Avx2 if ids.iter().all(|&i| usize::from(i) < via.len()) => unsafe {
+            x86::gather_min_avx2(via, ids, dists)
+        },
         _ => gather_min_scalar(via, ids, dists),
     }
 }
@@ -201,25 +214,35 @@ mod x86 {
     use std::arch::x86_64::*;
 
     /// Widen 8 narrow highway entries starting at `k` to clamped u32
-    /// lanes (sentinel → CLAMP_INF). Caller guarantees `k + 8 <= len`.
+    /// lanes (sentinel → CLAMP_INF).
+    ///
+    /// # Safety
+    ///
+    /// `k + 8 <= hrow.len()`, and the CPU supports AVX2.
     #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn widen8_clamped(hrow: NarrowSlice<'_>, k: usize, clampv: __m256i) -> __m256i {
+        // Each arm compares against its own constant sentinel; one shared
+        // compare + blend after the match measured ~20 % slower queries.
         match hrow {
             NarrowSlice::U8(row) => {
-                let lanes =
-                    _mm256_cvtepu8_epi32(_mm_loadl_epi64(row.as_ptr().add(k) as *const __m128i));
+                // SAFETY: entries `k..k + 8` are in bounds (caller), so
+                // the load reads 8 entries of `row` and nothing past it.
+                let raw = unsafe { _mm_loadl_epi64(row.as_ptr().add(k) as *const __m128i) };
+                let lanes = _mm256_cvtepu8_epi32(raw);
                 let sent = _mm256_cmpeq_epi32(lanes, _mm256_set1_epi32(u8::MAX as i32));
                 _mm256_blendv_epi8(lanes, clampv, sent)
             }
             NarrowSlice::U16(row) => {
-                let lanes =
-                    _mm256_cvtepu16_epi32(_mm_loadu_si128(row.as_ptr().add(k) as *const __m128i));
+                // SAFETY: as above.
+                let raw = unsafe { _mm_loadu_si128(row.as_ptr().add(k) as *const __m128i) };
+                let lanes = _mm256_cvtepu16_epi32(raw);
                 let sent = _mm256_cmpeq_epi32(lanes, _mm256_set1_epi32(u16::MAX as i32));
                 _mm256_blendv_epi8(lanes, clampv, sent)
             }
             NarrowSlice::U32(row) => {
-                let lanes = _mm256_loadu_si256(row.as_ptr().add(k) as *const __m256i);
+                // SAFETY: as above.
+                let lanes = unsafe { _mm256_loadu_si256(row.as_ptr().add(k) as *const __m256i) };
                 let sent = _mm256_cmpeq_epi32(lanes, _mm256_set1_epi32(-1));
                 _mm256_blendv_epi8(lanes, clampv, sent)
             }
@@ -228,20 +251,33 @@ mod x86 {
 
     /// Widen 8 label-row distances starting at `k` (no sentinel: tier
     /// selection keeps `T::MAX` out of label payloads).
+    ///
+    /// # Safety
+    ///
+    /// `k + 8 <= dists.len()`, and the CPU supports AVX2.
     #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn widen8_plain(dists: NarrowSlice<'_>, k: usize) -> __m256i {
-        match dists {
-            NarrowSlice::U8(ds) => {
-                _mm256_cvtepu8_epi32(_mm_loadl_epi64(ds.as_ptr().add(k) as *const __m128i))
+        // SAFETY: entries `k..k + 8` are in bounds (caller), so each
+        // load reads 8 entries of `ds` and nothing past it.
+        unsafe {
+            match dists {
+                NarrowSlice::U8(ds) => {
+                    _mm256_cvtepu8_epi32(_mm_loadl_epi64(ds.as_ptr().add(k) as *const __m128i))
+                }
+                NarrowSlice::U16(ds) => {
+                    _mm256_cvtepu16_epi32(_mm_loadu_si128(ds.as_ptr().add(k) as *const __m128i))
+                }
+                NarrowSlice::U32(ds) => _mm256_loadu_si256(ds.as_ptr().add(k) as *const __m256i),
             }
-            NarrowSlice::U16(ds) => {
-                _mm256_cvtepu16_epi32(_mm_loadu_si128(ds.as_ptr().add(k) as *const __m128i))
-            }
-            NarrowSlice::U32(ds) => _mm256_loadu_si256(ds.as_ptr().add(k) as *const __m256i),
         }
     }
 
+    /// AVX2 [`accumulate_via`](super::accumulate_via).
+    ///
+    /// # Safety
+    ///
+    /// `hrow.len() == via.len()`, and the CPU supports AVX2.
     #[target_feature(enable = "avx2")]
     pub unsafe fn accumulate_via_avx2(via: &mut [u32], ls: u32, hrow: NarrowSlice<'_>) {
         let n = via.len();
@@ -249,16 +285,25 @@ mod x86 {
         let clampv = _mm256_set1_epi32(CLAMP_INF as i32);
         let mut j = 0;
         while j + 8 <= n {
-            let h = widen8_clamped(hrow, j, clampv);
-            let cand = _mm256_add_epi32(lsv, h);
-            let cur = _mm256_loadu_si256(via.as_ptr().add(j) as *const __m256i);
-            let m = _mm256_min_epu32(cur, cand);
-            _mm256_storeu_si256(via.as_mut_ptr().add(j) as *mut __m256i, m);
+            // SAFETY: `j + 8 <= n == hrow.len()`, so the widen, the load
+            // and the store all stay inside their 8-lane windows.
+            unsafe {
+                let h = widen8_clamped(hrow, j, clampv);
+                let cand = _mm256_add_epi32(lsv, h);
+                let cur = _mm256_loadu_si256(via.as_ptr().add(j) as *const __m256i);
+                let m = _mm256_min_epu32(cur, cand);
+                _mm256_storeu_si256(via.as_mut_ptr().add(j) as *mut __m256i, m);
+            }
             j += 8;
         }
         accumulate_via_scalar(&mut via[j..], ls, hrow.tail(j));
     }
 
+    /// SSE2 [`accumulate_via`](super::accumulate_via).
+    ///
+    /// # Safety
+    ///
+    /// `hrow.len() == via.len()`, and the CPU supports SSE2.
     #[target_feature(enable = "sse2")]
     pub unsafe fn accumulate_via_sse2(via: &mut [u32], ls: u32, hrow: NarrowSlice<'_>) {
         let n = via.len();
@@ -268,47 +313,67 @@ mod x86 {
         let mut j = 0;
         while j + 4 <= n {
             // Widen 4 entries to u32 lanes with the sentinel clamped.
-            let (lanes, sentv) = match hrow {
-                NarrowSlice::U8(row) => {
-                    let word =
-                        u32::from_le_bytes(row.as_ptr().add(j).cast::<[u8; 4]>().read_unaligned());
-                    let b = _mm_cvtsi32_si128(word as i32);
-                    let w = _mm_unpacklo_epi16(_mm_unpacklo_epi8(b, zero), zero);
-                    (w, _mm_set1_epi32(u8::MAX as i32))
+            // SAFETY: `j + 4 <= n == hrow.len()`: every load below reads
+            // entries `j..j + 4` of `row` (the U16 load 8 bytes, the U32
+            // load 16) and nothing past them.
+            let (lanes, sentv) = unsafe {
+                match hrow {
+                    NarrowSlice::U8(row) => {
+                        let word = u32::from_le_bytes(
+                            row.as_ptr().add(j).cast::<[u8; 4]>().read_unaligned(),
+                        );
+                        let b = _mm_cvtsi32_si128(word as i32);
+                        let w = _mm_unpacklo_epi16(_mm_unpacklo_epi8(b, zero), zero);
+                        (w, _mm_set1_epi32(u8::MAX as i32))
+                    }
+                    NarrowSlice::U16(row) => {
+                        let b = _mm_loadl_epi64(row.as_ptr().add(j) as *const __m128i);
+                        (_mm_unpacklo_epi16(b, zero), _mm_set1_epi32(u16::MAX as i32))
+                    }
+                    NarrowSlice::U32(row) => (
+                        _mm_loadu_si128(row.as_ptr().add(j) as *const __m128i),
+                        _mm_set1_epi32(-1),
+                    ),
                 }
-                NarrowSlice::U16(row) => {
-                    let b = _mm_loadl_epi64(row.as_ptr().add(j) as *const __m128i);
-                    (_mm_unpacklo_epi16(b, zero), _mm_set1_epi32(u16::MAX as i32))
-                }
-                NarrowSlice::U32(row) => (
-                    _mm_loadu_si128(row.as_ptr().add(j) as *const __m128i),
-                    _mm_set1_epi32(-1),
-                ),
             };
             let sent = _mm_cmpeq_epi32(lanes, sentv);
             let h = _mm_or_si128(_mm_and_si128(sent, clampv), _mm_andnot_si128(sent, lanes));
             let cand = _mm_add_epi32(lsv, h);
-            let cur = _mm_loadu_si128(via.as_ptr().add(j) as *const __m128i);
+            // SAFETY: `j + 4 <= n == via.len()`: 4 lanes in bounds.
+            let cur = unsafe { _mm_loadu_si128(via.as_ptr().add(j) as *const __m128i) };
             // Unsigned min via signed compare: every clamped-domain
             // value is < 2^31, where the orders coincide.
             let lt = _mm_cmplt_epi32(cand, cur);
             let m = _mm_or_si128(_mm_and_si128(lt, cand), _mm_andnot_si128(lt, cur));
-            _mm_storeu_si128(via.as_mut_ptr().add(j) as *mut __m128i, m);
+            // SAFETY: the same 4 lanes as the load above.
+            unsafe { _mm_storeu_si128(via.as_mut_ptr().add(j) as *mut __m128i, m) };
             j += 4;
         }
         accumulate_via_scalar(&mut via[j..], ls, hrow.tail(j));
     }
 
+    /// AVX2 [`gather_min`](super::gather_min).
+    ///
+    /// # Safety
+    ///
+    /// `ids.len() == dists.len()`, every `ids[k] < via.len()`, and the
+    /// CPU supports AVX2.
     #[target_feature(enable = "avx2")]
     pub unsafe fn gather_min_avx2(via: &[u32], ids: &[u16], dists: NarrowSlice<'_>) -> u32 {
         let len = ids.len();
         let mut bestv = _mm256_set1_epi32(-1); // u32::MAX lanes
         let mut k = 0;
         while k + 8 <= len {
-            let idx = _mm256_cvtepu16_epi32(_mm_loadu_si128(ids.as_ptr().add(k) as *const __m128i));
-            let g = _mm256_i32gather_epi32::<4>(via.as_ptr() as *const i32, idx);
-            let d = widen8_plain(dists, k);
-            bestv = _mm256_min_epu32(bestv, _mm256_add_epi32(g, d));
+            // SAFETY: `k + 8 <= len` bounds the 8-id load and the 8-entry
+            // widen of `dists` (same length); every gathered index is
+            // `< via.len()` (caller).
+            unsafe {
+                let idx =
+                    _mm256_cvtepu16_epi32(_mm_loadu_si128(ids.as_ptr().add(k) as *const __m128i));
+                let g = _mm256_i32gather_epi32::<4>(via.as_ptr() as *const i32, idx);
+                let d = widen8_plain(dists, k);
+                bestv = _mm256_min_epu32(bestv, _mm256_add_epi32(g, d));
+            }
             k += 8;
         }
         let mut best = if k > 0 {

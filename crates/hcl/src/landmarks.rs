@@ -28,64 +28,52 @@ impl LandmarkSelection {
         LandmarkSelection::TopDegree(20)
     }
 
-    /// Materialize the landmark set for an undirected graph.
-    pub fn select(&self, g: &DynamicGraph) -> Vec<Vertex> {
+    /// Materialize the landmark set for any graph family (directed
+    /// graphs rank by total degree; weighted graphs ignore weights —
+    /// hub coverage is structural).
+    pub fn select<G: DegreeOrder + ?Sized>(&self, g: &G) -> Vec<Vertex> {
+        let n = g.num_vertices();
         match self {
             LandmarkSelection::TopDegree(k) => {
                 let mut order = g.vertices_by_degree();
-                order.truncate((*k).min(g.num_vertices()));
+                order.truncate((*k).min(n));
                 order
             }
             LandmarkSelection::Random { count, seed } => {
                 let mut rng = SplitMix64::new(*seed);
-                let mut all: Vec<Vertex> = (0..g.num_vertices() as Vertex).collect();
+                let mut all: Vec<Vertex> = (0..n as Vertex).collect();
                 rng.shuffle(&mut all);
-                all.truncate((*count).min(g.num_vertices()));
-                all
-            }
-            LandmarkSelection::Explicit(list) => list.clone(),
-        }
-    }
-
-    /// Materialize the landmark set for a weighted graph (degree
-    /// ignores weights — hub coverage is structural).
-    pub fn select_weighted(&self, g: &WeightedGraph) -> Vec<Vertex> {
-        match self {
-            LandmarkSelection::TopDegree(k) => {
-                let mut order = g.vertices_by_degree();
-                order.truncate((*k).min(g.num_vertices()));
-                order
-            }
-            LandmarkSelection::Random { count, seed } => {
-                let mut rng = SplitMix64::new(*seed);
-                let mut all: Vec<Vertex> = (0..g.num_vertices() as Vertex).collect();
-                rng.shuffle(&mut all);
-                all.truncate((*count).min(g.num_vertices()));
-                all
-            }
-            LandmarkSelection::Explicit(list) => list.clone(),
-        }
-    }
-
-    /// Materialize the landmark set for a directed graph (total degree).
-    pub fn select_directed(&self, g: &DynamicDiGraph) -> Vec<Vertex> {
-        match self {
-            LandmarkSelection::TopDegree(k) => {
-                let mut order = g.vertices_by_degree();
-                order.truncate((*k).min(g.num_vertices()));
-                order
-            }
-            LandmarkSelection::Random { count, seed } => {
-                let mut rng = SplitMix64::new(*seed);
-                let mut all: Vec<Vertex> = (0..g.num_vertices() as Vertex).collect();
-                rng.shuffle(&mut all);
-                all.truncate((*count).min(g.num_vertices()));
+                all.truncate((*count).min(n));
                 all
             }
             LandmarkSelection::Explicit(list) => list.clone(),
         }
     }
 }
+
+/// What landmark selection reads from a graph.
+pub trait DegreeOrder {
+    fn num_vertices(&self) -> usize;
+
+    /// Vertex ids by decreasing degree, ties broken by id.
+    fn vertices_by_degree(&self) -> Vec<Vertex>;
+}
+
+macro_rules! degree_order {
+    ($($graph:ty),*) => {$(
+        impl DegreeOrder for $graph {
+            fn num_vertices(&self) -> usize {
+                <$graph>::num_vertices(self)
+            }
+
+            fn vertices_by_degree(&self) -> Vec<Vertex> {
+                <$graph>::vertices_by_degree(self)
+            }
+        }
+    )*};
+}
+
+degree_order!(DynamicGraph, DynamicDiGraph, WeightedGraph);
 
 #[cfg(test)]
 mod tests {
@@ -129,7 +117,7 @@ mod tests {
     #[test]
     fn directed_uses_total_degree() {
         let g = DynamicDiGraph::from_edges(4, &[(0, 1), (2, 1), (3, 1)]);
-        let lms = LandmarkSelection::TopDegree(1).select_directed(&g);
+        let lms = LandmarkSelection::TopDegree(1).select(&g);
         assert_eq!(lms, vec![1]);
     }
 }

@@ -36,6 +36,13 @@
 //!   published snapshots, lock-free reader handles, atomic-swap
 //!   publication (the substrate of concurrent query serving),
 //! * [`oracle`] — brute-force reference implementations used by tests.
+//!
+//! `unsafe` appears only in the SIMD kernels of [`kernel`]; the lints
+//! below make every unsafe operation sit in an explicit block with a
+//! `// SAFETY:` comment, even inside `unsafe fn`.
+
+#![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod build;
 pub mod kernel;
@@ -51,7 +58,7 @@ pub mod store;
 pub use build::{build_labelling, build_labelling_parallel};
 pub use kernel::{active_kernel, Kernel};
 pub use labelling::{LabelError, LabelView, Labelling, NO_LABEL};
-pub use landmarks::LandmarkSelection;
+pub use landmarks::{DegreeOrder, LandmarkSelection};
 pub use packed::{PackedHighway, PackedIndex, PackedLabels};
 pub use patch::{LabelPatch, PatchRow, PatchedLabels};
 pub use query::{sweep_min_targets, upper_bound_pair, QueryEngine, SourcePlan, SWEEP_MIN_TARGETS};

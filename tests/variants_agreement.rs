@@ -4,8 +4,9 @@
 //! affected-vertex counts obey the paper's Figure 2 ordering.
 
 use batchhl::core::index::{Algorithm, BatchIndex, IndexConfig};
-use batchhl::graph::generators::{barabasi_albert, rmat, RmatParams};
-use batchhl::graph::{Batch, DynamicGraph, Vertex};
+use batchhl::core::DirectedBatchIndex;
+use batchhl::graph::generators::{barabasi_albert, orient_randomly, rmat, RmatParams};
+use batchhl::graph::{Batch, DynamicGraph, Update, Vertex};
 use batchhl::hcl::LandmarkSelection;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -113,4 +114,63 @@ fn stats_are_internally_consistent() {
     assert_eq!(stats.passes, 1);
     let stats_uhl = build(&g, Algorithm::UhlPlus, 1).apply_batch(&batch);
     assert_eq!(stats_uhl.passes, batch.len());
+}
+
+/// The directed index honours every variant too: all five repair to the
+/// same forward and backward labellings, and each publishes one
+/// generation per pass (BHLₛ two, UHL/UHL⁺ one per update).
+#[test]
+fn directed_variants_identical_labellings_one_version_per_pass() {
+    let g = orient_randomly(&barabasi_albert(200, 3, 5), 0.3, 4);
+    // Distinct arcs, so every update is also valid on its own (UHL):
+    // remove an out-arc of each of 15 vertices, add 15 absent arcs.
+    let mut batch = Batch::new();
+    for v in 0..15 {
+        if let Some(&w) = g.out_neighbors(v).first() {
+            batch.delete(v, w);
+        }
+    }
+    let mut rng = StdRng::seed_from_u64(11);
+    while batch.num_insertions() < 15 {
+        let (a, c) = (rng.gen_range(0..200), rng.gen_range(0..200));
+        if a != c && !g.has_edge(a, c) && !batch.updates().contains(&Update::Insert(a, c)) {
+            batch.insert(a, c);
+        }
+    }
+    assert!(batch.num_deletions() > 0);
+    let build = |algorithm| -> DirectedBatchIndex {
+        DirectedBatchIndex::build(
+            g.clone(),
+            IndexConfig {
+                selection: LandmarkSelection::TopDegree(8),
+                algorithm,
+                ..IndexConfig::default()
+            },
+        )
+    };
+    let mut reference = build(Algorithm::BhlPlus);
+    reference.apply_batch(&batch);
+    for (alg, passes) in [
+        (Algorithm::Bhl, 1),
+        (Algorithm::BhlPlus, 1),
+        (Algorithm::BhlS, 2),
+        (Algorithm::Uhl, batch.len()),
+        (Algorithm::UhlPlus, batch.len()),
+    ] {
+        let mut idx = build(alg);
+        let stats = idx.apply_batch(&batch);
+        assert_eq!(stats.passes, passes, "{alg:?} passes");
+        assert_eq!(idx.version(), passes as u64, "{alg:?} versions");
+        assert_eq!(
+            idx.forward_labelling(),
+            reference.forward_labelling(),
+            "{alg:?} fwd"
+        );
+        assert_eq!(
+            idx.backward_labelling(),
+            reference.backward_labelling(),
+            "{alg:?} bwd"
+        );
+        assert_eq!(idx.graph(), reference.graph(), "{alg:?} graph");
+    }
 }
