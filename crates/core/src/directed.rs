@@ -201,7 +201,7 @@ impl Family for DirectedSnapshot {
             &self.view,
             norm.updates(),
             &mut self.fwd,
-            config.threads,
+            config,
             ws,
         );
         // The backward pass sees every arc reversed.
@@ -211,7 +211,7 @@ impl Family for DirectedSnapshot {
             &Reversed(&self.view),
             &reversed(norm.updates()),
             &mut self.bwd,
-            config.threads,
+            config,
             ws,
         );
         stats.affected_per_landmark = fwd_aff

@@ -19,6 +19,7 @@
 //! with nothing shared but read-only state, and it is what lets the
 //! writer repair `Γ′` in place while published readers keep serving `Γ`.
 
+use crate::index::IndexConfig;
 use crate::repair::batch_repair;
 use crate::search::batch_search;
 use crate::search_improved::batch_search_improved;
@@ -104,16 +105,25 @@ impl<G: AdjacencyView + Sync> UpdateKernel<G> for BfsKernel {
 }
 
 /// One full update pass: search + repair every landmark of `new_lab`,
-/// sequentially or with landmark-level parallelism (`threads > 1`,
-/// BHLₚ). Each parallel worker owns disjoint label/highway rows and a
-/// private workspace; everything shared is read-only.
+/// sequentially or with landmark-level parallelism
+/// (`config.threads > 1`, BHLₚ). Each parallel worker owns disjoint
+/// label/highway rows and a private workspace; everything shared is
+/// read-only.
+///
+/// This is the last mutation of a labelling in every family's pass, so
+/// it also seals `new_lab`'s packed query mirror before the pass is
+/// published: `old`'s mirror patched with the rows the pass changed
+/// ([`Labelling::seal_patched`], compacting under `config.compaction`).
+/// Readers of the new generation never repack. When `old`'s mirror is
+/// not sealed (nothing has queried the labelling since a build or
+/// load) the new one stays lazy too.
 pub fn run_landmarks<G, K>(
     kernel: &K,
     old: &Labelling,
     g: &G,
     updates: &[K::Update],
     new_lab: &mut Labelling,
-    threads: usize,
+    config: &IndexConfig,
     ws: &mut K::Workspace,
 ) -> AffectedLists
 where
@@ -128,6 +138,25 @@ where
     if let Err(msg) = batchhl_common::failpoint::check("engine::mid_repair_panic") {
         panic!("{msg}");
     }
+    let affected = repair_landmarks(kernel, old, g, updates, new_lab, config.threads, ws);
+    new_lab.seal_patched(old, &affected, config.compaction);
+    affected
+}
+
+/// The landmark loop of [`run_landmarks`].
+fn repair_landmarks<G, K>(
+    kernel: &K,
+    old: &Labelling,
+    g: &G,
+    updates: &[K::Update],
+    new_lab: &mut Labelling,
+    threads: usize,
+    ws: &mut K::Workspace,
+) -> AffectedLists
+where
+    G: ?Sized + Sync,
+    K: UpdateKernel<G>,
+{
     let n = new_lab.num_vertices();
     let r = new_lab.num_landmarks();
     let threads = threads.max(1).min(r.max(1));
@@ -282,7 +311,7 @@ pub fn sync_affected(from: &Labelling, to: &mut Labelling, affected: &[Vec<Verte
 /// so `Arc::try_unwrap` on it fails exactly when readers are active,
 /// which is the scenario the store exists for. The recycler therefore
 /// also keeps *one* older retired generation together with the replay
-/// log of the pass that superseded it: by the next publish, active
+/// log of the pass that superseded it: by the next pass, active
 /// readers have re-pinned past that generation and its buffer can be
 /// reclaimed by replaying the (at most two) logged passes. Steady
 /// state with busy readers reuses buffers every pass in
@@ -296,7 +325,17 @@ pub fn sync_affected(from: &Labelling, to: &mut Labelling, affected: &[Vec<Verte
 /// copying final values of every touched entry is order-insensitive).
 #[derive(Debug)]
 pub(crate) struct Recycler<S, L> {
-    retired: Option<(std::sync::Arc<batchhl_hcl::Versioned<S>>, L)>,
+    retired: Option<Retired<S, L>>,
+}
+
+/// The one older generation a [`Recycler`] keeps.
+#[derive(Debug)]
+enum Retired<S, L> {
+    /// Still shared when last tried, with the log of the pass that
+    /// superseded it.
+    Shared(std::sync::Arc<batchhl_hcl::Versioned<S>>, L),
+    /// Reclaimed early and replayed up to the published generation.
+    Owned(S),
 }
 
 impl<S, L> Default for Recycler<S, L> {
@@ -311,6 +350,24 @@ impl<S, L> Recycler<S, L> {
     /// a pre-rebuild buffer would skip the rebuild's changes).
     pub fn clear(&mut self) {
         self.retired = None;
+    }
+
+    /// Before a pass: reclaim the retained generation now if readers
+    /// have let go of it, replaying its log from `published` (the
+    /// generation the pass repairs against). Its buffers — its packed
+    /// query mirror above all — are then released before the pass seals
+    /// the next mirror, instead of after it is published.
+    pub fn prepare(&mut self, published: &S, mut replay: impl FnMut(&mut S, &S, &L)) {
+        if let Some(Retired::Shared(arc, log)) = self.retired.take() {
+            self.retired = Some(match std::sync::Arc::try_unwrap(arc) {
+                Ok(retired) => {
+                    let mut buf = retired.into_value();
+                    replay(&mut buf, published, &log);
+                    Retired::Owned(buf)
+                }
+                Err(still_pinned) => Retired::Shared(still_pinned, log),
+            });
+        }
     }
 
     /// Offer the generation retired by the publish that just happened
@@ -333,15 +390,22 @@ impl<S, L> Recycler<S, L> {
                 Some(buf)
             }
             Err(still_pinned) => {
-                let reclaimed = self.retired.take().and_then(|(old_arc, old_log)| {
-                    std::sync::Arc::try_unwrap(old_arc).ok().map(|retired| {
-                        let mut buf = retired.into_value();
-                        replay(&mut buf, &old_log);
+                let reclaimed = match self.retired.take() {
+                    Some(Retired::Shared(old_arc, old_log)) => {
+                        std::sync::Arc::try_unwrap(old_arc).ok().map(|retired| {
+                            let mut buf = retired.into_value();
+                            replay(&mut buf, &old_log);
+                            replay(&mut buf, &log);
+                            buf
+                        })
+                    }
+                    Some(Retired::Owned(mut buf)) => {
                         replay(&mut buf, &log);
-                        buf
-                    })
-                });
-                self.retired = Some((still_pinned, log));
+                        Some(buf)
+                    }
+                    None => None,
+                };
+                self.retired = Some(Retired::Shared(still_pinned, log));
                 reclaimed
             }
         }
@@ -352,7 +416,8 @@ impl<S, L> Recycler<S, L> {
 /// working snapshot into the store, release the writer's own pin on the
 /// old generation, and rebuild the working buffer — from a recycled
 /// retired generation when possible ([`Recycler`]), from a full clone
-/// of the fresh one otherwise.
+/// of the fresh one otherwise. Returns `true` when it had to clone
+/// (readers still pinned every retired candidate).
 ///
 /// `replay(buf, fresh, log)` must bring `buf` (holding the state just
 /// *before* a logged pass) to the state just *after* it, reading
@@ -365,15 +430,22 @@ pub(crate) fn publish_pass<S: Clone, L>(
     old: std::sync::Arc<batchhl_hcl::Versioned<S>>,
     log: L,
     mut replay: impl FnMut(&mut S, &S, &L),
-) {
+) -> bool {
     let next = std::mem::replace(work, placeholder);
     let (fresh, prev) = store.publish(next);
     // The writer's own pin on the retired generation must go before
     // reclamation can ever see it uniquely owned.
     drop(old);
-    *work = recycler
-        .reclaim(prev, log, |buf, l| replay(buf, fresh.value(), l))
-        .unwrap_or_else(|| fresh.value().clone());
+    match recycler.reclaim(prev, log, |buf, l| replay(buf, fresh.value(), l)) {
+        Some(buf) => {
+            *work = buf;
+            false
+        }
+        None => {
+            *work = fresh.value().clone();
+            true
+        }
+    }
 }
 
 /// The old labelling `Γ` may describe fewer vertices than `G′` when the
@@ -415,13 +487,17 @@ mod tests {
             directed: false,
         };
         let mut ws = UpdateKernel::<DynamicGraph>::workspace(&kernel, g1.num_vertices());
+        let config = IndexConfig {
+            threads,
+            ..IndexConfig::default()
+        };
         run_landmarks(
             &kernel,
             &oracle,
             &g1,
             norm.updates(),
             &mut new_lab,
-            threads,
+            &config,
             &mut ws,
         );
         (new_lab, g1)
@@ -517,6 +593,69 @@ mod tests {
             recycler.reclaim(prev, 1, replay).is_some(),
             "prev unpinned after readers dropped"
         );
+    }
+
+    #[test]
+    #[allow(unused_assignments)]
+    fn prepare_reclaims_the_retained_generation_before_the_pass() {
+        use batchhl_hcl::LabelStore;
+
+        let store = LabelStore::new(0u64);
+        let mut recycler: Recycler<u64, u64> = Recycler::default();
+        let replay = |buf: &mut u64, log: &u64| *buf += log;
+        let mut pin = store.snapshot();
+        let (fresh, prev) = store.publish(1);
+        assert!(recycler.reclaim(prev, 1, replay).is_none());
+        // Still pinned: prepare leaves the candidate shared.
+        recycler.prepare(fresh.value(), |b, _, l| *b += l);
+        assert!(matches!(recycler.retired, Some(Retired::Shared(..))));
+        pin = fresh;
+        // The reader moved on: prepare owns and replays it up to the
+        // published generation, and the next publish hands it back.
+        recycler.prepare(pin.value(), |b, _, l| *b += l);
+        assert!(matches!(recycler.retired, Some(Retired::Owned(1))));
+        let (fresh, prev) = store.publish(2);
+        let buf = recycler.reclaim(prev, 1, replay).expect("owned candidate");
+        assert_eq!(buf, 2);
+        pin = fresh;
+        drop(pin);
+    }
+
+    #[test]
+    // As above, `pin` only models when the reader's Arc moves.
+    #[allow(unused_assignments)]
+    fn publish_pass_counts_clone_fallbacks_under_pinning() {
+        use batchhl_hcl::LabelStore;
+
+        let store = LabelStore::new(0u64);
+        let mut recycler: Recycler<u64, u64> = Recycler::default();
+        let replay = |buf: &mut u64, _fresh: &u64, log: &u64| *buf += log;
+        let mut work = 0u64;
+        let mut pin = store.snapshot();
+
+        // Pass 1: the reader still pins the only retired generation.
+        work += 1;
+        let old = store.snapshot();
+        assert!(
+            publish_pass(&store, &mut recycler, &mut work, 0, old, 1, replay),
+            "first pinned pass clones"
+        );
+        assert_eq!(work, 1);
+        pin = store.snapshot();
+
+        // Steady state: the reader re-pins after every publish, and the
+        // one-publish-late buffer comes back each pass.
+        for gen in 2..6 {
+            work += 1;
+            let old = store.snapshot();
+            assert!(
+                !publish_pass(&store, &mut recycler, &mut work, 0, old, 1, replay),
+                "pass {gen} recycles"
+            );
+            assert_eq!(work, gen);
+            pin = store.snapshot();
+        }
+        drop(pin);
     }
 
     #[test]

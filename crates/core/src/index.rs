@@ -332,6 +332,7 @@ impl<F: Family> Index<F> {
             ..Default::default()
         };
         let old = self.store.snapshot();
+        self.recycler.prepare(old.value(), F::replay);
         let Some(log) = self
             .work
             .pass(old.value(), norm, &self.config, &mut self.ws, &mut stats)
@@ -339,7 +340,7 @@ impl<F: Family> Index<F> {
             return stats;
         };
         stats.affected_total = stats.affected_per_landmark.iter().sum();
-        engine::publish_pass(
+        let cloned = engine::publish_pass(
             &self.store,
             &mut self.recycler,
             &mut self.work,
@@ -348,6 +349,7 @@ impl<F: Family> Index<F> {
             log,
             F::replay,
         );
+        stats.generation_clones = usize::from(cloned);
         stats
     }
 }
@@ -486,7 +488,7 @@ impl Family for IndexSnapshot {
             &self.view,
             norm.updates(),
             &mut self.lab,
-            config.threads,
+            config,
             ws,
         );
         stats.affected_per_landmark = affected.iter().map(Vec::len).collect();
@@ -990,12 +992,16 @@ mod tests {
         // fallback path.
         let pinned = reader.pin();
         let frozen_truth = oracle::all_pairs_bfs(&pinned.graph);
+        let mut clones = Vec::new();
         for round in 0..4 {
             let batch = random_batch(index.graph(), 10, &mut rng);
-            index.apply_batch(&batch);
+            clones.push(index.apply_batch(&batch).generation_clones);
             oracle::check_minimal(index.graph(), index.labelling())
                 .unwrap_or_else(|e| panic!("round {round}: {e}"));
         }
+        // Only the first pass finds every retired generation pinned;
+        // later passes reclaim the one they just retired.
+        assert_eq!(clones, [1, 0, 0, 0]);
         // The pinned generation still answers its own (stale) truth.
         for s in (0..60u32).step_by(11) {
             for t in (0..60u32).step_by(7) {

@@ -71,7 +71,12 @@
 //! search space: BFS over an adjacency view (undirected, and both
 //! directions of the directed index through the generic `Reversed`
 //! adapter) or Dijkstra over a weighted adjacency view. A family's pass
-//! hook calls it once per labelling.
+//! hook calls it once per labelling. Its last step seals the repaired
+//! labelling's packed query mirror (`batchhl_hcl::packed`) by patching
+//! the published generation's mirror with the rows the pass changed, so
+//! every generation is published with its mirror sealed and no reader
+//! repacks all `|R|·n` cells after a commit. The mirror's overlay
+//! compacts under the same [`index::CompactionPolicy`] as the CSR view.
 //!
 //! **One query path.** Section 4's query — the Eq. 3 label bound, then
 //! a bounded search on `G[V\R]` — is implemented once, in

@@ -352,7 +352,13 @@ pub(crate) fn save_body<F: Family>(
     out.write_all(&config.compaction.fraction.to_le_bytes())?;
     out.write_all(&(config.compaction.min_entries as u64).to_le_bytes())?;
     F::write_graph(index.graph(), out)?;
-    for lab in index.work.labellings() {
+    // The published generation, not the writer's buffer: the content is
+    // identical after a publish, and the published labellings carry the
+    // sealed mirrors the packed encoding reads (the working buffer's is
+    // dropped by every recycle, and packing it again would be thrown
+    // away by the next pass).
+    let published = index.published();
+    for lab in published.value().labellings() {
         out.write_all(&labelling_encoded_len(lab).to_le_bytes())?;
         write_labelling(lab, &mut *out)?;
     }

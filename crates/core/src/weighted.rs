@@ -404,7 +404,7 @@ impl Family for WeightedSnapshot {
             &self.view,
             &effects,
             &mut self.lab,
-            config.threads,
+            config,
             ws,
         );
         stats.affected_per_landmark = affected.iter().map(Vec::len).collect();

@@ -97,6 +97,14 @@ impl CompactionPolicy {
             min_entries: 0,
         }
     }
+
+    /// Whether an overlay of `overlay` entries over a base of `base`
+    /// entries has crossed this policy (the one rule behind every
+    /// overlay this policy bounds: CSR adjacency and packed labels).
+    pub fn exceeded(&self, overlay: usize, base: usize) -> bool {
+        let threshold = (base as f32 * self.fraction.max(f32::EPSILON)) as usize;
+        overlay > threshold.max(self.min_entries)
+    }
 }
 
 /// A frozen compressed-sparse-row adjacency snapshot over items `T`
@@ -380,8 +388,8 @@ impl<T: Copy> CsrOverlay<T> {
 
     /// Whether the overlay exceeds the configured fraction of the base.
     pub fn needs_compaction(&self) -> bool {
-        let threshold = (self.base.num_entries() as f32 * self.compaction_fraction) as usize;
-        self.data.len() > threshold.max(self.min_compaction_entries)
+        CompactionPolicy::new(self.compaction_fraction, self.min_compaction_entries)
+            .exceeded(self.data.len(), self.base.num_entries())
     }
 
     /// Rebuild the base CSR from `fetch` and clear the overlay.

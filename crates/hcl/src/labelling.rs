@@ -19,13 +19,18 @@
 //!
 //! Queries read through a second, derived layout: the packed
 //! vertex-major mirror of [`crate::packed`] (landmark ids ascending,
-//! distances width-narrowed per row), sealed lazily on first query use
-//! via [`Labelling::packed`] and invalidated by every mutation. Dense
-//! rows stay canonical for repair; the packed mirror is what the Eq. 3
-//! scans and the SIMD kernels of [`crate::kernel`] operate on.
+//! distances width-narrowed per row). Dense rows stay canonical for
+//! repair; the packed mirror is what the Eq. 3 scans and the SIMD
+//! kernels of [`crate::kernel`] operate on. The writer seals each new
+//! generation's mirror before publishing it, by patching the previous
+//! generation's mirror with the rows the repair pass changed
+//! ([`Labelling::seal_patched`]); only a labelling with no sealed
+//! predecessor (a fresh build, a load) packs all of its rows, once, on
+//! first query use via [`Labelling::packed`].
 
-use crate::packed::PackedIndex;
+use crate::packed::{PackedHighway, PackedIndex};
 use batchhl_common::{Dist, LandmarkLength, Vertex, INF};
+use batchhl_graph::CompactionPolicy;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -216,11 +221,14 @@ impl LabelView for Labelling {
 /// A highway cover labelling `Γ = (H, L)`.
 ///
 /// The dense landmark-major rows are the canonical, mutable substrate
-/// (batch repair owns disjoint rows). The `packed` field is a lazily
-/// built vertex-major query mirror ([`PackedIndex`]): first query use
-/// seals it, every `&mut` accessor invalidates it, so a published
-/// (immutable) generation builds it at most once and repair passes
-/// never pay for it. Equality ignores the cache.
+/// (batch repair owns disjoint rows). The `packed` field is the
+/// vertex-major query mirror ([`PackedIndex`]). Every `&mut` accessor
+/// that can change content drops it (growth only extends it); the
+/// repair pass then reseals it from the previous generation's mirror
+/// in `O(changed rows)` ([`Labelling::seal_patched`]), so a published
+/// generation normally arrives sealed. A labelling without a sealed
+/// predecessor packs itself on first query use. Equality ignores the
+/// mirror.
 #[derive(Debug, Clone)]
 pub struct Labelling {
     /// Landmarks in selection order; `landmarks[i]` is the vertex id of
@@ -507,11 +515,55 @@ impl Labelling {
         best.min(u64::from(INF)) as Dist
     }
 
-    /// The packed vertex-major query mirror, sealed on first use (see
-    /// [`crate::packed`]). Any later mutation invalidates it.
+    /// The packed vertex-major query mirror (see [`crate::packed`]),
+    /// packed from every row on first use when nothing sealed it
+    /// earlier. Any later mutation invalidates it.
     #[inline]
     pub fn packed(&self) -> &PackedIndex {
         self.packed.get_or_init(|| PackedIndex::build(self))
+    }
+
+    /// Seal this labelling's mirror after a repair pass that rewrote
+    /// only the `affected[i]` entries of each row `i` (and any highway
+    /// entries) of a labelling equal to `old`: `old`'s mirror, with the
+    /// rows whose entries actually changed re-derived and the highway
+    /// re-narrowed. `O(Σ|A_i| + changed rows·|R| + |R|²)` plus the
+    /// overlay index merge, or `O(n + entries)` when the overlay
+    /// crosses `policy` and is compacted (see [`crate::packed`]).
+    /// Leaves the mirror lazy when `old`'s is not sealed — a commit
+    /// never packs every row.
+    pub fn seal_patched(
+        &mut self,
+        old: &Labelling,
+        affected: &[Vec<Vertex>],
+        policy: CompactionPolicy,
+    ) {
+        let Some(prev) = old.packed.get() else {
+            return;
+        };
+        // Mark the changed rows in a bitmap: it hands them back
+        // ascending and distinct without sorting Σ|A_i| cells.
+        let mut mark = vec![0u64; self.num_vertices().div_ceil(64)];
+        for (aff, (was, now)) in affected.iter().zip(old.labels.iter().zip(&self.labels)) {
+            for &v in aff {
+                if was.get(v as usize).copied().unwrap_or(NO_LABEL) != now[v as usize] {
+                    mark[(v >> 6) as usize] |= 1u64 << (v & 63);
+                }
+            }
+        }
+        let mut changed: Vec<Vertex> = Vec::new();
+        for (w, &bits) in mark.iter().enumerate() {
+            let mut bits = bits;
+            while bits != 0 {
+                changed.push((w * 64) as Vertex + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
+        let packed = PackedIndex {
+            labels: prev.labels.patched(self, &changed, policy),
+            highway: PackedHighway::build(self),
+        };
+        self.packed = OnceLock::from(packed);
     }
 
     /// Whether the packed mirror is currently sealed (diagnostics —
@@ -561,12 +613,16 @@ impl Labelling {
         self.size_entries() * (2 + 4) + self.landmarks.len() * self.landmarks.len() * 4
     }
 
-    /// Grow the vertex set (new vertices carry no labels).
+    /// Grow the vertex set (new vertices carry no labels; a sealed
+    /// mirror stays sealed).
     pub fn ensure_vertices(&mut self, n: usize) {
         if n <= self.num_vertices() {
             return;
         }
-        self.packed.take();
+        // New vertices hold no labels: the mirror stays exact by growing.
+        if let Some(p) = self.packed.get_mut() {
+            p.labels.ensure_vertices(n);
+        }
         self.lm_index.resize(n, NOT_LANDMARK);
         for row in &mut self.labels {
             let mut v = std::mem::take(row).into_vec();
@@ -730,11 +786,37 @@ mod tests {
         l.rows_mut();
         assert!(!l.packed_is_sealed());
         l.upper_bound(1, 4);
-        l.ensure_vertices(9);
-        assert!(!l.packed_is_sealed());
-        l.upper_bound(1, 4);
         l.set_highway_sym(0, 1, 3);
         assert!(!l.packed_is_sealed());
+        // Growth adds label-free vertices: the mirror grows with them.
+        l.upper_bound(1, 4);
+        l.ensure_vertices(9);
+        assert!(l.packed_is_sealed());
+        assert_eq!(l.packed(), &PackedIndex::build(&l));
+        assert_eq!(l.upper_bound(1, 8), INF);
+    }
+
+    #[test]
+    fn seal_patched_follows_the_changed_rows() {
+        let old = sample();
+        let mut new = old.clone();
+        new.ensure_vertices(8);
+        new.set_label(0, 4, 2); // a real change
+        new.set_label(1, 2, 1); // rewritten to the same value
+        new.set_label(1, 7, 3); // a grown vertex gains a label
+        new.set_highway_sym(0, 1, 3);
+        let affected = [vec![4], vec![2, 7]];
+        // An unsealed predecessor leaves the mirror lazy.
+        new.seal_patched(&old, &affected, CompactionPolicy::default());
+        assert!(!new.packed_is_sealed());
+        let mut grown = old.clone();
+        grown.ensure_vertices(8);
+        grown.packed();
+        new.seal_patched(&grown, &affected, CompactionPolicy::default());
+        assert!(new.packed_is_sealed());
+        assert_eq!(new.packed(), &PackedIndex::build(&new));
+        // Only the rows whose entries differ (4 and 7) were re-packed.
+        assert_eq!(new.packed().labels.overlay_entries(), 2 + 1);
     }
 
     #[test]

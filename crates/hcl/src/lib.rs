@@ -23,7 +23,7 @@
 //! * [`packed`] — the packed vertex-major query mirror: per-vertex
 //!   label rows with ascending landmark ids and width-narrowed
 //!   distances (u8/u16 tiers, u32 escape), plus the width-narrowed
-//!   highway matrix,
+//!   highway matrix; patched row by row as generations are published,
 //! * [`kernel`] — SIMD min-plus kernels (SSE2/AVX2 with runtime
 //!   detection, branch-free scalar default) serving the Eq. 3 scans,
 //! * [`build`] — construction by flagged BFS (sequential and parallel),

@@ -17,10 +17,17 @@
 //!   cache block the `via` accumulation streams through), `T::MAX`
 //!   encoding the unreachable sentinel.
 //!
-//! A [`PackedIndex`] is built lazily from a `Labelling` on first query
-//! use (see [`Labelling::packed`]) and invalidated by every mutation,
-//! so repair never pays for it and published generations build it at
-//! most once.
+//! A [`PackedLabels`] is a base CSR plus an overlay of re-packed rows,
+//! both shared between generations behind `Arc`s. The writer seals each
+//! new generation's [`PackedIndex`] before publishing it by patching the
+//! previous generation's: only the rows the repair pass changed are
+//! derived again, the highway is re-narrowed, and base and overlay are
+//! merged by copying unchanged rows once the overlay crosses the
+//! [`CompactionPolicy`] that also bounds the CSR adjacency overlay (see
+//! [`Labelling::seal_patched`]). Packing every row — [`PackedIndex::build`],
+//! the compaction of an empty base with every row changed — is left to
+//! a labelling with no sealed predecessor, once, on first query use
+//! ([`Labelling::packed`]).
 //!
 //! # Width tiers and the clamped SIMD domain
 //!
@@ -37,6 +44,8 @@
 use crate::kernel::CLAMP_SAFE_MAX;
 use crate::labelling::{Labelling, NO_LABEL};
 use batchhl_common::{Dist, Vertex, INF};
+use batchhl_graph::CompactionPolicy;
+use std::sync::Arc;
 
 /// Distance width tier of one packed label row: bytes per distance,
 /// with `8` marking the exact-only `u32` escape (values above
@@ -58,7 +67,7 @@ pub fn tier_width(tier: u8) -> usize {
 
 /// A borrowed slice of width-narrowed distances (one label row's
 /// payload, or one highway row).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NarrowSlice<'a> {
     U8(&'a [u8]),
     U16(&'a [u16]),
@@ -131,12 +140,19 @@ impl<'a> NarrowSlice<'a> {
 /// the row's width tier. `clamp_safe` is false only for tier-8 rows
 /// (distances above [`CLAMP_SAFE_MAX`]), which must take the exact
 /// scalar paths.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PackedRow<'a> {
     pub ids: &'a [u16],
     pub dists: NarrowSlice<'a>,
     pub clamp_safe: bool,
 }
+
+/// The row of a vertex that holds no labels.
+const EMPTY_ROW: PackedRow<'static> = PackedRow {
+    ids: &[],
+    dists: NarrowSlice::U8(&[]),
+    clamp_safe: true,
+};
 
 impl PackedRow<'_> {
     #[inline]
@@ -154,24 +170,23 @@ impl PackedRow<'_> {
     pub fn entry(&self, k: usize) -> (u16, Dist) {
         (self.ids[k], self.dists.get(k))
     }
-}
 
-/// Vertex-major CSR over the logical label entries (see module docs).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PackedLabels {
-    r: usize,
-    /// `n + 1` offsets into `ids`; row `v` is `ids[offsets[v]..offsets[v+1]]`.
-    offsets: Vec<u32>,
-    /// Landmark indices, strictly ascending within each row.
-    ids: Vec<u16>,
-    /// Per-row width tier ([`TIER_U8`] | [`TIER_U16`] | [`TIER_U32`] |
-    /// [`TIER_U32_EXACT`]).
-    tiers: Vec<u8>,
-    /// Per-row start index into the tier's distance blob.
-    dist_start: Vec<u32>,
-    d8: Vec<u8>,
-    d16: Vec<u16>,
-    d32: Vec<u32>,
+    /// The row's width tier.
+    #[inline]
+    pub fn tier(&self) -> u8 {
+        match self.dists {
+            NarrowSlice::U8(_) => TIER_U8,
+            NarrowSlice::U16(_) => TIER_U16,
+            NarrowSlice::U32(_) if self.clamp_safe => TIER_U32,
+            NarrowSlice::U32(_) => TIER_U32_EXACT,
+        }
+    }
+
+    /// Bytes of narrowed distance payload in this row.
+    #[inline]
+    fn dist_bytes(&self) -> usize {
+        self.len() * tier_width(self.tier())
+    }
 }
 
 /// Pick the width tier for one row's maximum finite distance. The
@@ -193,86 +208,343 @@ fn tier_for_max(max: Dist) -> u8 {
     }
 }
 
+/// Append-only packed rows: slot `k` is `ids[offsets[k]..offsets[k+1]]`
+/// with its distances at `dist_start[k]` in the blob of its tier. The
+/// base of a [`PackedLabels`] holds vertex `v` in slot `v`; an overlay
+/// chunk holds the rows of one patch in vertex order.
+#[derive(Debug)]
+struct Rows {
+    offsets: Vec<u32>,
+    ids: Vec<u16>,
+    tiers: Vec<u8>,
+    dist_start: Vec<u32>,
+    d8: Vec<u8>,
+    d16: Vec<u16>,
+    d32: Vec<u32>,
+}
+
+impl Rows {
+    /// Room for `rows` rows whose distances fill the `u8`, `u16` and
+    /// `u32` blobs to `blobs`.
+    fn with_capacity(rows: usize, blobs: [usize; 3]) -> Self {
+        let mut offsets = Vec::with_capacity(rows + 1);
+        offsets.push(0);
+        Rows {
+            offsets,
+            ids: Vec::with_capacity(blobs.iter().sum()),
+            tiers: Vec::with_capacity(rows),
+            dist_start: Vec::with_capacity(rows),
+            d8: Vec::with_capacity(blobs[0]),
+            d16: Vec::with_capacity(blobs[1]),
+            d32: Vec::with_capacity(blobs[2]),
+        }
+    }
+
+    #[inline]
+    fn len(&self) -> usize {
+        self.tiers.len()
+    }
+
+    #[inline]
+    fn row(&self, k: usize) -> PackedRow<'_> {
+        let lo = self.offsets[k] as usize;
+        let hi = self.offsets[k + 1] as usize;
+        let ds = self.dist_start[k] as usize;
+        let de = ds + (hi - lo);
+        let tier = self.tiers[k];
+        let dists = match tier {
+            TIER_U8 => NarrowSlice::U8(&self.d8[ds..de]),
+            TIER_U16 => NarrowSlice::U16(&self.d16[ds..de]),
+            _ => NarrowSlice::U32(&self.d32[ds..de]),
+        };
+        PackedRow {
+            ids: &self.ids[lo..hi],
+            dists,
+            clamp_safe: tier != TIER_U32_EXACT,
+        }
+    }
+
+    /// Append a row given as ascending landmark ids and exact distances,
+    /// narrowed to the smallest tier its largest distance allows.
+    fn push(&mut self, ids: &[u16], dists: &[Dist]) {
+        let tier = tier_for_max(dists.iter().copied().max().unwrap_or(0));
+        let start = match tier {
+            TIER_U8 => {
+                let start = self.d8.len();
+                self.d8.extend(dists.iter().map(|&d| d as u8));
+                start
+            }
+            TIER_U16 => {
+                let start = self.d16.len();
+                self.d16.extend(dists.iter().map(|&d| d as u16));
+                start
+            }
+            _ => {
+                let start = self.d32.len();
+                self.d32.extend_from_slice(dists);
+                start
+            }
+        };
+        self.seal_row(ids, tier, start);
+    }
+
+    /// Append a copy of an already packed row (same tier).
+    fn push_packed(&mut self, row: PackedRow<'_>) {
+        let start = match row.dists {
+            NarrowSlice::U8(d) => {
+                let start = self.d8.len();
+                self.d8.extend_from_slice(d);
+                start
+            }
+            NarrowSlice::U16(d) => {
+                let start = self.d16.len();
+                self.d16.extend_from_slice(d);
+                start
+            }
+            NarrowSlice::U32(d) => {
+                let start = self.d32.len();
+                self.d32.extend_from_slice(d);
+                start
+            }
+        };
+        self.seal_row(row.ids, row.tier(), start);
+    }
+
+    fn seal_row(&mut self, ids: &[u16], tier: u8, dist_start: usize) {
+        self.ids.extend_from_slice(ids);
+        assert!(
+            self.ids.len() <= u32::MAX as usize,
+            "packed label CSR exceeds u32 offset space"
+        );
+        self.offsets.push(self.ids.len() as u32);
+        self.tiers.push(tier);
+        self.dist_start.push(dist_start as u32);
+    }
+
+    fn dist_bytes(&self) -> usize {
+        self.d8.len() + 2 * self.d16.len() + 4 * self.d32.len()
+    }
+
+    fn resident_bytes(&self) -> usize {
+        self.offsets.len() * 4
+            + self.ids.len() * 2
+            + self.tiers.len()
+            + self.dist_start.len() * 4
+            + self.dist_bytes()
+    }
+}
+
+/// Derive vertex `v`'s row from the dense label rows into the scratch
+/// buffers (`|R|` long each) and return its length — the one place
+/// packed rows are computed. Branch-free: every slot is written and
+/// only labelled ones advance the cursor, since label presence is
+/// unpredictable.
+fn derive_row(dense: &[&[Dist]], v: Vertex, ids: &mut [u16], dists: &mut [Dist]) -> usize {
+    let mut len = 0;
+    for (i, row) in dense.iter().enumerate() {
+        let d = row[v as usize];
+        ids[len] = i as u16;
+        dists[len] = d;
+        len += usize::from(d != NO_LABEL);
+    }
+    len
+}
+
+/// Vertex-major packed label rows (see module docs): a base CSR plus
+/// an append-only overlay of the rows re-packed since the base was
+/// built, one chunk per patch. Base and chunks sit behind `Arc`s, so a
+/// patched generation shares everything but its newest chunk and its
+/// index with the generation it was patched from.
+///
+/// Reads resolve per vertex exactly like
+/// [`batchhl_graph::csr::CsrOverlay`]: one bitmap test routes to the
+/// base, overlaid vertices binary-search a sorted id list for their
+/// overlay slot, and vertices past the base's range that were never
+/// patched have empty rows. A re-patched row takes a fresh slot and
+/// abandons its old one; abandoned entries count toward the compaction
+/// threshold.
+#[derive(Debug, Clone)]
+pub struct PackedLabels {
+    r: usize,
+    n: usize,
+    base: Arc<Rows>,
+    /// Bit `v` set ⇔ `v` is overlaid (one word per 64 vertices).
+    mask: Vec<u64>,
+    /// Overlaid vertex ids, ascending.
+    touched: Vec<Vertex>,
+    /// `slots[k]` is the `(chunk, slot)` of `touched[k]`'s row.
+    slots: Vec<(u32, u32)>,
+    overlay: Vec<Arc<Rows>>,
+    /// Entries held by the overlay chunks, abandoned rows included.
+    overlay_entries: usize,
+    /// Live logical entries, `Σ_v |L(v)|`.
+    entries: usize,
+    /// Live narrowed distance bytes (what a snapshot serializes).
+    dist_bytes: usize,
+}
+
 impl PackedLabels {
-    /// Transpose the dense landmark-major rows of `lab` into the
-    /// vertex-major packed layout. Two passes over the `r × n` dense
-    /// data: count + per-row max (tier selection), then fill — ids come
-    /// out ascending per row because landmarks are visited in order.
+    /// Pack every row of `lab`: the compaction of an empty base with
+    /// every row changed.
     pub fn build(lab: &Labelling) -> Self {
         let n = lab.num_vertices();
-        let r = lab.num_landmarks();
-        let mut counts = vec![0u32; n];
-        let mut row_max = vec![0 as Dist; n];
-        for i in 0..r {
-            for (v, &d) in lab.label_row(i).iter().enumerate() {
-                if d != NO_LABEL {
-                    counts[v] += 1;
-                    if d > row_max[v] {
-                        row_max[v] = d;
-                    }
+        let empty = PackedLabels {
+            r: lab.num_landmarks(),
+            n: 0,
+            base: Arc::new(Rows::with_capacity(0, [0; 3])),
+            mask: Vec::new(),
+            touched: Vec::new(),
+            slots: Vec::new(),
+            overlay: Vec::new(),
+            overlay_entries: 0,
+            entries: 0,
+            dist_bytes: 0,
+        };
+        let every: Vec<Vertex> = (0..n as Vertex).collect();
+        empty.repack(lab, &every, None)
+    }
+
+    /// This mirror with the rows of `changed` (ascending, distinct)
+    /// re-derived from `lab`, which must agree with the mirrored
+    /// labelling everywhere else. Base and overlay stay shared; the new
+    /// rows form one more overlay chunk and the overlay index is merged
+    /// with them, `O(|changed|·|R| + overlaid rows)`. When that would
+    /// take the overlay past `policy`'s share of the base (counting each
+    /// re-derived row at its current length), base, overlay and new rows
+    /// are merged into a fresh base instead, `O(n + entries)`, copying
+    /// unchanged rows as they are.
+    pub(crate) fn patched(
+        &self,
+        lab: &Labelling,
+        changed: &[Vertex],
+        policy: CompactionPolicy,
+    ) -> Self {
+        self.repack(lab, changed, Some(policy))
+    }
+
+    /// [`PackedLabels::patched`]; `policy: None` always compacts.
+    fn repack(
+        &self,
+        lab: &Labelling,
+        changed: &[Vertex],
+        policy: Option<CompactionPolicy>,
+    ) -> Self {
+        debug_assert!(changed.windows(2).all(|w| w[0] < w[1]));
+        let n = lab.num_vertices().max(self.n);
+        let dense: Vec<&[Dist]> = (0..lab.num_landmarks()).map(|i| lab.label_row(i)).collect();
+        let (mut ids, mut dists) = (vec![0u16; dense.len()], vec![0 as Dist; dense.len()]);
+        let mut derive = |v: Vertex, rows: &mut Rows| {
+            let len = derive_row(&dense, v, &mut ids, &mut dists);
+            rows.push(&ids[..len], &dists[..len]);
+        };
+        let replaced: usize = changed.iter().map(|&v| self.resolve(v).len()).sum();
+        let compact =
+            policy.is_none_or(|p| p.exceeded(self.overlay_entries + replaced, self.base.ids.len()));
+        if compact {
+            let mut base = Rows::with_capacity(n, self.blob_hint(self.entries));
+            let mut k = 0;
+            for v in 0..n as Vertex {
+                if changed.get(k) == Some(&v) {
+                    derive(v, &mut base);
+                    k += 1;
+                } else {
+                    base.push_packed(self.resolve(v));
                 }
             }
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut total64 = 0u64;
-        offsets.push(0);
-        for &c in &counts {
-            total64 += c as u64;
-            assert!(
-                total64 <= u32::MAX as u64,
-                "packed label CSR exceeds u32 offset space"
-            );
-            offsets.push(total64 as u32);
-        }
-        let total = total64 as u32;
-        let tiers: Vec<u8> = (0..n).map(|v| tier_for_max(row_max[v])).collect();
-        let mut dist_start = vec![0u32; n];
-        let (mut n8, mut n16, mut n32) = (0u32, 0u32, 0u32);
-        for v in 0..n {
-            let slot = match tiers[v] {
-                TIER_U8 => &mut n8,
-                TIER_U16 => &mut n16,
-                _ => &mut n32,
+            return PackedLabels {
+                r: self.r,
+                n,
+                entries: base.ids.len(),
+                dist_bytes: base.dist_bytes(),
+                base: Arc::new(base),
+                mask: vec![0; n.div_ceil(64)],
+                touched: Vec::new(),
+                slots: Vec::new(),
+                overlay: Vec::new(),
+                overlay_entries: 0,
             };
-            dist_start[v] = *slot;
-            *slot += counts[v];
         }
-        let mut ids = vec![0u16; total as usize];
-        let mut d8 = vec![0u8; n8 as usize];
-        let mut d16 = vec![0u16; n16 as usize];
-        let mut d32 = vec![0u32; n32 as usize];
-        let mut cursor: Vec<u32> = offsets[..n].to_vec();
-        for i in 0..r {
-            for (v, &d) in lab.label_row(i).iter().enumerate() {
-                if d == NO_LABEL {
-                    continue;
-                }
-                let k = cursor[v];
-                cursor[v] += 1;
-                ids[k as usize] = i as u16;
-                let di = (dist_start[v] + (k - offsets[v])) as usize;
-                match tiers[v] {
-                    TIER_U8 => d8[di] = d as u8,
-                    TIER_U16 => d16[di] = d as u16,
-                    _ => d32[di] = d,
-                }
-            }
+        let (mut entries, mut dist_bytes) = (self.entries, self.dist_bytes);
+        let mut chunk = Rows::with_capacity(changed.len(), self.blob_hint(replaced));
+        let mut mask = self.mask.clone();
+        mask.resize(n.div_ceil(64), 0);
+        for (k, &v) in changed.iter().enumerate() {
+            let old = self.resolve(v);
+            derive(v, &mut chunk);
+            let new = chunk.row(k);
+            entries = entries + new.len() - old.len();
+            dist_bytes = dist_bytes + new.dist_bytes() - old.dist_bytes();
+            mask[(v >> 6) as usize] |= 1u64 << (v & 63);
+        }
+        let (touched, slots) = self.merged_index(changed);
+        let mut overlay = self.overlay.clone();
+        let overlay_entries = self.overlay_entries + chunk.ids.len();
+        if !changed.is_empty() {
+            overlay.push(Arc::new(chunk));
         }
         PackedLabels {
-            r,
-            offsets,
-            ids,
-            tiers,
-            dist_start,
-            d8,
-            d16,
-            d32,
+            r: self.r,
+            n,
+            base: Arc::clone(&self.base),
+            mask,
+            touched,
+            slots,
+            overlay,
+            overlay_entries,
+            entries,
+            dist_bytes,
+        }
+    }
+
+    /// Blob capacities for about `entries` entries, split like the
+    /// base's distances (plus a little room); all `u8` for an empty base.
+    fn blob_hint(&self, entries: usize) -> [usize; 3] {
+        let b = &self.base;
+        if b.ids.is_empty() {
+            return [entries, 0, 0];
+        }
+        [b.d8.len(), b.d16.len(), b.d32.len()].map(|x| {
+            let share = entries * x / b.ids.len();
+            share + share / 16
+        })
+    }
+
+    /// The overlay index after appending the rows of `changed` as one
+    /// more chunk: one merge of two ascending lists, a re-patched vertex
+    /// taking its new slot.
+    fn merged_index(&self, changed: &[Vertex]) -> (Vec<Vertex>, Vec<(u32, u32)>) {
+        let chunk = self.overlay.len() as u32;
+        let cap = self.touched.len() + changed.len();
+        let (mut touched, mut slots) = (Vec::with_capacity(cap), Vec::with_capacity(cap));
+        let (mut a, mut b) = (0, 0);
+        while a < self.touched.len() || b < changed.len() {
+            let old = self.touched.get(a).copied().unwrap_or(Vertex::MAX);
+            let new = changed.get(b).copied().unwrap_or(Vertex::MAX);
+            if old < new {
+                touched.push(old);
+                slots.push(self.slots[a]);
+                a += 1;
+            } else {
+                touched.push(new);
+                slots.push((chunk, b as u32));
+                a += usize::from(old == new);
+                b += 1;
+            }
+        }
+        (touched, slots)
+    }
+
+    /// Grow the vertex range; new vertices have empty rows.
+    pub(crate) fn ensure_vertices(&mut self, n: usize) {
+        if n > self.n {
+            self.n = n;
+            self.mask.resize(n.div_ceil(64), 0);
         }
     }
 
     #[inline]
     pub fn num_vertices(&self) -> usize {
-        self.tiers.len()
+        self.n
     }
 
     #[inline]
@@ -283,50 +555,87 @@ impl PackedLabels {
     /// Total logical label entries, `Σ_v |L(v)|`.
     #[inline]
     pub fn num_entries(&self) -> usize {
-        self.ids.len()
+        self.entries
+    }
+
+    /// Entries held by the overlay, abandoned copies included (the
+    /// figure the compaction policy acts on).
+    pub fn overlay_entries(&self) -> usize {
+        self.overlay_entries
     }
 
     /// Width tier of row `v`.
     #[inline]
     pub fn row_tier(&self, v: Vertex) -> u8 {
-        self.tiers[v as usize]
+        self.row(v).tier()
     }
 
     /// The packed label row of `v`.
     #[inline]
     pub fn row(&self, v: Vertex) -> PackedRow<'_> {
-        let v = v as usize;
-        let lo = self.offsets[v] as usize;
-        let hi = self.offsets[v + 1] as usize;
-        let len = hi - lo;
-        let ds = self.dist_start[v] as usize;
-        let tier = self.tiers[v];
-        let dists = match tier {
-            TIER_U8 => NarrowSlice::U8(&self.d8[ds..ds + len]),
-            TIER_U16 => NarrowSlice::U16(&self.d16[ds..ds + len]),
-            _ => NarrowSlice::U32(&self.d32[ds..ds + len]),
-        };
-        PackedRow {
-            ids: &self.ids[lo..hi],
-            dists,
-            clamp_safe: tier != TIER_U32_EXACT,
+        debug_assert!((v as usize) < self.n, "vertex {v} out of bounds");
+        self.resolve(v)
+    }
+
+    /// Row `v`, empty past the vertex range. An empty overlay (the
+    /// state right after a compaction) is decided by one predictable
+    /// branch; otherwise one bitmap test routes between base and
+    /// overlay.
+    #[inline]
+    fn resolve(&self, v: Vertex) -> PackedRow<'_> {
+        let bit = 1u64 << (v & 63);
+        if self.touched.is_empty()
+            || self
+                .mask
+                .get((v >> 6) as usize)
+                .is_none_or(|w| w & bit == 0)
+        {
+            if (v as usize) < self.base.len() {
+                self.base.row(v as usize)
+            } else {
+                EMPTY_ROW
+            }
+        } else {
+            let k = self
+                .touched
+                .binary_search(&v)
+                .expect("mask bit set ⇒ overlaid");
+            let (chunk, slot) = self.slots[k];
+            self.overlay[chunk as usize].row(slot as usize)
         }
     }
 
     /// Bytes of narrowed distance payload (the serialized dist blob).
     pub fn dist_bytes(&self) -> usize {
-        self.d8.len() + 2 * self.d16.len() + 4 * self.d32.len()
+        self.dist_bytes
     }
 
-    /// Resident bytes of the packed structure (payload + CSR overhead).
+    /// Resident bytes of the packed structure (base + overlay payload
+    /// and CSR overhead, abandoned overlay rows included).
     pub fn resident_bytes(&self) -> usize {
-        self.offsets.len() * 4
-            + self.ids.len() * 2
-            + self.tiers.len()
-            + self.dist_start.len() * 4
-            + self.dist_bytes()
+        self.base.resident_bytes()
+            + self
+                .overlay
+                .iter()
+                .map(|c| c.resident_bytes())
+                .sum::<usize>()
+            + self.mask.len() * 8
+            + self.touched.len() * 4
+            + self.slots.len() * 8
     }
 }
+
+/// Semantic equality: two mirrors are equal when they present the same
+/// rows, however each is split between base and overlay.
+impl PartialEq for PackedLabels {
+    fn eq(&self, other: &Self) -> bool {
+        self.r == other.r
+            && self.n == other.n
+            && (0..self.n as Vertex).all(|v| self.row(v) == other.row(v))
+    }
+}
+
+impl Eq for PackedLabels {}
 
 /// The highway matrix narrowed to one width tier (see module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -570,6 +879,83 @@ mod tests {
             assert_eq!(p.clamp_safe(), want_safe);
             assert_eq!(p.get(0, 1), d);
         }
+    }
+
+    /// A policy that never compacts, to observe the overlay.
+    fn keep_overlay() -> CompactionPolicy {
+        CompactionPolicy::new(1.0e6, usize::MAX)
+    }
+
+    #[test]
+    fn patched_row_retouch_and_tier_change() {
+        let l0 = sample(&[]);
+        let p0 = PackedLabels::build(&l0);
+        let l1 = sample(&[(0, 5, 254)]);
+        let p1 = p0.patched(&l1, &[5], keep_overlay());
+        assert_eq!(p1, PackedLabels::build(&l1));
+        assert_eq!(p1.row_tier(5), TIER_U8);
+        assert_eq!(p1.overlay_entries(), 1);
+        // Re-touch the same row across the u8/u16 edge: a fresh slot,
+        // the old copy abandoned but still counted for compaction.
+        let l2 = sample(&[(0, 5, 255), (1, 5, 3)]);
+        let p2 = p1.patched(&l2, &[5], keep_overlay());
+        assert_eq!(p2, PackedLabels::build(&l2));
+        assert_eq!(p2.row_tier(5), TIER_U16);
+        assert_eq!(p2.row(5).entry(0), (0, 255));
+        assert_eq!(p2.overlay_entries(), 1 + 2);
+        assert_eq!(p2.num_entries(), l2.size_entries());
+        assert_eq!(p2.dist_bytes(), PackedLabels::build(&l2).dist_bytes());
+        // Back down across the u16/u32 edge and out again; the
+        // predecessors are untouched (they are what readers still hold).
+        let l3 = sample(&[(1, 5, 65_535)]);
+        let p3 = p2.patched(&l3, &[5], keep_overlay());
+        assert_eq!(p3, PackedLabels::build(&l3));
+        assert_eq!(p3.row_tier(5), TIER_U32);
+        assert_eq!(p1, PackedLabels::build(&l1));
+        assert_eq!(p0, PackedLabels::build(&l0));
+    }
+
+    #[test]
+    fn patched_rows_grow_past_the_base() {
+        let l0 = sample(&[]);
+        let p0 = PackedLabels::build(&l0);
+        let mut grown = p0.clone();
+        grown.ensure_vertices(9);
+        assert_eq!(grown.num_vertices(), 9);
+        assert!(grown.row(8).is_empty());
+        let mut l1 = l0.clone();
+        l1.ensure_vertices(9);
+        assert_eq!(grown, PackedLabels::build(&l1));
+        // A patch may name vertices past the base's range directly.
+        l1.set_label(1, 7, 4);
+        let p1 = p0.patched(&l1, &[7], keep_overlay());
+        assert_eq!(p1.num_vertices(), 9);
+        assert_eq!(p1, PackedLabels::build(&l1));
+        assert_eq!(p1.row(7).entry(0), (1, 4));
+        assert!(p1.row(6).is_empty() && p1.row(8).is_empty());
+    }
+
+    #[test]
+    fn compaction_merges_overlay_into_a_fresh_base() {
+        let l0 = sample(&[]);
+        let p0 = PackedLabels::build(&l0);
+        let l1 = sample(&[(0, 5, 7), (1, 1, 2)]);
+        let p1 = p0.patched(&l1, &[1, 5], keep_overlay());
+        assert_eq!(p1.overlay_entries(), 3);
+        let mut l2 = sample(&[(0, 5, 7), (1, 1, 2), (1, 0, 300)]);
+        l2.ensure_vertices(7);
+        l2.set_label(0, 6, 1);
+        let p2 = p1.patched(&l2, &[0, 6], CompactionPolicy::eager(0.0));
+        assert_eq!(p2.overlay_entries(), 0, "compacted");
+        assert_eq!(p2, PackedLabels::build(&l2));
+        assert_eq!(
+            p2.resident_bytes(),
+            PackedLabels::build(&l2).resident_bytes()
+        );
+        // The default policy's entry floor keeps small overlays.
+        let p3 = p2.patched(&l2, &[], CompactionPolicy::default());
+        assert_eq!(p3, p2);
+        assert_eq!(p3.overlay_entries(), 0);
     }
 
     #[test]

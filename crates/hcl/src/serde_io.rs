@@ -35,8 +35,8 @@
 //! labelling is assembled only *after* the bytes are in hand, so a
 //! corrupt `u64 n` fails fast with [`SnapshotError::Truncated`] rather
 //! than attempting a multi-GB up-front allocation. Both magics decode
-//! into the dense canonical rows; the packed query mirror is resealed
-//! lazily on first use, keeping the trusted surface minimal.
+//! into the dense canonical rows; the packed query mirror is packed
+//! again from them on first use, keeping the trusted surface minimal.
 
 use crate::labelling::{LabelError, Labelling, NO_LABEL};
 use crate::packed::{tier_width, NarrowSlice, TIER_U16, TIER_U32, TIER_U32_EXACT, TIER_U8};
@@ -248,7 +248,7 @@ fn read_dense_body<R: Read>(
 
 /// Packed `BHL3` body: narrowed highway + CSR label rows, decoded back
 /// into the dense canonical representation (the packed query mirror is
-/// resealed lazily from it).
+/// packed again from it on first use).
 fn read_packed_body<R: Read>(
     inp: &mut R,
     n: usize,

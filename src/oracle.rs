@@ -74,6 +74,7 @@ struct FacadeMetrics {
     commit_latency: Arc<metrics::Histogram>,
     commits: Arc<metrics::Counter>,
     commit_failures: Arc<metrics::Counter>,
+    generation_clones: Arc<metrics::Counter>,
 }
 
 fn facade_metrics() -> &'static FacadeMetrics {
@@ -85,6 +86,7 @@ fn facade_metrics() -> &'static FacadeMetrics {
             commit_latency: r.histogram("batchhl_oracle_commit_latency_us"),
             commits: r.counter("batchhl_oracle_commits_total"),
             commit_failures: r.counter("batchhl_oracle_commit_failures_total"),
+            generation_clones: r.counter("batchhl_oracle_generation_clones_total"),
         }
     })
 }
@@ -1041,9 +1043,13 @@ impl UpdateSession<'_> {
         // (`batchhl_oracle_commit*`), alongside owner-side query latency.
         let m = facade_metrics();
         match &result {
-            Ok(_) => {
+            Ok(receipt) => {
                 m.commits.inc();
                 m.commit_latency.observe(start.elapsed());
+                if !receipt.deduplicated {
+                    m.generation_clones
+                        .add(receipt.stats.generation_clones as u64);
+                }
             }
             Err(_) => m.commit_failures.inc(),
         }

@@ -14,11 +14,17 @@
 #![cfg(feature = "failpoints")]
 
 use batchhl::common::failpoint::{self, Action};
+use batchhl::core::{
+    BatchIndex, DirectedBatchIndex, Family, Index, IndexConfig, WeightedBatchIndex,
+};
 use batchhl::graph::weighted::WeightedGraph;
 use batchhl::graph::{generators, DynamicDiGraph, Vertex};
+use batchhl::hcl::PackedIndex;
 use batchhl::{
-    Dist, DurabilityConfig, FsyncPolicy, Oracle, OracleError, OracleHealth, PersistError,
+    Backend, Dist, DurabilityConfig, Edit, FsyncPolicy, LandmarkSelection, Oracle, OracleError,
+    OracleHealth, PersistError,
 };
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -302,6 +308,96 @@ fn mid_apply_panic_rolls_back_poisons_and_recovers() {
             assert_eq!(answers(&mut reopened), post, "{ctx}: reopen = post-batch");
         }
     }
+}
+
+/// The rollback of the case above, at the backend seam the facade
+/// drives (`rollback_token`, a contained `commit_edits`, `restore`):
+/// the republished generation keeps the pre-batch generation's packed
+/// mirrors — sealed and row-equal, with no repack — and the next commit
+/// patches from them again.
+fn rollback_keeps_sealed_mirrors<F: Family>(mut idx: Index<F>, batch1: &[Edit], batch2: &[Edit]) {
+    let ctx = format!("{} @ engine::mid_repair_panic", F::KIND);
+    for lab in idx.published().value().labellings() {
+        lab.packed();
+    }
+    idx.commit_edits(batch1).expect(&ctx);
+    let pre: Vec<PackedIndex> = idx
+        .published()
+        .value()
+        .labellings()
+        .iter()
+        .map(|lab| lab.packed().clone())
+        .collect();
+
+    let token = idx.rollback_token();
+    let armed = failpoint::arm("engine::mid_repair_panic", Action::Panic);
+    let outcome = catch_unwind(AssertUnwindSafe(|| idx.commit_edits(batch2)));
+    drop(armed);
+    assert!(outcome.is_err(), "{ctx}: the pass panicked");
+    idx.restore(token).expect(&ctx);
+
+    let snap = idx.published();
+    let labs = snap.value().labellings();
+    assert_eq!(labs.len(), pre.len());
+    for (lab, want) in labs.into_iter().zip(&pre) {
+        assert!(lab.packed_is_sealed(), "{ctx}: republished mirror sealed");
+        assert_eq!(lab.packed(), want, "{ctx}: republished mirror = pre-batch");
+    }
+    idx.commit_edits(batch2).expect(&ctx);
+    for lab in idx.published().value().labellings() {
+        assert!(lab.packed_is_sealed(), "{ctx}: retried batch sealed");
+        assert_eq!(
+            lab.packed(),
+            &PackedIndex::build(lab),
+            "{ctx}: retried batch exact"
+        );
+    }
+}
+
+#[test]
+fn mid_repair_panic_rollback_keeps_sealed_mirrors() {
+    let _g = serial();
+    let config = IndexConfig {
+        selection: LandmarkSelection::TopDegree(3),
+        ..IndexConfig::default()
+    };
+    rollback_keeps_sealed_mirrors(
+        BatchIndex::try_build(generators::path(12), config.clone()).expect("undirected"),
+        &[Edit::Insert(0, 11)],
+        &[Edit::Insert(2, 9), Edit::Remove(5, 6)],
+    );
+    let arcs = [
+        (0, 1),
+        (1, 2),
+        (2, 3),
+        (3, 4),
+        (4, 5),
+        (5, 6),
+        (6, 0),
+        (7, 8),
+        (8, 9),
+    ];
+    rollback_keeps_sealed_mirrors(
+        DirectedBatchIndex::try_build(DynamicDiGraph::from_edges(10, &arcs), config.clone())
+            .expect("directed"),
+        &[Edit::Insert(6, 7)],
+        &[Edit::Insert(9, 0), Edit::Remove(2, 3)],
+    );
+    let edges = [
+        (0, 1, 2),
+        (1, 2, 3),
+        (2, 3, 1),
+        (3, 4, 4),
+        (4, 5, 2),
+        (5, 6, 1),
+        (6, 7, 5),
+    ];
+    rollback_keeps_sealed_mirrors(
+        WeightedBatchIndex::try_build(WeightedGraph::from_edges(9, &edges), config)
+            .expect("weighted"),
+        &[Edit::InsertWeighted(7, 8, 2)],
+        &[Edit::InsertWeighted(0, 8, 3), Edit::SetWeight(1, 2, 1)],
+    );
 }
 
 /// When the WAL abort record itself cannot be written after a

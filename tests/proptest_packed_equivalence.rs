@@ -8,17 +8,23 @@
 //! boundaries (254/255, 65534/65535, the `CLAMP_INF` escape) and for
 //! unreachable pairs — and the runtime-dispatched SIMD kernels must be
 //! bit-identical to the branch-free scalar fallback on arbitrary plans.
+//!
+//! Published generations arrive with their mirror already sealed by the
+//! writer (patched from the previous generation's mirror): after every
+//! batch of a random history, on every family, it must be row for row
+//! what a fresh pack of the same labelling gives.
 
 use batchhl::core::directed::DirectedBatchIndex;
-use batchhl::core::index::{Algorithm, IndexConfig};
+use batchhl::core::index::{Algorithm, BatchIndex, CompactionPolicy, IndexConfig};
 use batchhl::core::weighted::WeightedBatchIndex;
-use batchhl::graph::weighted::WeightedGraph;
-use batchhl::graph::{DynamicDiGraph, DynamicGraph, Vertex};
+use batchhl::core::{Family, Index};
+use batchhl::graph::weighted::{Weight, WeightedGraph, WeightedUpdate};
+use batchhl::graph::{Batch, DynamicDiGraph, DynamicGraph, Vertex};
 use batchhl::hcl::kernel::{
     accumulate_via, accumulate_via_scalar, gather_min, gather_min_scalar, CLAMP_INF, CLAMP_SAFE_MAX,
 };
 use batchhl::hcl::labelling::Labelling;
-use batchhl::hcl::packed::NarrowSlice;
+use batchhl::hcl::packed::{NarrowSlice, PackedIndex};
 use batchhl::hcl::serde_io::{read_labelling, write_labelling};
 use batchhl::hcl::{build_labelling, LandmarkSelection, SourcePlan};
 use batchhl::{Dist, INF};
@@ -77,8 +83,223 @@ fn dense_pair_bound(
     best.min(u64::from(INF)) as Dist
 }
 
+/// Vertex ids of random histories: those past `N` grow the graph.
+const GROW: usize = N + 4;
+
+const ALGORITHMS: [Algorithm; 5] = [
+    Algorithm::Bhl,
+    Algorithm::BhlPlus,
+    Algorithm::BhlS,
+    Algorithm::Uhl,
+    Algorithm::UhlPlus,
+];
+
+/// Edge weights whose sums move label rows across the 254/255 and
+/// 65534/65535 width-tier edges.
+const TIER_WEIGHTS: [Weight; 8] = [1, 2, 127, 254, 255, 300, 65_534, 65_535];
+
+/// One edit of a random history: `(op, a, (b, weight index))`. Ops 0
+/// and 1 insert `a–b` (or set its weight, when weighted and present),
+/// op 2 deletes `a–b` or else `a`'s first edge, op 3 isolates `a`
+/// (disconnecting it when it is a landmark).
+type Step = (u8, Vertex, (Vertex, usize));
+
+fn history_strategy() -> impl Strategy<Value = Vec<Vec<Step>>> {
+    prop::collection::vec(
+        prop::collection::vec(
+            (
+                0..4u8,
+                0..GROW as Vertex,
+                (0..GROW as Vertex, 0..TIER_WEIGHTS.len()),
+            ),
+            1..8,
+        ),
+        1..7,
+    )
+}
+
+/// Compaction with no entry floor, so the packed overlay compacts
+/// within a short history on a tiny graph.
+fn history_config(algorithm: usize, threads: usize) -> IndexConfig {
+    IndexConfig {
+        selection: LandmarkSelection::TopDegree(4),
+        algorithm: ALGORITHMS[algorithm],
+        threads,
+        compaction: CompactionPolicy {
+            min_entries: 0,
+            ..CompactionPolicy::default()
+        },
+    }
+}
+
+fn seal_published<F: Family>(idx: &Index<F>) {
+    for lab in idx.published().value().labellings() {
+        lab.packed();
+    }
+}
+
+/// Row `v` of a mirror as `(tier, entries)`.
+fn row_of(p: &PackedIndex, v: Vertex) -> (u8, Vec<(u16, Dist)>) {
+    let row = p.labels.row(v);
+    (
+        p.labels.row_tier(v),
+        (0..row.len()).map(|k| row.entry(k)).collect(),
+    )
+}
+
+/// Every labelling of the published generation carries a sealed mirror
+/// equal, row for row, to a fresh pack, and its Eq. 3 bounds equal the
+/// dense double loop.
+fn check_published_mirrors<F: Family>(idx: &Index<F>, ctx: &str) -> Result<(), String> {
+    let snap = idx.published();
+    for lab in snap.value().labellings() {
+        prop_assert!(
+            lab.packed_is_sealed(),
+            "{ctx}: published mirror is not sealed"
+        );
+        let (got, want) = (lab.packed(), PackedIndex::build(lab));
+        let n = lab.num_vertices() as Vertex;
+        prop_assert_eq!(got.labels.num_vertices(), n as usize, "{ctx}: vertex range");
+        for v in 0..n {
+            prop_assert_eq!(row_of(got, v), row_of(&want, v), "{ctx}: row {v}");
+        }
+        prop_assert_eq!(got.labels.num_entries(), want.labels.num_entries());
+        prop_assert_eq!(got.labels.dist_bytes(), want.labels.dist_bytes());
+        prop_assert_eq!(&got.highway, &want.highway, "{ctx}: highway");
+        for s in 0..n {
+            for t in 0..n {
+                prop_assert_eq!(
+                    lab.upper_bound(s, t),
+                    lab.upper_bound_dense(s, t),
+                    "{ctx}: bound ({s}, {t})"
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The unweighted edit list of one step against the current edge set.
+fn unweighted_batch(
+    steps: &[Step],
+    n: usize,
+    edges_of: impl Fn(Vertex) -> Vec<(Vertex, Vertex)>,
+    has_edge: impl Fn(Vertex, Vertex) -> bool,
+) -> Batch {
+    let mut batch = Batch::new();
+    for &(op, a, (b, _)) in steps {
+        match op {
+            0 | 1 => batch.insert(a, b),
+            2 if (a as usize) < n && (b as usize) < n && has_edge(a, b) => batch.delete(a, b),
+            _ if (a as usize) < n => {
+                let edges = edges_of(a);
+                let take = if op == 2 {
+                    edges.len().min(1)
+                } else {
+                    edges.len()
+                };
+                for &(x, y) in &edges[..take] {
+                    batch.delete(x, y);
+                }
+            }
+            _ => {}
+        }
+    }
+    batch
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // Every published generation of a random batch history arrives with
+    // a sealed, exact mirror: vertex growth, landmark-disconnecting
+    // deletions, every algorithm's pass split, both repair paths, and
+    // compactions of the packed overlay.
+    #[test]
+    fn published_mirrors_stay_sealed_and_exact(
+        edges in edges_strategy(),
+        history in history_strategy(),
+        setup in (0..ALGORITHMS.len(), 1..3usize),
+    ) {
+        let (algorithm, threads) = setup;
+        let config = history_config(algorithm, threads);
+
+        let mut und = BatchIndex::build(DynamicGraph::from_edges(N, &edges), config.clone());
+        seal_published(&und);
+        for (k, steps) in history.iter().enumerate() {
+            let g = und.graph();
+            let batch = unweighted_batch(
+                steps,
+                g.num_vertices(),
+                |a| g.neighbors(a).iter().map(|&b| (a, b)).collect(),
+                |a, b| g.has_edge(a, b),
+            );
+            und.apply_batch(&batch);
+            check_published_mirrors(&und, &format!("undirected batch {k}"))?;
+        }
+
+        let mut di = DirectedBatchIndex::build(DynamicDiGraph::from_edges(N, &edges), config.clone());
+        seal_published(&di);
+        for (k, steps) in history.iter().enumerate() {
+            let g = di.graph();
+            let batch = unweighted_batch(
+                steps,
+                g.num_vertices(),
+                |a| {
+                    let outs = g.out_neighbors(a).iter().map(|&b| (a, b));
+                    outs.chain(g.in_neighbors(a).iter().map(|&b| (b, a))).collect()
+                },
+                |a, b| g.has_edge(a, b),
+            );
+            di.apply_batch(&batch);
+            check_published_mirrors(&di, &format!("directed batch {k}"))?;
+            let (fwd, bwd) = (di.forward_labelling(), di.backward_labelling());
+            for s in 0..fwd.num_vertices() as Vertex {
+                for t in 0..fwd.num_vertices() as Vertex {
+                    prop_assert_eq!(
+                        di.upper_bound(s, t),
+                        dense_pair_bound(bwd, fwd, fwd, s, t),
+                        "directed batch {k}: bound ({s}, {t})"
+                    );
+                }
+            }
+        }
+
+        let weighted: Vec<(Vertex, Vertex, Weight)> = edges
+            .iter()
+            .enumerate()
+            .map(|(k, &(a, b))| (a, b, TIER_WEIGHTS[k % TIER_WEIGHTS.len()]))
+            .collect();
+        let mut wi = WeightedBatchIndex::try_build(WeightedGraph::from_edges(N, &weighted), config)
+            .expect("top-degree landmarks are valid");
+        seal_published(&wi);
+        for (k, steps) in history.iter().enumerate() {
+            let g = wi.graph();
+            let n = g.num_vertices();
+            let mut batch = Vec::new();
+            for &(op, a, (b, w)) in steps {
+                let w = TIER_WEIGHTS[w];
+                let in_range = (a as usize) < n && (b as usize) < n;
+                match op {
+                    0 | 1 if in_range && g.has_edge(a, b) => {
+                        batch.push(WeightedUpdate::SetWeight(a, b, w))
+                    }
+                    0 | 1 => batch.push(WeightedUpdate::Insert(a, b, w)),
+                    2 if in_range && g.has_edge(a, b) => batch.push(WeightedUpdate::Delete(a, b)),
+                    _ if (a as usize) < n => {
+                        let edges = g.neighbors(a);
+                        let take = if op == 2 { edges.len().min(1) } else { edges.len() };
+                        for &(x, _) in &edges[..take] {
+                            batch.push(WeightedUpdate::Delete(a, x));
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            wi.apply_batch(&batch);
+            check_published_mirrors(&wi, &format!("weighted batch {k}"))?;
+        }
+    }
 
     // Undirected family: the packed mirror stores exactly the dense
     // entries, and every packed bound path (public `upper_bound`,
