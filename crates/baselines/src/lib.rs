@@ -15,8 +15,9 @@
 //!   rebuild by boundary-seeded partial BFSs in rank order,
 //! * [`full_pll`] — FulPLL: the fully dynamic combination of the two,
 //! * [`fulfd`] — FulFD (Hayashi et al. 2016): full shortest-path trees
-//!   per landmark maintained per single update + bounded online search
-//!   (see DESIGN.md §4 for the bit-parallel substitution note).
+//!   per landmark maintained per single update + bounded online search,
+//!   with the original's bit-parallel masks kept and repaired per root
+//!   ([`bit_parallel`]).
 
 #![forbid(unsafe_code)]
 

@@ -3,7 +3,8 @@
 //! ```text
 //! experiments [flags] <id>...        ids: table2 table3 table4 table5
 //!                                         table6 fig2 fig5 fig6 fig7
-//!                                         fig8 label_memory | all
+//!                                         fig8 label_memory
+//!                                         server_coalesce | all
 //!   --scale tiny|small|medium|large  dataset scale       (default small)
 //!   --seed N                         workload seed       (default 42)
 //!   --landmarks K                    landmark count      (default 20)
@@ -32,6 +33,7 @@ const ALL_IDS: &[&str] = &[
     "fig8",
     "table6",
     "label_memory",
+    "server_coalesce",
 ];
 
 fn usage() -> ! {
@@ -110,6 +112,7 @@ fn main() {
             "fig8" => experiments::fig8::run(&ctx),
             "label_memory" => experiments::label_memory::run(&ctx),
             "table6" => experiments::table6::run(&ctx),
+            "server_coalesce" => experiments::server_coalesce::run(&ctx),
             other => {
                 eprintln!("unknown experiment {other:?}");
                 usage();

@@ -2,7 +2,7 @@
 //!
 //! The real networks (SNAP / LAW / KONECT, up to 3.7 B edges) are
 //! replaced by seeded generators whose *shape knobs* — average degree,
-//! degree skew, small diameter — mirror each original (DESIGN.md §4):
+//! degree skew, small diameter — mirror each original:
 //! Barabási–Albert for the social networks, R-MAT for the skewed
 //! web/communication graphs, and an evolving preferential stream for
 //! the two real-dynamic Wikipedia networks. [`Scale`] multiplies the

@@ -6,7 +6,8 @@
 //! per *logical* entry (u16 landmark id + width-narrowed distance) plus
 //! per-vertex overhead. This report prints both, the compression ratio,
 //! and the narrowed highway width — the memory half of the packed-
-//! storage evaluation (the latency half lives in the Criterion groups).
+//! storage evaluation (perfbench's `hcl.bound_us_p50` measures the
+//! latency half).
 
 use super::ExpContext;
 use crate::datasets::dataset;

@@ -4,7 +4,7 @@
 //! using the dataset stand-ins and the workload protocol; absolute
 //! numbers differ from the paper's 28-core testbed, the *shape* (who
 //! wins, by what order of magnitude, where crossovers fall) is the
-//! reproduction target — see EXPERIMENTS.md for the side-by-side.
+//! reproduction target.
 
 pub mod fig2;
 pub mod fig5;
@@ -12,6 +12,7 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod label_memory;
+pub mod server_coalesce;
 pub mod table2;
 pub mod table3;
 pub mod table4;
@@ -31,8 +32,9 @@ pub struct ExpContext {
     pub seed: u64,
     /// Landmark count (paper default: 20).
     pub landmarks: usize,
-    /// Threads for the parallel variants (paper: 20; this container
-    /// typically has far fewer cores — documented in EXPERIMENTS.md).
+    /// Threads for the parallel variants (paper: 20; defaults to this
+    /// machine's cores, typically far fewer, so absolute parallel
+    /// speedups are not comparable with the paper's).
     pub threads: usize,
     /// Per-method time budget for the PLL-family baselines; exceeding
     /// it prints DNF, mirroring the paper's "-" entries.

@@ -1,4 +1,4 @@
-//! Sustained serving throughput: per-request dispatch vs coalesced.
+//! Serving throughput: per-request dispatch vs the request coalescer.
 //!
 //! N client threads pipeline point queries over loopback TCP against a
 //! `batchhl-server` (windowed pipelining: each client keeps a fixed
@@ -16,23 +16,27 @@
 //! Queries draw their sources from a small hot set (8 vertices), the
 //! serving pattern the coalescer's source grouping targets. The
 //! second series varies `max_wait_us` at 16 clients — the window is a
-//! latency/throughput knob, and on this one-core container the
-//! interesting regime is how quickly the window fills, not how long
-//! it is allowed to stay open.
+//! latency/throughput knob, and when clients share cores with the
+//! server the interesting regime is how quickly the window fills, not
+//! how long it is allowed to stay open.
 //!
 //! The load generator is deliberately raw (burst-rendered request
 //! lines, one `write(2)` per burst, newline counting on chunked
-//! reads): clients share the measurement core with the server, so a
+//! reads): clients share the measurement cores with the server, so a
 //! full JSON client would dominate the numbers and mask the dispatch
 //! difference under test.
 //!
-//! Results are published in `BENCH_server.json` (acceptance: ≥2×
-//! sustained q/s for coalesced over per-request at 16 clients). This
-//! bench drives sockets and threads, so it uses its own `main` and
-//! wall-clock accounting instead of the criterion harness.
+//! The graph is the youtube stand-in at `ctx.scale` with
+//! `ctx.landmarks` top-degree landmarks; `--scale tiny` gives the
+//! configuration `BENCH_server.json` records.
 
-use batchhl::{Oracle, Vertex};
-use batchhl_bench::bench_support::{bench_graph, bench_queries, BENCH_LANDMARKS};
+use super::ExpContext;
+use crate::datasets::dataset;
+use crate::measure::Table;
+use crate::workload::query_pairs;
+use batchhl::Oracle;
+use batchhl_common::Vertex;
+use batchhl_graph::DynamicGraph;
 use batchhl_server::{CoalesceConfig, Server, ServerConfig};
 use std::fmt::Write as _;
 use std::io::{Read, Write};
@@ -50,16 +54,16 @@ fn coalesce(max_wait_us: u64) -> CoalesceConfig {
     CoalesceConfig {
         max_wait_us,
         max_batch: 512,
-        // The bench measures throughput, not shedding: bounds high
-        // enough that admission control never triggers.
+        // Throughput, not shedding, is measured: bounds high enough
+        // that admission control never triggers.
         max_pending: 1 << 20,
     }
 }
 
-fn start_server(mode: Option<CoalesceConfig>) -> Server {
+fn start_server(ctx: &ExpContext, g: &DynamicGraph, mode: Option<CoalesceConfig>) -> Server {
     let oracle = Oracle::builder()
-        .top_degree_landmarks(BENCH_LANDMARKS)
-        .build(bench_graph())
+        .top_degree_landmarks(ctx.landmarks)
+        .build(g.clone())
         .expect("build oracle");
     Server::start(
         oracle,
@@ -67,7 +71,7 @@ fn start_server(mode: Option<CoalesceConfig>) -> Server {
             workers: 2,
             max_queue: 1 << 20,
             coalesce: mode,
-            node: "bench".to_string(),
+            node: "server_coalesce".to_string(),
             ..ServerConfig::default()
         },
     )
@@ -77,8 +81,8 @@ fn start_server(mode: Option<CoalesceConfig>) -> Server {
 /// A load-generator connection: renders request lines into one buffer
 /// and writes a whole burst per syscall, then counts newline-terminated
 /// responses out of chunked reads. Keeping the generator this cheap is
-/// the point — the bench isolates *server-side dispatch* cost, and a
-/// full JSON client on the same core would dominate the measurement.
+/// the point — the experiment isolates *server-side dispatch* cost, and
+/// a full JSON client on the same cores would dominate the measurement.
 struct RawPipeline {
     stream: TcpStream,
     out: String,
@@ -121,7 +125,7 @@ impl RawPipeline {
     /// Block for the next read and return how many responses it held.
     fn recv_some(&mut self) -> usize {
         let n = self.stream.read(&mut self.chunk).expect("read responses");
-        assert!(n > 0, "server closed mid-bench");
+        assert!(n > 0, "server closed mid-run");
         if !self.checked {
             // Spot-check the first chunk only: correctness is the
             // loopback suite's job, the generator just counts lines.
@@ -138,17 +142,20 @@ impl RawPipeline {
 }
 
 /// Run one configuration; returns sustained queries/second.
-fn sustained_qps(clients: usize, mode: Option<CoalesceConfig>) -> f64 {
-    let server = start_server(mode);
+fn sustained_qps(
+    ctx: &ExpContext,
+    g: &DynamicGraph,
+    pairs: &[(Vertex, Vertex)],
+    clients: usize,
+    mode: Option<CoalesceConfig>,
+) -> f64 {
+    let server = start_server(ctx, g, mode);
     let addr = server.addr();
-    let graph = bench_graph();
-    let pairs = bench_queries(&graph, 4096);
     let sources: Vec<Vertex> = pairs.iter().map(|&(s, _)| s).take(HOT_SOURCES).collect();
 
     let per_client: Vec<(u64, Duration)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients)
             .map(|worker| {
-                let pairs = &pairs;
                 let sources = &sources;
                 scope.spawn(move || {
                     let mut pipe = RawPipeline::connect(addr);
@@ -192,25 +199,39 @@ fn sustained_qps(clients: usize, mode: Option<CoalesceConfig>) -> f64 {
     total as f64 / longest.as_secs_f64()
 }
 
-fn main() {
+pub fn run(ctx: &ExpContext) {
     println!(
-        "server coalescing: sustained q/s over loopback TCP \
-         (windowed pipelining, {WINDOW} outstanding per client, hot set of {HOT_SOURCES} sources)"
+        "== Serving: per-request vs coalesced dispatch, sustained q/s over loopback TCP \
+         ({WINDOW} outstanding per client, hot set of {HOT_SOURCES} sources) =="
     );
-    println!();
+    let g = dataset("youtube", ctx.scale);
+    let pairs = query_pairs(&g, 4096, ctx.seed);
+    println!(
+        "youtube stand-in: n={} m={}, {} landmarks, 2 server workers",
+        g.num_vertices(),
+        g.num_edges(),
+        ctx.landmarks
+    );
+
     println!("dispatch mode, varying client threads (coalesce window 200us / batch 512):");
+    let mut table = Table::new(&["Clients", "Per-request q/s", "Coalesced q/s", "Ratio"]);
     for clients in [1usize, 4, 16] {
-        let per_request = sustained_qps(clients, None);
-        let coalesced = sustained_qps(clients, Some(coalesce(200)));
-        println!(
-            "  {clients:>2} clients: per-request {per_request:>9.0} q/s | coalesced {coalesced:>9.0} q/s | {:>5.2}x",
-            coalesced / per_request
-        );
+        let per_request = sustained_qps(ctx, &g, &pairs, clients, None);
+        let coalesced = sustained_qps(ctx, &g, &pairs, clients, Some(coalesce(200)));
+        table.row(vec![
+            clients.to_string(),
+            format!("{per_request:.0}"),
+            format!("{coalesced:.0}"),
+            format!("{:.2}x", coalesced / per_request),
+        ]);
     }
-    println!();
+    print!("{}", table.render());
+
     println!("coalescing window, 16 clients:");
+    let mut table = Table::new(&["max_wait_us", "Coalesced q/s"]);
     for max_wait_us in [50u64, 200, 1000] {
-        let coalesced = sustained_qps(16, Some(coalesce(max_wait_us)));
-        println!("  max_wait_us {max_wait_us:>5}: {coalesced:>9.0} q/s");
+        let coalesced = sustained_qps(ctx, &g, &pairs, 16, Some(coalesce(max_wait_us)));
+        table.row(vec![max_wait_us.to_string(), format!("{coalesced:.0}")]);
     }
+    print!("{}", table.render());
 }

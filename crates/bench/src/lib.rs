@@ -7,12 +7,12 @@
 //!   random query pairs);
 //! * [`measure`] — timing helpers and plain-text table formatting;
 //! * [`experiments`] — one module per table/figure of the evaluation,
-//!   each printing the same rows/series the paper reports. Run them via
+//!   each printing the same rows/series the paper reports, plus the
+//!   `server_coalesce` serving-throughput run. Run them via
 //!   `cargo run -p batchhl-bench --release --bin experiments -- <id>`.
 
 #![forbid(unsafe_code)]
 
-pub mod bench_support;
 pub mod datasets;
 pub mod experiments;
 pub mod measure;

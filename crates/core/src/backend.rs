@@ -200,8 +200,8 @@ impl From<LabelError> for OracleError {
 /// `DistanceOracle` facade.
 ///
 /// Every method takes concrete types only (the trait is object-safe);
-/// queries take `&mut self` because the owner answers against its
-/// *working* snapshot with a reusable search workspace, while
+/// queries take `&mut self` because the owner answers against the
+/// published generation with its own reusable search workspace, while
 /// [`Backend::reader`] hands out `&self`-querying [`BackendReader`]
 /// handles for serving threads.
 ///

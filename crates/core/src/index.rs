@@ -223,8 +223,11 @@ impl<F: Family> Index<F> {
     /// Exact distance (`d(s → t)` on directed graphs), `None` when
     /// disconnected (Section 4: labelling upper bound + bounded
     /// bidirectional search on `G[V\R]`, run over the CSR view).
-    /// Answers against the *working* snapshot — the owner always sees
-    /// its own latest batch.
+    /// Answers against the published generation, which outside
+    /// [`Index::apply_batch`] holds the owner's latest batch and whose
+    /// packed mirror the writer sealed at publication. (The working
+    /// snapshot is a recycled buffer whose mirror is dropped on every
+    /// pass; querying it would repack all `|R|·|V|` cells.)
     pub fn query(&mut self, s: Vertex, t: Vertex) -> Option<Dist> {
         let d = self.query_dist(s, t);
         (d != INF).then_some(d)
@@ -233,27 +236,29 @@ impl<F: Family> Index<F> {
     /// As [`Index::query`], returning `INF` for disconnected or
     /// out-of-range pairs.
     pub fn query_dist(&mut self, s: Vertex, t: Vertex) -> Dist {
-        self.work.query_dist(&mut self.engine, s, t)
+        self.store.snapshot().query_dist(&mut self.engine, s, t)
     }
 
     /// Batched pair queries: groups the pairs by source and reuses the
     /// per-source label plan across each group (see
     /// [`batchhl_hcl::SourcePlan`]). Order of results matches `pairs`.
     pub fn query_many(&mut self, pairs: &[(Vertex, Vertex)]) -> Vec<Option<Dist>> {
-        query_many_on(&self.work, &mut self.engine, pairs)
+        query_many_on(self.store.snapshot().value(), &mut self.engine, pairs)
     }
 
     /// One-source-to-many-targets distances (the batched fast path:
     /// one generation, one source plan, one sweep for large target
     /// sets). `None` marks disconnected or out-of-range endpoints.
     pub fn distances_from(&mut self, s: Vertex, targets: &[Vertex]) -> Vec<Option<Dist>> {
-        self.work.distances_from(&mut self.engine, s, targets)
+        self.store
+            .snapshot()
+            .distances_from(&mut self.engine, s, targets)
     }
 
     /// The `k` vertices closest to `s` (excluding `s`), nondecreasing
     /// by distance.
     pub fn top_k_closest(&mut self, s: Vertex, k: usize) -> Vec<(Vertex, Dist)> {
-        self.work.top_k(&mut self.engine, s, k)
+        self.store.snapshot().top_k(&mut self.engine, s, k)
     }
 
     /// Apply a batch of updates and repair the labelling(s)
@@ -705,6 +710,44 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn owner_queries_read_the_sealed_published_generation() {
+        let g0 = barabasi_albert(200, 3, 8);
+        let mut index = BatchIndex::build(g0, config(Algorithm::BhlPlus, 6));
+        let mut rng = StdRng::seed_from_u64(23);
+        let pairs: Vec<(Vertex, Vertex)> =
+            (0..40u32).map(|i| (i * 5, (i * 37 + 11) % 200)).collect();
+        let targets: Vec<Vertex> = (0..200u32).step_by(3).collect();
+        let mut recycled = 0;
+        for round in 0..5 {
+            let batch = random_batch(index.graph(), 10, &mut rng);
+            let stats = index.apply_batch(&batch);
+            let owner: Vec<Dist> = pairs.iter().map(|&(s, t)| index.query_dist(s, t)).collect();
+            let owner_many = index.query_many(&pairs);
+            let owner_from = index.distances_from(7, &targets);
+            let owner_top = index.top_k_closest(7, 10);
+            if stats.generation_clones == 0 {
+                // The writer buffer came back from the recycler with
+                // its mirror dropped; an owner query must not repack it.
+                recycled += 1;
+                assert!(
+                    !index.labelling().packed_is_sealed(),
+                    "round {round}: an owner query packed the writer's buffer"
+                );
+            }
+            let mut reader = index.reader();
+            let read: Vec<Dist> = pairs
+                .iter()
+                .map(|&(s, t)| reader.query_dist(s, t))
+                .collect();
+            assert_eq!(owner, read, "round {round}");
+            assert_eq!(owner_many, reader.query_many(&pairs), "round {round}");
+            assert_eq!(owner_from, reader.distances_from(7, &targets));
+            assert_eq!(owner_top, reader.top_k_closest(7, 10));
+        }
+        assert!(recycled > 0, "no pass reused a retired buffer");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! survives iff it is `≤` — exactly the two pruning conditions of
 //! Section 5.2. The paper's pseudocode omits the test for the initial
 //! anchor pushes, but its worked example 5.9(a) requires it, so we apply
-//! the same β test there too (DESIGN.md, "β-pruning at every push").
+//! the same β test there too (β-pruning at every push).
 //! Example 5.9(c) (deleting one of two equal-landmark-length shortest
 //! paths) is *not* prunable by the β test alone: detecting that the
 //! surviving path makes the deleted one redundant would require reading

@@ -57,9 +57,8 @@ pub const MIN_COMPACTION_ENTRIES: usize = 1024;
 /// base's adjacency entries *and* at least `min_entries` entries.
 ///
 /// One policy value configures every index family (the
-/// `compaction` field of `batchhl-core`'s `IndexConfig`), replacing the
-/// per-index `set_compaction_fraction`/`set_compaction_policy` setter
-/// pairs.
+/// `compaction` field of `batchhl-core`'s `IndexConfig`) and every
+/// overlay ([`CsrOverlay::set_policy`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompactionPolicy {
     /// Fraction of the base's adjacency entries the overlay may reach
@@ -233,8 +232,7 @@ pub struct CsrOverlay<T> {
     spans: Vec<(usize, usize)>,
     data: Vec<T>,
     n: usize,
-    compaction_fraction: f32,
-    min_compaction_entries: usize,
+    policy: CompactionPolicy,
 }
 
 /// Unweighted CSR + overlay view — what undirected generations publish.
@@ -254,30 +252,14 @@ impl<T: Copy> CsrOverlay<T> {
             spans: Vec::new(),
             data: Vec::new(),
             n,
-            compaction_fraction: DEFAULT_COMPACTION_FRACTION,
-            min_compaction_entries: MIN_COMPACTION_ENTRIES,
+            policy: CompactionPolicy::default(),
         }
     }
 
-    /// Set the overlay fraction of the base's entry count that triggers
-    /// compaction (clamped to be positive).
-    pub fn set_compaction_fraction(&mut self, fraction: f32) {
-        self.set_compaction_policy(fraction, self.min_compaction_entries);
-    }
-
-    /// Set both compaction knobs: the base fraction and the absolute
-    /// overlay-entry floor below which compaction never triggers
-    /// (tests drive the floor to 0 to force compactions on tiny
-    /// graphs).
-    pub fn set_compaction_policy(&mut self, fraction: f32, min_entries: usize) {
-        self.compaction_fraction = fraction.max(f32::EPSILON);
-        self.min_compaction_entries = min_entries;
-    }
-
-    /// Apply a [`CompactionPolicy`] (the struct form of
-    /// [`CsrOverlay::set_compaction_policy`]).
+    /// Set when the overlay compacts into a fresh base (see
+    /// [`CompactionPolicy`]).
     pub fn set_policy(&mut self, policy: CompactionPolicy) {
-        self.set_compaction_policy(policy.fraction, policy.min_entries);
+        self.policy = policy;
     }
 
     pub fn num_vertices(&self) -> usize {
@@ -388,7 +370,7 @@ impl<T: Copy> CsrOverlay<T> {
 
     /// Whether the overlay exceeds the configured fraction of the base.
     pub fn needs_compaction(&self) -> bool {
-        CompactionPolicy::new(self.compaction_fraction, self.min_compaction_entries)
+        self.policy
             .exceeded(self.data.len(), self.base.num_entries())
     }
 
@@ -507,16 +489,6 @@ impl CsrDiDelta {
         let c_out = self.out.absorb(n, tails, |v| g.out_neighbors(v));
         let c_in = self.inn.absorb(n, heads, |v| g.in_neighbors(v));
         c_out || c_in
-    }
-
-    pub fn set_compaction_fraction(&mut self, fraction: f32) {
-        self.out.set_compaction_fraction(fraction);
-        self.inn.set_compaction_fraction(fraction);
-    }
-
-    pub fn set_compaction_policy(&mut self, fraction: f32, min_entries: usize) {
-        self.out.set_compaction_policy(fraction, min_entries);
-        self.inn.set_compaction_policy(fraction, min_entries);
     }
 
     /// Apply a [`CompactionPolicy`] to both direction overlays.
@@ -669,7 +641,7 @@ mod tests {
     fn overlay_tracks_batches_and_compacts() {
         let mut g = barabasi_albert(150, 2, 3);
         let mut view = CsrDelta::from_adjacency(&g);
-        view.set_compaction_policy(0.05, 0);
+        view.set_policy(CompactionPolicy::eager(0.05));
         let base0 = Arc::clone(view.base());
         let mut rng = SplitMix64::new(11);
         let mut compacted_once = false;

@@ -1,6 +1,7 @@
 //! Seeded synthetic graph generators.
 //!
-//! These stand in for the paper's 14 real-world datasets (DESIGN.md §4):
+//! These stand in for the paper's 14 real-world datasets, which are
+//! too large to ship:
 //! Barabási–Albert for the social networks (power-law degrees, small
 //! diameter), R-MAT for the skewed web/communication graphs,
 //! Watts–Strogatz as a small-world control, Erdős–Rényi as the

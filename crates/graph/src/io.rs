@@ -5,8 +5,8 @@
 //! The paper's datasets ship as whitespace-separated edge lists with `#`
 //! comment lines (SNAP), occasionally `%` (KONECT). The reader accepts
 //! both, is buffered, and sizes the graph to the largest vertex id seen,
-//! so real datasets can be dropped into the benchmark harness when
-//! available (see DESIGN.md §4).
+//! so real datasets can be dropped into the benchmark harness in place
+//! of the synthetic stand-ins when available.
 //!
 //! # Binary CSR blocks (the `BHL2` graph sections)
 //!

@@ -25,7 +25,7 @@
 //!   [`BoundedSearch`] abstracts it and its weighted counterpart
 //!   ([`weighted::BiDijkstra`]) for the one generic query path,
 //! * [`generators`] — seeded synthetic graphs standing in for the
-//!   paper's 14 datasets (see DESIGN.md §4),
+//!   paper's 14 datasets, which are too large to ship,
 //! * [`stream`] — an evolving timestamped edge stream standing in for
 //!   the real dynamic Wikipedia networks,
 //! * [`io`] — SNAP-style edge-list reading/writing,

@@ -49,24 +49,28 @@ use batchhl_graph::bfs::BiBfs;
 use batchhl_graph::{AdjacencyView, BoundedSearch};
 
 /// Calibration anchor for [`sweep_min_targets`]: the measured sweep /
-/// per-search cost crossover on the standard bench graph (~2 000
-/// vertices, `oracle_api` in `BENCH_api.json` put it near 60 unresolved
-/// targets; 48 leaves margin for the grouped-query shape).
+/// per-search cost crossover on the youtube stand-in at `Scale::Tiny`
+/// (n ≈ 2 000, one core). There one bounded BiBFS took ~0.9 µs and one
+/// sweep ~50 µs, which puts the crossover near 60 unresolved targets;
+/// 48 leaves margin for the grouped-query shape.
 pub const SWEEP_MIN_TARGETS: usize = 48;
 
-/// Vertex count of the bench graph [`SWEEP_MIN_TARGETS`] was measured
-/// on (the youtube stand-in at `Scale::Tiny`).
+/// Vertex count of the graph [`SWEEP_MIN_TARGETS`] was measured on.
 const SWEEP_CAL_N: usize = 2_000;
 
 /// Batched one-to-many calls switch from per-target bidirectional
 /// searches to a single source sweep once this many targets remain
 /// unresolved. The sweep costs one bounded traversal of `s`'s
 /// component while a single bounded BiBFS grows with the search ball —
-/// roughly `√n` frontier work per side — so the crossover *moves down*
-/// as graphs grow (`BENCH_api.json`). The threshold scales the
-/// measured [`SWEEP_MIN_TARGETS`] anchor by `√(cal_n / n)`, clamped to
+/// roughly `√n` frontier work per side — so the crossover was assumed
+/// to *move down* as graphs grow. The threshold scales the measured
+/// [`SWEEP_MIN_TARGETS`] anchor by `√(cal_n / n)`, clamped to
 /// `[8, 96]`: tiny test graphs keep per-target searches (they are
 /// near-free there), million-vertex graphs sweep almost immediately.
+///
+/// At n = 100 000 the assumption fails: perfbench's `directed_wire`
+/// workload measures the sweep losing to per-target searches by about
+/// 12× (ROADMAP item 2), so this constant is known to be wrong there.
 pub fn sweep_min_targets(n: usize) -> usize {
     if n == 0 {
         return SWEEP_MIN_TARGETS;

@@ -9,7 +9,8 @@
 //! reuses one `SourcePlan` per group), writing one flush per
 //! connection per batch. Latency is bounded by the window; throughput
 //! under concurrency goes up because the fixed costs amortize over the
-//! batch — this is the mechanism behind `BENCH_server.json`.
+//! batch — this is the mechanism behind `BENCH_server.json`
+//! (regenerated by the `experiments` binary's `server_coalesce` id).
 //!
 //! The stage is generic over the queued item so it can be tested
 //! without sockets; the serving tier queues `PendingQuery` values and

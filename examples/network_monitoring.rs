@@ -15,8 +15,8 @@
 //! one snapshot.
 //!
 //! For scale, one wave is also *actually committed* (and repaired) at
-//! the end, and the relative costs land in `BENCH_whatif.json`:
-//! session build + query time per wave vs the committed-batch
+//! the end, and the relative costs are printed as a one-line JSON
+//! report: session build + query time per wave vs the committed-batch
 //! round-trip.
 //!
 //! ```sh
@@ -178,6 +178,5 @@ fn main() {
         waves_json.join(","),
         committed.as_micros()
     );
-    std::fs::write("BENCH_whatif.json", &report).expect("write BENCH_whatif.json");
-    println!("wrote BENCH_whatif.json");
+    print!("{report}");
 }

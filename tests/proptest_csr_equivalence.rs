@@ -56,7 +56,7 @@ proptest! {
     ) {
         let mut g = DynamicGraph::from_edges(N, &edges);
         let mut view = CsrDelta::from_adjacency(&g);
-        view.set_compaction_policy(0.1, 0);
+        view.set_policy(CompactionPolicy::eager(0.1));
         for pairs in [b1, b2, b3] {
             let norm = toggle_batch(&g, &pairs).normalize(&g);
             g.apply_batch(&norm);
@@ -79,7 +79,7 @@ proptest! {
     ) {
         let mut g = DynamicDiGraph::from_edges(N, &arcs);
         let mut view = CsrDiDelta::from_adjacency(&g);
-        view.set_compaction_policy(0.1, 0);
+        view.set_policy(CompactionPolicy::eager(0.1));
         for pairs in [b1, b2] {
             let mut batch = Batch::new();
             for &(x, y) in &pairs {
@@ -122,7 +122,7 @@ proptest! {
             .collect();
         let mut g = WeightedGraph::from_edges(N, &weighted);
         let mut view = WeightedCsrDelta::from_weighted(&g);
-        view.set_compaction_policy(0.1, 0);
+        view.set_policy(CompactionPolicy::eager(0.1));
         let mut touched = Vec::new();
         for &(a, b, w) in &churn {
             if a == b {
