@@ -168,8 +168,8 @@ pub trait Family: Clone + Debug + Send + Sync + Sized + 'static {
 
     /// One-source-to-many-targets distances (aligned with `targets`,
     /// `None` for disconnected or out of range): one source-side label
-    /// plan for every target, and one bounded sweep instead of
-    /// per-target searches for large target sets.
+    /// plan for every target, then per-target searches under the pooled
+    /// fair share, with one bounded sweep once they overrun it.
     fn distances_from(
         &self,
         search: &mut Self::Search,
@@ -178,6 +178,7 @@ pub trait Family: Clone + Debug + Send + Sync + Sized + 'static {
     ) -> Vec<Option<Dist>> {
         let (fwd, bwd) = self.query_labels();
         distances_from(self.view(), fwd, bwd, search, s, targets)
+            .0
             .into_iter()
             .map(|d| (d != INF).then_some(d))
             .collect()

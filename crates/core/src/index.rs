@@ -247,8 +247,9 @@ impl<F: Family> Index<F> {
     }
 
     /// One-source-to-many-targets distances (the batched fast path:
-    /// one generation, one source plan, one sweep for large target
-    /// sets). `None` marks disconnected or out-of-range endpoints.
+    /// one generation, one source plan, per-target searches or one
+    /// sweep by measured work). `None` marks disconnected or
+    /// out-of-range endpoints.
     pub fn distances_from(&mut self, s: Vertex, targets: &[Vertex]) -> Vec<Option<Dist>> {
         self.store
             .snapshot()

@@ -131,6 +131,7 @@ impl<F: Family> WhatIfQuery for WhatIf<F> {
     fn distances_from(&mut self, s: Vertex, targets: &[Vertex]) -> Vec<Option<Dist>> {
         let (graph, fwd, bwd, search) = self.parts();
         distances_from(graph, &fwd, &bwd, search, s, targets)
+            .0
             .into_iter()
             .map(|d| (d != INF).then_some(d))
             .collect()

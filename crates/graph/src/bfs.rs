@@ -7,7 +7,7 @@
 //! sparsely (only touched entries), which matters when thousands of
 //! queries run back-to-back.
 
-use crate::{AdjacencyView, BoundedSearch};
+use crate::{AdjacencyView, BoundedSearch, SearchOutcome};
 use batchhl_common::{dist_add1, Dist, Vertex, INF};
 use std::collections::VecDeque;
 
@@ -164,12 +164,35 @@ impl BiBfs {
         A: AdjacencyView,
         F: Fn(Vertex) -> bool,
     {
+        let mut unlimited = usize::MAX;
+        self.run_budgeted(g, s, t, bound, &mut unlimited, allowed)
+            .found()
+    }
+
+    /// [`BiBfs::run`] under an expansion budget. Expanding a level costs
+    /// one expansion per vertex of the frontier it expands, taken off
+    /// `budget` before the level runs; a level larger than what is left
+    /// abandons the search as [`SearchOutcome::OutOfBudget`]. The
+    /// workspace stays reusable either way.
+    pub fn run_budgeted<A, F>(
+        &mut self,
+        g: &A,
+        s: Vertex,
+        t: Vertex,
+        bound: Dist,
+        budget: &mut usize,
+        allowed: F,
+    ) -> SearchOutcome
+    where
+        A: AdjacencyView,
+        F: Fn(Vertex) -> bool,
+    {
         debug_assert!(allowed(s) && allowed(t), "endpoints must be allowed");
         if bound == 0 {
-            return None;
+            return SearchOutcome::NotBelow;
         }
         if s == t {
-            return Some(0);
+            return SearchOutcome::Found(0);
         }
         self.reset();
         self.grow(g.num_vertices());
@@ -198,7 +221,17 @@ impl BiBfs {
             // Expand the cheaper side; `next` is the shared scratch
             // buffer for whichever direction runs, so switching sides
             // reuses the same allocation.
-            if vol_s <= vol_t {
+            let expand_s = vol_s <= vol_t;
+            let width = if expand_s {
+                self.frontier_s.len()
+            } else {
+                self.frontier_t.len()
+            };
+            if width > *budget {
+                return SearchOutcome::OutOfBudget;
+            }
+            *budget -= width;
+            if expand_s {
                 ls += 1;
                 self.next.clear();
                 let mut vol = 0usize;
@@ -242,7 +275,11 @@ impl BiBfs {
                 std::mem::swap(&mut self.frontier_t, &mut self.next);
             }
         }
-        (best < bound).then_some(best)
+        if best < bound {
+            SearchOutcome::Found(best)
+        } else {
+            SearchOutcome::NotBelow
+        }
     }
 
     /// One-sided bounded BFS from `s` over the subgraph of vertices
@@ -339,15 +376,16 @@ impl<A: AdjacencyView> BoundedSearch<A> for BiBfs {
     }
 
     #[inline]
-    fn run<F: Fn(Vertex) -> bool>(
+    fn run_budgeted<F: Fn(Vertex) -> bool>(
         &mut self,
         g: &A,
         s: Vertex,
         t: Vertex,
         bound: Dist,
+        budget: &mut usize,
         allowed: F,
-    ) -> Option<Dist> {
-        BiBfs::run(self, g, s, t, bound, allowed)
+    ) -> SearchOutcome {
+        BiBfs::run_budgeted(self, g, s, t, bound, budget, allowed)
     }
 
     #[inline]
@@ -517,6 +555,59 @@ mod tests {
         bi.sweep(&g, 1, INF, usize::MAX, |_| true);
         assert_eq!(bi.sweep_dist(3), 2);
         assert_eq!(bi.sweep_dist(0), 3);
+    }
+
+    /// Budgeted runs of every pair of `g`: an unlimited budget gives
+    /// `run`'s answer, any budget below what that search spent abandons
+    /// it, an exact budget reproduces it, and the workspace answers the
+    /// next `run` and `sweep` exactly after an abandoned search.
+    fn check_budgets<A: AdjacencyView>(g: &A) {
+        let n = g.num_vertices();
+        let mut bi = BiBfs::new(n);
+        for s in 0..n as Vertex {
+            let truth = bfs_distances(g, s);
+            for t in 0..n as Vertex {
+                let want = (truth[t as usize] != INF).then_some(truth[t as usize]);
+                assert_eq!(bi.run(g, s, t, INF, |_| true), want, "s={s} t={t}");
+                let mut left = usize::MAX;
+                let full = bi.run_budgeted(g, s, t, INF, &mut left, |_| true);
+                assert_eq!(full.found(), want, "s={s} t={t}");
+                let spent = usize::MAX - left;
+                assert_eq!(spent == 0, s == t, "s={s} t={t} spent {spent}");
+                if let Some(d) = want.filter(|&d| d > 0) {
+                    let mut left = usize::MAX;
+                    let capped = bi.run_budgeted(g, s, t, d, &mut left, |_| true);
+                    assert_eq!(capped, SearchOutcome::NotBelow, "s={s} t={t}");
+                }
+                for budget in [0, 1, spent.saturating_sub(1), spent] {
+                    let mut left = budget;
+                    let got = bi.run_budgeted(g, s, t, INF, &mut left, |_| true);
+                    if budget < spent {
+                        assert_eq!(got, SearchOutcome::OutOfBudget, "s={s} t={t} b={budget}");
+                        assert!(left <= budget);
+                    } else {
+                        assert_eq!((got, left), (full, budget - spent), "s={s} t={t}");
+                    }
+                    assert_eq!(bi.run(g, s, t, INF, |_| true), want, "reuse s={s} t={t}");
+                    bi.sweep(g, s, INF, usize::MAX, |_| true);
+                    for v in 0..n as Vertex {
+                        assert_eq!(bi.sweep_dist(v), truth[v as usize], "sweep s={s} v={v}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn budgeted_run_undirected_and_reversed_directed() {
+        check_budgets(&path(7));
+        check_budgets(&DynamicGraph::from_edges(
+            8,
+            &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (2, 5), (5, 6)],
+        ));
+        let dg = DynamicDiGraph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (5, 4)]);
+        check_budgets(&dg);
+        check_budgets(&crate::Reversed(&dg));
     }
 
     #[test]

@@ -23,7 +23,8 @@
 //! * [`bfs`] — reusable BFS workspaces, including the distance-bounded
 //!   bidirectional search that powers query answering (Section 4);
 //!   [`BoundedSearch`] abstracts it and its weighted counterpart
-//!   ([`weighted::BiDijkstra`]) for the one generic query path,
+//!   ([`weighted::BiDijkstra`]) for the one generic query path, with an
+//!   optional expansion budget ([`SearchOutcome`]),
 //! * [`generators`] — seeded synthetic graphs standing in for the
 //!   paper's 14 datasets, which are too large to ship,
 //! * [`stream`] — an evolving timestamped edge stream standing in for
@@ -55,13 +56,37 @@ pub use weighted::WeightedAdjacencyView;
 
 pub use batchhl_common::{Dist, Vertex, INF};
 
+/// How a budgeted bounded search ended (see
+/// [`BoundedSearch::run_budgeted`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SearchOutcome {
+    /// The exact distance, strictly below the bound.
+    Found(Dist),
+    /// No path in the allowed subgraph is shorter than the bound.
+    NotBelow,
+    /// The next step would have spent more expansions than the budget
+    /// held, so the search was abandoned with its answer unknown.
+    OutOfBudget,
+}
+
+impl SearchOutcome {
+    /// The distance of a [`SearchOutcome::Found`]; `None` otherwise.
+    #[inline]
+    pub fn found(self) -> Option<Dist> {
+        match self {
+            SearchOutcome::Found(d) => Some(d),
+            SearchOutcome::NotBelow | SearchOutcome::OutOfBudget => None,
+        }
+    }
+}
+
 /// The search half of a Section 4 query over a graph type `G`: a
 /// distance-bounded bidirectional search for one pair plus a one-sided
 /// bounded sweep for one-to-many calls, both restricted to the vertices
 /// passing `allowed`. [`bfs::BiBfs`] implements it over any
 /// [`AdjacencyView`] and [`weighted::BiDijkstra`] over any
-/// [`WeightedAdjacencyView`]; every method forwards to the inherent one
-/// of the same name, so the contracts are documented there.
+/// [`WeightedAdjacencyView`]; every required method forwards to the
+/// inherent one of the same name, so the contracts are documented there.
 pub trait BoundedSearch<G> {
     /// Number of vertices of `g` (`0..n` ids are valid endpoints).
     fn num_vertices(g: &G) -> usize;
@@ -74,7 +99,26 @@ pub trait BoundedSearch<G> {
         t: Vertex,
         bound: Dist,
         allowed: F,
-    ) -> Option<Dist>;
+    ) -> Option<Dist> {
+        let mut unlimited = usize::MAX;
+        self.run_budgeted(g, s, t, bound, &mut unlimited, allowed)
+            .found()
+    }
+
+    /// [`BoundedSearch::run`] under an expansion budget: one expansion
+    /// is one vertex of a BFS level's frontier or one Dijkstra settle.
+    /// Spent expansions are taken off `budget`; a step that would need
+    /// more than is left abandons the search as
+    /// [`SearchOutcome::OutOfBudget`].
+    fn run_budgeted<F: Fn(Vertex) -> bool>(
+        &mut self,
+        g: &G,
+        s: Vertex,
+        t: Vertex,
+        bound: Dist,
+        budget: &mut usize,
+        allowed: F,
+    ) -> SearchOutcome;
 
     /// Bounded sweep from `s`, stopping past `bound` or once `cap`
     /// vertices are reached.

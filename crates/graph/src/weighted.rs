@@ -8,7 +8,7 @@
 //! rely on (distances live in `N⁺`, Definition 3.2).
 
 use crate::update::Update;
-use crate::BoundedSearch;
+use crate::{BoundedSearch, SearchOutcome};
 use batchhl_common::{Dist, Vertex, INF};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -314,6 +314,8 @@ impl BiDijkstra {
         }
     }
 
+    /// Exact `d(s, t)` in the subgraph induced by vertices with
+    /// `allowed(v)`, provided it is `< bound`; `None` otherwise.
     pub fn run<W: WeightedAdjacencyView, F: Fn(Vertex) -> bool>(
         &mut self,
         g: &W,
@@ -322,11 +324,30 @@ impl BiDijkstra {
         bound: Dist,
         allowed: F,
     ) -> Option<Dist> {
+        let mut unlimited = usize::MAX;
+        self.run_budgeted(g, s, t, bound, &mut unlimited, allowed)
+            .found()
+    }
+
+    /// [`BiDijkstra::run`] under an expansion budget: each settle (a
+    /// non-stale heap pop, on either side) costs one expansion, taken
+    /// off `budget`; a settle with nothing left abandons the search as
+    /// [`SearchOutcome::OutOfBudget`]. The workspace stays reusable
+    /// either way.
+    pub fn run_budgeted<W: WeightedAdjacencyView, F: Fn(Vertex) -> bool>(
+        &mut self,
+        g: &W,
+        s: Vertex,
+        t: Vertex,
+        bound: Dist,
+        budget: &mut usize,
+        allowed: F,
+    ) -> SearchOutcome {
         if bound == 0 {
-            return None;
+            return SearchOutcome::NotBelow;
         }
         if s == t {
-            return Some(0);
+            return SearchOutcome::Found(0);
         }
         self.reset();
         self.grow(g.num_vertices());
@@ -340,16 +361,11 @@ impl BiDijkstra {
         ht.push(Reverse((0, t)));
         let mut best = INF;
         // Alternate by smaller settled radius; stop when the radii sum
-        // can no longer beat the incumbent.
-        loop {
-            let rs = hs.peek().map(|&Reverse((d, _))| d);
-            let rt = ht.peek().map(|&Reverse((d, _))| d);
-            let (expand_s, radius_sum) = match (rs, rt) {
-                (None, None) => break,
-                (Some(a), None) => (true, a),
-                (None, Some(b)) => (false, b),
-                (Some(a), Some(b)) => (a <= b, a.saturating_add(b)),
-            };
+        // can no longer beat the incumbent, or once either side is
+        // exhausted: it has then settled every vertex that meets it, the
+        // other endpoint included if connected, so `best` is final.
+        while let (Some(&Reverse((a, _))), Some(&Reverse((b, _)))) = (hs.peek(), ht.peek()) {
+            let (expand_s, radius_sum) = (a <= b, a.saturating_add(b));
             if radius_sum >= best || radius_sum >= bound {
                 break;
             }
@@ -362,6 +378,10 @@ impl BiDijkstra {
                 if d > dist[v as usize] {
                     continue;
                 }
+                if *budget == 0 {
+                    return SearchOutcome::OutOfBudget;
+                }
+                *budget -= 1;
                 if other[v as usize] != INF {
                     best = best.min(d.saturating_add(other[v as usize]));
                 }
@@ -383,7 +403,11 @@ impl BiDijkstra {
                 }
             }
         }
-        (best < bound).then_some(best)
+        if best < bound {
+            SearchOutcome::Found(best)
+        } else {
+            SearchOutcome::NotBelow
+        }
     }
 
     /// One-sided bounded Dijkstra from `s` over the subgraph of
@@ -476,15 +500,16 @@ impl<W: WeightedAdjacencyView> BoundedSearch<W> for BiDijkstra {
     }
 
     #[inline]
-    fn run<F: Fn(Vertex) -> bool>(
+    fn run_budgeted<F: Fn(Vertex) -> bool>(
         &mut self,
         g: &W,
         s: Vertex,
         t: Vertex,
         bound: Dist,
+        budget: &mut usize,
         allowed: F,
-    ) -> Option<Dist> {
-        BiDijkstra::run(self, g, s, t, bound, allowed)
+    ) -> SearchOutcome {
+        BiDijkstra::run_budgeted(self, g, s, t, bound, budget, allowed)
     }
 
     #[inline]
@@ -587,6 +612,55 @@ mod tests {
         assert_eq!(bi.run(&g, 0, 3, 6, |_| true), None);
         assert_eq!(bi.run(&g, 0, 3, 7, |_| true), Some(6));
         assert_eq!(bi.run(&g, 0, 3, INF, |v| v != 1), None);
+    }
+
+    #[test]
+    fn budgeted_run_matches_run_and_leaves_the_workspace_reusable() {
+        // A weighted path with a shortcut, plus a second component.
+        let edges = [
+            (0, 1, 3),
+            (1, 2, 1),
+            (2, 3, 4),
+            (3, 4, 1),
+            (4, 5, 5),
+            (0, 3, 2),
+            (6, 7, 1),
+        ];
+        let g = WeightedGraph::from_edges(8, &edges);
+        let n = g.num_vertices();
+        let mut bi = BiDijkstra::new(n);
+        for s in 0..n as Vertex {
+            let truth = dijkstra(&g, s);
+            for t in 0..n as Vertex {
+                let want = (truth[t as usize] != INF).then_some(truth[t as usize]);
+                assert_eq!(bi.run(&g, s, t, INF, |_| true), want, "({s},{t})");
+                let mut left = usize::MAX;
+                let full = bi.run_budgeted(&g, s, t, INF, &mut left, |_| true);
+                assert_eq!(full.found(), want, "({s},{t})");
+                let spent = usize::MAX - left;
+                assert_eq!(spent == 0, s == t, "({s},{t}) spent {spent}");
+                if let Some(d) = want.filter(|&d| d > 0) {
+                    let mut left = usize::MAX;
+                    let capped = bi.run_budgeted(&g, s, t, d, &mut left, |_| true);
+                    assert_eq!(capped, SearchOutcome::NotBelow, "({s},{t})");
+                }
+                for budget in [0, 1, spent.saturating_sub(1), spent] {
+                    let mut left = budget;
+                    let got = bi.run_budgeted(&g, s, t, INF, &mut left, |_| true);
+                    if budget < spent {
+                        assert_eq!(got, SearchOutcome::OutOfBudget, "({s},{t}) b={budget}");
+                        assert!(left <= budget);
+                    } else {
+                        assert_eq!((got, left), (full, budget - spent), "({s},{t})");
+                    }
+                    assert_eq!(bi.run(&g, s, t, INF, |_| true), want, "reuse ({s},{t})");
+                    bi.sweep(&g, s, INF, usize::MAX, |_| true);
+                    for v in 0..n as Vertex {
+                        assert_eq!(bi.sweep_dist(v), truth[v as usize], "sweep ({s},{v})");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -61,6 +61,6 @@ pub use labelling::{LabelError, LabelView, Labelling, NO_LABEL};
 pub use landmarks::{DegreeOrder, LandmarkSelection};
 pub use packed::{PackedHighway, PackedIndex, PackedLabels};
 pub use patch::{LabelPatch, PatchRow, PatchedLabels};
-pub use query::{sweep_min_targets, upper_bound_pair, QueryEngine, SourcePlan, SWEEP_MIN_TARGETS};
+pub use query::{upper_bound_pair, FanOut, QueryEngine, SourcePlan};
 pub use serde_io::SnapshotError;
 pub use store::{LabelStore, ReaderHandle, Versioned};

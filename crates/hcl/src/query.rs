@@ -37,47 +37,35 @@
 //! every target costs a single `O(|R|)` pass over its own labels
 //! instead of re-reading the source row and the highway per pair.
 //!
-//! [`distances_from`] builds on that: for large target sets it
-//! additionally replaces the per-target bidirectional searches with
-//! **one** bounded sweep from `s` on `G[V\R]`, amortizing the source
-//! side of Section 4's search across the whole call.
+//! # Choosing the fan-out strategy: the pooled fair share
+//!
+//! [`distances_from`] then refines each target that needs search in one
+//! of two ways. Per-target bidirectional searches stop early where the
+//! Eq. 3 bound is tight; **one** bounded sweep from `s` on `G[V\R]`
+//! settles every vertex within the largest bound once, whatever the
+//! number of targets. Which is cheaper depends on the graph (on a
+//! low-diameter graph the sweep's ball is most of the graph; on a road
+//! grid the searches rarely stop early), so the call measures instead of
+//! guessing. It runs the per-target searches in order under a pooled
+//! expansion budget: before searching target `j` of the `T` that need
+//! search, the searches together may have spent `⌊n·(j+1)/T⌋`
+//! expansions (a BFS frontier vertex or a Dijkstra settle). A search
+//! that would overrun its allowance is abandoned, and one sweep answers
+//! it and every later target. The searches spend at most `n` in all, and
+//! a sweep expands each vertex at most once, so a call never costs more
+//! than about twice a sweep of the whole graph, and when the searches
+//! stay within their shares it costs only them. No constant is fitted
+//! to a graph size. The returned [`FanOut`] says which way a call went,
+//! and the process-wide metrics registry counts fan-outs and those that
+//! swept.
 
 use crate::kernel::{self, clamp_to_inf, CLAMP_INF};
 use crate::labelling::{LabelView, Labelling, NO_LABEL};
+use batchhl_common::metrics::{self, Counter};
 use batchhl_common::{Dist, Vertex, INF};
 use batchhl_graph::bfs::BiBfs;
-use batchhl_graph::{AdjacencyView, BoundedSearch};
-
-/// Calibration anchor for [`sweep_min_targets`]: the measured sweep /
-/// per-search cost crossover on the youtube stand-in at `Scale::Tiny`
-/// (n ≈ 2 000, one core). There one bounded BiBFS took ~0.9 µs and one
-/// sweep ~50 µs, which puts the crossover near 60 unresolved targets;
-/// 48 leaves margin for the grouped-query shape.
-pub const SWEEP_MIN_TARGETS: usize = 48;
-
-/// Vertex count of the graph [`SWEEP_MIN_TARGETS`] was measured on.
-const SWEEP_CAL_N: usize = 2_000;
-
-/// Batched one-to-many calls switch from per-target bidirectional
-/// searches to a single source sweep once this many targets remain
-/// unresolved. The sweep costs one bounded traversal of `s`'s
-/// component while a single bounded BiBFS grows with the search ball —
-/// roughly `√n` frontier work per side — so the crossover was assumed
-/// to *move down* as graphs grow. The threshold scales the measured
-/// [`SWEEP_MIN_TARGETS`] anchor by `√(cal_n / n)`, clamped to
-/// `[8, 96]`: tiny test graphs keep per-target searches (they are
-/// near-free there), million-vertex graphs sweep almost immediately.
-///
-/// At n = 100 000 the assumption fails: perfbench's `directed_wire`
-/// workload measures the sweep losing to per-target searches by about
-/// 12× (ROADMAP item 2), so this constant is known to be wrong there.
-pub fn sweep_min_targets(n: usize) -> usize {
-    if n == 0 {
-        return SWEEP_MIN_TARGETS;
-    }
-    let scaled = SWEEP_MIN_TARGETS as f64 * (SWEEP_CAL_N as f64 / n as f64).sqrt();
-    (scaled.round() as usize).clamp(8, 96)
-}
+use batchhl_graph::{AdjacencyView, BoundedSearch, SearchOutcome};
+use std::sync::{Arc, OnceLock};
 
 /// The reusable source side of Eq. 3: `via[j]` is the cheapest
 /// `s → r_i → r_j` route into each landmark `r_j` (`INF` when none).
@@ -282,14 +270,43 @@ pub fn point_dist<G, L: LabelView, S: BoundedSearch<G>>(
         .unwrap_or(bound)
 }
 
+/// Which strategy a [`distances_from`] call used on the targets that
+/// needed search.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FanOut {
+    /// Every such target got its own bounded search (also when none
+    /// needed one).
+    PerPair,
+    /// The per-target searches overran the pooled fair share at
+    /// searching target `j` (0-based, counting only targets that needed
+    /// search): it and every later one came from one bounded sweep.
+    SweptFrom(usize),
+}
+
+/// Process-wide fan-out counters: every [`distances_from`] call, and the
+/// calls that fell back to a sweep.
+fn fanout_counters() -> &'static (Arc<Counter>, Arc<Counter>) {
+    static COUNTERS: OnceLock<(Arc<Counter>, Arc<Counter>)> = OnceLock::new();
+    COUNTERS.get_or_init(|| {
+        let r = metrics::global();
+        (
+            r.counter("batchhl_query_fanouts_total"),
+            r.counter("batchhl_query_fanouts_swept_total"),
+        )
+    })
+}
+
 /// One source, many targets (see the module docs): build a
 /// [`SourcePlan`] once, price every target's Eq. 3 bound in
-/// `O(|L(t)|)`, then refine non-landmark targets — per-target bounded
-/// searches when few remain, or a single bounded sweep of `G[V\R]`
-/// from `s` once [`sweep_min_targets`] of them need search.
+/// `O(|L(t)|)`, then refine the `T` non-landmark targets by per-target
+/// bounded searches under the pooled fair share: before target `j`, the
+/// searches together may have spent `⌊n·(j+1)/T⌋` expansions. The first
+/// search that would overrun it is abandoned, and one bounded sweep of
+/// `G[V\R]` from `s`, out to the largest remaining bound, answers it and
+/// every later target.
 ///
 /// Answers equal [`point_dist`] pair by pair; `INF` marks disconnected
-/// or out-of-range endpoints.
+/// or out-of-range endpoints. The [`FanOut`] says which path was taken.
 pub fn distances_from<G, L: LabelView, S: BoundedSearch<G>>(
     graph: &G,
     fwd: &L,
@@ -297,11 +314,13 @@ pub fn distances_from<G, L: LabelView, S: BoundedSearch<G>>(
     search: &mut S,
     s: Vertex,
     targets: &[Vertex],
-) -> Vec<Dist> {
+) -> (Vec<Dist>, FanOut) {
+    let (fanouts, swept) = fanout_counters();
+    fanouts.inc();
     let n = S::num_vertices(graph);
     let mut out = vec![INF; targets.len()];
     if (s as usize) >= n {
-        return out;
+        return (out, FanOut::PerPair);
     }
     // Landmark sources are exact from the labelling alone (Eq. 2).
     if let Some(i) = fwd.landmark_index(s) {
@@ -310,7 +329,7 @@ pub fn distances_from<G, L: LabelView, S: BoundedSearch<G>>(
                 *slot = fwd.landmark_to_vertex(i, t);
             }
         }
-        return out;
+        return (out, FanOut::PerPair);
     }
     let plan = SourcePlan::new(bwd, fwd, s);
     let mut refine: Vec<usize> = Vec::new();
@@ -330,24 +349,31 @@ pub fn distances_from<G, L: LabelView, S: BoundedSearch<G>>(
         refine.push(k);
     }
     let allowed = |v| !fwd.is_landmark(v);
-    if refine.len() >= sweep_min_targets(n) {
-        // One sweep bounded by the largest per-target bound: a
-        // restricted path shorter than its pair's bound lies within
-        // the horizon, so min(bound, sweep) is exact per pair.
-        let horizon = refine.iter().map(|&k| out[k]).max().unwrap_or(0);
-        search.sweep(graph, s, horizon, usize::MAX, allowed);
-        for &k in &refine {
-            out[k] = out[k].min(search.sweep_dist(targets[k]));
-        }
-    } else {
-        for &k in &refine {
-            let bound = out[k];
-            out[k] = search
-                .run(graph, s, targets[k], bound, allowed)
-                .unwrap_or(bound);
+    // Target j deposits its share ⌊n·(j+1)/T⌋ − ⌊n·j/T⌋ into the pool;
+    // what a search leaves unspent carries over to the next.
+    let share = |j: usize| (n as u128 * j as u128 / refine.len() as u128) as usize;
+    let mut pool = 0usize;
+    for (j, &k) in refine.iter().enumerate() {
+        pool += share(j + 1) - share(j);
+        match search.run_budgeted(graph, s, targets[k], out[k], &mut pool, allowed) {
+            SearchOutcome::Found(d) => out[k] = d,
+            SearchOutcome::NotBelow => {}
+            SearchOutcome::OutOfBudget => {
+                // One sweep bounded by the largest remaining bound: a
+                // restricted path shorter than its pair's bound lies
+                // within the horizon, so min(bound, sweep) is exact.
+                swept.inc();
+                let rest = &refine[j..];
+                let horizon = rest.iter().map(|&k| out[k]).max().unwrap_or(0);
+                search.sweep(graph, s, horizon, usize::MAX, allowed);
+                for &k in rest {
+                    out[k] = out[k].min(search.sweep_dist(targets[k]));
+                }
+                return (out, FanOut::SweptFrom(j));
+            }
         }
     }
-    out
+    (out, FanOut::PerPair)
 }
 
 /// The `k` vertices closest to `s` (excluding `s`), nondecreasing by
@@ -432,7 +458,7 @@ impl QueryEngine {
         s: Vertex,
         targets: &[Vertex],
     ) -> Vec<Dist> {
-        distances_from(g, lab, lab, &mut self.bibfs, s, targets)
+        distances_from(g, lab, lab, &mut self.bibfs, s, targets).0
     }
 
     /// See [`top_k`].
@@ -453,6 +479,7 @@ mod tests {
     use crate::oracle::all_pairs_bfs;
     use crate::LandmarkSelection;
     use batchhl_graph::generators::{barabasi_albert, cycle, erdos_renyi_gnm, grid, path, star};
+    use batchhl_graph::weighted::{BiDijkstra, WeightedGraph};
     use batchhl_graph::DynamicGraph;
 
     fn assert_all_pairs_exact(g: &DynamicGraph, k: usize) {
@@ -557,34 +584,24 @@ mod tests {
     }
 
     #[test]
-    fn sweep_threshold_scales_down_with_graph_size() {
-        // Calibrated to the anchor on the bench-sized graph…
-        assert_eq!(sweep_min_targets(2_000), SWEEP_MIN_TARGETS);
-        // …moving down as graphs grow, up (clamped) as they shrink.
-        assert!(sweep_min_targets(1_000_000) < SWEEP_MIN_TARGETS);
-        assert_eq!(sweep_min_targets(usize::MAX / 4), 8);
-        assert_eq!(sweep_min_targets(1), 96);
-        assert_eq!(sweep_min_targets(0), SWEEP_MIN_TARGETS);
-        assert!(sweep_min_targets(400_000) <= sweep_min_targets(2_000));
-    }
-
-    #[test]
     fn distances_from_matches_per_pair_queries() {
         for (seed, k) in [(0u64, 4usize), (3, 2), (5, 6)] {
             let g = erdos_renyi_gnm(60, 110, seed);
             let lms = LandmarkSelection::TopDegree(k).select(&g);
             let lab = build_labelling(&g, lms).unwrap();
             let mut engine = QueryEngine::new(g.num_vertices());
-            let threshold = sweep_min_targets(g.num_vertices());
-            // Enough (repeated) targets to cross the adaptive sweep
-            // threshold, and a short list that stays under it.
+            let mut bibfs = BiBfs::new(g.num_vertices());
+            // Every vertex twice: more searching targets than vertices,
+            // so the first allowance is ⌊n/T⌋ = 0 and the call sweeps;
+            // and a short list that mostly stays per-pair.
             let all: Vec<Vertex> = (0..60).chain(0..60).collect();
             let few: Vec<Vertex> = (0..60).step_by(11).collect();
-            assert!(few.len() < threshold && all.len() >= threshold);
+            assert!(all.len() - 2 * (k + 1) > g.num_vertices());
             for s in 0..60u32 {
-                // Both the sweep path (many targets) and the per-target
-                // BiBFS path (few targets) must agree with query_dist.
-                let swept = engine.distances_from(&lab, &g, s, &all);
+                let (swept, how) = distances_from(&g, &lab, &lab, &mut bibfs, s, &all);
+                if !lab.is_landmark(s) {
+                    assert_eq!(how, FanOut::SweptFrom(0), "s={s}");
+                }
                 for (&t, &d) in all.iter().zip(&swept) {
                     assert_eq!(d, engine.query_dist(&lab, &g, s, t), "sweep ({s},{t})");
                 }
@@ -594,6 +611,66 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Fan-outs from vertex 0 of the path 0–…–59 with the landmark 59
+    /// at its far end, plus the isolated vertices 60 and 61. Searching
+    /// targets near 0 cost a few expansions; 57 and 58 cost about 58,
+    /// since their Eq. 3 bound runs through 59.
+    fn three_path_cases<G, S: BoundedSearch<G>>(graph: &G, lab: &Labelling, search: &mut S) {
+        // A landmark (59), out of range (99), a duplicate (2), disconnected
+        // (61, INF bound) and the source (0), around the searching
+        // targets 1, 2, 2, 61, 58, 57: T = 6, n = 62, allowances
+        // ⌊62·(j+1)/6⌋ = 10, 20, 31, 41, 51, 62. The first four searches
+        // spend well under them, then 58 overruns.
+        let switch: Vec<Vertex> = vec![1, 59, 2, 99, 2, 61, 58, 57, 0];
+        // The same list without its far targets: T = 4, all cheap.
+        let per_pair: Vec<Vertex> = vec![1, 59, 2, 99, 2, 61, 0];
+        // Eleven copies: T = 66 > n, so the first allowance is 0.
+        let sweep_all: Vec<Vertex> = (0..11).flat_map(|_| switch.iter().copied()).collect();
+        for (targets, want) in [
+            (&per_pair, FanOut::PerPair),
+            (&switch, FanOut::SweptFrom(4)),
+            (&sweep_all, FanOut::SweptFrom(0)),
+        ] {
+            let (got, how) = distances_from(graph, lab, lab, search, 0, targets);
+            assert_eq!(how, want, "targets {targets:?}");
+            for (&t, &d) in targets.iter().zip(&got) {
+                assert_eq!(d, point_dist(graph, lab, lab, search, 0, t), "(0,{t})");
+            }
+        }
+    }
+
+    #[test]
+    fn distances_from_takes_each_path_on_purpose() {
+        let edges: Vec<(Vertex, Vertex)> = (0..59).map(|i| (i, i + 1)).collect();
+        let g = DynamicGraph::from_edges(62, &edges);
+        let lab = build_labelling(&g, vec![59]).unwrap();
+        three_path_cases(&g, &lab, &mut BiBfs::new(62));
+        // The same graph with unit weights: the labelling is the same,
+        // and BiDijkstra's budget counts settles.
+        let weighted: Vec<_> = edges.iter().map(|&(a, b)| (a, b, 1)).collect();
+        let wg = WeightedGraph::from_edges(62, &weighted);
+        three_path_cases(&wg, &lab, &mut BiDijkstra::new(62));
+        let (out, how) = distances_from(&g, &lab, &lab, &mut BiBfs::new(62), 0, &[]);
+        assert_eq!((out, how), (vec![], FanOut::PerPair));
+    }
+
+    #[test]
+    fn fanouts_and_sweeps_reach_the_global_registry() {
+        let registry = batchhl_common::metrics::global();
+        let fanouts = registry.counter("batchhl_query_fanouts_total");
+        let swept = registry.counter("batchhl_query_fanouts_swept_total");
+        let (f0, s0) = (fanouts.get(), swept.get());
+        let g = path(8);
+        let lab = build_labelling(&g, vec![7]).unwrap();
+        // T = 12 > n = 8: this call must sweep. Other tests may count
+        // concurrently, so the checks are monotone.
+        let targets: Vec<Vertex> = (0..4).flat_map(|_| [2, 4, 6]).collect();
+        let (_, how) = distances_from(&g, &lab, &lab, &mut BiBfs::new(8), 0, &targets);
+        assert_eq!(how, FanOut::SweptFrom(0));
+        assert!(fanouts.get() > f0);
+        assert!(swept.get() > s0);
     }
 
     #[test]

@@ -360,9 +360,9 @@ impl DistanceOracle {
     }
 
     /// One-source-to-many-targets distances: the source's label rows
-    /// are pinned once and reused across all targets, and large target
-    /// sets are answered with a single bounded sweep instead of one
-    /// search per pair.
+    /// are pinned once and reused across all targets, and the targets
+    /// are searched pair by pair until that costs more than one bounded
+    /// sweep would, which then answers the rest.
     pub fn distances_from(&mut self, s: Vertex, targets: &[Vertex]) -> Vec<Option<Dist>> {
         let start = Instant::now();
         let out = self.backend.distances_from(s, targets);

@@ -48,12 +48,12 @@ fn check_consistency(
 ) {
     let sources: Vec<Vertex> = (0..N as Vertex).step_by(7).collect();
     // Every vertex twice: the targets left to search once the source
-    // and the landmarks drop out of each copy must cross the real
-    // sweep threshold, or the sweep branch never runs.
+    // and the landmarks drop out of each copy outnumber the vertices,
+    // so the first pooled allowance is ⌊N/T⌋ = 0 and the sweep branch
+    // runs on every family. The short list keeps per-pair searches.
     let all: Vec<Vertex> = (0..N as Vertex).chain(0..N as Vertex).collect();
     let small: Vec<Vertex> = (0..N as Vertex).step_by(13).collect();
-    let threshold = batchhl::hcl::sweep_min_targets(N);
-    assert!(small.len() < threshold && all.len() - 2 * (LANDMARKS + 1) >= threshold);
+    assert!(all.len() - 2 * (LANDMARKS + 1) > N);
 
     for &s in &sources {
         let dist = truth(s);

@@ -59,14 +59,15 @@ fn answer_grid(f: &mut dyn FnMut(Vertex, Vertex) -> Option<Dist>) -> Vec<Option<
 }
 
 /// Every vertex, repeated until the targets left to search (all but the
-/// source and the landmarks of each copy) cross the real sweep
-/// threshold, so `distances_from` from a non-landmark source takes its
-/// sweep branch. Its answers are checked against per-pair queries,
-/// which never sweep, so a fault shared by the session and the twin
-/// still shows.
+/// source and the landmarks of each copy) outnumber the vertices: the
+/// first pooled allowance is then ⌊N/T⌋ = 0, so `distances_from` from a
+/// non-landmark source takes its sweep branch. Its answers are checked
+/// against per-pair queries, which never sweep, so a fault shared by the
+/// session and the twin still shows.
 fn sweep_targets() -> Vec<Vertex> {
     let searched_per_copy = N - LANDMARKS - 1;
-    let copies = batchhl::hcl::sweep_min_targets(N).div_ceil(searched_per_copy);
+    let copies = N / searched_per_copy + 1;
+    assert!(copies * searched_per_copy > N);
     (0..copies).flat_map(|_| 0..N as Vertex).collect()
 }
 
