@@ -8,17 +8,18 @@
 //!
 //! * **per-request** — `coalesce: None`: every query is its own worker
 //!   job and its own response `write(2)`;
-//! * **coalesced** — queries are held for a bounded microbatching
-//!   window and drained as one `query_many` job (one worker wakeup,
-//!   one generation pin, source-grouped `SourcePlan` reuse) with one
-//!   flush per connection per batch.
+//! * **coalesced** — queries gather behind the running batch and
+//!   drain as one `query_many` job (one worker wakeup, one generation
+//!   pin, source-grouped `SourcePlan` reuse) with one flush per
+//!   connection per batch; a lone query on an idle server is answered
+//!   inline on its connection thread.
 //!
 //! Queries draw their sources from a small hot set (8 vertices), the
 //! serving pattern the coalescer's source grouping targets. The
-//! second series varies `max_wait_us` at 16 clients — the window is a
-//! latency/throughput knob, and when clients share cores with the
-//! server the interesting regime is how quickly the window fills, not
-//! how long it is allowed to stay open.
+//! second series varies `max_wait_us` at 16 clients — the longest a
+//! batch may gather behind a running one; with clients sharing cores
+//! with the server, a batch usually drains when the one ahead of it
+//! finishes or `max_batch` fills, before the window closes.
 //!
 //! The load generator is deliberately raw (burst-rendered request
 //! lines, one `write(2)` per burst, newline counting on chunked

@@ -194,7 +194,7 @@ impl BiBfs {
         if s == t {
             return SearchOutcome::Found(0);
         }
-        self.reset();
+        self.clear();
         self.grow(g.num_vertices());
         self.ds[s as usize] = 0;
         self.dt[t as usize] = 0;
@@ -311,7 +311,7 @@ impl BiBfs {
         F: Fn(Vertex) -> bool,
     {
         debug_assert!(allowed(s), "sweep source must be allowed");
-        self.reset();
+        self.clear();
         self.grow(g.num_vertices());
         if cap == 0 {
             return;
@@ -354,7 +354,11 @@ impl BiBfs {
         self.ds[v as usize]
     }
 
-    fn reset(&mut self) {
+    /// Forget the last search or sweep, so the workspace holds no
+    /// touched vertices. Every search clears on entry; clearing early
+    /// moves that cost off the next caller, which after a sweep is
+    /// O(swept vertices).
+    pub fn clear(&mut self) {
         for &v in &self.touched_s {
             self.ds[v as usize] = INF;
         }
@@ -408,6 +412,11 @@ impl<A: AdjacencyView> BoundedSearch<A> for BiBfs {
     #[inline]
     fn sweep_dist(&self, v: Vertex) -> Dist {
         BiBfs::sweep_dist(self, v)
+    }
+
+    #[inline]
+    fn clear(&mut self) {
+        BiBfs::clear(self)
     }
 }
 

@@ -136,6 +136,9 @@ pub trait BoundedSearch<G> {
 
     /// Distance recorded by the last sweep (`INF` when unreached).
     fn sweep_dist(&self, v: Vertex) -> Dist;
+
+    /// Forget the last search or sweep (see [`bfs::BiBfs::clear`]).
+    fn clear(&mut self);
 }
 
 /// Uniform view over the adjacency of directed and undirected graphs.

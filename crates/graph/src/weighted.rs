@@ -349,7 +349,7 @@ impl BiDijkstra {
         if s == t {
             return SearchOutcome::Found(0);
         }
-        self.reset();
+        self.clear();
         self.grow(g.num_vertices());
         let mut hs: BinaryHeap<Reverse<(Dist, Vertex)>> = BinaryHeap::new();
         let mut ht: BinaryHeap<Reverse<(Dist, Vertex)>> = BinaryHeap::new();
@@ -429,9 +429,8 @@ impl BiDijkstra {
         F: Fn(Vertex) -> bool,
     {
         debug_assert!(allowed(s), "sweep source must be allowed");
-        self.reset();
+        self.clear();
         self.grow(g.num_vertices());
-        self.order.clear();
         if cap == 0 {
             return;
         }
@@ -481,7 +480,11 @@ impl BiDijkstra {
         self.ds[v as usize]
     }
 
-    fn reset(&mut self) {
+    /// Forget the last search or sweep, so the workspace holds no
+    /// touched vertices. Every search clears on entry; clearing early
+    /// moves that cost off the next caller, which after a sweep is
+    /// O(swept vertices).
+    pub fn clear(&mut self) {
         for &v in &self.touched_s {
             self.ds[v as usize] = INF;
         }
@@ -490,6 +493,7 @@ impl BiDijkstra {
         }
         self.touched_s.clear();
         self.touched_t.clear();
+        self.order.clear();
     }
 }
 
@@ -532,6 +536,11 @@ impl<W: WeightedAdjacencyView> BoundedSearch<W> for BiDijkstra {
     #[inline]
     fn sweep_dist(&self, v: Vertex) -> Dist {
         BiDijkstra::sweep_dist(self, v)
+    }
+
+    #[inline]
+    fn clear(&mut self) {
+        BiDijkstra::clear(self)
     }
 }
 

@@ -369,6 +369,9 @@ pub fn distances_from<G, L: LabelView, S: BoundedSearch<G>>(
                 for &k in rest {
                     out[k] = out[k].min(search.sweep_dist(targets[k]));
                 }
+                // Clear now, so the sweep's O(swept) reset is billed
+                // to this fan-out, not to the next search on `search`.
+                search.clear();
                 return (out, FanOut::SweptFrom(j));
             }
         }
@@ -635,6 +638,10 @@ mod tests {
         ] {
             let (got, how) = distances_from(graph, lab, lab, search, 0, targets);
             assert_eq!(how, want, "targets {targets:?}");
+            // A sweep's touched list is not left for the next search.
+            if want != FanOut::PerPair {
+                assert!(search.swept().is_empty(), "targets {targets:?}");
+            }
             for (&t, &d) in targets.iter().zip(&got) {
                 assert_eq!(d, point_dist(graph, lab, lab, search, 0, t), "(0,{t})");
             }

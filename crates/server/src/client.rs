@@ -5,7 +5,11 @@
 //! real client would. Every request carries an `id` and responses are
 //! matched by `id`, so requests may be pipelined (see
 //! [`Client::send_query`] / [`Client::recv_dist`] — the bench uses a
-//! window of outstanding queries per connection).
+//! window of outstanding queries per connection). Replies may arrive in
+//! any order (see [`crate::protocol`]). A call returns the first reply
+//! carrying its `id`; if the network delivered the request twice, the
+//! second reply is indistinguishable from the first and is parked like
+//! any reply nobody waits for.
 //!
 //! # Fault tolerance
 //!

@@ -4,9 +4,11 @@
 //!
 //! - **JSON lines** (the protocol in [`crate::protocol`]): each
 //!   connection gets a thread that parses request lines and dispatches
-//!   them — coalescible point queries into the [`Coalescer`],
-//!   everything else as jobs on the [`WorkerPool`]. Responses carry the
-//!   request's `id`, so clients may pipeline.
+//!   them — point queries to the [`Coalescer`] (answered inline on the
+//!   connection thread when the server is idle and the connection has
+//!   no further request buffered), everything else as jobs on the
+//!   [`WorkerPool`]. Responses carry the request's `id`, so clients may
+//!   pipeline.
 //! - **HTTP/1.1 shim**: a connection whose first line is an HTTP
 //!   request gets `GET /health` or `GET /metrics` answered and the
 //!   connection closed — enough for probes and scrapes, not a web
@@ -18,7 +20,7 @@
 //! the job queue or coalescer is at capacity — an overloaded server
 //! degrades into fast refusals, never into unbounded queueing.
 
-use crate::coalescer::{CoalesceConfig, Coalescer};
+use crate::coalescer::{CoalesceConfig, Coalescer, Executing};
 use crate::json::Json;
 use crate::metrics::ServerMetrics;
 use crate::pool::{SubmitError, WorkerPool};
@@ -43,8 +45,9 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Job-queue bound; submissions beyond it are shed.
     pub max_queue: usize,
-    /// Microbatching window for point queries; `None` dispatches each
-    /// query as its own job (the baseline mode in the coalescer bench).
+    /// Load-adaptive coalescing of point queries (see
+    /// [`crate::coalescer`]); `None` dispatches each query as its own
+    /// job (the baseline mode in the coalescer bench).
     pub coalesce: Option<CoalesceConfig>,
     /// Refuse `commit`/`recover` with a `read_only` error (replicas).
     pub read_only: bool,
@@ -224,13 +227,19 @@ impl Server {
         let addr = listener.local_addr()?;
         let reader = oracle.reader();
         let committed = oracle.batches_committed();
-        let pool = WorkerPool::new(&config.node, config.workers, config.max_queue);
+        let metrics = ServerMetrics::new();
+        let pool = WorkerPool::new(
+            &config.node,
+            config.workers,
+            config.max_queue,
+            Arc::clone(&metrics.job_panics),
+        );
         let core = Arc::new(Core {
             oracle: Mutex::new(oracle),
             reader: RwLock::new(reader),
             committed: Mutex::new(committed),
             commit_cv: Condvar::new(),
-            metrics: ServerMetrics::new(),
+            metrics,
             pool,
             shutdown: AtomicBool::new(false),
             config: config.clone(),
@@ -238,9 +247,14 @@ impl Server {
         });
         let coalescer = config.coalesce.map(|cfg| {
             let drain_core = Arc::clone(&core);
-            Arc::new(Coalescer::start(cfg, move |batch: Vec<PendingQuery>| {
+            Arc::new(Coalescer::start(cfg, move |batch, executing| {
                 let job_core = Arc::clone(&drain_core);
-                let job = Box::new(move || execute_coalesced(&job_core, batch));
+                // The guard moves into the job, so the batch counts as
+                // executing until the job ends (or is discarded).
+                let job = Box::new(move || {
+                    execute_coalesced(&job_core, batch);
+                    drop(executing);
+                });
                 // Members were admitted individually; never drop them.
                 let _ = drain_core.pool.submit_unbounded(job);
             }))
@@ -377,6 +391,12 @@ impl LineReader {
         }
     }
 
+    /// Does the buffer already hold another complete request line? (A
+    /// pipelining client has more requests behind the current one.)
+    fn has_buffered_line(&self) -> bool {
+        self.buf.contains(&b'\n')
+    }
+
     pub(crate) fn read_line(&mut self, shutdown: &AtomicBool) -> ReadOutcome {
         self.read_line_idle(shutdown, None)
     }
@@ -478,19 +498,21 @@ fn serve_connection(
             serve_http(core, &mut reader, &conn, &line);
             return;
         }
-        if !dispatch(core, coalescer, &conn, &line) {
+        if !dispatch(core, coalescer, &conn, &line, reader.has_buffered_line()) {
             return;
         }
     }
 }
 
-/// Handle one request line. Returns `false` when the connection should
-/// close (tail streams end their connection).
+/// Handle one request line; `pipelined` says the connection already
+/// has another request line buffered behind it. Returns `false` when
+/// the connection should close (tail streams end their connection).
 fn dispatch(
     core: &Arc<Core>,
     coalescer: Option<&Coalescer<PendingQuery>>,
     conn: &Arc<Conn>,
     line: &str,
+    pipelined: bool,
 ) -> bool {
     let start = Instant::now();
     let envelope = match parse_request(line) {
@@ -514,8 +536,20 @@ fn dispatch(
                     start,
                     deadline_ms,
                 };
-                if coalescer.submit(pending).is_err() {
-                    shed(core, conn, id, "coalescer at capacity");
+                // A pipelined query goes to the coalescer even when idle:
+                // the requests behind it should share its batch.
+                let idle = if pipelined {
+                    None
+                } else {
+                    coalescer.try_claim_idle()
+                };
+                match idle {
+                    Some(executing) => answer_inline(core, pending, executing),
+                    None => {
+                        if coalescer.submit(pending).is_err() {
+                            shed(core, conn, id, "coalescer at capacity");
+                        }
+                    }
                 }
             } else {
                 submit_or_shed(core, conn, id, {
@@ -832,6 +866,14 @@ fn run_recover(core: &Core, conn: &Conn, id: Option<u64>) {
     }
 }
 
+/// Answer a lone query on the connection thread, as a coalesced batch
+/// of one, while `executing` holds the coalescer's idle stage.
+fn answer_inline(core: &Core, query: PendingQuery, executing: Executing<PendingQuery>) {
+    core.pool
+        .run_contained(|| execute_coalesced(core, vec![query]));
+    drop(executing);
+}
+
 /// Answer one coalesced batch: one `query_many` (grouped by source
 /// inside the oracle), one write + flush per distinct connection.
 fn execute_coalesced(core: &Core, batch: Vec<PendingQuery>) {
@@ -990,4 +1032,43 @@ fn serve_http(core: &Core, reader: &mut LineReader, conn: &Conn, request_line: &
     let mut w = conn.writer.lock().unwrap_or_else(|e| e.into_inner());
     let _ = w.write_all(response.as_bytes());
     let _ = w.flush();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{http_get, Client};
+    use batchhl::graph::generators::barabasi_albert;
+    use batchhl::Oracle;
+
+    #[test]
+    fn contained_panics_reach_metrics_and_the_connection_keeps_serving() {
+        let oracle = Oracle::builder()
+            .top_degree_landmarks(4)
+            .build(barabasi_albert(200, 3, 5))
+            .expect("build oracle");
+        // One worker runs pool jobs in submission order.
+        let config = ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        };
+        let server = Server::start(oracle, config).expect("start server");
+        let mut client = Client::connect(server.addr()).expect("connect");
+        let want = client.query(1, 150).expect("query");
+        server
+            .core()
+            .pool
+            .submit(Box::new(|| panic!("injected job panic")))
+            .expect("submit");
+        // This connection's next pool job runs after the panicking one.
+        let got = client.query_many(&[(1, 150)]).expect("query_many");
+        assert_eq!(got, vec![want]);
+        assert_eq!(server.metrics().job_panics.get(), 1);
+        let (_, body) = http_get(server.addr(), "/metrics").expect("GET /metrics");
+        assert!(
+            body.contains("batchhl_server_job_panics_total 1\n"),
+            "{body}"
+        );
+        assert_eq!(client.query(1, 150).expect("query"), want);
+    }
 }

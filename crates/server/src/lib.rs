@@ -13,10 +13,11 @@
 //!   JSON-over-TCP protocol ([`protocol`]) for queries, commits and
 //!   operational verbs, plus a minimal HTTP/1.1 shim answering
 //!   `GET /health` and `GET /metrics` on the same port.
-//! - **Request coalescing** ([`Coalescer`]) — point queries are
-//!   microbatched for a bounded window and drained through the
-//!   oracle's batched entry points, amortizing per-request fixed costs
-//!   (worker wakeups, generation pins, response syscalls) into
+//! - **Request coalescing** ([`Coalescer`]) — a lone point query on an
+//!   idle server is answered inline on its connection thread; under
+//!   load, queries gather behind the running batch and drain through
+//!   the oracle's batched entry points, amortizing per-request fixed
+//!   costs (worker wakeups, generation pins, response syscalls) into
 //!   per-batch costs.
 //! - **WAL-shipping replication** ([`Replica`]) — a primary streams
 //!   committed write-ahead-log batches over TCP (`tail`); replicas
@@ -60,7 +61,7 @@ pub mod replication;
 
 pub use chaos::{Fault, FaultProxy};
 pub use client::{http_get, Client, ClientError, CommitOutcome, RetryPolicy};
-pub use coalescer::{CoalesceConfig, Coalescer};
+pub use coalescer::{CoalesceConfig, Coalescer, Executing};
 pub use handlers::{Conn, PendingQuery, Server, ServerConfig};
 pub use metrics::ServerMetrics;
 pub use pool::{SubmitError, WorkerPool};

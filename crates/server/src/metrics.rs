@@ -38,9 +38,13 @@ pub struct ServerMetrics {
     /// Tail-stream reconnect attempts by this node's replica tailer
     /// (wire-level retries: dropped streams, watchdog trips, resyncs).
     pub tail_reconnects: Arc<Counter>,
+    /// Panics contained in pool jobs and in queries answered inline on
+    /// a connection thread (the worker or connection keeps serving).
+    pub job_panics: Arc<Counter>,
     /// End-to-end request latency (receipt to response write).
     pub request_latency: Arc<Histogram>,
-    /// Occupancy of each drained coalescer batch.
+    /// Occupancy of each coalesced batch; a query answered inline counts
+    /// as one batch of size 1.
     pub coalesce_batch: Arc<Histogram>,
 }
 
@@ -60,6 +64,7 @@ impl ServerMetrics {
             dedup_commits: registry.counter("batchhl_server_commit_dedup_total"),
             idle_closed: registry.counter("batchhl_server_idle_closed_total"),
             tail_reconnects: registry.counter("batchhl_server_tail_reconnects_total"),
+            job_panics: registry.counter("batchhl_server_job_panics_total"),
             request_latency: registry.histogram("batchhl_server_request_latency_us"),
             coalesce_batch: registry.histogram("batchhl_server_coalesce_batch_size"),
             registry,

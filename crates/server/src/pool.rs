@@ -11,11 +11,13 @@
 //!
 //! Jobs run under a panic boundary: a panicking job is counted and the
 //! worker keeps serving (the serving tier must never lose a worker to
-//! one bad request).
+//! one bad request). [`WorkerPool::run_contained`] puts work that runs
+//! on the caller's own thread behind the same boundary and counter.
 
+use batchhl_common::metrics::Counter;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -39,7 +41,7 @@ struct PoolShared {
     cv: Condvar,
     capacity: usize,
     shutdown: AtomicBool,
-    panics: AtomicU64,
+    panics: Arc<Counter>,
 }
 
 /// Fixed-size worker pool over a bounded mpsc-style job queue.
@@ -50,14 +52,15 @@ pub struct WorkerPool {
 
 impl WorkerPool {
     /// Spawn `workers` threads (at least one) behind a queue that sheds
-    /// beyond `capacity` pending jobs.
-    pub fn new(name: &str, workers: usize, capacity: usize) -> Self {
+    /// beyond `capacity` pending jobs. Contained panics are counted on
+    /// `panics`.
+    pub fn new(name: &str, workers: usize, capacity: usize, panics: Arc<Counter>) -> Self {
         let shared = Arc::new(PoolShared {
             queue: Mutex::new(VecDeque::new()),
             cv: Condvar::new(),
             capacity: capacity.max(1),
             shutdown: AtomicBool::new(false),
-            panics: AtomicU64::new(0),
+            panics,
         });
         let workers = (0..workers.max(1))
             .map(|i| {
@@ -111,9 +114,16 @@ impl WorkerPool {
             .len()
     }
 
+    /// Run `job` on the calling thread behind the workers' panic
+    /// boundary: a panic is counted with theirs and does not unwind
+    /// into the caller.
+    pub fn run_contained(&self, job: impl FnOnce()) {
+        contain(&self.shared.panics, job);
+    }
+
     /// Jobs that panicked (and were contained) so far.
     pub fn panics(&self) -> u64 {
-        self.shared.panics.load(Ordering::Relaxed)
+        self.shared.panics.get()
     }
 
     /// Stop the workers: pending jobs are dropped, running jobs finish,
@@ -159,9 +169,13 @@ fn worker_loop(shared: &PoolShared) {
                 queue = shared.cv.wait(queue).unwrap_or_else(|e| e.into_inner());
             }
         };
-        if catch_unwind(AssertUnwindSafe(job)).is_err() {
-            shared.panics.fetch_add(1, Ordering::Relaxed);
-        }
+        contain(&shared.panics, job);
+    }
+}
+
+fn contain(panics: &Counter, job: impl FnOnce()) {
+    if catch_unwind(AssertUnwindSafe(job)).is_err() {
+        panics.inc();
     }
 }
 
@@ -173,7 +187,7 @@ mod tests {
 
     #[test]
     fn jobs_run_and_pool_drains() {
-        let pool = WorkerPool::new("t", 3, 64);
+        let pool = WorkerPool::new("t", 3, 64, Arc::default());
         let counter = Arc::new(AtomicUsize::new(0));
         let (tx, rx) = mpsc::channel();
         for _ in 0..50 {
@@ -193,7 +207,7 @@ mod tests {
 
     #[test]
     fn full_queue_sheds_typed() {
-        let pool = WorkerPool::new("t", 1, 2);
+        let pool = WorkerPool::new("t", 1, 2, Arc::default());
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         // Block the single worker so the queue backs up.
         {
@@ -231,12 +245,19 @@ mod tests {
 
     #[test]
     fn panicking_jobs_are_contained() {
-        let pool = WorkerPool::new("t", 1, 8);
+        let panics = Arc::new(Counter::new());
+        let pool = WorkerPool::new("t", 1, 8, Arc::clone(&panics));
         let (tx, rx) = mpsc::channel();
         pool.submit(Box::new(|| panic!("bad job"))).unwrap();
         pool.submit(Box::new(move || tx.send(()).unwrap())).unwrap();
         rx.recv_timeout(std::time::Duration::from_secs(5))
             .expect("worker survived the panic");
         assert_eq!(pool.panics(), 1);
+        // Work run on the caller's thread shares the boundary and count.
+        pool.run_contained(|| panic!("bad inline work"));
+        let mut ran = false;
+        pool.run_contained(|| ran = true);
+        assert!(ran);
+        assert_eq!(panics.get(), 2);
     }
 }

@@ -6,6 +6,15 @@
 //! pipeline. Errors are typed: `{"error":"<code>","message":"..."}`
 //! with a small closed set of codes (below) a client can branch on.
 //!
+//! **Replies are matched by `id`, not by order.** Requests on one
+//! connection execute concurrently (on the worker pool, in a coalesced
+//! batch, or inline), so their replies may arrive in any order. A line
+//! delivered twice (a duplicating network path, a client resending) is
+//! two requests with the same `id`, and their replies are
+//! indistinguishable by `id`: either may arrive first. For a commit
+//! stamped with a `txn`, exactly one of the two applies and the other
+//! answers `"deduped":true`; both carry the same `seq`.
+//!
 //! ```text
 //! {"op":"query","s":3,"t":77,"id":1}
 //!   -> {"id":1,"dist":2}

@@ -151,8 +151,11 @@ fn commits_are_exactly_once_under_every_fault_kind() {
 }
 
 /// Duplicate-delivered commit lines (the wire-level retry storm) are
-/// answered from the dedup table: same receipt, `deduped` on the
-/// second delivery, one application.
+/// answered from the dedup table: same receipt, `deduped` on one of
+/// the two deliveries, one application. Both deliveries carry the same
+/// `id` and execute concurrently, so either reply may come first (the
+/// protocol matches replies by `id` only); the test reads both off a
+/// raw socket and checks them as a set.
 #[test]
 fn duplicate_delivery_is_deduplicated() {
     let dir = scratch_dir("duplicate");
@@ -169,13 +172,34 @@ fn duplicate_delivery_is_deduplicated() {
     let server = Server::start(oracle, ServerConfig::default()).expect("start server");
     let proxy = FaultProxy::start(server.addr(), vec![Fault::Duplicate]).expect("start proxy");
 
-    let mut client = Client::connect(proxy.addr()).expect("connect");
-    let outcome = client
-        .commit_detailed(&[Edit::Insert(1, 200)])
-        .expect("commit");
-    assert_eq!(outcome.seq, 0);
-    assert!(!outcome.deduped, "first delivery applies for real");
-    // Both deliveries executed server-side; exactly one applied.
+    let mut stream = std::net::TcpStream::connect(proxy.addr()).expect("connect");
+    stream.set_read_timeout(Some(WAIT)).unwrap();
+    stream
+        .write_all(b"{\"op\":\"commit\",\"edits\":[[\"insert\",1,200]],\"txn\":[5,1],\"id\":1}\n")
+        .expect("send commit");
+    let mut reader = BufReader::new(stream);
+    let replies: Vec<String> = (0..2)
+        .map(|_| {
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("read a reply");
+            line
+        })
+        .collect();
+    for reply in &replies {
+        assert!(reply.contains("\"id\":1"), "{reply}");
+        assert!(reply.contains("\"committed\":true"), "{reply}");
+        assert!(
+            reply.contains("\"seq\":0"),
+            "both name the one batch: {reply}"
+        );
+    }
+    // `deduped` is omitted when false.
+    let deduped = replies
+        .iter()
+        .filter(|r| r.contains("\"deduped\":true"))
+        .count();
+    assert_eq!(deduped, 1, "exactly one delivery applied: {replies:?}");
+    // Each reply is written after its commit's effects are recorded.
     assert_eq!(server.committed_seq(), 1);
     assert_eq!(
         server.metrics().dedup_commits.get(),

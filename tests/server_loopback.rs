@@ -8,8 +8,9 @@
 //! server degrades into typed `shed` refusals (every request gets
 //! exactly one response; nothing hangs, nothing is silently dropped).
 
+use batchhl::graph::bfs::BfsWorkspace;
 use batchhl::graph::generators::barabasi_albert;
-use batchhl::{DistanceOracle, Edit, Oracle, Vertex};
+use batchhl::{DistanceOracle, Edit, Oracle, Vertex, INF};
 use batchhl_server::{http_get, Client, ClientError, CoalesceConfig, Server, ServerConfig};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -230,6 +231,33 @@ fn coalescer_admission_sheds_typed() {
     assert!(
         shed > 0,
         "a two-slot coalescer under a 200-deep flood must shed"
+    );
+}
+
+#[test]
+fn a_lone_query_is_answered_inline_without_waiting_out_the_window() {
+    let (s, t) = (3, 250);
+    let mut bfs = BfsWorkspace::new(N as usize);
+    bfs.run(&barabasi_albert(N as usize, 3, 7), s, INF);
+    let truth = Some(bfs.dist(t)).filter(|&d| d != INF);
+    // A window longer than the client's read timeout: a query that
+    // waited it out would fail.
+    let config = ServerConfig {
+        coalesce: Some(CoalesceConfig {
+            max_wait_us: 30_000_000,
+            ..CoalesceConfig::default()
+        }),
+        ..ServerConfig::default()
+    };
+    let server = Server::start(build_oracle(), config).expect("start server");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    assert_eq!(client.query(s, t).expect("query"), truth);
+    // The inline answer is a coalesced batch of one.
+    let (_, body) = http_get(server.addr(), "/metrics").expect("GET /metrics");
+    assert!(body.contains("batchhl_server_queries_total 1\n"), "{body}");
+    assert!(
+        body.contains("batchhl_server_coalesce_batch_size_count 1\n"),
+        "{body}"
     );
 }
 
