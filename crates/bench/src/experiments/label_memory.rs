@@ -1,13 +1,15 @@
-//! Label-memory report: resident bytes of the dense canonical label
-//! rows versus the packed query mirror (`batchhl_hcl::packed`).
+//! Label-memory report: what one published generation holds — the
+//! packed labelling and the CSR view readers traverse — next to the one
+//! writer graph the index owns outside every generation.
 //!
-//! The dense layout costs `4·|R|` bytes per vertex regardless of how
-//! many labels the vertex actually has; the packed CSR costs ~3 bytes
-//! per *logical* entry (u16 landmark id + width-narrowed distance) plus
-//! per-vertex overhead. This report prints both, the compression ratio,
-//! and the narrowed highway width — the memory half of the packed-
-//! storage evaluation (perfbench's `hcl.bound_us_p50` measures the
-//! latency half).
+//! A generation's packed labelling costs ~3 bytes per *logical* entry
+//! (u16 landmark id + width-narrowed distance) plus per-vertex overhead;
+//! its view is a CSR base shared by the generations published since the
+//! last compaction, plus an overlay. The writer graph is the
+//! `Vec<Vec<_>>` adjacency the index mutates. This report prints the
+//! three, per vertex, and the narrowed highway width — the memory half
+//! of the packed-storage evaluation (perfbench's `hcl.bound_us_p50`
+//! measures the latency half).
 
 use super::ExpContext;
 use crate::datasets::dataset;
@@ -27,35 +29,36 @@ fn human(bytes: usize) -> String {
 
 pub fn run(ctx: &ExpContext) {
     println!(
-        "== Label memory: dense rows vs packed mirror (kernel: {}) ==",
+        "== Label memory: generation footprint vs writer graph (kernel: {}) ==",
         active_kernel().name()
     );
     let mut table = Table::new(&[
         "Dataset",
         "Entries",
-        "Dense",
-        "Packed",
-        "Ratio",
-        "B/entry dense",
+        "Packed labels",
+        "CSR view",
+        "Writer graph",
+        "B/vertex gen",
         "B/entry packed",
         "HW width",
     ]);
     for name in ctx.static_datasets() {
         let g = dataset(name, ctx.scale);
         let index = ctx.index(g, Algorithm::BhlPlus, 1);
-        let lab = index.labelling();
-        let packed = lab.packed();
+        let generation = index.published();
+        let packed = generation.lab.packed();
         let entries = packed.labels.num_entries();
-        let dense = lab.dense_resident_bytes();
-        let compact = packed.resident_bytes();
+        let labels = packed.resident_bytes();
+        let view = generation.view.resident_bytes();
+        let n = index.num_vertices().max(1);
         table.row(vec![
             name.to_string(),
             entries.to_string(),
-            human(dense),
-            human(compact),
-            format!("{:.2}x", dense as f64 / compact as f64),
-            format!("{:.2}", dense as f64 / entries as f64),
-            format!("{:.2}", compact as f64 / entries as f64),
+            human(labels),
+            human(view),
+            human(index.graph().resident_bytes()),
+            format!("{:.1}", (labels + view) as f64 / n as f64),
+            format!("{:.2}", labels as f64 / entries.max(1) as f64),
             format!("u{}", 8 * packed.highway.width()),
         ]);
     }

@@ -210,10 +210,10 @@ impl From<LabelError> for OracleError {
 /// A new family (say, a directed *weighted* index, or a road-network
 /// labelling) plugs in without touching the facade:
 ///
-/// 1. Give it a generation type (graph, labelling(s), CSR view) and
+/// 1. Give it a generation type (labelling(s), CSR view) and
 ///    implement [`Family`] for it: the graph, update and search types,
-///    construction, normalization, one search→repair pass, its replay,
-///    the [`Edit`] translation (reject edit kinds the family cannot
+///    construction, normalization, one search→repair pass, the graph a
+///    view presents, the [`Edit`] translation (reject edit kinds the family cannot
 ///    express with a typed [`OracleError`] instead of dropping them),
 ///    the speculative overlay, the checkpoint graph block and the
 ///    audit. [`Index`] over it then has the whole index surface, this
@@ -232,7 +232,7 @@ pub trait Backend: Send {
     /// Which family this backend is (useful for diagnostics).
     fn family(&self) -> BackendFamily;
 
-    /// Number of vertices in the current working snapshot.
+    /// Number of vertices in the current graph.
     fn num_vertices(&self) -> usize;
 
     /// Version of the newest published generation.
@@ -260,7 +260,7 @@ pub trait Backend: Send {
     /// by distance.
     fn top_k_closest(&mut self, s: Vertex, k: usize) -> Vec<(Vertex, Dist)>;
 
-    /// Out-neighbours of `v` in the current working snapshot (weights
+    /// Out-neighbours of `v` in the current graph (weights
     /// dropped on the weighted family; empty when out of range).
     fn neighbors(&self, v: Vertex) -> Vec<Vertex>;
 
@@ -300,9 +300,9 @@ pub trait Backend: Send {
     fn rollback_token(&self) -> Box<dyn std::any::Any + Send>;
 
     /// Restore the backend to the generation captured by a
-    /// [`rollback_token`], discarding the (possibly half-applied)
-    /// working state and republishing the captured content under a
-    /// fresh version number. Errors only if `token` came from a
+    /// [`rollback_token`], rebuilding the (possibly half-applied) writer
+    /// graph from the captured view and republishing the captured
+    /// content under a fresh version number. Errors only if `token` came from a
     /// different backend family.
     ///
     /// [`rollback_token`]: Backend::rollback_token
@@ -442,7 +442,7 @@ impl<F: Family> Backend for Index<F> {
     }
 
     fn label_entries(&self) -> usize {
-        self.work
+        self.generation()
             .labellings()
             .iter()
             .map(|l| l.size_entries())
@@ -471,7 +471,7 @@ impl<F: Family> Backend for Index<F> {
 
     fn neighbors(&self, v: Vertex) -> Vec<Vertex> {
         if (v as usize) < Index::num_vertices(self) {
-            self.work.neighbors(v)
+            self.generation().neighbors(v)
         } else {
             Vec::new()
         }
@@ -513,15 +513,15 @@ impl<F: Family> Backend for Index<F> {
     }
 
     fn verify_integrity(&mut self, samples: usize) -> Result<(), OracleError> {
-        self.work
-            .audit()
+        self.generation()
+            .audit(self.graph())
             .map_err(|reason| OracleError::Integrity { reason })?;
         // A deterministic sample of sources, each checked against a
         // full truth sweep.
         let mut sources: Vec<Vertex> = (0..Index::num_vertices(self) as Vertex).collect();
         SplitMix64::new(0x5EED_AD17).shuffle(&mut sources);
         for &s in sources.iter().take(samples) {
-            for (t, want) in self.work.truth(s).into_iter().enumerate() {
+            for (t, want) in F::truth(self.graph(), s).into_iter().enumerate() {
                 let want = (want != INF).then_some(want);
                 let got = Index::query(self, s, t as Vertex);
                 if got != want {

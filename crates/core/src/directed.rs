@@ -33,9 +33,7 @@ use crate::workspace::UpdateWorkspace;
 use batchhl_common::{Dist, Vertex};
 use batchhl_graph::bfs::{bfs_distances, BiBfs};
 use batchhl_graph::io::{digraph_bin_len, read_digraph_bin, write_digraph_bin, BinGraphError};
-use batchhl_graph::{
-    AdjacencyView, Batch, CompactionPolicy, CsrDiDelta, DynamicDiGraph, Reversed, Update,
-};
+use batchhl_graph::{AdjacencyView, Batch, CsrDiDelta, DynamicDiGraph, Reversed, Update};
 use batchhl_hcl::{
     build_labelling_parallel, oracle, upper_bound_pair, LabelError, LabelPatch, Labelling,
 };
@@ -47,25 +45,16 @@ pub use crate::index::{Algorithm, IndexConfig};
 /// Batch-dynamic distance index over a directed graph.
 pub type DirectedBatchIndex = Index<DirectedSnapshot>;
 
-/// One immutable generation of the directed index. `graph` is the
-/// writer's mutation substrate; `view` is the frozen two-direction CSR
-/// (+ overlay) that queries and both update passes traverse.
+/// One immutable generation of the directed index: both labellings and
+/// the frozen two-direction CSR (+ overlay) that queries and both update
+/// passes traverse.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DirectedSnapshot {
-    pub graph: DynamicDiGraph,
     /// Forward labelling on `G` — answers `d(r → v)`.
     pub fwd: Labelling,
     /// Backward labelling (forward labelling of `Gᵀ`) — answers `d(v → r)`.
     pub bwd: Labelling,
     pub view: CsrDiDelta,
-}
-
-/// What one directed pass changed.
-#[derive(Debug)]
-pub struct DirectedPassLog {
-    norm: Batch,
-    fwd_aff: engine::AffectedLists,
-    bwd_aff: engine::AffectedLists,
 }
 
 /// The arcs of `updates` reversed: what the backward labelling sees.
@@ -79,12 +68,6 @@ fn reversed(updates: &[Update]) -> Vec<Update> {
         .collect()
 }
 
-/// The arcs of a normalized batch as `(tail, head)` pairs — what the
-/// CSR view's absorption re-freezes.
-fn arc_list(norm: &Batch) -> Vec<(Vertex, Vertex)> {
-    norm.updates().iter().map(|u| u.endpoints()).collect()
-}
-
 impl Family for DirectedSnapshot {
     const KIND: BackendFamily = BackendFamily::Directed;
     const HONOURS_ALGORITHM: bool = true;
@@ -94,40 +77,33 @@ impl Family for DirectedSnapshot {
     type Update = Update;
     type Batch = Batch;
     type Norm = Batch;
-    type Log = DirectedPassLog;
     type Workspace = UpdateWorkspace;
     type View = CsrDiDelta;
     type Search = BiBfs;
 
     fn build(
-        graph: DynamicDiGraph,
+        graph: &DynamicDiGraph,
         landmarks: Vec<Vertex>,
         threads: usize,
     ) -> Result<Self, LabelError> {
         // Both construction passes run over the frozen CSR snapshot.
-        let view = CsrDiDelta::from_adjacency(&graph);
+        let view = CsrDiDelta::from_adjacency(graph);
         let fwd = build_labelling_parallel(&view, landmarks.clone(), threads)?;
         let bwd = build_labelling_parallel(&Reversed(&view), landmarks, threads)?;
-        Ok(DirectedSnapshot {
-            graph,
-            fwd,
-            bwd,
-            view,
-        })
+        Ok(DirectedSnapshot { fwd, bwd, view })
     }
 
-    fn assemble(graph: DynamicDiGraph, [fwd, bwd]: [Labelling; 2]) -> Self {
-        let view = CsrDiDelta::from_adjacency(&graph);
-        DirectedSnapshot {
-            graph,
-            fwd,
-            bwd,
-            view,
-        }
+    fn assemble(graph: &DynamicDiGraph, [fwd, bwd]: [Labelling; 2]) -> Self {
+        let view = CsrDiDelta::from_adjacency(graph);
+        DirectedSnapshot { fwd, bwd, view }
     }
 
-    fn graph(&self) -> &DynamicDiGraph {
-        &self.graph
+    fn graph_of(view: &CsrDiDelta) -> DynamicDiGraph {
+        let n = view.num_vertices() as Vertex;
+        DynamicDiGraph::try_from_out_adjacency(
+            (0..n).map(|v| view.out_neighbors(v).to_vec()).collect(),
+        )
+        .expect("a published view is a valid graph")
     }
 
     fn view(&self) -> &CsrDiDelta {
@@ -142,12 +118,8 @@ impl Family for DirectedSnapshot {
         (&self.fwd, &self.bwd)
     }
 
-    fn set_compaction(&mut self, policy: CompactionPolicy) {
-        self.view.set_policy(policy);
-    }
-
     fn neighbors(&self, v: Vertex) -> Vec<Vertex> {
-        self.graph.out_neighbors(v).to_vec()
+        self.view.out_neighbors(v).to_vec()
     }
 
     fn updates(batch: &Batch) -> &[Update] {
@@ -159,7 +131,7 @@ impl Family for DirectedSnapshot {
     }
 
     fn normalize(&self, batch: &Batch) -> Batch {
-        batch.normalize_directed(&self.graph)
+        batch.normalize_directed(&self.view)
     }
 
     fn split(norm: Batch) -> (Batch, Batch) {
@@ -167,70 +139,53 @@ impl Family for DirectedSnapshot {
     }
 
     fn pass(
-        &mut self,
+        graph: &mut DynamicDiGraph,
         old: &Self,
         norm: Batch,
         config: &IndexConfig,
         ws: &mut UpdateWorkspace,
         stats: &mut UpdateStats,
-    ) -> Option<DirectedPassLog> {
+    ) -> Option<Self> {
         if norm.is_empty() {
             return None;
         }
-        stats.applied = self.graph.apply_batch(&norm);
+        stats.applied = graph.apply_batch(&norm);
         stats.insertions = norm.num_insertions();
         stats.deletions = norm.num_deletions();
 
-        let n = self.graph.num_vertices();
-        self.fwd.ensure_vertices(n);
-        self.bwd.ensure_vertices(n);
+        let n = graph.num_vertices();
         ws.grow(n);
 
         // Freeze the batch's arcs into the two-direction CSR view; the
         // forward and backward searches below traverse it.
-        self.view.set_policy(config.compaction);
-        self.view.absorb_arcs(&self.graph, &arc_list(&norm));
+        let mut view = old.view.clone();
+        view.set_policy(config.compaction);
+        let arcs: Vec<(Vertex, Vertex)> = norm.updates().iter().map(|u| u.endpoints()).collect();
+        view.absorb_arcs(&*graph, &arcs);
 
         let kernel = BfsKernel {
             improved: config.algorithm.improved_search(),
             directed: true,
         };
-        let fwd_aff = engine::run_landmarks(
+        let (fwd, fwd_aff) = engine::run_landmarks(
             &kernel,
             &engine::oracle_for(&old.fwd, n),
-            &self.view,
+            &view,
             norm.updates(),
-            &mut self.fwd,
             config,
             ws,
         );
         // The backward pass sees every arc reversed.
-        let bwd_aff = engine::run_landmarks(
+        let (bwd, bwd_aff) = engine::run_landmarks(
             &kernel,
             &engine::oracle_for(&old.bwd, n),
-            &Reversed(&self.view),
+            &Reversed(&view),
             &reversed(norm.updates()),
-            &mut self.bwd,
             config,
             ws,
         );
-        stats.affected_per_landmark = fwd_aff
-            .iter()
-            .zip(&bwd_aff)
-            .map(|(f, b)| f.len() + b.len())
-            .collect();
-        Some(DirectedPassLog {
-            norm,
-            fwd_aff,
-            bwd_aff,
-        })
-    }
-
-    fn replay(buf: &mut Self, fresh: &Self, log: &DirectedPassLog) {
-        buf.graph.apply_batch(&log.norm);
-        buf.view.absorb_arcs(&buf.graph, &arc_list(&log.norm));
-        engine::sync_affected(&fresh.fwd, &mut buf.fwd, &log.fwd_aff);
-        engine::sync_affected(&fresh.bwd, &mut buf.bwd, &log.bwd_aff);
+        stats.affected_per_landmark = fwd_aff.iter().zip(&bwd_aff).map(|(f, b)| f + b).collect();
+        Some(DirectedSnapshot { fwd, bwd, view })
     }
 
     fn from_edits(edits: &[Edit]) -> Result<Box<Batch>, OracleError> {
@@ -294,15 +249,15 @@ impl Family for DirectedSnapshot {
         read_digraph_bin(r)
     }
 
-    fn audit(&self) -> Result<(), String> {
-        oracle::check_minimal(&self.graph, &self.fwd)
+    fn audit(&self, graph: &DynamicDiGraph) -> Result<(), String> {
+        oracle::check_minimal(graph, &self.fwd)
             .map_err(|reason| format!("forward labelling: {reason}"))?;
-        oracle::check_minimal(&Reversed(&self.graph), &self.bwd)
+        oracle::check_minimal(&Reversed(graph), &self.bwd)
             .map_err(|reason| format!("backward labelling: {reason}"))
     }
 
-    fn truth(&self, s: Vertex) -> Vec<Dist> {
-        bfs_distances(&self.graph, s)
+    fn truth(graph: &DynamicDiGraph, s: Vertex) -> Vec<Dist> {
+        bfs_distances(graph, s)
     }
 }
 
@@ -313,19 +268,22 @@ impl DirectedBatchIndex {
         Self::try_build(graph, config).expect("selected landmarks are valid")
     }
 
+    /// The published forward labelling.
     pub fn forward_labelling(&self) -> &Labelling {
-        &self.work.fwd
+        &self.generation().fwd
     }
 
+    /// The published backward labelling.
     pub fn backward_labelling(&self) -> &Labelling {
-        &self.work.bwd
+        &self.generation().bwd
     }
 
     /// Eq. 3 for directed graphs: `min_{i,j} d(s→r_i) + δ_Hf(r_i, r_j)
     /// + d(r_j→t)` over the backward labels of `s` and forward labels
     /// of `t`.
     pub fn upper_bound(&self, s: Vertex, t: Vertex) -> Dist {
-        upper_bound_pair(&self.work.bwd, &self.work.fwd, &self.work.fwd, s, t)
+        let g = self.generation();
+        upper_bound_pair(&g.bwd, &g.fwd, &g.fwd, s, t)
     }
 }
 
@@ -400,7 +358,7 @@ mod tests {
                 let published = index.published();
                 assert_eq!(&published.fwd, index.forward_labelling());
                 assert_eq!(&published.bwd, index.backward_labelling());
-                assert_eq!(&published.graph, index.graph());
+                assert_eq!(&DirectedSnapshot::graph_of(&published.view), index.graph());
             }
         }
     }
@@ -433,8 +391,8 @@ mod tests {
         cfg.threads = 4;
         let mut par = DirectedBatchIndex::build(g, cfg);
         par.apply_batch(&batch);
-        assert_eq!(seq.work.fwd, par.work.fwd);
-        assert_eq!(seq.work.bwd, par.work.bwd);
+        assert_eq!(seq.forward_labelling(), par.forward_labelling());
+        assert_eq!(seq.backward_labelling(), par.backward_labelling());
     }
 
     #[test]

@@ -8,20 +8,24 @@
 //! [`crate::IndexSnapshot`] (undirected), [`crate::DirectedSnapshot`] and
 //! [`crate::WeightedSnapshot`] — and everything else is written once over
 //! it: the index [`crate::Index`] (construction, the pass dispatch of
-//! Algorithm 1, publication and recycling, rollback), its readers, the
-//! type-erased [`crate::Backend`], the what-if session and the checkpoint
-//! frame.
+//! Algorithm 1, publication, rollback), its readers, the type-erased
+//! [`crate::Backend`], the what-if session and the checkpoint frame.
+//!
+//! A generation holds exactly what readers read: the labelling(s) and
+//! the frozen CSR view. The writer's mutable graph is not part of it;
+//! [`crate::Index`] owns the one copy, and the hooks that mutate or audit
+//! it take it as an argument.
 //!
 //! A family supplies its graph, update and search types and a handful of
-//! hooks: build the labelling(s), normalize a batch, run one
-//! search→repair pass through [`crate::engine::run_landmarks`] (twice for
-//! directed graphs, the second time over the `Reversed` view), replay a
-//! pass onto a recycled buffer, translate [`Edit`] lists, build a
-//! speculative overlay, encode its graph in a checkpoint, and audit
-//! itself against ground truth. The Section 4 query is provided: every
-//! family names its CSR view, its `(fwd, bwd)` labellings (one labelling
-//! twice for the undirected and weighted families) and its search engine,
-//! and runs the one query path of `batchhl_hcl::query`.
+//! hooks: build the labelling(s), normalize a batch against the view,
+//! run one search→repair pass through [`crate::engine::run_landmarks`]
+//! (twice for directed graphs, the second time over the `Reversed`
+//! view), rebuild the writer graph from a view, translate [`Edit`] lists,
+//! build a speculative overlay, encode its graph in a checkpoint, and
+//! audit itself against ground truth. The Section 4 query is provided:
+//! every family names its CSR view, its `(fwd, bwd)` labellings (one
+//! labelling twice for the undirected and weighted families) and its
+//! search engine, and runs the one query path of `batchhl_hcl::query`.
 
 use crate::backend::{BackendFamily, Edit, OracleError};
 use crate::index::IndexConfig;
@@ -29,14 +33,14 @@ use crate::persist::PersistError;
 use crate::stats::UpdateStats;
 use batchhl_common::{Dist, Vertex, INF};
 use batchhl_graph::io::BinGraphError;
-use batchhl_graph::{BoundedSearch, CompactionPolicy};
+use batchhl_graph::BoundedSearch;
 use batchhl_hcl::query::{distances_from, point_dist, top_k};
 use batchhl_hcl::{DegreeOrder, LabelError, LabelPatch, Labelling};
 use std::fmt::Debug;
 use std::io::{Read, Write};
 
 /// One index family, implemented by its immutable generation type
-/// (graph + labelling(s) + frozen CSR view).
+/// (labelling(s) + frozen CSR view).
 ///
 /// Every hook is monomorphised into [`crate::Index`]; nothing on the
 /// query or commit path goes through a trait object.
@@ -54,7 +58,7 @@ pub trait Family: Clone + Debug + Send + Sync + Sized + 'static {
     const LABELLINGS: usize;
 
     /// The writer's mutable graph.
-    type Graph: Clone + Debug + Default + Send + Sync + DegreeOrder;
+    type Graph: Clone + Debug + PartialEq + Send + Sync + DegreeOrder;
     /// The labellings a generation carries, as `[Labelling; LABELLINGS]`.
     type Labels: TryFrom<Vec<Labelling>, Error = Vec<Labelling>>;
     /// One native update (`Update` or `WeightedUpdate`).
@@ -63,8 +67,6 @@ pub trait Family: Clone + Debug + Send + Sync + Sized + 'static {
     type Batch: ?Sized;
     /// A batch normalized against the current graph: one pass's input.
     type Norm;
-    /// What one pass changed — enough to replay it onto a retired buffer.
-    type Log: Send;
     /// Scratch state of one pass (grown by the pass itself).
     type Workspace: Default + Send;
     /// The frozen CSR view queries and passes traverse.
@@ -75,23 +77,17 @@ pub trait Family: Clone + Debug + Send + Sync + Sized + 'static {
     /// Freeze `graph` into a view and construct the minimal labelling(s)
     /// for `landmarks`. Errors on an invalid landmark list.
     fn build(
-        graph: Self::Graph,
+        graph: &Self::Graph,
         landmarks: Vec<Vertex>,
         threads: usize,
     ) -> Result<Self, LabelError>;
 
-    /// Pair `graph` with previously built labellings (no validation;
-    /// see `Index::from_parts`).
-    fn assemble(graph: Self::Graph, labels: Self::Labels) -> Self;
+    /// Pair a view of `graph` with previously built labellings (no
+    /// validation; see `Index::from_parts`).
+    fn assemble(graph: &Self::Graph, labels: Self::Labels) -> Self;
 
-    /// An empty generation, swapped in while the working one is published.
-    fn placeholder() -> Self {
-        let empty = Labelling::empty(0, Vec::new()).expect("empty labelling is valid");
-        let labels = vec![empty; Self::LABELLINGS].try_into();
-        Self::assemble(Self::Graph::default(), labels.expect("one per labelling"))
-    }
-
-    fn graph(&self) -> &Self::Graph;
+    /// The writer graph a view presents (the rollback path: `O(n + m)`).
+    fn graph_of(view: &Self::View) -> Self::Graph;
 
     fn view(&self) -> &Self::View;
 
@@ -102,9 +98,6 @@ pub trait Family: Clone + Debug + Send + Sync + Sized + 'static {
     /// of targets and `d(s → r)` labels of sources.
     fn query_labels(&self) -> (&Labelling, &Labelling);
 
-    /// Set the compaction policy of the CSR view.
-    fn set_compaction(&mut self, policy: CompactionPolicy);
-
     /// Out-neighbours of an in-range vertex, weights dropped.
     fn neighbors(&self, v: Vertex) -> Vec<Vertex>;
 
@@ -113,29 +106,27 @@ pub trait Family: Clone + Debug + Send + Sync + Sized + 'static {
     /// One update as a batch of its own (the UHL/UHL⁺ pass unit).
     fn single(update: Self::Update) -> Box<Self::Batch>;
 
+    /// Normalize against this generation's view (which, between passes,
+    /// presents the writer graph).
     fn normalize(&self, batch: &Self::Batch) -> Self::Norm;
 
     /// BHLₛ: split a normalized batch into (deletions, insertions).
     fn split(norm: Self::Norm) -> (Self::Norm, Self::Norm);
 
-    /// One search→repair pass: apply `norm` to the graph, absorb it into
-    /// the view, grow the workspace and labellings, and repair every
-    /// labelling in place against the published generation `old`.
+    /// One search→repair pass: apply `norm` to the writer `graph`, absorb
+    /// it into a copy of `old`'s view, grow the workspace, and build the
+    /// next generation's labelling(s) from `old`'s plus the repair deltas.
     /// Fills `applied`, `insertions`, `deletions` and
     /// `affected_per_landmark`. Returns `None`, touching nothing, when
     /// `norm` is empty.
     fn pass(
-        &mut self,
+        graph: &mut Self::Graph,
         old: &Self,
         norm: Self::Norm,
         config: &IndexConfig,
         ws: &mut Self::Workspace,
         stats: &mut UpdateStats,
-    ) -> Option<Self::Log>;
-
-    /// Bring `buf`, holding the state just before a logged pass, to the
-    /// state just after it, copying repaired entries from `fresh`.
-    fn replay(buf: &mut Self, fresh: &Self, log: &Self::Log);
+    ) -> Option<Self>;
 
     /// Translate a facade edit list; refuse edits the family cannot
     /// express with a typed error rather than drop them.
@@ -154,11 +145,11 @@ pub trait Family: Clone + Debug + Send + Sync + Sized + 'static {
     fn read_graph<R: Read>(r: &mut R) -> Result<Self::Graph, BinGraphError>;
 
     /// Structural audit: every labelling is the minimal highway cover
-    /// labelling of the graph (where minimality is defined).
-    fn audit(&self) -> Result<(), String>;
+    /// labelling of `graph` (where minimality is defined).
+    fn audit(&self, graph: &Self::Graph) -> Result<(), String>;
 
-    /// Ground-truth distances from `s` (BFS or Dijkstra on the graph).
-    fn truth(&self, s: Vertex) -> Vec<Dist>;
+    /// Ground-truth distances from `s` (BFS or Dijkstra on `graph`).
+    fn truth(graph: &Self::Graph, s: Vertex) -> Vec<Dist>;
 
     /// Exact distance, `INF` when disconnected or out of range.
     fn query_dist(&self, search: &mut Self::Search, s: Vertex, t: Vertex) -> Dist {

@@ -3,19 +3,19 @@
 //!
 //! [`Index<F>`] separates the two roles a production index serves:
 //!
-//! * **Writer** — the index owns a mutable working snapshot (graph +
-//!   labelling `Γ′`) that [`Index::apply_batch`] repairs in place,
-//!   reading the immutable published generation `Γ` as the
-//!   old-labelling oracle of Algorithm 1.
+//! * **Writer** — the index owns the one mutable copy of the graph.
+//!   [`Index::apply_batch`] mutates it, repairs against the published
+//!   generation `Γ` (the old-labelling oracle of Algorithm 1), and
+//!   publishes `Γ′` built from `Γ` plus the repair deltas.
 //! * **Readers** — [`Index::reader`] hands out cheap `Send + Sync`
 //!   [`GenReader`] handles that answer queries against the published
 //!   generation without locks, even while a batch is being applied on
 //!   another thread.
 //!
-//! After repair the working snapshot is published with a single atomic
-//! swap and the previous generation's buffers are recycled (only the
-//! affected entries are re-synced), so the steady-state cost per batch
-//! is `O(affected + batch)`, not `O(|R|·|V|)`.
+//! A generation is exactly the reader state: the packed labelling(s)
+//! and the CSR view, both `Arc`-shared bases plus overlays, so
+//! publishing one costs `O(overlay + changed rows)`, not `O(|R|·|V|)`,
+//! and nothing is copied back or recycled afterwards.
 //!
 //! What differs between families is the [`Family`] parameter:
 //! [`BatchIndex`] is `Index<IndexSnapshot>` (this module),
@@ -111,20 +111,18 @@ impl Default for IndexConfig {
 
 /// Batch-dynamic distance index over the graph family `F`.
 ///
-/// Cloning copies the working snapshot into an independent index with
-/// its own (single-generation) store; reader handles of the original
-/// keep following the original.
+/// Cloning copies the writer graph and the published generation into
+/// an independent index with its own (single-generation) store; reader
+/// handles of the original keep following the original.
 pub struct Index<F: Family> {
-    /// The writer's working snapshot: the current graph and `Γ′`.
-    pub(crate) work: F,
-    /// Published generations; outside `apply_batch` the newest one has
-    /// the same content as `work`.
+    /// The writer's graph: between passes, what `current`'s view
+    /// presents.
+    graph: F::Graph,
+    /// The newest published generation (the writer's own pin).
+    current: Arc<Versioned<F>>,
     store: LabelStore<F>,
-    /// Retired-buffer recycling (see [`engine::Recycler`]).
-    recycler: engine::Recycler<F, F::Log>,
-    /// Holds the CSR compaction policy too — it is re-applied to the
-    /// view every pass, because publish/recycle swaps the working
-    /// snapshot for a buffer that predates any setter call.
+    /// Holds the CSR compaction policy too — each pass applies it to
+    /// the view it publishes.
     config: IndexConfig,
     ws: F::Workspace,
     engine: F::Search,
@@ -135,7 +133,11 @@ pub type BatchIndex = Index<IndexSnapshot>;
 
 impl<F: Family> Clone for Index<F> {
     fn clone(&self) -> Self {
-        Index::new(self.work.clone(), self.config.clone())
+        Index::new(
+            self.graph.clone(),
+            self.current.value().clone(),
+            self.config.clone(),
+        )
     }
 }
 
@@ -146,15 +148,16 @@ impl<F: Family> Index<F> {
     /// explicit landmark list.
     pub fn try_build(graph: F::Graph, config: IndexConfig) -> Result<Self, LabelError> {
         let landmarks = config.selection.select(&graph);
-        let work = F::build(graph, landmarks, config.threads.max(1))?;
-        Ok(Index::new(work, config))
+        let generation = F::build(&graph, landmarks, config.threads.max(1))?;
+        Ok(Index::new(graph, generation, config))
     }
 
-    pub(crate) fn new(work: F, config: IndexConfig) -> Self {
+    pub(crate) fn new(graph: F::Graph, generation: F, config: IndexConfig) -> Self {
+        let store = LabelStore::new(generation);
         Index {
-            store: LabelStore::new(work.clone()),
-            work,
-            recycler: engine::Recycler::default(),
+            current: store.snapshot(),
+            store,
+            graph,
             config,
             ws: F::Workspace::default(),
             engine: F::Search::default(),
@@ -169,14 +172,16 @@ impl<F: Family> Index<F> {
 
     /// Tune when the published CSR view compacts its delta overlay into
     /// a fresh base snapshot (see [`CompactionPolicy`]; normally set up
-    /// front through [`IndexConfig::compaction`]).
+    /// front through [`IndexConfig::compaction`]). Takes effect from
+    /// the next pass.
     pub fn set_compaction(&mut self, policy: CompactionPolicy) {
         self.config.compaction = policy;
-        self.work.set_compaction(policy);
     }
 
+    /// The writer's graph (the one mutable copy; generations hold only
+    /// its CSR view).
     pub fn graph(&self) -> &F::Graph {
-        self.work.graph()
+        &self.graph
     }
 
     pub fn config(&self) -> &IndexConfig {
@@ -184,24 +189,33 @@ impl<F: Family> Index<F> {
     }
 
     pub fn num_vertices(&self) -> usize {
-        self.work.graph().num_vertices()
+        self.graph.num_vertices()
     }
 
     /// Combined logical size of the labelling(s) in bytes.
     pub fn size_bytes(&self) -> usize {
-        self.work.labellings().iter().map(|l| l.size_bytes()).sum()
+        self.generation()
+            .labellings()
+            .iter()
+            .map(|l| l.size_bytes())
+            .sum()
     }
 
     /// The most recently published generation (what readers see).
     pub fn published(&self) -> Arc<Versioned<F>> {
-        self.store.snapshot()
+        Arc::clone(&self.current)
+    }
+
+    /// The published generation, borrowed.
+    pub(crate) fn generation(&self) -> &F {
+        self.current.value()
     }
 
     /// The version number of the published generation. Bumps once per
     /// search→repair pass (so once per batch for BHL/BHL⁺, once per
     /// sub-batch for BHLₛ, once per update for UHL/UHL⁺).
     pub fn version(&self) -> u64 {
-        self.store.version()
+        self.current.version()
     }
 
     /// A `Send + Sync` query handle over the published generations.
@@ -224,10 +238,7 @@ impl<F: Family> Index<F> {
     /// disconnected (Section 4: labelling upper bound + bounded
     /// bidirectional search on `G[V\R]`, run over the CSR view).
     /// Answers against the published generation, which outside
-    /// [`Index::apply_batch`] holds the owner's latest batch and whose
-    /// packed mirror the writer sealed at publication. (The working
-    /// snapshot is a recycled buffer whose mirror is dropped on every
-    /// pass; querying it would repack all `|R|·|V|` cells.)
+    /// [`Index::apply_batch`] holds the owner's latest batch.
     pub fn query(&mut self, s: Vertex, t: Vertex) -> Option<Dist> {
         let d = self.query_dist(s, t);
         (d != INF).then_some(d)
@@ -236,14 +247,14 @@ impl<F: Family> Index<F> {
     /// As [`Index::query`], returning `INF` for disconnected or
     /// out-of-range pairs.
     pub fn query_dist(&mut self, s: Vertex, t: Vertex) -> Dist {
-        self.store.snapshot().query_dist(&mut self.engine, s, t)
+        self.current.query_dist(&mut self.engine, s, t)
     }
 
     /// Batched pair queries: groups the pairs by source and reuses the
     /// per-source label plan across each group (see
     /// [`batchhl_hcl::SourcePlan`]). Order of results matches `pairs`.
     pub fn query_many(&mut self, pairs: &[(Vertex, Vertex)]) -> Vec<Option<Dist>> {
-        query_many_on(self.store.snapshot().value(), &mut self.engine, pairs)
+        query_many_on(self.current.value(), &mut self.engine, pairs)
     }
 
     /// One-source-to-many-targets distances (the batched fast path:
@@ -251,15 +262,13 @@ impl<F: Family> Index<F> {
     /// sweep by measured work). `None` marks disconnected or
     /// out-of-range endpoints.
     pub fn distances_from(&mut self, s: Vertex, targets: &[Vertex]) -> Vec<Option<Dist>> {
-        self.store
-            .snapshot()
-            .distances_from(&mut self.engine, s, targets)
+        self.current.distances_from(&mut self.engine, s, targets)
     }
 
     /// The `k` vertices closest to `s` (excluding `s`), nondecreasing
     /// by distance.
     pub fn top_k_closest(&mut self, s: Vertex, k: usize) -> Vec<(Vertex, Dist)> {
-        self.store.snapshot().top_k(&mut self.engine, s, k)
+        self.current.top_k(&mut self.engine, s, k)
     }
 
     /// Apply a batch of updates and repair the labelling(s)
@@ -274,11 +283,11 @@ impl<F: Family> Index<F> {
         };
         let mut stats = match algorithm {
             Algorithm::Bhl | Algorithm::BhlPlus => {
-                let norm = self.work.normalize(batch);
+                let norm = self.current.normalize(batch);
                 self.run_pass(norm)
             }
             Algorithm::BhlS => {
-                let (deletions, insertions) = F::split(self.work.normalize(batch));
+                let (deletions, insertions) = F::split(self.current.normalize(batch));
                 let mut s = self.run_pass(deletions);
                 s.absorb(self.run_pass(insertions));
                 s
@@ -286,7 +295,7 @@ impl<F: Family> Index<F> {
             Algorithm::Uhl | Algorithm::UhlPlus => {
                 let mut s = UpdateStats::default();
                 for &u in F::updates(batch) {
-                    let norm = self.work.normalize(&F::single(u));
+                    let norm = self.current.normalize(&F::single(u));
                     s.absorb(self.run_pass(norm));
                 }
                 s
@@ -299,92 +308,67 @@ impl<F: Family> Index<F> {
     /// Rebuild the labelling(s) from scratch (used by tests) and publish
     /// the result as a new generation.
     pub fn rebuild(&mut self) {
-        let landmarks = self.work.labellings()[0].landmarks().to_vec();
-        let graph = self.work.graph().clone();
-        self.work = F::build(graph, landmarks, self.config.threads.max(1))
+        let landmarks = self.generation().labellings()[0].landmarks().to_vec();
+        let generation = F::build(&self.graph, landmarks, self.config.threads.max(1))
             .expect("existing landmarks are valid");
-        self.store.publish(self.work.clone());
-        // Retained retired buffers predate the rebuild; replaying pass
-        // logs over them would skip the rebuild's changes.
-        self.recycler.clear();
+        self.publish(generation);
     }
 
     /// Reset the writer to the generation captured in `snap` and
     /// republish it, so readers re-pin content identical to `snap`
     /// under a fresh version number. Used by the facade to roll back a
-    /// batch whose application failed mid-way: the working snapshot may
-    /// be arbitrarily damaged (even mid-panic), but `snap` is immutable
-    /// and shares its CSR base + label buffers behind `Arc`s, so the
-    /// restore is a cheap clone. Workspaces are rebuilt from scratch —
-    /// they may hold state from the aborted pass.
+    /// batch whose application failed mid-way: the writer graph may be
+    /// arbitrarily damaged (even mid-panic), so it is rebuilt from
+    /// `snap`'s view (`O(n + m)`, on this rare path only); `snap` is
+    /// immutable and shares its CSR base and packed rows behind `Arc`s,
+    /// so republishing it is a cheap clone. Workspaces are rebuilt from
+    /// scratch — they may hold state from the aborted pass.
     pub(crate) fn restore_generation(&mut self, snap: &F) {
-        self.work = snap.clone();
-        self.work.set_compaction(self.config.compaction);
-        self.store.publish(self.work.clone());
-        self.recycler.clear();
+        self.graph = F::graph_of(snap.view());
+        self.publish(snap.clone());
         self.ws = F::Workspace::default();
         self.engine = F::Search::default();
     }
 
+    fn publish(&mut self, generation: F) {
+        self.current = self.store.publish(generation).0;
+    }
+
     /// One search+repair pass over a normalized, conflict-free batch:
-    /// mutate the working graph, repair `Γ′` against the published `Γ`,
-    /// publish, and rebuild the working buffer from a retired
-    /// generation (replay the logged pass on its graph, re-freeze the
-    /// replayed endpoints into its CSR view, and copy back only the
-    /// entries the pass repaired).
+    /// mutate the writer graph, build the next generation from the
+    /// published one and the repair deltas, and publish it.
     fn run_pass(&mut self, norm: F::Norm) -> UpdateStats {
         let mut stats = UpdateStats {
             passes: 1,
             ..Default::default()
         };
-        let old = self.store.snapshot();
-        self.recycler.prepare(old.value(), F::replay);
-        let Some(log) = self
-            .work
-            .pass(old.value(), norm, &self.config, &mut self.ws, &mut stats)
-        else {
-            return stats;
-        };
-        stats.affected_total = stats.affected_per_landmark.iter().sum();
-        let cloned = engine::publish_pass(
-            &self.store,
-            &mut self.recycler,
-            &mut self.work,
-            F::placeholder(),
-            old,
-            log,
-            F::replay,
-        );
-        stats.generation_clones = usize::from(cloned);
+        if let Some(next) = F::pass(
+            &mut self.graph,
+            self.current.value(),
+            norm,
+            &self.config,
+            &mut self.ws,
+            &mut stats,
+        ) {
+            stats.affected_total = stats.affected_per_landmark.iter().sum();
+            self.publish(next);
+        }
         stats
     }
 }
 
-/// One immutable generation of the undirected index: the graph, the
-/// labelling that describes it, and the frozen CSR view of the graph
-/// that queries and landmark searches traverse. Readers always see a
-/// whole snapshot — never a labelling paired with a graph from a
-/// different generation.
+/// One immutable generation of the undirected index: the labelling and
+/// the frozen CSR view of the graph it describes, which queries and
+/// landmark searches traverse. Readers always see a whole snapshot —
+/// never a labelling paired with a view from a different generation.
 ///
-/// `graph` is the writer's mutation substrate (and the replay source
-/// for buffer recycling); `view` is the publication format: a flat CSR
-/// base shared across generations plus the delta overlay of the
-/// batches since the last compaction (see [`batchhl_graph::csr`]).
+/// `view` is the publication format: a flat CSR base shared across
+/// generations plus the delta overlay of the batches since the last
+/// compaction (see [`batchhl_graph::csr`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IndexSnapshot {
-    pub graph: DynamicGraph,
     pub lab: Labelling,
     pub view: CsrDelta,
-}
-
-/// What one undirected pass changed.
-#[derive(Debug)]
-pub struct PassLog {
-    norm: Batch,
-    /// Distinct endpoints of `norm` — the vertices the CSR overlay
-    /// must re-freeze after replaying the batch.
-    touched: Vec<Vertex>,
-    affected: engine::AffectedLists,
 }
 
 impl Family for IndexSnapshot {
@@ -396,28 +380,29 @@ impl Family for IndexSnapshot {
     type Update = Update;
     type Batch = Batch;
     type Norm = Batch;
-    type Log = PassLog;
     type Workspace = UpdateWorkspace;
     type View = CsrDelta;
     type Search = BiBfs;
 
     fn build(
-        graph: DynamicGraph,
+        graph: &DynamicGraph,
         landmarks: Vec<Vertex>,
         threads: usize,
     ) -> Result<Self, LabelError> {
-        let view = CsrDelta::from_adjacency(&graph);
+        let view = CsrDelta::from_adjacency(graph);
         let lab = build_labelling_parallel(&view, landmarks, threads)?;
-        Ok(IndexSnapshot { graph, lab, view })
+        Ok(IndexSnapshot { lab, view })
     }
 
-    fn assemble(graph: DynamicGraph, [lab]: [Labelling; 1]) -> Self {
-        let view = CsrDelta::from_adjacency(&graph);
-        IndexSnapshot { graph, lab, view }
+    fn assemble(graph: &DynamicGraph, [lab]: [Labelling; 1]) -> Self {
+        let view = CsrDelta::from_adjacency(graph);
+        IndexSnapshot { lab, view }
     }
 
-    fn graph(&self) -> &DynamicGraph {
-        &self.graph
+    fn graph_of(view: &CsrDelta) -> DynamicGraph {
+        let n = view.num_vertices() as Vertex;
+        DynamicGraph::try_from_adjacency((0..n).map(|v| view.list(v).to_vec()).collect())
+            .expect("a published view is a valid graph")
     }
 
     fn view(&self) -> &CsrDelta {
@@ -432,12 +417,8 @@ impl Family for IndexSnapshot {
         (&self.lab, &self.lab)
     }
 
-    fn set_compaction(&mut self, policy: CompactionPolicy) {
-        self.view.set_policy(policy);
-    }
-
     fn neighbors(&self, v: Vertex) -> Vec<Vertex> {
-        self.graph.neighbors(v).to_vec()
+        self.view.list(v).to_vec()
     }
 
     fn updates(batch: &Batch) -> &[Update] {
@@ -449,7 +430,7 @@ impl Family for IndexSnapshot {
     }
 
     fn normalize(&self, batch: &Batch) -> Batch {
-        batch.normalize(&self.graph)
+        batch.normalize(&self.view)
     }
 
     fn split(norm: Batch) -> (Batch, Batch) {
@@ -457,62 +438,45 @@ impl Family for IndexSnapshot {
     }
 
     fn pass(
-        &mut self,
+        graph: &mut DynamicGraph,
         old: &Self,
         norm: Batch,
         config: &IndexConfig,
         ws: &mut UpdateWorkspace,
         stats: &mut UpdateStats,
-    ) -> Option<PassLog> {
+    ) -> Option<Self> {
         if norm.is_empty() {
             return None;
         }
-        stats.applied = self.graph.apply_batch(&norm);
+        stats.applied = graph.apply_batch(&norm);
         debug_assert_eq!(stats.applied, norm.len(), "normalized batches are valid");
         stats.insertions = norm.num_insertions();
         stats.deletions = norm.num_deletions();
 
-        let n = self.graph.num_vertices();
-        self.lab.ensure_vertices(n);
+        let n = graph.num_vertices();
         ws.grow(n);
 
         // Freeze the batch's endpoints into the CSR view (and compact
         // when the overlay crossed its threshold): everything below —
         // landmark searches, repair relaxation, owner and reader
         // queries — traverses this view, never the Vec<Vec<_>> graph.
-        let touched = norm.touched_vertices();
-        self.view.set_policy(config.compaction);
-        let graph = &self.graph;
-        self.view
-            .absorb(n, touched.iter().copied(), |v| graph.neighbors(v));
-        let affected = engine::run_landmarks(
+        let mut view = old.view.clone();
+        view.set_policy(config.compaction);
+        let graph = &*graph;
+        view.absorb(n, norm.touched_vertices(), |v| graph.neighbors(v));
+        let (lab, affected) = engine::run_landmarks(
             &BfsKernel {
                 improved: config.algorithm.improved_search(),
                 directed: false,
             },
             &engine::oracle_for(&old.lab, n),
-            &self.view,
+            &view,
             norm.updates(),
-            &mut self.lab,
             config,
             ws,
         );
-        stats.affected_per_landmark = affected.iter().map(Vec::len).collect();
-        Some(PassLog {
-            norm,
-            touched,
-            affected,
-        })
-    }
-
-    fn replay(buf: &mut Self, fresh: &Self, log: &PassLog) {
-        buf.graph.apply_batch(&log.norm);
-        let graph = &buf.graph;
-        buf.view
-            .absorb(graph.num_vertices(), log.touched.iter().copied(), |v| {
-                graph.neighbors(v)
-            });
-        engine::sync_affected(&fresh.lab, &mut buf.lab, &log.affected);
+        stats.affected_per_landmark = affected;
+        Some(IndexSnapshot { lab, view })
     }
 
     fn from_edits(edits: &[Edit]) -> Result<Box<Batch>, OracleError> {
@@ -558,12 +522,12 @@ impl Family for IndexSnapshot {
         read_graph_bin(r)
     }
 
-    fn audit(&self) -> Result<(), String> {
-        oracle::check_minimal(&self.graph, &self.lab)
+    fn audit(&self, graph: &DynamicGraph) -> Result<(), String> {
+        oracle::check_minimal(graph, &self.lab)
     }
 
-    fn truth(&self, s: Vertex) -> Vec<Dist> {
-        bfs_distances(&self.graph, s)
+    fn truth(graph: &DynamicGraph, s: Vertex) -> Vec<Dist> {
+        bfs_distances(graph, s)
     }
 }
 
@@ -586,15 +550,16 @@ impl BatchIndex {
         (Self::build(relabeled, config), remap)
     }
 
+    /// The published labelling.
     pub fn labelling(&self) -> &Labelling {
-        &self.work.lab
+        &self.generation().lab
     }
 
     /// Full semantic audit: the labelling must equal the unique minimal
     /// highway cover labelling of the current graph. `O(|R|·(|V|+|E|))`
     /// — intended for tests and offline checks, not the hot path.
     pub fn verify(&self) -> Result<(), String> {
-        self.work.audit()
+        self.generation().audit(&self.graph)
     }
 }
 
@@ -661,7 +626,7 @@ mod tests {
                 index.labelling(),
                 "published generation out of sync after round {round}"
             );
-            assert_eq!(&published.graph, index.graph());
+            assert_eq!(&IndexSnapshot::graph_of(&published.view), index.graph());
         }
     }
 
@@ -721,23 +686,19 @@ mod tests {
         let pairs: Vec<(Vertex, Vertex)> =
             (0..40u32).map(|i| (i * 5, (i * 37 + 11) % 200)).collect();
         let targets: Vec<Vertex> = (0..200u32).step_by(3).collect();
-        let mut recycled = 0;
         for round in 0..5 {
             let batch = random_batch(index.graph(), 10, &mut rng);
-            let stats = index.apply_batch(&batch);
+            index.apply_batch(&batch);
+            // The owner's labelling is the published one, not a copy.
+            let published = index.published();
+            assert!(
+                std::ptr::eq(&published.lab, index.labelling()),
+                "round {round}"
+            );
             let owner: Vec<Dist> = pairs.iter().map(|&(s, t)| index.query_dist(s, t)).collect();
             let owner_many = index.query_many(&pairs);
             let owner_from = index.distances_from(7, &targets);
             let owner_top = index.top_k_closest(7, 10);
-            if stats.generation_clones == 0 {
-                // The writer buffer came back from the recycler with
-                // its mirror dropped; an owner query must not repack it.
-                recycled += 1;
-                assert!(
-                    !index.labelling().packed_is_sealed(),
-                    "round {round}: an owner query packed the writer's buffer"
-                );
-            }
             let mut reader = index.reader();
             let read: Vec<Dist> = pairs
                 .iter()
@@ -748,7 +709,6 @@ mod tests {
             assert_eq!(owner_from, reader.distances_from(7, &targets));
             assert_eq!(owner_top, reader.top_k_closest(7, 10));
         }
-        assert!(recycled > 0, "no pass reused a retired buffer");
     }
 
     #[test]
@@ -766,7 +726,7 @@ mod tests {
         ] {
             let mut index = BatchIndex::build(g0.clone(), config(alg, 6));
             index.apply_batch(&batch);
-            labellings.push((alg, index.work.lab));
+            labellings.push((alg, index.labelling().clone()));
         }
         for w in labellings.windows(2) {
             assert_eq!(w[0].1, w[1].1, "{:?} and {:?} disagree", w[0].0, w[1].0);
@@ -785,7 +745,7 @@ mod tests {
             cfg.threads = threads;
             let mut par = BatchIndex::build(g0.clone(), cfg);
             let stats = par.apply_batch(&batch);
-            assert_eq!(seq.work.lab, par.work.lab, "threads={threads}");
+            assert_eq!(seq.labelling(), par.labelling(), "threads={threads}");
             assert_eq!(
                 &par.published().lab,
                 par.labelling(),
@@ -816,7 +776,7 @@ mod tests {
     fn empty_and_invalid_batches_are_noops() {
         let g0 = path(10);
         let mut index = BatchIndex::build(g0, config(Algorithm::BhlPlus, 2));
-        let before = index.work.lab.clone();
+        let before = index.labelling().clone();
         let stats = index.apply_batch(&Batch::new());
         assert_eq!(stats.applied, 0);
         let mut b = Batch::new();
@@ -825,7 +785,7 @@ mod tests {
         b.insert(3, 3); // self-loop
         let stats = index.apply_batch(&b);
         assert_eq!(stats.applied, 0);
-        assert_eq!(index.work.lab, before);
+        assert_eq!(index.labelling(), &before);
     }
 
     #[test]
@@ -844,14 +804,14 @@ mod tests {
         assert_eq!(index.query(0, 9), Some(5));
         assert_eq!(index.query(0, 7), None, "7 is isolated");
         oracle::check_minimal(index.graph(), index.labelling()).unwrap();
-        assert_eq!(index.published().lab, index.work.lab);
+        assert_eq!(&index.published().lab, index.labelling());
     }
 
     #[test]
     fn insert_then_delete_round_trips() {
         let g0 = barabasi_albert(100, 2, 17);
         let mut index = BatchIndex::build(g0.clone(), config(Algorithm::BhlPlus, 4));
-        let baseline = index.work.lab.clone();
+        let baseline = index.labelling().clone();
         let mut ins = Batch::new();
         ins.insert(0, 50);
         ins.insert(13, 77);
@@ -860,7 +820,8 @@ mod tests {
         index.apply_batch(&del);
         assert_eq!(index.graph(), &g0);
         assert_eq!(
-            index.work.lab, baseline,
+            index.labelling(),
+            &baseline,
             "labelling must round-trip (uniqueness)"
         );
     }
@@ -872,9 +833,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(31);
         let batch = random_batch(index.graph(), 20, &mut rng);
         index.apply_batch(&batch);
-        let incremental = index.work.lab.clone();
+        let incremental = index.labelling().clone();
         index.rebuild();
-        assert_eq!(index.work.lab, incremental);
+        assert_eq!(index.labelling(), &incremental);
     }
 
     #[test]
@@ -1026,26 +987,23 @@ mod tests {
     }
 
     #[test]
-    fn pinned_reader_forces_clone_fallback_without_corruption() {
+    fn pinned_reader_keeps_its_generation_while_the_writer_advances() {
         let g0 = erdos_renyi_gnm(60, 130, 41);
         let mut index = BatchIndex::build(g0, config(Algorithm::BhlPlus, 4));
         let mut reader = index.reader();
         let mut rng = StdRng::seed_from_u64(43);
-        // The reader never refreshes, pinning generation after
-        // generation; the writer must stay correct through the clone
-        // fallback path.
+        // The reader never refreshes, pinning generation 0 while the
+        // writer publishes past it from its own graph.
         let pinned = reader.pin();
-        let frozen_truth = oracle::all_pairs_bfs(&pinned.graph);
-        let mut clones = Vec::new();
+        let frozen_truth = oracle::all_pairs_bfs(index.graph());
         for round in 0..4 {
             let batch = random_batch(index.graph(), 10, &mut rng);
-            clones.push(index.apply_batch(&batch).generation_clones);
+            index.apply_batch(&batch);
             oracle::check_minimal(index.graph(), index.labelling())
                 .unwrap_or_else(|e| panic!("round {round}: {e}"));
         }
-        // Only the first pass finds every retired generation pinned;
-        // later passes reclaim the one they just retired.
-        assert_eq!(clones, [1, 0, 0, 0]);
+        assert_eq!(pinned.version(), 0);
+        assert!(index.version() > 0, "the writer published past the pin");
         // The pinned generation still answers its own (stale) truth.
         for s in (0..60u32).step_by(11) {
             for t in (0..60u32).step_by(7) {

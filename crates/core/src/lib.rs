@@ -38,15 +38,16 @@
 //! Serving distance queries *at scale* means queries must not contend
 //! with `apply_batch`. The crate is built around two ideas:
 //!
-//! **Generations.** Every index owns a mutable *working snapshot*
-//! (graph + labelling) and a [`batchhl_hcl::LabelStore`] of published,
-//! immutable generations. `apply_batch` plays Algorithm 1 against that
-//! split: the published generation is the read-only old labelling `Γ`,
-//! the working snapshot is repaired in place into `Γ′`, and a single
-//! atomic swap publishes it. The retired generation's buffers are
-//! recycled when no reader holds them (`Arc::try_unwrap`), with only
-//! the affected entries re-synced — `O(affected + batch)` per pass, the
-//! same asymptotics the paper's in-place variant has.
+//! **Generations.** Every index owns the one mutable copy of its graph
+//! and a [`batchhl_hcl::LabelStore`] of published, immutable
+//! generations. A generation holds exactly what readers read: the
+//! packed labelling(s) and the CSR view, both `Arc`-shared bases plus
+//! overlays. `apply_batch` plays Algorithm 1 against that split: it
+//! mutates the graph, reads the published generation as the old
+//! labelling `Γ`, builds `Γ′` from `Γ` plus the per-landmark repair
+//! deltas, and publishes it with a single atomic swap. A new generation
+//! costs `O(overlay + changed rows)`, and nothing is copied back
+//! afterwards; a retired one is freed when its last reader lets go.
 //!
 //! **Readers.** [`Index::reader`] returns a `Send + Sync`
 //! [`reader::GenReader`] ([`reader::Reader`] on the undirected family): a handle
@@ -56,8 +57,7 @@
 //! consistent stale view for as long as they need it.
 //!
 //! **One index.** [`index::Index`] is written once: construction, the
-//! variant dispatch of Algorithm 1, publication and buffer recycling,
-//! rollback, readers, the type-erased [`backend::Backend`], the
+//! variant dispatch of Algorithm 1, publication, rollback, readers, the type-erased [`backend::Backend`], the
 //! [`whatif`] session and the checkpoint frame of [`persist`]. What a
 //! family changes sits behind [`family::Family`], implemented by its
 //! generation type ([`IndexSnapshot`], [`DirectedSnapshot`],
@@ -71,12 +71,12 @@
 //! search space: BFS over an adjacency view (undirected, and both
 //! directions of the directed index through the generic `Reversed`
 //! adapter) or Dijkstra over a weighted adjacency view. A family's pass
-//! hook calls it once per labelling. Its last step seals the repaired
-//! labelling's packed query mirror (`batchhl_hcl::packed`) by patching
-//! the published generation's mirror with the rows the pass changed, so
-//! every generation is published with its mirror sealed and no reader
-//! repacks all `|R|·n` cells after a commit. The mirror's overlay
-//! compacts under the same [`index::CompactionPolicy`] as the CSR view.
+//! hook calls it once per labelling. Its last step builds the next
+//! labelling from the published one and the landmarks' repair deltas:
+//! only the packed rows (`batchhl_hcl::packed`) whose entries changed are
+//! derived again, so no reader repacks all `|R|·n` cells after a commit.
+//! The packed overlay compacts under the same [`index::CompactionPolicy`]
+//! as the CSR view.
 //!
 //! **One query path.** Section 4's query — the Eq. 3 label bound, then
 //! a bounded search on `G[V\R]` — is implemented once, in
@@ -90,8 +90,8 @@
 //! views, so a hypothetical is answered by the code that answers a
 //! committed generation.
 //!
-//! **CSR snapshot views.** Every generation carries, next to the
-//! dynamic writer graph, a frozen CSR view of it
+//! **CSR snapshot views.** Every generation carries a frozen CSR view of
+//! the writer's dynamic graph
 //! ([`batchhl_graph::csr`]): flat `offsets`/`neighbors` arrays plus the
 //! per-batch delta overlay of the vertices recent batches touched.
 //! All traversal hot paths — reader queries, the owner query path, the

@@ -15,7 +15,9 @@
 //! `d` is finite and the landmark flag is clear, otherwise the label is
 //! removed; if `v` is itself a landmark its highway entry is updated
 //! instead (landmarks never carry labels — their paths terminate in a
-//! landmark, so their flag is always set).
+//! landmark, so their flag is always set). Finalization is the pass's
+//! one write site: it appends to the landmark's [`RowDelta`], from which
+//! the engine builds `Γ′`.
 //!
 //! Implementation notes: the sweep pops from a Dial bucket queue in
 //! nondecreasing *distance* order with lazy decrease-key; same-distance
@@ -25,28 +27,30 @@
 //! and are finalized with `∞` after the queue drains.
 
 use crate::workspace::{dl_old, UpdateWorkspace};
-use batchhl_common::{Dist, LandmarkLength, Vertex, INF};
+use batchhl_common::{LandmarkLength, Vertex, INF};
 use batchhl_graph::AdjacencyView;
-use batchhl_hcl::{Labelling, NO_LABEL};
+use batchhl_hcl::{Labelling, RowDelta, NO_LABEL};
 
 /// Run Algorithm 4 for landmark `i`.
 ///
 /// * `lab` — the *old* labelling `Γ` (read-only oracle),
 /// * `g` — the updated graph `G′`,
-/// * `ws.aff` — the affected set from batch search (drained in place),
-/// * `label_row` / `highway_row` — landmark `i`'s rows of the *new*
-///   labelling `Γ′` (everything else of `Γ′` is untouched by landmark
-///   `i`, which is what makes landmark-level parallelism write-disjoint),
-/// * `lm_of` — vertex → landmark-index map (shared, read-only).
-#[allow(clippy::too_many_arguments)]
+/// * `ws.aff` — the affected set from batch search (drained in place).
+///
+/// Returns landmark `i`'s delta of the *new* labelling `Γ′`: one label
+/// entry per affected vertex and the rewritten highway entries of row
+/// `i`. Nothing else of `Γ′` depends on landmark `i`, which is what
+/// makes landmark-level parallelism write-disjoint.
 pub fn batch_repair<A: AdjacencyView>(
     lab: &Labelling,
     g: &A,
     i: usize,
-    label_row: &mut [Dist],
-    highway_row: &mut [Dist],
     ws: &mut UpdateWorkspace,
-) {
+) -> RowDelta {
+    let mut delta = RowDelta {
+        labels: Vec::with_capacity(ws.aff.inserted().len()),
+        highway: Vec::new(),
+    };
     ws.repair_queue.clear();
     ws.bounds.clear();
 
@@ -85,7 +89,7 @@ pub fn batch_repair<A: AdjacencyView>(
             continue; // stale queue entry
         }
         ws.aff.remove(v);
-        finalize(lab, i, v, bound, label_row, highway_row);
+        finalize(lab, i, v, bound, &mut delta);
         // Relax affected out-neighbours (lines 14–15).
         for &w in g.out_neighbors(v) {
             if !ws.aff.contains(w) {
@@ -111,35 +115,37 @@ pub fn batch_repair<A: AdjacencyView>(
         let v = ws.aff.inserted()[idx];
         if ws.aff.contains(v) {
             ws.aff.remove(v);
-            finalize(lab, i, v, LandmarkLength::INFINITE, label_row, highway_row);
+            finalize(lab, i, v, LandmarkLength::INFINITE, &mut delta);
         }
     }
+    delta
 }
 
-/// Write the final landmark distance of `v` into Γ′ (lines 8–13).
-/// Shared with the weighted kernel, whose finalization rule (Lemma
-/// 5.14) is identical.
+/// Record the final landmark distance of `v` in landmark `i`'s delta
+/// of Γ′ (lines 8–13). Shared with the weighted kernel, whose
+/// finalization rule (Lemma 5.14) is identical.
 #[inline]
 pub(crate) fn finalize(
     lab: &Labelling,
     i: usize,
     v: Vertex,
     dl: LandmarkLength,
-    label_row: &mut [Dist],
-    highway_row: &mut [Dist],
+    delta: &mut RowDelta,
 ) {
     if let Some(j) = lab.landmark_index(v) {
         debug_assert_ne!(j, i, "the root landmark can never be affected");
-        highway_row[j] = if dl.is_infinite() { INF } else { dl.dist() };
         debug_assert!(
             dl.is_infinite() || dl.through_landmark(),
             "paths ending at a landmark must carry the flag"
         );
-        label_row[v as usize] = NO_LABEL;
+        delta
+            .highway
+            .push((j, if dl.is_infinite() { INF } else { dl.dist() }));
+        delta.labels.push((v, NO_LABEL));
     } else if dl.is_infinite() || dl.through_landmark() {
-        label_row[v as usize] = NO_LABEL;
+        delta.labels.push((v, NO_LABEL));
     } else {
-        label_row[v as usize] = dl.dist();
+        delta.labels.push((v, dl.dist()));
     }
 }
 
@@ -160,28 +166,25 @@ mod tests {
         batch: &Batch,
         improved: bool,
     ) -> (Labelling, DynamicGraph) {
-        let lab = build_labelling(g0, landmarks).unwrap();
+        let mut lab = build_labelling(g0, landmarks).unwrap();
         let norm = batch.normalize(g0);
         let mut g1 = g0.clone();
         g1.apply_batch(&norm);
-        let mut new_lab = lab.clone();
-        new_lab.ensure_vertices(g1.num_vertices());
+        lab.ensure_vertices(g1.num_vertices());
         let mut ws = UpdateWorkspace::new(g1.num_vertices());
-        let r = lab.num_landmarks();
-        {
-            let (rows, _) = new_lab.rows_mut();
-            for (i, (label_row, highway_row)) in rows.into_iter().enumerate() {
+        let deltas: Vec<RowDelta> = (0..lab.num_landmarks())
+            .map(|i| {
                 ws.reset();
                 if improved {
                     batch_search_improved(&lab, &g1, norm.updates(), i, false, &mut ws);
                 } else {
                     batch_search(&lab, &g1, norm.updates(), i, false, &mut ws);
                 }
-                batch_repair(&lab, &g1, i, label_row, highway_row, &mut ws);
-            }
-        }
-        let _ = r;
-        (new_lab, g1)
+                batch_repair(&lab, &g1, i, &mut ws)
+            })
+            .collect();
+        let policy = batchhl_graph::CompactionPolicy::default();
+        (lab.seal_patched(&deltas, policy), g1)
     }
 
     fn assert_minimal_after(g0: &DynamicGraph, landmarks: Vec<Vertex>, batch: Batch) {

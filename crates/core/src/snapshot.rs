@@ -32,9 +32,9 @@ impl<F: Family> Index<F> {
         labels: F::Labels,
         config: IndexConfig,
     ) -> Result<Self, LabelError> {
-        let work = F::assemble(graph, labels);
-        let n = work.graph().num_vertices();
-        let labs = work.labellings();
+        let generation = F::assemble(&graph, labels);
+        let n = graph.num_vertices();
+        let labs = generation.labellings();
         for lab in &labs {
             if lab.num_vertices() != n {
                 return Err(LabelError::VertexCountMismatch {
@@ -54,7 +54,7 @@ impl<F: Family> Index<F> {
             }
         }
         drop(labs);
-        Ok(Index::new(work, config))
+        Ok(Index::new(graph, generation, config))
     }
 }
 

@@ -23,10 +23,6 @@ pub struct UpdateStats {
     /// Number of internal pipeline passes: 1 for BHL/BHL⁺, 2 for BHLₛ,
     /// one per update for UHL/UHL⁺.
     pub passes: usize,
-    /// Passes whose working buffer had to be rebuilt as a full
-    /// `O(n + m)` clone of the fresh generation because readers still
-    /// pinned every retired one (the recycler's fallback).
-    pub generation_clones: usize,
     /// Wall-clock time of the whole update (graph application, search,
     /// repair, bookkeeping).
     pub elapsed: Duration,
@@ -51,7 +47,6 @@ impl UpdateStats {
             *acc += x;
         }
         self.passes += other.passes;
-        self.generation_clones += other.generation_clones;
         self.elapsed += other.elapsed;
     }
 }
@@ -69,7 +64,6 @@ mod tests {
             affected_total: 10,
             affected_per_landmark: vec![4, 6],
             passes: 1,
-            generation_clones: 1,
             elapsed: Duration::from_millis(5),
         };
         let b = UpdateStats {
@@ -79,7 +73,6 @@ mod tests {
             affected_total: 7,
             affected_per_landmark: vec![1, 2, 4],
             passes: 1,
-            generation_clones: 0,
             elapsed: Duration::from_millis(2),
         };
         a.absorb(b);
@@ -89,7 +82,6 @@ mod tests {
         assert_eq!(a.affected_total, 17);
         assert_eq!(a.affected_per_landmark, vec![5, 8, 4]);
         assert_eq!(a.passes, 2);
-        assert_eq!(a.generation_clones, 1);
         assert_eq!(a.elapsed, Duration::from_millis(7));
     }
 }

@@ -25,8 +25,8 @@
 //! `DijkstraKernel`, and [`WeightedSnapshot`] is the weighted
 //! [`Family`]: [`WeightedBatchIndex`] is [`Index`] over it, so the
 //! per-landmark orchestration (sequential or landmark-parallel), the
-//! generation publish/recycle cycle and the readers are the exact code
-//! the unweighted indexes run. Unlike them it runs one basic pass per
+//! generation publication and the readers are the exact code the
+//! unweighted indexes run. Unlike them it runs one basic pass per
 //! batch whatever [`crate::IndexConfig::algorithm`] says.
 //!
 //! The paper reports no weighted experiments, so the harness claims
@@ -47,8 +47,8 @@ use batchhl_graph::io::{read_weighted_bin, weighted_bin_len, write_weighted_bin,
 use batchhl_graph::weighted::{
     dijkstra, BiDijkstra, Weight, WeightedAdjacencyView, WeightedGraph, WeightedUpdate,
 };
-use batchhl_graph::{CompactionPolicy, WeightedCsrDelta};
-use batchhl_hcl::{LabelError, LabelPatch, Labelling, LandmarkSelection};
+use batchhl_graph::WeightedCsrDelta;
+use batchhl_hcl::{LabelError, LabelPatch, Labelling, LandmarkSelection, RowDelta, NO_LABEL};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::io::{Read, Write};
@@ -63,21 +63,13 @@ pub struct Effect {
     w_new: Option<Weight>,
 }
 
-/// One immutable generation of the weighted index. `graph` is the
-/// writer's mutation substrate; `view` is the frozen weighted CSR
-/// (+ overlay) that queries and the Dijkstra kernel traverse.
+/// One immutable generation of the weighted index: the labelling and
+/// the frozen weighted CSR (+ overlay) that queries and the Dijkstra
+/// kernel traverse.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WeightedSnapshot {
-    pub graph: WeightedGraph,
     pub lab: Labelling,
     pub view: WeightedCsrDelta,
-}
-
-/// What one weighted pass changed.
-#[derive(Debug)]
-pub struct WeightedPassLog {
-    effects: Vec<Effect>,
-    affected: engine::AffectedLists,
 }
 
 /// Scratch state for one weighted search→repair pass.
@@ -131,14 +123,11 @@ impl<W: WeightedAdjacencyView + Sync> UpdateKernel<W> for DijkstraKernel {
         g: &W,
         updates: &[Effect],
         i: usize,
-        label_row: &mut [Dist],
-        highway_row: &mut [Dist],
         ws: &mut DijkstraWorkspace,
-    ) -> Vec<Vertex> {
+    ) -> RowDelta {
         ws.reset();
         weighted_search(old, g, updates, i, ws);
-        weighted_repair(old, g, i, label_row, highway_row, ws);
-        ws.aff.inserted().to_vec()
+        weighted_repair(old, g, i, ws)
     }
 }
 
@@ -183,15 +172,18 @@ fn weighted_search<W: WeightedAdjacencyView>(
 }
 
 /// Weighted batch repair for landmark `i` (Algorithm 4 analogue,
-/// heap-ordered by the packed landmark-length key).
+/// heap-ordered by the packed landmark-length key); returns the
+/// landmark's delta, like [`crate::repair::batch_repair`].
 fn weighted_repair<W: WeightedAdjacencyView>(
     old: &Labelling,
     g: &W,
     i: usize,
-    label_row: &mut [Dist],
-    highway_row: &mut [Dist],
     ws: &mut DijkstraWorkspace,
-) {
+) -> RowDelta {
+    let mut delta = RowDelta {
+        labels: Vec::with_capacity(ws.aff.inserted().len()),
+        highway: Vec::new(),
+    };
     ws.heap.clear();
     ws.bounds.clear();
     for idx in 0..ws.aff.inserted().len() {
@@ -221,7 +213,7 @@ fn weighted_repair<W: WeightedAdjacencyView>(
             continue; // stale
         }
         ws.aff.remove(v);
-        crate::repair::finalize(old, i, v, bound, label_row, highway_row);
+        crate::repair::finalize(old, i, v, bound, &mut delta);
         for &(w, wt) in g.weighted_neighbors(v) {
             if !ws.aff.contains(w) {
                 continue;
@@ -244,9 +236,10 @@ fn weighted_repair<W: WeightedAdjacencyView>(
         let v = ws.aff.inserted()[idx];
         if ws.aff.contains(v) {
             ws.aff.remove(v);
-            crate::repair::finalize(old, i, v, LandmarkLength::INFINITE, label_row, highway_row);
+            crate::repair::finalize(old, i, v, LandmarkLength::INFINITE, &mut delta);
         }
     }
+    delta
 }
 
 /// Batch-dynamic distance index over a positively weighted graph.
@@ -261,36 +254,49 @@ impl Family for WeightedSnapshot {
     type Update = WeightedUpdate;
     type Batch = [WeightedUpdate];
     type Norm = Vec<Effect>;
-    type Log = WeightedPassLog;
     type Workspace = DijkstraWorkspace;
     type View = WeightedCsrDelta;
     type Search = BiDijkstra;
 
     /// Construction runs one flagged Dijkstra per landmark, in turn
-    /// (`threads` only parallelises updates on this family).
+    /// (`threads` only parallelises updates on this family), into dense
+    /// scratch rows packed once at the end.
     fn build(
-        graph: WeightedGraph,
+        graph: &WeightedGraph,
         landmarks: Vec<Vertex>,
         _threads: usize,
     ) -> Result<Self, LabelError> {
-        let mut lab = Labelling::empty(graph.num_vertices(), landmarks)?;
+        let n = graph.num_vertices();
+        // An unlabelled labelling is the landmark map the Dijkstras read.
+        let marks = Labelling::empty(n, landmarks.clone())?;
+        let r = landmarks.len();
+        let mut rows = vec![vec![NO_LABEL; n].into_boxed_slice(); r];
+        let mut highway = vec![INF; r * r];
         // Construction Dijkstras run over the frozen CSR snapshot.
-        let view = WeightedCsrDelta::from_weighted(&graph);
-        for i in 0..lab.num_landmarks() {
-            flagged_dijkstra(&view, &lab, i)
-                .into_iter()
-                .for_each(|(v, ll)| write_entry(&mut lab, i, v, ll));
+        let view = WeightedCsrDelta::from_weighted(graph);
+        for (i, row) in rows.iter_mut().enumerate() {
+            highway[i * r + i] = 0;
+            for (v, ll) in flagged_dijkstra(&view, &marks, i) {
+                if let Some(j) = marks.landmark_index(v) {
+                    highway[i * r + j] = ll.dist();
+                } else if !ll.through_landmark() {
+                    row[v as usize] = ll.dist();
+                }
+            }
         }
-        Ok(WeightedSnapshot { graph, lab, view })
+        let lab = Labelling::from_parts(n, landmarks, rows, highway)?;
+        Ok(WeightedSnapshot { lab, view })
     }
 
-    fn assemble(graph: WeightedGraph, [lab]: [Labelling; 1]) -> Self {
-        let view = WeightedCsrDelta::from_weighted(&graph);
-        WeightedSnapshot { graph, lab, view }
+    fn assemble(graph: &WeightedGraph, [lab]: [Labelling; 1]) -> Self {
+        let view = WeightedCsrDelta::from_weighted(graph);
+        WeightedSnapshot { lab, view }
     }
 
-    fn graph(&self) -> &WeightedGraph {
-        &self.graph
+    fn graph_of(view: &WeightedCsrDelta) -> WeightedGraph {
+        let n = view.num_vertices() as Vertex;
+        WeightedGraph::try_from_adjacency((0..n).map(|v| view.list(v).to_vec()).collect())
+            .expect("a published view is a valid graph")
     }
 
     fn view(&self) -> &WeightedCsrDelta {
@@ -305,12 +311,8 @@ impl Family for WeightedSnapshot {
         (&self.lab, &self.lab)
     }
 
-    fn set_compaction(&mut self, policy: CompactionPolicy) {
-        self.view.set_policy(policy);
-    }
-
     fn neighbors(&self, v: Vertex) -> Vec<Vertex> {
-        self.graph.neighbors(v).iter().map(|&(w, _)| w).collect()
+        self.view.list(v).iter().map(|&(w, _)| w).collect()
     }
 
     fn updates(batch: &[WeightedUpdate]) -> &[WeightedUpdate] {
@@ -334,9 +336,11 @@ impl Family for WeightedSnapshot {
             if a == b || seen.contains_key(&(a, b)) {
                 continue;
             }
-            let in_range = (b as usize) < self.graph.num_vertices();
+            let in_range = (b as usize) < self.view.num_vertices();
             let w_old = if in_range {
-                self.graph.weight(a, b)
+                let list = self.view.list(a);
+                let k = list.binary_search_by_key(&b, |&(x, _)| x);
+                k.ok().map(|k| list[k].1)
             } else {
                 None
             };
@@ -376,46 +380,40 @@ impl Family for WeightedSnapshot {
     }
 
     fn pass(
-        &mut self,
+        graph: &mut WeightedGraph,
         old: &Self,
         effects: Vec<Effect>,
         config: &IndexConfig,
         ws: &mut DijkstraWorkspace,
         stats: &mut UpdateStats,
-    ) -> Option<WeightedPassLog> {
+    ) -> Option<Self> {
         if effects.is_empty() {
             return None;
         }
-        apply_effects(&mut self.graph, &effects, Some(&mut *stats));
+        apply_effects(graph, &effects, stats);
         stats.applied = effects.len();
 
-        let n = self.graph.num_vertices();
-        self.lab.ensure_vertices(n);
+        let n = graph.num_vertices();
         ws.grow(n);
 
         // Freeze the batch's endpoints into the weighted CSR view; the
         // Dijkstra searches below traverse it.
-        self.view.set_policy(config.compaction);
-        self.view
-            .absorb_from(&self.graph, effect_endpoints(&effects));
-        let affected = engine::run_landmarks(
+        let mut view = old.view.clone();
+        view.set_policy(config.compaction);
+        let mut touched: Vec<Vertex> = effects.iter().flat_map(|e| [e.a, e.b]).collect();
+        touched.sort_unstable();
+        touched.dedup();
+        view.absorb_from(graph, touched);
+        let (lab, affected) = engine::run_landmarks(
             &DijkstraKernel,
             &engine::oracle_for(&old.lab, n),
-            &self.view,
+            &view,
             &effects,
-            &mut self.lab,
             config,
             ws,
         );
-        stats.affected_per_landmark = affected.iter().map(Vec::len).collect();
-        Some(WeightedPassLog { effects, affected })
-    }
-
-    fn replay(buf: &mut Self, fresh: &Self, log: &WeightedPassLog) {
-        apply_effects(&mut buf.graph, &log.effects, None);
-        buf.view
-            .absorb_from(&buf.graph, effect_endpoints(&log.effects));
-        engine::sync_affected(&fresh.lab, &mut buf.lab, &log.affected);
+        stats.affected_per_landmark = affected;
+        Some(WeightedSnapshot { lab, view })
     }
 
     fn from_edits(edits: &[Edit]) -> Result<Box<[WeightedUpdate]>, OracleError> {
@@ -470,12 +468,12 @@ impl Family for WeightedSnapshot {
     /// No minimality audit on the weighted family (the highway-cover
     /// minimality characterization is defined for unweighted
     /// labellings); sampled Dijkstra truth covers the query surface.
-    fn audit(&self) -> Result<(), String> {
+    fn audit(&self, _graph: &WeightedGraph) -> Result<(), String> {
         Ok(())
     }
 
-    fn truth(&self, s: Vertex) -> Vec<Dist> {
-        dijkstra(&self.graph, s)
+    fn truth(graph: &WeightedGraph, s: Vertex) -> Vec<Dist> {
+        dijkstra(graph, s)
     }
 }
 
@@ -490,52 +488,32 @@ impl WeightedBatchIndex {
         Self::try_build(graph, config).expect("top-degree landmarks are valid")
     }
 
+    /// The published labelling.
     pub fn labelling(&self) -> &Labelling {
-        &self.work.lab
+        &self.generation().lab
     }
 }
 
-/// Distinct endpoints of a normalized effect list, sorted — the
-/// vertices the weighted CSR overlay must re-freeze.
-fn effect_endpoints(effects: &[Effect]) -> Vec<Vertex> {
-    let mut touched: Vec<Vertex> = effects.iter().flat_map(|e| [e.a, e.b]).collect();
-    touched.sort_unstable();
-    touched.dedup();
-    touched
-}
-
-/// Apply normalized effects to a graph (and optionally count them) —
-/// used both for the working graph and when replaying the batch onto a
-/// recycled generation buffer.
-fn apply_effects(
-    graph: &mut WeightedGraph,
-    effects: &[Effect],
-    mut stats: Option<&mut UpdateStats>,
-) {
+/// Apply normalized effects to the writer graph, counting them.
+fn apply_effects(graph: &mut WeightedGraph, effects: &[Effect], stats: &mut UpdateStats) {
     for e in effects {
         match (e.w_old, e.w_new) {
             (None, Some(w)) => {
                 graph.ensure_vertices(e.a.max(e.b) as usize + 1);
                 graph.insert_edge(e.a, e.b, w);
-                if let Some(s) = stats.as_deref_mut() {
-                    s.insertions += 1;
-                }
+                stats.insertions += 1;
             }
             (Some(_), None) => {
                 graph.remove_edge(e.a, e.b);
-                if let Some(s) = stats.as_deref_mut() {
-                    s.deletions += 1;
-                }
+                stats.deletions += 1;
             }
             (Some(_), Some(w)) => {
                 graph.set_weight(e.a, e.b, w);
                 // Weight changes count toward the kind they mimic.
-                if let Some(s) = stats.as_deref_mut() {
-                    if Some(w) < e.w_old {
-                        s.insertions += 1;
-                    } else {
-                        s.deletions += 1;
-                    }
+                if Some(w) < e.w_old {
+                    stats.insertions += 1;
+                } else {
+                    stats.deletions += 1;
                 }
             }
             (None, None) => unreachable!("normalization keeps valid effects only"),
@@ -574,14 +552,6 @@ fn flagged_dijkstra<W: WeightedAdjacencyView>(
         .map(|v| (v, LandmarkLength::from_key(best[v as usize])))
         .filter(|(_, ll)| !ll.is_infinite())
         .collect()
-}
-
-fn write_entry(lab: &mut Labelling, i: usize, v: Vertex, ll: LandmarkLength) {
-    if let Some(j) = lab.landmark_index(v) {
-        lab.set_highway_row(i, j, ll.dist());
-    } else if !ll.through_landmark() {
-        lab.set_label(i, v, ll.dist());
-    }
 }
 
 #[cfg(test)]

@@ -163,6 +163,12 @@ impl<T: Copy> Csr<T> {
         let v = v as usize;
         self.offsets[v + 1] - self.offsets[v]
     }
+
+    /// Resident bytes of the offset and item arrays.
+    pub fn resident_bytes(&self) -> usize {
+        self.offsets.len() * std::mem::size_of::<usize>()
+            + self.items.len() * std::mem::size_of::<T>()
+    }
 }
 
 impl CsrGraph {
@@ -286,6 +292,16 @@ impl<T: Copy> CsrOverlay<T> {
         self.touched.len()
     }
 
+    /// Resident bytes of the base (shared between the generations
+    /// published since the last compaction) plus this view's overlay.
+    pub fn resident_bytes(&self) -> usize {
+        self.base.resident_bytes()
+            + self.mask.len() * 8
+            + self.touched.len() * 4
+            + self.spans.len() * std::mem::size_of::<(usize, usize)>()
+            + self.data.len() * std::mem::size_of::<T>()
+    }
+
     /// The shared base snapshot (generations published between two
     /// compactions return clones of the same `Arc`).
     pub fn base(&self) -> &Arc<Csr<T>> {
@@ -392,8 +408,8 @@ impl<T: Copy> CsrOverlay<T> {
 
 /// Semantic equality: two views are equal when they present the same
 /// adjacency, regardless of how it is split between base and overlay
-/// (a recycled generation buffer may compact on a different schedule
-/// than the published one).
+/// (views built along different histories compact on different
+/// schedules).
 impl<T: Copy + PartialEq> PartialEq for CsrOverlay<T> {
     fn eq(&self, other: &Self) -> bool {
         self.n == other.n && (0..self.n as Vertex).all(|v| self.list(v) == other.list(v))

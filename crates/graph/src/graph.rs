@@ -108,6 +108,13 @@ impl DynamicGraph {
     }
 
     #[inline]
+    /// Resident bytes of the adjacency lists (list headers plus their
+    /// allocated capacity).
+    pub fn resident_bytes(&self) -> usize {
+        self.adj.capacity() * std::mem::size_of::<Vec<Vertex>>()
+            + self.adj.iter().map(|l| l.capacity() * 4).sum::<usize>()
+    }
+
     pub fn has_edge(&self, u: Vertex, v: Vertex) -> bool {
         let (a, b) = if self.degree(u) <= self.degree(v) {
             (u, v)

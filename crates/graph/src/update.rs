@@ -15,8 +15,7 @@
 //! graph `G′`. The batch-dynamic algorithms require normalized batches;
 //! [`crate::graph::DynamicGraph::apply_batch`] tolerates arbitrary ones.
 
-use crate::digraph::DynamicDiGraph;
-use crate::graph::DynamicGraph;
+use crate::AdjacencyView;
 use batchhl_common::{FxHashMap, Vertex};
 
 /// A single edge update.
@@ -65,6 +64,11 @@ impl Update {
             Update::Delete(a, b) => Update::Insert(a, b),
         }
     }
+}
+
+/// Whether both endpoints lie in `g`'s vertex range.
+fn in_range<A: AdjacencyView + ?Sized>(g: &A, a: Vertex, b: Vertex) -> bool {
+    (a as usize) < g.num_vertices() && (b as usize) < g.num_vertices()
 }
 
 /// A batch of edge updates.
@@ -164,27 +168,31 @@ impl Batch {
         )
     }
 
-    /// Normalize against an undirected graph (see module docs). The
-    /// result contains only *valid, conflict-free* canonical updates.
-    pub fn normalize(&self, g: &DynamicGraph) -> Batch {
+    /// Normalize against an undirected graph (see module docs) — the
+    /// dynamic graph or any view of it with sorted adjacency lists, such
+    /// as a published CSR view. The result contains only *valid,
+    /// conflict-free* canonical updates.
+    pub fn normalize<A: AdjacencyView + ?Sized>(&self, g: &A) -> Batch {
         self.normalize_with(
             |a, b| {
-                (a as usize) < g.num_vertices()
-                    && (b as usize) < g.num_vertices()
-                    && g.has_edge(a, b)
+                in_range(g, a, b) && {
+                    let (a, b) = if g.out_neighbors(a).len() <= g.out_neighbors(b).len() {
+                        (a, b)
+                    } else {
+                        (b, a)
+                    };
+                    g.out_neighbors(a).binary_search(&b).is_ok()
+                }
             },
             true,
         )
     }
 
-    /// Normalize against a directed graph: endpoints keep their order.
-    pub fn normalize_directed(&self, g: &DynamicDiGraph) -> Batch {
+    /// Normalize against a directed graph (or a view of it with sorted
+    /// adjacency lists): endpoints keep their order.
+    pub fn normalize_directed<A: AdjacencyView + ?Sized>(&self, g: &A) -> Batch {
         self.normalize_with(
-            |a, b| {
-                (a as usize) < g.num_vertices()
-                    && (b as usize) < g.num_vertices()
-                    && g.has_edge(a, b)
-            },
+            |a, b| in_range(g, a, b) && g.out_neighbors(a).binary_search(&b).is_ok(),
             false,
         )
     }
@@ -257,6 +265,7 @@ impl FromIterator<Update> for Batch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DynamicGraph;
 
     fn path3() -> DynamicGraph {
         DynamicGraph::from_edges(3, &[(0, 1), (1, 2)])

@@ -15,7 +15,7 @@
 //! `O(|R| · (|V| + |E|))` total — the paper's construction bound — and
 //! embarrassingly parallel over landmarks ([`build_labelling_parallel`]).
 
-use crate::labelling::{LabelError, Labelling, NO_LABEL};
+use crate::labelling::{index_landmarks, LabelError, Labelling, NO_LABEL};
 use batchhl_common::{Dist, Vertex, INF};
 use batchhl_graph::AdjacencyView;
 use std::collections::VecDeque;
@@ -100,6 +100,45 @@ fn flagged_bfs<A: AdjacencyView>(
     }
 }
 
+/// Dense landmark-major scratch rows for construction: one label row
+/// and one highway row per landmark, which the flagged BFSs fill
+/// (threads own disjoint rows) before they are packed once and dropped.
+struct DenseRows {
+    n: usize,
+    landmarks: Vec<Vertex>,
+    lm_index: Vec<u16>,
+    labels: Vec<Box<[Dist]>>,
+    highway: Vec<Dist>,
+}
+
+impl DenseRows {
+    fn new(n: usize, landmarks: Vec<Vertex>) -> Result<Self, LabelError> {
+        let lm_index = index_landmarks(n, &landmarks)?;
+        let r = landmarks.len();
+        Ok(DenseRows {
+            n,
+            labels: vec![vec![NO_LABEL; n].into_boxed_slice(); r],
+            highway: vec![INF; r * r],
+            landmarks,
+            lm_index,
+        })
+    }
+
+    /// `(landmark index, label row, highway row)` for every landmark.
+    fn rows_mut(&mut self) -> impl Iterator<Item = (usize, &mut [Dist], &mut [Dist])> {
+        let r = self.landmarks.len().max(1);
+        self.labels
+            .iter_mut()
+            .zip(self.highway.chunks_mut(r))
+            .enumerate()
+            .map(|(i, (label, highway))| (i, &mut label[..], highway))
+    }
+
+    fn pack(self) -> Result<Labelling, LabelError> {
+        Labelling::from_parts(self.n, self.landmarks, self.labels, self.highway)
+    }
+}
+
 /// Build the minimal highway cover labelling for `g` over `landmarks`.
 ///
 /// Fails with [`LabelError`] when the landmark set is invalid (out of
@@ -108,13 +147,10 @@ pub fn build_labelling<A: AdjacencyView>(
     g: &A,
     landmarks: Vec<Vertex>,
 ) -> Result<Labelling, LabelError> {
-    let n = g.num_vertices();
-    let mut lab = Labelling::empty(n, landmarks)?;
-    let lm_index = lm_index_copy(&lab);
-    let mut scratch = Scratch::new(n);
-    let (rows, lms) = lab.rows_mut();
-    let lms = lms.to_vec();
-    for (i, (label_row, highway_row)) in rows.into_iter().enumerate() {
+    let mut dense = DenseRows::new(g.num_vertices(), landmarks)?;
+    let (lms, lm_index) = (dense.landmarks.clone(), dense.lm_index.clone());
+    let mut scratch = Scratch::new(dense.n);
+    for (i, label_row, highway_row) in dense.rows_mut() {
         flagged_bfs(
             g,
             i,
@@ -125,7 +161,7 @@ pub fn build_labelling<A: AdjacencyView>(
             &mut scratch,
         );
     }
-    Ok(lab)
+    dense.pack()
 }
 
 /// Parallel construction: landmarks are distributed over `threads` OS
@@ -138,57 +174,29 @@ pub fn build_labelling_parallel<A: AdjacencyView + Sync>(
     threads: usize,
 ) -> Result<Labelling, LabelError> {
     let threads = threads.max(1);
-    let n = g.num_vertices();
-    let mut lab = Labelling::empty(n, landmarks)?;
-    if threads == 1 || lab.num_landmarks() <= 1 {
-        let lm_index = lm_index_copy(&lab);
-        let mut scratch = Scratch::new(n);
-        let (rows, lms) = lab.rows_mut();
-        let lms = lms.to_vec();
-        for (i, (label_row, highway_row)) in rows.into_iter().enumerate() {
-            flagged_bfs(
-                g,
-                i,
-                lms[i],
-                &lm_index,
-                label_row,
-                highway_row,
-                &mut scratch,
-            );
-        }
-        return Ok(lab);
+    if threads == 1 || landmarks.len() <= 1 {
+        return build_labelling(g, landmarks);
     }
-    let lm_index = lm_index_copy(&lab);
+    let mut dense = DenseRows::new(g.num_vertices(), landmarks)?;
+    let (n, lms, lm_index) = (dense.n, dense.landmarks.clone(), dense.lm_index.clone());
     {
-        let (rows, lms) = lab.rows_mut();
-        let lms: Vec<Vertex> = lms.to_vec();
-        let mut work: Vec<(usize, crate::labelling::RowPair<'_>)> =
-            rows.into_iter().enumerate().collect();
+        let mut work: Vec<_> = dense.rows_mut().collect();
         let per = work.len().div_ceil(threads);
         std::thread::scope(|s| {
             while !work.is_empty() {
                 let take = per.min(work.len());
                 let chunk: Vec<_> = work.drain(..take).collect();
-                let lm_index = &lm_index;
-                let lms = &lms;
+                let (lm_index, lms) = (&lm_index, &lms);
                 s.spawn(move || {
                     let mut scratch = Scratch::new(n);
-                    for (i, (label_row, highway_row)) in chunk {
+                    for (i, label_row, highway_row) in chunk {
                         flagged_bfs(g, i, lms[i], lm_index, label_row, highway_row, &mut scratch);
                     }
                 });
             }
         });
     }
-    Ok(lab)
-}
-
-fn lm_index_copy(lab: &Labelling) -> Vec<u16> {
-    let mut idx = vec![NOT_LANDMARK; lab.num_vertices()];
-    for (i, &v) in lab.landmarks().iter().enumerate() {
-        idx[v as usize] = i as u16;
-    }
-    idx
+    dense.pack()
 }
 
 #[cfg(test)]

@@ -1,38 +1,33 @@
 //! Labelling storage and the landmark-distance oracle.
 //!
-//! Layout: one dense `Box<[Dist]>` row per landmark holding either the
-//! label distance or the [`NO_LABEL`] sentinel, plus a dense
-//! `|R| × |R|` highway matrix. Landmark-major rows make (a) per-landmark
-//! repair a contiguous-row affair, and (b) the landmark-level
-//! parallelism of BHLₚ lock-free (threads own disjoint rows).
+//! A [`Labelling`] is the packed vertex-major layout of [`crate::packed`]:
+//! per vertex, its labels as ascending landmark ids with width-narrowed
+//! distances, plus the width-narrowed `|R| × |R|` highway matrix. That
+//! one representation serves every reader: the Eq. 3 scans and SIMD
+//! kernels of [`crate::kernel`], the `d^L` oracle batch search and repair
+//! read ([`Labelling::landmark_dist`]), and persistence.
 //!
-//! A `Labelling` is one *buffer*. The live system keeps two: the
-//! published generation `Γ` (immutable, shared with readers through
-//! [`crate::store::LabelStore`]) and the writer's working buffer `Γ′`
-//! that batch repair mutates row-by-row before it is published in turn.
-//! See the `batchhl-core` crate docs for the full generation/reader
-//! architecture.
+//! Labellings are immutable values that share their storage. The packed
+//! rows are an `Arc`-shared base plus an overlay, and the landmark map is
+//! `Arc`-shared, so a clone costs `O(overlay)`. A batch repair pass never
+//! writes a labelling: landmark `i`'s pass emits a sparse
+//! [`RowDelta`], and [`Labelling::seal_patched`] builds the next
+//! generation from the published one plus every landmark's delta. The
+//! deltas of distinct landmarks are write-disjoint, which is what keeps
+//! the landmark-level parallelism of BHLₚ lock-free. Construction fills
+//! dense landmark-major scratch rows (threads own disjoint rows), packs
+//! them once ([`Labelling::from_parts`]) and drops them.
 //!
-//! The *logical* labelling — the set of `(landmark, dist)` pairs at
-//! non-sentinel slots — is exactly the paper's minimal highway cover
-//! labelling; sizes are reported over logical entries.
-//!
-//! Queries read through a second, derived layout: the packed
-//! vertex-major mirror of [`crate::packed`] (landmark ids ascending,
-//! distances width-narrowed per row). Dense rows stay canonical for
-//! repair; the packed mirror is what the Eq. 3 scans and the SIMD
-//! kernels of [`crate::kernel`] operate on. The writer seals each new
-//! generation's mirror before publishing it, by patching the previous
-//! generation's mirror with the rows the repair pass changed
-//! ([`Labelling::seal_patched`]); only a labelling with no sealed
-//! predecessor (a fresh build, a load) packs all of its rows, once, on
-//! first query use via [`Labelling::packed`].
+//! The *logical* labelling — the set of `(landmark, dist)` pairs — is
+//! exactly the paper's minimal highway cover labelling; sizes are
+//! reported over logical entries.
 
-use crate::packed::{PackedHighway, PackedIndex};
+use crate::packed::{PackedHighway, PackedIndex, PackedLabels, PackedRow};
+use crate::patch::RowDelta;
 use batchhl_common::{Dist, LandmarkLength, Vertex, INF};
 use batchhl_graph::CompactionPolicy;
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::Arc;
 
 /// Sentinel stored in a label row when the vertex holds no label for
 /// that landmark (either unreachable or covered via another landmark).
@@ -40,9 +35,6 @@ pub const NO_LABEL: Dist = INF;
 
 /// Sentinel in the vertex → landmark-index map.
 const NOT_LANDMARK: u16 = u16::MAX;
-
-/// One landmark's mutable label row paired with its highway row.
-pub type RowPair<'a> = (&'a mut [Dist], &'a mut [Dist]);
 
 /// Why a labelling could not be constructed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,9 +97,9 @@ impl fmt::Display for LabelError {
 impl std::error::Error for LabelError {}
 
 /// Validate a landmark list against `n` and build the inverse
-/// vertex → landmark-index map (shared by [`Labelling::empty`] and
-/// [`Labelling::from_parts`]).
-fn index_landmarks(n: usize, landmarks: &[Vertex]) -> Result<Vec<u16>, LabelError> {
+/// vertex → landmark-index map (shared by the constructors and by
+/// construction's scratch rows).
+pub(crate) fn index_landmarks(n: usize, landmarks: &[Vertex]) -> Result<Vec<u16>, LabelError> {
     let r = landmarks.len();
     if r >= NOT_LANDMARK as usize {
         return Err(LabelError::TooManyLandmarks {
@@ -176,7 +168,7 @@ pub trait LabelView {
     }
 
     /// Escape hook to the packed/SIMD kernels: the base labelling when
-    /// its packed mirror answers for `v` exactly as this view does,
+    /// its packed rows answer for `v` exactly as this view does,
     /// `None` when the caller must take the exact loop over this view.
     fn packed_base(&self, v: Vertex) -> Option<&Labelling>;
 }
@@ -218,74 +210,86 @@ impl LabelView for Labelling {
     }
 }
 
-/// A highway cover labelling `Γ = (H, L)`.
-///
-/// The dense landmark-major rows are the canonical, mutable substrate
-/// (batch repair owns disjoint rows). The `packed` field is the
-/// vertex-major query mirror ([`PackedIndex`]). Every `&mut` accessor
-/// that can change content drops it (growth only extends it); the
-/// repair pass then reseals it from the previous generation's mirror
-/// in `O(changed rows)` ([`Labelling::seal_patched`]), so a published
-/// generation normally arrives sealed. A labelling without a sealed
-/// predecessor packs itself on first query use. Equality ignores the
-/// mirror.
+/// A highway cover labelling `Γ = (H, L)`, stored packed (see the
+/// module docs). Equality is logical: two labellings are equal when they
+/// have the same landmarks, vertex range, rows and highway, however each
+/// splits its rows between base and overlay.
 #[derive(Debug, Clone)]
 pub struct Labelling {
     /// Landmarks in selection order; `landmarks[i]` is the vertex id of
     /// landmark `i`.
-    landmarks: Vec<Vertex>,
-    /// Inverse map: `lm_index[v] == i` iff `landmarks[i] == v`.
-    lm_index: Vec<u16>,
-    /// `labels[i][v]`: the `r_i`-label of `v`, or [`NO_LABEL`].
-    labels: Vec<Box<[Dist]>>,
-    /// Row-major `|R| × |R|` matrix of exact landmark distances.
-    highway: Vec<Dist>,
-    /// Lazily sealed packed query mirror (see [`crate::packed`]).
-    packed: OnceLock<PackedIndex>,
+    landmarks: Arc<[Vertex]>,
+    /// Inverse map over the vertices the labelling was built with:
+    /// `lm_index[v] == i` iff `landmarks[i] == v`. Vertices added later
+    /// are never landmarks, so growth leaves it as it is.
+    lm_index: Arc<[u16]>,
+    packed: PackedIndex,
 }
 
 impl PartialEq for Labelling {
     fn eq(&self, other: &Self) -> bool {
-        // The packed cache is derived state: two labellings are equal
-        // iff their logical content is, whether or not either has been
-        // queried yet.
-        self.landmarks == other.landmarks
-            && self.lm_index == other.lm_index
-            && self.labels == other.labels
-            && self.highway == other.highway
+        // `lm_index` is derived from the landmarks; its length records
+        // only the range the labelling was built over.
+        self.landmarks == other.landmarks && self.packed == other.packed
     }
 }
 
 impl Eq for Labelling {}
 
+/// A row-major `r × r` highway with a zero diagonal and `INF` elsewhere.
+fn unlinked_highway(r: usize) -> Vec<Dist> {
+    let mut highway = vec![INF; r * r];
+    for i in 0..r {
+        highway[i * r + i] = 0;
+    }
+    highway
+}
+
+/// Merge `old`'s entries with the `(landmark, label)` deltas of one
+/// vertex (ascending, [`NO_LABEL`] removing an entry) into `ids`/`dists`.
+fn merge_row(old: PackedRow<'_>, delta: &[(u16, Dist)], ids: &mut Vec<u16>, dists: &mut Vec<Dist>) {
+    let (mut a, mut b) = (0, 0);
+    while a < old.len() || b < delta.len() {
+        let from_old = old.ids.get(a).copied().unwrap_or(u16::MAX);
+        let from_delta = delta.get(b).map_or(u16::MAX, |&(i, _)| i);
+        if from_old < from_delta {
+            ids.push(from_old);
+            dists.push(old.dists.get(a));
+            a += 1;
+        } else {
+            if delta[b].1 != NO_LABEL {
+                ids.push(from_delta);
+                dists.push(delta[b].1);
+            }
+            a += usize::from(from_old == from_delta);
+            b += 1;
+        }
+    }
+}
+
 impl Labelling {
     /// An empty labelling (no labels, infinite highway) over `n`
-    /// vertices with the given landmarks. Construction fills it in.
+    /// vertices with the given landmarks.
     ///
     /// Fails if there are more landmarks than the `u16` index can
     /// address, a landmark id is `>= n`, or a landmark repeats.
     pub fn empty(n: usize, landmarks: Vec<Vertex>) -> Result<Self, LabelError> {
-        let r = landmarks.len();
         let lm_index = index_landmarks(n, &landmarks)?;
-        let mut highway = vec![INF; r * r];
-        for i in 0..r {
-            highway[i * r + i] = 0;
-        }
+        let r = landmarks.len();
         Ok(Labelling {
-            landmarks,
-            lm_index,
-            labels: (0..r)
-                .map(|_| vec![NO_LABEL; n].into_boxed_slice())
-                .collect(),
-            highway,
-            packed: OnceLock::new(),
+            packed: PackedIndex {
+                labels: PackedLabels::empty(r, n),
+                highway: PackedHighway::from_dense(r, &unlinked_highway(r)),
+            },
+            landmarks: landmarks.into(),
+            lm_index: lm_index.into(),
         })
     }
 
-    /// Assemble a labelling from externally loaded parts (e.g. the
-    /// persistence layer): dense label rows (one per landmark, each of
-    /// length `n`, [`NO_LABEL`] marking absent entries) and a row-major
-    /// `r × r` highway matrix.
+    /// Assemble a labelling from dense landmark-major parts — one label
+    /// row per landmark, each of length `n`, [`NO_LABEL`] marking absent
+    /// entries, and a row-major `r × r` highway matrix — packing them
+    /// once. Construction and the legacy `BHL1` loader build this way.
     ///
     /// Validates the landmark set exactly like [`Labelling::empty`],
     /// checks every dimension against `n`/`r`, and requires a zero
@@ -297,10 +301,6 @@ impl Labelling {
         rows: Vec<Box<[Dist]>>,
         highway: Vec<Dist>,
     ) -> Result<Self, LabelError> {
-        // Validate landmarks and assemble directly from the supplied
-        // buffers — no throwaway r×n allocation on the load path, where
-        // a restarted serving process is most memory-constrained.
-        let lm_index = index_landmarks(n, &landmarks)?;
         let r = landmarks.len();
         if rows.len() != r {
             return Err(LabelError::ShapeMismatch {
@@ -309,15 +309,26 @@ impl Labelling {
                 found: rows.len(),
             });
         }
-        for row in &rows {
-            if row.len() != n {
-                return Err(LabelError::ShapeMismatch {
-                    what: "label row length",
-                    expected: n,
-                    found: row.len(),
-                });
-            }
+        if let Some(row) = rows.iter().find(|row| row.len() != n) {
+            return Err(LabelError::ShapeMismatch {
+                what: "label row length",
+                expected: n,
+                found: row.len(),
+            });
         }
+        Labelling::from_packed(landmarks, PackedLabels::from_dense(n, &rows), &highway)
+    }
+
+    /// Assemble a labelling from already packed rows and a row-major
+    /// highway matrix (the `BHL3` loader), validating like
+    /// [`Labelling::from_parts`].
+    pub(crate) fn from_packed(
+        landmarks: Vec<Vertex>,
+        labels: PackedLabels,
+        highway: &[Dist],
+    ) -> Result<Self, LabelError> {
+        let lm_index = index_landmarks(labels.num_vertices(), &landmarks)?;
+        let r = landmarks.len();
         if highway.len() != r * r {
             return Err(LabelError::ShapeMismatch {
                 what: "highway matrix",
@@ -325,23 +336,22 @@ impl Labelling {
                 found: highway.len(),
             });
         }
-        for i in 0..r {
-            if highway[i * r + i] != 0 {
-                return Err(LabelError::CorruptHighwayDiagonal { index: i });
-            }
+        if let Some(i) = (0..r).find(|&i| highway[i * r + i] != 0) {
+            return Err(LabelError::CorruptHighwayDiagonal { index: i });
         }
         Ok(Labelling {
-            landmarks,
-            lm_index,
-            labels: rows,
-            highway,
-            packed: OnceLock::new(),
+            packed: PackedIndex {
+                labels,
+                highway: PackedHighway::from_dense(r, highway),
+            },
+            landmarks: landmarks.into(),
+            lm_index: lm_index.into(),
         })
     }
 
     #[inline]
     pub fn num_vertices(&self) -> usize {
-        self.lm_index.len()
+        self.packed.labels.num_vertices()
     }
 
     #[inline]
@@ -362,72 +372,67 @@ impl Labelling {
     /// Landmark index of `v`, if it is one.
     #[inline]
     pub fn landmark_index(&self, v: Vertex) -> Option<usize> {
-        let i = self.lm_index[v as usize];
-        (i != NOT_LANDMARK).then_some(i as usize)
+        match self.lm_index.get(v as usize) {
+            Some(&i) if i != NOT_LANDMARK => Some(i as usize),
+            _ => None,
+        }
     }
 
     #[inline]
     pub fn is_landmark(&self, v: Vertex) -> bool {
-        self.lm_index[v as usize] != NOT_LANDMARK
+        self.landmark_index(v).is_some()
     }
 
     /// The `r_i`-label of `v` ([`NO_LABEL`] if absent).
     #[inline]
     pub fn label(&self, i: usize, v: Vertex) -> Dist {
-        self.labels[i][v as usize]
-    }
-
-    #[inline]
-    pub fn set_label(&mut self, i: usize, v: Vertex, d: Dist) {
-        self.packed.take();
-        self.labels[i][v as usize] = d;
-    }
-
-    #[inline]
-    pub fn remove_label(&mut self, i: usize, v: Vertex) {
-        self.packed.take();
-        self.labels[i][v as usize] = NO_LABEL;
-    }
-
-    /// Full label row for landmark `i` (used by batch repair).
-    #[inline]
-    pub fn label_row(&self, i: usize) -> &[Dist] {
-        &self.labels[i]
-    }
-
-    #[inline]
-    pub fn label_row_mut(&mut self, i: usize) -> &mut [Dist] {
-        self.packed.take();
-        &mut self.labels[i]
+        let row = self.packed.labels.row(v);
+        row.position(i).map_or(NO_LABEL, |k| row.dists.get(k))
     }
 
     /// Highway distance `δ_H(r_i, r_j)`.
     #[inline]
     pub fn highway(&self, i: usize, j: usize) -> Dist {
-        self.highway[i * self.landmarks.len() + j]
+        self.packed.highway.get(i, j)
     }
 
-    /// Write one directed highway entry `δ_H(r_i, r_j) ← d`.
-    ///
-    /// Deliberately *not* mirrored: on undirected graphs the repair pass
-    /// for landmark `j` writes the `(j, i)` entry itself (the two are
-    /// affected symmetrically), which keeps landmark-level parallelism
-    /// write-disjoint. Use [`Labelling::set_highway_sym`] elsewhere.
-    #[inline]
+    /// Set one label entry ([`NO_LABEL`] removes it): a convenience for
+    /// hand-built labellings (tests, tools) that patches one packed row.
+    /// Batch repair goes through [`Labelling::seal_patched`] with every
+    /// landmark's delta at once.
+    pub fn set_label(&mut self, i: usize, v: Vertex, d: Dist) {
+        self.edit(
+            i,
+            RowDelta {
+                labels: vec![(v, d)],
+                highway: Vec::new(),
+            },
+        );
+    }
+
+    /// Write one directed highway entry `δ_H(r_i, r_j) ← d` (see
+    /// [`Labelling::set_label`]; [`Labelling::set_highway_sym`] writes
+    /// both directions).
     pub fn set_highway_row(&mut self, i: usize, j: usize, d: Dist) {
-        self.packed.take();
-        let r = self.landmarks.len();
-        self.highway[i * r + j] = d;
+        self.edit(
+            i,
+            RowDelta {
+                labels: Vec::new(),
+                highway: vec![(j, d)],
+            },
+        );
     }
 
-    /// Write a symmetric highway entry (construction on undirected
-    /// graphs).
-    #[inline]
+    /// Write a symmetric highway entry.
     pub fn set_highway_sym(&mut self, i: usize, j: usize, d: Dist) {
-        self.packed.take();
-        let r = self.landmarks.len();
-        self.highway[i * r + j] = d;
-        self.highway[j * r + i] = d;
+        self.set_highway_row(i, j, d);
+        self.set_highway_row(j, i, d);
+    }
+
+    fn edit(&mut self, i: usize, delta: RowDelta) {
+        let mut deltas = vec![RowDelta::default(); self.num_landmarks()];
+        deltas[i] = delta;
+        *self = self.seal_patched(&deltas, CompactionPolicy::default());
     }
 
     /// Exact `d_G(r_i, v)` recovered from the labelling (Eq. 2):
@@ -439,7 +444,7 @@ impl Labelling {
     /// The landmark-distance oracle `d^L_G(r_i, v)` (Definition 5.13):
     /// exact distance plus the flag recording whether *some* shortest
     /// `r_i`–`v` path passes through another landmark. Derived purely
-    /// from the labelling:
+    /// from the labelling, in one scan of `v`'s packed row:
     ///
     /// * `v = r_i` → `(0, false)`;
     /// * `v` another landmark → `(δ_H(r_i, v), true)` (the path
@@ -456,22 +461,17 @@ impl Labelling {
                 LandmarkLength::new(self.highway(i, j), true)
             };
         }
-        let lab = self.labels[i][v as usize];
-        if lab != NO_LABEL {
-            return LandmarkLength::new(lab, false);
+        let row = self.packed.labels.row(v);
+        if let Some(k) = row.position(i) {
+            return LandmarkLength::new(row.dists.get(k), false);
         }
+        let highway = self.packed.highway.row(i);
         let mut best = INF as u64;
-        let r = self.landmarks.len();
-        for k in 0..r {
-            let lk = self.labels[k][v as usize];
-            if lk == NO_LABEL {
-                continue;
+        for (k, &id) in row.ids.iter().enumerate() {
+            let h = highway.get_exact(id as usize);
+            if h != INF {
+                best = best.min(row.dists.get(k) as u64 + h as u64);
             }
-            let h = self.highway[i * r + k];
-            if h == INF {
-                continue;
-            }
-            best = best.min(lk as u64 + h as u64);
         }
         if best >= INF as u64 {
             LandmarkLength::INFINITE
@@ -482,119 +482,140 @@ impl Labelling {
 
     /// The upper bound `d⊤(s, t)` of Eq. 3: the length of the best
     /// `s → r_i → r_j → t` route through the highway, `INF` if none.
-    /// Served from the packed query mirror — `O(|L(s)|·|L(t)|)` over
-    /// logical entries instead of `O(|R|²)` over dense rows.
+    /// `O(|L(s)|·|L(t)|)` over logical entries.
     pub fn upper_bound(&self, s: Vertex, t: Vertex) -> Dist {
         crate::query::upper_bound_pair(self, self, self, s, t)
     }
 
-    /// Reference Eq. 3 evaluation over the dense rows, bypassing the
-    /// packed mirror. Kept for the equivalence test suites; prefer
-    /// [`Labelling::upper_bound`].
-    #[doc(hidden)]
-    pub fn upper_bound_dense(&self, s: Vertex, t: Vertex) -> Dist {
-        let r = self.landmarks.len();
-        let mut best = u64::from(INF);
-        for i in 0..r {
-            let ls = self.labels[i][s as usize];
-            if ls == NO_LABEL {
-                continue;
-            }
-            let row = &self.highway[i * r..(i + 1) * r];
-            for (j, &h) in row.iter().enumerate() {
-                if h == INF {
-                    continue;
-                }
-                let lt = self.labels[j][t as usize];
-                if lt == NO_LABEL {
-                    continue;
-                }
-                best = best.min(ls as u64 + h as u64 + lt as u64);
-            }
-        }
-        best.min(u64::from(INF)) as Dist
-    }
-
-    /// The packed vertex-major query mirror (see [`crate::packed`]),
-    /// packed from every row on first use when nothing sealed it
-    /// earlier. Any later mutation invalidates it.
+    /// The packed rows and highway (see [`crate::packed`]).
     #[inline]
     pub fn packed(&self) -> &PackedIndex {
-        self.packed.get_or_init(|| PackedIndex::build(self))
+        &self.packed
     }
 
-    /// Seal this labelling's mirror after a repair pass that rewrote
-    /// only the `affected[i]` entries of each row `i` (and any highway
-    /// entries) of a labelling equal to `old`: `old`'s mirror, with the
-    /// rows whose entries actually changed re-derived and the highway
-    /// re-narrowed. `O(Σ|A_i| + changed rows·|R| + |R|²)` plus the
-    /// overlay index merge, or `O(n + entries)` when the overlay
-    /// crosses `policy` and is compacted (see [`crate::packed`]).
-    /// Leaves the mirror lazy when `old`'s is not sealed — a commit
-    /// never packs every row.
-    pub fn seal_patched(
-        &mut self,
-        old: &Labelling,
-        affected: &[Vec<Vertex>],
-        policy: CompactionPolicy,
-    ) {
-        let Some(prev) = old.packed.get() else {
-            return;
-        };
-        // Mark the changed rows in a bitmap: it hands them back
-        // ascending and distinct without sorting Σ|A_i| cells.
-        let mut mark = vec![0u64; self.num_vertices().div_ceil(64)];
-        for (aff, (was, now)) in affected.iter().zip(old.labels.iter().zip(&self.labels)) {
-            for &v in aff {
-                if was.get(v as usize).copied().unwrap_or(NO_LABEL) != now[v as usize] {
-                    mark[(v >> 6) as usize] |= 1u64 << (v & 63);
+    /// The next generation: this labelling with landmark `i`'s repair
+    /// delta `deltas[i]` applied for every `i`. The cells are grouped per
+    /// row by a counting sort over a bitmap of the touched rows, without
+    /// sorting the `Σ|A_i|` cells; each touched row is merged once with
+    /// its cells, and only rows whose entries actually change are
+    /// re-packed. The highway is re-narrowed when a delta rewrote it.
+    /// `O(Σ|A_i| + touched rows·|R| + |R|²)` plus the overlay index
+    /// merge, or `O(n + entries)` when the overlay crosses `policy` and
+    /// is compacted (see [`crate::packed`]). `self` must cover every
+    /// vertex the deltas name ([`Labelling::ensure_vertices`]).
+    pub fn seal_patched(&self, deltas: &[RowDelta], policy: CompactionPolicy) -> Labelling {
+        let (n, r) = (self.num_vertices(), self.num_landmarks());
+        let highway = if deltas.iter().all(|d| d.highway.is_empty()) {
+            self.packed.highway.clone()
+        } else {
+            let mut dense = self.packed.highway.to_dense();
+            for (i, delta) in deltas.iter().enumerate() {
+                for &(j, h) in &delta.highway {
+                    dense[i * r + j] = h;
                 }
             }
+            PackedHighway::from_dense(r, &dense)
+        };
+        // The rows the deltas touch, marked in a bitmap: it hands them
+        // back ascending and distinct, and ranks each one in O(1).
+        let mut mark = vec![0u64; n.div_ceil(64)];
+        for delta in deltas {
+            for &(v, _) in &delta.labels {
+                mark[(v >> 6) as usize] |= 1u64 << (v & 63);
+            }
         }
-        let mut changed: Vec<Vertex> = Vec::new();
+        let mut rank = Vec::with_capacity(mark.len());
+        let mut touched: Vec<Vertex> = Vec::new();
         for (w, &bits) in mark.iter().enumerate() {
+            rank.push(touched.len());
             let mut bits = bits;
             while bits != 0 {
-                changed.push((w * 64) as Vertex + bits.trailing_zeros());
+                touched.push((w * 64) as Vertex + bits.trailing_zeros());
                 bits &= bits - 1;
             }
         }
-        let packed = PackedIndex {
-            labels: prev.labels.patched(self, &changed, policy),
-            highway: PackedHighway::build(self),
+        let rank_of = |v: Vertex| {
+            let w = (v >> 6) as usize;
+            rank[w] + (mark[w] & ((1u64 << (v & 63)) - 1)).count_ones() as usize
         };
-        self.packed = OnceLock::from(packed);
+        // Counting sort of the cells by row; each row's cells stay in
+        // landmark order, i.e. ascending by id.
+        let mut start = vec![0usize; touched.len() + 1];
+        for delta in deltas {
+            for &(v, _) in &delta.labels {
+                start[rank_of(v) + 1] += 1;
+            }
+        }
+        for k in 0..touched.len() {
+            start[k + 1] += start[k];
+        }
+        let mut next = start.clone();
+        let mut grouped = vec![(0u16, 0 as Dist); start[touched.len()]];
+        for (i, delta) in deltas.iter().enumerate() {
+            for &(v, d) in &delta.labels {
+                let k = rank_of(v);
+                grouped[next[k]] = (i as u16, d);
+                next[k] += 1;
+            }
+        }
+        // Merge each touched row with its cells, keeping the rows that
+        // actually change (repair restates many entries unchanged).
+        let old = &self.packed.labels;
+        let (mut changed, mut spans) = (Vec::new(), Vec::new());
+        let (mut ids, mut dists) = (Vec::new(), Vec::new());
+        for (k, &v) in touched.iter().enumerate() {
+            let row = old.row(v);
+            let lo = ids.len();
+            merge_row(row, &grouped[start[k]..start[k + 1]], &mut ids, &mut dists);
+            let same =
+                ids[lo..] == *row.ids && (0..row.len()).all(|e| dists[lo + e] == row.dists.get(e));
+            if same {
+                ids.truncate(lo);
+                dists.truncate(lo);
+            } else {
+                changed.push(v);
+                spans.push((lo, ids.len()));
+            }
+        }
+        let labels = old.patched(n, &changed, policy, |k, _, row_ids, row_dists| {
+            let (lo, hi) = spans[k];
+            row_ids.extend_from_slice(&ids[lo..hi]);
+            row_dists.extend_from_slice(&dists[lo..hi]);
+        });
+        Labelling {
+            landmarks: Arc::clone(&self.landmarks),
+            lm_index: Arc::clone(&self.lm_index),
+            packed: PackedIndex { labels, highway },
+        }
     }
 
-    /// Whether the packed mirror is currently sealed (diagnostics —
-    /// memory reports want to know what is resident).
+    /// Always `true`: the packed rows are the labelling, so there is no
+    /// mirror left to seal. Kept for callers that report what is
+    /// resident.
     pub fn packed_is_sealed(&self) -> bool {
-        self.packed.get().is_some()
+        true
     }
 
-    /// Resident bytes of the dense landmark-major representation
-    /// (label rows + highway + landmark maps).
+    /// Resident bytes of a dense landmark-major copy of the labels:
+    /// always 0, since a labelling no longer keeps one (construction's
+    /// dense scratch rows are dropped once packed). Kept for callers
+    /// that report what is resident.
     pub fn dense_resident_bytes(&self) -> usize {
-        self.labels.len() * self.num_vertices() * 4
-            + self.highway.len() * 4
-            + self.lm_index.len() * 2
-            + self.landmarks.len() * 4
+        0
     }
 
     /// Logical label entries of one vertex, `(landmark index, dist)`.
     pub fn label_entries(&self, v: Vertex) -> impl Iterator<Item = (usize, Dist)> + '_ {
-        self.labels.iter().enumerate().filter_map(move |(i, row)| {
-            let d = row[v as usize];
-            (d != NO_LABEL).then_some((i, d))
+        let row = self.packed.labels.row(v);
+        (0..row.len()).map(move |k| {
+            let (i, d) = row.entry(k);
+            (i as usize, d)
         })
     }
 
     /// Total number of logical label entries, `Σ_v |L(v)|`.
     pub fn size_entries(&self) -> usize {
-        self.labels
-            .iter()
-            .map(|row| row.iter().filter(|&&d| d != NO_LABEL).count())
-            .sum()
+        self.packed.labels.num_entries()
     }
 
     /// Average label size per vertex.
@@ -613,48 +634,9 @@ impl Labelling {
         self.size_entries() * (2 + 4) + self.landmarks.len() * self.landmarks.len() * 4
     }
 
-    /// Grow the vertex set (new vertices carry no labels; a sealed
-    /// mirror stays sealed).
+    /// Grow the vertex set (new vertices carry no labels).
     pub fn ensure_vertices(&mut self, n: usize) {
-        if n <= self.num_vertices() {
-            return;
-        }
-        // New vertices hold no labels: the mirror stays exact by growing.
-        if let Some(p) = self.packed.get_mut() {
-            p.labels.ensure_vertices(n);
-        }
-        self.lm_index.resize(n, NOT_LANDMARK);
-        for row in &mut self.labels {
-            let mut v = std::mem::take(row).into_vec();
-            v.resize(n, NO_LABEL);
-            *row = v.into_boxed_slice();
-        }
-    }
-
-    /// Mutable access to one landmark's label row and highway row (the
-    /// only parts of `Γ′` that landmark `i`'s repair writes).
-    pub fn row_mut(&mut self, i: usize) -> (&mut [Dist], &mut [Dist]) {
-        self.packed.take();
-        let r = self.landmarks.len();
-        (&mut self.labels[i], &mut self.highway[i * r..(i + 1) * r])
-    }
-
-    /// Disjoint mutable views of every label row together with the
-    /// matching highway row, for landmark-parallel repair.
-    pub fn rows_mut(&mut self) -> (Vec<RowPair<'_>>, &[Vertex]) {
-        self.packed.take();
-        let r = self.landmarks.len();
-        let mut out = Vec::with_capacity(r);
-        let mut labels: &mut [Box<[Dist]>] = &mut self.labels;
-        let mut highway: &mut [Dist] = &mut self.highway;
-        for _ in 0..r {
-            let (lrow, lrest) = labels.split_first_mut().unwrap();
-            let (hrow, hrest) = highway.split_at_mut(r);
-            labels = lrest;
-            highway = hrest;
-            out.push((&mut lrow[..], hrow));
-        }
-        (out, &self.landmarks)
+        self.packed.labels.ensure_vertices(n);
     }
 }
 
@@ -767,83 +749,61 @@ mod tests {
     }
 
     #[test]
-    fn packed_cache_seals_lazily_and_invalidates_on_mutation() {
-        let mut l = sample();
-        assert!(!l.packed_is_sealed());
-        assert_eq!(l.upper_bound(1, 4), 4);
-        assert!(l.packed_is_sealed());
-        // Mutation drops the mirror; the next query resews it and sees
-        // the new label (route 1 → r0 → 4 = 1 + 0 + 2).
-        l.set_label(0, 4, 2);
-        assert!(!l.packed_is_sealed());
-        assert_eq!(l.upper_bound(1, 4), 3);
-        assert_eq!(l.upper_bound(1, 4), l.upper_bound_dense(1, 4));
-        // Every mutator family invalidates.
-        l.upper_bound(1, 4);
-        l.row_mut(0);
-        assert!(!l.packed_is_sealed());
-        l.upper_bound(1, 4);
-        l.rows_mut();
-        assert!(!l.packed_is_sealed());
-        l.upper_bound(1, 4);
-        l.set_highway_sym(0, 1, 3);
-        assert!(!l.packed_is_sealed());
-        // Growth adds label-free vertices: the mirror grows with them.
-        l.upper_bound(1, 4);
-        l.ensure_vertices(9);
-        assert!(l.packed_is_sealed());
-        assert_eq!(l.packed(), &PackedIndex::build(&l));
-        assert_eq!(l.upper_bound(1, 8), INF);
-    }
-
-    #[test]
     fn seal_patched_follows_the_changed_rows() {
-        let old = sample();
-        let mut new = old.clone();
-        new.ensure_vertices(8);
-        new.set_label(0, 4, 2); // a real change
-        new.set_label(1, 2, 1); // rewritten to the same value
-        new.set_label(1, 7, 3); // a grown vertex gains a label
-        new.set_highway_sym(0, 1, 3);
-        let affected = [vec![4], vec![2, 7]];
-        // An unsealed predecessor leaves the mirror lazy.
-        new.seal_patched(&old, &affected, CompactionPolicy::default());
-        assert!(!new.packed_is_sealed());
-        let mut grown = old.clone();
-        grown.ensure_vertices(8);
-        grown.packed();
-        new.seal_patched(&grown, &affected, CompactionPolicy::default());
-        assert!(new.packed_is_sealed());
+        let mut old = sample();
+        old.ensure_vertices(8);
+        let deltas = [
+            RowDelta {
+                // A real change, and a removal.
+                labels: vec![(4, 2), (1, NO_LABEL)],
+                highway: vec![(1, 3)],
+            },
+            RowDelta {
+                // Rewritten to the same value; a grown vertex gains a label.
+                labels: vec![(2, 1), (7, 3)],
+                highway: Vec::new(),
+            },
+        ];
+        let keep = CompactionPolicy::new(1.0e6, usize::MAX);
+        let new = old.seal_patched(&deltas, keep);
+        assert_eq!(new.label(0, 4), 2);
+        assert_eq!(new.label(0, 1), NO_LABEL);
+        assert_eq!(new.label(1, 2), 1);
+        assert_eq!(new.label(1, 7), 3);
+        assert_eq!(new.label(1, 4), 1, "untouched entry kept");
+        assert_eq!((new.highway(0, 1), new.highway(1, 0)), (3, 2));
+        assert_eq!(new.size_entries(), old.size_entries() + 1);
+        // Only the rows whose entries differ (1, 4 and 7) were re-packed:
+        // 0, 2 and 1 entries.
+        let grew = new.packed().labels.overlay_entries() - old.packed().labels.overlay_entries();
+        assert_eq!(grew, 3);
         assert_eq!(new.packed(), &PackedIndex::build(&new));
-        // Only the rows whose entries differ (4 and 7) were re-packed.
-        assert_eq!(new.packed().labels.overlay_entries(), 2 + 1);
+        // The predecessor is untouched (it is what readers still hold).
+        assert_eq!(old.label(0, 4), NO_LABEL);
+        assert_eq!(old.label(0, 1), 1);
     }
 
     #[test]
     fn equality_ignores_the_packed_cache() {
+        // The same logical labelling held as base + overlay and as one
+        // compacted base compares equal.
         let a = sample();
-        let b = a.clone();
-        a.packed(); // seal one side only
+        let b = Labelling::from_parts(
+            6,
+            vec![0, 3],
+            (0..2)
+                .map(|i| (0..6).map(|v| a.label(i, v)).collect())
+                .collect(),
+            vec![0, 2, 2, 0],
+        )
+        .unwrap();
+        assert!(a.packed().labels.overlay_entries() > 0);
+        assert_eq!(b.packed().labels.overlay_entries(), 0);
         assert_eq!(a, b);
         assert!(a.packed_is_sealed());
-        assert!(a.dense_resident_bytes() > 0);
-    }
-
-    #[test]
-    fn rows_mut_are_disjoint_and_aligned() {
-        let mut l = sample();
-        {
-            let (rows, lms) = l.rows_mut();
-            assert_eq!(lms, &[0, 3]);
-            assert_eq!(rows.len(), 2);
-            for (i, (lrow, hrow)) in rows.into_iter().enumerate() {
-                assert_eq!(lrow.len(), 6);
-                assert_eq!(hrow.len(), 2);
-                assert_eq!(hrow[i], 0, "diagonal of row {i}");
-                lrow[5] = i as Dist; // write through the view
-            }
-        }
-        assert_eq!(l.label(0, 5), 0);
-        assert_eq!(l.label(1, 5), 1);
+        assert_eq!(a.dense_resident_bytes(), 0);
+        let mut c = b.clone();
+        c.set_label(1, 5, 4);
+        assert_ne!(b, c);
     }
 }

@@ -17,21 +17,23 @@
 //!
 //! Modules:
 //!
-//! * [`labelling`] — storage (landmark-major label rows + highway
-//!   matrix) and the `d^L` landmark-distance oracle,
+//! * [`labelling`] — the labelling value (packed rows + highway, shared
+//!   between generations) and the `d^L` landmark-distance oracle,
 //! * [`landmarks`] — landmark-selection strategies,
-//! * [`packed`] — the packed vertex-major query mirror: per-vertex
-//!   label rows with ascending landmark ids and width-narrowed
-//!   distances (u8/u16 tiers, u32 escape), plus the width-narrowed
-//!   highway matrix; patched row by row as generations are published,
+//! * [`packed`] — the packed vertex-major layout a labelling is stored
+//!   in: per-vertex label rows with ascending landmark ids and
+//!   width-narrowed distances (u8/u16 tiers, u32 escape), plus the
+//!   width-narrowed highway matrix; patched row by row as generations
+//!   are published,
 //! * [`kernel`] — SIMD min-plus kernels (SSE2/AVX2 with runtime
 //!   detection, branch-free scalar default) serving the Eq. 3 scans,
 //! * [`build`] — construction by flagged BFS (sequential and parallel),
 //! * [`query`] — the one Section 4 query path (Eq. 3 bound + bounded
 //!   search), generic over [`LabelView`] labels and the graph crate's
 //!   `BoundedSearch` engines,
-//! * [`patch`] — scoped label patches and the [`PatchedLabels`] merge
-//!   view that what-if sessions query through,
+//! * [`patch`] — the per-landmark repair deltas ([`RowDelta`]), the
+//!   scoped label patches built from them and the [`PatchedLabels`]
+//!   merge view that what-if sessions query through,
 //! * [`store`] — the generation-based shared label store: immutable
 //!   published snapshots, lock-free reader handles, atomic-swap
 //!   publication (the substrate of concurrent query serving),
@@ -60,7 +62,7 @@ pub use kernel::{active_kernel, Kernel};
 pub use labelling::{LabelError, LabelView, Labelling, NO_LABEL};
 pub use landmarks::{DegreeOrder, LandmarkSelection};
 pub use packed::{PackedHighway, PackedIndex, PackedLabels};
-pub use patch::{LabelPatch, PatchRow, PatchedLabels};
-pub use query::{upper_bound_pair, FanOut, QueryEngine, SourcePlan};
+pub use patch::{LabelPatch, PatchedLabels, RowDelta};
+pub use query::{upper_bound_pair, upper_bound_pair_exact, FanOut, QueryEngine, SourcePlan};
 pub use serde_io::SnapshotError;
 pub use store::{LabelStore, ReaderHandle, Versioned};

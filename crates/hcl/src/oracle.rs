@@ -7,7 +7,7 @@
 //! test suites of every crate in the workspace; complexity is
 //! `O(|R| · |E|)` or worse, so keep inputs small.
 
-use crate::labelling::Labelling;
+use crate::labelling::{Labelling, NO_LABEL};
 use batchhl_common::{Dist, Vertex, INF};
 use batchhl_graph::bfs::bfs_distances;
 use batchhl_graph::AdjacencyView;
@@ -26,36 +26,34 @@ pub fn all_pairs_bfs<A: AdjacencyView>(g: &A) -> Vec<Vec<Dist>> {
 /// covered by another landmark; `r_j = v` covers the terminal-landmark
 /// convention automatically).
 pub fn minimal_labelling_bruteforce<A: AdjacencyView>(g: &A, landmarks: Vec<Vertex>) -> Labelling {
+    let n = g.num_vertices();
     let dists: Vec<Vec<Dist>> = landmarks.iter().map(|&r| bfs_distances(g, r)).collect();
-    let mut lab = Labelling::empty(g.num_vertices(), landmarks).expect("invalid landmark set");
-    let r = lab.num_landmarks();
+    let r = landmarks.len();
+    let mut highway = vec![INF; r * r];
+    let mut rows = vec![vec![NO_LABEL; n].into_boxed_slice(); r];
     for (i, row) in dists.iter().enumerate() {
-        for j in 0..r {
-            lab.set_highway_row(i, j, row[lab.landmark_vertex(j) as usize]);
+        for (j, &lj) in landmarks.iter().enumerate() {
+            highway[i * r + j] = row[lj as usize];
         }
     }
     for i in 0..r {
-        for v in 0..g.num_vertices() as Vertex {
-            if lab.is_landmark(v) {
-                continue;
-            }
+        for v in 0..n as Vertex {
             let d = dists[i][v as usize];
-            if d == INF {
+            if landmarks.contains(&v) || d == INF {
                 continue;
             }
             let covered = (0..r).any(|j| {
                 j != i && {
-                    let via = dists[i][lab.landmark_vertex(j) as usize] as u64
-                        + dists[j][v as usize] as u64;
+                    let via = dists[i][landmarks[j] as usize] as u64 + dists[j][v as usize] as u64;
                     via == d as u64
                 }
             });
             if !covered {
-                lab.set_label(i, v, d);
+                rows[i][v as usize] = d;
             }
         }
     }
-    lab
+    Labelling::from_parts(n, landmarks, rows, highway).expect("invalid landmark set")
 }
 
 /// Check the highway cover property (Definition 3.3) plus minimality:

@@ -1,33 +1,28 @@
-//! Packed, cache-friendly query-side label layout.
+//! The packed label layout: the one representation of a labelling.
 //!
-//! The canonical [`Labelling`] stores dense landmark-major rows — the
-//! right substrate for batch repair, whose per-landmark passes own one
-//! contiguous row each. Queries have the opposite access pattern: they
-//! read *one vertex's* labels across all landmarks. This module holds
-//! the vertex-major mirror served to queries:
+//! Queries read *one vertex's* labels across all landmarks, and so do
+//! the `d^L` lookups of batch search and repair. A [`crate::Labelling`]
+//! therefore stores its labels vertex-major:
 //!
 //! * [`PackedLabels`] — a CSR over logical label entries: per vertex,
 //!   its landmark ids (`u16`, ascending) and its distances narrowed to
 //!   the smallest width tier the row needs (`u8`/`u16`, with a `u32`
 //!   escape). Most real-world hop distances fit a byte, so a typical
-//!   entry costs ~3 bytes instead of the dense layout's amortized
-//!   `4·|R| / avg|L(v)|`.
+//!   entry costs ~3 bytes instead of a dense landmark-major layout's
+//!   amortized `4·|R| / avg|L(v)|`.
 //! * [`PackedHighway`] — the `|R| × |R|` highway matrix narrowed to one
 //!   width tier for the whole matrix, rows contiguous (each row is the
 //!   cache block the `via` accumulation streams through), `T::MAX`
 //!   encoding the unreachable sentinel.
 //!
 //! A [`PackedLabels`] is a base CSR plus an overlay of re-packed rows,
-//! both shared between generations behind `Arc`s. The writer seals each
-//! new generation's [`PackedIndex`] before publishing it by patching the
-//! previous generation's: only the rows the repair pass changed are
-//! derived again, the highway is re-narrowed, and base and overlay are
-//! merged by copying unchanged rows once the overlay crosses the
-//! [`CompactionPolicy`] that also bounds the CSR adjacency overlay (see
-//! [`Labelling::seal_patched`]). Packing every row — [`PackedIndex::build`],
-//! the compaction of an empty base with every row changed — is left to
-//! a labelling with no sealed predecessor, once, on first query use
-//! ([`Labelling::packed`]).
+//! both shared between generations behind `Arc`s. Each new generation
+//! is the previous one patched with the rows a repair pass changed
+//! ([`crate::Labelling::seal_patched`]): only those rows are derived
+//! again, the highway is re-narrowed when it changed, and base and
+//! overlay are merged by copying unchanged rows once the overlay crosses
+//! the [`CompactionPolicy`] that also bounds the CSR adjacency overlay.
+//! Construction and loads pack every row once into a fresh base.
 //!
 //! # Width tiers and the clamped SIMD domain
 //!
@@ -163,6 +158,18 @@ impl PackedRow<'_> {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.ids.is_empty()
+    }
+
+    /// The slot of landmark `i`'s entry, if the row holds one (ids
+    /// ascend, so the scan stops at the first larger id).
+    #[inline]
+    pub fn position(&self, i: usize) -> Option<usize> {
+        for (k, &id) in self.ids.iter().enumerate() {
+            if id as usize >= i {
+                return (id as usize == i).then_some(k);
+            }
+        }
+        None
     }
 
     /// Entry `k` as `(landmark index, exact distance)`.
@@ -334,22 +341,6 @@ impl Rows {
     }
 }
 
-/// Derive vertex `v`'s row from the dense label rows into the scratch
-/// buffers (`|R|` long each) and return its length — the one place
-/// packed rows are computed. Branch-free: every slot is written and
-/// only labelled ones advance the cursor, since label presence is
-/// unpredictable.
-fn derive_row(dense: &[&[Dist]], v: Vertex, ids: &mut [u16], dists: &mut [Dist]) -> usize {
-    let mut len = 0;
-    for (i, row) in dense.iter().enumerate() {
-        let d = row[v as usize];
-        ids[len] = i as u16;
-        dists[len] = d;
-        len += usize::from(d != NO_LABEL);
-    }
-    len
-}
-
 /// Vertex-major packed label rows (see module docs): a base CSR plus
 /// an append-only overlay of the rows re-packed since the base was
 /// built, one chunk per patch. Base and chunks sit behind `Arc`s, so a
@@ -384,58 +375,94 @@ pub struct PackedLabels {
 }
 
 impl PackedLabels {
-    /// Pack every row of `lab`: the compaction of an empty base with
-    /// every row changed.
-    pub fn build(lab: &Labelling) -> Self {
-        let n = lab.num_vertices();
-        let empty = PackedLabels {
-            r: lab.num_landmarks(),
-            n: 0,
+    /// `n` vertices over `r` landmarks, none of them labelled.
+    pub(crate) fn empty(r: usize, n: usize) -> Self {
+        PackedLabels {
+            r,
+            n,
             base: Arc::new(Rows::with_capacity(0, [0; 3])),
-            mask: Vec::new(),
+            mask: vec![0; n.div_ceil(64)],
             touched: Vec::new(),
             slots: Vec::new(),
             overlay: Vec::new(),
             overlay_entries: 0,
             entries: 0,
             dist_bytes: 0,
-        };
-        let every: Vec<Vertex> = (0..n as Vertex).collect();
-        empty.repack(lab, &every, None)
+        }
     }
 
-    /// This mirror with the rows of `changed` (ascending, distinct)
-    /// re-derived from `lab`, which must agree with the mirrored
-    /// labelling everywhere else. Base and overlay stay shared; the new
-    /// rows form one more overlay chunk and the overlay index is merged
-    /// with them, `O(|changed|·|R| + overlaid rows)`. When that would
-    /// take the overlay past `policy`'s share of the base (counting each
-    /// re-derived row at its current length), base, overlay and new rows
-    /// are merged into a fresh base instead, `O(n + entries)`, copying
-    /// unchanged rows as they are.
+    /// Pack `n` vertices whose rows `row(v, ids, dists)` writes (ids
+    /// ascending, into cleared buffers) into one fresh base.
+    pub(crate) fn from_rows(
+        r: usize,
+        n: usize,
+        row: impl FnMut(usize, Vertex, &mut Vec<u16>, &mut Vec<Dist>),
+    ) -> Self {
+        let every: Vec<Vertex> = (0..n as Vertex).collect();
+        PackedLabels::empty(r, 0).repack(n, &every, None, row)
+    }
+
+    /// Pack landmark-major dense rows (one per landmark, [`NO_LABEL`]
+    /// marking absent entries) — construction's scratch layout.
+    pub(crate) fn from_dense(n: usize, dense: &[Box<[Dist]>]) -> Self {
+        let r = dense.len();
+        PackedLabels::from_rows(r, n, |_, v, ids, dists| {
+            // Branch-free: every slot is written and only labelled ones
+            // advance the cursor, since label presence is unpredictable.
+            ids.resize(r, 0);
+            dists.resize(r, 0);
+            let mut len = 0;
+            for (i, row) in dense.iter().enumerate() {
+                let d = row[v as usize];
+                ids[len] = i as u16;
+                dists[len] = d;
+                len += usize::from(d != NO_LABEL);
+            }
+            ids.truncate(len);
+            dists.truncate(len);
+        })
+    }
+
+    /// These rows over `n ≥ self.n` vertices with the rows of `changed`
+    /// (ascending, distinct) replaced by what `derive(k, changed[k], ids,
+    /// dists)` writes. Base and overlay stay shared; the new rows form
+    /// one more overlay chunk and the overlay index is merged with them,
+    /// `O(Σ new rows + overlaid rows)`. When that would take the overlay
+    /// past `policy`'s share of the base (counting each replaced row at
+    /// its current length), base, overlay and new rows are merged into a
+    /// fresh base instead, `O(n + entries)`, copying unchanged rows as
+    /// they are.
     pub(crate) fn patched(
         &self,
-        lab: &Labelling,
+        n: usize,
         changed: &[Vertex],
         policy: CompactionPolicy,
+        derive: impl FnMut(usize, Vertex, &mut Vec<u16>, &mut Vec<Dist>),
     ) -> Self {
-        self.repack(lab, changed, Some(policy))
+        self.repack(n, changed, Some(policy), derive)
+    }
+
+    /// Every row copied into one fresh base (no overlay).
+    pub(crate) fn compacted(&self) -> Self {
+        self.repack(self.n, &[], None, |_, _, _, _| {})
     }
 
     /// [`PackedLabels::patched`]; `policy: None` always compacts.
     fn repack(
         &self,
-        lab: &Labelling,
+        n: usize,
         changed: &[Vertex],
         policy: Option<CompactionPolicy>,
+        mut derive: impl FnMut(usize, Vertex, &mut Vec<u16>, &mut Vec<Dist>),
     ) -> Self {
         debug_assert!(changed.windows(2).all(|w| w[0] < w[1]));
-        let n = lab.num_vertices().max(self.n);
-        let dense: Vec<&[Dist]> = (0..lab.num_landmarks()).map(|i| lab.label_row(i)).collect();
-        let (mut ids, mut dists) = (vec![0u16; dense.len()], vec![0 as Dist; dense.len()]);
-        let mut derive = |v: Vertex, rows: &mut Rows| {
-            let len = derive_row(&dense, v, &mut ids, &mut dists);
-            rows.push(&ids[..len], &dists[..len]);
+        let n = n.max(self.n);
+        let (mut ids, mut dists) = (Vec::with_capacity(self.r), Vec::with_capacity(self.r));
+        let mut push_derived = |k: usize, v: Vertex, rows: &mut Rows| {
+            ids.clear();
+            dists.clear();
+            derive(k, v, &mut ids, &mut dists);
+            rows.push(&ids, &dists);
         };
         let replaced: usize = changed.iter().map(|&v| self.resolve(v).len()).sum();
         let compact =
@@ -445,7 +472,7 @@ impl PackedLabels {
             let mut k = 0;
             for v in 0..n as Vertex {
                 if changed.get(k) == Some(&v) {
-                    derive(v, &mut base);
+                    push_derived(k, v, &mut base);
                     k += 1;
                 } else {
                     base.push_packed(self.resolve(v));
@@ -470,7 +497,7 @@ impl PackedLabels {
         mask.resize(n.div_ceil(64), 0);
         for (k, &v) in changed.iter().enumerate() {
             let old = self.resolve(v);
-            derive(v, &mut chunk);
+            push_derived(k, v, &mut chunk);
             let new = chunk.row(k);
             entries = entries + new.len() - old.len();
             dist_bytes = dist_bytes + new.dist_bytes() - old.dist_bytes();
@@ -625,7 +652,7 @@ impl PackedLabels {
     }
 }
 
-/// Semantic equality: two mirrors are equal when they present the same
+/// Semantic equality: two packings are equal when they present the same
 /// rows, however each is split between base and overlay.
 impl PartialEq for PackedLabels {
     fn eq(&self, other: &Self) -> bool {
@@ -653,56 +680,46 @@ enum HighwayData {
 }
 
 impl PackedHighway {
-    /// Narrow the dense highway matrix of `lab`. `INF` maps to the
+    /// Narrow a row-major `r × r` highway matrix. `INF` maps to the
     /// tier sentinel `T::MAX`; the tier is chosen so no finite entry
     /// collides with it.
-    pub fn build(lab: &Labelling) -> Self {
-        let r = lab.num_landmarks();
-        let mut max = 0 as Dist;
-        for i in 0..r {
-            for j in 0..r {
-                let h = lab.highway(i, j);
-                if h != INF && h > max {
-                    max = h;
-                }
-            }
-        }
-        let entry = |i: usize, j: usize| lab.highway(i, j);
-        let cells = (0..r).flat_map(|i| (0..r).map(move |j| (i, j)));
+    pub(crate) fn from_dense(r: usize, dense: &[Dist]) -> Self {
+        debug_assert_eq!(dense.len(), r * r);
+        let max = dense
+            .iter()
+            .filter(|&&h| h != INF)
+            .max()
+            .copied()
+            .unwrap_or(0);
         let data = if max < u8::MAX as Dist {
             HighwayData::U8(
-                cells
-                    .map(|(i, j)| {
-                        let h = entry(i, j);
-                        if h == INF {
-                            u8::MAX
-                        } else {
-                            h as u8
-                        }
-                    })
+                dense
+                    .iter()
+                    .map(|&h| if h == INF { u8::MAX } else { h as u8 })
                     .collect(),
             )
         } else if max < u16::MAX as Dist {
             HighwayData::U16(
-                cells
-                    .map(|(i, j)| {
-                        let h = entry(i, j);
-                        if h == INF {
-                            u16::MAX
-                        } else {
-                            h as u16
-                        }
-                    })
+                dense
+                    .iter()
+                    .map(|&h| if h == INF { u16::MAX } else { h as u16 })
                     .collect(),
             )
         } else {
-            HighwayData::U32(cells.map(|(i, j)| entry(i, j)).collect())
+            HighwayData::U32(dense.to_vec())
         };
         PackedHighway {
             r,
             data,
             clamp_safe: max <= CLAMP_SAFE_MAX,
         }
+    }
+
+    /// The exact row-major matrix (`INF` for the sentinel).
+    pub(crate) fn to_dense(&self) -> Vec<Dist> {
+        (0..self.r * self.r)
+            .map(|k| self.get(k / self.r, k % self.r))
+            .collect()
     }
 
     #[inline]
@@ -769,7 +786,7 @@ impl PackedHighway {
     }
 }
 
-/// The packed query-side mirror of one `Labelling` generation.
+/// The packed rows and highway of one `Labelling` generation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedIndex {
     pub labels: PackedLabels,
@@ -777,10 +794,12 @@ pub struct PackedIndex {
 }
 
 impl PackedIndex {
+    /// `lab`'s rows packed again into one fresh base (no overlay) —
+    /// the layout a load or a compaction produces.
     pub fn build(lab: &Labelling) -> Self {
         PackedIndex {
-            labels: PackedLabels::build(lab),
-            highway: PackedHighway::build(lab),
+            labels: lab.packed().labels.compacted(),
+            highway: lab.packed().highway.clone(),
         }
     }
 
@@ -794,27 +813,52 @@ impl PackedIndex {
 mod tests {
     use super::*;
 
-    fn sample(extra: &[(usize, Vertex, Dist)]) -> Labelling {
-        let mut l = Labelling::empty(6, vec![0, 3]).unwrap();
-        l.set_highway_sym(0, 1, 2);
-        l.set_label(0, 1, 1);
-        l.set_label(0, 2, 1);
-        l.set_label(1, 2, 1);
-        l.set_label(1, 4, 1);
-        for &(i, v, d) in extra {
-            l.set_label(i, v, d);
+    /// Dense scratch rows of the 6-vertex sample (landmarks 0 and 3)
+    /// plus `extra` entries; vertices past 6 are unlabelled.
+    fn dense(n: usize, extra: &[(usize, Vertex, Dist)]) -> Vec<Box<[Dist]>> {
+        let mut rows = vec![vec![NO_LABEL; n].into_boxed_slice(); 2];
+        for &(i, v, d) in [(0, 1, 1), (0, 2, 1), (1, 2, 1), (1, 4, 1)]
+            .iter()
+            .chain(extra)
+        {
+            rows[i][v as usize] = d;
         }
-        l
+        rows
+    }
+
+    fn sample(extra: &[(usize, Vertex, Dist)]) -> PackedLabels {
+        PackedLabels::from_dense(6, &dense(6, extra))
+    }
+
+    /// `p` with the rows of `changed` re-derived from dense rows.
+    fn patch(
+        p: &PackedLabels,
+        rows: &[Box<[Dist]>],
+        changed: &[Vertex],
+        policy: CompactionPolicy,
+    ) -> PackedLabels {
+        let n = rows[0].len();
+        p.patched(n, changed, policy, |_, v, ids, dists| {
+            for (i, row) in rows.iter().enumerate() {
+                if row[v as usize] != NO_LABEL {
+                    ids.push(i as u16);
+                    dists.push(row[v as usize]);
+                }
+            }
+        })
     }
 
     #[test]
     fn packed_rows_mirror_dense_entries() {
-        let l = sample(&[]);
-        let p = PackedIndex::build(&l);
-        assert_eq!(p.labels.num_entries(), l.size_entries());
+        let rows = dense(6, &[]);
+        let p = PackedLabels::from_dense(6, &rows);
+        assert_eq!(p.num_entries(), 4);
         for v in 0..6u32 {
-            let row = p.labels.row(v);
-            let want: Vec<(u16, Dist)> = l.label_entries(v).map(|(i, d)| (i as u16, d)).collect();
+            let row = p.row(v);
+            let want: Vec<(u16, Dist)> = (0..2)
+                .filter(|&i| rows[i][v as usize] != NO_LABEL)
+                .map(|i| (i as u16, rows[i][v as usize]))
+                .collect();
             let got: Vec<(u16, Dist)> = (0..row.len()).map(|k| row.entry(k)).collect();
             assert_eq!(got, want, "row {v}");
             // Ids strictly ascending.
@@ -824,17 +868,12 @@ mod tests {
 
     #[test]
     fn highway_narrowing_is_lossless() {
-        let l = sample(&[]);
-        let p = PackedHighway::build(&l);
+        let dense = [0, 2, 2, 0];
+        let p = PackedHighway::from_dense(2, &dense);
         assert_eq!(p.width(), 1);
-        for i in 0..2 {
-            for j in 0..2 {
-                assert_eq!(p.get(i, j), l.highway(i, j));
-            }
-        }
+        assert_eq!(p.to_dense(), dense);
         // An INF entry survives as INF (two landmarks, disconnected).
-        let l2 = Labelling::empty(4, vec![0, 1]).unwrap();
-        let p2 = PackedHighway::build(&l2);
+        let p2 = PackedHighway::from_dense(2, &[0, INF, INF, 0]);
         assert_eq!(p2.get(0, 1), INF);
         assert_eq!(p2.get(0, 0), 0);
     }
@@ -854,8 +893,7 @@ mod tests {
             (INF - 1, TIER_U32_EXACT),
         ];
         for (d, want_tier) in cases {
-            let l = sample(&[(0, 5, d)]);
-            let p = PackedLabels::build(&l);
+            let p = sample(&[(0, 5, d)]);
             assert_eq!(p.row_tier(5), want_tier, "distance {d}");
             let row = p.row(5);
             assert_eq!(row.entry(0), (0, d));
@@ -872,9 +910,7 @@ mod tests {
             (CLAMP_SAFE_MAX, 4, true),
             (CLAMP_SAFE_MAX + 1, 4, false),
         ] {
-            let mut l = Labelling::empty(4, vec![0, 1]).unwrap();
-            l.set_highway_sym(0, 1, d);
-            let p = PackedHighway::build(&l);
+            let p = PackedHighway::from_dense(2, &[0, d, d, 0]);
             assert_eq!(p.width(), want_width, "highway {d}");
             assert_eq!(p.clamp_safe(), want_safe);
             assert_eq!(p.get(0, 1), d);
@@ -888,83 +924,79 @@ mod tests {
 
     #[test]
     fn patched_row_retouch_and_tier_change() {
-        let l0 = sample(&[]);
-        let p0 = PackedLabels::build(&l0);
-        let l1 = sample(&[(0, 5, 254)]);
-        let p1 = p0.patched(&l1, &[5], keep_overlay());
-        assert_eq!(p1, PackedLabels::build(&l1));
+        let p0 = sample(&[]);
+        let d1 = dense(6, &[(0, 5, 254)]);
+        let p1 = patch(&p0, &d1, &[5], keep_overlay());
+        assert_eq!(p1, PackedLabels::from_dense(6, &d1));
         assert_eq!(p1.row_tier(5), TIER_U8);
         assert_eq!(p1.overlay_entries(), 1);
         // Re-touch the same row across the u8/u16 edge: a fresh slot,
         // the old copy abandoned but still counted for compaction.
-        let l2 = sample(&[(0, 5, 255), (1, 5, 3)]);
-        let p2 = p1.patched(&l2, &[5], keep_overlay());
-        assert_eq!(p2, PackedLabels::build(&l2));
+        let d2 = dense(6, &[(0, 5, 255), (1, 5, 3)]);
+        let p2 = patch(&p1, &d2, &[5], keep_overlay());
+        let fresh2 = PackedLabels::from_dense(6, &d2);
+        assert_eq!(p2, fresh2);
         assert_eq!(p2.row_tier(5), TIER_U16);
         assert_eq!(p2.row(5).entry(0), (0, 255));
         assert_eq!(p2.overlay_entries(), 1 + 2);
-        assert_eq!(p2.num_entries(), l2.size_entries());
-        assert_eq!(p2.dist_bytes(), PackedLabels::build(&l2).dist_bytes());
+        assert_eq!(p2.num_entries(), fresh2.num_entries());
+        assert_eq!(p2.dist_bytes(), fresh2.dist_bytes());
         // Back down across the u16/u32 edge and out again; the
         // predecessors are untouched (they are what readers still hold).
-        let l3 = sample(&[(1, 5, 65_535)]);
-        let p3 = p2.patched(&l3, &[5], keep_overlay());
-        assert_eq!(p3, PackedLabels::build(&l3));
+        let d3 = dense(6, &[(1, 5, 65_535)]);
+        let p3 = patch(&p2, &d3, &[5], keep_overlay());
+        assert_eq!(p3, PackedLabels::from_dense(6, &d3));
         assert_eq!(p3.row_tier(5), TIER_U32);
-        assert_eq!(p1, PackedLabels::build(&l1));
-        assert_eq!(p0, PackedLabels::build(&l0));
+        assert_eq!(p1, PackedLabels::from_dense(6, &d1));
+        assert_eq!(p0, sample(&[]));
     }
 
     #[test]
     fn patched_rows_grow_past_the_base() {
-        let l0 = sample(&[]);
-        let p0 = PackedLabels::build(&l0);
+        let p0 = sample(&[]);
         let mut grown = p0.clone();
         grown.ensure_vertices(9);
         assert_eq!(grown.num_vertices(), 9);
         assert!(grown.row(8).is_empty());
-        let mut l1 = l0.clone();
-        l1.ensure_vertices(9);
-        assert_eq!(grown, PackedLabels::build(&l1));
+        assert_eq!(grown, PackedLabels::from_dense(9, &dense(9, &[])));
         // A patch may name vertices past the base's range directly.
-        l1.set_label(1, 7, 4);
-        let p1 = p0.patched(&l1, &[7], keep_overlay());
+        let d1 = dense(9, &[(1, 7, 4)]);
+        let p1 = patch(&p0, &d1, &[7], keep_overlay());
         assert_eq!(p1.num_vertices(), 9);
-        assert_eq!(p1, PackedLabels::build(&l1));
+        assert_eq!(p1, PackedLabels::from_dense(9, &d1));
         assert_eq!(p1.row(7).entry(0), (1, 4));
         assert!(p1.row(6).is_empty() && p1.row(8).is_empty());
     }
 
     #[test]
     fn compaction_merges_overlay_into_a_fresh_base() {
-        let l0 = sample(&[]);
-        let p0 = PackedLabels::build(&l0);
-        let l1 = sample(&[(0, 5, 7), (1, 1, 2)]);
-        let p1 = p0.patched(&l1, &[1, 5], keep_overlay());
+        let p0 = sample(&[]);
+        let d1 = dense(6, &[(0, 5, 7), (1, 1, 2)]);
+        let p1 = patch(&p0, &d1, &[1, 5], keep_overlay());
         assert_eq!(p1.overlay_entries(), 3);
-        let mut l2 = sample(&[(0, 5, 7), (1, 1, 2), (1, 0, 300)]);
-        l2.ensure_vertices(7);
-        l2.set_label(0, 6, 1);
-        let p2 = p1.patched(&l2, &[0, 6], CompactionPolicy::eager(0.0));
+        let d2 = dense(7, &[(0, 5, 7), (1, 1, 2), (1, 0, 300), (0, 6, 1)]);
+        let p2 = patch(&p1, &d2, &[0, 6], CompactionPolicy::eager(0.0));
         assert_eq!(p2.overlay_entries(), 0, "compacted");
-        assert_eq!(p2, PackedLabels::build(&l2));
+        let fresh = PackedLabels::from_dense(7, &d2);
+        assert_eq!(p2, fresh);
+        assert_eq!(p2.resident_bytes(), fresh.resident_bytes());
         assert_eq!(
-            p2.resident_bytes(),
-            PackedLabels::build(&l2).resident_bytes()
+            p1.compacted().resident_bytes(),
+            PackedLabels::from_dense(6, &d1).resident_bytes()
         );
         // The default policy's entry floor keeps small overlays.
-        let p3 = p2.patched(&l2, &[], CompactionPolicy::default());
+        let p3 = patch(&p2, &d2, &[], CompactionPolicy::default());
         assert_eq!(p3, p2);
         assert_eq!(p3.overlay_entries(), 0);
     }
 
     #[test]
     fn packed_is_denser_than_dense_rows() {
-        let mut l = Labelling::empty(100, (0..10).collect()).unwrap();
+        let mut rows = vec![vec![NO_LABEL; 100].into_boxed_slice(); 10];
         for v in 0..100u32 {
-            l.set_label((v % 10) as usize, v, 1 + v % 7);
+            rows[(v % 10) as usize][v as usize] = 1 + v % 7;
         }
-        let p = PackedIndex::build(&l);
+        let p = PackedLabels::from_dense(100, &rows);
         let dense = 10 * 100 * 4 + 10 * 10 * 4;
         assert!(
             p.resident_bytes() < dense / 2,

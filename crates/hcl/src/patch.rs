@@ -1,47 +1,57 @@
-//! Scoped label patches: the labelling half of a speculative
-//! *what-if* session.
+//! Label deltas: what one landmark's repair pass wrote, and the scoped
+//! label patches of speculative *what-if* sessions built from them.
 //!
-//! A committed batch repairs the shared labelling in place; a what-if
-//! session must not. Instead the repair kernels run into detached
-//! copies of the affected landmark rows, collected in a [`LabelPatch`]
-//! — a small hash-indexed side table keyed by landmark index. A
-//! [`PatchedLabels`] view then presents "patch row if present, else
-//! base row" to the query layer, so the pinned snapshot's labelling is
-//! never touched and any number of hypotheticals can share it.
+//! A repair pass never writes a labelling in place. Landmark `i`'s
+//! pass emits one [`RowDelta`]: the final label of every vertex it
+//! finalized and the highway entries of row `i` it rewrote. A committed
+//! batch hands every landmark's delta to
+//! [`crate::Labelling::seal_patched`], which builds the next generation
+//! from the published one. A what-if session keeps its deltas in a
+//! [`LabelPatch`] instead, and a [`PatchedLabels`] view presents "patch
+//! entry if present, else base entry" to the query layer, so the pinned
+//! snapshot's labelling is never touched and any number of
+//! hypotheticals can share it.
 //!
 //! The view implements [`LabelView`], so a session runs the one query
 //! path of [`crate::query`] unchanged: while its patch is empty the
-//! view hands the base's packed mirror to the SIMD kernels
+//! view hands the base's packed rows to the SIMD kernels
 //! ([`LabelView::packed_base`]); otherwise the bound code takes its
-//! exact loop over the merged rows.
+//! exact loop over the merged entries.
 //!
-//! The highway matrix follows the same row discipline the parallel
-//! repair relies on: landmark `i`'s pass is the only writer of highway
-//! row `i`, so `highway(i, j)` reads patch row `i`'s copy when it
-//! exists and the base otherwise — consistent for every `(i, j)` as
-//! long as *all* landmarks were run (the speculative driver always
-//! does).
+//! The highway follows the row discipline the parallel repair relies
+//! on: landmark `i`'s pass is the only writer of highway row `i`, so
+//! `highway(i, j)` reads patch row `i`'s entry when it has one and the
+//! base otherwise — consistent for every `(i, j)` as long as *all*
+//! landmarks were run (the speculative driver always does).
 
 use batchhl_common::{Dist, FxHashMap, Vertex};
 
 use crate::labelling::{LabelView, Labelling, NO_LABEL};
 
-/// One landmark's repaired rows: the full label row over the
-/// (possibly grown) vertex range, plus that landmark's highway row.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PatchRow {
-    /// Repaired label row of the landmark (`NO_LABEL` where absent).
-    pub label: Box<[Dist]>,
-    /// Repaired highway row `δ_H(r_i, ·)` of the landmark.
-    pub highway: Box<[Dist]>,
+/// What landmark `i`'s repair pass wrote: the final `r_i`-label of
+/// every vertex it finalized ([`NO_LABEL`] when the vertex holds none)
+/// and every entry `δ_H(r_i, r_j)` of highway row `i` it rewrote, as
+/// `(j, distance)`. Entries may restate the old value.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RowDelta {
+    pub labels: Vec<(Vertex, Dist)>,
+    pub highway: Vec<(usize, Dist)>,
 }
 
-/// The rows a hypothetical batch would change, keyed by landmark
-/// index. Rows the batch leaves untouched are not stored — the view
-/// falls through to the base labelling.
+impl RowDelta {
+    /// The rewritten `δ_H(r_i, r_j)`, if the pass rewrote it.
+    #[inline]
+    pub fn highway_entry(&self, j: usize) -> Option<Dist> {
+        self.highway.iter().find(|&&(k, _)| k == j).map(|&(_, d)| d)
+    }
+}
+
+/// The deltas of a hypothetical batch, keyed by landmark index. Rows
+/// the batch leaves untouched are not stored — the view falls through
+/// to the base labelling.
 #[derive(Debug, Clone, Default)]
 pub struct LabelPatch {
-    rows: FxHashMap<usize, PatchRow>,
+    rows: FxHashMap<usize, RowDelta>,
     n: usize,
 }
 
@@ -55,14 +65,16 @@ impl LabelPatch {
         }
     }
 
-    /// Record landmark `i`'s repaired rows.
-    pub fn insert_row(&mut self, i: usize, row: PatchRow) {
+    /// Record landmark `i`'s delta (its label entries sorted by vertex
+    /// for lookup).
+    pub fn insert_row(&mut self, i: usize, mut row: RowDelta) {
+        row.labels.sort_unstable_by_key(|&(v, _)| v);
         self.rows.insert(i, row);
     }
 
-    /// Landmark `i`'s repaired rows, if the batch touched them.
+    /// Landmark `i`'s delta, if the batch touched it.
     #[inline]
-    pub fn row(&self, i: usize) -> Option<&PatchRow> {
+    pub fn row(&self, i: usize) -> Option<&RowDelta> {
         self.rows.get(&i)
     }
 
@@ -120,25 +132,26 @@ impl LabelView for PatchedLabels<'_> {
 
     #[inline]
     fn label(&self, i: usize, v: Vertex) -> Dist {
-        if let Some(row) = self.patch.row(i) {
-            row.label.get(v as usize).copied().unwrap_or(NO_LABEL)
-        } else if (v as usize) < self.base.num_vertices() {
-            self.base.label(i, v)
-        } else {
-            NO_LABEL
+        let patched = self.patch.row(i).and_then(|row| {
+            let k = row.labels.binary_search_by_key(&v, |&(x, _)| x).ok()?;
+            Some(row.labels[k].1)
+        });
+        match patched {
+            Some(d) => d,
+            None if (v as usize) < self.base.num_vertices() => self.base.label(i, v),
+            None => NO_LABEL,
         }
     }
 
     #[inline]
     fn highway(&self, i: usize, j: usize) -> Dist {
-        if let Some(row) = self.patch.row(i) {
-            row.highway[j]
-        } else {
-            self.base.highway(i, j)
-        }
+        self.patch
+            .row(i)
+            .and_then(|row| row.highway_entry(j))
+            .unwrap_or_else(|| self.base.highway(i, j))
     }
 
-    /// The base's packed mirror serves the view only while the patch
+    /// The base's packed rows serve the view only while the patch
     /// is empty and `v` lies inside the base range.
     #[inline]
     fn packed_base(&self, v: Vertex) -> Option<&Labelling> {
@@ -161,7 +174,7 @@ mod tests {
         let base = labelled_path(8);
         let patch = LabelPatch::new(base.num_vertices());
         let pl = PatchedLabels::new(&base, &patch);
-        // The packed mirror serves in range, never past it.
+        // The packed rows serve in range, never past it.
         assert!(pl.packed_base(7).is_some());
         assert!(pl.packed_base(8).is_none());
         for i in 0..base.num_landmarks() {
@@ -194,15 +207,26 @@ mod tests {
         let r = base.num_landmarks();
         let n = 6; // hypothetical batch grew the graph by two vertices
         let mut patch = LabelPatch::new(n);
-        let row = PatchRow {
-            label: vec![7; n].into_boxed_slice(),
-            highway: (0..r).map(|j| base.highway(0, j)).collect(),
+        let row = RowDelta {
+            labels: vec![(5, 7), (3, 7)],
+            highway: vec![(r - 1, 9)],
         };
         patch.insert_row(0, row);
         let pl = PatchedLabels::new(&base, &patch);
-        assert!(pl.packed_base(0).is_none(), "a patch disables the mirror");
-        // Patched row shadows the base; unpatched rows fall through.
+        assert!(
+            pl.packed_base(0).is_none(),
+            "a patch disables the packed path"
+        );
+        // Patched entries shadow the base; the rest fall through.
         assert_eq!(pl.label(0, 3), 7);
+        assert_eq!(pl.label(0, 5), 7);
+        assert_eq!(pl.label(0, 0), base.label(0, 0));
+        assert_eq!(pl.label(0, 4), NO_LABEL);
+        if r > 1 {
+            assert_eq!(pl.highway(0, r - 1), 9);
+            assert_eq!(pl.highway(0, 0), 0);
+            assert_eq!(pl.highway(r - 1, 0), base.highway(r - 1, 0));
+        }
         if r > 1 {
             assert_eq!(pl.label(1, 3), base.label(1, 3));
             // Grown vertices read NO_LABEL from unpatched rows…

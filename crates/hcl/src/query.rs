@@ -22,7 +22,7 @@
 //!
 //! The Eq. 3 code ([`upper_bound_pair`], [`SourcePlan`]) has one packed
 //! SIMD fast path, taken when [`LabelView::packed_base`] hands back a
-//! labelling whose packed mirror serves the call, and one exact loop
+//! labelling whose packed rows serve the call, and one exact loop
 //! over the view's accessors for everything else (a non-empty what-if
 //! patch, grown vertices, distances outside the clamped kernel domain).
 //!
@@ -189,11 +189,11 @@ impl SourcePlan {
 
 /// Eq. 3 over a `(source, highway, target)` labelling triple:
 /// `min_{i,j} ls_i + δ_H(r_i, r_j) + lt_j`. The packed path iterates
-/// *logical* entries — `O(|L(s)|·|L(t)|)` instead of the dense
-/// `O(|R|²)` of the exact loop. Undirected callers pass the same
-/// labelling three times ([`Labelling::upper_bound`] does); directed
-/// callers pass `(bwd, fwd, fwd)`. Exact for every width tier (`u64`
-/// accumulation).
+/// *logical* entries — `O(|L(s)|·|L(t)|)` instead of the `O(|R|²)` of
+/// [`upper_bound_pair_exact`], which answers views without packed rows.
+/// Undirected callers pass the same labelling three times
+/// ([`Labelling::upper_bound`] does); directed callers pass
+/// `(bwd, fwd, fwd)`. Exact for every width tier (`u64` accumulation).
 pub fn upper_bound_pair<S: LabelView, H: LabelView, T: LabelView>(
     source_lab: &S,
     highway_lab: &H,
@@ -201,27 +201,44 @@ pub fn upper_bound_pair<S: LabelView, H: LabelView, T: LabelView>(
     s: Vertex,
     t: Vertex,
 ) -> Dist {
-    let mut best = u64::from(INF);
-    if let (Some(sb), Some(hb), Some(tb)) = (
+    let (Some(sb), Some(hb), Some(tb)) = (
         source_lab.packed_base(s),
         highway_lab.packed_base(s),
         target_lab.packed_base(t),
-    ) {
-        let srow = sb.packed().labels.row(s);
-        let trow = tb.packed().labels.row(t);
-        let hp = &hb.packed().highway;
-        for a in 0..srow.len() {
-            let (i, ls) = srow.entry(a);
-            for b in 0..trow.len() {
-                let (j, lt) = trow.entry(b);
-                let h = hp.get(i as usize, j as usize);
-                if h != INF {
-                    best = best.min(u64::from(ls) + u64::from(h) + u64::from(lt));
-                }
+    ) else {
+        return upper_bound_pair_exact(source_lab, highway_lab, target_lab, s, t);
+    };
+    let srow = sb.packed().labels.row(s);
+    let trow = tb.packed().labels.row(t);
+    let hp = &hb.packed().highway;
+    let mut best = u64::from(INF);
+    for a in 0..srow.len() {
+        let (i, ls) = srow.entry(a);
+        for b in 0..trow.len() {
+            let (j, lt) = trow.entry(b);
+            let h = hp.get(i as usize, j as usize);
+            if h != INF {
+                best = best.min(u64::from(ls) + u64::from(h) + u64::from(lt));
             }
         }
-        return best.min(u64::from(INF)) as Dist;
     }
+    best.min(u64::from(INF)) as Dist
+}
+
+/// Eq. 3 by the plain `|R| × |R|` double loop over the views'
+/// [`LabelView::label`] and [`LabelView::highway`] accessors: the path
+/// for views without packed rows (a non-empty what-if patch, grown
+/// vertices), and the scalar reference the equivalence suites hold the
+/// packed and SIMD paths to.
+#[doc(hidden)]
+pub fn upper_bound_pair_exact<S: LabelView, H: LabelView, T: LabelView>(
+    source_lab: &S,
+    highway_lab: &H,
+    target_lab: &T,
+    s: Vertex,
+    t: Vertex,
+) -> Dist {
+    let mut best = u64::from(INF);
     let r = source_lab.num_landmarks();
     for i in 0..r {
         let ls = source_lab.label(i, s);
@@ -576,10 +593,10 @@ mod tests {
             assert_eq!(plan.source(), s);
             for t in 0..100u32 {
                 assert_eq!(plan.bound_to(&lab, t), lab.upper_bound(s, t), "({s},{t})");
-                // Packed + kernel paths agree with the dense reference.
+                // Packed + kernel paths agree with the exact reference.
                 assert_eq!(
                     lab.upper_bound(s, t),
-                    lab.upper_bound_dense(s, t),
+                    upper_bound_pair_exact(&lab, &lab, &lab, s, t),
                     "({s},{t})"
                 );
             }

@@ -34,12 +34,16 @@
 //! trusting the file. Bulk payloads are read in small chunks and the
 //! labelling is assembled only *after* the bytes are in hand, so a
 //! corrupt `u64 n` fails fast with [`SnapshotError::Truncated`] rather
-//! than attempting a multi-GB up-front allocation. Both magics decode
-//! into the dense canonical rows; the packed query mirror is packed
-//! again from them on first use, keeping the trusted surface minimal.
+//! than attempting a multi-GB up-front allocation. A `BHL3` block
+//! decodes straight into packed rows: each row's ids and widened
+//! distances are validated and packed again, so a non-canonical width
+//! tier in the file cannot reach the kernels. A `BHL1` block is read
+//! into dense rows and packed once.
 
 use crate::labelling::{LabelError, Labelling, NO_LABEL};
-use crate::packed::{tier_width, NarrowSlice, TIER_U16, TIER_U32, TIER_U32_EXACT, TIER_U8};
+use crate::packed::{
+    tier_width, NarrowSlice, PackedLabels, TIER_U16, TIER_U32, TIER_U32_EXACT, TIER_U8,
+};
 use batchhl_common::{binio, Dist, Vertex, INF};
 use std::fmt;
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -246,9 +250,8 @@ fn read_dense_body<R: Read>(
     Ok(Labelling::from_parts(n, landmarks, rows, highway)?)
 }
 
-/// Packed `BHL3` body: narrowed highway + CSR label rows, decoded back
-/// into the dense canonical representation (the packed query mirror is
-/// packed again from it on first use).
+/// Packed `BHL3` body: narrowed highway + CSR label rows, decoded
+/// straight into packed rows.
 fn read_packed_body<R: Read>(
     inp: &mut R,
     n: usize,
@@ -284,37 +287,37 @@ fn read_packed_body<R: Read>(
         }
     }
     let ids = read_u16s(inp, entries as usize, "label ids")?;
-    let mut rows: Vec<Box<[Dist]>> = (0..r)
-        .map(|_| vec![NO_LABEL; n].into_boxed_slice())
-        .collect();
-    let mut cursor = 0usize;
+    let mut offsets = Vec::with_capacity(n + 1);
+    offsets.push(0usize);
+    let mut dists = Vec::with_capacity(ids.len());
     for (v, &c) in counts.iter().enumerate() {
-        let row_ids = &ids[cursor..cursor + c as usize];
-        cursor += c as usize;
-        let dists = read_narrow(
-            inp,
-            c as usize,
-            tier_width(tiers[v]) as u8,
-            false,
-            "label row",
-        )?;
-        let mut prev: Option<u16> = None;
-        for (&i, &d) in row_ids.iter().zip(&dists) {
-            if i as usize >= r {
-                return Err(SnapshotError::Header {
-                    reason: format!("vertex {v} labels landmark {i} of {r}"),
-                });
-            }
-            if prev.is_some_and(|p| p >= i) {
-                return Err(SnapshotError::Header {
-                    reason: format!("vertex {v} label ids not strictly ascending"),
-                });
-            }
-            prev = Some(i);
-            rows[i as usize][v] = d;
+        let (lo, hi) = (offsets[v], offsets[v] + c as usize);
+        offsets.push(hi);
+        let row_ids = &ids[lo..hi];
+        if let Some(&i) = row_ids.iter().find(|&&i| i as usize >= r) {
+            return Err(SnapshotError::Header {
+                reason: format!("vertex {v} labels landmark {i} of {r}"),
+            });
         }
+        if row_ids.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(SnapshotError::Header {
+                reason: format!("vertex {v} label ids not strictly ascending"),
+            });
+        }
+        let width = tier_width(tiers[v]) as u8;
+        dists.extend(read_narrow(inp, c as usize, width, false, "label row")?);
     }
-    Ok(Labelling::from_parts(n, landmarks, rows, highway)?)
+    let labels = PackedLabels::from_rows(r, n, |_, v, row_ids, row_dists| {
+        let (lo, hi) = (offsets[v as usize], offsets[v as usize + 1]);
+        // An `INF` distance is no label, as in the dense layout.
+        for (&i, &d) in ids[lo..hi].iter().zip(&dists[lo..hi]) {
+            if d != NO_LABEL {
+                row_ids.push(i);
+                row_dists.push(d);
+            }
+        }
+    });
+    Ok(Labelling::from_packed(landmarks, labels, &highway)?)
 }
 
 fn truncated(e: io::Error, section: &'static str) -> SnapshotError {
@@ -476,8 +479,8 @@ mod tests {
             }
         }
         for i in 0..lab.num_landmarks() {
-            for &d in lab.label_row(i) {
-                out.extend_from_slice(&d.to_le_bytes());
+            for v in 0..lab.num_vertices() as Vertex {
+                out.extend_from_slice(&lab.label(i, v).to_le_bytes());
             }
         }
     }

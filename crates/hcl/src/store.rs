@@ -3,8 +3,8 @@
 //! The batch-dynamic indexes serve two kinds of traffic with opposite
 //! needs: queries want cheap, uncontended, *consistent* reads; updates
 //! want exclusive mutation. The store reconciles them with
-//! **generations**: an immutable snapshot `Γ` (labelling + the graph it
-//! describes) is published behind an [`Arc`], queries run against a
+//! **generations**: an immutable snapshot `Γ` (labelling + the CSR view
+//! of the graph it describes) is published behind an [`Arc`], queries run against a
 //! pinned generation, and `apply_batch` assembles the next generation
 //! `Γ′` off to the side and publishes it with a single atomic swap.
 //!
@@ -15,20 +15,19 @@
 //!   store's version counter (one atomic load) says a newer generation
 //!   exists. Steady-state reads therefore touch no lock at all.
 //! * [`LabelStore::publish`] installs the next generation and returns
-//!   the previous one, so a writer that is the last holder can recycle
-//!   the old buffers (`Arc::try_unwrap`) instead of reallocating — the
-//!   Γ → Γ′ double buffer of Algorithm 1 expressed through ownership.
+//!   it together with the previous one; a retired generation is freed
+//!   when its last reader lets go.
 //!
 //! The store is generic over the snapshot payload `S`: the undirected
-//! index stores `(graph, labelling, CSR view)`, the directed index
-//! `(graph, forward, backward, CSR view)`, the weighted index
-//! `(weighted graph, labelling, CSR view)`. The *publication format*
-//! for adjacency is the frozen CSR + delta overlay
-//! (`batchhl_graph::csr`): the writer freezes each batch's endpoints
-//! into the overlay before the repair pass, so the generation installed
-//! here is exactly what readers and landmark searches traverse —
-//! consecutive generations share the CSR base behind an `Arc` until a
-//! compaction swaps in a fresh one.
+//! and weighted indexes store `(labelling, CSR view)`, the directed
+//! index `(forward, backward, CSR view)`. The writer's mutable graph is
+//! not part of a generation. The *publication format* for adjacency is
+//! the frozen CSR + delta overlay (`batchhl_graph::csr`): the writer
+//! freezes each batch's endpoints into a copy of the published view's
+//! overlay before the repair pass, so the generation installed here is
+//! exactly what readers and landmark searches traverse — consecutive
+//! generations share the CSR base (and the packed label base) behind an
+//! `Arc` until a compaction swaps in a fresh one.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -55,7 +54,7 @@ impl<S> Versioned<S> {
         &self.value
     }
 
-    /// Consume the wrapper (used by writers recycling old buffers).
+    /// Consume the wrapper.
     pub fn into_value(self) -> S {
         self.value
     }

@@ -1,32 +1,35 @@
-//! Property-based equivalence of the packed query layout + SIMD
-//! kernels against the dense canonical representation.
+//! Property-based equivalence of the packed label layout + SIMD
+//! kernels against exact references.
 //!
-//! The packed vertex-major mirror (`batchhl::hcl::packed`) and the
-//! min-plus kernels (`batchhl::hcl::kernel`) are pure accelerations:
-//! every bound they produce must equal what the dense landmark-major
-//! rows produce entry for entry — including at the width-tier
-//! boundaries (254/255, 65534/65535, the `CLAMP_INF` escape) and for
-//! unreachable pairs — and the runtime-dispatched SIMD kernels must be
-//! bit-identical to the branch-free scalar fallback on arbitrary plans.
+//! A labelling is stored packed (`batchhl::hcl::packed`), and the Eq. 3
+//! bound runs min-plus kernels over it (`batchhl::hcl::kernel`). Every
+//! bound they produce must equal the exact scalar `|R| × |R|` loop over
+//! the `LabelView` accessors (`upper_bound_pair_exact`) — including at
+//! the width-tier boundaries (254/255, 65534/65535, the `CLAMP_INF`
+//! escape) and for unreachable pairs — and the runtime-dispatched SIMD
+//! kernels must be bit-identical to the branch-free scalar fallback on
+//! arbitrary plans.
 //!
-//! Published generations arrive with their mirror already sealed by the
-//! writer (patched from the previous generation's mirror): after every
-//! batch of a random history, on every family, it must be row for row
-//! what a fresh pack of the same labelling gives.
+//! Published generations are built by patching the previous one with
+//! the repair deltas: after every batch of a random history, on every
+//! family, each labelling must equal a fresh construction on the current
+//! graph, present the same rows as its own compaction, and bound every
+//! pair like the exact loop and like the fresh labelling.
 
 use batchhl::core::directed::DirectedBatchIndex;
 use batchhl::core::index::{Algorithm, BatchIndex, CompactionPolicy, IndexConfig};
 use batchhl::core::weighted::WeightedBatchIndex;
 use batchhl::core::{Family, Index};
 use batchhl::graph::weighted::{Weight, WeightedGraph, WeightedUpdate};
-use batchhl::graph::{Batch, DynamicDiGraph, DynamicGraph, Vertex};
+use batchhl::graph::{Batch, DynamicDiGraph, DynamicGraph, Reversed, Vertex};
 use batchhl::hcl::kernel::{
     accumulate_via, accumulate_via_scalar, gather_min, gather_min_scalar, CLAMP_INF, CLAMP_SAFE_MAX,
 };
 use batchhl::hcl::labelling::Labelling;
+use batchhl::hcl::oracle::minimal_labelling_bruteforce;
 use batchhl::hcl::packed::{NarrowSlice, PackedIndex};
 use batchhl::hcl::serde_io::{read_labelling, write_labelling};
-use batchhl::hcl::{build_labelling, LandmarkSelection, SourcePlan};
+use batchhl::hcl::{build_labelling, upper_bound_pair_exact, LandmarkSelection, SourcePlan};
 use batchhl::{Dist, INF};
 use proptest::prelude::*;
 
@@ -55,33 +58,6 @@ const TIER_EDGE_DISTS: [Dist; 11] = [
     CLAMP_INF + 17,
     INF - 1,
 ];
-
-/// Eq. 3 computed straight off the dense accessors — the reference the
-/// packed paths must reproduce.
-fn dense_pair_bound(
-    bwd: &Labelling,
-    hw: &Labelling,
-    fwd: &Labelling,
-    s: Vertex,
-    t: Vertex,
-) -> Dist {
-    let r = hw.num_landmarks();
-    let mut best = u64::from(INF);
-    for i in 0..r {
-        let ls = bwd.label(i, s);
-        if ls == INF {
-            continue;
-        }
-        for j in 0..r {
-            let (h, lt) = (hw.highway(i, j), fwd.label(j, t));
-            if h == INF || lt == INF {
-                continue;
-            }
-            best = best.min(u64::from(ls) + u64::from(h) + u64::from(lt));
-        }
-    }
-    best.min(u64::from(INF)) as Dist
-}
 
 /// Vertex ids of random histories: those past `N` grow the graph.
 const GROW: usize = N + 4;
@@ -132,13 +108,7 @@ fn history_config(algorithm: usize, threads: usize) -> IndexConfig {
     }
 }
 
-fn seal_published<F: Family>(idx: &Index<F>) {
-    for lab in idx.published().value().labellings() {
-        lab.packed();
-    }
-}
-
-/// Row `v` of a mirror as `(tier, entries)`.
+/// Row `v` of a packing as `(tier, entries)`.
 fn row_of(p: &PackedIndex, v: Vertex) -> (u8, Vec<(u16, Dist)>) {
     let row = p.labels.row(v);
     (
@@ -147,16 +117,20 @@ fn row_of(p: &PackedIndex, v: Vertex) -> (u8, Vec<(u16, Dist)>) {
     )
 }
 
-/// Every labelling of the published generation carries a sealed mirror
-/// equal, row for row, to a fresh pack, and its Eq. 3 bounds equal the
-/// dense double loop.
-fn check_published_mirrors<F: Family>(idx: &Index<F>, ctx: &str) -> Result<(), String> {
+/// Every labelling of the published generation equals `fresh` (a new
+/// construction on the current graph, in checkpoint order), presents row
+/// for row what its own compaction does, and bounds every pair like the
+/// exact loop and like `fresh`.
+fn check_published<F: Family>(
+    idx: &Index<F>,
+    fresh: &[Labelling],
+    ctx: &str,
+) -> Result<(), String> {
     let snap = idx.published();
-    for lab in snap.value().labellings() {
-        prop_assert!(
-            lab.packed_is_sealed(),
-            "{ctx}: published mirror is not sealed"
-        );
+    let labs = snap.value().labellings();
+    prop_assert_eq!(labs.len(), fresh.len());
+    for (lab, fresh) in labs.into_iter().zip(fresh) {
+        prop_assert_eq!(lab, fresh, "{}: labelling = fresh build", ctx);
         let (got, want) = (lab.packed(), PackedIndex::build(lab));
         let n = lab.num_vertices() as Vertex;
         prop_assert_eq!(got.labels.num_vertices(), n as usize, "{ctx}: vertex range");
@@ -168,11 +142,13 @@ fn check_published_mirrors<F: Family>(idx: &Index<F>, ctx: &str) -> Result<(), S
         prop_assert_eq!(&got.highway, &want.highway, "{ctx}: highway");
         for s in 0..n {
             for t in 0..n {
+                let bound = lab.upper_bound(s, t);
                 prop_assert_eq!(
-                    lab.upper_bound(s, t),
-                    lab.upper_bound_dense(s, t),
+                    bound,
+                    upper_bound_pair_exact(lab, lab, lab, s, t),
                     "{ctx}: bound ({s}, {t})"
                 );
+                prop_assert_eq!(bound, fresh.upper_bound(s, t), "{ctx}: fresh ({s}, {t})");
             }
         }
     }
@@ -211,10 +187,10 @@ fn unweighted_batch(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    // Every published generation of a random batch history arrives with
-    // a sealed, exact mirror: vertex growth, landmark-disconnecting
-    // deletions, every algorithm's pass split, both repair paths, and
-    // compactions of the packed overlay.
+    // Every published generation of a random batch history equals a
+    // fresh construction and bounds exactly: vertex growth,
+    // landmark-disconnecting deletions, every algorithm's pass split,
+    // both repair paths, and compactions of the packed overlay.
     #[test]
     fn published_mirrors_stay_sealed_and_exact(
         edges in edges_strategy(),
@@ -225,7 +201,7 @@ proptest! {
         let config = history_config(algorithm, threads);
 
         let mut und = BatchIndex::build(DynamicGraph::from_edges(N, &edges), config.clone());
-        seal_published(&und);
+        let landmarks = und.labelling().landmarks().to_vec();
         for (k, steps) in history.iter().enumerate() {
             let g = und.graph();
             let batch = unweighted_batch(
@@ -235,11 +211,12 @@ proptest! {
                 |a, b| g.has_edge(a, b),
             );
             und.apply_batch(&batch);
-            check_published_mirrors(&und, &format!("undirected batch {k}"))?;
+            let fresh = build_labelling(und.graph(), landmarks.clone()).unwrap();
+            check_published(&und, &[fresh], &format!("undirected batch {k}"))?;
         }
 
         let mut di = DirectedBatchIndex::build(DynamicDiGraph::from_edges(N, &edges), config.clone());
-        seal_published(&di);
+        let landmarks = di.forward_labelling().landmarks().to_vec();
         for (k, steps) in history.iter().enumerate() {
             let g = di.graph();
             let batch = unweighted_batch(
@@ -252,13 +229,17 @@ proptest! {
                 |a, b| g.has_edge(a, b),
             );
             di.apply_batch(&batch);
-            check_published_mirrors(&di, &format!("directed batch {k}"))?;
+            let fresh = [
+                build_labelling(di.graph(), landmarks.clone()).unwrap(),
+                build_labelling(&Reversed(di.graph()), landmarks.clone()).unwrap(),
+            ];
+            check_published(&di, &fresh, &format!("directed batch {k}"))?;
             let (fwd, bwd) = (di.forward_labelling(), di.backward_labelling());
             for s in 0..fwd.num_vertices() as Vertex {
                 for t in 0..fwd.num_vertices() as Vertex {
                     prop_assert_eq!(
                         di.upper_bound(s, t),
-                        dense_pair_bound(bwd, fwd, fwd, s, t),
+                        upper_bound_pair_exact(bwd, fwd, fwd, s, t),
                         "directed batch {k}: bound ({s}, {t})"
                     );
                 }
@@ -272,7 +253,7 @@ proptest! {
             .collect();
         let mut wi = WeightedBatchIndex::try_build(WeightedGraph::from_edges(N, &weighted), config)
             .expect("top-degree landmarks are valid");
-        seal_published(&wi);
+        let landmarks = LandmarkSelection::Explicit(wi.labelling().landmarks().to_vec());
         for (k, steps) in history.iter().enumerate() {
             let g = wi.graph();
             let n = g.num_vertices();
@@ -297,13 +278,20 @@ proptest! {
                 }
             }
             wi.apply_batch(&batch);
-            check_published_mirrors(&wi, &format!("weighted batch {k}"))?;
+            let fresh_config = IndexConfig {
+                selection: landmarks.clone(),
+                ..IndexConfig::default()
+            };
+            let fresh = WeightedBatchIndex::try_build(wi.graph().clone(), fresh_config)
+                .expect("the same landmarks stay valid");
+            check_published(&wi, &[fresh.labelling().clone()], &format!("weighted batch {k}"))?;
         }
     }
 
-    // Undirected family: the packed mirror stores exactly the dense
-    // entries, and every packed bound path (public `upper_bound`,
-    // reusable `SourcePlan`) equals the dense double loop.
+    // Undirected family: the packed rows hold exactly the entries of the
+    // brute-force minimal labelling, and every packed bound path (public
+    // `upper_bound`, reusable `SourcePlan`) equals the exact double loop
+    // (the dense `|R| × |R|` evaluation of Eq. 3).
     #[test]
     fn packed_bounds_match_dense_undirected(
         edges in edges_strategy(),
@@ -311,10 +299,11 @@ proptest! {
     ) {
         let g = DynamicGraph::from_edges(N, &edges);
         let lab = build_labelling(&g, LandmarkSelection::TopDegree(5).select(&g)).unwrap();
+        let want = minimal_labelling_bruteforce(&g, lab.landmarks().to_vec());
         let packed = lab.packed();
         for i in 0..lab.num_landmarks() {
             for v in 0..N as Vertex {
-                let dense = lab.label(i, v);
+                let dense = want.label(i, v);
                 let row = packed.labels.row(v);
                 let found = (0..row.len())
                     .map(|k| row.entry(k))
@@ -325,19 +314,19 @@ proptest! {
                 }
             }
             for j in 0..lab.num_landmarks() {
-                prop_assert_eq!(packed.highway.get(i, j), lab.highway(i, j));
+                prop_assert_eq!(packed.highway.get(i, j), want.highway(i, j));
             }
         }
         for &(s, t) in &pairs {
-            let dense = lab.upper_bound_dense(s, t);
+            let dense = upper_bound_pair_exact(&lab, &lab, &lab, s, t);
             prop_assert_eq!(lab.upper_bound(s, t), dense, "upper_bound({}, {})", s, t);
             let plan = SourcePlan::new(&lab, &lab, s);
             prop_assert_eq!(plan.bound_to(&lab, t), dense, "plan bound ({}, {})", s, t);
         }
     }
 
-    // Directed family: the forward/backward packed bound equals Eq. 3
-    // off the dense accessors of both labellings.
+    // Directed family: the forward/backward packed bound equals the
+    // exact Eq. 3 loop over the accessors of both labellings.
     #[test]
     fn packed_bounds_match_dense_directed(
         arcs in edges_strategy(),
@@ -354,14 +343,14 @@ proptest! {
         for &(s, t) in &pairs {
             prop_assert_eq!(
                 idx.upper_bound(s, t),
-                dense_pair_bound(bwd, fwd, fwd, s, t),
+                upper_bound_pair_exact(bwd, fwd, fwd, s, t),
                 "directed bound ({}, {})", s, t
             );
         }
     }
 
     // Weighted family: large weights drive label rows into the u16/u32
-    // tiers; packed and dense bounds must still agree exactly.
+    // tiers; packed and exact bounds must still agree.
     #[test]
     fn packed_bounds_match_dense_weighted(
         edges in prop::collection::vec(
@@ -372,13 +361,13 @@ proptest! {
         let idx = WeightedBatchIndex::build(g, 5);
         let lab = idx.labelling();
         for &(s, t) in &pairs {
-            prop_assert_eq!(lab.upper_bound(s, t), lab.upper_bound_dense(s, t));
+            prop_assert_eq!(lab.upper_bound(s, t), upper_bound_pair_exact(lab, lab, lab, s, t));
         }
     }
 
     // Tier boundaries: hand-built labellings whose entries sit exactly
     // on the u8/u16/u32/escape edges (plus unreachable landmarks) keep
-    // packed == dense and survive a packed-snapshot round trip.
+    // packed == exact and survive a packed-snapshot round trip.
     #[test]
     fn tier_edges_and_unreachables_stay_exact(
         cells in prop::collection::vec(
@@ -397,9 +386,10 @@ proptest! {
             }
         }
         for &(s, t) in &pairs {
-            prop_assert_eq!(lab.upper_bound(s, t), lab.upper_bound_dense(s, t));
+            let exact = upper_bound_pair_exact(&lab, &lab, &lab, s, t);
+            prop_assert_eq!(lab.upper_bound(s, t), exact);
             let plan = SourcePlan::new(&lab, &lab, s);
-            prop_assert_eq!(plan.bound_to(&lab, t), lab.upper_bound_dense(s, t));
+            prop_assert_eq!(plan.bound_to(&lab, t), exact);
         }
         let mut buf = Vec::new();
         write_labelling(&lab, &mut buf).unwrap();
