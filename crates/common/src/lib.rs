@@ -51,5 +51,5 @@ pub use checksum::{crc32, Crc32, Crc32Reader, Crc32Writer};
 pub use dist::{dist_add1, Dist, Vertex, INF};
 pub use hash::{FxHashMap, FxHashSet};
 pub use llen::{ExtLandmarkLength, LandmarkLength};
-pub use queue::{DialQueue, LexDialQueue};
+pub use queue::{DialQueue, LexDialQueue, LexHeap, MonotoneQueue};
 pub use rng::SplitMix64;

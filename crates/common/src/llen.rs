@@ -15,7 +15,7 @@
 //! coincides with the lexicographic tuple order, so a queue comparison is
 //! one machine compare and the values index Dial buckets directly.
 
-use crate::dist::{dist_add1, Dist, INF};
+use crate::dist::{Dist, INF};
 
 /// A `(distance, landmark-flag)` pair, packed as
 /// `(dist << 1) | (landmark ? 0 : 1)`.
@@ -61,19 +61,10 @@ impl LandmarkLength {
         self.0 & 1 == 0
     }
 
-    /// The paper's `⊕` operator: extend the path by one vertex `w`.
-    /// Distance grows by one (with `INF` absorbing); the landmark flag is
-    /// set if `w` is a landmark.
-    #[inline(always)]
-    pub fn extend(self, w_is_landmark: bool) -> Self {
-        LandmarkLength::new(
-            dist_add1(self.dist()),
-            self.through_landmark() | w_is_landmark,
-        )
-    }
-
-    /// Weighted `⊕`: extend the path by an edge of weight `w` into a
-    /// vertex (Section 6's weighted sketch; `INF` absorbing).
+    /// The paper's `⊕` operator: extend the path by an edge of length
+    /// `w` (one hop unweighted, its weight on Section 6's weighted
+    /// graphs) into a vertex, with `INF` absorbing; the landmark flag is
+    /// set if that vertex is a landmark.
     #[inline(always)]
     pub fn extend_by(self, w: Dist, w_is_landmark: bool) -> Self {
         LandmarkLength::new(
@@ -143,12 +134,13 @@ impl ExtLandmarkLength {
         self.0 & 1 == 0
     }
 
-    /// Extend the underlying path by one vertex, keeping the deletion
-    /// flag (a deleted edge earlier on the path stays on the path).
+    /// Extend the underlying path by an edge of length `len` into a
+    /// vertex, keeping the deletion flag (a deleted edge earlier on the
+    /// path stays on the path).
     #[inline(always)]
-    pub fn extend(self, w_is_landmark: bool) -> Self {
+    pub fn extend_by(self, len: Dist, w_is_landmark: bool) -> Self {
         self.landmark_length()
-            .extend(w_is_landmark)
+            .extend_by(len, w_is_landmark)
             .with_deleted(self.deleted())
     }
 
@@ -214,12 +206,13 @@ mod tests {
     #[test]
     fn extend_is_the_paper_oplus() {
         let ll = LandmarkLength::new(2, false);
-        assert_eq!(ll.extend(false), LandmarkLength::new(3, false));
-        assert_eq!(ll.extend(true), LandmarkLength::new(3, true));
+        assert_eq!(ll.extend_by(1, false), LandmarkLength::new(3, false));
+        assert_eq!(ll.extend_by(1, true), LandmarkLength::new(3, true));
         // Once through a landmark, always through a landmark.
-        assert_eq!(ll.extend(true).extend(false), LandmarkLength::new(4, true));
+        let twice = ll.extend_by(1, true).extend_by(1, false);
+        assert_eq!(twice, LandmarkLength::new(4, true));
         // INF is absorbing.
-        assert!(LandmarkLength::INFINITE.extend(false).is_infinite());
+        assert!(LandmarkLength::INFINITE.extend_by(1, false).is_infinite());
     }
 
     #[test]
@@ -265,7 +258,7 @@ mod tests {
         let ll = LandmarkLength::new(3, false);
         assert_eq!(ll.extend_by(5, false), LandmarkLength::new(8, false));
         assert_eq!(ll.extend_by(5, true), LandmarkLength::new(8, true));
-        assert_eq!(ll.extend_by(1, false), ll.extend(false));
+        assert_eq!(ll.extend_by(1, false), LandmarkLength::new(4, false));
         assert!(LandmarkLength::INFINITE.extend_by(7, false).is_infinite());
     }
 

@@ -9,17 +9,53 @@
 //!
 //! Two concrete queues are provided:
 //!
-//! * [`DialQueue`] — keyed by plain distance (Algorithm 2, Algorithm 4's
-//!   distance component),
+//! * [`DialQueue`] — keyed by plain distance (the baselines' BFS
+//!   repairs),
 //! * [`LexDialQueue`] — keyed by [`ExtLandmarkLength`] with four
 //!   sub-buckets per distance so pops follow the full lexicographic
-//!   `(d, l, e)` order (Algorithm 3).
+//!   `(d, l, e)` order (Algorithms 2–4 on unit edge lengths).
 //!
 //! Both queues keep their bucket allocations alive across `clear` calls so
 //! a single instance serves as a workhorse across landmarks and batches.
+//!
+//! [`MonotoneQueue`] is what the batch search and repair need of a
+//! queue. Besides [`LexDialQueue`] it is implemented by [`LexHeap`], the
+//! binary heap that orders the same keys when edge lengths exceed one
+//! and unit buckets no longer apply.
 
 use crate::dist::{Dist, Vertex};
 use crate::llen::ExtLandmarkLength;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// A min-queue of `(ExtLandmarkLength, Vertex)` entries whose pushes
+/// never undercut the last pop.
+pub trait MonotoneQueue: Default + Send {
+    fn push(&mut self, key: ExtLandmarkLength, v: Vertex);
+    /// Pop an entry with the lexicographically smallest key.
+    fn pop(&mut self) -> Option<(ExtLandmarkLength, Vertex)>;
+    /// Empty the queue, keeping its allocation.
+    fn clear(&mut self);
+}
+
+/// The [`MonotoneQueue`] for arbitrary positive edge lengths.
+pub type LexHeap = BinaryHeap<Reverse<(ExtLandmarkLength, Vertex)>>;
+
+impl MonotoneQueue for LexHeap {
+    #[inline]
+    fn push(&mut self, key: ExtLandmarkLength, v: Vertex) {
+        BinaryHeap::push(self, Reverse((key, v)));
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<(ExtLandmarkLength, Vertex)> {
+        BinaryHeap::pop(self).map(|Reverse(entry)| entry)
+    }
+
+    fn clear(&mut self) {
+        BinaryHeap::clear(self);
+    }
+}
 
 /// Bucket queue over `(Dist, Vertex)` entries popped in non-decreasing
 /// distance order.
@@ -113,8 +149,10 @@ impl LexDialQueue {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
+}
 
-    pub fn push(&mut self, key: ExtLandmarkLength, v: Vertex) {
+impl MonotoneQueue for LexDialQueue {
+    fn push(&mut self, key: ExtLandmarkLength, v: Vertex) {
         let d = key.dist() as usize;
         debug_assert!(
             d >= self.cursor || self.len == 0,
@@ -131,12 +169,10 @@ impl LexDialQueue {
         self.len += 1;
     }
 
-    /// Pop a lexicographically minimal entry, returning its full key.
-    ///
     /// Entries within one `(d, l, e)` sub-bucket are interchangeable for
     /// the algorithms (their keys are equal), so LIFO order inside a
     /// sub-bucket is fine.
-    pub fn pop(&mut self) -> Option<(ExtLandmarkLength, Vertex)> {
+    fn pop(&mut self) -> Option<(ExtLandmarkLength, Vertex)> {
         if self.len == 0 {
             return None;
         }
@@ -158,7 +194,7 @@ impl LexDialQueue {
         None
     }
 
-    pub fn clear(&mut self) {
+    fn clear(&mut self) {
         for b in &mut self.buckets {
             for sub in b {
                 sub.clear();
@@ -259,6 +295,22 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 16);
+    }
+
+    #[test]
+    fn heap_pops_keys_in_the_dial_order() {
+        let mut rng = SplitMix64::new(7);
+        let (mut dial, mut heap) = (LexDialQueue::new(), LexHeap::new());
+        for v in 0..200 {
+            let r = rng.next_u64();
+            let key = ExtLandmarkLength::new((r % 16) as Dist, r & 16 != 0, r & 32 != 0);
+            dial.push(key, v);
+            MonotoneQueue::push(&mut heap, key, v);
+        }
+        while let Some((key, _)) = dial.pop() {
+            assert_eq!(MonotoneQueue::pop(&mut heap).map(|(k, _)| k), Some(key));
+        }
+        assert!(heap.is_empty());
     }
 
     #[test]

@@ -232,6 +232,9 @@ pub trait Backend: Send {
     /// Which family this backend is (useful for diagnostics).
     fn family(&self) -> BackendFamily;
 
+    /// The configuration the index updates with (a checkpoint keeps it).
+    fn config(&self) -> &IndexConfig;
+
     /// Number of vertices in the current graph.
     fn num_vertices(&self) -> usize;
 
@@ -431,6 +434,10 @@ pub(crate) fn unweighted_batch(
 impl<F: Family> Backend for Index<F> {
     fn family(&self) -> BackendFamily {
         F::KIND
+    }
+
+    fn config(&self) -> &IndexConfig {
+        Index::config(self)
     }
 
     fn num_vertices(&self) -> usize {

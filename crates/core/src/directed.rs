@@ -4,12 +4,13 @@
 //! (entries `(r, d(r→v))`, highway `δ_Hf(r_i, r_j) = d(r_i→r_j)`) and a
 //! backward one that is simply the forward structure of the *reversed*
 //! graph (entries `(r, d(v→r))`). A pass runs the unified update engine
-//! ([`crate::engine`]) once per labelling with the same BFS kernel the
-//! undirected index uses — the backward run just hands it the generic
-//! `Reversed` adapter and arc-reversed updates:
+//! ([`crate::engine`]) once per labelling with the same unit-length
+//! search and repair the undirected index uses — the backward run just
+//! hands it the generic `Reversed` adapter and arc-reversed seeds:
 //!
-//! * the search anchors only arc *heads* (`directed = true`): an arc
-//!   `a→b` can only carry `r`-paths through it in its own direction;
+//! * the search anchors only arc *heads* (one [`Seed`] per arc, where an
+//!   undirected edge seeds both): an arc `a→b` can only carry `r`-paths
+//!   through it in its own direction;
 //! * repair reads bounds from in-neighbours and relaxes out-neighbours,
 //!   which on the reversed view becomes the mirror image.
 //!
@@ -24,8 +25,9 @@
 //! index.
 
 use crate::backend::{unweighted_batch, BackendFamily, Edit, OracleError};
-use crate::engine::{self, BfsKernel};
+use crate::engine;
 use crate::family::Family;
+use crate::metric::Seed;
 use crate::persist::PersistError;
 use crate::stats::UpdateStats;
 use crate::whatif::{grown_n, rewrite_lists};
@@ -57,20 +59,16 @@ pub struct DirectedSnapshot {
     pub view: CsrDiDelta,
 }
 
-/// The arcs of `updates` reversed: what the backward labelling sees.
-fn reversed(updates: &[Update]) -> Vec<Update> {
-    updates
-        .iter()
-        .map(|u| match *u {
-            Update::Insert(a, b) => Update::Insert(b, a),
-            Update::Delete(a, b) => Update::Delete(b, a),
-        })
-        .collect()
+/// The search seeds of a directed batch: its arcs for the forward
+/// labelling, and the same arcs reversed for the backward one.
+fn seeds(norm: &Batch) -> (Vec<Seed>, Vec<Seed>) {
+    let fwd: Vec<Seed> = norm.updates().iter().map(Seed::unit).collect();
+    let bwd = fwd.iter().map(|s| s.reversed()).collect();
+    (fwd, bwd)
 }
 
 impl Family for DirectedSnapshot {
     const KIND: BackendFamily = BackendFamily::Directed;
-    const HONOURS_ALGORITHM: bool = true;
     const LABELLINGS: usize = 2;
     type Graph = DynamicDiGraph;
     type Labels = [Labelling; 2];
@@ -154,7 +152,6 @@ impl Family for DirectedSnapshot {
         stats.deletions = norm.num_deletions();
 
         let n = graph.num_vertices();
-        ws.grow(n);
 
         // Freeze the batch's arcs into the two-direction CSR view; the
         // forward and backward searches below traverse it.
@@ -163,24 +160,19 @@ impl Family for DirectedSnapshot {
         let arcs: Vec<(Vertex, Vertex)> = norm.updates().iter().map(|u| u.endpoints()).collect();
         view.absorb_arcs(&*graph, &arcs);
 
-        let kernel = BfsKernel {
-            improved: config.algorithm.improved_search(),
-            directed: true,
-        };
+        let (fwd_seeds, bwd_seeds) = seeds(&norm);
         let (fwd, fwd_aff) = engine::run_landmarks(
-            &kernel,
-            &engine::oracle_for(&old.fwd, n),
             &view,
-            norm.updates(),
+            &engine::oracle_for(&old.fwd, n),
+            &fwd_seeds,
             config,
             ws,
         );
         // The backward pass sees every arc reversed.
         let (bwd, bwd_aff) = engine::run_landmarks(
-            &kernel,
-            &engine::oracle_for(&old.bwd, n),
             &Reversed(&view),
-            &reversed(norm.updates()),
+            &engine::oracle_for(&old.bwd, n),
+            &bwd_seeds,
             config,
             ws,
         );
@@ -221,21 +213,13 @@ impl Family for DirectedSnapshot {
             CsrDiDelta::in_neighbors,
             CsrDiDelta::set_vertex_in,
         );
-        let kernel = BfsKernel {
-            improved: true,
-            directed: true,
-        };
-        let fwd = engine::run_landmarks_speculative(
-            &kernel,
-            &engine::oracle_for(&self.fwd, n),
-            &view,
-            norm.updates(),
-        );
+        let (fwd_seeds, bwd_seeds) = seeds(norm);
+        let fwd =
+            engine::run_landmarks_speculative(&view, &engine::oracle_for(&self.fwd, n), &fwd_seeds);
         let bwd = engine::run_landmarks_speculative(
-            &kernel,
-            &engine::oracle_for(&self.bwd, n),
             &Reversed(&view),
-            &reversed(norm.updates()),
+            &engine::oracle_for(&self.bwd, n),
+            &bwd_seeds,
         );
         (view, vec![fwd, bwd])
     }

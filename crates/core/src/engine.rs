@@ -6,114 +6,59 @@
 //! labelling `Γ` to find the affected vertices, then run batch repair to
 //! rewrite that landmark's rows of the new labelling `Γ′`. What differs
 //! between the undirected, directed (Section 6) and weighted
-//! (Section 6) indexes is only the **search space** — plain BFS
-//! traversal, forward/backward arc traversal, or Dijkstra over edge
-//! weights. The [`UpdateKernel`] trait captures exactly that residue;
-//! [`run_landmarks`] owns the orchestration (sequential or
+//! (Section 6) indexes is only the **search space** — unit-length arcs
+//! in either direction, or weighted edges — which the [`Metric`]
+//! parameter captures, and the [`Seed`] arcs a family derives from its
+//! batch. [`run_landmarks`] owns the orchestration (sequential or
 //! landmark-parallel BHLₚ) once, for all of them.
 //!
-//! The kernel contract mirrors the write-disjointness argument of the
-//! paper's parallel variant: a kernel invocation for landmark `i` may
-//! read the whole old labelling and graph, and emits only landmark
-//! `i`'s [`RowDelta`] — its rewritten labels and highway entries. That
-//! makes the parallel path safe with nothing shared but read-only
-//! state. Nothing writes `Γ` in place: [`run_landmarks`] builds `Γ′` from
-//! the published `Γ` plus the deltas ([`Labelling::seal_patched`]), so
-//! readers keep serving `Γ` untouched while the pass runs.
+//! One landmark's search + repair may read the whole old labelling and
+//! graph, and emits only landmark `i`'s [`RowDelta`] — its rewritten
+//! labels and highway entries. That is the write-disjointness argument
+//! of the paper's parallel variant: the parallel path shares nothing
+//! but read-only state. Nothing writes `Γ` in place: [`run_landmarks`]
+//! builds `Γ′` from the published `Γ` plus the deltas
+//! ([`Labelling::seal_patched`]), so readers keep serving `Γ` untouched
+//! while the pass runs.
 
 use crate::index::IndexConfig;
+use crate::metric::{Metric, Seed};
 use crate::repair::batch_repair;
 use crate::search::batch_search;
-use crate::search_improved::batch_search_improved;
 use crate::workspace::UpdateWorkspace;
-use batchhl_graph::{AdjacencyView, Update};
-use batchhl_hcl::{LabelPatch, Labelling, RowDelta};
+use batchhl_common::{MonotoneQueue, Vertex};
+use batchhl_graph::CompactionPolicy;
+use batchhl_hcl::{LabelPatch, Labelling, RowDelta, NO_LABEL};
 use std::borrow::Cow;
 
-/// The variant-specific part of one update pass: how to search and
-/// repair a single landmark.
-///
-/// `G` is the search space (an [`AdjacencyView`] for the unweighted
-/// kernels, the weighted graph for the Dijkstra kernel); `Update` the
-/// update representation the search seeds from.
-pub trait UpdateKernel<G: ?Sized + Sync>: Sync {
-    type Update: Sync;
-    type Workspace: Send;
-
-    /// A fresh scratch workspace for `n` vertices (parallel workers own
-    /// one each; the sequential path reuses the caller's).
-    fn workspace(&self, n: usize) -> Self::Workspace;
-
-    /// Search + repair landmark `i`: read the old labelling `old` and
-    /// the updated graph `g`, and return what the repair wrote — one
-    /// label entry per affected vertex, plus the highway entries of row
-    /// `i` it rewrote.
-    fn process_landmark(
-        &self,
-        old: &Labelling,
-        g: &G,
-        updates: &[Self::Update],
-        i: usize,
-        ws: &mut Self::Workspace,
-    ) -> RowDelta;
-}
-
-/// The unweighted kernel: batch search (Algorithm 2) or improved batch
-/// search (Algorithm 3), then batch repair (Algorithm 4). `directed`
-/// restricts search anchors to arc heads (Section 6); the same kernel
-/// serves the forward and backward passes of the directed index via the
-/// [`AdjacencyView`] abstraction.
-#[derive(Debug, Clone, Copy)]
-pub struct BfsKernel {
-    pub improved: bool,
-    pub directed: bool,
-}
-
-impl<G: AdjacencyView + Sync> UpdateKernel<G> for BfsKernel {
-    type Update = Update;
-    type Workspace = UpdateWorkspace;
-
-    fn workspace(&self, n: usize) -> UpdateWorkspace {
-        UpdateWorkspace::new(n)
-    }
-
-    fn process_landmark(
-        &self,
-        old: &Labelling,
-        g: &G,
-        updates: &[Update],
-        i: usize,
-        ws: &mut UpdateWorkspace,
-    ) -> RowDelta {
-        ws.reset();
-        if self.improved {
-            batch_search_improved(old, g, updates, i, self.directed, ws);
-        } else {
-            batch_search(old, g, updates, i, self.directed, ws);
-        }
-        batch_repair(old, g, i, ws)
-    }
+/// Search (β-pruned when `improved`) + repair landmark `i`: its delta.
+fn search_and_repair<M: Metric>(
+    old: &Labelling,
+    g: &M,
+    seeds: &[Seed],
+    i: usize,
+    improved: bool,
+    ws: &mut UpdateWorkspace<M::Queue>,
+) -> RowDelta {
+    ws.reset();
+    batch_search(old, g, seeds, i, improved, ws);
+    batch_repair(old, g, i, ws)
 }
 
 /// One full update pass: search + repair every landmark of `old`,
 /// sequentially or with landmark-level parallelism
 /// (`config.threads > 1`, BHLₚ), then build the next labelling from
 /// `old` and the deltas ([`Labelling::seal_patched`], compacting under
-/// `config.compaction`). Each parallel worker owns a private workspace
-/// and emits the deltas of its own landmarks; everything shared is
-/// read-only. Returns the new labelling and `|V_aff|` per landmark.
-pub fn run_landmarks<G, K>(
-    kernel: &K,
+/// `config.compaction`). The configured algorithm picks the basic or
+/// the β-pruned search. Returns the new labelling and `|V_aff|` per
+/// landmark.
+pub fn run_landmarks<M: Metric>(
+    g: &M,
     old: &Labelling,
-    g: &G,
-    updates: &[K::Update],
+    seeds: &[Seed],
     config: &IndexConfig,
-    ws: &mut K::Workspace,
-) -> (Labelling, Vec<usize>)
-where
-    G: ?Sized + Sync,
-    K: UpdateKernel<G>,
-{
+    ws: &mut UpdateWorkspace<M::Queue>,
+) -> (Labelling, Vec<usize>) {
     // Chaos-suite injection point: by the time the pass reaches the
     // landmark loop the writer graph is already mutated, so a panic
     // here leaves maximally half-applied writer state behind. There is
@@ -122,75 +67,80 @@ where
     if let Err(msg) = batchhl_common::failpoint::check("engine::mid_repair_panic") {
         panic!("{msg}");
     }
-    let deltas = repair_landmarks(kernel, old, g, updates, config.threads, ws);
+    let improved = config.algorithm.improved_search();
+    ws.grow(old.num_vertices());
+    let deltas = each_landmark(old, config.threads, ws, |i, ws| {
+        landmark_failpoint();
+        search_and_repair(old, g, seeds, i, improved, ws)
+    });
     // Repair finalizes every affected vertex exactly once.
     let affected = deltas.iter().map(|d| d.labels.len()).collect();
     (old.seal_patched(&deltas, config.compaction), affected)
 }
 
-/// The landmark loop of [`run_landmarks`]: landmark `i`'s delta at
-/// index `i`.
-fn repair_landmarks<G, K>(
-    kernel: &K,
-    old: &Labelling,
-    g: &G,
-    updates: &[K::Update],
+/// Construct the minimal labelling of `g` from the unlabelled `empty`
+/// (its landmark set): with every vertex but the landmark's own
+/// affected, Algorithm 4's sweep alone is the flagged Dijkstra (BFS on
+/// unit lengths) from each landmark. `threads` as in [`run_landmarks`].
+pub(crate) fn build_labelling<M: Metric>(g: &M, empty: &Labelling, threads: usize) -> Labelling {
+    let n = empty.num_vertices();
+    let deltas = each_landmark(empty, threads, &mut UpdateWorkspace::new(n), |i, ws| {
+        ws.reset();
+        let root = empty.landmark_vertex(i);
+        for v in (0..n as Vertex).filter(|&v| v != root) {
+            ws.aff.insert(v);
+        }
+        let mut delta = batch_repair(empty, g, i, ws);
+        // Removing an absent label is a no-op: keep only the labels.
+        delta.labels.retain(|&(_, d)| d != NO_LABEL);
+        delta.labels.shrink_to_fit();
+        delta
+    });
+    empty.seal_patched(&deltas, CompactionPolicy::default())
+}
+
+/// Run `landmark(i, ws)` for every landmark `i` of `lab` and collect the
+/// deltas in landmark order: in turn on `ws`, or (`threads > 1`) over
+/// contiguous landmark ranges on scoped workers with a private
+/// workspace each. A landmark's delta is its own rows of the next
+/// labelling, so the workers share nothing but read-only state.
+fn each_landmark<Q: MonotoneQueue>(
+    lab: &Labelling,
     threads: usize,
-    ws: &mut K::Workspace,
-) -> Vec<RowDelta>
-where
-    G: ?Sized + Sync,
-    K: UpdateKernel<G>,
-{
-    let n = old.num_vertices();
-    let r = old.num_landmarks();
-    let threads = threads.max(1).min(r.max(1));
-    if threads <= 1 {
-        return (0..r)
-            .map(|i| {
-                landmark_failpoint();
-                kernel.process_landmark(old, g, updates, i, ws)
-            })
-            .collect();
+    ws: &mut UpdateWorkspace<Q>,
+    landmark: impl Fn(usize, &mut UpdateWorkspace<Q>) -> RowDelta + Sync,
+) -> Vec<RowDelta> {
+    let r = lab.num_landmarks();
+    let threads = threads.clamp(1, r.max(1));
+    if threads == 1 {
+        return (0..r).map(|i| landmark(i, ws)).collect();
     }
     let per = r.div_ceil(threads);
-    let mut results = vec![RowDelta::default(); r];
+    let landmark = &landmark;
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..r)
+        let workers: Vec<_> = (0..r)
             .step_by(per)
             .map(|lo| {
                 scope.spawn(move || {
-                    let mut ws = kernel.workspace(n);
-                    (lo..(lo + per).min(r))
-                        .map(|i| {
-                            landmark_failpoint();
-                            (i, kernel.process_landmark(old, g, updates, i, &mut ws))
-                        })
-                        .collect::<Vec<_>>()
+                    let mut ws = UpdateWorkspace::new(lab.num_vertices());
+                    let range = lo..(lo + per).min(r);
+                    range.map(|i| landmark(i, &mut ws)).collect::<Vec<_>>()
                 })
             })
             .collect();
-        for h in handles {
-            match h.join() {
-                Ok(rows) => {
-                    for (i, delta) in rows {
-                        results[i] = delta;
-                    }
-                }
-                // Re-raise the worker's own payload instead of a fresh
-                // "worker panicked" panic: the facade's containment
-                // records the payload string in the poisoned-health
-                // reason, and it must name the original failure even
-                // when it crossed a scoped thread.
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    results
+        // Re-raise a worker's own payload instead of a fresh "worker
+        // panicked" panic: the facade's containment records the payload
+        // string in the poisoned-health reason, and it must name the
+        // original failure even when it crossed a scoped thread.
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    })
 }
 
 /// The speculative twin of [`run_landmarks`]: run the same search +
-/// repair kernels for every landmark, but keep the deltas as a
+/// repair (β-pruned) for every landmark, but keep the deltas as a
 /// [`LabelPatch`] instead of building a labelling from them. This is the
 /// labelling half of a what-if session: `old` must already be grown to
 /// the hypothetical graph's vertex count (see [`oracle_for`]) and `g` is
@@ -201,25 +151,21 @@ where
 /// base when queried, and an empty batch yields an empty patch.
 /// Sessions are built on reader threads — no failpoints, no parallel
 /// fan-out, no writer state.
-pub(crate) fn run_landmarks_speculative<G, K>(
-    kernel: &K,
+pub(crate) fn run_landmarks_speculative<M: Metric>(
+    g: &M,
     old: &Labelling,
-    g: &G,
-    updates: &[K::Update],
-) -> LabelPatch
-where
-    G: ?Sized + Sync,
-    K: UpdateKernel<G>,
-{
+    seeds: &[Seed],
+) -> LabelPatch {
     let n = old.num_vertices();
     let mut patch = LabelPatch::new(n);
-    if updates.is_empty() {
+    if seeds.is_empty() {
         // Nothing to search from: every row falls through to the base.
         return patch;
     }
-    let mut ws = kernel.workspace(n);
-    for i in 0..old.num_landmarks() {
-        let delta = kernel.process_landmark(old, g, updates, i, &mut ws);
+    let deltas = each_landmark(old, 1, &mut UpdateWorkspace::new(n), |i, ws| {
+        search_and_repair(old, g, seeds, i, true, ws)
+    });
+    for (i, delta) in deltas.into_iter().enumerate() {
         let rewired = delta.highway.iter().any(|&(j, h)| old.highway(i, j) != h);
         if !delta.labels.is_empty() || rewired {
             patch.insert_row(i, delta);
@@ -228,9 +174,9 @@ where
     patch
 }
 
-/// Chaos injection point *inside* the landmark loop — reached once per
-/// landmark, in the sequential path and inside every scoped parallel
-/// worker, so the suite can make a panic originate in a worker thread
+/// Chaos injection point *inside* the update pass's landmark loop —
+/// reached once per landmark, in the sequential path and inside every
+/// scoped parallel worker, so the suite can make a panic originate in a worker thread
 /// and cross `scope`/`join` before hitting commit containment.
 #[inline]
 fn landmark_failpoint() {
@@ -240,8 +186,9 @@ fn landmark_failpoint() {
 }
 
 /// The old labelling `Γ` may describe fewer vertices than `G′` when the
-/// batch introduced new ones; kernels index it by `G′` vertex ids, so
-/// grow a copy on (rare) vertex growth and borrow in place otherwise.
+/// batch introduced new ones; search and repair index it by `G′` vertex
+/// ids, so grow a copy on (rare) vertex growth and borrow in place
+/// otherwise.
 /// The copy shares `Γ`'s packed rows; growing it costs `O(n / 64)`.
 pub(crate) fn oracle_for(old: &Labelling, n: usize) -> Cow<'_, Labelling> {
     if old.num_vertices() >= n {
@@ -256,7 +203,7 @@ pub(crate) fn oracle_for(old: &Labelling, n: usize) -> Cow<'_, Labelling> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use batchhl_common::Vertex;
+    use crate::index::Algorithm;
     use batchhl_graph::generators::{barabasi_albert, path};
     use batchhl_graph::{Batch, DynamicGraph};
     use batchhl_hcl::{build_labelling, oracle};
@@ -273,16 +220,15 @@ mod tests {
         let mut g1 = g0.clone();
         g1.apply_batch(&norm);
         let oracle = oracle_for(&old, g1.num_vertices());
-        let kernel = BfsKernel {
-            improved,
-            directed: false,
-        };
-        let mut ws = UpdateKernel::<DynamicGraph>::workspace(&kernel, g1.num_vertices());
+        let mut ws = UpdateWorkspace::new(g1.num_vertices());
+        let algorithm = [Algorithm::Bhl, Algorithm::BhlPlus][improved as usize];
         let config = IndexConfig {
+            algorithm,
             threads,
             ..IndexConfig::default()
         };
-        let (new_lab, _) = run_landmarks(&kernel, &oracle, &g1, norm.updates(), &config, &mut ws);
+        let seeds = Seed::undirected(norm.updates());
+        let (new_lab, _) = run_landmarks(&g1, &oracle, &seeds, &config, &mut ws);
         (new_lab, g1)
     }
 

@@ -18,11 +18,13 @@
 //!
 //! A family supplies its graph, update and search types and a handful of
 //! hooks: build the labelling(s), normalize a batch against the view,
-//! run one search→repair pass through [`crate::engine::run_landmarks`]
-//! (twice for directed graphs, the second time over the `Reversed`
-//! view), rebuild the writer graph from a view, translate [`Edit`] lists,
-//! build a speculative overlay, encode its graph in a checkpoint, and
-//! audit itself against ground truth. The Section 4 query is provided:
+//! split it into deletion-like and insertion-like halves (BHLₛ), run one
+//! search→repair pass through [`crate::engine::run_landmarks`] over its
+//! [`crate::metric::Metric`] and the batch's seed arcs (twice for
+//! directed graphs, the second time over the `Reversed` view), rebuild
+//! the writer graph from a view, translate [`Edit`] lists, build a
+//! speculative overlay, encode its graph in a checkpoint, and audit
+//! itself against ground truth. The Section 4 query is provided:
 //! every family names its CSR view, its `(fwd, bwd)` labellings (one
 //! labelling twice for the undirected and weighted families) and its
 //! search engine, and runs the one query path of `batchhl_hcl::query`.
@@ -48,12 +50,6 @@ pub trait Family: Clone + Debug + Send + Sync + Sized + 'static {
     /// The backend family this is (diagnostics, checkpoint family byte).
     const KIND: BackendFamily;
 
-    /// Whether the configured [`crate::Algorithm`] drives the passes
-    /// (BHLₛ/UHL sub-batching, improved search) and is recorded in the
-    /// checkpoint body. The weighted family runs one basic pass per
-    /// batch, and its checkpoints carry no algorithm byte.
-    const HONOURS_ALGORITHM: bool;
-
     /// Number of labellings per generation (the length of `Labels`).
     const LABELLINGS: usize;
 
@@ -67,7 +63,7 @@ pub trait Family: Clone + Debug + Send + Sync + Sized + 'static {
     type Batch: ?Sized;
     /// A batch normalized against the current graph: one pass's input.
     type Norm;
-    /// Scratch state of one pass (grown by the pass itself).
+    /// Scratch state of one pass (the engine grows it).
     type Workspace: Default + Send;
     /// The frozen CSR view queries and passes traverse.
     type View: Clone + Debug + Send + Sync;
@@ -110,12 +106,14 @@ pub trait Family: Clone + Debug + Send + Sync + Sized + 'static {
     /// presents the writer graph).
     fn normalize(&self, batch: &Self::Batch) -> Self::Norm;
 
-    /// BHLₛ: split a normalized batch into (deletions, insertions).
+    /// BHLₛ: split a normalized batch into (deletions, insertions); on
+    /// weighted graphs weight increases go with the deletions and
+    /// decreases with the insertions.
     fn split(norm: Self::Norm) -> (Self::Norm, Self::Norm);
 
     /// One search→repair pass: apply `norm` to the writer `graph`, absorb
-    /// it into a copy of `old`'s view, grow the workspace, and build the
-    /// next generation's labelling(s) from `old`'s plus the repair deltas.
+    /// it into a copy of `old`'s view, and build the next generation's
+    /// labelling(s) from `old`'s plus the repair deltas.
     /// Fills `applied`, `insertions`, `deletions` and
     /// `affected_per_landmark`. Returns `None`, touching nothing, when
     /// `norm` is empty.
@@ -145,7 +143,7 @@ pub trait Family: Clone + Debug + Send + Sync + Sized + 'static {
     fn read_graph<R: Read>(r: &mut R) -> Result<Self::Graph, BinGraphError>;
 
     /// Structural audit: every labelling is the minimal highway cover
-    /// labelling of `graph` (where minimality is defined).
+    /// labelling of `graph`.
     fn audit(&self, graph: &Self::Graph) -> Result<(), String>;
 
     /// Ground-truth distances from `s` (BFS or Dijkstra on `graph`).

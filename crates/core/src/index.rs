@@ -26,8 +26,9 @@
 //! (BHLₚ, Section 6).
 
 use crate::backend::{unweighted_batch, BackendFamily, Edit, OracleError};
-use crate::engine::{self, BfsKernel};
+use crate::engine;
 use crate::family::Family;
+use crate::metric::Seed;
 use crate::persist::PersistError;
 use crate::reader::{query_many_on, GenReader, SharedReader};
 use crate::stats::UpdateStats;
@@ -85,9 +86,7 @@ impl Algorithm {
 pub struct IndexConfig {
     /// How to choose the landmark set (paper default: 20 top-degree).
     pub selection: LandmarkSelection,
-    /// Update variant, honoured by the undirected and directed
-    /// families. The weighted family runs one basic pass per batch
-    /// whatever is set here (and its checkpoints do not record it).
+    /// Update variant, honoured by every family.
     pub algorithm: Algorithm,
     /// Worker threads for construction and updates. `> 1` turns BHL⁺
     /// into the paper's BHLₚ.
@@ -272,16 +271,10 @@ impl<F: Family> Index<F> {
     }
 
     /// Apply a batch of updates and repair the labelling(s)
-    /// (Algorithm 1, dispatched per the configured [`Algorithm`] on the
-    /// families that honour it).
+    /// (Algorithm 1, dispatched per the configured [`Algorithm`]).
     pub fn apply_batch(&mut self, batch: &F::Batch) -> UpdateStats {
         let start = Instant::now();
-        let algorithm = if F::HONOURS_ALGORITHM {
-            self.config.algorithm
-        } else {
-            Algorithm::Bhl
-        };
-        let mut stats = match algorithm {
+        let mut stats = match self.config.algorithm {
             Algorithm::Bhl | Algorithm::BhlPlus => {
                 let norm = self.current.normalize(batch);
                 self.run_pass(norm)
@@ -303,6 +296,14 @@ impl<F: Family> Index<F> {
         };
         stats.elapsed = start.elapsed();
         stats
+    }
+
+    /// Full semantic audit: every labelling must equal the unique
+    /// minimal highway cover labelling of the current graph.
+    /// `O(|R|·(|V|+|E|))` — intended for tests and offline checks, not
+    /// the hot path.
+    pub fn verify(&self) -> Result<(), String> {
+        self.generation().audit(&self.graph)
     }
 
     /// Rebuild the labelling(s) from scratch (used by tests) and publish
@@ -373,7 +374,6 @@ pub struct IndexSnapshot {
 
 impl Family for IndexSnapshot {
     const KIND: BackendFamily = BackendFamily::Undirected;
-    const HONOURS_ALGORITHM: bool = true;
     const LABELLINGS: usize = 1;
     type Graph = DynamicGraph;
     type Labels = [Labelling; 1];
@@ -454,7 +454,6 @@ impl Family for IndexSnapshot {
         stats.deletions = norm.num_deletions();
 
         let n = graph.num_vertices();
-        ws.grow(n);
 
         // Freeze the batch's endpoints into the CSR view (and compact
         // when the overlay crossed its threshold): everything below —
@@ -465,13 +464,9 @@ impl Family for IndexSnapshot {
         let graph = &*graph;
         view.absorb(n, norm.touched_vertices(), |v| graph.neighbors(v));
         let (lab, affected) = engine::run_landmarks(
-            &BfsKernel {
-                improved: config.algorithm.improved_search(),
-                directed: false,
-            },
-            &engine::oracle_for(&old.lab, n),
             &view,
-            norm.updates(),
+            &engine::oracle_for(&old.lab, n),
+            &Seed::undirected(norm.updates()),
             config,
             ws,
         );
@@ -502,13 +497,9 @@ impl Family for IndexSnapshot {
             CsrDelta::set_vertex,
         );
         let patch = engine::run_landmarks_speculative(
-            &BfsKernel {
-                improved: true,
-                directed: false,
-            },
-            &engine::oracle_for(&self.lab, n),
             &view,
-            norm.updates(),
+            &engine::oracle_for(&self.lab, n),
+            &Seed::undirected(norm.updates()),
         );
         (view, vec![patch])
     }
@@ -553,13 +544,6 @@ impl BatchIndex {
     /// The published labelling.
     pub fn labelling(&self) -> &Labelling {
         &self.generation().lab
-    }
-
-    /// Full semantic audit: the labelling must equal the unique minimal
-    /// highway cover labelling of the current graph. `O(|R|·(|V|+|E|))`
-    /// — intended for tests and offline checks, not the hot path.
-    pub fn verify(&self) -> Result<(), String> {
-        self.generation().audit(&self.graph)
     }
 }
 

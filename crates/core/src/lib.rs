@@ -5,10 +5,10 @@
 //! minimal highway cover labelling of a graph under **batches** of edge
 //! insertions and deletions, in two phases per landmark (Algorithm 1):
 //!
-//! 1. **Batch search** finds a superset of the vertices whose label or
-//!    landmark distance is affected by the batch — either the basic
-//!    unified search (Algorithm 2, [`search`]) or the improved search
-//!    with landmark-length pruning (Algorithm 3, [`search_improved`]);
+//! 1. **Batch search** ([`search`]) finds a superset of the vertices
+//!    whose label or landmark distance is affected by the batch — with
+//!    the basic unified pruning (Algorithm 2) or with the landmark-length
+//!    β test (Algorithm 3);
 //! 2. **Batch repair** (Algorithm 4, [`repair`]) recomputes the affected
 //!    labels from the boundary of unaffected vertices inward, restoring
 //!    correctness *and minimality* (Theorem 5.21).
@@ -18,8 +18,7 @@
 //! [`directed::DirectedBatchIndex`] (Section 6) and
 //! [`weighted::WeightedBatchIndex`] (Section 6) are its three
 //! instances. It is configured by [`index::IndexConfig`] with an
-//! [`index::Algorithm`] variant (the weighted family always runs one
-//! basic pass per batch):
+//! [`index::Algorithm`] variant, which every family honours:
 //!
 //! | Variant | Paper name | Meaning |
 //! |---------|-----------|---------|
@@ -65,15 +64,18 @@
 //! one search→repair pass, its replay, the edit translation, the
 //! speculative overlay, the checkpoint graph block and the audit.
 //!
-//! **One engine.** The per-landmark search→repair orchestration —
-//! sequential or landmark-parallel — is implemented once in
-//! [`engine`], generic over an [`engine::UpdateKernel`] describing the
-//! search space: BFS over an adjacency view (undirected, and both
-//! directions of the directed index through the generic `Reversed`
-//! adapter) or Dijkstra over a weighted adjacency view. A family's pass
-//! hook calls it once per labelling. Its last step builds the next
-//! labelling from the published one and the landmarks' repair deltas:
-//! only the packed rows (`batchhl_hcl::packed`) whose entries changed are
+//! **One engine.** Batch search and batch repair are written once, and
+//! so is the per-landmark search→repair orchestration — sequential or
+//! landmark-parallel — in [`engine`]. All three are generic over a
+//! [`metric::Metric`], the search space's edge lengths and queue: unit
+//! lengths in a bucketed Dial queue over any adjacency view (undirected,
+//! and both directions of the directed index through the generic
+//! `Reversed` adapter), or edge weights in a binary heap (Section 6's
+//! "pruned Dijkstra in place of pruned BFS"). A family's pass hook turns
+//! its batch into [`metric::Seed`] arcs — weight increases seed like
+//! deletions, decreases like insertions — and calls the engine once per
+//! labelling. The engine's last step builds the next labelling from the
+//! published one and the landmarks' repair deltas: only the packed rows (`batchhl_hcl::packed`) whose entries changed are
 //! derived again, so no reader repacks all `|R|·n` cells after a commit.
 //! The packed overlay compacts under the same [`index::CompactionPolicy`]
 //! as the CSR view.
@@ -131,12 +133,12 @@ pub mod directed;
 pub mod engine;
 pub mod family;
 pub mod index;
+pub mod metric;
 pub mod paths;
 pub mod persist;
 pub mod reader;
 pub mod repair;
 pub mod search;
-pub mod search_improved;
 pub mod snapshot;
 pub mod stats;
 pub mod wal;

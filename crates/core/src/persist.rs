@@ -21,10 +21,15 @@
 //!   directed:   u8 algorithm | u32 threads | f32 fraction | u64 min_entries
 //!               | u64 len | BGD2 graph | u64 len | BHL3 forward
 //!               | u64 len | BHL3 backward
-//!   weighted:   u32 threads | f32 fraction | u64 min_entries
+//!   weighted:   u8 algorithm | u32 threads | f32 fraction | u64 min_entries
 //!               | u64 len | BGW2 graph | u64 len | BHL3 labelling
 //! u32 CRC-32 over every preceding byte (magic included)
 //! ```
+//!
+//! Family codes are 0 (undirected), 1 (directed) and 3 (weighted).
+//! Code 2 is the weighted body written before the weighted family
+//! honoured [`Algorithm`]: it has no algorithm byte, is still read, and
+//! loads with the default algorithm.
 //!
 //! Every embedded block is length-prefixed, so a corrupt block cannot
 //! silently consume the sections after it, and the whole file is sealed
@@ -237,9 +242,10 @@ pub fn read_checkpoint<R: Read>(r: R) -> Result<(Box<dyn Backend>, CheckpointMet
         version: read_u64(&mut r, "header")?,
     };
     let backend: Box<dyn Backend> = match family {
-        0 => Box::new(load_body::<IndexSnapshot, _>(&mut r)?),
-        1 => Box::new(load_body::<DirectedSnapshot, _>(&mut r)?),
-        2 => Box::new(load_body::<WeightedSnapshot, _>(&mut r)?),
+        0 => Box::new(load_body::<IndexSnapshot, _>(&mut r, true)?),
+        1 => Box::new(load_body::<DirectedSnapshot, _>(&mut r, true)?),
+        2 => Box::new(load_body::<WeightedSnapshot, _>(&mut r, false)?),
+        3 => Box::new(load_body::<WeightedSnapshot, _>(&mut r, true)?),
         other => {
             return Err(PersistError::Header {
                 reason: format!("unknown backend family code {other}"),
@@ -266,7 +272,7 @@ pub(crate) fn family_code(family: BackendFamily) -> u8 {
     match family {
         BackendFamily::Undirected => 0,
         BackendFamily::Directed => 1,
-        BackendFamily::Weighted => 2,
+        BackendFamily::Weighted => 3,
     }
 }
 
@@ -345,9 +351,7 @@ pub(crate) fn save_body<F: Family>(
     out: &mut dyn Write,
 ) -> Result<(), PersistError> {
     let config = index.config();
-    if F::HONOURS_ALGORITHM {
-        out.write_all(&[algorithm_code(config.algorithm)])?;
-    }
+    out.write_all(&[algorithm_code(config.algorithm)])?;
     out.write_all(&(config.threads as u32).to_le_bytes())?;
     out.write_all(&config.compaction.fraction.to_le_bytes())?;
     out.write_all(&(config.compaction.min_entries as u64).to_le_bytes())?;
@@ -359,8 +363,9 @@ pub(crate) fn save_body<F: Family>(
     Ok(())
 }
 
-fn load_body<F: Family, R: Read>(r: &mut R) -> Result<Index<F>, PersistError> {
-    let algorithm = if F::HONOURS_ALGORITHM {
+/// `has_algorithm` is false only for the legacy weighted body.
+fn load_body<F: Family, R: Read>(r: &mut R, has_algorithm: bool) -> Result<Index<F>, PersistError> {
+    let algorithm = if has_algorithm {
         algorithm_from_code(read_u8(r, "config")?)?
     } else {
         IndexConfig::default().algorithm

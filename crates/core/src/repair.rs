@@ -4,12 +4,15 @@
 //! the landmark distances `d^L_{G′}(r, v)` of affected vertices by a
 //! Dijkstra-like sweep that starts from the *boundary*: every affected
 //! vertex is seeded with its **landmark distance bound** (Definition
-//! 5.19) — the best `d^L_{G′}(r, w) ⊕ v` over unaffected neighbours `w`,
-//! whose values are still the old ones and thus readable from `Γ`.
+//! 5.19) — the best `d^L_{G′}(r, w) ⊕ v` over unaffected in-neighbours
+//! `w`, whose values are still the old ones and thus readable from `Γ`.
 //! Lemma 5.20 shows the minimum-bound vertex's bound is exact, so
 //! finalizing in bound order and relaxing affected neighbours yields
 //! exact landmark distances for the whole set, even though a vertex may
 //! have been affected by many updates (each label is written once).
+//! Edge lengths come from the [`Metric`]; with positive lengths the
+//! Dijkstra exchange argument of Lemma 5.20 holds for weights as it does
+//! for hops (Section 6).
 //!
 //! Finalization applies Lemma 5.14: the `r`-label of `v` is `(r, d)` iff
 //! `d` is finite and the landmark flag is clear, otherwise the label is
@@ -19,16 +22,15 @@
 //! one write site: it appends to the landmark's [`RowDelta`], from which
 //! the engine builds `Γ′`.
 //!
-//! Implementation notes: the sweep pops from a Dial bucket queue in
-//! nondecreasing *distance* order with lazy decrease-key; same-distance
-//! flag refinements always happen before that bucket is drained (a
-//! relaxation adds exactly one hop), so values are final at pop time.
-//! Vertices whose bound never becomes finite are unreachable in `G′`
-//! and are finalized with `∞` after the queue drains.
+//! Implementation notes: the sweep pops `(d, l)` keys in lexicographic
+//! order with lazy decrease-key (a popped key that no longer matches the
+//! vertex's bound is stale), so values are final at pop time. Vertices
+//! whose bound never becomes finite are unreachable in `G′` and are
+//! finalized with `∞` after the queue drains.
 
+use crate::metric::Metric;
 use crate::workspace::{dl_old, UpdateWorkspace};
-use batchhl_common::{LandmarkLength, Vertex, INF};
-use batchhl_graph::AdjacencyView;
+use batchhl_common::{LandmarkLength, MonotoneQueue, Vertex, INF};
 use batchhl_hcl::{Labelling, RowDelta, NO_LABEL};
 
 /// Run Algorithm 4 for landmark `i`.
@@ -41,17 +43,17 @@ use batchhl_hcl::{Labelling, RowDelta, NO_LABEL};
 /// entry per affected vertex and the rewritten highway entries of row
 /// `i`. Nothing else of `Γ′` depends on landmark `i`, which is what
 /// makes landmark-level parallelism write-disjoint.
-pub fn batch_repair<A: AdjacencyView>(
+pub fn batch_repair<M: Metric>(
     lab: &Labelling,
-    g: &A,
+    g: &M,
     i: usize,
-    ws: &mut UpdateWorkspace,
+    ws: &mut UpdateWorkspace<M::Queue>,
 ) -> RowDelta {
     let mut delta = RowDelta {
         labels: Vec::with_capacity(ws.aff.inserted().len()),
         highway: Vec::new(),
     };
-    ws.repair_queue.clear();
+    ws.queue.clear();
     ws.bounds.clear();
 
     // Boundary initialization (lines 2–3): bounds from unaffected
@@ -63,39 +65,38 @@ pub fn batch_repair<A: AdjacencyView>(
         }
         let v_is_lm = lab.is_landmark(v);
         let mut best = LandmarkLength::INFINITE;
-        for &w in g.in_neighbors(v) {
+        for (w, len) in g.in_edges(v) {
             if ws.aff.contains(w) {
                 continue;
             }
-            let dlw = dl_old(lab, i, w, &mut ws.dl_cache);
-            let cand = dlw.extend(v_is_lm);
+            let cand = dl_old(lab, i, w, &mut ws.dl_cache).extend_by(len, v_is_lm);
             if cand < best {
                 best = cand;
             }
         }
         ws.bounds.set(v as usize, best.key());
         if !best.is_infinite() {
-            ws.repair_queue.push(best.dist(), v);
+            ws.queue.push(best.with_deleted(false), v);
         }
     }
 
     // Main sweep (lines 4–15).
-    while let Some((d, v)) = ws.repair_queue.pop() {
+    while let Some((key, v)) = ws.queue.pop() {
         if !ws.aff.contains(v) {
             continue; // already finalized
         }
         let bound = LandmarkLength::from_key(ws.bounds.get(v as usize).expect("queued ⇒ bounded"));
-        if bound.dist() != d {
+        if bound != key.landmark_length() {
             continue; // stale queue entry
         }
         ws.aff.remove(v);
         finalize(lab, i, v, bound, &mut delta);
         // Relax affected out-neighbours (lines 14–15).
-        for &w in g.out_neighbors(v) {
+        for (w, len) in g.out_edges(v) {
             if !ws.aff.contains(w) {
                 continue;
             }
-            let cand = bound.extend(lab.is_landmark(w));
+            let cand = bound.extend_by(len, lab.is_landmark(w));
             let cur = ws
                 .bounds
                 .get(w as usize)
@@ -104,7 +105,7 @@ pub fn batch_repair<A: AdjacencyView>(
             if cand < cur {
                 ws.bounds.set(w as usize, cand.key());
                 if !cand.is_infinite() {
-                    ws.repair_queue.push(cand.dist(), w);
+                    ws.queue.push(cand.with_deleted(false), w);
                 }
             }
         }
@@ -122,16 +123,9 @@ pub fn batch_repair<A: AdjacencyView>(
 }
 
 /// Record the final landmark distance of `v` in landmark `i`'s delta
-/// of Γ′ (lines 8–13). Shared with the weighted kernel, whose
-/// finalization rule (Lemma 5.14) is identical.
+/// of Γ′ (lines 8–13).
 #[inline]
-pub(crate) fn finalize(
-    lab: &Labelling,
-    i: usize,
-    v: Vertex,
-    dl: LandmarkLength,
-    delta: &mut RowDelta,
-) {
+fn finalize(lab: &Labelling, i: usize, v: Vertex, dl: LandmarkLength, delta: &mut RowDelta) {
     if let Some(j) = lab.landmark_index(v) {
         debug_assert_ne!(j, i, "the root landmark can never be affected");
         debug_assert!(
@@ -152,8 +146,8 @@ pub(crate) fn finalize(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metric::Seed;
     use crate::search::batch_search;
-    use crate::search_improved::batch_search_improved;
     use batchhl_graph::generators::path;
     use batchhl_graph::{Batch, DynamicGraph};
     use batchhl_hcl::{build_labelling, oracle};
@@ -171,15 +165,12 @@ mod tests {
         let mut g1 = g0.clone();
         g1.apply_batch(&norm);
         lab.ensure_vertices(g1.num_vertices());
+        let seeds = Seed::undirected(norm.updates());
         let mut ws = UpdateWorkspace::new(g1.num_vertices());
         let deltas: Vec<RowDelta> = (0..lab.num_landmarks())
             .map(|i| {
                 ws.reset();
-                if improved {
-                    batch_search_improved(&lab, &g1, norm.updates(), i, false, &mut ws);
-                } else {
-                    batch_search(&lab, &g1, norm.updates(), i, false, &mut ws);
-                }
+                batch_search(&lab, &g1, &seeds, i, improved, &mut ws);
                 batch_repair(&lab, &g1, i, &mut ws)
             })
             .collect();

@@ -6,28 +6,15 @@
 //! methods can then handle weight increases in a similar way to edge
 //! deletions, and weight decreases in a similar way to edge insertions."
 //!
-//! The machinery carries over with three changes:
-//!
-//! * construction runs a *flagged Dijkstra* per landmark (same landmark
-//!   flags, heap-ordered settle),
-//! * batch search seeds each update's anchors with
-//!   `d_G(r, near) + min(w_old, w_new)` — the lighter of the two
-//!   weights covers both the paths an increase destroys and the paths a
-//!   decrease creates (insertion/deletion are the `w = ∞` edge cases) —
-//!   and expands with the basic (Algorithm 2 style) pruning
-//!   `d + w(v, u) ≤ d_G(r, u)`,
-//! * batch repair pops by the full packed `(distance, landmark-flag)`
-//!   key from a binary heap instead of a Dial queue (weights > 1 void
-//!   the unit-bucket argument; the Dijkstra exchange argument of
-//!   Lemma 5.20 still applies verbatim).
-//!
-//! Both phases plug into the unified update engine as the
-//! `DijkstraKernel`, and [`WeightedSnapshot`] is the weighted
-//! [`Family`]: [`WeightedBatchIndex`] is [`Index`] over it, so the
-//! per-landmark orchestration (sequential or landmark-parallel), the
-//! generation publication and the readers are the exact code the
-//! unweighted indexes run. Unlike them it runs one basic pass per
-//! batch whatever [`crate::IndexConfig::algorithm`] says.
+//! So construction, batch search and batch repair run over the
+//! [`Weighted`] metric: edge weights are lengths, a binary heap orders
+//! the keys. Each update seeds both arcs of its edge with
+//! `len = min(w_old, w_new)` — the lighter weight covers both the paths
+//! an increase destroys and the paths a decrease creates (insertion and
+//! deletion are the `w = ∞` cases) — with the deletion flag set on
+//! removals and increases. [`WeightedBatchIndex`] is [`Index`] over the
+//! weighted [`Family`], so everything else, every [`crate::Algorithm`]
+//! included, is the code the unweighted indexes run.
 //!
 //! The paper reports no weighted experiments, so the harness claims
 //! none either; correctness is pinned the same way as the unweighted
@@ -35,22 +22,19 @@
 //! labelling rebuilt from scratch.
 
 use crate::backend::{BackendFamily, Edit, OracleError};
-use crate::engine::{self, UpdateKernel};
+use crate::engine;
 use crate::family::Family;
 use crate::index::{Index, IndexConfig};
+use crate::metric::{Seed, Weighted};
 use crate::persist::PersistError;
 use crate::stats::UpdateStats;
 use crate::whatif::{grown_n, rewrite_lists};
-use crate::workspace::dl_old;
-use batchhl_common::{Dist, EpochCache, FxHashMap, LandmarkLength, SparseBitSet, Vertex, INF};
+use crate::workspace::UpdateWorkspace;
+use batchhl_common::{Dist, FxHashMap, LexHeap, Vertex};
 use batchhl_graph::io::{read_weighted_bin, weighted_bin_len, write_weighted_bin, BinGraphError};
-use batchhl_graph::weighted::{
-    dijkstra, BiDijkstra, Weight, WeightedAdjacencyView, WeightedGraph, WeightedUpdate,
-};
+use batchhl_graph::weighted::{dijkstra, BiDijkstra, Weight, WeightedGraph, WeightedUpdate};
 use batchhl_graph::WeightedCsrDelta;
-use batchhl_hcl::{LabelError, LabelPatch, Labelling, LandmarkSelection, RowDelta, NO_LABEL};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use batchhl_hcl::{oracle, LabelError, LabelPatch, Labelling, LandmarkSelection};
 use std::io::{Read, Write};
 
 /// A normalized weighted update: the edge plus its old/new weight
@@ -63,183 +47,38 @@ pub struct Effect {
     w_new: Option<Weight>,
 }
 
+impl Effect {
+    /// A removal or a weight increase: handled like a deletion.
+    fn deletes(&self) -> bool {
+        match (self.w_old, self.w_new) {
+            (Some(old), Some(new)) => new > old,
+            (_, w_new) => w_new.is_none(),
+        }
+    }
+}
+
+/// The search seeds of a weighted batch: both arcs of every edge, at
+/// the lighter of its two weights.
+fn seeds(effects: &[Effect]) -> Vec<Seed> {
+    let seed = |e: &Effect| {
+        let len = e.w_old.into_iter().chain(e.w_new).min();
+        Seed {
+            tail: e.a,
+            head: e.b,
+            len: len.expect("a normalized effect has a weight"),
+            deleted: e.deletes(),
+        }
+    };
+    effects.iter().flat_map(|e| seed(e).both_ways()).collect()
+}
+
 /// One immutable generation of the weighted index: the labelling and
-/// the frozen weighted CSR (+ overlay) that queries and the Dijkstra
-/// kernel traverse.
+/// the frozen weighted CSR (+ overlay) that queries and passes
+/// traverse.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WeightedSnapshot {
     pub lab: Labelling,
     pub view: WeightedCsrDelta,
-}
-
-/// Scratch state for one weighted search→repair pass.
-#[derive(Debug, Default)]
-pub struct DijkstraWorkspace {
-    aff: SparseBitSet,
-    dl_cache: EpochCache,
-    bounds: EpochCache,
-    heap: BinaryHeap<Reverse<(u64, Vertex)>>,
-}
-
-impl DijkstraWorkspace {
-    fn new(n: usize) -> Self {
-        DijkstraWorkspace {
-            aff: SparseBitSet::new(n),
-            dl_cache: EpochCache::new(n),
-            bounds: EpochCache::new(n),
-            heap: BinaryHeap::new(),
-        }
-    }
-
-    fn grow(&mut self, n: usize) {
-        self.aff.grow(n);
-        self.dl_cache.grow(n);
-        self.bounds.grow(n);
-    }
-
-    fn reset(&mut self) {
-        self.aff.clear();
-        self.dl_cache.clear();
-        self.bounds.clear();
-        self.heap.clear();
-    }
-}
-
-/// The weighted search space for the unified engine: pruned Dijkstra
-/// search plus heap-ordered repair.
-pub(crate) struct DijkstraKernel;
-
-impl<W: WeightedAdjacencyView + Sync> UpdateKernel<W> for DijkstraKernel {
-    type Update = Effect;
-    type Workspace = DijkstraWorkspace;
-
-    fn workspace(&self, n: usize) -> DijkstraWorkspace {
-        DijkstraWorkspace::new(n)
-    }
-
-    fn process_landmark(
-        &self,
-        old: &Labelling,
-        g: &W,
-        updates: &[Effect],
-        i: usize,
-        ws: &mut DijkstraWorkspace,
-    ) -> RowDelta {
-        ws.reset();
-        weighted_search(old, g, updates, i, ws);
-        weighted_repair(old, g, i, ws)
-    }
-}
-
-/// Weighted batch search for landmark `i` (Algorithm 2 analogue).
-fn weighted_search<W: WeightedAdjacencyView>(
-    old: &Labelling,
-    g: &W,
-    effects: &[Effect],
-    i: usize,
-    ws: &mut DijkstraWorkspace,
-) {
-    // All seed/expansion sums are taken in u64: distances saturate at
-    // the `INF` sentinel, and a path of length ≥ INF is unrepresentable
-    // (= unreachable), so such candidates are dropped rather than let a
-    // u32 sum wrap around.
-    for e in effects {
-        let min_w = e
-            .w_old
-            .unwrap_or(Weight::MAX)
-            .min(e.w_new.unwrap_or(Weight::MAX)) as u64;
-        let da = dl_old(old, i, e.a, &mut ws.dl_cache).dist() as u64;
-        let db = dl_old(old, i, e.b, &mut ws.dl_cache).dist() as u64;
-        let inf = INF as u64;
-        if da + min_w < inf && da + min_w <= db {
-            ws.heap.push(Reverse((da + min_w, e.b)));
-        }
-        if db + min_w < inf && db + min_w <= da {
-            ws.heap.push(Reverse((db + min_w, e.a)));
-        }
-    }
-    while let Some(Reverse((d, v))) = ws.heap.pop() {
-        if !ws.aff.insert(v) {
-            continue;
-        }
-        for &(w, wt) in g.weighted_neighbors(v) {
-            let nd = d + wt as u64;
-            if nd < INF as u64 && nd <= dl_old(old, i, w, &mut ws.dl_cache).dist() as u64 {
-                ws.heap.push(Reverse((nd, w)));
-            }
-        }
-    }
-}
-
-/// Weighted batch repair for landmark `i` (Algorithm 4 analogue,
-/// heap-ordered by the packed landmark-length key); returns the
-/// landmark's delta, like [`crate::repair::batch_repair`].
-fn weighted_repair<W: WeightedAdjacencyView>(
-    old: &Labelling,
-    g: &W,
-    i: usize,
-    ws: &mut DijkstraWorkspace,
-) -> RowDelta {
-    let mut delta = RowDelta {
-        labels: Vec::with_capacity(ws.aff.inserted().len()),
-        highway: Vec::new(),
-    };
-    ws.heap.clear();
-    ws.bounds.clear();
-    for idx in 0..ws.aff.inserted().len() {
-        let v = ws.aff.inserted()[idx];
-        let v_is_lm = old.is_landmark(v);
-        let mut best = LandmarkLength::INFINITE;
-        for &(w, wt) in g.weighted_neighbors(v) {
-            if ws.aff.contains(w) {
-                continue;
-            }
-            let cand = dl_old(old, i, w, &mut ws.dl_cache).extend_by(wt, v_is_lm);
-            if cand < best {
-                best = cand;
-            }
-        }
-        ws.bounds.set(v as usize, best.key());
-        if !best.is_infinite() {
-            ws.heap.push(Reverse((best.key(), v)));
-        }
-    }
-    while let Some(Reverse((key, v))) = ws.heap.pop() {
-        if !ws.aff.contains(v) {
-            continue;
-        }
-        let bound = LandmarkLength::from_key(ws.bounds.get(v as usize).expect("queued ⇒ bounded"));
-        if bound.key() != key {
-            continue; // stale
-        }
-        ws.aff.remove(v);
-        crate::repair::finalize(old, i, v, bound, &mut delta);
-        for &(w, wt) in g.weighted_neighbors(v) {
-            if !ws.aff.contains(w) {
-                continue;
-            }
-            let cand = bound.extend_by(wt, old.is_landmark(w));
-            let cur = ws
-                .bounds
-                .get(w as usize)
-                .map(LandmarkLength::from_key)
-                .unwrap_or(LandmarkLength::INFINITE);
-            if cand < cur {
-                ws.bounds.set(w as usize, cand.key());
-                if !cand.is_infinite() {
-                    ws.heap.push(Reverse((cand.key(), w)));
-                }
-            }
-        }
-    }
-    for idx in 0..ws.aff.inserted().len() {
-        let v = ws.aff.inserted()[idx];
-        if ws.aff.contains(v) {
-            ws.aff.remove(v);
-            crate::repair::finalize(old, i, v, LandmarkLength::INFINITE, &mut delta);
-        }
-    }
-    delta
 }
 
 /// Batch-dynamic distance index over a positively weighted graph.
@@ -247,44 +86,26 @@ pub type WeightedBatchIndex = Index<WeightedSnapshot>;
 
 impl Family for WeightedSnapshot {
     const KIND: BackendFamily = BackendFamily::Weighted;
-    const HONOURS_ALGORITHM: bool = false;
     const LABELLINGS: usize = 1;
     type Graph = WeightedGraph;
     type Labels = [Labelling; 1];
     type Update = WeightedUpdate;
     type Batch = [WeightedUpdate];
     type Norm = Vec<Effect>;
-    type Workspace = DijkstraWorkspace;
+    type Workspace = UpdateWorkspace<LexHeap>;
     type View = WeightedCsrDelta;
     type Search = BiDijkstra;
 
-    /// Construction runs one flagged Dijkstra per landmark, in turn
-    /// (`threads` only parallelises updates on this family), into dense
-    /// scratch rows packed once at the end.
+    /// Construction runs one flagged Dijkstra per landmark over the
+    /// frozen CSR snapshot: Algorithm 4 from an unlabelled labelling.
     fn build(
         graph: &WeightedGraph,
         landmarks: Vec<Vertex>,
-        _threads: usize,
+        threads: usize,
     ) -> Result<Self, LabelError> {
-        let n = graph.num_vertices();
-        // An unlabelled labelling is the landmark map the Dijkstras read.
-        let marks = Labelling::empty(n, landmarks.clone())?;
-        let r = landmarks.len();
-        let mut rows = vec![vec![NO_LABEL; n].into_boxed_slice(); r];
-        let mut highway = vec![INF; r * r];
-        // Construction Dijkstras run over the frozen CSR snapshot.
         let view = WeightedCsrDelta::from_weighted(graph);
-        for (i, row) in rows.iter_mut().enumerate() {
-            highway[i * r + i] = 0;
-            for (v, ll) in flagged_dijkstra(&view, &marks, i) {
-                if let Some(j) = marks.landmark_index(v) {
-                    highway[i * r + j] = ll.dist();
-                } else if !ll.through_landmark() {
-                    row[v as usize] = ll.dist();
-                }
-            }
-        }
-        let lab = Labelling::from_parts(n, landmarks, rows, highway)?;
+        let empty = Labelling::empty(graph.num_vertices(), landmarks)?;
+        let lab = engine::build_labelling(&Weighted(&view), &empty, threads);
         Ok(WeightedSnapshot { lab, view })
     }
 
@@ -373,10 +194,9 @@ impl Family for WeightedSnapshot {
         out
     }
 
-    /// Not reached (`HONOURS_ALGORITHM` is false): the whole batch is
-    /// one pass.
+    /// Removals and increases first, then additions and decreases.
     fn split(norm: Vec<Effect>) -> (Vec<Effect>, Vec<Effect>) {
-        (norm, Vec::new())
+        norm.into_iter().partition(Effect::deletes)
     }
 
     fn pass(
@@ -384,7 +204,7 @@ impl Family for WeightedSnapshot {
         old: &Self,
         effects: Vec<Effect>,
         config: &IndexConfig,
-        ws: &mut DijkstraWorkspace,
+        ws: &mut UpdateWorkspace<LexHeap>,
         stats: &mut UpdateStats,
     ) -> Option<Self> {
         if effects.is_empty() {
@@ -394,7 +214,6 @@ impl Family for WeightedSnapshot {
         stats.applied = effects.len();
 
         let n = graph.num_vertices();
-        ws.grow(n);
 
         // Freeze the batch's endpoints into the weighted CSR view; the
         // Dijkstra searches below traverse it.
@@ -405,10 +224,9 @@ impl Family for WeightedSnapshot {
         touched.dedup();
         view.absorb_from(graph, touched);
         let (lab, affected) = engine::run_landmarks(
-            &DijkstraKernel,
+            &Weighted(&view),
             &engine::oracle_for(&old.lab, n),
-            &view,
-            &effects,
+            &seeds(&effects),
             config,
             ws,
         );
@@ -448,10 +266,9 @@ impl Family for WeightedSnapshot {
             WeightedCsrDelta::set_vertex,
         );
         let patch = engine::run_landmarks_speculative(
-            &DijkstraKernel,
+            &Weighted(&view),
             &engine::oracle_for(&self.lab, n),
-            &view,
-            effects,
+            &seeds(effects),
         );
         (view, vec![patch])
     }
@@ -465,11 +282,12 @@ impl Family for WeightedSnapshot {
         read_weighted_bin(r)
     }
 
-    /// No minimality audit on the weighted family (the highway-cover
-    /// minimality characterization is defined for unweighted
-    /// labellings); sampled Dijkstra truth covers the query surface.
-    fn audit(&self, _graph: &WeightedGraph) -> Result<(), String> {
-        Ok(())
+    /// The minimal labelling is unique, so it must equal a fresh
+    /// flagged-Dijkstra build over the same landmarks.
+    fn audit(&self, graph: &WeightedGraph) -> Result<(), String> {
+        let fresh = Self::build(graph, self.lab.landmarks().to_vec(), 1)
+            .map_err(|e| format!("rebuild refused: {e}"))?;
+        oracle::first_difference(&self.lab, &fresh.lab)
     }
 
     fn truth(graph: &WeightedGraph, s: Vertex) -> Vec<Dist> {
@@ -510,10 +328,10 @@ fn apply_effects(graph: &mut WeightedGraph, effects: &[Effect], stats: &mut Upda
             (Some(_), Some(w)) => {
                 graph.set_weight(e.a, e.b, w);
                 // Weight changes count toward the kind they mimic.
-                if Some(w) < e.w_old {
-                    stats.insertions += 1;
-                } else {
+                if e.deletes() {
                     stats.deletions += 1;
+                } else {
+                    stats.insertions += 1;
                 }
             }
             (None, None) => unreachable!("normalization keeps valid effects only"),
@@ -521,43 +339,11 @@ fn apply_effects(graph: &mut WeightedGraph, effects: &[Effect], stats: &mut Upda
     }
 }
 
-/// Flagged Dijkstra from landmark `i`: `(vertex, d^L)` for all reached
-/// vertices, flags as in the flagged BFS of the unweighted build.
-fn flagged_dijkstra<W: WeightedAdjacencyView>(
-    g: &W,
-    lab: &Labelling,
-    i: usize,
-) -> Vec<(Vertex, LandmarkLength)> {
-    let n = g.num_vertices();
-    let root = lab.landmark_vertex(i);
-    let mut best: Vec<u64> = vec![LandmarkLength::INFINITE.key(); n];
-    let mut heap: BinaryHeap<Reverse<(u64, Vertex)>> = BinaryHeap::new();
-    best[root as usize] = LandmarkLength::ZERO.key();
-    heap.push(Reverse((LandmarkLength::ZERO.key(), root)));
-    while let Some(Reverse((key, v))) = heap.pop() {
-        if key > best[v as usize] {
-            continue;
-        }
-        let ll = LandmarkLength::from_key(key);
-        for &(w, wt) in g.weighted_neighbors(v) {
-            let cand = ll.extend_by(wt, lab.is_landmark(w));
-            if cand.key() < best[w as usize] {
-                best[w as usize] = cand.key();
-                heap.push(Reverse((cand.key(), w)));
-            }
-        }
-    }
-    (0..n as Vertex)
-        .filter(|&v| v != root)
-        .map(|v| (v, LandmarkLength::from_key(best[v as usize])))
-        .filter(|(_, ll)| !ll.is_infinite())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use batchhl_common::SplitMix64;
+    use batchhl_common::{SplitMix64, INF};
+    use batchhl_hcl::NO_LABEL;
 
     fn with_landmarks(
         g: WeightedGraph,
@@ -727,6 +513,28 @@ mod tests {
             }
         }
         assert_eq!(reader.version(), 1);
+    }
+
+    #[test]
+    fn audit_rejects_a_labelling_that_is_not_the_minimal_one() {
+        use crate::backend::Backend;
+        let g = WeightedGraph::from_edges(4, &[(0, 1, 1), (1, 2, 1), (2, 3, 1)]);
+        let mut idx = with_landmarks(g.clone(), vec![0, 1]).unwrap();
+        Backend::verify_integrity(&mut idx, 8).unwrap();
+        // Vertex 2 reaches landmark 0 through landmark 1, so the minimal
+        // labelling holds no such entry. A correct but redundant one
+        // leaves every query right: only the audit can see it.
+        let mut lab = idx.labelling().clone();
+        assert_eq!(lab.label(0, 2), NO_LABEL);
+        lab.set_label(0, 2, 2);
+        let mut bad = WeightedBatchIndex::from_parts(g, [lab], idx.config().clone()).unwrap();
+        for s in 0..4 {
+            for t in 0..4 {
+                assert_eq!(bad.query_dist(s, t), idx.query_dist(s, t));
+            }
+        }
+        let err = Backend::verify_integrity(&mut bad, 8).unwrap_err();
+        assert!(err.to_string().contains("label(r0=0, v=2)"), "{err}");
     }
 
     #[test]

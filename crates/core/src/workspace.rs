@@ -3,22 +3,21 @@
 //! One `UpdateWorkspace` serves every landmark of every batch: all
 //! members reset sparsely (epoch bump or touched-list walk), so the
 //! steady-state update path performs no allocation. Parallel updates
-//! (BHLₚ) give each thread its own workspace.
+//! (BHLₚ) give each thread its own workspace. `Q` is the metric's
+//! monotone queue ([`crate::metric::Metric::Queue`]).
 
-use batchhl_common::{DialQueue, EpochCache, LandmarkLength, LexDialQueue, SparseBitSet, Vertex};
+use batchhl_common::{
+    EpochCache, LandmarkLength, LexDialQueue, MonotoneQueue, SparseBitSet, Vertex,
+};
 use batchhl_hcl::Labelling;
 
 /// Scratch state shared by Algorithms 2, 3 and 4.
 #[derive(Debug, Default)]
-pub struct UpdateWorkspace {
+pub struct UpdateWorkspace<Q = LexDialQueue> {
     /// `V_aff` — affected-vertex set of the current landmark.
     pub aff: SparseBitSet,
-    /// Queue for the basic search (Algorithm 2).
-    pub queue: DialQueue,
-    /// Queue for the improved search (Algorithm 3).
-    pub lex_queue: LexDialQueue,
-    /// Queue for repair (Algorithm 4), keyed by distance bound.
-    pub repair_queue: DialQueue,
+    /// The search's queue, then the repair's (the search drains it).
+    pub queue: Q,
     /// Memo of `d^L_G(r, ·)` lookups for the current landmark — the
     /// "store distances for all unaffected neighbours" optimization the
     /// paper uses to drop the `l` factor from Algorithm 4's complexity.
@@ -27,13 +26,11 @@ pub struct UpdateWorkspace {
     pub bounds: EpochCache,
 }
 
-impl UpdateWorkspace {
+impl<Q: MonotoneQueue> UpdateWorkspace<Q> {
     pub fn new(n: usize) -> Self {
         UpdateWorkspace {
             aff: SparseBitSet::new(n),
-            queue: DialQueue::new(),
-            lex_queue: LexDialQueue::new(),
-            repair_queue: DialQueue::new(),
+            queue: Q::default(),
             dl_cache: EpochCache::new(n),
             bounds: EpochCache::new(n),
         }
@@ -50,8 +47,6 @@ impl UpdateWorkspace {
     pub fn reset(&mut self) {
         self.aff.clear();
         self.queue.clear();
-        self.lex_queue.clear();
-        self.repair_queue.clear();
         self.dl_cache.clear();
         self.bounds.clear();
     }
@@ -98,9 +93,10 @@ mod tests {
 
     #[test]
     fn workspace_reset_and_grow() {
-        let mut ws = UpdateWorkspace::new(4);
+        let mut ws = UpdateWorkspace::<LexDialQueue>::new(4);
         ws.aff.insert(3);
-        ws.queue.push(1, 3);
+        ws.queue
+            .push(batchhl_common::ExtLandmarkLength::new(1, false, false), 3);
         ws.bounds.set(3, 42);
         ws.reset();
         assert!(!ws.aff.contains(3));

@@ -61,10 +61,15 @@ pub fn minimal_labelling_bruteforce<A: AdjacencyView>(g: &A, landmarks: Vec<Vert
 /// Returns a human-readable mismatch description.
 pub fn check_minimal<A: AdjacencyView>(g: &A, lab: &Labelling) -> Result<(), String> {
     let want = minimal_labelling_bruteforce(g, lab.landmarks().to_vec());
-    if lab == &want {
+    first_difference(lab, &want)
+}
+
+/// `Ok` when `lab` equals `want`; otherwise the first differing highway
+/// entry or label, for debuggability.
+pub fn first_difference(lab: &Labelling, want: &Labelling) -> Result<(), String> {
+    if lab == want {
         return Ok(());
     }
-    // Pinpoint the first difference for debuggability.
     let r = lab.num_landmarks();
     for i in 0..r {
         for j in 0..r {

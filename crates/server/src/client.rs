@@ -29,7 +29,7 @@
 //! its read timeout to the deadline plus a grace window so a wedged
 //! server surfaces as an error rather than a hang.
 
-use crate::json::{parse, Json};
+use crate::json::{parse, Json, MAX_WIRE_INT};
 use crate::protocol::encode_edit;
 use batchhl::common::rng::SplitMix64;
 use batchhl::{Dist, Edit, TxnId, Vertex};
@@ -125,10 +125,6 @@ const DEADLINE_GRACE: Duration = Duration::from_millis(500);
 /// The read timeout with no deadline configured.
 const DEFAULT_READ_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Txn session ids ride the wire as JSON numbers; keep them inside
-/// f64's lossless integer range.
-const TXN_SESSION_MASK: u64 = (1 << 53) - 1;
-
 /// One blocking connection to a serving node.
 pub struct Client {
     addr: SocketAddr,
@@ -160,7 +156,7 @@ impl Client {
         // processes collision-free without coordination. Masked to the
         // wire's lossless integer range (53 bits — the protocol's
         // numbers ride in f64).
-        let txn_session = RandomState::new().hash_one(0u64) & TXN_SESSION_MASK;
+        let txn_session = RandomState::new().hash_one(0u64) & MAX_WIRE_INT;
         Ok(Client {
             addr,
             writer: stream,
@@ -206,7 +202,7 @@ impl Client {
     /// with the same session id impersonates this one's retries).
     /// Masked to the wire's 53-bit lossless integer range.
     pub fn set_txn_session(&mut self, session: u64) {
-        self.txn_session = session & TXN_SESSION_MASK;
+        self.txn_session = session & MAX_WIRE_INT;
     }
 
     /// The session half of this client's txn ids.

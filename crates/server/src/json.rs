@@ -13,6 +13,10 @@ use std::fmt;
 /// Nesting depth bound for hostile input ("[[[[…").
 const MAX_DEPTH: usize = 32;
 
+/// The largest integer the wire carries: every integer up to
+/// `2^53 − 1` is exact in an `f64`.
+pub const MAX_WIRE_INT: u64 = (1 << 53) - 1;
+
 /// One JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -37,7 +41,9 @@ impl Json {
 
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= 9e15 => Some(*x as u64),
+            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= MAX_WIRE_INT as f64 => {
+                Some(*x as u64)
+            }
             _ => None,
         }
     }
@@ -70,11 +76,12 @@ impl Json {
         }
     }
 
-    /// Lossless integer constructor (panics above 2^53 — protocol
-    /// integers are vertex ids and sequence numbers, far below it).
+    /// Lossless integer constructor (panics above [`MAX_WIRE_INT`] —
+    /// protocol integers are vertex ids, sequence numbers and txn ids
+    /// kept within it).
     pub fn u64(x: u64) -> Json {
         assert!(
-            x <= 9e15 as u64,
+            x <= MAX_WIRE_INT,
             "integer {x} does not fit losslessly in f64"
         );
         Json::Num(x as f64)
@@ -97,7 +104,7 @@ impl Json {
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
             Json::Num(x) => {
-                if x.fract() == 0.0 && x.abs() <= 9e15 {
+                if x.fract() == 0.0 && x.abs() <= MAX_WIRE_INT as f64 {
                     out.push_str(&format!("{}", *x as i64));
                 } else {
                     out.push_str(&format!("{x}"));
@@ -397,6 +404,16 @@ mod tests {
         let dists = v.get("dists").unwrap().as_arr().unwrap();
         assert_eq!(dists[1], Json::Null);
         assert_eq!(dists[2].as_u64(), Some(3));
+    }
+
+    #[test]
+    fn integers_round_trip_up_to_the_wire_bound() {
+        for x in [0, 1, 9_000_000_000_000_001, MAX_WIRE_INT] {
+            let text = Json::u64(x).render();
+            assert_eq!(text, x.to_string());
+            assert_eq!(parse(&text).unwrap().as_u64(), Some(x));
+        }
+        assert_eq!(Json::Num(MAX_WIRE_INT as f64 + 1.0).as_u64(), None);
     }
 
     #[test]

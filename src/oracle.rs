@@ -314,6 +314,11 @@ impl DistanceOracle {
         self.backend.family()
     }
 
+    /// The index configuration (algorithm, threads, landmarks, compaction).
+    pub fn config(&self) -> &IndexConfig {
+        self.backend.config()
+    }
+
     pub fn num_vertices(&self) -> usize {
         self.backend.num_vertices()
     }
@@ -840,8 +845,7 @@ impl OracleBuilder {
         self
     }
 
-    /// Update variant (default [`Algorithm::BhlPlus`]; ignored by the
-    /// weighted family, which has one update path).
+    /// Update variant (default [`Algorithm::BhlPlus`]).
     pub fn algorithm(mut self, algorithm: Algorithm) -> Self {
         self.config.algorithm = algorithm;
         self

@@ -20,9 +20,15 @@
 //! `golden_pre_txn.*` likewise freeze the generation whose WAL is v2
 //! (abort records, no txn-id field): v2 logs must keep decoding — and
 //! upgrading on open — for as long as the v2 decoder is kept.
+//!
+//! `golden_pre_algo_weighted.*` freeze a weighted checkpoint from before
+//! the weighted family honoured the update algorithm: its body (family
+//! code 2) carries no algorithm byte. It must keep loading, with the
+//! default algorithm, for as long as that family code is read.
 
+use batchhl::graph::weighted::WeightedGraph;
 use batchhl::graph::DynamicGraph;
-use batchhl::{DurabilityConfig, FsyncPolicy, LandmarkSelection, Oracle};
+use batchhl::{Algorithm, DurabilityConfig, FsyncPolicy, LandmarkSelection, Oracle};
 use std::path::{Path, PathBuf};
 
 fn fixtures_dir() -> PathBuf {
@@ -163,4 +169,105 @@ fn pre_packed_fixture_still_loads_and_answers() {
         "golden_pre_packed.wal",
         "load_pre_packed",
     );
+}
+
+/// The frozen weighted scenario: a weighted tree-plus-cycle, three
+/// top-degree landmarks, and two WAL batches mixing every kind of
+/// weighted edit.
+fn write_weighted_scenario(dir: &Path) {
+    let g = WeightedGraph::from_edges(
+        10,
+        &[
+            (0, 1, 3),
+            (0, 2, 1),
+            (0, 3, 4),
+            (1, 4, 2),
+            (2, 5, 5),
+            (3, 6, 1),
+            (4, 7, 2),
+            (5, 8, 1),
+            (6, 9, 3),
+            (7, 9, 1),
+        ],
+    );
+    let mut oracle = Oracle::builder()
+        .landmarks(LandmarkSelection::TopDegree(3))
+        .build(g)
+        .expect("weighted source");
+    oracle
+        .persist_to(
+            dir,
+            DurabilityConfig {
+                checkpoint_every: None,
+                fsync: FsyncPolicy::Never,
+            },
+        )
+        .expect("checkpoint");
+    oracle
+        .update()
+        .insert_weighted(8, 9, 2)
+        .set_weight(0, 3, 1)
+        .commit()
+        .unwrap();
+    oracle
+        .update()
+        .remove(0, 2)
+        .insert_weighted(1, 6, 1)
+        .commit()
+        .unwrap();
+}
+
+#[test]
+fn pre_algo_weighted_fixture_still_loads_and_answers() {
+    let fixtures = fixtures_dir();
+    let dir = scratch_dir("load_pre_algo_weighted");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (from, to) in [("bhl2", "checkpoint.bhl2"), ("wal", "batches.wal")] {
+        let from = fixtures.join(format!("golden_pre_algo_weighted.{from}"));
+        std::fs::copy(from, dir.join(to)).unwrap();
+    }
+
+    let mut oracle = Oracle::open(&dir).expect("checked-in fixture must load");
+    assert_eq!(oracle.batches_committed(), 2, "WAL tail replayed");
+    // A body without an algorithm byte loads with the default.
+    assert_eq!(oracle.config().algorithm, Algorithm::BhlPlus);
+    // Spot distances of the post-replay graph.
+    assert_eq!(oracle.query(8, 9), Some(2), "WAL batch 0 insert");
+    assert_eq!(oracle.query(0, 3), Some(1), "WAL batch 0 reweight");
+    assert_eq!(oracle.query(0, 2), Some(13), "0-3-6-9-8-5-2 after removal");
+    assert_eq!(oracle.query(0, 9), Some(5), "0-3-6-9");
+    // A live mirror of the same scenario agrees everywhere.
+    let live_dir = scratch_dir("load_pre_algo_weighted_mirror");
+    write_weighted_scenario(&live_dir);
+    let mut live = Oracle::open(&live_dir).unwrap();
+    for s in 0..10 {
+        for t in 0..10 {
+            assert_eq!(oracle.query(s, t), live.query(s, t), "({s},{t})");
+        }
+    }
+    oracle.verify_integrity().unwrap();
+}
+
+#[test]
+fn weighted_checkpoint_roundtrips_a_non_default_algorithm() {
+    let dir = scratch_dir("weighted_algorithm");
+    let g = WeightedGraph::from_edges(5, &[(0, 1, 2), (1, 2, 3), (2, 3, 1), (3, 4, 4)]);
+    let mut oracle = Oracle::builder()
+        .algorithm(Algorithm::Uhl)
+        .top_degree_landmarks(2)
+        .build(g)
+        .expect("weighted source");
+    oracle.save(&dir).expect("checkpoint");
+    let mut revived = Oracle::open(&dir).expect("fresh weighted checkpoint loads");
+    assert_eq!(revived.config().algorithm, Algorithm::Uhl);
+    // UHL runs one pass, and publishes one generation, per update.
+    let before = revived.version();
+    revived
+        .update()
+        .set_weight(0, 1, 1)
+        .remove(3, 4)
+        .commit()
+        .unwrap();
+    assert_eq!(revived.version(), before + 2);
+    assert_eq!(revived.query(0, 3), Some(5));
 }

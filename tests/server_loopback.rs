@@ -261,6 +261,34 @@ fn a_lone_query_is_answered_inline_without_waiting_out_the_window() {
     );
 }
 
+/// The largest txn session a client can hold rides the wire intact:
+/// a reconnecting client replaying the commit under the same session is
+/// answered from the dedup table.
+#[test]
+fn the_largest_txn_session_round_trips() {
+    let server = Server::start(build_oracle(), ServerConfig::default()).expect("start server");
+    let session = (1 << 53) - 1;
+    let mut first = Client::connect(server.addr()).expect("connect");
+    first.set_txn_session(session);
+    assert_eq!(first.txn_session(), session);
+    let original = first
+        .commit_detailed(&[Edit::Insert(5, 301)])
+        .expect("commit");
+    assert!(!original.deduped);
+    drop(first);
+    let mut reborn = Client::connect(server.addr()).expect("reconnect");
+    reborn.set_txn_session(session);
+    let replayed = reborn
+        .commit_detailed(&[Edit::Insert(5, 301)])
+        .expect("replayed commit");
+    assert!(
+        replayed.deduped,
+        "same txn id, answered from the dedup table"
+    );
+    assert_eq!(replayed.seq, original.seq);
+    assert_eq!(server.committed_seq(), 1, "applied exactly once");
+}
+
 #[test]
 fn http_shim_serves_health_and_metrics() {
     let server = Server::start(build_oracle(), ServerConfig::default()).expect("start server");

@@ -4,8 +4,9 @@
 //! affected-vertex counts obey the paper's Figure 2 ordering.
 
 use batchhl::core::index::{Algorithm, BatchIndex, IndexConfig};
-use batchhl::core::DirectedBatchIndex;
+use batchhl::core::{DirectedBatchIndex, WeightedBatchIndex};
 use batchhl::graph::generators::{barabasi_albert, orient_randomly, rmat, RmatParams};
+use batchhl::graph::weighted::{Weight, WeightedGraph, WeightedUpdate};
 use batchhl::graph::{Batch, DynamicGraph, Update, Vertex};
 use batchhl::hcl::LandmarkSelection;
 use rand::rngs::StdRng;
@@ -172,5 +173,69 @@ fn directed_variants_identical_labellings_one_version_per_pass() {
             "{alg:?} bwd"
         );
         assert_eq!(idx.graph(), reference.graph(), "{alg:?} graph");
+    }
+}
+
+/// The weighted index honours every variant as well (Section 6: weight
+/// increases handled like deletions, decreases like insertions): all
+/// five, and BHLₚ, repair to the labelling a fresh build gives, with
+/// one generation per pass.
+#[test]
+fn weighted_variants_identical_labellings_one_version_per_pass() {
+    for (max_w, seed) in [(3, 21u64), (9, 22)] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut g = WeightedGraph::new(200);
+        for (a, b) in barabasi_albert(200, 3, seed).edges() {
+            g.insert_edge(a, b, rng.gen_range(1..=max_w));
+        }
+        // Distinct edges, so every update is also valid on its own
+        // (UHL): batch normalization keeps only the first update of an
+        // edge, while UHL would apply a repeat in turn.
+        let edges: Vec<(Vertex, Vertex, Weight)> = g.edges().collect();
+        let mut batch = Vec::new();
+        for (k, &(a, b, w)) in edges.iter().step_by(edges.len() / 30).take(30).enumerate() {
+            batch.push(match k % 3 {
+                0 => WeightedUpdate::Delete(a, b),
+                1 => WeightedUpdate::SetWeight(a, b, w + rng.gen_range(1..=max_w)),
+                _ if w > 1 => WeightedUpdate::SetWeight(a, b, rng.gen_range(1..w)),
+                _ => WeightedUpdate::SetWeight(a, b, w + 1),
+            });
+        }
+        let mut added = std::collections::HashSet::new();
+        while added.len() < 10 {
+            let (a, b) = (rng.gen_range(0..200), rng.gen_range(0..200));
+            if a != b && !g.has_edge(a, b) && added.insert((a.min(b), a.max(b))) {
+                batch.push(WeightedUpdate::Insert(a, b, rng.gen_range(1..=max_w)));
+            }
+        }
+        let build = |algorithm, threads| -> WeightedBatchIndex {
+            let config = IndexConfig {
+                selection: LandmarkSelection::TopDegree(8),
+                algorithm,
+                threads,
+                ..IndexConfig::default()
+            };
+            WeightedBatchIndex::try_build(g.clone(), config).unwrap()
+        };
+        let mut reference = build(Algorithm::BhlPlus, 1);
+        reference.apply_batch(&batch);
+        reference.verify().expect("BHL+ equals a fresh build");
+        for (alg, threads, passes) in [
+            (Algorithm::Bhl, 1, 1),
+            (Algorithm::BhlPlus, 1, 1),
+            (Algorithm::BhlS, 1, 2),
+            (Algorithm::Uhl, 1, batch.len()),
+            (Algorithm::UhlPlus, 1, batch.len()),
+            (Algorithm::BhlPlus, 4, 1), // BHLp
+        ] {
+            let ctx = format!("w 1-{max_w} {alg:?}/threads={threads}");
+            let mut idx = build(alg, threads);
+            let stats = idx.apply_batch(&batch);
+            assert_eq!(stats.applied, batch.len(), "{ctx} applied");
+            assert_eq!(stats.passes, passes, "{ctx} passes");
+            assert_eq!(idx.version(), passes as u64, "{ctx} versions");
+            assert_eq!(idx.labelling(), reference.labelling(), "{ctx} labelling");
+            assert_eq!(idx.graph(), reference.graph(), "{ctx} graph");
+        }
     }
 }
