@@ -8,11 +8,18 @@
 //! it was written, and `clear` just bumps the current epoch.
 
 /// A `u64`-valued per-vertex memo table with constant-time reset.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct EpochCache {
     vals: Vec<u64>,
     stamps: Vec<u32>,
     epoch: u32,
+}
+
+/// An empty cache at epoch 1, as [`EpochCache::new`] builds it.
+impl Default for EpochCache {
+    fn default() -> Self {
+        EpochCache::new(0)
+    }
 }
 
 impl EpochCache {
@@ -87,6 +94,15 @@ mod tests {
         assert_eq!(c.get(1), None);
         c.set(2, 3);
         assert_eq!(c.get(2), Some(3));
+    }
+
+    #[test]
+    fn default_then_grow_reads_nothing_cached() {
+        let mut c = EpochCache::default();
+        c.grow(16);
+        assert!((0..16).all(|i| c.get(i).is_none()));
+        c.set(5, 0);
+        assert_eq!(c.get(5), Some(0));
     }
 
     #[test]

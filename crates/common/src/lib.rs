@@ -9,8 +9,9 @@
 //! * [`llen`] — packed *landmark lengths* and *extended landmark lengths*
 //!   (Definitions 5.13 and 5.16 of the BatchHL paper) with the paper's
 //!   `True < False` flag ordering baked into a single integer comparison,
-//! * [`queue`] — Dial-style monotone bucket priority queues keyed by
-//!   distance (plus lexicographic sub-buckets for extended lengths),
+//! * [`queue`] — monotone priority queues: Dial-style buckets keyed by
+//!   distance (plus lexicographic sub-buckets for extended lengths) and
+//!   a radix heap for weighted keys,
 //! * [`bitset`] — a sparse-clearing bitset used for affected-vertex sets,
 //! * [`cache`] — an epoch-stamped memoization array used as the
 //!   old-distance oracle cache during batch search/repair,
@@ -51,5 +52,5 @@ pub use checksum::{crc32, Crc32, Crc32Reader, Crc32Writer};
 pub use dist::{dist_add1, Dist, Vertex, INF};
 pub use hash::{FxHashMap, FxHashSet};
 pub use llen::{ExtLandmarkLength, LandmarkLength};
-pub use queue::{DialQueue, LexDialQueue, LexHeap, MonotoneQueue};
+pub use queue::{DialQueue, LexDialQueue, MonotoneQueue, RadixHeap};
 pub use rng::SplitMix64;

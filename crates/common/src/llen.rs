@@ -113,6 +113,13 @@ impl ExtLandmarkLength {
         LandmarkLength::new(dist, through_landmark).with_deleted(deleted)
     }
 
+    /// Rebuild from a raw key previously obtained via [`Self::key`]
+    /// (used by the radix heap).
+    #[inline(always)]
+    pub const fn from_key(key: u64) -> Self {
+        ExtLandmarkLength(key)
+    }
+
     #[inline(always)]
     pub const fn landmark_length(self) -> LandmarkLength {
         LandmarkLength(self.0 >> 1)
@@ -271,6 +278,10 @@ mod tests {
             LandmarkLength::new(17, false),
         ] {
             assert_eq!(LandmarkLength::from_key(ll.key()), ll);
+            for e in [false, true] {
+                let ext = ll.with_deleted(e);
+                assert_eq!(ExtLandmarkLength::from_key(ext.key()), ext);
+            }
         }
     }
 

@@ -1,32 +1,33 @@
-//! Monotone bucket priority queues (Dial's structure).
+//! Monotone priority queues: Dial's bucket structure and a radix heap.
 //!
 //! Both batch search and batch repair pop keys in non-decreasing order and
 //! only ever push keys `≥` the last popped key (every pushed entry extends
 //! a popped path by one edge, and the initial pushes all happen before the
-//! first pop). That makes an array of buckets indexed by distance strictly
-//! cheaper than a binary heap: O(1) push and amortized O(1) pop, against
-//! O(log n) for both on `std::collections::BinaryHeap`.
+//! first pop). Monotone queues exploit that to beat the O(log n) per
+//! operation of a binary heap (`std::collections::BinaryHeap`).
 //!
-//! Two concrete queues are provided:
+//! Three concrete queues are provided:
 //!
-//! * [`DialQueue`] — keyed by plain distance (the baselines' BFS
-//!   repairs),
+//! * [`DialQueue`] — an array of buckets keyed by plain distance (the
+//!   baselines' BFS repairs): O(1) push, amortized O(1) pop,
 //! * [`LexDialQueue`] — keyed by [`ExtLandmarkLength`] with four
 //!   sub-buckets per distance so pops follow the full lexicographic
-//!   `(d, l, e)` order (Algorithms 2–4 on unit edge lengths).
+//!   `(d, l, e)` order (Algorithms 2–4 on unit edge lengths),
+//! * [`RadixHeap`] — a monotone radix heap over any `u64` key, for edge
+//!   lengths above one (Section 6's weighted graphs), where the keys
+//!   spread too far for one bucket per distance: O(1) push and
+//!   amortized O(log C) pop, `C` the largest key gap. It orders the
+//!   packed [`ExtLandmarkLength`] keys of the weighted batch search and
+//!   repair as well as the plain distances of the bounded Dijkstra.
 //!
-//! Both queues keep their bucket allocations alive across `clear` calls so
+//! All three keep their bucket allocations alive across `clear` calls so
 //! a single instance serves as a workhorse across landmarks and batches.
 //!
 //! [`MonotoneQueue`] is what the batch search and repair need of a
-//! queue. Besides [`LexDialQueue`] it is implemented by [`LexHeap`], the
-//! binary heap that orders the same keys when edge lengths exceed one
-//! and unit buckets no longer apply.
+//! queue; [`LexDialQueue`] and [`RadixHeap`] implement it.
 
 use crate::dist::{Dist, Vertex};
 use crate::llen::ExtLandmarkLength;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// A min-queue of `(ExtLandmarkLength, Vertex)` entries whose pushes
 /// never undercut the last pop.
@@ -38,22 +39,121 @@ pub trait MonotoneQueue: Default + Send {
     fn clear(&mut self);
 }
 
-/// The [`MonotoneQueue`] for arbitrary positive edge lengths.
-pub type LexHeap = BinaryHeap<Reverse<(ExtLandmarkLength, Vertex)>>;
+/// Monotone radix heap over `(u64, Vertex)` entries (Ahuja, Mehlhorn,
+/// Orlin and Tarjan, "Faster algorithms for the shortest path problem",
+/// 1990), in its bitwise form.
+///
+/// Bucket 0 holds the keys equal to the last popped key `last`; bucket
+/// `b ≥ 1` the keys whose highest bit differing from `last` is bit
+/// `b − 1`. Every key in bucket `b` is smaller than every key in a
+/// higher bucket, so a pop takes the lowest non-empty bucket, makes its
+/// minimum the new `last` and redistributes the rest into strictly lower
+/// buckets. Each entry moves down at most 64 times, and in practice
+/// about `log₂` of the key gap.
+///
+/// Pushes must not undercut the last pop (`key ≥ last`); `clear` resets
+/// `last` to 0.
+#[derive(Debug)]
+pub struct RadixHeap {
+    buckets: [Vec<(u64, Vertex)>; 65],
+    /// The last popped (or peeked) key; 0 after `clear`.
+    last: u64,
+    len: usize,
+}
 
-impl MonotoneQueue for LexHeap {
+impl Default for RadixHeap {
+    fn default() -> Self {
+        RadixHeap {
+            buckets: std::array::from_fn(|_| Vec::new()),
+            last: 0,
+            len: 0,
+        }
+    }
+}
+
+/// The bucket of `key` relative to the last popped key.
+#[inline(always)]
+fn radix_bucket(key: u64, last: u64) -> usize {
+    (u64::BITS - (key ^ last).leading_zeros()) as usize
+}
+
+impl RadixHeap {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Push an entry. `key` must be `≥` the last popped key, as every
+    /// caller's keys are (see the module docs): debug builds panic on a
+    /// violation, release builds would pop out of order.
+    #[inline]
+    pub fn push(&mut self, key: u64, v: Vertex) {
+        debug_assert!(
+            key >= self.last,
+            "non-monotone push: key={key} last={}",
+            self.last
+        );
+        self.buckets[radix_bucket(key, self.last)].push((key, v));
+        self.len += 1;
+    }
+
+    /// Pop an entry with the smallest key.
+    #[inline]
+    pub fn pop(&mut self) -> Option<(u64, Vertex)> {
+        self.peek()?;
+        self.len -= 1;
+        self.buckets[0].pop()
+    }
+
+    /// The smallest key, which the next [`RadixHeap::pop`] returns. It
+    /// becomes the floor for pushes, as a pop would make it.
+    #[inline]
+    pub fn peek(&mut self) -> Option<u64> {
+        if self.buckets[0].is_empty() {
+            let b = self.buckets.iter().position(|b| !b.is_empty())?;
+            let mut moved = std::mem::take(&mut self.buckets[b]);
+            let min = moved.iter().map(|&(k, _)| k).min().expect("non-empty");
+            self.last = min;
+            // Every entry lands in a bucket below `b`.
+            for (k, v) in moved.drain(..) {
+                self.buckets[radix_bucket(k, min)].push((k, v));
+            }
+            // Hand the emptied allocation back.
+            self.buckets[b] = moved;
+        }
+        Some(self.last)
+    }
+
+    /// Empty the queue, retaining bucket allocations for reuse.
+    pub fn clear(&mut self) {
+        for b in &mut self.buckets {
+            b.clear();
+        }
+        self.last = 0;
+        self.len = 0;
+    }
+}
+
+impl MonotoneQueue for RadixHeap {
     #[inline]
     fn push(&mut self, key: ExtLandmarkLength, v: Vertex) {
-        BinaryHeap::push(self, Reverse((key, v)));
+        RadixHeap::push(self, key.key(), v);
     }
 
     #[inline]
     fn pop(&mut self) -> Option<(ExtLandmarkLength, Vertex)> {
-        BinaryHeap::pop(self).map(|Reverse(entry)| entry)
+        RadixHeap::pop(self).map(|(k, v)| (ExtLandmarkLength::from_key(k), v))
     }
 
     fn clear(&mut self) {
-        BinaryHeap::clear(self);
+        RadixHeap::clear(self);
     }
 }
 
@@ -298,19 +398,108 @@ mod tests {
     }
 
     #[test]
-    fn heap_pops_keys_in_the_dial_order() {
+    fn radix_pops_keys_in_the_dial_order() {
         let mut rng = SplitMix64::new(7);
-        let (mut dial, mut heap) = (LexDialQueue::new(), LexHeap::new());
+        let (mut dial, mut radix) = (LexDialQueue::new(), RadixHeap::new());
         for v in 0..200 {
             let r = rng.next_u64();
             let key = ExtLandmarkLength::new((r % 16) as Dist, r & 16 != 0, r & 32 != 0);
-            dial.push(key, v);
-            MonotoneQueue::push(&mut heap, key, v);
+            MonotoneQueue::push(&mut dial, key, v);
+            MonotoneQueue::push(&mut radix, key, v);
         }
-        while let Some((key, _)) = dial.pop() {
-            assert_eq!(MonotoneQueue::pop(&mut heap).map(|(k, _)| k), Some(key));
+        while let Some((key, _)) = MonotoneQueue::pop(&mut dial) {
+            assert_eq!(MonotoneQueue::pop(&mut radix).map(|(k, _)| k), Some(key));
         }
-        assert!(heap.is_empty());
+        assert!(radix.is_empty());
+    }
+
+    /// A key `≥ floor` whose distance to it has a random bit width, so
+    /// every bucket gets used: up to the `u64` high bits, often in the
+    /// two flag bits alone, sometimes equal.
+    fn key_above(floor: u64, rng: &mut SplitMix64) -> u64 {
+        let gap = match rng.below(4) {
+            0 => 0,
+            1 => rng.below(4),
+            _ => rng.next_u64() >> rng.below(64),
+        };
+        floor.saturating_add(gap)
+    }
+
+    #[test]
+    fn radix_interleavings_match_a_sorted_reference() {
+        let mut rng = SplitMix64::new(0x5eed);
+        let mut q = RadixHeap::new();
+        for round in 0..200 {
+            // One heap for every round: `clear` must reset it fully.
+            q.clear();
+            let mut reference: Vec<(u64, Vertex)> = Vec::new();
+            let mut floor = 0u64;
+            for step in 0..300u32 {
+                if rng.below(3) > 0 {
+                    let key = key_above(floor, &mut rng);
+                    q.push(key, step);
+                    reference.push((key, step));
+                } else {
+                    let want = reference.iter().map(|&(k, _)| k).min();
+                    assert_eq!(q.peek(), want, "round {round} step {step}");
+                    let got = q.pop();
+                    assert_eq!(got.map(|(k, _)| k), want, "round {round} step {step}");
+                    if let Some(entry) = got {
+                        // The popped vertex was pushed with that key.
+                        let at = reference.iter().position(|&e| e == entry);
+                        reference.swap_remove(at.expect("popped entry was pushed"));
+                        floor = entry.0;
+                    }
+                }
+                assert_eq!(q.len(), reference.len());
+            }
+            reference.sort_unstable();
+            let drained: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(k, _)| k)).collect();
+            let want: Vec<u64> = reference.iter().map(|&(k, _)| k).collect();
+            assert_eq!(drained, want, "round {round}");
+            assert!(q.is_empty() && q.peek().is_none());
+        }
+    }
+
+    #[test]
+    fn radix_peek_agrees_with_the_next_pop() {
+        let mut q = RadixHeap::new();
+        assert_eq!(q.peek(), None);
+        for (k, v) in [(40, 1), (9, 2), (9, 3), (1 << 40, 4), (12, 5)] {
+            q.push(k, v);
+        }
+        while let Some(k) = q.peek() {
+            assert_eq!(q.peek(), Some(k), "peek is repeatable");
+            assert_eq!(q.pop().map(|(key, _)| key), Some(k));
+        }
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn radix_clear_resets_the_last_pop() {
+        let mut q = RadixHeap::new();
+        q.push(1000, 1);
+        q.push(2000, 2);
+        assert_eq!(q.pop(), Some((1000, 1)));
+        q.clear();
+        assert!(q.is_empty());
+        // Below the pop before `clear`: legal again.
+        q.push(3, 3);
+        q.push(0, 4);
+        assert_eq!(q.pop(), Some((0, 4)));
+        assert_eq!(q.pop(), Some((3, 3)));
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "non-monotone push")]
+    fn radix_rejects_a_push_below_the_last_pop() {
+        let mut q = RadixHeap::new();
+        q.push(5, 0);
+        q.push(9, 1);
+        assert_eq!(q.pop(), Some((5, 0)));
+        q.push(4, 2);
     }
 
     #[test]

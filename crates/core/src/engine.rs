@@ -16,8 +16,11 @@
 //! graph, and emits only landmark `i`'s [`RowDelta`] — its rewritten
 //! labels and highway entries. That is the write-disjointness argument
 //! of the paper's parallel variant: the parallel path shares nothing
-//! but read-only state. Nothing writes `Γ` in place: [`run_landmarks`]
-//! builds `Γ′` from the published `Γ` plus the deltas
+//! but read-only state. Its workers take landmarks on demand from a
+//! shared counter rather than in fixed ranges, because the affected
+//! sets of one batch differ widely between landmarks and the slowest
+//! worker sets the pass's wall time. Nothing writes `Γ` in place:
+//! [`run_landmarks`] builds `Γ′` from the published `Γ` plus the deltas
 //! ([`Labelling::seal_patched`]), so readers keep serving `Γ` untouched
 //! while the pass runs.
 
@@ -30,6 +33,7 @@ use batchhl_common::{MonotoneQueue, Vertex};
 use batchhl_graph::CompactionPolicy;
 use batchhl_hcl::{LabelPatch, Labelling, RowDelta, NO_LABEL};
 use std::borrow::Cow;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Search (β-pruned when `improved`) + repair landmark `i`: its delta.
 fn search_and_repair<M: Metric>(
@@ -100,10 +104,13 @@ pub(crate) fn build_labelling<M: Metric>(g: &M, empty: &Labelling, threads: usiz
 }
 
 /// Run `landmark(i, ws)` for every landmark `i` of `lab` and collect the
-/// deltas in landmark order: in turn on `ws`, or (`threads > 1`) over
-/// contiguous landmark ranges on scoped workers with a private
-/// workspace each. A landmark's delta is its own rows of the next
-/// labelling, so the workers share nothing but read-only state.
+/// deltas in landmark order: in turn on `ws`, or (`threads > 1`) on
+/// scoped workers with a private workspace each. The workers hand the
+/// landmarks out on demand — each takes the next unclaimed index from a
+/// shared counter — so one landmark with many affected vertices does
+/// not leave the other workers idle behind a fixed split. A landmark's
+/// delta is its own rows of the next labelling, so the workers share
+/// nothing but read-only state and the counter.
 fn each_landmark<Q: MonotoneQueue>(
     lab: &Labelling,
     threads: usize,
@@ -115,16 +122,18 @@ fn each_landmark<Q: MonotoneQueue>(
     if threads == 1 {
         return (0..r).map(|i| landmark(i, ws)).collect();
     }
-    let per = r.div_ceil(threads);
-    let landmark = &landmark;
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..r)
-            .step_by(per)
-            .map(|lo| {
+    let next = AtomicUsize::new(0);
+    let (landmark, next) = (&landmark, &next);
+    let mut done: Vec<(usize, RowDelta)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
                 scope.spawn(move || {
                     let mut ws = UpdateWorkspace::new(lab.num_vertices());
-                    let range = lo..(lo + per).min(r);
-                    range.map(|i| landmark(i, &mut ws)).collect::<Vec<_>>()
+                    std::iter::from_fn(|| {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        (i < r).then(|| (i, landmark(i, &mut ws)))
+                    })
+                    .collect::<Vec<_>>()
                 })
             })
             .collect();
@@ -136,7 +145,9 @@ fn each_landmark<Q: MonotoneQueue>(
             .into_iter()
             .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
             .collect()
-    })
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, delta)| delta).collect()
 }
 
 /// The speculative twin of [`run_landmarks`]: run the same search +
@@ -202,6 +213,7 @@ pub(crate) fn oracle_for(old: &Labelling, n: usize) -> Cow<'_, Labelling> {
 
 #[cfg(test)]
 mod tests {
+    use super::build_labelling as build_labelling_on;
     use super::*;
     use crate::index::Algorithm;
     use batchhl_graph::generators::{barabasi_albert, path};
@@ -246,6 +258,81 @@ mod tests {
                 oracle::check_minimal(&g1, &lab)
                     .unwrap_or_else(|e| panic!("improved={improved} threads={threads}: {e}"));
             }
+        }
+    }
+
+    /// Landmarks handed out on demand still come back in landmark
+    /// order: with |R| = 5, thread counts that do not divide it and more
+    /// threads than landmarks give the sequential deltas, on the unit
+    /// and on the weighted metric (construction included).
+    #[test]
+    fn each_landmark_matches_sequential_for_any_thread_count() {
+        use crate::metric::Weighted;
+        use batchhl_common::SplitMix64;
+        use batchhl_graph::weighted::{Weight, WeightedGraph};
+
+        let g0 = barabasi_albert(150, 3, 11);
+        let n = g0.num_vertices();
+        let landmarks = vec![0, 1, 2, 5, 9];
+        let mut batch = Batch::new();
+        batch.delete(0, 1);
+        batch.insert(3, 140);
+        batch.insert(40, 90);
+        let old = build_labelling(&g0, landmarks.clone()).unwrap();
+        let norm = batch.normalize(&g0);
+        let mut g1 = g0.clone();
+        g1.apply_batch(&norm);
+        let seeds = Seed::undirected(norm.updates());
+        let unit = |threads| {
+            each_landmark(&old, threads, &mut UpdateWorkspace::new(n), |i, ws| {
+                search_and_repair(&old, &g1, &seeds, i, true, ws)
+            })
+        };
+
+        // The same graph with weights, then re-weighted every 7th edge.
+        let mut rng = SplitMix64::new(3);
+        let edges: Vec<_> = g0
+            .edges()
+            .map(|(a, b)| (a, b, 1 + rng.below(50) as Weight))
+            .collect();
+        let w0 = WeightedGraph::from_edges(n, &edges);
+        let mut w1 = w0.clone();
+        let mut wseeds = Vec::new();
+        for &(a, b, w) in edges.iter().step_by(7) {
+            let new = 1 + rng.below(50) as Weight;
+            w1.set_weight(a, b, new);
+            let seed = Seed {
+                tail: a,
+                head: b,
+                len: w.min(new),
+                deleted: new > w,
+            };
+            wseeds.extend(seed.both_ways());
+        }
+        let empty = Labelling::empty(n, landmarks).unwrap();
+        let wold = build_labelling_on(&Weighted(&w0), &empty, 1);
+        let weighted = |threads| {
+            each_landmark(&wold, threads, &mut UpdateWorkspace::new(n), |i, ws| {
+                search_and_repair(&wold, &Weighted(&w1), &wseeds, i, true, ws)
+            })
+        };
+
+        let (seq_unit, seq_weighted) = (unit(1), weighted(1));
+        assert_eq!((seq_unit.len(), seq_weighted.len()), (5, 5));
+        assert!(seq_unit.iter().any(|d| !d.labels.is_empty()));
+        assert!(seq_weighted.iter().any(|d| !d.labels.is_empty()));
+        for threads in [2, 3, 7] {
+            assert_eq!(unit(threads), seq_unit, "unit, threads={threads}");
+            assert_eq!(
+                weighted(threads),
+                seq_weighted,
+                "weighted, threads={threads}"
+            );
+            assert_eq!(
+                build_labelling_on(&Weighted(&w0), &empty, threads),
+                wold,
+                "weighted construction, threads={threads}"
+            );
         }
     }
 

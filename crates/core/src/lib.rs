@@ -70,8 +70,8 @@
 //! [`metric::Metric`], the search space's edge lengths and queue: unit
 //! lengths in a bucketed Dial queue over any adjacency view (undirected,
 //! and both directions of the directed index through the generic
-//! `Reversed` adapter), or edge weights in a binary heap (Section 6's
-//! "pruned Dijkstra in place of pruned BFS"). A family's pass hook turns
+//! `Reversed` adapter), or edge weights in a monotone radix heap
+//! (Section 6's "pruned Dijkstra in place of pruned BFS"). A family's pass hook turns
 //! its batch into [`metric::Seed`] arcs — weight increases seed like
 //! deletions, decreases like insertions — and calls the engine once per
 //! labelling. The engine's last step builds the next labelling from the

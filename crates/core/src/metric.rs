@@ -8,9 +8,11 @@
 //! [`AdjacencyView`] (an undirected graph, or either direction of a
 //! directed one) has unit lengths and a bucketed [`LexDialQueue`];
 //! [`Weighted`] gives a [`WeightedAdjacencyView`] its weights and the
-//! binary heap [`LexHeap`]. A family turns its batch into [`Seed`] arcs.
+//! monotone radix heap [`RadixHeap`], whose buckets follow the bits of
+//! the packed keys rather than one bucket per distance. A family turns
+//! its batch into [`Seed`] arcs.
 
-use batchhl_common::{Dist, LexDialQueue, LexHeap, MonotoneQueue, Vertex};
+use batchhl_common::{Dist, LexDialQueue, MonotoneQueue, RadixHeap, Vertex};
 use batchhl_graph::weighted::WeightedAdjacencyView;
 use batchhl_graph::{AdjacencyView, Update};
 
@@ -43,7 +45,7 @@ impl<A: AdjacencyView + Sync + ?Sized> Metric for A {
 pub struct Weighted<'g, W: ?Sized>(pub &'g W);
 
 impl<W: WeightedAdjacencyView + Sync + ?Sized> Metric for Weighted<'_, W> {
-    type Queue = LexHeap;
+    type Queue = RadixHeap;
 
     fn out_edges(&self, v: Vertex) -> impl Iterator<Item = (Vertex, Dist)> + '_ {
         self.0.weighted_neighbors(v).iter().copied()

@@ -7,8 +7,8 @@
 //! deletions, and weight decreases in a similar way to edge insertions."
 //!
 //! So construction, batch search and batch repair run over the
-//! [`Weighted`] metric: edge weights are lengths, a binary heap orders
-//! the keys. Each update seeds both arcs of its edge with
+//! [`Weighted`] metric: edge weights are lengths, a monotone radix heap
+//! orders the keys. Each update seeds both arcs of its edge with
 //! `len = min(w_old, w_new)` — the lighter weight covers both the paths
 //! an increase destroys and the paths a decrease creates (insertion and
 //! deletion are the `w = ∞` cases) — with the deletion flag set on
@@ -30,7 +30,7 @@ use crate::persist::PersistError;
 use crate::stats::UpdateStats;
 use crate::whatif::{grown_n, rewrite_lists};
 use crate::workspace::UpdateWorkspace;
-use batchhl_common::{Dist, FxHashMap, LexHeap, Vertex};
+use batchhl_common::{Dist, FxHashMap, RadixHeap, Vertex};
 use batchhl_graph::io::{read_weighted_bin, weighted_bin_len, write_weighted_bin, BinGraphError};
 use batchhl_graph::weighted::{dijkstra, BiDijkstra, Weight, WeightedGraph, WeightedUpdate};
 use batchhl_graph::WeightedCsrDelta;
@@ -92,7 +92,7 @@ impl Family for WeightedSnapshot {
     type Update = WeightedUpdate;
     type Batch = [WeightedUpdate];
     type Norm = Vec<Effect>;
-    type Workspace = UpdateWorkspace<LexHeap>;
+    type Workspace = UpdateWorkspace<RadixHeap>;
     type View = WeightedCsrDelta;
     type Search = BiDijkstra;
 
@@ -204,7 +204,7 @@ impl Family for WeightedSnapshot {
         old: &Self,
         effects: Vec<Effect>,
         config: &IndexConfig,
-        ws: &mut UpdateWorkspace<LexHeap>,
+        ws: &mut UpdateWorkspace<RadixHeap>,
         stats: &mut UpdateStats,
     ) -> Option<Self> {
         if effects.is_empty() {

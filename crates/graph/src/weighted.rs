@@ -9,7 +9,7 @@
 
 use crate::update::Update;
 use crate::{BoundedSearch, SearchOutcome};
-use batchhl_common::{Dist, Vertex, INF};
+use batchhl_common::{Dist, RadixHeap, Vertex, INF};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -265,7 +265,9 @@ impl WeightedUpdate {
     }
 }
 
-/// Dijkstra distances from `src` (binary heap; weights ≥ 1).
+/// Dijkstra distances from `src` (weights ≥ 1). The reference oracle:
+/// it keeps `std`'s binary heap, independent of the [`RadixHeap`] the
+/// searches below run on.
 pub fn dijkstra<W: WeightedAdjacencyView>(g: &W, src: Vertex) -> Vec<Dist> {
     let mut dist = vec![INF; g.num_vertices()];
     let mut heap: BinaryHeap<Reverse<(Dist, Vertex)>> = BinaryHeap::new();
@@ -287,13 +289,18 @@ pub fn dijkstra<W: WeightedAdjacencyView>(g: &W, src: Vertex) -> Vec<Dist> {
 }
 
 /// Distance-bounded bidirectional Dijkstra on the subgraph of vertices
-/// passing `allowed`, reporting `d(s,t)` only if `< bound`.
+/// passing `allowed`, reporting `d(s,t)` only if `< bound`. Both sides
+/// (and the one-sided [`BiDijkstra::sweep`], on the `s` side) pop from
+/// monotone radix heaps held in the workspace, so repeated searches
+/// allocate nothing once the buckets have grown.
 #[derive(Debug, Default)]
 pub struct BiDijkstra {
     ds: Vec<Dist>,
     dt: Vec<Dist>,
     touched_s: Vec<Vertex>,
     touched_t: Vec<Vertex>,
+    qs: RadixHeap,
+    qt: RadixHeap,
     /// Settle order of the last [`BiDijkstra::sweep`].
     order: Vec<Vertex>,
 }
@@ -351,30 +358,29 @@ impl BiDijkstra {
         }
         self.clear();
         self.grow(g.num_vertices());
-        let mut hs: BinaryHeap<Reverse<(Dist, Vertex)>> = BinaryHeap::new();
-        let mut ht: BinaryHeap<Reverse<(Dist, Vertex)>> = BinaryHeap::new();
         self.ds[s as usize] = 0;
         self.dt[t as usize] = 0;
         self.touched_s.push(s);
         self.touched_t.push(t);
-        hs.push(Reverse((0, s)));
-        ht.push(Reverse((0, t)));
+        self.qs.push(0, s);
+        self.qt.push(0, t);
         let mut best = INF;
         // Alternate by smaller settled radius; stop when the radii sum
         // can no longer beat the incumbent, or once either side is
         // exhausted: it has then settled every vertex that meets it, the
         // other endpoint included if connected, so `best` is final.
-        while let (Some(&Reverse((a, _))), Some(&Reverse((b, _)))) = (hs.peek(), ht.peek()) {
+        while let (Some(a), Some(b)) = (self.qs.peek(), self.qt.peek()) {
             let (expand_s, radius_sum) = (a <= b, a.saturating_add(b));
-            if radius_sum >= best || radius_sum >= bound {
+            if radius_sum >= u64::from(best) || radius_sum >= u64::from(bound) {
                 break;
             }
             let (heap, dist, other, touched) = if expand_s {
-                (&mut hs, &mut self.ds, &self.dt, &mut self.touched_s)
+                (&mut self.qs, &mut self.ds, &self.dt, &mut self.touched_s)
             } else {
-                (&mut ht, &mut self.dt, &self.ds, &mut self.touched_t)
+                (&mut self.qt, &mut self.dt, &self.ds, &mut self.touched_t)
             };
-            if let Some(Reverse((d, v))) = heap.pop() {
+            if let Some((d, v)) = heap.pop() {
+                let d = d as Dist;
                 if d > dist[v as usize] {
                     continue;
                 }
@@ -395,7 +401,7 @@ impl BiDijkstra {
                             touched.push(w);
                         }
                         dist[w as usize] = nd;
-                        heap.push(Reverse((nd, w)));
+                        heap.push(nd.into(), w);
                         if other[w as usize] != INF {
                             best = best.min(nd.saturating_add(other[w as usize]));
                         }
@@ -434,11 +440,11 @@ impl BiDijkstra {
         if cap == 0 {
             return;
         }
-        let mut heap: BinaryHeap<Reverse<(Dist, Vertex)>> = BinaryHeap::new();
         self.ds[s as usize] = 0;
         self.touched_s.push(s);
-        heap.push(Reverse((0, s)));
-        while let Some(Reverse((d, v))) = heap.pop() {
+        self.qs.push(0, s);
+        while let Some((d, v)) = self.qs.pop() {
+            let d = d as Dist;
             if d > self.ds[v as usize] {
                 continue; // stale heap entry
             }
@@ -459,7 +465,7 @@ impl BiDijkstra {
                         self.touched_s.push(w);
                     }
                     self.ds[w as usize] = nd;
-                    heap.push(Reverse((nd, w)));
+                    self.qs.push(nd.into(), w);
                 }
             }
         }
@@ -493,6 +499,8 @@ impl BiDijkstra {
         }
         self.touched_s.clear();
         self.touched_t.clear();
+        self.qs.clear();
+        self.qt.clear();
         self.order.clear();
     }
 }
@@ -699,6 +707,81 @@ mod tests {
                 bi.run(&g, s, (s + 7) % 30, INF, |_| true).unwrap_or(INF),
                 truth[((s + 7) % 30) as usize]
             );
+        }
+    }
+
+    /// Weights up to 2²⁰ spread the keys over the radix heaps' high
+    /// buckets. One workspace serves every search of every graph, so
+    /// its queues are reused (and grown) throughout.
+    #[test]
+    fn searches_on_one_workspace_match_dijkstra_with_wide_weights() {
+        use batchhl_common::SplitMix64;
+        let mut rng = SplitMix64::new(0x2d);
+        let mut bi = BiDijkstra::default();
+        // Every third vertex is off limits for the filtered searches.
+        let open = |v: Vertex| v % 3 != 2;
+        for round in 0..6u64 {
+            let n = 50 + 30 * round as usize;
+            let mut g = WeightedGraph::new(n);
+            while g.num_edges() < 2 * n {
+                let (a, b) = (rng.below(n as u64) as Vertex, rng.below(n as u64) as Vertex);
+                if a != b {
+                    g.insert_edge(a, b, 1 + rng.below(1 << 20) as Weight);
+                }
+            }
+            let kept: Vec<_> = g.edges().filter(|&(a, b, _)| open(a) && open(b)).collect();
+            let g_open = WeightedGraph::from_edges(n, &kept);
+            for q in 0..300 {
+                let ctx = format!("round {round} query {q}");
+                let (s, t) = (rng.below(n as u64) as Vertex, rng.below(n as u64) as Vertex);
+                let truth = dijkstra(&g, s);
+                let d = truth[t as usize];
+                let want = (d != INF).then_some(d);
+                assert_eq!(bi.run(&g, s, t, INF, |_| true), want, "{ctx}");
+                // A bound at, just above or anywhere below the distance.
+                let bound = match rng.below(3) {
+                    0 => d,
+                    1 => d.saturating_add(1),
+                    _ => rng.below(u64::from(d.min(1 << 24)) + 1) as Dist,
+                };
+                let below = want.filter(|&d| d < bound);
+                assert_eq!(bi.run(&g, s, t, bound, |_| true), below, "{ctx} < {bound}");
+                // A budget short of the full search abandons it.
+                let mut left = usize::MAX;
+                let full = bi.run_budgeted(&g, s, t, INF, &mut left, |_| true);
+                assert_eq!(full.found(), want, "{ctx}");
+                let spent = usize::MAX - left;
+                let budget = rng.below(spent as u64 + 2) as usize;
+                let mut left = budget;
+                let got = bi.run_budgeted(&g, s, t, INF, &mut left, |_| true);
+                if budget < spent {
+                    assert_eq!(got, SearchOutcome::OutOfBudget, "{ctx} budget {budget}");
+                } else {
+                    assert_eq!((got, left), (full, budget - spent), "{ctx}");
+                }
+                if open(s) && open(t) {
+                    let d_open = dijkstra(&g_open, s)[t as usize];
+                    let want = (d_open != INF).then_some(d_open);
+                    assert_eq!(bi.run(&g, s, t, INF, open), want, "{ctx} filtered");
+                }
+                // A sweep settles exactly the vertices within its bound,
+                // unless the cap stops it first, in distance order.
+                let radius = rng.below(u64::from(d.min(1 << 24)) + 2) as Dist;
+                let cap = [usize::MAX, 1 + rng.below(n as u64) as usize][q % 2];
+                bi.sweep(&g, s, radius, cap, |_| true);
+                let swept = bi.swept();
+                assert_eq!(swept[0], s, "{ctx}");
+                for &v in swept {
+                    assert_eq!(bi.sweep_dist(v), truth[v as usize], "{ctx} sweep {v}");
+                    assert!(truth[v as usize] <= radius, "{ctx} sweep {v}");
+                }
+                let dists: Vec<Dist> = swept.iter().map(|&v| truth[v as usize]).collect();
+                assert!(dists.windows(2).all(|w| w[0] <= w[1]), "{ctx} order");
+                if swept.len() < cap {
+                    let within = truth.iter().filter(|&&x| x <= radius).count();
+                    assert_eq!(swept.len(), within, "{ctx} sweep to {radius}");
+                }
+            }
         }
     }
 
