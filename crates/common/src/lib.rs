@@ -15,6 +15,8 @@
 //! * [`bitset`] — a sparse-clearing bitset used for affected-vertex sets,
 //! * [`cache`] — an epoch-stamped memoization array used as the
 //!   old-distance oracle cache during batch search/repair,
+//! * [`overlay`] — the rank-resolved index of the chunked per-vertex
+//!   overlays (CSR adjacency and packed labels),
 //! * [`hash`] — an FxHash-style fast hasher for integer-keyed maps,
 //! * [`checksum`] — CRC-32 used by the on-disk persistence formats
 //!   (checkpoints and the batch write-ahead log),
@@ -43,6 +45,7 @@ pub mod failpoint;
 pub mod hash;
 pub mod llen;
 pub mod metrics;
+pub mod overlay;
 pub mod queue;
 pub mod rng;
 
@@ -52,5 +55,6 @@ pub use checksum::{crc32, Crc32, Crc32Reader, Crc32Writer};
 pub use dist::{dist_add1, Dist, Vertex, INF};
 pub use hash::{FxHashMap, FxHashSet};
 pub use llen::{ExtLandmarkLength, LandmarkLength};
+pub use overlay::OverlayIndex;
 pub use queue::{DialQueue, LexDialQueue, MonotoneQueue, RadixHeap};
 pub use rng::SplitMix64;

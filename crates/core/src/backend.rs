@@ -211,12 +211,11 @@ impl From<LabelError> for OracleError {
 /// labelling) plugs in without touching the facade:
 ///
 /// 1. Give it a generation type (labelling(s), CSR view) and
-///    implement [`Family`] for it: the graph, update and search types,
-///    construction, normalization, one search→repair pass, the graph a
-///    view presents, the [`Edit`] translation (reject edit kinds the family cannot
-///    express with a typed [`OracleError`] instead of dropping them),
-///    the speculative overlay, the checkpoint graph block and the
-///    audit. [`Index`] over it then has the whole index surface, this
+///    implement [`Family`] for it: the update, view and search types,
+///    construction, normalization, the view rewrite and the repair runs
+///    of one pass, the [`Edit`] translation (reject edit kinds the
+///    family cannot express with a typed [`OracleError`] instead of
+///    dropping them), the checkpoint graph block and the audit. [`Index`] over it then has the whole index surface, this
 ///    trait, readers, what-if sessions and checkpoints.
 /// 2. Add a [`BackendFamily`] and a [`GraphSource`] variant (plus a
 ///    `From` impl), a match arm in [`build_backend`] and a family code
@@ -303,9 +302,9 @@ pub trait Backend: Send {
     fn rollback_token(&self) -> Box<dyn std::any::Any + Send>;
 
     /// Restore the backend to the generation captured by a
-    /// [`rollback_token`], rebuilding the (possibly half-applied) writer
-    /// graph from the captured view and republishing the captured
-    /// content under a fresh version number. Errors only if `token` came from a
+    /// [`rollback_token`]: republish the captured content under a fresh
+    /// version number (a failed pass mutated nothing else, so there is
+    /// nothing to rebuild). Errors only if `token` came from a
     /// different backend family.
     ///
     /// [`rollback_token`]: Backend::rollback_token
@@ -521,14 +520,14 @@ impl<F: Family> Backend for Index<F> {
 
     fn verify_integrity(&mut self, samples: usize) -> Result<(), OracleError> {
         self.generation()
-            .audit(self.graph())
+            .audit()
             .map_err(|reason| OracleError::Integrity { reason })?;
         // A deterministic sample of sources, each checked against a
         // full truth sweep.
         let mut sources: Vec<Vertex> = (0..Index::num_vertices(self) as Vertex).collect();
         SplitMix64::new(0x5EED_AD17).shuffle(&mut sources);
         for &s in sources.iter().take(samples) {
-            for (t, want) in F::truth(self.graph(), s).into_iter().enumerate() {
+            for (t, want) in self.generation().truth(s).into_iter().enumerate() {
                 let want = (want != INF).then_some(want);
                 let got = Index::query(self, s, t as Vertex);
                 if got != want {

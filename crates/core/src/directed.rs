@@ -25,20 +25,17 @@
 //! index.
 
 use crate::backend::{unweighted_batch, BackendFamily, Edit, OracleError};
-use crate::engine;
+use crate::engine::Repair;
 use crate::family::Family;
 use crate::metric::Seed;
 use crate::persist::PersistError;
-use crate::stats::UpdateStats;
 use crate::whatif::{grown_n, rewrite_lists};
-use crate::workspace::UpdateWorkspace;
-use batchhl_common::{Dist, Vertex};
+use batchhl_common::{Dist, LexDialQueue, Vertex};
 use batchhl_graph::bfs::{bfs_distances, BiBfs};
+use batchhl_graph::csr::{CompactionPolicy, Frozen};
 use batchhl_graph::io::{digraph_bin_len, read_digraph_bin, write_digraph_bin, BinGraphError};
 use batchhl_graph::{AdjacencyView, Batch, CsrDiDelta, DynamicDiGraph, Reversed, Update};
-use batchhl_hcl::{
-    build_labelling_parallel, oracle, upper_bound_pair, LabelError, LabelPatch, Labelling,
-};
+use batchhl_hcl::{build_labelling_parallel, oracle, upper_bound_pair, LabelError, Labelling};
 use std::io::{Read, Write};
 
 use crate::index::Index;
@@ -70,38 +67,23 @@ fn seeds(norm: &Batch) -> (Vec<Seed>, Vec<Seed>) {
 impl Family for DirectedSnapshot {
     const KIND: BackendFamily = BackendFamily::Directed;
     const LABELLINGS: usize = 2;
-    type Graph = DynamicDiGraph;
     type Labels = [Labelling; 2];
     type Update = Update;
     type Batch = Batch;
     type Norm = Batch;
-    type Workspace = UpdateWorkspace;
+    type Queue = LexDialQueue;
     type View = CsrDiDelta;
     type Search = BiBfs;
 
-    fn build(
-        graph: &DynamicDiGraph,
-        landmarks: Vec<Vertex>,
-        threads: usize,
-    ) -> Result<Self, LabelError> {
-        // Both construction passes run over the frozen CSR snapshot.
-        let view = CsrDiDelta::from_adjacency(graph);
+    /// Both construction passes run over the frozen CSR snapshot.
+    fn build(view: CsrDiDelta, landmarks: Vec<Vertex>, threads: usize) -> Result<Self, LabelError> {
         let fwd = build_labelling_parallel(&view, landmarks.clone(), threads)?;
         let bwd = build_labelling_parallel(&Reversed(&view), landmarks, threads)?;
         Ok(DirectedSnapshot { fwd, bwd, view })
     }
 
-    fn assemble(graph: &DynamicDiGraph, [fwd, bwd]: [Labelling; 2]) -> Self {
-        let view = CsrDiDelta::from_adjacency(graph);
+    fn assemble(view: CsrDiDelta, [fwd, bwd]: [Labelling; 2]) -> Self {
         DirectedSnapshot { fwd, bwd, view }
-    }
-
-    fn graph_of(view: &CsrDiDelta) -> DynamicDiGraph {
-        let n = view.num_vertices() as Vertex;
-        DynamicDiGraph::try_from_out_adjacency(
-            (0..n).map(|v| view.out_neighbors(v).to_vec()).collect(),
-        )
-        .expect("a published view is a valid graph")
     }
 
     fn view(&self) -> &CsrDiDelta {
@@ -136,112 +118,66 @@ impl Family for DirectedSnapshot {
         norm.split()
     }
 
-    fn pass(
-        graph: &mut DynamicDiGraph,
-        old: &Self,
-        norm: Batch,
-        config: &IndexConfig,
-        ws: &mut UpdateWorkspace,
-        stats: &mut UpdateStats,
-    ) -> Option<Self> {
-        if norm.is_empty() {
-            return None;
-        }
-        stats.applied = graph.apply_batch(&norm);
-        stats.insertions = norm.num_insertions();
-        stats.deletions = norm.num_deletions();
+    fn kinds(norm: &Batch) -> (usize, usize) {
+        (norm.num_insertions(), norm.num_deletions())
+    }
 
-        let n = graph.num_vertices();
+    /// Tails re-read their out-lists, heads their in-lists; the two
+    /// direction overlays compact independently.
+    fn rewrite(&self, norm: &Batch, policy: Option<CompactionPolicy>) -> CsrDiDelta {
+        let arcs = || {
+            norm.updates()
+                .iter()
+                .map(|u| (u.endpoints(), u.is_insert()))
+        };
+        let n = grown_n(arcs().map(|(ab, _)| ab), self.view.num_vertices());
+        let (out, inn) = self.view.directions();
+        let outs = arcs().map(|((a, b), kept)| (a, b, kept.then_some(b)));
+        let ins = arcs().map(|((a, b), kept)| (b, a, kept.then_some(a)));
+        CsrDiDelta::from_directions(
+            rewrite_lists(out, n, policy, outs, |&x| x),
+            rewrite_lists(inn, n, policy, ins, |&x| x),
+        )
+    }
 
-        // Freeze the batch's arcs into the two-direction CSR view; the
-        // forward and backward searches below traverse it.
-        let mut view = old.view.clone();
-        view.set_policy(config.compaction);
-        let arcs: Vec<(Vertex, Vertex)> = norm.updates().iter().map(|u| u.endpoints()).collect();
-        view.absorb_arcs(&*graph, &arcs);
-
-        let (fwd_seeds, bwd_seeds) = seeds(&norm);
-        let (fwd, fwd_aff) = engine::run_landmarks(
-            &view,
-            &engine::oracle_for(&old.fwd, n),
-            &fwd_seeds,
-            config,
-            ws,
-        );
-        // The backward pass sees every arc reversed.
-        let (bwd, bwd_aff) = engine::run_landmarks(
-            &Reversed(&view),
-            &engine::oracle_for(&old.bwd, n),
-            &bwd_seeds,
-            config,
-            ws,
-        );
-        stats.affected_per_landmark = fwd_aff.iter().zip(&bwd_aff).map(|(f, b)| f + b).collect();
-        Some(DirectedSnapshot { fwd, bwd, view })
+    /// The forward labelling over `G′`, then the backward one over `G′`
+    /// with every arc reversed.
+    fn repair<R: Repair<LexDialQueue>>(
+        &self,
+        view: &CsrDiDelta,
+        norm: &Batch,
+        repair: &mut R,
+    ) -> Vec<R::Out> {
+        let (fwd_seeds, bwd_seeds) = seeds(norm);
+        let n = view.num_vertices();
+        vec![
+            repair.run(view, n, &self.fwd, &fwd_seeds),
+            repair.run(&Reversed(view), n, &self.bwd, &bwd_seeds),
+        ]
     }
 
     fn from_edits(edits: &[Edit]) -> Result<Box<Batch>, OracleError> {
         unweighted_batch(edits, Self::KIND).map(Box::new)
     }
 
-    /// One patch per labelling, mirroring the committed two-run repair.
-    fn speculate(&self, norm: &Batch) -> (CsrDiDelta, Vec<LabelPatch>) {
-        let mut view = self.view.clone();
-        let n = grown_n(
-            norm.updates().iter().map(|u| u.endpoints()),
-            view.num_vertices(),
-        );
-        view.ensure_vertices(n);
-        let arcs = || {
-            norm.updates()
-                .iter()
-                .map(|u| (u.endpoints(), u.is_insert()))
-        };
-        let outs = arcs().map(|((a, b), kept)| (a, b, kept.then_some(b)));
-        rewrite_lists(
-            &mut view,
-            outs,
-            |&x| x,
-            CsrDiDelta::out_neighbors,
-            CsrDiDelta::set_vertex_out,
-        );
-        let ins = arcs().map(|((a, b), kept)| (b, a, kept.then_some(a)));
-        rewrite_lists(
-            &mut view,
-            ins,
-            |&x| x,
-            CsrDiDelta::in_neighbors,
-            CsrDiDelta::set_vertex_in,
-        );
-        let (fwd_seeds, bwd_seeds) = seeds(norm);
-        let fwd =
-            engine::run_landmarks_speculative(&view, &engine::oracle_for(&self.fwd, n), &fwd_seeds);
-        let bwd = engine::run_landmarks_speculative(
-            &Reversed(&view),
-            &engine::oracle_for(&self.bwd, n),
-            &bwd_seeds,
-        );
-        (view, vec![fwd, bwd])
+    fn write_graph(view: &CsrDiDelta, out: &mut dyn Write) -> Result<(), PersistError> {
+        out.write_all(&digraph_bin_len(view).to_le_bytes())?;
+        Ok(write_digraph_bin(view, out)?)
     }
 
-    fn write_graph(graph: &DynamicDiGraph, out: &mut dyn Write) -> Result<(), PersistError> {
-        out.write_all(&digraph_bin_len(graph).to_le_bytes())?;
-        Ok(write_digraph_bin(graph, out)?)
+    fn read_graph<R: Read>(r: &mut R) -> Result<CsrDiDelta, BinGraphError> {
+        read_digraph_bin(r).map(|g| CsrDiDelta::freeze(&g))
     }
 
-    fn read_graph<R: Read>(r: &mut R) -> Result<DynamicDiGraph, BinGraphError> {
-        read_digraph_bin(r)
-    }
-
-    fn audit(&self, graph: &DynamicDiGraph) -> Result<(), String> {
-        oracle::check_minimal(graph, &self.fwd)
+    fn audit(&self) -> Result<(), String> {
+        oracle::check_minimal(&self.view, &self.fwd)
             .map_err(|reason| format!("forward labelling: {reason}"))?;
-        oracle::check_minimal(&Reversed(graph), &self.bwd)
+        oracle::check_minimal(&Reversed(&self.view), &self.bwd)
             .map_err(|reason| format!("backward labelling: {reason}"))
     }
 
-    fn truth(graph: &DynamicDiGraph, s: Vertex) -> Vec<Dist> {
-        bfs_distances(graph, s)
+    fn truth(&self, s: Vertex) -> Vec<Dist> {
+        bfs_distances(&self.view, s)
     }
 }
 
@@ -292,9 +228,9 @@ mod tests {
     }
 
     fn assert_both_minimal(index: &DirectedBatchIndex) {
-        oracle::check_minimal(index.graph(), index.forward_labelling())
+        oracle::check_minimal(&index.graph(), index.forward_labelling())
             .unwrap_or_else(|e| panic!("forward: {e}"));
-        oracle::check_minimal(&Reversed(index.graph()), index.backward_labelling())
+        oracle::check_minimal(&Reversed(&index.graph()), index.backward_labelling())
             .unwrap_or_else(|e| panic!("backward: {e}"));
     }
 
@@ -329,20 +265,22 @@ mod tests {
             (Algorithm::BhlPlus, 3),
             (Algorithm::Bhl, 4),
         ] {
-            let g = random_digraph(60, 170, seed);
-            let mut index = DirectedBatchIndex::build(g, config(alg, 5));
+            let mut g = random_digraph(60, 170, seed);
+            let mut index = DirectedBatchIndex::build(g.clone(), config(alg, 5));
             let mut rng = StdRng::seed_from_u64(seed ^ 0xF00);
             for round in 0..4 {
-                let batch = random_batch(index.graph(), 12, &mut rng);
+                let batch = random_batch(&g, 12, &mut rng);
                 index.apply_batch(&batch);
-                oracle::check_minimal(index.graph(), index.forward_labelling())
+                g.apply_batch(&batch);
+                oracle::check_minimal(&index.graph(), index.forward_labelling())
                     .unwrap_or_else(|e| panic!("{alg:?}/{seed} fwd round {round}: {e}"));
-                oracle::check_minimal(&Reversed(index.graph()), index.backward_labelling())
+                oracle::check_minimal(&Reversed(&index.graph()), index.backward_labelling())
                     .unwrap_or_else(|e| panic!("{alg:?}/{seed} bwd round {round}: {e}"));
                 let published = index.published();
                 assert_eq!(&published.fwd, index.forward_labelling());
                 assert_eq!(&published.bwd, index.backward_labelling());
-                assert_eq!(&DirectedSnapshot::graph_of(&published.view), index.graph());
+                // Both directions present the shadow graph's lists.
+                assert_eq!(published.view, CsrDiDelta::freeze(&g), "round {round}");
             }
         }
     }
@@ -353,9 +291,9 @@ mod tests {
         let mut index = DirectedBatchIndex::build(g, config(Algorithm::BhlPlus, 4));
         let mut rng = StdRng::seed_from_u64(55);
         for _ in 0..4 {
-            let batch = random_batch(index.graph(), 10, &mut rng);
+            let batch = random_batch(&index.graph(), 10, &mut rng);
             index.apply_batch(&batch);
-            let truth = oracle::all_pairs_bfs(index.graph());
+            let truth = oracle::all_pairs_bfs(&index.graph());
             for s in 0..40u32 {
                 for t in 0..40u32 {
                     assert_eq!(index.query_dist(s, t), truth[s as usize][t as usize]);
@@ -401,7 +339,7 @@ mod tests {
         let mut reader = index.reader();
         let mut rng = StdRng::seed_from_u64(23);
         for _ in 0..3 {
-            let batch = random_batch(index.graph(), 8, &mut rng);
+            let batch = random_batch(&index.graph(), 8, &mut rng);
             index.apply_batch(&batch);
             for s in (0..50u32).step_by(7) {
                 for t in (0..50u32).step_by(9) {

@@ -22,7 +22,9 @@
 //! worker sets the pass's wall time. Nothing writes `Γ` in place:
 //! [`run_landmarks`] builds `Γ′` from the published `Γ` plus the deltas
 //! ([`Labelling::seal_patched`]), so readers keep serving `Γ` untouched
-//! while the pass runs.
+//! while the pass runs. A what-if session runs the same kernels and
+//! keeps the deltas as a [`LabelPatch`] instead; [`Repair`] is that one
+//! choice ([`Commit`] or [`Speculative`]).
 
 use crate::index::IndexConfig;
 use crate::metric::{Metric, Seed};
@@ -63,11 +65,10 @@ pub fn run_landmarks<M: Metric>(
     config: &IndexConfig,
     ws: &mut UpdateWorkspace<M::Queue>,
 ) -> (Labelling, Vec<usize>) {
-    // Chaos-suite injection point: by the time the pass reaches the
-    // landmark loop the writer graph is already mutated, so a panic
-    // here leaves maximally half-applied writer state behind. There is
-    // no Result channel through a repair pass — an armed Error action
-    // panics too.
+    // Chaos-suite injection point: a panic here, with `G′` built and
+    // the repair under way, must leave the published generation
+    // serving and the index committable. There is no Result channel
+    // through a repair pass — an armed Error action panics too.
     if let Err(msg) = batchhl_common::failpoint::check("engine::mid_repair_panic") {
         panic!("{msg}");
     }
@@ -104,13 +105,15 @@ pub(crate) fn build_labelling<M: Metric>(g: &M, empty: &Labelling, threads: usiz
 }
 
 /// Run `landmark(i, ws)` for every landmark `i` of `lab` and collect the
-/// deltas in landmark order: in turn on `ws`, or (`threads > 1`) on
-/// scoped workers with a private workspace each. The workers hand the
-/// landmarks out on demand — each takes the next unclaimed index from a
-/// shared counter — so one landmark with many affected vertices does
-/// not leave the other workers idle behind a fixed split. A landmark's
-/// delta is its own rows of the next labelling, so the workers share
-/// nothing but read-only state and the counter.
+/// deltas in landmark order: in turn on `ws`, or (`threads > 1`) on the
+/// calling thread plus `threads − 1` scoped workers, each on its own
+/// workspace from `ws.workers` (grown on first use and kept there, so a
+/// pass allocates none). The threads hand the landmarks out on demand —
+/// each takes the next unclaimed index from a shared counter — so one
+/// landmark with many affected vertices does not leave the others idle
+/// behind a fixed split. A landmark's delta is its own rows of the next
+/// labelling, so the threads share nothing but read-only state and the
+/// counter.
 fn each_landmark<Q: MonotoneQueue>(
     lab: &Labelling,
     threads: usize,
@@ -124,30 +127,93 @@ fn each_landmark<Q: MonotoneQueue>(
     }
     let next = AtomicUsize::new(0);
     let (landmark, next) = (&landmark, &next);
+    let claim = move |ws: &mut UpdateWorkspace<Q>| {
+        std::iter::from_fn(|| {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            (i < r).then(|| (i, landmark(i, ws)))
+        })
+        .collect::<Vec<_>>()
+    };
+    let mut workers = std::mem::take(&mut ws.workers);
+    workers.resize_with(threads - 1, UpdateWorkspace::default);
     let mut done: Vec<(usize, RowDelta)> = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut ws = UpdateWorkspace::new(lab.num_vertices());
-                    std::iter::from_fn(|| {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        (i < r).then(|| (i, landmark(i, &mut ws)))
-                    })
-                    .collect::<Vec<_>>()
-                })
+        let spawned: Vec<_> = workers
+            .iter_mut()
+            .map(|w| {
+                w.grow(lab.num_vertices());
+                scope.spawn(move || claim(w))
             })
             .collect();
+        let mut done = claim(ws);
         // Re-raise a worker's own payload instead of a fresh "worker
         // panicked" panic: the facade's containment records the payload
         // string in the poisoned-health reason, and it must name the
         // original failure even when it crossed a scoped thread.
-        workers
-            .into_iter()
-            .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
+        for w in spawned {
+            done.extend(w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        }
+        done
     });
+    ws.workers = workers;
     done.sort_unstable_by_key(|&(i, _)| i);
     done.into_iter().map(|(_, delta)| delta).collect()
+}
+
+/// What a pass does with each labelling's search→repair: a commit seals
+/// the next labelling ([`Commit`]), a what-if keeps the changed rows as a
+/// patch ([`Speculative`]). Either way the search and the repair are the
+/// same kernels over the same `G′`, so a commit is a what-if that is
+/// sealed and published.
+pub trait Repair<Q: MonotoneQueue> {
+    type Out;
+
+    /// Search + repair every landmark of `old` over `g` (`G′`, on `n`
+    /// vertices) from `seeds`.
+    fn run<M: Metric<Queue = Q>>(
+        &mut self,
+        g: &M,
+        n: usize,
+        old: &Labelling,
+        seeds: &[Seed],
+    ) -> Self::Out;
+}
+
+/// A committed pass ([`run_landmarks`]): the next labelling and `|V_aff|`
+/// per landmark.
+pub struct Commit<'a, Q> {
+    pub config: &'a IndexConfig,
+    pub ws: &'a mut UpdateWorkspace<Q>,
+}
+
+impl<Q: MonotoneQueue> Repair<Q> for Commit<'_, Q> {
+    type Out = (Labelling, Vec<usize>);
+
+    fn run<M: Metric<Queue = Q>>(
+        &mut self,
+        g: &M,
+        n: usize,
+        old: &Labelling,
+        seeds: &[Seed],
+    ) -> Self::Out {
+        run_landmarks(g, &oracle_for(old, n), seeds, self.config, self.ws)
+    }
+}
+
+/// A what-if pass (`run_landmarks_speculative`): the changed rows.
+pub struct Speculative;
+
+impl<Q: MonotoneQueue> Repair<Q> for Speculative {
+    type Out = LabelPatch;
+
+    fn run<M: Metric<Queue = Q>>(
+        &mut self,
+        g: &M,
+        n: usize,
+        old: &Labelling,
+        seeds: &[Seed],
+    ) -> LabelPatch {
+        run_landmarks_speculative(g, &oracle_for(old, n), seeds)
+    }
 }
 
 /// The speculative twin of [`run_landmarks`]: run the same search +
@@ -264,11 +330,12 @@ mod tests {
     /// Landmarks handed out on demand still come back in landmark
     /// order: with |R| = 5, thread counts that do not divide it and more
     /// threads than landmarks give the sequential deltas, on the unit
-    /// and on the weighted metric (construction included).
+    /// and on the weighted metric (construction included), and so does
+    /// a second pass on the same, reused workspaces.
     #[test]
     fn each_landmark_matches_sequential_for_any_thread_count() {
         use crate::metric::Weighted;
-        use batchhl_common::SplitMix64;
+        use batchhl_common::{RadixHeap, SplitMix64};
         use batchhl_graph::weighted::{Weight, WeightedGraph};
 
         let g0 = barabasi_albert(150, 3, 11);
@@ -283,8 +350,8 @@ mod tests {
         let mut g1 = g0.clone();
         g1.apply_batch(&norm);
         let seeds = Seed::undirected(norm.updates());
-        let unit = |threads| {
-            each_landmark(&old, threads, &mut UpdateWorkspace::new(n), |i, ws| {
+        let unit = |threads, ws: &mut UpdateWorkspace| {
+            each_landmark(&old, threads, ws, |i, ws| {
                 search_and_repair(&old, &g1, &seeds, i, true, ws)
             })
         };
@@ -311,23 +378,33 @@ mod tests {
         }
         let empty = Labelling::empty(n, landmarks).unwrap();
         let wold = build_labelling_on(&Weighted(&w0), &empty, 1);
-        let weighted = |threads| {
-            each_landmark(&wold, threads, &mut UpdateWorkspace::new(n), |i, ws| {
+        let weighted = |threads, ws: &mut UpdateWorkspace<RadixHeap>| {
+            each_landmark(&wold, threads, ws, |i, ws| {
                 search_and_repair(&wold, &Weighted(&w1), &wseeds, i, true, ws)
             })
         };
 
-        let (seq_unit, seq_weighted) = (unit(1), weighted(1));
+        let seq_unit = unit(1, &mut UpdateWorkspace::new(n));
+        let seq_weighted = weighted(1, &mut UpdateWorkspace::new(n));
         assert_eq!((seq_unit.len(), seq_weighted.len()), (5, 5));
         assert!(seq_unit.iter().any(|d| !d.labels.is_empty()));
         assert!(seq_weighted.iter().any(|d| !d.labels.is_empty()));
         for threads in [2, 3, 7] {
-            assert_eq!(unit(threads), seq_unit, "unit, threads={threads}");
-            assert_eq!(
-                weighted(threads),
-                seq_weighted,
-                "weighted, threads={threads}"
-            );
+            let (mut ws, mut wws) = (UpdateWorkspace::new(n), UpdateWorkspace::new(n));
+            for pass in 0..2 {
+                assert_eq!(
+                    unit(threads, &mut ws),
+                    seq_unit,
+                    "unit, threads={threads}, pass {pass}"
+                );
+                assert_eq!(
+                    weighted(threads, &mut wws),
+                    seq_weighted,
+                    "weighted, threads={threads}, pass {pass}"
+                );
+            }
+            let workers = threads.min(5) - 1;
+            assert_eq!((ws.workers.len(), wws.workers.len()), (workers, workers));
             assert_eq!(
                 build_labelling_on(&Weighted(&w0), &empty, threads),
                 wold,

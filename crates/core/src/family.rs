@@ -12,28 +12,35 @@
 //! [`crate::Backend`], the what-if session and the checkpoint frame.
 //!
 //! A generation holds exactly what readers read: the labelling(s) and
-//! the frozen CSR view. The writer's mutable graph is not part of it;
-//! [`crate::Index`] owns the one copy, and the hooks that mutate or audit
-//! it take it as an argument.
+//! the frozen CSR view, which is the one graph there is. A pass builds
+//! `G′` from the published view and the batch, rewriting only the lists
+//! the batch touches ([`Family::rewrite`]), runs the search and repair
+//! of every labelling over it ([`Family::repair`]) and seals the next
+//! generation ([`Family::pass`]); a what-if session runs the same two
+//! steps and keeps the repair as a patch ([`Family::speculate`]).
+//! Nothing is mutated on the way, so a failed pass is rolled back by
+//! not publishing it.
 //!
-//! A family supplies its graph, update and search types and a handful of
-//! hooks: build the labelling(s), normalize a batch against the view,
-//! split it into deletion-like and insertion-like halves (BHLₛ), run one
-//! search→repair pass through [`crate::engine::run_landmarks`] over its
-//! [`crate::metric::Metric`] and the batch's seed arcs (twice for
-//! directed graphs, the second time over the `Reversed` view), rebuild
-//! the writer graph from a view, translate [`Edit`] lists, build a
-//! speculative overlay, encode its graph in a checkpoint, and audit
-//! itself against ground truth. The Section 4 query is provided:
-//! every family names its CSR view, its `(fwd, bwd)` labellings (one
-//! labelling twice for the undirected and weighted families) and its
-//! search engine, and runs the one query path of `batchhl_hcl::query`.
+//! A family supplies its update, view and search types and a handful of
+//! hooks: build the labelling(s) over a view, normalize a batch against
+//! the view, split it into deletion-like and insertion-like halves
+//! (BHLₛ), count its kinds, rewrite the view, run a [`Repair`] through
+//! its [`crate::metric::Metric`] and the batch's seed arcs (twice for
+//! directed graphs, the second time over the `Reversed` view), translate
+//! [`Edit`] lists, encode its view in a checkpoint, and audit itself
+//! against ground truth. The Section 4 query is provided: every family
+//! names its CSR view, its `(fwd, bwd)` labellings (one labelling twice
+//! for the undirected and weighted families) and its search engine, and
+//! runs the one query path of `batchhl_hcl::query`.
 
 use crate::backend::{BackendFamily, Edit, OracleError};
+use crate::engine::{Commit, Repair, Speculative};
 use crate::index::IndexConfig;
 use crate::persist::PersistError;
 use crate::stats::UpdateStats;
-use batchhl_common::{Dist, Vertex, INF};
+use crate::workspace::UpdateWorkspace;
+use batchhl_common::{Dist, MonotoneQueue, Vertex, INF};
+use batchhl_graph::csr::{CompactionPolicy, Frozen};
 use batchhl_graph::io::BinGraphError;
 use batchhl_graph::BoundedSearch;
 use batchhl_hcl::query::{distances_from, point_dist, top_k};
@@ -53,8 +60,6 @@ pub trait Family: Clone + Debug + Send + Sync + Sized + 'static {
     /// Number of labellings per generation (the length of `Labels`).
     const LABELLINGS: usize;
 
-    /// The writer's mutable graph.
-    type Graph: Clone + Debug + PartialEq + Send + Sync + DegreeOrder;
     /// The labellings a generation carries, as `[Labelling; LABELLINGS]`.
     type Labels: TryFrom<Vec<Labelling>, Error = Vec<Labelling>>;
     /// One native update (`Update` or `WeightedUpdate`).
@@ -63,27 +68,22 @@ pub trait Family: Clone + Debug + Send + Sync + Sized + 'static {
     type Batch: ?Sized;
     /// A batch normalized against the current graph: one pass's input.
     type Norm;
-    /// Scratch state of one pass (the engine grows it).
-    type Workspace: Default + Send;
-    /// The frozen CSR view queries and passes traverse.
-    type View: Clone + Debug + Send + Sync;
+    /// The monotone queue of the family's search and repair (its
+    /// [`UpdateWorkspace`]'s).
+    type Queue: MonotoneQueue;
+    /// The frozen CSR view queries and passes traverse — the graph of a
+    /// generation; [`Frozen::Graph`] is what an index is built from.
+    type View: Frozen + DegreeOrder + Clone + Debug + PartialEq + Send + Sync;
     /// The bounded search of the query path.
     type Search: BoundedSearch<Self::View> + Default + Debug + Send + Sync;
 
-    /// Freeze `graph` into a view and construct the minimal labelling(s)
-    /// for `landmarks`. Errors on an invalid landmark list.
-    fn build(
-        graph: &Self::Graph,
-        landmarks: Vec<Vertex>,
-        threads: usize,
-    ) -> Result<Self, LabelError>;
+    /// Construct the minimal labelling(s) of `view` for `landmarks`.
+    /// Errors on an invalid landmark list.
+    fn build(view: Self::View, landmarks: Vec<Vertex>, threads: usize) -> Result<Self, LabelError>;
 
-    /// Pair a view of `graph` with previously built labellings (no
-    /// validation; see `Index::from_parts`).
-    fn assemble(graph: &Self::Graph, labels: Self::Labels) -> Self;
-
-    /// The writer graph a view presents (the rollback path: `O(n + m)`).
-    fn graph_of(view: &Self::View) -> Self::Graph;
+    /// Pair a view with its labellings (no validation; see
+    /// `Index::from_parts`).
+    fn assemble(view: Self::View, labels: Self::Labels) -> Self;
 
     fn view(&self) -> &Self::View;
 
@@ -102,8 +102,7 @@ pub trait Family: Clone + Debug + Send + Sync + Sized + 'static {
     /// One update as a batch of its own (the UHL/UHL⁺ pass unit).
     fn single(update: Self::Update) -> Box<Self::Batch>;
 
-    /// Normalize against this generation's view (which, between passes,
-    /// presents the writer graph).
+    /// Normalize against this generation's view.
     fn normalize(&self, batch: &Self::Batch) -> Self::Norm;
 
     /// BHLₛ: split a normalized batch into (deletions, insertions); on
@@ -111,43 +110,82 @@ pub trait Family: Clone + Debug + Send + Sync + Sized + 'static {
     /// decreases with the insertions.
     fn split(norm: Self::Norm) -> (Self::Norm, Self::Norm);
 
-    /// One search→repair pass: apply `norm` to the writer `graph`, absorb
-    /// it into a copy of `old`'s view, and build the next generation's
-    /// labelling(s) from `old`'s plus the repair deltas.
-    /// Fills `applied`, `insertions`, `deletions` and
-    /// `affected_per_landmark`. Returns `None`, touching nothing, when
-    /// `norm` is empty.
-    fn pass(
-        graph: &mut Self::Graph,
-        old: &Self,
-        norm: Self::Norm,
-        config: &IndexConfig,
-        ws: &mut Self::Workspace,
-        stats: &mut UpdateStats,
-    ) -> Option<Self>;
+    /// `(insertions, deletions)` in a normalized batch; a weight change
+    /// counts as the kind it mimics.
+    fn kinds(norm: &Self::Norm) -> (usize, usize);
+
+    /// `G′`: this generation's view with every list `norm` touches
+    /// rewritten, as one more overlay chunk (grown to the vertices the
+    /// batch names, compacted under `policy`; `None` never compacts).
+    fn rewrite(&self, norm: &Self::Norm, policy: Option<CompactionPolicy>) -> Self::View;
+
+    /// Run `repair` for every labelling, in `labellings()` order, over
+    /// `view` (this generation's `G′` for `norm`) from the batch's seeds.
+    fn repair<R: Repair<Self::Queue>>(
+        &self,
+        view: &Self::View,
+        norm: &Self::Norm,
+        repair: &mut R,
+    ) -> Vec<R::Out>;
 
     /// Translate a facade edit list; refuse edits the family cannot
     /// express with a typed error rather than drop them.
     fn from_edits(edits: &[Edit]) -> Result<Box<Self::Batch>, OracleError>;
 
-    /// The what-if overlay of a normalized batch: a private copy of the
-    /// view with the batch recorded, and one label patch per labelling
-    /// (in `labellings()` order) from the speculative kernels.
-    fn speculate(&self, norm: &Self::Norm) -> (Self::View, Vec<LabelPatch>);
-
     /// Write the length-prefixed graph block of a checkpoint body.
-    fn write_graph(graph: &Self::Graph, out: &mut dyn Write) -> Result<(), PersistError>;
+    fn write_graph(view: &Self::View, out: &mut dyn Write) -> Result<(), PersistError>;
 
     /// Decode the graph block written by `write_graph` (without its
-    /// length prefix).
-    fn read_graph<R: Read>(r: &mut R) -> Result<Self::Graph, BinGraphError>;
+    /// length prefix) into a fresh view.
+    fn read_graph<R: Read>(r: &mut R) -> Result<Self::View, BinGraphError>;
 
     /// Structural audit: every labelling is the minimal highway cover
-    /// labelling of `graph`.
-    fn audit(&self, graph: &Self::Graph) -> Result<(), String>;
+    /// labelling of the generation's graph.
+    fn audit(&self) -> Result<(), String>;
 
-    /// Ground-truth distances from `s` (BFS or Dijkstra on `graph`).
-    fn truth(graph: &Self::Graph, s: Vertex) -> Vec<Dist>;
+    /// Ground-truth distances from `s` (BFS or Dijkstra on the view).
+    fn truth(&self, s: Vertex) -> Vec<Dist>;
+
+    /// One search→repair pass (Algorithm 1 over one normalized batch):
+    /// `G′` from [`Family::rewrite`], the next labelling(s) sealed from
+    /// this generation's plus the repair deltas. Fills `applied`,
+    /// `insertions`, `deletions` and `affected_per_landmark`. Returns
+    /// `None` when `norm` is empty. Reads `self` only, so dropping the
+    /// result undoes the pass.
+    fn pass(
+        &self,
+        norm: Self::Norm,
+        config: &IndexConfig,
+        ws: &mut UpdateWorkspace<Self::Queue>,
+        stats: &mut UpdateStats,
+    ) -> Option<Self> {
+        let (insertions, deletions) = Self::kinds(&norm);
+        if insertions + deletions == 0 {
+            return None;
+        }
+        (stats.insertions, stats.deletions) = (insertions, deletions);
+        stats.applied = insertions + deletions;
+        let view = self.rewrite(&norm, Some(config.compaction));
+        let runs = self.repair(&view, &norm, &mut Commit { config, ws });
+        let mut labels = Vec::with_capacity(runs.len());
+        for (lab, affected) in runs {
+            let total = &mut stats.affected_per_landmark;
+            total.resize(affected.len(), 0);
+            total.iter_mut().zip(affected).for_each(|(t, a)| *t += a);
+            labels.push(lab);
+        }
+        let labels = Self::Labels::try_from(labels).expect("one labelling per run");
+        Some(Self::assemble(view, labels))
+    }
+
+    /// The what-if overlay of a normalized batch: the same `G′` a pass
+    /// builds (never compacted), and one label patch per labelling (in
+    /// `labellings()` order) from the same kernels.
+    fn speculate(&self, norm: &Self::Norm) -> (Self::View, Vec<LabelPatch>) {
+        let view = self.rewrite(norm, None);
+        let patches = self.repair(&view, norm, &mut Speculative);
+        (view, patches)
+    }
 
     /// Exact distance, `INF` when disconnected or out of range.
     fn query_dist(&self, search: &mut Self::Search, s: Vertex, t: Vertex) -> Dist {

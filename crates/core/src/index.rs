@@ -3,19 +3,22 @@
 //!
 //! [`Index<F>`] separates the two roles a production index serves:
 //!
-//! * **Writer** — the index owns the one mutable copy of the graph.
-//!   [`Index::apply_batch`] mutates it, repairs against the published
-//!   generation `Γ` (the old-labelling oracle of Algorithm 1), and
-//!   publishes `Γ′` built from `Γ` plus the repair deltas.
+//! * **Writer** — [`Index::apply_batch`] builds `G′` from the published
+//!   generation's CSR view and the batch (rewriting only the lists the
+//!   batch touches), repairs against the published labelling `Γ` (the
+//!   old-labelling oracle of Algorithm 1), and publishes the view of
+//!   `G′` with `Γ′` built from `Γ` plus the repair deltas. The view is
+//!   the only graph the index holds; no `Vec<Vec<_>>` copy is kept.
 //! * **Readers** — [`Index::reader`] hands out cheap `Send + Sync`
 //!   [`GenReader`] handles that answer queries against the published
 //!   generation without locks, even while a batch is being applied on
 //!   another thread.
 //!
 //! A generation is exactly the reader state: the packed labelling(s)
-//! and the CSR view, both `Arc`-shared bases plus overlays, so
-//! publishing one costs `O(overlay + changed rows)`, not `O(|R|·|V|)`,
-//! and nothing is copied back or recycled afterwards.
+//! and the CSR view, both `Arc`-shared bases plus one `Arc` chunk per
+//! pass, so publishing one costs the rewritten lists and changed rows
+//! plus two overlay-index merges, not `O(|R|·|V|)` and not a copy of
+//! either overlay, and nothing is copied back or recycled afterwards.
 //!
 //! What differs between families is the [`Family`] parameter:
 //! [`BatchIndex`] is `Index<IndexSnapshot>` (this module),
@@ -26,7 +29,7 @@
 //! (BHLₚ, Section 6).
 
 use crate::backend::{unweighted_batch, BackendFamily, Edit, OracleError};
-use crate::engine;
+use crate::engine::Repair;
 use crate::family::Family;
 use crate::metric::Seed;
 use crate::persist::PersistError;
@@ -34,12 +37,13 @@ use crate::reader::{query_many_on, GenReader, SharedReader};
 use crate::stats::UpdateStats;
 use crate::whatif::{grown_n, rewrite_lists};
 use crate::workspace::UpdateWorkspace;
-use batchhl_common::{Dist, Vertex, INF};
+use batchhl_common::{Dist, LexDialQueue, Vertex, INF};
 use batchhl_graph::bfs::{bfs_distances, BiBfs};
+use batchhl_graph::csr::Frozen;
 use batchhl_graph::io::{graph_bin_len, read_graph_bin, write_graph_bin, BinGraphError};
 use batchhl_graph::{Batch, CsrDelta, DynamicGraph, Update, VertexRemap};
 use batchhl_hcl::{
-    build_labelling_parallel, oracle, DegreeOrder, LabelError, LabelPatch, LabelStore, Labelling,
+    build_labelling_parallel, oracle, DegreeOrder, LabelError, LabelStore, Labelling,
     LandmarkSelection, Versioned,
 };
 use std::io::{Read, Write};
@@ -110,55 +114,54 @@ impl Default for IndexConfig {
 
 /// Batch-dynamic distance index over the graph family `F`.
 ///
-/// Cloning copies the writer graph and the published generation into
-/// an independent index with its own (single-generation) store; reader
-/// handles of the original keep following the original.
+/// Cloning copies the published generation (its `Arc`-shared parts)
+/// into an independent index with its own (single-generation) store;
+/// reader handles of the original keep following the original.
 pub struct Index<F: Family> {
-    /// The writer's graph: between passes, what `current`'s view
-    /// presents.
-    graph: F::Graph,
     /// The newest published generation (the writer's own pin).
     current: Arc<Versioned<F>>,
     store: LabelStore<F>,
     /// Holds the CSR compaction policy too — each pass applies it to
     /// the view it publishes.
     config: IndexConfig,
-    ws: F::Workspace,
+    ws: UpdateWorkspace<F::Queue>,
     engine: F::Search,
 }
+
+/// The graph type an index over `F` is built from (and
+/// [`Index::graph`] materialises).
+pub type SourceGraph<F> = <<F as Family>::View as Frozen>::Graph;
 
 /// Batch-dynamic distance index over an undirected graph.
 pub type BatchIndex = Index<IndexSnapshot>;
 
 impl<F: Family> Clone for Index<F> {
     fn clone(&self) -> Self {
-        Index::new(
-            self.graph.clone(),
-            self.current.value().clone(),
-            self.config.clone(),
-        )
+        Index::new(self.current.value().clone(), self.config.clone())
     }
 }
 
 impl<F: Family> Index<F> {
-    /// Build the index: select landmarks, freeze the graph into a CSR
-    /// snapshot and construct the minimal labelling(s) over it
-    /// (`O(|R|·(|V|+|E|))` per labelling). Errors on an invalid
-    /// explicit landmark list.
-    pub fn try_build(graph: F::Graph, config: IndexConfig) -> Result<Self, LabelError> {
-        let landmarks = config.selection.select(&graph);
-        let generation = F::build(&graph, landmarks, config.threads.max(1))?;
-        Ok(Index::new(graph, generation, config))
+    /// Build the index: freeze the graph into a CSR snapshot, select
+    /// landmarks and construct the minimal labelling(s) over the
+    /// snapshot (`O(|R|·(|V|+|E|))` per labelling). `graph` is dropped
+    /// once frozen, before construction starts, so set-up never holds
+    /// both. Errors on an invalid explicit landmark list.
+    pub fn try_build(graph: SourceGraph<F>, config: IndexConfig) -> Result<Self, LabelError> {
+        let view = F::View::freeze(&graph);
+        drop(graph);
+        let landmarks = config.selection.select(&view);
+        let generation = F::build(view, landmarks, config.threads.max(1))?;
+        Ok(Index::new(generation, config))
     }
 
-    pub(crate) fn new(graph: F::Graph, generation: F, config: IndexConfig) -> Self {
+    pub(crate) fn new(generation: F, config: IndexConfig) -> Self {
         let store = LabelStore::new(generation);
         Index {
             current: store.snapshot(),
             store,
-            graph,
             config,
-            ws: F::Workspace::default(),
+            ws: UpdateWorkspace::default(),
             engine: F::Search::default(),
         }
     }
@@ -177,10 +180,11 @@ impl<F: Family> Index<F> {
         self.config.compaction = policy;
     }
 
-    /// The writer's graph (the one mutable copy; generations hold only
-    /// its CSR view).
-    pub fn graph(&self) -> &F::Graph {
-        &self.graph
+    /// The graph the published generation presents, materialised from
+    /// its CSR view (`O(n + m)`; for tests, baselines and tools — the
+    /// index itself holds no other copy of the graph).
+    pub fn graph(&self) -> SourceGraph<F> {
+        self.generation().view().thaw()
     }
 
     pub fn config(&self) -> &IndexConfig {
@@ -188,7 +192,7 @@ impl<F: Family> Index<F> {
     }
 
     pub fn num_vertices(&self) -> usize {
-        self.graph.num_vertices()
+        DegreeOrder::num_vertices(self.generation().view())
     }
 
     /// Combined logical size of the labelling(s) in bytes.
@@ -303,14 +307,15 @@ impl<F: Family> Index<F> {
     /// `O(|R|·(|V|+|E|))` — intended for tests and offline checks, not
     /// the hot path.
     pub fn verify(&self) -> Result<(), String> {
-        self.generation().audit(&self.graph)
+        self.generation().audit()
     }
 
     /// Rebuild the labelling(s) from scratch (used by tests) and publish
     /// the result as a new generation.
     pub fn rebuild(&mut self) {
-        let landmarks = self.generation().labellings()[0].landmarks().to_vec();
-        let generation = F::build(&self.graph, landmarks, self.config.threads.max(1))
+        let g = self.generation();
+        let landmarks = g.labellings()[0].landmarks().to_vec();
+        let generation = F::build(g.view().clone(), landmarks, self.config.threads.max(1))
             .expect("existing landmarks are valid");
         self.publish(generation);
     }
@@ -318,16 +323,14 @@ impl<F: Family> Index<F> {
     /// Reset the writer to the generation captured in `snap` and
     /// republish it, so readers re-pin content identical to `snap`
     /// under a fresh version number. Used by the facade to roll back a
-    /// batch whose application failed mid-way: the writer graph may be
-    /// arbitrarily damaged (even mid-panic), so it is rebuilt from
-    /// `snap`'s view (`O(n + m)`, on this rare path only); `snap` is
-    /// immutable and shares its CSR base and packed rows behind `Arc`s,
+    /// batch whose application failed mid-way. A pass mutates nothing it
+    /// did not publish, so there is nothing to rebuild: `snap` is
+    /// immutable and shares its CSR view and packed rows behind `Arc`s,
     /// so republishing it is a cheap clone. Workspaces are rebuilt from
     /// scratch — they may hold state from the aborted pass.
     pub(crate) fn restore_generation(&mut self, snap: &F) {
-        self.graph = F::graph_of(snap.view());
         self.publish(snap.clone());
-        self.ws = F::Workspace::default();
+        self.ws = UpdateWorkspace::default();
         self.engine = F::Search::default();
     }
 
@@ -336,21 +339,17 @@ impl<F: Family> Index<F> {
     }
 
     /// One search+repair pass over a normalized, conflict-free batch:
-    /// mutate the writer graph, build the next generation from the
-    /// published one and the repair deltas, and publish it.
+    /// build the next generation from the published one, the batch and
+    /// the repair deltas, and publish it.
     fn run_pass(&mut self, norm: F::Norm) -> UpdateStats {
         let mut stats = UpdateStats {
             passes: 1,
             ..Default::default()
         };
-        if let Some(next) = F::pass(
-            &mut self.graph,
-            self.current.value(),
-            norm,
-            &self.config,
-            &mut self.ws,
-            &mut stats,
-        ) {
+        if let Some(next) = self
+            .current
+            .pass(norm, &self.config, &mut self.ws, &mut stats)
+        {
             stats.affected_total = stats.affected_per_landmark.iter().sum();
             self.publish(next);
         }
@@ -375,34 +374,21 @@ pub struct IndexSnapshot {
 impl Family for IndexSnapshot {
     const KIND: BackendFamily = BackendFamily::Undirected;
     const LABELLINGS: usize = 1;
-    type Graph = DynamicGraph;
     type Labels = [Labelling; 1];
     type Update = Update;
     type Batch = Batch;
     type Norm = Batch;
-    type Workspace = UpdateWorkspace;
+    type Queue = LexDialQueue;
     type View = CsrDelta;
     type Search = BiBfs;
 
-    fn build(
-        graph: &DynamicGraph,
-        landmarks: Vec<Vertex>,
-        threads: usize,
-    ) -> Result<Self, LabelError> {
-        let view = CsrDelta::from_adjacency(graph);
+    fn build(view: CsrDelta, landmarks: Vec<Vertex>, threads: usize) -> Result<Self, LabelError> {
         let lab = build_labelling_parallel(&view, landmarks, threads)?;
         Ok(IndexSnapshot { lab, view })
     }
 
-    fn assemble(graph: &DynamicGraph, [lab]: [Labelling; 1]) -> Self {
-        let view = CsrDelta::from_adjacency(graph);
+    fn assemble(view: CsrDelta, [lab]: [Labelling; 1]) -> Self {
         IndexSnapshot { lab, view }
-    }
-
-    fn graph_of(view: &CsrDelta) -> DynamicGraph {
-        let n = view.num_vertices() as Vertex;
-        DynamicGraph::try_from_adjacency((0..n).map(|v| view.list(v).to_vec()).collect())
-            .expect("a published view is a valid graph")
     }
 
     fn view(&self) -> &CsrDelta {
@@ -437,88 +423,49 @@ impl Family for IndexSnapshot {
         norm.split()
     }
 
-    fn pass(
-        graph: &mut DynamicGraph,
-        old: &Self,
-        norm: Batch,
-        config: &IndexConfig,
-        ws: &mut UpdateWorkspace,
-        stats: &mut UpdateStats,
-    ) -> Option<Self> {
-        if norm.is_empty() {
-            return None;
-        }
-        stats.applied = graph.apply_batch(&norm);
-        debug_assert_eq!(stats.applied, norm.len(), "normalized batches are valid");
-        stats.insertions = norm.num_insertions();
-        stats.deletions = norm.num_deletions();
+    fn kinds(norm: &Batch) -> (usize, usize) {
+        (norm.num_insertions(), norm.num_deletions())
+    }
 
-        let n = graph.num_vertices();
+    fn rewrite(&self, norm: &Batch, policy: Option<CompactionPolicy>) -> CsrDelta {
+        let endpoints = || norm.updates().iter().map(|u| u.endpoints());
+        let n = grown_n(endpoints(), self.view.num_vertices());
+        let changes = norm.updates().iter().flat_map(|u| {
+            let ((a, b), kept) = (u.endpoints(), u.is_insert());
+            [(a, b, kept.then_some(b)), (b, a, kept.then_some(a))]
+        });
+        rewrite_lists(&self.view, n, policy, changes, |&x| x)
+    }
 
-        // Freeze the batch's endpoints into the CSR view (and compact
-        // when the overlay crossed its threshold): everything below —
-        // landmark searches, repair relaxation, owner and reader
-        // queries — traverses this view, never the Vec<Vec<_>> graph.
-        let mut view = old.view.clone();
-        view.set_policy(config.compaction);
-        let graph = &*graph;
-        view.absorb(n, norm.touched_vertices(), |v| graph.neighbors(v));
-        let (lab, affected) = engine::run_landmarks(
-            &view,
-            &engine::oracle_for(&old.lab, n),
-            &Seed::undirected(norm.updates()),
-            config,
-            ws,
-        );
-        stats.affected_per_landmark = affected;
-        Some(IndexSnapshot { lab, view })
+    fn repair<R: Repair<LexDialQueue>>(
+        &self,
+        view: &CsrDelta,
+        norm: &Batch,
+        repair: &mut R,
+    ) -> Vec<R::Out> {
+        let seeds = Seed::undirected(norm.updates());
+        vec![repair.run(view, view.num_vertices(), &self.lab, &seeds)]
     }
 
     fn from_edits(edits: &[Edit]) -> Result<Box<Batch>, OracleError> {
         unweighted_batch(edits, Self::KIND).map(Box::new)
     }
 
-    fn speculate(&self, norm: &Batch) -> (CsrDelta, Vec<LabelPatch>) {
-        let mut view = self.view.clone();
-        let n = grown_n(
-            norm.updates().iter().map(|u| u.endpoints()),
-            view.num_vertices(),
-        );
-        view.ensure_vertices(n);
-        let changes = norm.updates().iter().flat_map(|u| {
-            let ((a, b), kept) = (u.endpoints(), u.is_insert());
-            [(a, b, kept.then_some(b)), (b, a, kept.then_some(a))]
-        });
-        rewrite_lists(
-            &mut view,
-            changes,
-            |&x| x,
-            CsrDelta::list,
-            CsrDelta::set_vertex,
-        );
-        let patch = engine::run_landmarks_speculative(
-            &view,
-            &engine::oracle_for(&self.lab, n),
-            &Seed::undirected(norm.updates()),
-        );
-        (view, vec![patch])
+    fn write_graph(view: &CsrDelta, out: &mut dyn Write) -> Result<(), PersistError> {
+        out.write_all(&graph_bin_len(view).to_le_bytes())?;
+        Ok(write_graph_bin(view, out)?)
     }
 
-    fn write_graph(graph: &DynamicGraph, out: &mut dyn Write) -> Result<(), PersistError> {
-        out.write_all(&graph_bin_len(graph).to_le_bytes())?;
-        Ok(write_graph_bin(graph, out)?)
+    fn read_graph<R: Read>(r: &mut R) -> Result<CsrDelta, BinGraphError> {
+        read_graph_bin(r).map(|g| CsrDelta::freeze(&g))
     }
 
-    fn read_graph<R: Read>(r: &mut R) -> Result<DynamicGraph, BinGraphError> {
-        read_graph_bin(r)
+    fn audit(&self) -> Result<(), String> {
+        oracle::check_minimal(&self.view, &self.lab)
     }
 
-    fn audit(&self, graph: &DynamicGraph) -> Result<(), String> {
-        oracle::check_minimal(graph, &self.lab)
-    }
-
-    fn truth(graph: &DynamicGraph, s: Vertex) -> Vec<Dist> {
-        bfs_distances(graph, s)
+    fn truth(&self, s: Vertex) -> Vec<Dist> {
+        bfs_distances(&self.view, s)
     }
 }
 
@@ -594,15 +541,18 @@ mod tests {
     use rand::SeedableRng;
 
     /// Core invariant: after any update sequence, the maintained
-    /// labelling equals the from-scratch minimal labelling (unique!).
+    /// labelling equals the from-scratch minimal labelling (unique!),
+    /// and the published view presents the graph a `DynamicGraph` that
+    /// applied the same batches holds, list order included.
     fn assert_tracks_rebuild(algorithm: Algorithm, seed: u64) {
-        let g0 = erdos_renyi_gnm(70, 150, seed);
-        let mut index = BatchIndex::build(g0, config(algorithm, 5));
+        let mut g = erdos_renyi_gnm(70, 150, seed);
+        let mut index = BatchIndex::build(g.clone(), config(algorithm, 5));
         let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
         for round in 0..6 {
-            let batch = random_batch(index.graph(), 12, &mut rng);
+            let batch = random_batch(&g, 12, &mut rng);
             index.apply_batch(&batch);
-            oracle::check_minimal(index.graph(), index.labelling())
+            g.apply_batch(&batch);
+            oracle::check_minimal(&index.graph(), index.labelling())
                 .unwrap_or_else(|e| panic!("{algorithm:?} seed {seed} round {round}: {e}"));
             let published = index.published();
             assert_eq!(
@@ -610,7 +560,7 @@ mod tests {
                 index.labelling(),
                 "published generation out of sync after round {round}"
             );
-            assert_eq!(&IndexSnapshot::graph_of(&published.view), index.graph());
+            assert_eq!(published.view.thaw(), g, "round {round}");
         }
     }
 
@@ -647,9 +597,9 @@ mod tests {
         let mut index = BatchIndex::build(g0, config(Algorithm::BhlPlus, 6));
         let mut rng = StdRng::seed_from_u64(99);
         for _ in 0..4 {
-            let batch = random_batch(index.graph(), 15, &mut rng);
+            let batch = random_batch(&index.graph(), 15, &mut rng);
             index.apply_batch(&batch);
-            let truth = oracle::all_pairs_bfs(index.graph());
+            let truth = oracle::all_pairs_bfs(&index.graph());
             for s in (0..120u32).step_by(5) {
                 for t in (0..120u32).step_by(7) {
                     assert_eq!(
@@ -671,7 +621,7 @@ mod tests {
             (0..40u32).map(|i| (i * 5, (i * 37 + 11) % 200)).collect();
         let targets: Vec<Vertex> = (0..200u32).step_by(3).collect();
         for round in 0..5 {
-            let batch = random_batch(index.graph(), 10, &mut rng);
+            let batch = random_batch(&index.graph(), 10, &mut rng);
             index.apply_batch(&batch);
             // The owner's labelling is the published one, not a copy.
             let published = index.published();
@@ -787,7 +737,7 @@ mod tests {
         assert_eq!(index.num_vertices(), 10);
         assert_eq!(index.query(0, 9), Some(5));
         assert_eq!(index.query(0, 7), None, "7 is isolated");
-        oracle::check_minimal(index.graph(), index.labelling()).unwrap();
+        oracle::check_minimal(&index.graph(), index.labelling()).unwrap();
         assert_eq!(&index.published().lab, index.labelling());
     }
 
@@ -802,7 +752,7 @@ mod tests {
         let del = ins.inverse();
         index.apply_batch(&ins);
         index.apply_batch(&del);
-        assert_eq!(index.graph(), &g0);
+        assert_eq!(&index.graph(), &g0);
         assert_eq!(
             index.labelling(),
             &baseline,
@@ -815,7 +765,7 @@ mod tests {
         let g0 = erdos_renyi_gnm(60, 140, 23);
         let mut index = BatchIndex::build(g0, config(Algorithm::Bhl, 5));
         let mut rng = StdRng::seed_from_u64(31);
-        let batch = random_batch(index.graph(), 20, &mut rng);
+        let batch = random_batch(&index.graph(), 20, &mut rng);
         index.apply_batch(&batch);
         let incremental = index.labelling().clone();
         index.rebuild();
@@ -863,7 +813,7 @@ mod tests {
         b.delete(0, 1);
         plain.apply_batch(&b);
         reordered.apply_batch(&remap.map_batch(&b));
-        oracle::check_minimal(reordered.graph(), reordered.labelling()).unwrap();
+        oracle::check_minimal(&reordered.graph(), reordered.labelling()).unwrap();
         for s in (0..120u32).step_by(11) {
             for t in (0..120u32).step_by(3) {
                 assert_eq!(
@@ -970,6 +920,39 @@ mod tests {
         }
     }
 
+    /// A pass shares its predecessor's CSR base and every earlier
+    /// overlay chunk, and adds one chunk holding exactly the lists of
+    /// the vertices its batch touched.
+    #[test]
+    fn a_pass_adds_one_chunk_of_the_touched_lists() {
+        let g0 = barabasi_albert(200, 3, 4);
+        let mut index = BatchIndex::build(g0, config(Algorithm::BhlPlus, 4));
+        index.set_compaction(CompactionPolicy::new(1.0, usize::MAX));
+        let mut rng = StdRng::seed_from_u64(5);
+        for round in 0..4 {
+            let before = index.published();
+            let batch = random_batch(&index.graph(), 10, &mut rng);
+            let touched = batch.normalize(&before.view).touched_vertices();
+            index.apply_batch(&batch);
+            let after = index.published();
+            let (old, new) = (&before.view, &after.view);
+            assert!(Arc::ptr_eq(old.base(), new.base()), "round {round}");
+            assert_eq!(new.chunks().len(), old.chunks().len() + 1);
+            for (a, b) in old.chunks().iter().zip(new.chunks()) {
+                assert!(Arc::ptr_eq(a, b), "round {round}: earlier chunk copied");
+            }
+            let chunk = new.chunks().last().unwrap();
+            assert_eq!(chunk.num_vertices(), touched.len(), "round {round}");
+            for (k, &v) in touched.iter().enumerate() {
+                assert_eq!(
+                    chunk.list(k as Vertex),
+                    new.list(v),
+                    "round {round}, vertex {v}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn pinned_reader_keeps_its_generation_while_the_writer_advances() {
         let g0 = erdos_renyi_gnm(60, 130, 41);
@@ -977,13 +960,13 @@ mod tests {
         let mut reader = index.reader();
         let mut rng = StdRng::seed_from_u64(43);
         // The reader never refreshes, pinning generation 0 while the
-        // writer publishes past it from its own graph.
+        // writer publishes past it.
         let pinned = reader.pin();
-        let frozen_truth = oracle::all_pairs_bfs(index.graph());
+        let frozen_truth = oracle::all_pairs_bfs(&index.graph());
         for round in 0..4 {
-            let batch = random_batch(index.graph(), 10, &mut rng);
+            let batch = random_batch(&index.graph(), 10, &mut rng);
             index.apply_batch(&batch);
-            oracle::check_minimal(index.graph(), index.labelling())
+            oracle::check_minimal(&index.graph(), index.labelling())
                 .unwrap_or_else(|e| panic!("round {round}: {e}"));
         }
         assert_eq!(pinned.version(), 0);

@@ -37,16 +37,18 @@
 //! Serving distance queries *at scale* means queries must not contend
 //! with `apply_batch`. The crate is built around two ideas:
 //!
-//! **Generations.** Every index owns the one mutable copy of its graph
-//! and a [`batchhl_hcl::LabelStore`] of published, immutable
-//! generations. A generation holds exactly what readers read: the
-//! packed labelling(s) and the CSR view, both `Arc`-shared bases plus
-//! overlays. `apply_batch` plays Algorithm 1 against that split: it
-//! mutates the graph, reads the published generation as the old
-//! labelling `Γ`, builds `Γ′` from `Γ` plus the per-landmark repair
-//! deltas, and publishes it with a single atomic swap. A new generation
-//! costs `O(overlay + changed rows)`, and nothing is copied back
-//! afterwards; a retired one is freed when its last reader lets go.
+//! **Generations.** Every index owns a [`batchhl_hcl::LabelStore`] of
+//! published, immutable generations, and nothing else of substance. A
+//! generation holds exactly what readers read: the packed labelling(s)
+//! and the CSR view — the index's one graph — both `Arc`-shared bases
+//! plus per-pass chunks. `apply_batch` plays Algorithm 1 against them:
+//! it builds `G′` from the published view and the batch, reads the
+//! published labelling as the old labelling `Γ`, builds `Γ′` from `Γ`
+//! plus the per-landmark repair deltas, and publishes both with a
+//! single atomic swap. Nothing is mutated before the swap, so rollback
+//! is not publishing; a new generation costs its rewritten lists and
+//! changed rows, and a retired one is freed when its last reader lets
+//! go.
 //!
 //! **Readers.** [`Index::reader`] returns a `Send + Sync`
 //! [`reader::GenReader`] ([`reader::Reader`] on the undirected family): a handle
@@ -92,16 +94,15 @@
 //! views, so a hypothetical is answered by the code that answers a
 //! committed generation.
 //!
-//! **CSR snapshot views.** Every generation carries a frozen CSR view of
-//! the writer's dynamic graph
-//! ([`batchhl_graph::csr`]): flat `offsets`/`neighbors` arrays plus the
-//! per-batch delta overlay of the vertices recent batches touched.
+//! **CSR snapshot views.** Every generation carries its graph as a
+//! frozen CSR view ([`batchhl_graph::csr`]): flat `offsets`/`neighbors`
+//! arrays plus one overlay chunk per batch holding the lists it touched.
 //! All traversal hot paths — reader queries, the owner query path, the
 //! update kernels' landmark searches and repair relaxations, and full
 //! construction — run over that view, turning the per-vertex pointer
 //! chase of `Vec<Vec<_>>` adjacency into sequential array scans.
-//! `apply_batch` freezes only the batch's endpoints into the overlay
-//! (`O(Σ deg(endpoint))`) and compacts into a fresh base CSR when the
+//! `apply_batch` rewrites only the batch's endpoints' lists into a new
+//! chunk (`O(Σ deg(endpoint))`) and compacts into a fresh base CSR when the
 //! overlay crosses the configured [`index::CompactionPolicy`] (the
 //! `compaction` field of [`index::IndexConfig`], shared by every index
 //! family); consecutive generations share the base behind an `Arc`.

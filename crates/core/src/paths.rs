@@ -17,7 +17,7 @@ impl BatchIndex {
     /// disconnected. The path has exactly `self.query(s, t)? + 1`
     /// vertices.
     pub fn query_path(&mut self, s: Vertex, t: Vertex) -> Option<Vec<Vertex>> {
-        let n = self.graph().num_vertices();
+        let n = self.num_vertices();
         if (s as usize) >= n || (t as usize) >= n {
             return None;
         }
@@ -31,7 +31,7 @@ impl BatchIndex {
         let mut remaining = total;
         while v != t {
             // Look ahead: some neighbour is one step closer to t.
-            let nbrs = self.graph().neighbors(v).to_vec();
+            let nbrs = self.generation().view.list(v).to_vec();
             let mut stepped = false;
             for u in nbrs {
                 if u == t {

@@ -355,7 +355,7 @@ pub(crate) fn save_body<F: Family>(
     out.write_all(&(config.threads as u32).to_le_bytes())?;
     out.write_all(&config.compaction.fraction.to_le_bytes())?;
     out.write_all(&(config.compaction.min_entries as u64).to_le_bytes())?;
-    F::write_graph(index.graph(), out)?;
+    F::write_graph(index.generation().view(), out)?;
     for lab in index.generation().labellings() {
         out.write_all(&labelling_encoded_len(lab).to_le_bytes())?;
         write_labelling(lab, &mut *out)?;
@@ -374,7 +374,7 @@ fn load_body<F: Family, R: Read>(r: &mut R, has_algorithm: bool) -> Result<Index
     let fraction = f32::from_bits(read_u32(r, "config")?);
     let min_entries = read_u64(r, "config")? as usize;
     let glen = read_u64(r, "graph length")?;
-    let graph = read_section(r, glen, "graph", |s| Ok(F::read_graph(s)?))?;
+    let view = read_section(r, glen, "graph", |s| Ok(F::read_graph(s)?))?;
     let mut labs = Vec::with_capacity(F::LABELLINGS);
     for _ in 0..F::LABELLINGS {
         let len = read_u64(r, "labelling length")?;
@@ -389,7 +389,7 @@ fn load_body<F: Family, R: Read>(r: &mut R, has_algorithm: bool) -> Result<Index
         compaction: CompactionPolicy::new(fraction, min_entries),
     };
     let labels = F::Labels::try_from(labs).expect("one block per labelling was read");
-    Ok(Index::from_parts(graph, labels, config)?)
+    Ok(Index::from_view(view, labels, config)?)
 }
 
 #[cfg(test)]

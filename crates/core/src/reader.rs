@@ -332,7 +332,7 @@ mod tests {
         let mut b = Batch::new();
         b.insert(3, 9);
         index.apply_batch(&b);
-        oracle::check_minimal(index.graph(), index.labelling()).unwrap();
+        oracle::check_minimal(&index.graph(), index.labelling()).unwrap();
         assert_eq!(reader.query(0, 9), Some(4), "0-1-2-3-9");
     }
 

@@ -8,12 +8,13 @@
 //! time; [`crate::BatchIndex::verify`] offers the full (expensive)
 //! semantic check for tests and operational audits.
 //!
-//! The CSR snapshot view is *derived* data and therefore not persisted:
-//! reassembly refreezes the loaded graph into a fresh base CSR with an
-//! empty overlay (`O(n + m)`, a small fraction of construction cost).
+//! Reassembly freezes the loaded graph into a fresh base CSR with an
+//! empty overlay (`O(n + m)`, a small fraction of construction cost);
+//! the view is the only graph the index keeps.
 
 use crate::family::Family;
-use crate::index::{Index, IndexConfig};
+use crate::index::{Index, IndexConfig, SourceGraph};
+use batchhl_graph::csr::Frozen;
 use batchhl_hcl::{DegreeOrder, LabelError};
 
 impl<F: Family> Index<F> {
@@ -28,12 +29,22 @@ impl<F: Family> Index<F> {
     /// graph (see [`crate::BatchIndex::verify`] and
     /// `Backend::verify_integrity`).
     pub fn from_parts(
-        graph: F::Graph,
+        graph: SourceGraph<F>,
         labels: F::Labels,
         config: IndexConfig,
     ) -> Result<Self, LabelError> {
-        let generation = F::assemble(&graph, labels);
-        let n = graph.num_vertices();
+        Self::from_view(F::View::freeze(&graph), labels, config)
+    }
+
+    /// [`Index::from_parts`] over an already frozen view (the
+    /// checkpoint load path).
+    pub(crate) fn from_view(
+        view: F::View,
+        labels: F::Labels,
+        config: IndexConfig,
+    ) -> Result<Self, LabelError> {
+        let n = view.num_vertices();
+        let generation = F::assemble(view, labels);
         let labs = generation.labellings();
         for lab in &labs {
             if lab.num_vertices() != n {
@@ -54,7 +65,7 @@ impl<F: Family> Index<F> {
             }
         }
         drop(labs);
-        Ok(Index::new(graph, generation, config))
+        Ok(Index::new(generation, config))
     }
 }
 

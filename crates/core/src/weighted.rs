@@ -22,19 +22,18 @@
 //! labelling rebuilt from scratch.
 
 use crate::backend::{BackendFamily, Edit, OracleError};
-use crate::engine;
+use crate::engine::{self, Repair};
 use crate::family::Family;
 use crate::index::{Index, IndexConfig};
 use crate::metric::{Seed, Weighted};
 use crate::persist::PersistError;
-use crate::stats::UpdateStats;
 use crate::whatif::{grown_n, rewrite_lists};
-use crate::workspace::UpdateWorkspace;
 use batchhl_common::{Dist, FxHashMap, RadixHeap, Vertex};
+use batchhl_graph::csr::{CompactionPolicy, Frozen};
 use batchhl_graph::io::{read_weighted_bin, weighted_bin_len, write_weighted_bin, BinGraphError};
 use batchhl_graph::weighted::{dijkstra, BiDijkstra, Weight, WeightedGraph, WeightedUpdate};
 use batchhl_graph::WeightedCsrDelta;
-use batchhl_hcl::{oracle, LabelError, LabelPatch, Labelling, LandmarkSelection};
+use batchhl_hcl::{oracle, LabelError, Labelling, LandmarkSelection};
 use std::io::{Read, Write};
 
 /// A normalized weighted update: the edge plus its old/new weight
@@ -87,37 +86,28 @@ pub type WeightedBatchIndex = Index<WeightedSnapshot>;
 impl Family for WeightedSnapshot {
     const KIND: BackendFamily = BackendFamily::Weighted;
     const LABELLINGS: usize = 1;
-    type Graph = WeightedGraph;
     type Labels = [Labelling; 1];
     type Update = WeightedUpdate;
     type Batch = [WeightedUpdate];
     type Norm = Vec<Effect>;
-    type Workspace = UpdateWorkspace<RadixHeap>;
+    type Queue = RadixHeap;
     type View = WeightedCsrDelta;
     type Search = BiDijkstra;
 
     /// Construction runs one flagged Dijkstra per landmark over the
     /// frozen CSR snapshot: Algorithm 4 from an unlabelled labelling.
     fn build(
-        graph: &WeightedGraph,
+        view: WeightedCsrDelta,
         landmarks: Vec<Vertex>,
         threads: usize,
     ) -> Result<Self, LabelError> {
-        let view = WeightedCsrDelta::from_weighted(graph);
-        let empty = Labelling::empty(graph.num_vertices(), landmarks)?;
+        let empty = Labelling::empty(view.num_vertices(), landmarks)?;
         let lab = engine::build_labelling(&Weighted(&view), &empty, threads);
         Ok(WeightedSnapshot { lab, view })
     }
 
-    fn assemble(graph: &WeightedGraph, [lab]: [Labelling; 1]) -> Self {
-        let view = WeightedCsrDelta::from_weighted(graph);
+    fn assemble(view: WeightedCsrDelta, [lab]: [Labelling; 1]) -> Self {
         WeightedSnapshot { lab, view }
-    }
-
-    fn graph_of(view: &WeightedCsrDelta) -> WeightedGraph {
-        let n = view.num_vertices() as Vertex;
-        WeightedGraph::try_from_adjacency((0..n).map(|v| view.list(v).to_vec()).collect())
-            .expect("a published view is a valid graph")
     }
 
     fn view(&self) -> &WeightedCsrDelta {
@@ -199,39 +189,31 @@ impl Family for WeightedSnapshot {
         norm.into_iter().partition(Effect::deletes)
     }
 
-    fn pass(
-        graph: &mut WeightedGraph,
-        old: &Self,
-        effects: Vec<Effect>,
-        config: &IndexConfig,
-        ws: &mut UpdateWorkspace<RadixHeap>,
-        stats: &mut UpdateStats,
-    ) -> Option<Self> {
-        if effects.is_empty() {
-            return None;
-        }
-        apply_effects(graph, &effects, stats);
-        stats.applied = effects.len();
+    fn kinds(effects: &Vec<Effect>) -> (usize, usize) {
+        let deletions = effects.iter().filter(|e| e.deletes()).count();
+        (effects.len() - deletions, deletions)
+    }
 
-        let n = graph.num_vertices();
+    fn rewrite(&self, effects: &Vec<Effect>, policy: Option<CompactionPolicy>) -> WeightedCsrDelta {
+        let n = grown_n(effects.iter().map(|e| (e.a, e.b)), self.view.num_vertices());
+        let changes = effects.iter().flat_map(|e| {
+            let (a, b) = (e.a, e.b);
+            [
+                (a, b, e.w_new.map(|w| (b, w))),
+                (b, a, e.w_new.map(|w| (a, w))),
+            ]
+        });
+        rewrite_lists(&self.view, n, policy, changes, |&(x, _)| x)
+    }
 
-        // Freeze the batch's endpoints into the weighted CSR view; the
-        // Dijkstra searches below traverse it.
-        let mut view = old.view.clone();
-        view.set_policy(config.compaction);
-        let mut touched: Vec<Vertex> = effects.iter().flat_map(|e| [e.a, e.b]).collect();
-        touched.sort_unstable();
-        touched.dedup();
-        view.absorb_from(graph, touched);
-        let (lab, affected) = engine::run_landmarks(
-            &Weighted(&view),
-            &engine::oracle_for(&old.lab, n),
-            &seeds(&effects),
-            config,
-            ws,
-        );
-        stats.affected_per_landmark = affected;
-        Some(WeightedSnapshot { lab, view })
+    fn repair<R: Repair<RadixHeap>>(
+        &self,
+        view: &WeightedCsrDelta,
+        effects: &Vec<Effect>,
+        repair: &mut R,
+    ) -> Vec<R::Out> {
+        let n = view.num_vertices();
+        vec![repair.run(&Weighted(view), n, &self.lab, &seeds(effects))]
     }
 
     fn from_edits(edits: &[Edit]) -> Result<Box<[WeightedUpdate]>, OracleError> {
@@ -246,52 +228,25 @@ impl Family for WeightedSnapshot {
             .collect())
     }
 
-    fn speculate(&self, effects: &Vec<Effect>) -> (WeightedCsrDelta, Vec<LabelPatch>) {
-        let mut view = self.view.clone();
-        let n = grown_n(effects.iter().map(|e| (e.a, e.b)), view.num_vertices());
-        view.ensure_vertices(n);
-        let changes = effects.iter().flat_map(|e| {
-            let (a, b) = (e.a, e.b);
-            [
-                (a, b, e.w_new.map(|w| (b, w))),
-                (b, a, e.w_new.map(|w| (a, w))),
-            ]
-        });
-        let key = |&(x, _): &(Vertex, Weight)| x;
-        rewrite_lists(
-            &mut view,
-            changes,
-            key,
-            WeightedCsrDelta::list,
-            WeightedCsrDelta::set_vertex,
-        );
-        let patch = engine::run_landmarks_speculative(
-            &Weighted(&view),
-            &engine::oracle_for(&self.lab, n),
-            &seeds(effects),
-        );
-        (view, vec![patch])
+    fn write_graph(view: &WeightedCsrDelta, out: &mut dyn Write) -> Result<(), PersistError> {
+        out.write_all(&weighted_bin_len(view).to_le_bytes())?;
+        Ok(write_weighted_bin(view, out)?)
     }
 
-    fn write_graph(graph: &WeightedGraph, out: &mut dyn Write) -> Result<(), PersistError> {
-        out.write_all(&weighted_bin_len(graph).to_le_bytes())?;
-        Ok(write_weighted_bin(graph, out)?)
-    }
-
-    fn read_graph<R: Read>(r: &mut R) -> Result<WeightedGraph, BinGraphError> {
-        read_weighted_bin(r)
+    fn read_graph<R: Read>(r: &mut R) -> Result<WeightedCsrDelta, BinGraphError> {
+        read_weighted_bin(r).map(|g| WeightedCsrDelta::freeze(&g))
     }
 
     /// The minimal labelling is unique, so it must equal a fresh
     /// flagged-Dijkstra build over the same landmarks.
-    fn audit(&self, graph: &WeightedGraph) -> Result<(), String> {
-        let fresh = Self::build(graph, self.lab.landmarks().to_vec(), 1)
+    fn audit(&self) -> Result<(), String> {
+        let fresh = Self::build(self.view.clone(), self.lab.landmarks().to_vec(), 1)
             .map_err(|e| format!("rebuild refused: {e}"))?;
         oracle::first_difference(&self.lab, &fresh.lab)
     }
 
-    fn truth(graph: &WeightedGraph, s: Vertex) -> Vec<Dist> {
-        dijkstra(graph, s)
+    fn truth(&self, s: Vertex) -> Vec<Dist> {
+        dijkstra(&self.view, s)
     }
 }
 
@@ -309,33 +264,6 @@ impl WeightedBatchIndex {
     /// The published labelling.
     pub fn labelling(&self) -> &Labelling {
         &self.generation().lab
-    }
-}
-
-/// Apply normalized effects to the writer graph, counting them.
-fn apply_effects(graph: &mut WeightedGraph, effects: &[Effect], stats: &mut UpdateStats) {
-    for e in effects {
-        match (e.w_old, e.w_new) {
-            (None, Some(w)) => {
-                graph.ensure_vertices(e.a.max(e.b) as usize + 1);
-                graph.insert_edge(e.a, e.b, w);
-                stats.insertions += 1;
-            }
-            (Some(_), None) => {
-                graph.remove_edge(e.a, e.b);
-                stats.deletions += 1;
-            }
-            (Some(_), Some(w)) => {
-                graph.set_weight(e.a, e.b, w);
-                // Weight changes count toward the kind they mimic.
-                if e.deletes() {
-                    stats.deletions += 1;
-                } else {
-                    stats.insertions += 1;
-                }
-            }
-            (None, None) => unreachable!("normalization keeps valid effects only"),
-        }
     }
 }
 
@@ -462,7 +390,7 @@ mod tests {
             for round in 0..4 {
                 let batch = random_mixed_batch(&idx, &mut rng, 35);
                 idx.apply_batch(&batch);
-                let want = bruteforce(idx.graph(), idx.labelling().landmarks().to_vec());
+                let want = bruteforce(&idx.graph(), idx.labelling().landmarks().to_vec());
                 assert_eq!(
                     idx.labelling(),
                     &want,
@@ -475,7 +403,7 @@ mod tests {
                 );
             }
             // Queries stay exact at the end.
-            let g = idx.graph().clone();
+            let g = idx.graph();
             for s in (0..35u32).step_by(5) {
                 let truth = dijkstra(&g, s);
                 for t in 0..35u32 {

@@ -4,12 +4,11 @@
 //! A session pins one published generation and builds two private
 //! structures from it, touching neither the shared store nor the WAL:
 //!
-//! * a **CSR overlay** over the pinned snapshot's frozen base — the
-//!   generation's view is cloned (the flat base arrays stay shared
-//!   behind their `Arc`; only the small delta overlay is copied) and
-//!   the hypothetical batch's endpoints are re-recorded into it, so
+//! * a **CSR view** of the hypothetical graph — the generation's view
+//!   plus one overlay chunk holding the lists the batch rewrites (the
+//!   base and the earlier chunks stay shared behind their `Arc`s), so
 //!   the session traverses the hypothetical graph at published-view
-//!   speed;
+//!   speed. A commit builds its `G′` the same way (`rewrite_lists`);
 //! * a **scoped label patch** ([`LabelPatch`]) — the same search +
 //!   repair kernels a committed batch runs
 //!   (`engine::run_landmarks_speculative`) write into detached
@@ -38,9 +37,9 @@
 use crate::family::Family;
 use crate::reader::{GenReader, SharedReader};
 use batchhl_common::{Dist, Vertex, INF};
+use batchhl_graph::csr::{CompactionPolicy, CsrOverlay};
 use batchhl_hcl::query::{distances_from, point_dist};
 use batchhl_hcl::{LabelPatch, PatchedLabels, Versioned};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The query surface of a what-if session, type-erased for the oracle
@@ -165,31 +164,42 @@ pub(crate) fn grown_n(endpoints: impl Iterator<Item = (Vertex, Vertex)>, base_n:
         .max(base_n)
 }
 
-/// Re-record, in a session's private overlay, the post-batch list of
-/// every vertex `changes` names: a change `(v, other, new)` drops `v`'s
-/// entry for `other` and appends `new` when the edge survives (inserted
-/// or reweighted). Normalization leaves one change per edge, inserted
-/// edges absent and removed ones present, so this reproduces the
-/// committed graph's adjacency up to list order.
-pub(crate) fn rewrite_lists<V, T: Copy>(
-    view: &mut V,
+/// `G′` as a view: `view` over `max(n, its range)` vertices with the
+/// list of every vertex `changes` names rewritten, as one patch
+/// ([`CsrOverlay::patched`], compacted under `policy`; `None` never
+/// compacts). A change `(v, other, new)` drops `v`'s entry for `other`
+/// and, when the edge survives (inserted or reweighted), puts `new` in
+/// its sorted place. Normalization leaves one change per edge, inserted
+/// edges absent and removed ones present, so every rewritten list is
+/// the updated graph's own sorted list. A commit and a what-if session
+/// build their `G′` here alike.
+pub(crate) fn rewrite_lists<T: Copy>(
+    view: &CsrOverlay<T>,
+    n: usize,
+    policy: Option<CompactionPolicy>,
     changes: impl IntoIterator<Item = (Vertex, Vertex, Option<T>)>,
     key: fn(&T) -> Vertex,
-    list: fn(&V, Vertex) -> &[T],
-    set: fn(&mut V, Vertex, &[T]),
-) {
-    let mut by_vertex: BTreeMap<Vertex, Vec<(Vertex, Option<T>)>> = BTreeMap::new();
-    for (v, other, new) in changes {
-        by_vertex.entry(v).or_default().push((other, new));
-    }
-    for (v, edits) in by_vertex {
-        let mut entries = list(view, v).to_vec();
-        for (other, new) in edits {
-            entries.retain(|x| key(x) != other);
-            entries.extend(new);
+) -> CsrOverlay<T> {
+    let mut changes: Vec<_> = changes.into_iter().collect();
+    changes.sort_unstable_by_key(|&(v, other, _)| (v, other));
+    let mut changed: Vec<Vertex> = changes.iter().map(|&(v, _, _)| v).collect();
+    changed.dedup();
+    let mut rest = changes.as_slice();
+    view.patched(n, &changed, policy, |v, old, out| {
+        let (edits, tail) = rest.split_at(rest.partition_point(|&(u, _, _)| u == v));
+        rest = tail;
+        let mut edits = edits.iter().peekable();
+        for x in old {
+            while let Some(&(_, _, new)) = edits.next_if(|&&(_, other, _)| other < key(x)) {
+                out.extend(new);
+            }
+            match edits.next_if(|&&(_, other, _)| other == key(x)) {
+                Some(&(_, _, new)) => out.extend(new),
+                None => out.push(*x),
+            }
         }
-        set(view, v, &entries);
-    }
+        out.extend(edits.filter_map(|&(_, _, new)| new));
+    })
 }
 
 #[cfg(test)]

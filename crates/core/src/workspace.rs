@@ -3,8 +3,9 @@
 //! One `UpdateWorkspace` serves every landmark of every batch: all
 //! members reset sparsely (epoch bump or touched-list walk), so the
 //! steady-state update path performs no allocation. Parallel updates
-//! (BHLₚ) give each thread its own workspace. `Q` is the metric's
-//! monotone queue ([`crate::metric::Metric::Queue`]).
+//! (BHLₚ) give each extra worker thread its own workspace, kept in the
+//! writer's across passes ([`UpdateWorkspace::workers`]). `Q` is the
+//! metric's monotone queue ([`crate::metric::Metric::Queue`]).
 
 use batchhl_common::{
     EpochCache, LandmarkLength, LexDialQueue, MonotoneQueue, SparseBitSet, Vertex,
@@ -24,6 +25,9 @@ pub struct UpdateWorkspace<Q = LexDialQueue> {
     pub dl_cache: EpochCache,
     /// `D_bou` of Algorithm 4 (landmark distance bounds), epoch-stamped.
     pub bounds: EpochCache,
+    /// The workspaces of the BHLₚ worker threads beyond the caller's
+    /// (which runs landmarks on this one), reused pass after pass.
+    pub workers: Vec<UpdateWorkspace<Q>>,
 }
 
 impl<Q: MonotoneQueue> UpdateWorkspace<Q> {
@@ -33,6 +37,7 @@ impl<Q: MonotoneQueue> UpdateWorkspace<Q> {
             queue: Q::default(),
             dl_cache: EpochCache::new(n),
             bounds: EpochCache::new(n),
+            workers: Vec::new(),
         }
     }
 

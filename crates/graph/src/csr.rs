@@ -1,31 +1,31 @@
-//! Flat CSR snapshot adjacency with a per-generation delta overlay.
+//! Flat CSR snapshot adjacency with a chunked per-generation overlay:
+//! the one graph representation an index holds.
 //!
 //! Every hot path of the workspace — the distance-bounded bidirectional
 //! BFS behind `Q(s, t)` (Section 4), the per-landmark search spaces of
 //! the update engine, and full index construction — is a graph
-//! traversal. The dynamic graphs (`Vec<Vec<Vertex>>`) are ideal for
-//! O(1)-amortized edge mutation but pay one pointer chase (and usually
-//! one cache miss) per vertex visited. This module provides the
-//! complementary *read-optimized* representation:
+//! traversal, and a frozen layout serves them best:
 //!
 //! * [`Csr`] — a frozen compressed-sparse-row snapshot: one `offsets`
 //!   array (`n + 1` entries) and one flat `items` array holding every
 //!   adjacency list back to back. Neighbour access is two array reads;
 //!   scanning a whole search space is sequential memory traffic.
-//! * [`CsrOverlay`] — a CSR snapshot plus a small per-vertex *delta
-//!   overlay*. Batch-dynamic updates cannot rewrite a frozen CSR in
-//!   place, so each published generation freezes only the vertices the
-//!   batch touched: their current adjacency is copied into the overlay
-//!   (`O(Σ deg(endpoint))` per batch) while every untouched vertex
-//!   keeps reading straight from the shared base CSR. When the overlay
-//!   grows past a configurable fraction of the base's size the whole
-//!   graph is *compacted* into a fresh base CSR and the overlay is
-//!   cleared — the classic snapshot/delta/compaction cycle of
+//! * [`CsrOverlay`] — a CSR snapshot plus an overlay of the lists later
+//!   batches rewrote. Batch-dynamic updates cannot rewrite a frozen CSR
+//!   in place, so each generation adds one chunk holding only the lists
+//!   its batch touched (`O(Σ deg(endpoint))` per batch), while every
+//!   untouched vertex keeps reading straight from the shared base CSR.
+//!   When the overlay grows past a configurable fraction of the base's
+//!   size the whole graph is *compacted* into a fresh base CSR and the
+//!   overlay is cleared — the classic snapshot/delta/compaction cycle of
 //!   batch-dynamic structures (cf. Acar et al., parallel batch-dynamic
 //!   trees via change propagation).
 //!
-//! The base CSR is behind an [`Arc`], so consecutive generations share
-//! it: publishing a generation costs the overlay delta, not `O(m)`.
+//! The base CSR and every chunk are behind [`Arc`]s, so consecutive
+//! generations share them: publishing a generation costs its own
+//! chunk and one overlay-index merge, not `O(m)` and not a copy of the
+//! overlay. The dynamic graphs (`Vec<Vec<_>>`) are only the input an
+//! index is built from and what [`Frozen::thaw`] materialises.
 //!
 //! [`CsrGraph`]/[`CsrDelta`] instantiate the storage for unweighted
 //! adjacency (`Vertex` items) and implement [`AdjacencyView`];
@@ -40,8 +40,8 @@
 //! for the skewed access patterns of complex networks.
 
 use crate::weighted::{Weight, WeightedAdjacencyView, WeightedGraph};
-use crate::AdjacencyView;
-use batchhl_common::Vertex;
+use crate::{AdjacencyView, DynamicDiGraph, DynamicGraph};
+use batchhl_common::{OverlayIndex, Vertex};
 use std::sync::Arc;
 
 /// Default compaction trigger: rebuild the base CSR once the overlay
@@ -58,7 +58,7 @@ pub const MIN_COMPACTION_ENTRIES: usize = 1024;
 ///
 /// One policy value configures every index family (the
 /// `compaction` field of `batchhl-core`'s `IndexConfig`) and every
-/// overlay ([`CsrOverlay::set_policy`]).
+/// overlay ([`CsrOverlay::patched`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompactionPolicy {
     /// Fraction of the base's adjacency entries the overlay may reach
@@ -212,33 +212,33 @@ impl WeightedAdjacencyView for WeightedCsrGraph {
     }
 }
 
-/// A CSR snapshot plus the delta overlay of the generations published
-/// since the base was frozen.
+/// A CSR snapshot plus the overlay of the generations published since
+/// the base was frozen.
 ///
-/// Reads resolve per vertex with one bit test: a compact bitmap
-/// (`n / 8` bytes, cache-resident even for large graphs) records which
-/// vertices are overlaid. The common case — not overlaid — falls
-/// through to the shared base CSR after that single test; overlaid
-/// vertices (the endpoints of recent batches, few) binary-search a
-/// small sorted index for their span. Vertices past the base's range
-/// (grown by a batch) read the overlay or an empty list.
+/// The overlay has the shape of the packed labels' one: one `Arc`
+/// chunk per patch, holding the lists that patch rewrote in vertex
+/// order (a [`Csr`] whose slot `k` is the patch's `k`-th vertex), and an
+/// [`OverlayIndex`] naming each overlaid vertex's newest slot. Reads
+/// resolve per vertex with one bit test: the common case — not
+/// overlaid — falls through to the shared base CSR; an overlaid vertex
+/// is ranked in the index for its chunk and slot. Vertices past the
+/// base's range (grown by a batch) read the overlay or an empty list.
 ///
-/// Overlay spans are append-only between compactions: re-touching a
-/// vertex appends a fresh copy and abandons the old span. The abandoned
-/// bytes count toward the compaction threshold, so garbage is bounded
-/// by the same knob that bounds the overlay itself.
+/// A patch ([`CsrOverlay::patched`]) shares the base and every earlier
+/// chunk with its predecessor and adds one chunk, so it costs the lists
+/// it rewrites plus one index merge, never a copy of the overlay. A
+/// re-patched vertex's older copy stays in its chunk; those entries
+/// count toward the compaction threshold, so garbage is bounded by the
+/// same knob that bounds the overlay itself.
 #[derive(Debug, Clone)]
 pub struct CsrOverlay<T> {
     base: Arc<Csr<T>>,
-    /// Bit `v` set ⇔ `v` is overlaid (one word per 64 vertices).
-    mask: Vec<u64>,
-    /// Overlaid vertex ids, sorted ascending.
-    touched: Vec<Vertex>,
-    /// `spans[k]` indexes `data` for `touched[k]`.
-    spans: Vec<(usize, usize)>,
-    data: Vec<T>,
+    chunks: Vec<Arc<Csr<T>>>,
+    index: OverlayIndex,
+    /// Entries the chunks hold, superseded copies included (the figure
+    /// the compaction policy acts on).
+    overlay_entries: usize,
     n: usize,
-    policy: CompactionPolicy,
 }
 
 /// Unweighted CSR + overlay view — what undirected generations publish.
@@ -250,56 +250,45 @@ pub type WeightedCsrDelta = CsrOverlay<(Vertex, Weight)>;
 impl<T: Copy> CsrOverlay<T> {
     /// Wrap a frozen snapshot with an empty overlay.
     pub fn new(base: Csr<T>) -> Self {
-        let n = base.num_vertices();
         CsrOverlay {
+            n: base.num_vertices(),
             base: Arc::new(base),
-            mask: vec![0; n.div_ceil(64)],
-            touched: Vec::new(),
-            spans: Vec::new(),
-            data: Vec::new(),
-            n,
-            policy: CompactionPolicy::default(),
+            chunks: Vec::new(),
+            index: OverlayIndex::default(),
+            overlay_entries: 0,
         }
-    }
-
-    /// Set when the overlay compacts into a fresh base (see
-    /// [`CompactionPolicy`]).
-    pub fn set_policy(&mut self, policy: CompactionPolicy) {
-        self.policy = policy;
     }
 
     pub fn num_vertices(&self) -> usize {
         self.n
     }
 
-    /// Grow the vertex range (new vertices start with empty adjacency).
-    pub fn ensure_vertices(&mut self, n: usize) {
-        if n > self.n {
-            self.n = n;
-            self.mask.resize(n.div_ceil(64), 0);
-        }
-    }
-
-    /// Adjacency entries currently held by the overlay (including spans
-    /// abandoned by re-touches — the figure the compaction policy acts
-    /// on).
+    /// Adjacency entries currently held by the overlay chunks
+    /// (including copies superseded by re-patches — the figure the
+    /// compaction policy acts on).
     pub fn overlay_entries(&self) -> usize {
-        self.data.len()
+        self.overlay_entries
     }
 
     /// Number of overlaid vertices.
     pub fn overlay_vertices(&self) -> usize {
-        self.touched.len()
+        self.index.len()
     }
 
     /// Resident bytes of the base (shared between the generations
-    /// published since the last compaction) plus this view's overlay.
+    /// published since the last compaction) plus the overlay.
     pub fn resident_bytes(&self) -> usize {
-        self.base.resident_bytes()
-            + self.mask.len() * 8
-            + self.touched.len() * 4
-            + self.spans.len() * std::mem::size_of::<(usize, usize)>()
-            + self.data.len() * std::mem::size_of::<T>()
+        self.base.resident_bytes() + self.overlay_bytes()
+    }
+
+    /// Resident bytes of the overlay: its chunks (shared with the
+    /// generations they were published in) and its index.
+    pub fn overlay_bytes(&self) -> usize {
+        self.chunks
+            .iter()
+            .map(|c| c.resident_bytes())
+            .sum::<usize>()
+            + self.index.resident_bytes()
     }
 
     /// The shared base snapshot (generations published between two
@@ -308,28 +297,31 @@ impl<T: Copy> CsrOverlay<T> {
         &self.base
     }
 
+    /// The overlay chunks, oldest first (each shared with the
+    /// generations published since it was added).
+    pub fn chunks(&self) -> &[Arc<Csr<T>>] {
+        &self.chunks
+    }
+
     /// The current adjacency list of `v`.
     ///
     /// An empty overlay (the state right after a compaction) is decided
-    /// by one struct-local, perfectly predicted branch, so traversal
-    /// then runs at pure-CSR speed; otherwise one bitmap test routes
-    /// between base and overlay.
+    /// by one perfectly predicted branch, so traversal then runs at
+    /// pure-CSR speed; otherwise one bitmap test routes between base
+    /// and overlay.
     #[inline]
     pub fn list(&self, v: Vertex) -> &[T] {
         debug_assert!((v as usize) < self.n, "vertex {v} out of bounds");
-        if self.touched.is_empty() || self.mask[(v >> 6) as usize] & (1u64 << (v & 63)) == 0 {
-            if (v as usize) < self.base.num_vertices() {
-                self.base.list(v)
-            } else {
-                &[]
-            }
-        } else {
-            let k = self
-                .touched
-                .binary_search(&v)
-                .expect("mask bit set ⇒ overlaid");
-            let (start, end) = self.spans[k];
-            &self.data[start..end]
+        self.resolve(v)
+    }
+
+    /// [`CsrOverlay::list`], empty past the vertex range.
+    #[inline]
+    fn resolve(&self, v: Vertex) -> &[T] {
+        match self.index.get(v) {
+            Some((chunk, slot)) => self.chunks[chunk as usize].list(slot),
+            None if (v as usize) < self.base.num_vertices() => self.base.list(v),
+            None => &[],
         }
     }
 
@@ -339,70 +331,53 @@ impl<T: Copy> CsrOverlay<T> {
         self.list(v).len()
     }
 
-    /// Record the current adjacency of `v` in the overlay.
-    pub fn set_vertex(&mut self, v: Vertex, list: &[T]) {
-        self.ensure_vertices(v as usize + 1);
-        let start = self.data.len();
-        self.data.extend_from_slice(list);
-        let span = (start, self.data.len());
-        match self.touched.binary_search(&v) {
-            Ok(k) => self.spans[k] = span,
-            Err(k) => {
-                self.mask[(v >> 6) as usize] |= 1u64 << (v & 63);
-                self.touched.insert(k, v);
-                self.spans.insert(k, span);
-            }
-        }
-    }
-
-    /// Freeze one batch into this view: copy the current adjacency of
-    /// every vertex in `touched` (the batch's endpoints) from `fetch`,
-    /// then compact into a fresh base CSR if the overlay crossed the
-    /// configured fraction of the base. Returns `true` when the call
-    /// compacted.
-    ///
-    /// `fetch` must expose the *post-batch* adjacency of every vertex in
-    /// `0..n` — typically a closure over the writer's dynamic graph.
-    pub fn absorb<'g>(
-        &mut self,
+    /// This view over `max(n, self.n)` vertices with the list of every
+    /// vertex in `changed` (ascending, distinct) replaced by what
+    /// `rewrite(v, old, out)` appends to `out`, `old` being `v`'s
+    /// current list; `rewrite` is called in `changed` order. The base
+    /// and every chunk stay shared: the new lists form one more chunk
+    /// and the index is merged with it, `O(Σ new lists + overlaid
+    /// vertices + n / 64)`. When `policy` is given and the overlay then
+    /// crosses it, the result is compacted into a fresh base instead,
+    /// `O(n + m)`; `None` never compacts (a what-if overlay).
+    pub fn patched(
+        &self,
         n: usize,
-        touched: impl IntoIterator<Item = Vertex>,
-        fetch: impl Fn(Vertex) -> &'g [T],
-    ) -> bool
-    where
-        T: 'g,
-    {
-        self.ensure_vertices(n);
-        for v in touched {
-            let list = fetch(v);
-            self.set_vertex(v, list);
+        changed: &[Vertex],
+        policy: Option<CompactionPolicy>,
+        mut rewrite: impl FnMut(Vertex, &[T], &mut Vec<T>),
+    ) -> Self {
+        let mut offsets = Vec::with_capacity(changed.len() + 1);
+        let mut items = Vec::new();
+        offsets.push(0);
+        for &v in changed {
+            rewrite(v, self.resolve(v), &mut items);
+            offsets.push(items.len());
         }
-        if self.needs_compaction() {
-            self.compact(fetch);
-            return true;
+        let overlay_entries = self.overlay_entries + items.len();
+        let mut chunks = self.chunks.clone();
+        let index = self.index.merged(chunks.len() as u32, changed);
+        if !changed.is_empty() {
+            chunks.push(Arc::new(Csr { offsets, items }));
         }
-        false
+        let patched = CsrOverlay {
+            base: Arc::clone(&self.base),
+            chunks,
+            index,
+            overlay_entries,
+            n: n.max(self.n),
+        };
+        match policy {
+            Some(p) if p.exceeded(patched.overlay_entries, self.base.num_entries()) => {
+                patched.compacted()
+            }
+            _ => patched,
+        }
     }
 
-    /// Whether the overlay exceeds the configured fraction of the base.
-    pub fn needs_compaction(&self) -> bool {
-        self.policy
-            .exceeded(self.data.len(), self.base.num_entries())
-    }
-
-    /// Rebuild the base CSR from `fetch` and clear the overlay.
-    pub fn compact<'g>(&mut self, fetch: impl Fn(Vertex) -> &'g [T])
-    where
-        T: 'g,
-    {
-        self.base = Arc::new(Csr::build(self.n, fetch));
-        for &v in &self.touched {
-            self.mask[(v >> 6) as usize] &= !(1u64 << (v & 63));
-        }
-        self.touched.clear();
-        self.spans.clear();
-        self.data.clear();
-        self.data.shrink_to_fit();
+    /// The same adjacency in one fresh base CSR with no overlay.
+    pub fn compacted(&self) -> Self {
+        CsrOverlay::new(Csr::build(self.n, |v| self.resolve(v)))
     }
 }
 
@@ -418,10 +393,39 @@ impl<T: Copy + PartialEq> PartialEq for CsrOverlay<T> {
 
 impl<T: Copy + Eq> Eq for CsrOverlay<T> {}
 
+/// A frozen view and the mutable graph type it freezes: an index is
+/// built from such a graph, and [`Frozen::thaw`] materialises the graph
+/// a view presents (`O(n + m)`, for tests, baselines and tools — the
+/// index itself keeps no mutable copy).
+pub trait Frozen {
+    /// The mutable graph (sorted `Vec` adjacency).
+    type Graph;
+
+    /// Freeze `g` into a view with an empty overlay.
+    fn freeze(g: &Self::Graph) -> Self;
+
+    /// The graph this view presents.
+    fn thaw(&self) -> Self::Graph;
+}
+
 impl CsrDelta {
     /// Freeze the out-adjacency of `g` with an empty overlay.
     pub fn from_adjacency<A: AdjacencyView + ?Sized>(g: &A) -> Self {
         CsrOverlay::new(CsrGraph::from_adjacency(g))
+    }
+}
+
+impl Frozen for CsrDelta {
+    type Graph = DynamicGraph;
+
+    fn freeze(g: &DynamicGraph) -> Self {
+        CsrDelta::from_adjacency(g)
+    }
+
+    fn thaw(&self) -> DynamicGraph {
+        let n = self.n as Vertex;
+        DynamicGraph::try_from_adjacency((0..n).map(|v| self.list(v).to_vec()).collect())
+            .expect("a view presents a valid graph")
     }
 }
 
@@ -446,15 +450,19 @@ impl WeightedCsrDelta {
     pub fn from_weighted(g: &WeightedGraph) -> Self {
         CsrOverlay::new(WeightedCsrGraph::from_weighted(g))
     }
+}
 
-    /// Freeze one weighted batch: the touched endpoints re-read their
-    /// `(neighbour, weight)` lists from `g`.
-    pub fn absorb_from(
-        &mut self,
-        g: &WeightedGraph,
-        touched: impl IntoIterator<Item = Vertex>,
-    ) -> bool {
-        self.absorb(g.num_vertices(), touched, |v| g.neighbors(v))
+impl Frozen for WeightedCsrDelta {
+    type Graph = WeightedGraph;
+
+    fn freeze(g: &WeightedGraph) -> Self {
+        WeightedCsrDelta::from_weighted(g)
+    }
+
+    fn thaw(&self) -> WeightedGraph {
+        let n = self.n as Vertex;
+        WeightedGraph::try_from_adjacency((0..n).map(|v| self.list(v).to_vec()).collect())
+            .expect("a view presents a valid graph")
     }
 }
 
@@ -470,8 +478,8 @@ impl WeightedAdjacencyView for WeightedCsrDelta {
 }
 
 /// Directed CSR view: one overlay per direction. An arc `a → b` lives
-/// in `out`'s list of `a` and `in`'s list of `b`; the two overlays
-/// absorb and compact independently.
+/// in `out`'s list of `a` and `in`'s list of `b`; the two overlays are
+/// patched and compact independently.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsrDiDelta {
     out: CsrDelta,
@@ -487,30 +495,19 @@ impl CsrDiDelta {
         }
     }
 
-    /// Freeze one batch of arcs `(tail, head)`: tails re-read their
-    /// out-lists, heads their in-lists. Returns `true` if either
-    /// direction compacted.
-    pub fn absorb_arcs<A: AdjacencyView + ?Sized>(
-        &mut self,
-        g: &A,
-        arcs: &[(Vertex, Vertex)],
-    ) -> bool {
-        let mut tails: Vec<Vertex> = arcs.iter().map(|&(a, _)| a).collect();
-        let mut heads: Vec<Vertex> = arcs.iter().map(|&(_, b)| b).collect();
-        tails.sort_unstable();
-        tails.dedup();
-        heads.sort_unstable();
-        heads.dedup();
-        let n = g.num_vertices();
-        let c_out = self.out.absorb(n, tails, |v| g.out_neighbors(v));
-        let c_in = self.inn.absorb(n, heads, |v| g.in_neighbors(v));
-        c_out || c_in
+    /// Pair an out- and an in-adjacency overlay over the same vertices.
+    pub fn from_directions(out: CsrDelta, inn: CsrDelta) -> Self {
+        assert_eq!(
+            out.num_vertices(),
+            inn.num_vertices(),
+            "directions disagree"
+        );
+        CsrDiDelta { out, inn }
     }
 
-    /// Apply a [`CompactionPolicy`] to both direction overlays.
-    pub fn set_policy(&mut self, policy: CompactionPolicy) {
-        self.out.set_policy(policy);
-        self.inn.set_policy(policy);
+    /// The `(out, in)` adjacency overlays.
+    pub fn directions(&self) -> (&CsrDelta, &CsrDelta) {
+        (&self.out, &self.inn)
     }
 
     pub fn num_vertices(&self) -> usize {
@@ -521,25 +518,28 @@ impl CsrDiDelta {
         self.out.overlay_entries() + self.inn.overlay_entries()
     }
 
-    /// Grow both direction overlays (new vertices start with empty
-    /// adjacency in each direction).
-    pub fn ensure_vertices(&mut self, n: usize) {
-        self.out.ensure_vertices(n);
-        self.inn.ensure_vertices(n);
+    /// Resident bytes of both directions (bases plus overlays).
+    pub fn resident_bytes(&self) -> usize {
+        self.out.resident_bytes() + self.inn.resident_bytes()
     }
 
-    /// Record the current out-adjacency of `v`, keeping the two
-    /// directions' vertex counts in sync.
-    pub fn set_vertex_out(&mut self, v: Vertex, list: &[Vertex]) {
-        self.out.set_vertex(v, list);
-        self.inn.ensure_vertices(self.out.num_vertices());
+    /// Resident bytes of both directions' overlays.
+    pub fn overlay_bytes(&self) -> usize {
+        self.out.overlay_bytes() + self.inn.overlay_bytes()
+    }
+}
+
+impl Frozen for CsrDiDelta {
+    type Graph = DynamicDiGraph;
+
+    fn freeze(g: &DynamicDiGraph) -> Self {
+        CsrDiDelta::from_adjacency(g)
     }
 
-    /// Record the current in-adjacency of `v`, keeping the two
-    /// directions' vertex counts in sync.
-    pub fn set_vertex_in(&mut self, v: Vertex, list: &[Vertex]) {
-        self.inn.set_vertex(v, list);
-        self.out.ensure_vertices(self.inn.num_vertices());
+    fn thaw(&self) -> DynamicDiGraph {
+        let n = self.num_vertices() as Vertex;
+        DynamicDiGraph::try_from_out_adjacency((0..n).map(|v| self.out.list(v).to_vec()).collect())
+            .expect("a view presents a valid graph")
     }
 }
 
@@ -653,11 +653,23 @@ mod tests {
         assert_eq!(bfs_distances(&csr, 0), bfs_distances(&g, 0));
     }
 
+    /// The view `g` presents after a batch touching `changed`, the
+    /// lists copied from `g` (what a commit's rewrite produces).
+    fn patched_from<T: Copy>(
+        view: &CsrOverlay<T>,
+        n: usize,
+        changed: &[Vertex],
+        policy: Option<CompactionPolicy>,
+        list: impl Fn(Vertex) -> Vec<T>,
+    ) -> CsrOverlay<T> {
+        view.patched(n, changed, policy, |v, _, out| out.extend(list(v)))
+    }
+
     #[test]
     fn overlay_tracks_batches_and_compacts() {
         let mut g = barabasi_albert(150, 2, 3);
         let mut view = CsrDelta::from_adjacency(&g);
-        view.set_policy(CompactionPolicy::eager(0.05));
+        let policy = Some(CompactionPolicy::eager(0.05));
         let base0 = Arc::clone(view.base());
         let mut rng = SplitMix64::new(11);
         let mut compacted_once = false;
@@ -677,13 +689,26 @@ mod tests {
             }
             let norm = batch.normalize(&g);
             g.apply_batch(&norm);
-            let compacted = view.absorb(g.num_vertices(), norm.touched_vertices(), |v| {
-                g.neighbors(v)
-            });
+            let next = patched_from(
+                &view,
+                g.num_vertices(),
+                &norm.touched_vertices(),
+                policy,
+                |v| g.neighbors(v).to_vec(),
+            );
+            let compacted = !Arc::ptr_eq(view.base(), next.base());
             if compacted {
-                assert_eq!(view.overlay_entries(), 0, "compaction clears the overlay");
+                assert_eq!(next.overlay_entries(), 0, "compaction clears the overlay");
+                assert!(next.chunks().is_empty());
+            } else if !norm.is_empty() {
+                // The predecessor's chunks are shared, one chunk is new.
+                assert_eq!(next.chunks().len(), view.chunks().len() + 1);
+                for (a, b) in view.chunks().iter().zip(next.chunks()) {
+                    assert!(Arc::ptr_eq(a, b));
+                }
             }
             compacted_once |= compacted;
+            view = next;
             for v in 0..g.num_vertices() as Vertex {
                 assert_eq!(view.list(v), g.neighbors(v), "vertex {v}");
             }
@@ -699,16 +724,19 @@ mod tests {
     fn overlay_handles_vertex_growth() {
         let mut g = DynamicGraph::new(3);
         g.insert_edge(0, 1);
-        let mut view = CsrDelta::from_adjacency(&g);
+        let view = CsrDelta::from_adjacency(&g);
         assert_eq!(view.list(2), &[] as &[Vertex]);
         let mut batch = Batch::new();
         batch.insert(1, 6);
         g.apply_batch(&batch);
-        view.absorb(g.num_vertices(), [1, 6], |v| g.neighbors(v));
+        let view = patched_from(&view, g.num_vertices(), &[1, 6], None, |v| {
+            g.neighbors(v).to_vec()
+        });
         assert_eq!(view.num_vertices(), 7);
         assert_eq!(view.list(6), &[1]);
         assert_eq!(view.list(1), &[0, 6]);
         assert_eq!(view.list(5), &[] as &[Vertex], "grown vertices are empty");
+        assert_eq!(view.thaw(), g);
     }
 
     #[test]
@@ -716,42 +744,49 @@ mod tests {
         let g = barabasi_albert(60, 2, 5);
         let a = CsrDelta::from_adjacency(&g);
         // Same adjacency, entirely different base/overlay split.
-        let mut b = CsrDelta::new(CsrGraph::from_adjacency(&DynamicGraph::new(0)));
-        b.absorb(g.num_vertices(), 0..g.num_vertices() as Vertex, |v| {
-            g.neighbors(v)
+        let every: Vec<Vertex> = (0..g.num_vertices() as Vertex).collect();
+        let empty = CsrDelta::new(CsrGraph::from_adjacency(&DynamicGraph::new(0)));
+        let b = patched_from(&empty, g.num_vertices(), &every, None, |v| {
+            g.neighbors(v).to_vec()
         });
         assert_eq!(a, b);
-        let mut c = a.clone();
-        c.set_vertex(0, &[]);
+        assert_eq!(a, b.compacted());
+        let c = a.patched(a.num_vertices(), &[0], None, |_, _, _| {});
         assert_ne!(a, c);
     }
 
     #[test]
     fn directed_delta_mirrors_digraph() {
         let mut g = DynamicDiGraph::from_edges(5, &[(0, 1), (1, 2), (3, 1)]);
-        let mut view = CsrDiDelta::from_adjacency(&g);
+        let view = CsrDiDelta::from_adjacency(&g);
         assert_eq!(view.out_neighbors(1), g.out_neighbors(1));
         assert_eq!(view.in_neighbors(1), g.in_neighbors(1));
         g.insert_edge(4, 1);
         g.remove_edge(0, 1);
-        view.absorb_arcs(&g, &[(4, 1), (0, 1)]);
+        let (out, inn) = view.directions();
+        let view = CsrDiDelta::from_directions(
+            patched_from(out, 5, &[0, 4], None, |v| g.out_neighbors(v).to_vec()),
+            patched_from(inn, 5, &[1], None, |v| g.in_neighbors(v).to_vec()),
+        );
         for v in 0..5 {
             assert_eq!(view.out_neighbors(v), g.out_neighbors(v), "out {v}");
             assert_eq!(view.in_neighbors(v), g.in_neighbors(v), "in {v}");
         }
+        assert_eq!(view.thaw(), g);
     }
 
     #[test]
     fn weighted_delta_mirrors_weighted_graph() {
         let mut g = WeightedGraph::from_edges(4, &[(0, 1, 3), (1, 2, 5)]);
-        let mut view = WeightedCsrDelta::from_weighted(&g);
+        let view = WeightedCsrDelta::from_weighted(&g);
         assert_eq!(view.weighted_neighbors(1), g.neighbors(1));
         g.set_weight(0, 1, 9);
         g.insert_edge(2, 3, 1);
-        view.absorb_from(&g, [0, 1, 2, 3]);
+        let view = patched_from(&view, 4, &[0, 1, 2, 3], None, |v| g.neighbors(v).to_vec());
         for v in 0..4 {
             assert_eq!(view.weighted_neighbors(v), g.neighbors(v), "vertex {v}");
         }
+        assert_eq!(view.thaw(), g);
     }
 
     #[test]

@@ -34,7 +34,8 @@
 
 use crate::digraph::DynamicDiGraph;
 use crate::graph::DynamicGraph;
-use crate::weighted::{Weight, WeightedGraph};
+use crate::weighted::{Weight, WeightedAdjacencyView, WeightedGraph};
+use crate::AdjacencyView;
 use batchhl_common::{binio, Vertex};
 use std::fmt;
 use std::io::{self, BufRead, BufWriter, Read, Write};
@@ -216,25 +217,50 @@ fn read_degree_header<R: Read>(
     Ok((n as usize, m, degrees))
 }
 
-/// Write an undirected graph as a `BGU2` CSR block.
-pub fn write_graph_bin<W: Write>(g: &DynamicGraph, mut out: W) -> io::Result<()> {
-    out.write_all(MAGIC_UND)?;
-    out.write_all(&(g.num_vertices() as u64).to_le_bytes())?;
-    out.write_all(&(g.num_edges() as u64).to_le_bytes())?;
-    for v in 0..g.num_vertices() as Vertex {
-        out.write_all(&(g.degree(v) as u32).to_le_bytes())?;
-    }
-    for v in 0..g.num_vertices() as Vertex {
-        for &w in g.neighbors(v) {
-            out.write_all(&w.to_le_bytes())?;
-        }
-    }
-    Ok(())
+/// Write an undirected graph (a dynamic graph or a CSR view of one) as
+/// a `BGU2` CSR block.
+pub fn write_graph_bin<A: AdjacencyView + ?Sized, W: Write>(g: &A, out: W) -> io::Result<()> {
+    write_csr_block(MAGIC_UND, g.num_vertices(), half_edges(g) / 2, out, |v| {
+        g.out_neighbors(v).iter().map(|&w| [w])
+    })
 }
 
 /// The number of bytes [`write_graph_bin`] emits for `g`.
-pub fn graph_bin_len(g: &DynamicGraph) -> u64 {
-    4 + 8 + 8 + 4 * g.num_vertices() as u64 + 8 * g.num_edges() as u64
+pub fn graph_bin_len<A: AdjacencyView + ?Sized>(g: &A) -> u64 {
+    4 + 8 + 8 + 4 * g.num_vertices() as u64 + 4 * half_edges(g) as u64
+}
+
+/// `Σ_v |out(v)|`: twice the edge count of an undirected graph, the arc
+/// count of a directed one.
+fn half_edges<A: AdjacencyView + ?Sized>(g: &A) -> usize {
+    (0..g.num_vertices() as Vertex)
+        .map(|v| g.out_degree(v))
+        .sum()
+}
+
+/// A CSR block: magic, `n`, `m`, the degree array, then every vertex's
+/// list, each entry as the `u32` words `words` yields.
+fn write_csr_block<W: Write, const K: usize, I: ExactSizeIterator<Item = [u32; K]>>(
+    magic: &[u8; 4],
+    n: usize,
+    m: usize,
+    mut out: W,
+    words: impl Fn(Vertex) -> I,
+) -> io::Result<()> {
+    out.write_all(magic)?;
+    out.write_all(&(n as u64).to_le_bytes())?;
+    out.write_all(&(m as u64).to_le_bytes())?;
+    for v in 0..n as Vertex {
+        out.write_all(&(words(v).len() as u32).to_le_bytes())?;
+    }
+    for v in 0..n as Vertex {
+        for entry in words(v) {
+            for w in entry {
+                out.write_all(&w.to_le_bytes())?;
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Read a `BGU2` CSR block back into a [`DynamicGraph`].
@@ -248,26 +274,17 @@ pub fn read_graph_bin<R: Read>(mut r: R) -> Result<DynamicGraph, BinGraphError> 
     DynamicGraph::try_from_adjacency(adj).map_err(|reason| BinGraphError::Invalid { reason })
 }
 
-/// Write a directed graph as a `BGD2` CSR block (out-direction only;
-/// in-lists are rebuilt on load).
-pub fn write_digraph_bin<W: Write>(g: &DynamicDiGraph, mut out: W) -> io::Result<()> {
-    out.write_all(MAGIC_DIR)?;
-    out.write_all(&(g.num_vertices() as u64).to_le_bytes())?;
-    out.write_all(&(g.num_edges() as u64).to_le_bytes())?;
-    for v in 0..g.num_vertices() as Vertex {
-        out.write_all(&(g.out_degree(v) as u32).to_le_bytes())?;
-    }
-    for v in 0..g.num_vertices() as Vertex {
-        for &w in g.out_neighbors(v) {
-            out.write_all(&w.to_le_bytes())?;
-        }
-    }
-    Ok(())
+/// Write a directed graph (or a view of it) as a `BGD2` CSR block
+/// (out-direction only; in-lists are rebuilt on load).
+pub fn write_digraph_bin<A: AdjacencyView + ?Sized, W: Write>(g: &A, out: W) -> io::Result<()> {
+    write_csr_block(MAGIC_DIR, g.num_vertices(), half_edges(g), out, |v| {
+        g.out_neighbors(v).iter().map(|&w| [w])
+    })
 }
 
 /// The number of bytes [`write_digraph_bin`] emits for `g`.
-pub fn digraph_bin_len(g: &DynamicDiGraph) -> u64 {
-    4 + 8 + 8 + 4 * g.num_vertices() as u64 + 4 * g.num_edges() as u64
+pub fn digraph_bin_len<A: AdjacencyView + ?Sized>(g: &A) -> u64 {
+    4 + 8 + 8 + 4 * g.num_vertices() as u64 + 4 * half_edges(g) as u64
 }
 
 /// Read a `BGD2` CSR block back into a [`DynamicDiGraph`].
@@ -281,26 +298,29 @@ pub fn read_digraph_bin<R: Read>(mut r: R) -> Result<DynamicDiGraph, BinGraphErr
     DynamicDiGraph::try_from_out_adjacency(out).map_err(|reason| BinGraphError::Invalid { reason })
 }
 
-/// Write a weighted graph as a `BGW2` CSR block.
-pub fn write_weighted_bin<W: Write>(g: &WeightedGraph, mut out: W) -> io::Result<()> {
-    out.write_all(MAGIC_WTD)?;
-    out.write_all(&(g.num_vertices() as u64).to_le_bytes())?;
-    out.write_all(&(g.num_edges() as u64).to_le_bytes())?;
-    for v in 0..g.num_vertices() as Vertex {
-        out.write_all(&(g.degree(v) as u32).to_le_bytes())?;
-    }
-    for v in 0..g.num_vertices() as Vertex {
-        for &(w, wt) in g.neighbors(v) {
-            out.write_all(&w.to_le_bytes())?;
-            out.write_all(&wt.to_le_bytes())?;
-        }
-    }
-    Ok(())
+/// Write a weighted graph (or a view of it) as a `BGW2` CSR block.
+pub fn write_weighted_bin<G: WeightedAdjacencyView + ?Sized, W: Write>(
+    g: &G,
+    out: W,
+) -> io::Result<()> {
+    write_csr_block(
+        MAGIC_WTD,
+        g.num_vertices(),
+        weighted_half_edges(g) / 2,
+        out,
+        |v| g.weighted_neighbors(v).iter().map(|&(w, wt)| [w, wt]),
+    )
 }
 
 /// The number of bytes [`write_weighted_bin`] emits for `g`.
-pub fn weighted_bin_len(g: &WeightedGraph) -> u64 {
-    4 + 8 + 8 + 4 * g.num_vertices() as u64 + 16 * g.num_edges() as u64
+pub fn weighted_bin_len<G: WeightedAdjacencyView + ?Sized>(g: &G) -> u64 {
+    4 + 8 + 8 + 4 * g.num_vertices() as u64 + 8 * weighted_half_edges(g) as u64
+}
+
+fn weighted_half_edges<G: WeightedAdjacencyView + ?Sized>(g: &G) -> usize {
+    (0..g.num_vertices() as Vertex)
+        .map(|v| g.weighted_degree(v))
+        .sum()
 }
 
 /// Read a `BGW2` CSR block back into a [`WeightedGraph`].

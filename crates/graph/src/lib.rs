@@ -5,16 +5,19 @@
 //! (Section 3). This crate provides that substrate in **two
 //! representations with distinct roles**:
 //!
-//! * **Writer graphs** — [`graph::DynamicGraph`],
+//! * **Dynamic graphs** — [`graph::DynamicGraph`],
 //!   [`digraph::DynamicDiGraph`] and [`weighted::WeightedGraph`]: sorted
 //!   per-vertex `Vec` adjacency with O(log d) edge tests and cheap
-//!   in-place mutation. This is what `apply_batch` mutates.
-//! * **Snapshot views** — [`csr`]: frozen flat CSR arrays plus a small
-//!   per-generation delta overlay ([`csr::CsrDelta`] and friends). This
-//!   is what published generations expose to queries and to the update
-//!   engine's landmark searches: traversal is sequential memory access
-//!   instead of one pointer chase per vertex, and consecutive
-//!   generations share the frozen base until a compaction.
+//!   in-place mutation. An index is built from one and can materialise
+//!   one ([`csr::Frozen`]); tests, generators and baselines mutate them.
+//! * **Snapshot views** — [`csr`]: frozen flat CSR arrays plus an
+//!   overlay of per-batch chunks ([`csr::CsrDelta`] and friends). This
+//!   is the one graph an index holds: published generations expose it
+//!   to queries and to the update engine's landmark searches, and a
+//!   batch produces the next view by rewriting only the lists it
+//!   touches. Traversal is sequential memory access instead of one
+//!   pointer chase per vertex, and consecutive generations share the
+//!   frozen base and every earlier chunk until a compaction.
 //!
 //! Remaining modules:
 //!
@@ -177,7 +180,7 @@ pub trait AdjacencyView {
 }
 
 /// Generic direction-swapping adapter: `Reversed(&g)` presents every
-/// arc of `g` flipped, for any [`AdjacencyView`] — dynamic writer
+/// arc of `g` flipped, for any [`AdjacencyView`] — dynamic
 /// graphs and CSR snapshots alike. The backward passes of the directed
 /// index run the forward machinery over this view.
 #[derive(Debug, Clone, Copy)]

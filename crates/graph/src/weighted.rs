@@ -19,7 +19,7 @@ pub type Weight = u32;
 /// Uniform view over weighted adjacency, mirroring
 /// [`crate::AdjacencyView`] for `(neighbour, weight)` lists: the
 /// Dijkstra toolkit and the weighted update kernel are generic over
-/// this trait, so they traverse either the dynamic writer graph or the
+/// this trait, so they traverse either a dynamic graph or the
 /// published CSR snapshot ([`crate::csr::WeightedCsrDelta`]). Always
 /// borrowed slices — no allocation on the traversal path.
 pub trait WeightedAdjacencyView {

@@ -7,8 +7,9 @@
 //! experiments and tests.
 
 use batchhl_common::SplitMix64;
+use batchhl_graph::csr::CsrOverlay;
 use batchhl_graph::weighted::WeightedGraph;
-use batchhl_graph::{DynamicDiGraph, DynamicGraph, Vertex};
+use batchhl_graph::{AdjacencyView, CsrDiDelta, DynamicDiGraph, DynamicGraph, Vertex};
 
 /// Strategy for choosing the landmark set `R`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,6 +75,37 @@ macro_rules! degree_order {
 }
 
 degree_order!(DynamicGraph, DynamicDiGraph, WeightedGraph);
+
+/// `0..n` by decreasing `degree`, ties by id.
+fn by_degree(n: usize, degree: impl Fn(Vertex) -> usize) -> Vec<Vertex> {
+    let mut order: Vec<Vertex> = (0..n as Vertex).collect();
+    order.sort_by_key(|&v| (std::cmp::Reverse(degree(v)), v));
+    order
+}
+
+/// A CSR view ranks like the graph it presents.
+impl<T: Copy> DegreeOrder for CsrOverlay<T> {
+    fn num_vertices(&self) -> usize {
+        CsrOverlay::num_vertices(self)
+    }
+
+    fn vertices_by_degree(&self) -> Vec<Vertex> {
+        by_degree(self.num_vertices(), |v| self.degree(v))
+    }
+}
+
+/// Out- plus in-degree, as [`DynamicDiGraph::degree`].
+impl DegreeOrder for CsrDiDelta {
+    fn num_vertices(&self) -> usize {
+        CsrDiDelta::num_vertices(self)
+    }
+
+    fn vertices_by_degree(&self) -> Vec<Vertex> {
+        by_degree(self.num_vertices(), |v| {
+            self.out_degree(v) + self.in_degree(v)
+        })
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -38,7 +38,7 @@
 
 use crate::kernel::CLAMP_SAFE_MAX;
 use crate::labelling::{Labelling, NO_LABEL};
-use batchhl_common::{Dist, Vertex, INF};
+use batchhl_common::{Dist, OverlayIndex, Vertex, INF};
 use batchhl_graph::CompactionPolicy;
 use std::sync::Arc;
 
@@ -348,23 +348,18 @@ impl Rows {
 /// index with the generation it was patched from.
 ///
 /// Reads resolve per vertex exactly like
-/// [`batchhl_graph::csr::CsrOverlay`]: one bitmap test routes to the
-/// base, overlaid vertices binary-search a sorted id list for their
-/// overlay slot, and vertices past the base's range that were never
-/// patched have empty rows. A re-patched row takes a fresh slot and
-/// abandons its old one; abandoned entries count toward the compaction
-/// threshold.
+/// [`batchhl_graph::csr::CsrOverlay`], through the same
+/// [`OverlayIndex`]: one bitmap test routes to the base, an overlaid
+/// vertex is ranked for its `(chunk, slot)`, and vertices past the
+/// base's range that were never patched have empty rows. A re-patched
+/// row takes a fresh slot and abandons its old one; abandoned entries
+/// count toward the compaction threshold.
 #[derive(Debug, Clone)]
 pub struct PackedLabels {
     r: usize,
     n: usize,
     base: Arc<Rows>,
-    /// Bit `v` set ⇔ `v` is overlaid (one word per 64 vertices).
-    mask: Vec<u64>,
-    /// Overlaid vertex ids, ascending.
-    touched: Vec<Vertex>,
-    /// `slots[k]` is the `(chunk, slot)` of `touched[k]`'s row.
-    slots: Vec<(u32, u32)>,
+    index: OverlayIndex,
     overlay: Vec<Arc<Rows>>,
     /// Entries held by the overlay chunks, abandoned rows included.
     overlay_entries: usize,
@@ -381,9 +376,7 @@ impl PackedLabels {
             r,
             n,
             base: Arc::new(Rows::with_capacity(0, [0; 3])),
-            mask: vec![0; n.div_ceil(64)],
-            touched: Vec::new(),
-            slots: Vec::new(),
+            index: OverlayIndex::default(),
             overlay: Vec::new(),
             overlay_entries: 0,
             entries: 0,
@@ -484,26 +477,21 @@ impl PackedLabels {
                 entries: base.ids.len(),
                 dist_bytes: base.dist_bytes(),
                 base: Arc::new(base),
-                mask: vec![0; n.div_ceil(64)],
-                touched: Vec::new(),
-                slots: Vec::new(),
+                index: OverlayIndex::default(),
                 overlay: Vec::new(),
                 overlay_entries: 0,
             };
         }
         let (mut entries, mut dist_bytes) = (self.entries, self.dist_bytes);
         let mut chunk = Rows::with_capacity(changed.len(), self.blob_hint(replaced));
-        let mut mask = self.mask.clone();
-        mask.resize(n.div_ceil(64), 0);
         for (k, &v) in changed.iter().enumerate() {
             let old = self.resolve(v);
             push_derived(k, v, &mut chunk);
             let new = chunk.row(k);
             entries = entries + new.len() - old.len();
             dist_bytes = dist_bytes + new.dist_bytes() - old.dist_bytes();
-            mask[(v >> 6) as usize] |= 1u64 << (v & 63);
         }
-        let (touched, slots) = self.merged_index(changed);
+        let index = self.index.merged(self.overlay.len() as u32, changed);
         let mut overlay = self.overlay.clone();
         let overlay_entries = self.overlay_entries + chunk.ids.len();
         if !changed.is_empty() {
@@ -513,9 +501,7 @@ impl PackedLabels {
             r: self.r,
             n,
             base: Arc::clone(&self.base),
-            mask,
-            touched,
-            slots,
+            index,
             overlay,
             overlay_entries,
             entries,
@@ -536,37 +522,9 @@ impl PackedLabels {
         })
     }
 
-    /// The overlay index after appending the rows of `changed` as one
-    /// more chunk: one merge of two ascending lists, a re-patched vertex
-    /// taking its new slot.
-    fn merged_index(&self, changed: &[Vertex]) -> (Vec<Vertex>, Vec<(u32, u32)>) {
-        let chunk = self.overlay.len() as u32;
-        let cap = self.touched.len() + changed.len();
-        let (mut touched, mut slots) = (Vec::with_capacity(cap), Vec::with_capacity(cap));
-        let (mut a, mut b) = (0, 0);
-        while a < self.touched.len() || b < changed.len() {
-            let old = self.touched.get(a).copied().unwrap_or(Vertex::MAX);
-            let new = changed.get(b).copied().unwrap_or(Vertex::MAX);
-            if old < new {
-                touched.push(old);
-                slots.push(self.slots[a]);
-                a += 1;
-            } else {
-                touched.push(new);
-                slots.push((chunk, b as u32));
-                a += usize::from(old == new);
-                b += 1;
-            }
-        }
-        (touched, slots)
-    }
-
     /// Grow the vertex range; new vertices have empty rows.
     pub(crate) fn ensure_vertices(&mut self, n: usize) {
-        if n > self.n {
-            self.n = n;
-            self.mask.resize(n.div_ceil(64), 0);
-        }
+        self.n = self.n.max(n);
     }
 
     #[inline]
@@ -610,25 +568,10 @@ impl PackedLabels {
     /// overlay.
     #[inline]
     fn resolve(&self, v: Vertex) -> PackedRow<'_> {
-        let bit = 1u64 << (v & 63);
-        if self.touched.is_empty()
-            || self
-                .mask
-                .get((v >> 6) as usize)
-                .is_none_or(|w| w & bit == 0)
-        {
-            if (v as usize) < self.base.len() {
-                self.base.row(v as usize)
-            } else {
-                EMPTY_ROW
-            }
-        } else {
-            let k = self
-                .touched
-                .binary_search(&v)
-                .expect("mask bit set ⇒ overlaid");
-            let (chunk, slot) = self.slots[k];
-            self.overlay[chunk as usize].row(slot as usize)
+        match self.index.get(v) {
+            Some((chunk, slot)) => self.overlay[chunk as usize].row(slot as usize),
+            None if (v as usize) < self.base.len() => self.base.row(v as usize),
+            None => EMPTY_ROW,
         }
     }
 
@@ -646,9 +589,7 @@ impl PackedLabels {
                 .iter()
                 .map(|c| c.resident_bytes())
                 .sum::<usize>()
-            + self.mask.len() * 8
-            + self.touched.len() * 4
-            + self.slots.len() * 8
+            + self.index.resident_bytes()
     }
 }
 

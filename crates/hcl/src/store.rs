@@ -20,14 +20,14 @@
 //!
 //! The store is generic over the snapshot payload `S`: the undirected
 //! and weighted indexes store `(labelling, CSR view)`, the directed
-//! index `(forward, backward, CSR view)`. The writer's mutable graph is
-//! not part of a generation. The *publication format* for adjacency is
-//! the frozen CSR + delta overlay (`batchhl_graph::csr`): the writer
-//! freezes each batch's endpoints into a copy of the published view's
-//! overlay before the repair pass, so the generation installed here is
-//! exactly what readers and landmark searches traverse — consecutive
-//! generations share the CSR base (and the packed label base) behind an
-//! `Arc` until a compaction swaps in a fresh one.
+//! index `(forward, backward, CSR view)`. The CSR view is the index's
+//! only graph (`batchhl_graph::csr`): before the repair pass the writer
+//! builds the next view from the published one, rewriting each batch's
+//! endpoints' lists into one new overlay chunk, so the generation
+//! installed here is exactly what readers and landmark searches
+//! traverse — consecutive generations share the CSR base and chunks
+//! (and the packed label base and chunks) behind `Arc`s until a
+//! compaction swaps in a fresh base.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};

@@ -1,25 +1,35 @@
-//! Fixed in-process check of the weighted update path, with no WAL,
-//! server or checkpoint around it: the graph of perfbench's
-//! `road_churn` workload (200×200 grid, weights 1–100 drawn from seed 1)
-//! and traffic batches of the same shape (100 edits: 5 closures, each
-//! reopened in the next batch, the rest re-weighted to 1–100), applied
-//! straight to a `WeightedBatchIndex` (BHL⁺, 20 top-degree landmarks).
+//! Fixed in-process check of the update path, with no WAL, server or
+//! checkpoint around it: straight `apply_batch` calls (BHL⁺, 20
+//! top-degree landmarks) on one of perfbench's workload graphs.
+//!
+//! * `--family weighted` (default): `road_churn`'s graph (200×200 grid,
+//!   weights 1–100 drawn from seed 1) and traffic batches of the same
+//!   shape (100 edits: 5 closures, each reopened in the next batch, the
+//!   rest re-weighted to 1–100), on a `WeightedBatchIndex`.
+//! * `--family directed`: `directed_wire`'s graph
+//!   (`orient_randomly(BA(100k, 8), 0.3)`, seed 1) and churn batches of
+//!   200 arc removals plus 200 insertions of arcs absent both ways, on a
+//!   `DirectedBatchIndex`.
 //!
 //! Every run builds the index and applies the same batches; it reports
 //! the construction time and the median `apply_batch` time. Per thread
 //! count the best of the runs is printed, with the total affected
 //! count, which must not differ between runs or between two builds of
-//! the code being compared.
+//! the code being compared, and the resident bytes of the last
+//! generation: CSR view base, CSR view overlay, packed labels.
 //!
 //! ```sh
-//! cargo run --release --example apply_check -- [--batches 40] [--runs 5] [--seed 1] [--threads 1,2]
+//! cargo run --release --example apply_check -- [--family weighted|directed] [--batches 40] [--runs 5] [--seed 1] [--threads 1,2]
 //! ```
 
 use batchhl::common::SplitMix64;
-use batchhl::core::{IndexConfig, WeightedBatchIndex};
-use batchhl::graph::generators::grid;
+use batchhl::core::{DirectedBatchIndex, IndexConfig, WeightedBatchIndex};
+use batchhl::graph::generators::{barabasi_albert, grid, orient_randomly};
 use batchhl::graph::weighted::{WeightedGraph, WeightedUpdate};
-use batchhl::{Algorithm, LandmarkSelection, Vertex, Weight};
+use batchhl::graph::{Batch, DynamicDiGraph};
+use batchhl::hcl::Labelling;
+use batchhl::{Algorithm, LandmarkSelection, UpdateStats, Vertex, Weight};
+use std::collections::HashSet;
 use std::time::Instant;
 
 fn arg(name: &str, default: &str) -> String {
@@ -58,7 +68,7 @@ fn traffic(g: &WeightedGraph, seed: u64, count: usize) -> Vec<Vec<WeightedUpdate
     let mut reopen: Vec<(Vertex, Vertex, Weight)> = Vec::new();
     let mut batches = Vec::with_capacity(count);
     for _ in 0..count {
-        let mut used = std::collections::HashSet::new();
+        let mut used = HashSet::new();
         let mut batch: Vec<WeightedUpdate> = Vec::new();
         for (a, b, w) in reopen.drain(..) {
             used.insert((a.min(b), a.max(b)));
@@ -92,17 +102,100 @@ fn traffic(g: &WeightedGraph, seed: u64, count: usize) -> Vec<Vec<WeightedUpdate
     batches
 }
 
+/// `count` batches of 200 removals of existing arcs (a uniformly drawn
+/// vertex, then one of its out-arcs) and 200 insertions of arcs absent
+/// both ways, no pair twice in a batch.
+fn churn(g: &DynamicDiGraph, seed: u64, count: usize) -> Vec<Batch> {
+    let mut shadow = g.clone();
+    let mut rng = SplitMix64::new(seed);
+    let n = g.num_vertices() as u64;
+    (0..count)
+        .map(|_| {
+            let mut used = HashSet::new();
+            let mut batch = Batch::new();
+            while batch.len() < 200 {
+                let a = rng.below(n) as Vertex;
+                let outs = shadow.out_neighbors(a);
+                if outs.is_empty() {
+                    continue;
+                }
+                let b = outs[rng.below(outs.len() as u64) as usize];
+                if used.insert((a.min(b), a.max(b))) {
+                    batch.delete(a, b);
+                }
+            }
+            while batch.len() < 400 {
+                let (a, b) = (rng.below(n) as Vertex, rng.below(n) as Vertex);
+                let absent = !shadow.has_edge(a, b) && !shadow.has_edge(b, a);
+                if a != b && absent && used.insert((a.min(b), a.max(b))) {
+                    batch.insert(a, b);
+                }
+            }
+            shadow.apply_batch(&batch);
+            batch
+        })
+        .collect()
+}
+
 fn median(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(f64::total_cmp);
     xs[xs.len() / 2]
+}
+
+fn packed_bytes(labs: &[&Labelling]) -> usize {
+    labs.iter().map(|l| l.packed().resident_bytes()).sum()
+}
+
+/// `runs` times: build an index, apply every batch, and record the
+/// build time, the median apply time, the summed affected count and
+/// the last generation's `[view base, view overlay, packed labels]`
+/// bytes.
+fn measure<I>(
+    runs: usize,
+    batches: usize,
+    build: impl Fn() -> I,
+    apply: impl Fn(&mut I, usize) -> UpdateStats,
+    bytes: impl Fn(&I) -> [usize; 3],
+) -> (Vec<f64>, Vec<f64>, Vec<usize>, [usize; 3]) {
+    let (mut builds, mut applies, mut affected) = (Vec::new(), Vec::new(), Vec::new());
+    let mut resident = [0; 3];
+    for _ in 0..runs {
+        let start = Instant::now();
+        let mut index = build();
+        builds.push(start.elapsed().as_secs_f64() * 1e3);
+        let mut total = 0;
+        let times = (0..batches)
+            .map(|k| {
+                let start = Instant::now();
+                total += apply(&mut index, k).affected_total;
+                start.elapsed().as_secs_f64() * 1e3
+            })
+            .collect();
+        applies.push(median(times));
+        affected.push(total);
+        resident = bytes(&index);
+    }
+    (builds, applies, affected, resident)
 }
 
 fn main() {
     let count: usize = arg("--batches", "40").parse().expect("--batches");
     let runs: usize = arg("--runs", "5").parse().expect("--runs");
     let seed: u64 = arg("--seed", "1").parse().expect("--seed");
-    let g = road_grid();
-    let batches = traffic(&g, seed, count);
+    let family = arg("--family", "weighted");
+    let (weighted, directed) = match family.as_str() {
+        "weighted" => {
+            let g = road_grid();
+            let batches = traffic(&g, seed, count);
+            (Some((g, batches)), None)
+        }
+        "directed" => {
+            let g = orient_randomly(&barabasi_albert(100_000, 8, 1), 0.3, 1);
+            let batches = churn(&g, seed, count);
+            (None, Some((g, batches)))
+        }
+        other => panic!("--family weighted|directed, not {other}"),
+    };
     for threads in arg("--threads", "1,2").split(',') {
         let threads: usize = threads.parse().expect("--threads");
         let config = IndexConfig {
@@ -111,23 +204,40 @@ fn main() {
             threads,
             ..IndexConfig::default()
         };
-        let (mut builds, mut applies, mut affected) = (Vec::new(), Vec::new(), Vec::new());
-        for _ in 0..runs {
-            let start = Instant::now();
-            let mut index = WeightedBatchIndex::try_build(g.clone(), config.clone()).unwrap();
-            builds.push(start.elapsed().as_secs_f64() * 1e3);
-            let mut total = 0;
-            let times = batches
-                .iter()
-                .map(|batch| {
-                    let start = Instant::now();
-                    total += index.apply_batch(batch).affected_total;
-                    start.elapsed().as_secs_f64() * 1e3
-                })
-                .collect();
-            applies.push(median(times));
-            affected.push(total);
-        }
+        let (builds, applies, affected, [base, overlay, labels]) =
+            if let Some((g, batches)) = &weighted {
+                measure(
+                    runs,
+                    count,
+                    || WeightedBatchIndex::try_build(g.clone(), config.clone()).unwrap(),
+                    |index, k| index.apply_batch(&batches[k]),
+                    |index| {
+                        let generation = index.published();
+                        let (view, lab) = (&generation.view, &generation.lab);
+                        let overlay = view.overlay_bytes();
+                        [
+                            view.resident_bytes() - overlay,
+                            overlay,
+                            packed_bytes(&[lab]),
+                        ]
+                    },
+                )
+            } else {
+                let (g, batches) = directed.as_ref().expect("one family");
+                measure(
+                    runs,
+                    count,
+                    || DirectedBatchIndex::try_build(g.clone(), config.clone()).unwrap(),
+                    |index, k| index.apply_batch(&batches[k]),
+                    |index| {
+                        let generation = index.published();
+                        let view = &generation.view;
+                        let overlay = view.overlay_bytes();
+                        let labels = packed_bytes(&[&generation.fwd, &generation.bwd]);
+                        [view.resident_bytes() - overlay, overlay, labels]
+                    },
+                )
+            };
         assert!(
             affected.windows(2).all(|w| w[0] == w[1]),
             "affected totals differ between runs: {affected:?}"
@@ -137,11 +247,16 @@ fn main() {
             let all: Vec<String> = xs.iter().map(|x| format!("{x:.1}")).collect();
             format!("best {best:.1} ms (runs {})", all.join(" "))
         };
+        let mib = |b: usize| b as f64 / (1 << 20) as f64;
         println!(
-            "threads {threads}: build {}; apply median {}; affected total {} over {count} batches",
+            "{family} threads {threads}: build {}; apply median {}; affected total {} over {count} batches; \
+             resident MiB: view base {:.2}, view overlay {:.2}, packed labels {:.2}",
             show(&builds),
             show(&applies),
-            affected[0]
+            affected[0],
+            mib(base),
+            mib(overlay),
+            mib(labels)
         );
     }
 }

@@ -314,9 +314,9 @@ fn mid_apply_panic_rolls_back_poisons_and_recovers() {
 /// drives (`rollback_token`, a contained `commit_edits`, `restore`):
 /// the republished generation keeps the pre-batch generation's packed
 /// mirrors — sealed and row-equal, with no repack — and the next commit
-/// patches from them again. The writer graph lives outside the
-/// generation, so its rollback is checked on its own: the panic leaves
-/// it half-applied, and `restore` brings it back to the pre-batch graph.
+/// patches from them again. A pass mutates nothing it has not
+/// published, so the panic leaves the published graph (the CSR view)
+/// as it was, and `restore` republishes that same graph.
 fn rollback_keeps_sealed_mirrors<F: Family>(mut idx: Index<F>, batch1: &[Edit], batch2: &[Edit]) {
     let ctx = format!("{} @ engine::mid_repair_panic", F::KIND);
     for lab in idx.published().value().labellings() {
@@ -331,23 +331,23 @@ fn rollback_keeps_sealed_mirrors<F: Family>(mut idx: Index<F>, batch1: &[Edit], 
         .map(|lab| lab.packed().clone())
         .collect();
 
-    let graph_before = idx.graph().clone();
+    let graph_before = idx.published().value().view().clone();
 
     let token = idx.rollback_token();
     let armed = failpoint::arm("engine::mid_repair_panic", Action::Panic);
     let outcome = catch_unwind(AssertUnwindSafe(|| idx.commit_edits(batch2)));
     drop(armed);
     assert!(outcome.is_err(), "{ctx}: the pass panicked");
-    assert_ne!(
-        idx.graph(),
+    assert_eq!(
+        idx.published().value().view(),
         &graph_before,
-        "{ctx}: the panic left the graph half-applied"
+        "{ctx}: the panic published no graph"
     );
     idx.restore(token).expect(&ctx);
     assert_eq!(
-        idx.graph(),
+        idx.published().value().view(),
         &graph_before,
-        "{ctx}: restored writer graph = pre-batch"
+        "{ctx}: restored graph = pre-batch"
     );
 
     let snap = idx.published();

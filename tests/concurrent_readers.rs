@@ -54,7 +54,7 @@ fn toggle_batch(g: &DynamicGraph, size: usize, rng: &mut StdRng) -> Batch {
 /// generation the writer will publish.
 fn plan(index: &BatchIndex, seed: u64) -> (Vec<Batch>, Vec<Vec<Vec<u32>>>) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut sim = index.graph().clone();
+    let mut sim = index.graph();
     let mut truths = vec![oracle::all_pairs_bfs(&sim)];
     let mut batches = Vec::new();
     for _ in 0..BATCHES {
@@ -118,7 +118,7 @@ fn stress(writer_threads: usize, seed: u64) {
     });
 
     assert_eq!(index.version(), BATCHES as u64, "one generation per batch");
-    oracle::check_minimal(index.graph(), index.labelling()).unwrap();
+    oracle::check_minimal(&index.graph(), index.labelling()).unwrap();
     // The final generation serves the final truth.
     let mut reader = index.reader();
     let last = truths.last().unwrap();
@@ -164,5 +164,5 @@ fn readers_survive_vertex_growth_races() {
 
     assert_eq!(stale.query_dist_pinned(0, 40), batchhl::graph::INF);
     assert_eq!(fresh.query(0, 41), Some(2));
-    oracle::check_minimal(index.graph(), index.labelling()).unwrap();
+    oracle::check_minimal(&index.graph(), index.labelling()).unwrap();
 }

@@ -45,14 +45,14 @@ fn agree_on_queries(g0: DynamicGraph, rounds: usize, batch_size: usize, seed: u6
     let n = g0.num_vertices() as Vertex;
 
     for round in 0..rounds {
-        let batch = random_batch(bhl.graph(), batch_size, &mut rng);
+        let batch = random_batch(&bhl.graph(), batch_size, &mut rng);
         // Normalize once so all four apply the identical update set.
-        let norm = batch.normalize(bhl.graph());
+        let norm = batch.normalize(&bhl.graph());
         bhl.apply_batch(&norm);
         fd.apply_batch(&norm);
         pll.apply_batch(&norm);
         online.apply_batch(&norm);
-        assert_eq!(bhl.graph(), online.graph(), "graphs diverged");
+        assert_eq!(&bhl.graph(), online.graph(), "graphs diverged");
 
         for _ in 0..120 {
             let s = rng.gen_range(0..n);
@@ -104,7 +104,7 @@ fn oracles_agree_under_heavy_deletion() {
             let &(a, b) = &edges[rng.gen_range(0..edges.len())];
             batch.delete(a, b);
         }
-        let norm = batch.normalize(bhl.graph());
+        let norm = batch.normalize(&bhl.graph());
         bhl.apply_batch(&norm);
         fd.apply_batch(&norm);
         online.apply_batch(&norm);

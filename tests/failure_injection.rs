@@ -25,7 +25,7 @@ fn index(g: DynamicGraph, k: usize) -> BatchIndex {
 }
 
 fn assert_minimal(idx: &BatchIndex) {
-    oracle::check_minimal(idx.graph(), idx.labelling()).unwrap();
+    oracle::check_minimal(&idx.graph(), idx.labelling()).unwrap();
 }
 
 #[test]
@@ -58,7 +58,7 @@ fn garbage_batches_are_inert() {
     b.push(Update::Delete(6, 2)); // cancelled pair, reversed endpoints
     let stats = idx.apply_batch(&b);
     assert_eq!(stats.applied, 0);
-    assert_eq!(idx.graph(), &g);
+    assert_eq!(&idx.graph(), &g);
     assert_eq!(idx.labelling(), &before);
 }
 
@@ -99,7 +99,7 @@ fn total_destruction_and_rebirth() {
         rebuild.insert(a, b);
     }
     idx.apply_batch(&rebuild);
-    assert_eq!(idx.graph(), &g);
+    assert_eq!(&idx.graph(), &g);
     assert_minimal(&idx);
 }
 

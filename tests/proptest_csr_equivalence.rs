@@ -18,6 +18,12 @@ use proptest::prelude::*;
 
 const N: usize = 24;
 
+/// A low compaction threshold, so rebuild/clear cycles are exercised.
+const POLICY: Option<CompactionPolicy> = Some(CompactionPolicy {
+    fraction: 0.1,
+    min_entries: 0,
+});
+
 fn edges_strategy() -> impl Strategy<Value = Vec<(Vertex, Vertex)>> {
     prop::collection::vec((0..N as Vertex, 0..N as Vertex), 0..60)
 }
@@ -56,11 +62,12 @@ proptest! {
     ) {
         let mut g = DynamicGraph::from_edges(N, &edges);
         let mut view = CsrDelta::from_adjacency(&g);
-        view.set_policy(CompactionPolicy::eager(0.1));
         for pairs in [b1, b2, b3] {
             let norm = toggle_batch(&g, &pairs).normalize(&g);
             g.apply_batch(&norm);
-            view.absorb(g.num_vertices(), norm.touched_vertices(), |v| g.neighbors(v));
+            view = view.patched(g.num_vertices(), &norm.touched_vertices(), POLICY, |v, _, out| {
+                out.extend_from_slice(g.neighbors(v))
+            });
             for v in 0..g.num_vertices() as Vertex {
                 prop_assert_eq!(view.list(v), g.neighbors(v), "adjacency of {}", v);
             }
@@ -79,7 +86,6 @@ proptest! {
     ) {
         let mut g = DynamicDiGraph::from_edges(N, &arcs);
         let mut view = CsrDiDelta::from_adjacency(&g);
-        view.set_policy(CompactionPolicy::eager(0.1));
         for pairs in [b1, b2] {
             let mut batch = Batch::new();
             for &(x, y) in &pairs {
@@ -94,9 +100,18 @@ proptest! {
             }
             let norm = batch.normalize_directed(&g);
             g.apply_batch(&norm);
-            let arcs: Vec<(Vertex, Vertex)> =
-                norm.updates().iter().map(|u| u.endpoints()).collect();
-            view.absorb_arcs(&g, &arcs);
+            let ends = |end: fn((Vertex, Vertex)) -> Vertex| {
+                let mut ends: Vec<Vertex> = norm.updates().iter().map(|u| end(u.endpoints())).collect();
+                ends.sort_unstable();
+                ends.dedup();
+                ends
+            };
+            let (out, inn) = view.directions();
+            let n = g.num_vertices();
+            view = CsrDiDelta::from_directions(
+                out.patched(n, &ends(|(a, _)| a), POLICY, |v, _, l| l.extend_from_slice(g.out_neighbors(v))),
+                inn.patched(n, &ends(|(_, b)| b), POLICY, |v, _, l| l.extend_from_slice(g.in_neighbors(v))),
+            );
             use batchhl::graph::AdjacencyView;
             for v in 0..g.num_vertices() as Vertex {
                 prop_assert_eq!(view.out_neighbors(v), g.out_neighbors(v), "out {}", v);
@@ -122,8 +137,6 @@ proptest! {
             .collect();
         let mut g = WeightedGraph::from_edges(N, &weighted);
         let mut view = WeightedCsrDelta::from_weighted(&g);
-        view.set_policy(CompactionPolicy::eager(0.1));
-        let mut touched = Vec::new();
         for &(a, b, w) in &churn {
             if a == b {
                 continue;
@@ -136,9 +149,8 @@ proptest! {
             } else {
                 g.insert_edge(a, b, w);
             }
-            touched.clear();
-            touched.extend([a, b]);
-            view.absorb_from(&g, touched.iter().copied());
+            let touched = [a.min(b), a.max(b)];
+            view = view.patched(N, &touched, POLICY, |v, _, out| out.extend_from_slice(g.neighbors(v)));
             for s in 0..g.num_vertices() as Vertex {
                 prop_assert_eq!(dijkstra(&view, s), dijkstra(&g, s), "dijkstra from {}", s);
             }
@@ -167,14 +179,14 @@ proptest! {
         let mut reader = index.reader();
         let mut engine = QueryEngine::new(N);
         for pairs in [b1, b2] {
-            let batch = toggle_batch(index.graph(), &pairs);
+            let batch = toggle_batch(&index.graph(), &pairs);
             index.apply_batch(&batch);
-            prop_assert!(oracle::check_minimal(index.graph(), index.labelling()).is_ok());
+            prop_assert!(oracle::check_minimal(&index.graph(), index.labelling()).is_ok());
             let published = index.published();
             for s in 0..N as Vertex {
                 for t in 0..N as Vertex {
                     // Same labelling, dynamic adjacency traversal:
-                    let dynamic = engine.query_dist(&published.lab, index.graph(), s, t);
+                    let dynamic = engine.query_dist(&published.lab, &index.graph(), s, t);
                     prop_assert_eq!(reader.query_dist(s, t), dynamic, "query({}, {})", s, t);
                 }
             }

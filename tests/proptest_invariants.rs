@@ -67,10 +67,10 @@ proptest! {
         let g0 = graph_from(&edges);
         let mut index = BatchIndex::build(g0, config(Algorithm::BhlPlus, 4));
         for pairs in [batch1, batch2] {
-            let batch = toggle_batch(index.graph(), &pairs);
+            let batch = toggle_batch(&index.graph(), &pairs);
             index.apply_batch(&batch);
-            prop_assert!(oracle::check_minimal(index.graph(), index.labelling()).is_ok(),
-                "{:?}", oracle::check_minimal(index.graph(), index.labelling()));
+            prop_assert!(oracle::check_minimal(&index.graph(), index.labelling()).is_ok(),
+                "{:?}", oracle::check_minimal(&index.graph(), index.labelling()));
         }
     }
 
@@ -81,9 +81,9 @@ proptest! {
     ) {
         let g0 = graph_from(&edges);
         let mut index = BatchIndex::build(g0, config(Algorithm::Bhl, 3));
-        let batch = toggle_batch(index.graph(), &batch1);
+        let batch = toggle_batch(&index.graph(), &batch1);
         index.apply_batch(&batch);
-        prop_assert!(oracle::check_minimal(index.graph(), index.labelling()).is_ok());
+        prop_assert!(oracle::check_minimal(&index.graph(), index.labelling()).is_ok());
     }
 
     #[test]
@@ -94,9 +94,9 @@ proptest! {
     ) {
         let g0 = graph_from(&edges);
         let mut index = BatchIndex::build(g0, config(Algorithm::BhlPlus, 4));
-        let batch = toggle_batch(index.graph(), &batch1);
+        let batch = toggle_batch(&index.graph(), &batch1);
         index.apply_batch(&batch);
-        let truth = batchhl::graph::bfs::bfs_distances(index.graph(), s);
+        let truth = batchhl::graph::bfs::bfs_distances(&index.graph(), s);
         for t in 0..N as Vertex {
             prop_assert_eq!(index.query_dist(s, t), truth[t as usize],
                 "d({}, {})", s, t);
@@ -156,8 +156,8 @@ proptest! {
             }
         }
         index.apply_batch(&b);
-        prop_assert!(oracle::check_minimal(index.graph(), index.forward_labelling()).is_ok());
-        let rev = batchhl::graph::Reversed(index.graph());
+        prop_assert!(oracle::check_minimal(&index.graph(), index.forward_labelling()).is_ok());
+        let rev = batchhl::graph::Reversed(&index.graph());
         prop_assert!(oracle::check_minimal(&rev, index.backward_labelling()).is_ok());
     }
 }

@@ -211,7 +211,7 @@ proptest! {
                 |a, b| g.has_edge(a, b),
             );
             und.apply_batch(&batch);
-            let fresh = build_labelling(und.graph(), landmarks.clone()).unwrap();
+            let fresh = build_labelling(&und.graph(), landmarks.clone()).unwrap();
             check_published(&und, &[fresh], &format!("undirected batch {k}"))?;
         }
 
@@ -230,8 +230,8 @@ proptest! {
             );
             di.apply_batch(&batch);
             let fresh = [
-                build_labelling(di.graph(), landmarks.clone()).unwrap(),
-                build_labelling(&Reversed(di.graph()), landmarks.clone()).unwrap(),
+                build_labelling(&di.graph(), landmarks.clone()).unwrap(),
+                build_labelling(&Reversed(&di.graph()), landmarks.clone()).unwrap(),
             ];
             check_published(&di, &fresh, &format!("directed batch {k}"))?;
             let (fwd, bwd) = (di.forward_labelling(), di.backward_labelling());
@@ -282,7 +282,7 @@ proptest! {
                 selection: landmarks.clone(),
                 ..IndexConfig::default()
             };
-            let fresh = WeightedBatchIndex::try_build(wi.graph().clone(), fresh_config)
+            let fresh = WeightedBatchIndex::try_build(wi.graph(), fresh_config)
                 .expect("the same landmarks stay valid");
             check_published(&wi, &[fresh.labelling().clone()], &format!("weighted batch {k}"))?;
         }

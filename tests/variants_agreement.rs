@@ -172,7 +172,7 @@ fn directed_variants_identical_labellings_one_version_per_pass() {
             reference.backward_labelling(),
             "{alg:?} bwd"
         );
-        assert_eq!(idx.graph(), reference.graph(), "{alg:?} graph");
+        assert_eq!(&idx.graph(), &reference.graph(), "{alg:?} graph");
     }
 }
 
@@ -235,7 +235,7 @@ fn weighted_variants_identical_labellings_one_version_per_pass() {
             assert_eq!(stats.passes, passes, "{ctx} passes");
             assert_eq!(idx.version(), passes as u64, "{ctx} versions");
             assert_eq!(idx.labelling(), reference.labelling(), "{ctx} labelling");
-            assert_eq!(idx.graph(), reference.graph(), "{ctx} graph");
+            assert_eq!(&idx.graph(), &reference.graph(), "{ctx} graph");
         }
     }
 }
