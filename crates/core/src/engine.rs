@@ -24,7 +24,7 @@
 //! ([`Labelling::seal_patched`]), so readers keep serving `Γ` untouched
 //! while the pass runs. A what-if session runs the same kernels and
 //! keeps the deltas as a [`LabelPatch`] instead; [`Repair`] is that one
-//! choice ([`Commit`] or [`Speculative`]).
+//! choice (`Commit` or `Speculative`).
 
 use crate::index::IndexConfig;
 use crate::metric::{Metric, Seed};
@@ -160,8 +160,8 @@ fn each_landmark<Q: MonotoneQueue>(
 }
 
 /// What a pass does with each labelling's search→repair: a commit seals
-/// the next labelling ([`Commit`]), a what-if keeps the changed rows as a
-/// patch ([`Speculative`]). Either way the search and the repair are the
+/// the next labelling (`Commit`), a what-if keeps the changed rows as a
+/// patch (`Speculative`). Either way the search and the repair are the
 /// same kernels over the same `G′`, so a commit is a what-if that is
 /// sealed and published.
 pub trait Repair<Q: MonotoneQueue> {
@@ -180,9 +180,9 @@ pub trait Repair<Q: MonotoneQueue> {
 
 /// A committed pass ([`run_landmarks`]): the next labelling and `|V_aff|`
 /// per landmark.
-pub struct Commit<'a, Q> {
-    pub config: &'a IndexConfig,
-    pub ws: &'a mut UpdateWorkspace<Q>,
+pub(crate) struct Commit<'a, Q> {
+    pub(crate) config: &'a IndexConfig,
+    pub(crate) ws: &'a mut UpdateWorkspace<Q>,
 }
 
 impl<Q: MonotoneQueue> Repair<Q> for Commit<'_, Q> {
@@ -200,7 +200,7 @@ impl<Q: MonotoneQueue> Repair<Q> for Commit<'_, Q> {
 }
 
 /// A what-if pass (`run_landmarks_speculative`): the changed rows.
-pub struct Speculative;
+pub(crate) struct Speculative;
 
 impl<Q: MonotoneQueue> Repair<Q> for Speculative {
     type Out = LabelPatch;

@@ -8,7 +8,7 @@
 //!   batch touches), repairs against the published labelling `Γ` (the
 //!   old-labelling oracle of Algorithm 1), and publishes the view of
 //!   `G′` with `Γ′` built from `Γ` plus the repair deltas. The view is
-//!   the only graph the index holds; no `Vec<Vec<_>>` copy is kept.
+//!   the only graph the index holds.
 //! * **Readers** — [`Index::reader`] hands out cheap `Send + Sync`
 //!   [`GenReader`] handles that answer queries against the published
 //!   generation without locks, even while a batch is being applied on
