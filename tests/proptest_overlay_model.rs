@@ -21,8 +21,15 @@ const NEVER: CompactionPolicy = CompactionPolicy {
     min_entries: usize::MAX,
 };
 
-/// Up to `max` distinct vertices of `0..n`, ascending.
+/// Up to `max` distinct vertices of `0..n`, ascending; one call in four
+/// returns a run of up to 130 consecutive vertices instead, so whole
+/// 64-vertex words of the overlay mask fill up.
 fn some_vertices(rng: &mut SplitMix64, n: usize, max: u64) -> Vec<Vertex> {
+    if rng.below(4) == 0 {
+        let len = 1 + rng.below(n.min(130) as u64) as usize;
+        let start = rng.below((n - len + 1) as u64) as usize;
+        return (start as Vertex..(start + len) as Vertex).collect();
+    }
     let picked: BTreeSet<Vertex> = (0..1 + rng.below(max))
         .map(|_| rng.below(n as u64) as Vertex)
         .collect();
@@ -43,7 +50,7 @@ proptest! {
     #[test]
     fn csr_overlay_matches_a_model(steps in prop::collection::vec((0..4u32, 0..1u64 << 40), 1..25)) {
         let mut rng = SplitMix64::new(7);
-        let mut n = 40;
+        let mut n = 150;
         let mut model: BTreeMap<Vertex, Vec<Vertex>> =
             (0..n as Vertex).map(|v| (v, some_list(&mut rng))).collect();
         let mut view = CsrOverlay::new(Csr::build(n, |v| model[&v].as_slice()));
@@ -93,7 +100,7 @@ proptest! {
     #[test]
     fn packed_overlay_matches_a_model(steps in prop::collection::vec((0..4u32, 0..1u64 << 40), 1..25)) {
         let r = 3;
-        let mut n = 30;
+        let mut n = 150;
         let mut lab = Labelling::empty(n, (0..r as Vertex).collect()).unwrap();
         let mut model: BTreeMap<(Vertex, usize), Dist> = BTreeMap::new();
         for (kind, seed) in steps {
