@@ -5,17 +5,22 @@
 //! A generation's packed labelling costs ~3 bytes per *logical* entry
 //! (u16 landmark id + width-narrowed distance) plus per-vertex overhead;
 //! its view is a CSR base shared by the generations published since the
-//! last compaction, plus an overlay of per-batch chunks. This report
-//! prints the labelling, the view's base and overlay, the generation's
-//! bytes per vertex and the narrowed highway width — the memory half of
-//! the packed-storage evaluation (perfbench's `hcl.bound_us_p50`
-//! measures the latency half).
+//! last compaction, plus an overlay of per-batch chunks. The report
+//! measures the generation published after [`BATCHES`] fully dynamic
+//! batches, so the overlays hold what those batches rewrote, and prints
+//! the labelling, the view's base and overlay, the generation's bytes
+//! per vertex and the narrowed highway width — the memory half of the
+//! packed-storage evaluation (perfbench's `hcl.bound_us_p50` measures
+//! the latency half).
 
 use super::ExpContext;
 use crate::datasets::dataset;
 use crate::measure::Table;
+use crate::workload::{fully_dynamic_batches, WorkloadConfig};
 use batchhl_core::index::Algorithm;
-use batchhl_hcl::active_kernel;
+
+/// Update batches applied before measuring.
+pub const BATCHES: usize = 3;
 
 fn human(bytes: usize) -> String {
     if bytes >= 1 << 20 {
@@ -28,10 +33,7 @@ fn human(bytes: usize) -> String {
 }
 
 pub fn run(ctx: &ExpContext) {
-    println!(
-        "== Label memory: generation footprint (kernel: {}) ==",
-        active_kernel().name()
-    );
+    println!("== Label memory: generation footprint after {BATCHES} batches ==");
     let mut table = Table::new(&[
         "Dataset",
         "Entries",
@@ -44,7 +46,12 @@ pub fn run(ctx: &ExpContext) {
     ]);
     for name in ctx.static_datasets() {
         let g = dataset(name, ctx.scale);
-        let index = ctx.index(g, Algorithm::BhlPlus, 1);
+        let config = WorkloadConfig::new(BATCHES, ctx.scale.batch_size(), ctx.seed);
+        let batches = fully_dynamic_batches(&g, config);
+        let mut index = ctx.index(g, Algorithm::BhlPlus, 1);
+        for b in &batches {
+            index.apply_batch(b);
+        }
         let generation = index.published();
         let packed = generation.lab.packed();
         let entries = packed.labels.num_entries();

@@ -22,8 +22,14 @@
 //!   refer to; silently ignoring them hides caller bugs.
 //! * **Bad weights** (weighted family) — zero weights (the index
 //!   requires positive weights) and clamp-unsafe weights
-//!   `≥ CLAMP_SAFE_MAX`, which leave the SIMD kernels' clamped domain
-//!   (see [`batchhl_hcl::kernel`]).
+//!   `≥ CLAMP_SAFE_MAX` (about `2^27.4`). Distances are `u32`s that
+//!   saturate at the `INF` sentinel, so a weight at or near `INF` would
+//!   make its edge read as missing; the cap keeps every single edge far
+//!   below that, and keeps the set of batches a write-ahead log may hold
+//!   the same as before. Its value is the packed labels' tier-4/tier-8
+//!   boundary ([`batchhl_hcl::packed::CLAMP_SAFE_MAX`]). It does not
+//!   bound path sums: a long enough path of heavy edges still
+//!   saturates.
 //! * **Conflicting duplicates** — two edits addressing the same edge
 //!   (same unordered pair on undirected/weighted backends, same arc on
 //!   directed ones) that are not byte-identical: `Insert(a,b)` +
@@ -37,7 +43,7 @@
 use crate::backend::{edits_supported, BackendFamily, Edit, OracleError};
 use batchhl_common::Vertex;
 use batchhl_graph::weighted::Weight;
-use batchhl_hcl::kernel::CLAMP_SAFE_MAX;
+use batchhl_hcl::packed::CLAMP_SAFE_MAX;
 use std::collections::HashMap;
 
 /// Validate `edits` as one batch against a backend of `family` with

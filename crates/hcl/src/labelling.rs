@@ -3,9 +3,9 @@
 //! A [`Labelling`] is the packed vertex-major layout of [`crate::packed`]:
 //! per vertex, its labels as ascending landmark ids with width-narrowed
 //! distances, plus the width-narrowed `|R| × |R|` highway matrix. That
-//! one representation serves every reader: the Eq. 3 scans and SIMD
-//! kernels of [`crate::kernel`], the `d^L` oracle batch search and repair
-//! read ([`Labelling::landmark_dist`]), and persistence.
+//! one representation serves every reader: the Eq. 3 loops of
+//! [`crate::query`], the `d^L` oracle batch search and repair read
+//! ([`Labelling::landmark_dist`]), and persistence.
 //!
 //! Labellings are immutable values that share their storage. The packed
 //! rows are an `Arc`-shared base plus an overlay, and the landmark map is
@@ -22,7 +22,7 @@
 //! exactly the paper's minimal highway cover labelling; sizes are
 //! reported over logical entries.
 
-use crate::packed::{PackedHighway, PackedIndex, PackedLabels, PackedRow};
+use crate::packed::{NarrowSlice, PackedHighway, PackedIndex, PackedLabels, PackedRow};
 use crate::patch::RowDelta;
 use batchhl_common::{Dist, LandmarkLength, Vertex, INF};
 use batchhl_graph::CompactionPolicy;
@@ -167,10 +167,10 @@ pub trait LabelView {
         best.min(u64::from(INF)) as Dist
     }
 
-    /// Escape hook to the packed/SIMD kernels: the base labelling when
-    /// its packed rows answer for `v` exactly as this view does,
-    /// `None` when the caller must take the exact loop over this view.
-    fn packed_base(&self, v: Vertex) -> Option<&Labelling>;
+    /// Call `f(i, label)` for every label `v` holds, in ascending
+    /// landmark order: the one per-vertex walk the Eq. 3 code of
+    /// [`crate::query`] reads labels through.
+    fn for_each_label(&self, v: Vertex, f: impl FnMut(usize, Dist));
 }
 
 impl LabelView for Labelling {
@@ -204,9 +204,23 @@ impl LabelView for Labelling {
         Labelling::landmark_to_vertex(self, i, v)
     }
 
+    /// Walks `v`'s packed row, one loop per width tier.
     #[inline]
-    fn packed_base(&self, _v: Vertex) -> Option<&Labelling> {
-        Some(self)
+    fn for_each_label(&self, v: Vertex, mut f: impl FnMut(usize, Dist)) {
+        let row = self.packed.labels.row(v);
+        match row.dists {
+            NarrowSlice::U8(d) => row
+                .ids
+                .iter()
+                .zip(d)
+                .for_each(|(&i, &d)| f(i.into(), d.into())),
+            NarrowSlice::U16(d) => row
+                .ids
+                .iter()
+                .zip(d)
+                .for_each(|(&i, &d)| f(i.into(), d.into())),
+            NarrowSlice::U32(d) => row.ids.iter().zip(d).for_each(|(&i, &d)| f(i.into(), d)),
+        }
     }
 }
 
@@ -558,30 +572,24 @@ impl Labelling {
                 next[k] += 1;
             }
         }
-        // Merge each touched row with its cells, keeping the rows that
+        // Merge each touched row with its cells and pack the rows that
         // actually change (repair restates many entries unchanged).
         let old = &self.packed.labels;
-        let (mut changed, mut spans) = (Vec::new(), Vec::new());
-        let (mut ids, mut dists) = (Vec::new(), Vec::new());
+        let mut changed = Vec::new();
+        let mut chunk = old.chunk_for(&touched);
+        let (mut ids, mut dists) = (Vec::with_capacity(r), Vec::with_capacity(r));
         for (k, &v) in touched.iter().enumerate() {
             let row = old.row(v);
-            let lo = ids.len();
+            ids.clear();
+            dists.clear();
             merge_row(row, &grouped[start[k]..start[k + 1]], &mut ids, &mut dists);
-            let same =
-                ids[lo..] == *row.ids && (0..row.len()).all(|e| dists[lo + e] == row.dists.get(e));
-            if same {
-                ids.truncate(lo);
-                dists.truncate(lo);
-            } else {
+            let same = ids == row.ids && (0..row.len()).all(|e| dists[e] == row.dists.get(e));
+            if !same {
                 changed.push(v);
-                spans.push((lo, ids.len()));
+                chunk.push(&ids, &dists);
             }
         }
-        let labels = old.patched(n, &changed, policy, |k, _, row_ids, row_dists| {
-            let (lo, hi) = spans[k];
-            row_ids.extend_from_slice(&ids[lo..hi]);
-            row_dists.extend_from_slice(&dists[lo..hi]);
-        });
+        let labels = old.patched(n, &changed, chunk, policy);
         Labelling {
             landmarks: Arc::clone(&self.landmarks),
             lm_index: Arc::clone(&self.lm_index),

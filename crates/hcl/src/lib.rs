@@ -25,12 +25,11 @@
 //!   width-narrowed distances (u8/u16 tiers, u32 escape), plus the
 //!   width-narrowed highway matrix; patched row by row as generations
 //!   are published,
-//! * [`kernel`] — SIMD min-plus kernels (SSE2/AVX2 with runtime
-//!   detection, branch-free scalar default) serving the Eq. 3 scans,
 //! * [`build`] — construction by flagged BFS (sequential and parallel),
 //! * [`query`] — the one Section 4 query path (Eq. 3 bound + bounded
 //!   search), generic over [`LabelView`] labels and the graph crate's
-//!   `BoundedSearch` engines,
+//!   `BoundedSearch` engines; the Eq. 3 bound is one exact loop per
+//!   function over each view's label walk,
 //! * [`patch`] — the per-landmark repair deltas ([`RowDelta`]), the
 //!   scoped label patches built from them and the [`PatchedLabels`]
 //!   merge view that what-if sessions query through,
@@ -38,16 +37,10 @@
 //!   published snapshots, lock-free reader handles, atomic-swap
 //!   publication (the substrate of concurrent query serving),
 //! * [`oracle`] — brute-force reference implementations used by tests.
-//!
-//! `unsafe` appears only in the SIMD kernels of [`kernel`]; the lints
-//! below make every unsafe operation sit in an explicit block with a
-//! `// SAFETY:` comment, even inside `unsafe fn`.
 
-#![deny(unsafe_op_in_unsafe_fn)]
-#![deny(clippy::undocumented_unsafe_blocks)]
+#![forbid(unsafe_code)]
 
 pub mod build;
-pub mod kernel;
 pub mod labelling;
 pub mod landmarks;
 pub mod oracle;
@@ -58,7 +51,6 @@ pub mod serde_io;
 pub mod store;
 
 pub use build::{build_labelling, build_labelling_parallel};
-pub use kernel::{active_kernel, Kernel};
 pub use labelling::{LabelError, LabelView, Labelling, NO_LABEL};
 pub use landmarks::{DegreeOrder, LandmarkSelection};
 pub use packed::{PackedHighway, PackedIndex, PackedLabels};

@@ -18,33 +18,37 @@
 //! A [`PackedLabels`] is a base CSR plus an overlay of re-packed rows,
 //! both shared between generations behind `Arc`s. Each new generation
 //! is the previous one patched with the rows a repair pass changed
-//! ([`crate::Labelling::seal_patched`]): only those rows are derived
-//! again, the highway is re-narrowed when it changed, and base and
-//! overlay are merged by copying unchanged rows once the overlay crosses
-//! the [`CompactionPolicy`] that also bounds the CSR adjacency overlay.
+//! ([`crate::Labelling::seal_patched`]): only those rows are packed
+//! again, into one new chunk, and the highway is re-narrowed when it
+//! changed. Once the overlay plus that chunk crosses the
+//! [`CompactionPolicy`] that also bounds the CSR adjacency overlay, base,
+//! overlay and chunk are copied into a fresh base.
 //! Construction and loads pack every row once into a fresh base.
 //!
-//! # Width tiers and the clamped SIMD domain
+//! # Width tiers
 //!
 //! Tier selection reserves `T::MAX` in every narrow tier (a row whose
 //! largest distance is 255 is promoted to `u16`), so the sentinel value
-//! never collides with data. Rows and matrices whose finite values all
-//! sit at or below [`CLAMP_SAFE_MAX`] are `clamp_safe`: the SIMD
-//! kernels ([`crate::kernel`]) evaluate them in a clamped `u32` domain
-//! where the sentinel widens to `CLAMP_INF` and a three-operand Eq. 3
-//! sum provably stays below it (see the kernel module docs). Larger
-//! (weighted-graph) distances take tier 8 — stored as raw `u32` and
-//! evaluated only by the exact scalar `u64` paths.
+//! never collides with data. Rows whose largest distance exceeds
+//! [`CLAMP_SAFE_MAX`] take tier 8, the `u32` escape; both `u32` tiers
+//! store raw `u32`s and differ only in the tier byte a `BHL3` checkpoint
+//! records. Every reader widens a stored distance to its exact value,
+//! so the Eq. 3 code of [`crate::query`] never sees a tier.
 
-use crate::kernel::CLAMP_SAFE_MAX;
 use crate::labelling::{Labelling, NO_LABEL};
 use batchhl_common::{Dist, OverlayIndex, Vertex, INF};
 use batchhl_graph::CompactionPolicy;
 use std::sync::Arc;
 
+/// The boundary between the `BHL3` checkpoint's `u32` row tiers: a row
+/// whose distances all sit at or below it is tier 4, a row with a larger
+/// one is tier 8. The value, `2^29 / 3 − 1`, is part of the checkpoint
+/// format: the tier bytes of rows written before must read back the same.
+/// Batch admission also refuses edge weights at or above it.
+pub const CLAMP_SAFE_MAX: u32 = (1 << 29) / 3 - 1;
+
 /// Distance width tier of one packed label row: bytes per distance,
-/// with `8` marking the exact-only `u32` escape (values above
-/// [`CLAMP_SAFE_MAX`], outside the clamped SIMD domain).
+/// with `8` marking the `u32` escape for values above [`CLAMP_SAFE_MAX`].
 pub const TIER_U8: u8 = 1;
 pub const TIER_U16: u8 = 2;
 pub const TIER_U32: u8 = 4;
@@ -119,34 +123,22 @@ impl<'a> NarrowSlice<'a> {
             NarrowSlice::U32(s) => s[k],
         }
     }
-
-    /// The slice from element `from` on (scalar tails of SIMD loops).
-    #[inline]
-    pub fn tail(self, from: usize) -> NarrowSlice<'a> {
-        match self {
-            NarrowSlice::U8(s) => NarrowSlice::U8(&s[from..]),
-            NarrowSlice::U16(s) => NarrowSlice::U16(&s[from..]),
-            NarrowSlice::U32(s) => NarrowSlice::U32(&s[from..]),
-        }
-    }
 }
 
 /// One vertex's packed label row: landmark ids ascending, distances in
-/// the row's width tier. `clamp_safe` is false only for tier-8 rows
-/// (distances above [`CLAMP_SAFE_MAX`]), which must take the exact
-/// scalar paths.
+/// the row's width tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PackedRow<'a> {
     pub ids: &'a [u16],
     pub dists: NarrowSlice<'a>,
-    pub clamp_safe: bool,
+    tier: u8,
 }
 
 /// The row of a vertex that holds no labels.
 const EMPTY_ROW: PackedRow<'static> = PackedRow {
     ids: &[],
     dists: NarrowSlice::U8(&[]),
-    clamp_safe: true,
+    tier: TIER_U8,
 };
 
 impl PackedRow<'_> {
@@ -181,12 +173,7 @@ impl PackedRow<'_> {
     /// The row's width tier.
     #[inline]
     pub fn tier(&self) -> u8 {
-        match self.dists {
-            NarrowSlice::U8(_) => TIER_U8,
-            NarrowSlice::U16(_) => TIER_U16,
-            NarrowSlice::U32(_) if self.clamp_safe => TIER_U32,
-            NarrowSlice::U32(_) => TIER_U32_EXACT,
-        }
+        self.tier
     }
 
     /// Bytes of narrowed distance payload in this row.
@@ -196,12 +183,8 @@ impl PackedRow<'_> {
     }
 }
 
-/// Pick the width tier for one row's maximum finite distance. The
-/// `TIER_U32` / `TIER_U32_EXACT` boundary is [`CLAMP_SAFE_MAX`], not
-/// `CLAMP_INF`: three clamp-safe operands must sum below `CLAMP_INF`
-/// for the kernels' sentinel to stay unambiguous (`kernel` module
-/// docs). Both tiers serialize 4-byte-wide; only the query routing
-/// differs.
+/// Pick the width tier for one row's maximum finite distance. Both `u32`
+/// tiers serialize 4 bytes wide; only the tier byte differs.
 #[inline]
 fn tier_for_max(max: Dist) -> u8 {
     if max < u8::MAX as Dist {
@@ -220,7 +203,7 @@ fn tier_for_max(max: Dist) -> u8 {
 /// base of a [`PackedLabels`] holds vertex `v` in slot `v`; an overlay
 /// chunk holds the rows of one patch in vertex order.
 #[derive(Debug)]
-struct Rows {
+pub(crate) struct Rows {
     offsets: Vec<u32>,
     ids: Vec<u16>,
     tiers: Vec<u8>,
@@ -267,13 +250,13 @@ impl Rows {
         PackedRow {
             ids: &self.ids[lo..hi],
             dists,
-            clamp_safe: tier != TIER_U32_EXACT,
+            tier,
         }
     }
 
     /// Append a row given as ascending landmark ids and exact distances,
     /// narrowed to the smallest tier its largest distance allows.
-    fn push(&mut self, ids: &[u16], dists: &[Dist]) {
+    pub(crate) fn push(&mut self, ids: &[u16], dists: &[Dist]) {
         let tier = tier_for_max(dists.iter().copied().max().unwrap_or(0));
         let start = match tier {
             TIER_U8 => {
@@ -384,22 +367,44 @@ impl PackedLabels {
         }
     }
 
+    /// `base` as the rows of `n` vertices, vertex `v` in slot `v`, with
+    /// no overlay.
+    fn with_base(r: usize, n: usize, base: Rows) -> Self {
+        PackedLabels {
+            r,
+            n,
+            entries: base.ids.len(),
+            dist_bytes: base.dist_bytes(),
+            base: Arc::new(base),
+            index: OverlayIndex::default(),
+            overlay: Vec::new(),
+            overlay_entries: 0,
+        }
+    }
+
     /// Pack `n` vertices whose rows `row(v, ids, dists)` writes (ids
     /// ascending, into cleared buffers) into one fresh base.
     pub(crate) fn from_rows(
         r: usize,
         n: usize,
-        row: impl FnMut(usize, Vertex, &mut Vec<u16>, &mut Vec<Dist>),
+        mut row: impl FnMut(Vertex, &mut Vec<u16>, &mut Vec<Dist>),
     ) -> Self {
-        let every: Vec<Vertex> = (0..n as Vertex).collect();
-        PackedLabels::empty(r, 0).repack(n, &every, None, row)
+        let mut base = Rows::with_capacity(n, [0; 3]);
+        let (mut ids, mut dists) = (Vec::with_capacity(r), Vec::with_capacity(r));
+        for v in 0..n as Vertex {
+            ids.clear();
+            dists.clear();
+            row(v, &mut ids, &mut dists);
+            base.push(&ids, &dists);
+        }
+        PackedLabels::with_base(r, n, base)
     }
 
     /// Pack landmark-major dense rows (one per landmark, [`NO_LABEL`]
     /// marking absent entries) — construction's scratch layout.
     pub(crate) fn from_dense(n: usize, dense: &[Box<[Dist]>]) -> Self {
         let r = dense.len();
-        PackedLabels::from_rows(r, n, |_, v, ids, dists| {
+        PackedLabels::from_rows(r, n, |v, ids, dists| {
             // Branch-free: every slot is written and only labelled ones
             // advance the cursor, since label presence is unpredictable.
             ids.resize(r, 0);
@@ -416,28 +421,35 @@ impl PackedLabels {
         })
     }
 
+    /// An empty chunk with room for new rows of about the current
+    /// lengths of `rows`; [`Rows::push`] fills it for
+    /// [`PackedLabels::patched`].
+    pub(crate) fn chunk_for(&self, rows: &[Vertex]) -> Rows {
+        let entries = rows.iter().map(|&v| self.resolve(v).len()).sum();
+        Rows::with_capacity(rows.len(), self.blob_hint(entries))
+    }
+
     /// These rows over `n ≥ self.n` vertices with the rows of `changed`
-    /// (ascending, distinct) replaced by what `derive(k, changed[k], ids,
-    /// dists)` writes. Base and overlay stay shared; the new rows form
-    /// one more overlay chunk and the overlay index is merged with them,
-    /// `O(Σ new rows + overlaid rows)`. When that would take the overlay
-    /// past `policy`'s share of the base (counting each replaced row at
-    /// its current length), base, overlay and new rows are merged into a
-    /// fresh base instead, `O(n + entries)`, copying unchanged rows as
-    /// they are.
+    /// (ascending, distinct) replaced by the rows of `chunk`, in the same
+    /// order. Base and overlay stay shared: the chunk joins the overlay
+    /// and the overlay index is merged with it, `O(Σ new rows + overlaid
+    /// rows)`. When the overlay plus the chunk crosses `policy`'s share
+    /// of the base (the rule `CsrOverlay::patched` applies), base,
+    /// overlay and chunk are merged into a fresh base instead,
+    /// `O(n + entries)`, copying every row as it is packed.
     pub(crate) fn patched(
         &self,
         n: usize,
         changed: &[Vertex],
+        chunk: Rows,
         policy: CompactionPolicy,
-        derive: impl FnMut(usize, Vertex, &mut Vec<u16>, &mut Vec<Dist>),
     ) -> Self {
-        self.repack(n, changed, Some(policy), derive)
+        self.repack(n, changed, chunk, Some(policy))
     }
 
     /// Every row copied into one fresh base (no overlay).
     pub(crate) fn compacted(&self) -> Self {
-        self.repack(self.n, &[], None, |_, _, _, _| {})
+        self.repack(self.n, &[], Rows::with_capacity(0, [0; 3]), None)
     }
 
     /// [`PackedLabels::patched`]; `policy: None` always compacts.
@@ -445,55 +457,34 @@ impl PackedLabels {
         &self,
         n: usize,
         changed: &[Vertex],
+        chunk: Rows,
         policy: Option<CompactionPolicy>,
-        mut derive: impl FnMut(usize, Vertex, &mut Vec<u16>, &mut Vec<Dist>),
     ) -> Self {
         debug_assert!(changed.windows(2).all(|w| w[0] < w[1]));
+        debug_assert_eq!(chunk.len(), changed.len());
         let n = n.max(self.n);
-        let (mut ids, mut dists) = (Vec::with_capacity(self.r), Vec::with_capacity(self.r));
-        let mut push_derived = |k: usize, v: Vertex, rows: &mut Rows| {
-            ids.clear();
-            dists.clear();
-            derive(k, v, &mut ids, &mut dists);
-            rows.push(&ids, &dists);
-        };
-        let replaced: usize = changed.iter().map(|&v| self.resolve(v).len()).sum();
-        let compact =
-            policy.is_none_or(|p| p.exceeded(self.overlay_entries + replaced, self.base.ids.len()));
-        if compact {
+        let overlay_entries = self.overlay_entries + chunk.ids.len();
+        if policy.is_none_or(|p| p.exceeded(overlay_entries, self.base.ids.len())) {
             let mut base = Rows::with_capacity(n, self.blob_hint(self.entries));
             let mut k = 0;
             for v in 0..n as Vertex {
                 if changed.get(k) == Some(&v) {
-                    push_derived(k, v, &mut base);
+                    base.push_packed(chunk.row(k));
                     k += 1;
                 } else {
                     base.push_packed(self.resolve(v));
                 }
             }
-            return PackedLabels {
-                r: self.r,
-                n,
-                entries: base.ids.len(),
-                dist_bytes: base.dist_bytes(),
-                base: Arc::new(base),
-                index: OverlayIndex::default(),
-                overlay: Vec::new(),
-                overlay_entries: 0,
-            };
+            return PackedLabels::with_base(self.r, n, base);
         }
         let (mut entries, mut dist_bytes) = (self.entries, self.dist_bytes);
-        let mut chunk = Rows::with_capacity(changed.len(), self.blob_hint(replaced));
         for (k, &v) in changed.iter().enumerate() {
-            let old = self.resolve(v);
-            push_derived(k, v, &mut chunk);
-            let new = chunk.row(k);
+            let (old, new) = (self.resolve(v), chunk.row(k));
             entries = entries + new.len() - old.len();
             dist_bytes = dist_bytes + new.dist_bytes() - old.dist_bytes();
         }
         let index = self.index.merged(self.overlay.len() as u32, changed);
         let mut overlay = self.overlay.clone();
-        let overlay_entries = self.overlay_entries + chunk.ids.len();
         if !changed.is_empty() {
             overlay.push(Arc::new(chunk));
         }
@@ -610,7 +601,6 @@ impl Eq for PackedLabels {}
 pub struct PackedHighway {
     r: usize,
     data: HighwayData,
-    clamp_safe: bool,
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -649,11 +639,7 @@ impl PackedHighway {
         } else {
             HighwayData::U32(dense.to_vec())
         };
-        PackedHighway {
-            r,
-            data,
-            clamp_safe: max <= CLAMP_SAFE_MAX,
-        }
+        PackedHighway { r, data }
     }
 
     /// The exact row-major matrix (`INF` for the sentinel).
@@ -675,13 +661,6 @@ impl PackedHighway {
             HighwayData::U16(_) => 2,
             HighwayData::U32(_) => 4,
         }
-    }
-
-    /// Whether every finite entry sits at or below [`CLAMP_SAFE_MAX`]
-    /// (the SIMD kernels' clamped domain).
-    #[inline]
-    pub fn clamp_safe(&self) -> bool {
-        self.clamp_safe
     }
 
     /// Row `i` of the matrix — one contiguous cache block.
@@ -778,15 +757,15 @@ mod tests {
         changed: &[Vertex],
         policy: CompactionPolicy,
     ) -> PackedLabels {
-        let n = rows[0].len();
-        p.patched(n, changed, policy, |_, v, ids, dists| {
-            for (i, row) in rows.iter().enumerate() {
-                if row[v as usize] != NO_LABEL {
-                    ids.push(i as u16);
-                    dists.push(row[v as usize]);
-                }
-            }
-        })
+        let mut chunk = p.chunk_for(changed);
+        for &v in changed {
+            let (ids, dists): (Vec<u16>, Vec<Dist>) = (0..rows.len())
+                .filter(|&i| rows[i][v as usize] != NO_LABEL)
+                .map(|i| (i as u16, rows[i][v as usize]))
+                .unzip();
+            chunk.push(&ids, &dists);
+        }
+        p.patched(rows[0].len(), changed, chunk, policy)
     }
 
     #[test]
@@ -822,8 +801,7 @@ mod tests {
     #[test]
     fn tier_boundaries_promote_rows() {
         // 254 stays u8; 255 promotes to u16; 65535 promotes to u32;
-        // anything past CLAMP_SAFE_MAX promotes to the exact escape
-        // tier (three such values must sum below CLAMP_INF).
+        // anything past CLAMP_SAFE_MAX promotes to the escape tier.
         let cases = [
             (254, TIER_U8),
             (255, TIER_U16),
@@ -838,22 +816,20 @@ mod tests {
             assert_eq!(p.row_tier(5), want_tier, "distance {d}");
             let row = p.row(5);
             assert_eq!(row.entry(0), (0, d));
-            assert_eq!(row.clamp_safe, want_tier != TIER_U32_EXACT);
         }
     }
 
     #[test]
     fn highway_tiers_promote_like_rows() {
-        for (d, want_width, want_safe) in [
-            (254, 1u8, true),
-            (255, 2, true),
-            (65_535, 4, true),
-            (CLAMP_SAFE_MAX, 4, true),
-            (CLAMP_SAFE_MAX + 1, 4, false),
+        for (d, want_width) in [
+            (254, 1u8),
+            (255, 2),
+            (65_535, 4),
+            (CLAMP_SAFE_MAX, 4),
+            (CLAMP_SAFE_MAX + 1, 4),
         ] {
             let p = PackedHighway::from_dense(2, &[0, d, d, 0]);
             assert_eq!(p.width(), want_width, "highway {d}");
-            assert_eq!(p.clamp_safe(), want_safe);
             assert_eq!(p.get(0, 1), d);
         }
     }
@@ -929,6 +905,21 @@ mod tests {
         let p3 = patch(&p2, &d2, &[], CompactionPolicy::default());
         assert_eq!(p3, p2);
         assert_eq!(p3.overlay_entries(), 0);
+    }
+
+    #[test]
+    fn eager_policy_compacts_a_chunk_of_newly_labelled_rows() {
+        // Row 5 holds no labels, so the replaced rows are empty: the
+        // chunk's own entries must decide.
+        let p0 = sample(&[]);
+        let d1 = dense(6, &[(0, 5, 7), (1, 5, 2)]);
+        let p1 = patch(&p0, &d1, &[5], CompactionPolicy::eager(0.0));
+        assert_eq!(p1.overlay_entries(), 0, "compacted");
+        assert_eq!(p1, PackedLabels::from_dense(6, &d1));
+        assert_eq!(
+            p1.resident_bytes(),
+            PackedLabels::from_dense(6, &d1).resident_bytes()
+        );
     }
 
     #[test]

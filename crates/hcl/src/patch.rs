@@ -13,10 +13,9 @@
 //! hypotheticals can share it.
 //!
 //! The view implements [`LabelView`], so a session runs the one query
-//! path of [`crate::query`] unchanged: while its patch is empty the
-//! view hands the base's packed rows to the SIMD kernels
-//! ([`LabelView::packed_base`]); otherwise the bound code takes its
-//! exact loop over the merged entries.
+//! path of [`crate::query`] unchanged: while its patch is empty its
+//! entry walk ([`LabelView::for_each_label`]) is the base's packed row;
+//! otherwise it walks the merged entries.
 //!
 //! The highway follows the row discipline the parallel repair relies
 //! on: landmark `i`'s pass is the only writer of highway row `i`, so
@@ -151,11 +150,20 @@ impl LabelView for PatchedLabels<'_> {
             .unwrap_or_else(|| self.base.highway(i, j))
     }
 
-    /// The base's packed rows serve the view only while the patch
-    /// is empty and `v` lies inside the base range.
+    /// Walks the base's packed row while the patch is empty and `v`
+    /// lies inside the base range, and the merged [`LabelView::label`]
+    /// of every landmark otherwise.
     #[inline]
-    fn packed_base(&self, v: Vertex) -> Option<&Labelling> {
-        (self.patch.is_empty() && (v as usize) < self.base.num_vertices()).then_some(self.base)
+    fn for_each_label(&self, v: Vertex, mut f: impl FnMut(usize, Dist)) {
+        if self.patch.is_empty() && (v as usize) < self.base.num_vertices() {
+            return self.base.for_each_label(v, f);
+        }
+        for i in 0..self.num_landmarks() {
+            let d = self.label(i, v);
+            if d != NO_LABEL {
+                f(i, d);
+            }
+        }
     }
 }
 
@@ -169,14 +177,23 @@ mod tests {
         crate::build_labelling(&g, vec![1, n as Vertex - 1]).unwrap()
     }
 
+    /// The `(landmark, label)` entries `view` walks for `v`.
+    fn walk(view: &impl LabelView, v: Vertex) -> Vec<(usize, Dist)> {
+        let mut out = Vec::new();
+        view.for_each_label(v, |i, d| out.push((i, d)));
+        out
+    }
+
     #[test]
     fn empty_patch_view_matches_base() {
         let base = labelled_path(8);
         let patch = LabelPatch::new(base.num_vertices());
         let pl = PatchedLabels::new(&base, &patch);
-        // The packed rows serve in range, never past it.
-        assert!(pl.packed_base(7).is_some());
-        assert!(pl.packed_base(8).is_none());
+        // The walk is the base row in range and empty past it.
+        for v in 0..8u32 {
+            assert_eq!(walk(&pl, v), walk(&base, v), "vertex {v}");
+        }
+        assert!(walk(&pl, 8).is_empty());
         for i in 0..base.num_landmarks() {
             for v in 0..8u32 {
                 assert_eq!(pl.label(i, v), base.label(i, v));
@@ -213,10 +230,28 @@ mod tests {
         };
         patch.insert_row(0, row);
         let pl = PatchedLabels::new(&base, &patch);
-        assert!(
-            pl.packed_base(0).is_none(),
-            "a patch disables the packed path"
-        );
+        // The walk visits exactly the merged labels, grown vertices too.
+        for v in 0..n as Vertex {
+            let want: Vec<(usize, Dist)> = (0..r)
+                .map(|i| (i, pl.label(i, v)))
+                .filter(|&(_, d)| d != NO_LABEL)
+                .collect();
+            assert_eq!(walk(&pl, v), want, "vertex {v}");
+        }
+        assert_eq!(walk(&pl, 5), vec![(0, 7)]);
+        // Both bound paths price every pair like the exact reference.
+        for s in 0..n as Vertex {
+            let plan = crate::SourcePlan::new(&pl, &pl, s);
+            for t in 0..n as Vertex {
+                let exact = crate::upper_bound_pair_exact(&pl, &pl, &pl, s, t);
+                assert_eq!(
+                    crate::upper_bound_pair(&pl, &pl, &pl, s, t),
+                    exact,
+                    "({s},{t})"
+                );
+                assert_eq!(plan.bound_to(&pl, t), exact, "plan ({s},{t})");
+            }
+        }
         // Patched entries shadow the base; the rest fall through.
         assert_eq!(pl.label(0, 3), 7);
         assert_eq!(pl.label(0, 5), 7);

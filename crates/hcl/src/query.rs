@@ -20,11 +20,12 @@
 //! * the search is a [`BoundedSearch`]: [`BiBfs`] over an
 //!   `AdjacencyView`, `BiDijkstra` over a `WeightedAdjacencyView`.
 //!
-//! The Eq. 3 code ([`upper_bound_pair`], [`SourcePlan`]) has one packed
-//! SIMD fast path, taken when [`LabelView::packed_base`] hands back a
-//! labelling whose packed rows serve the call, and one exact loop
-//! over the view's accessors for everything else (a non-empty what-if
-//! patch, grown vertices, distances outside the clamped kernel domain).
+//! The Eq. 3 code ([`upper_bound_pair`], [`SourcePlan`]) is one exact
+//! loop per function over any view: it reads labels through
+//! [`LabelView::for_each_label`] (a packed row for a labelling, the
+//! merged entries for a what-if view) and adds in `u64`. An [`INF`]
+//! operand keeps a sum at or above `INF`, so the no-route sentinel needs
+//! no branch, and every distance width is exact.
 //!
 //! # Batched queries: pinning the source's label row
 //!
@@ -59,7 +60,6 @@
 //! and the process-wide metrics registry counts fan-outs and those that
 //! swept.
 
-use crate::kernel::{self, clamp_to_inf, CLAMP_INF};
 use crate::labelling::{LabelView, Labelling, NO_LABEL};
 use batchhl_common::metrics::{self, Counter};
 use batchhl_common::{Dist, Vertex, INF};
@@ -70,7 +70,7 @@ use std::sync::{Arc, OnceLock};
 /// The reusable source side of Eq. 3: `via[j]` is the cheapest
 /// `s → r_i → r_j` route into each landmark `r_j` (`INF` when none).
 /// Build once per source, then [`SourcePlan::bound_to`] prices any
-/// target in `O(|R|)`.
+/// target in `O(|L(t)|)`.
 ///
 /// For directed graphs pass the *backward* labelling (labels answer
 /// `d(s → r_i)`) as `source_lab` and the *forward* labelling (whose
@@ -79,75 +79,19 @@ use std::sync::{Arc, OnceLock};
 #[derive(Debug, Clone)]
 pub struct SourcePlan {
     source: Vertex,
-    /// In the clamped kernel domain when `clamped` (sentinel
-    /// [`CLAMP_INF`], every slot `≤ CLAMP_INF`), otherwise in the exact
-    /// domain with `INF` marking no route.
     via: Box<[Dist]>,
-    clamped: bool,
-}
-
-/// Fill `via` (clamped domain, pre-initialized to [`CLAMP_INF`]) from
-/// `s`'s packed label row and the packed highway — `|L(s)|` dense
-/// min-plus kernel calls. Returns `false` when the inputs fall outside
-/// the clamped domain.
-fn fill_via_clamped(
-    source_lab: &Labelling,
-    highway_lab: &Labelling,
-    s: Vertex,
-    via: &mut [Dist],
-) -> bool {
-    let sp = source_lab.packed();
-    let hp = &highway_lab.packed().highway;
-    if !hp.clamp_safe() {
-        return false;
-    }
-    let srow = sp.labels.row(s);
-    if !srow.clamp_safe {
-        return false;
-    }
-    for k in 0..srow.len() {
-        let (i, ls) = srow.entry(k);
-        kernel::accumulate_via(via, ls, hp.row(i as usize));
-    }
-    true
 }
 
 impl SourcePlan {
     pub fn new<S: LabelView, H: LabelView>(source_lab: &S, highway_lab: &H, s: Vertex) -> Self {
-        let r = highway_lab.num_landmarks();
-        if let (Some(sb), Some(hb)) = (source_lab.packed_base(s), highway_lab.packed_base(s)) {
-            let mut via = vec![CLAMP_INF; r].into_boxed_slice();
-            if fill_via_clamped(sb, hb, s, &mut via) {
-                return SourcePlan {
-                    source: s,
-                    via,
-                    clamped: true,
-                };
-            }
-        }
-        // Exact domain: `INF` sentinel, `u64` accumulation.
-        let mut via = vec![INF; r].into_boxed_slice();
-        for i in 0..source_lab.num_landmarks() {
-            let ls = source_lab.label(i, s);
-            if ls == NO_LABEL {
-                continue;
-            }
+        let mut via = vec![INF; highway_lab.num_landmarks()].into_boxed_slice();
+        source_lab.for_each_label(s, |i, ls| {
             for (j, slot) in via.iter_mut().enumerate() {
                 let h = highway_lab.highway(i, j);
-                if h == INF {
-                    continue;
-                }
-                let cand = u64::from(ls) + u64::from(h);
-                if cand < u64::from(*slot) {
-                    *slot = cand as Dist;
-                }
+                *slot = u64::from(*slot).min(u64::from(ls) + u64::from(h)) as Dist;
             }
-        }
-        SourcePlan {
-            source: s,
-            via,
-            clamped: false,
-        }
+        });
+        SourcePlan { source: s, via }
     }
 
     /// The source vertex this plan prices routes from.
@@ -158,41 +102,20 @@ impl SourcePlan {
 
     /// The Eq. 3 upper bound `d⊤(s, t)` priced against `t`'s labels in
     /// `target_lab` — equal to [`upper_bound_pair`] but `O(|L(t)|)` per
-    /// target instead of `O(|L(s)|·|L(t)|)`. Clamped plans use the
-    /// sparse gather min-plus kernel over `t`'s packed row when the
-    /// view has one.
+    /// target instead of `O(|L(s)|·|L(t)|)`.
     pub fn bound_to<T: LabelView>(&self, target_lab: &T, t: Vertex) -> Dist {
-        if self.clamped {
-            if let Some(tb) = target_lab.packed_base(t) {
-                let trow = tb.packed().labels.row(t);
-                if trow.clamp_safe {
-                    return clamp_to_inf(kernel::gather_min(&self.via, trow.ids, trow.dists));
-                }
-            }
-        }
-        // Exact loop; a clamped plan keeps its `CLAMP_INF` no-route
-        // sentinel.
-        let no_route = if self.clamped { CLAMP_INF } else { INF };
         let mut best = u64::from(INF);
-        for (j, &via) in self.via.iter().enumerate() {
-            if via >= no_route {
-                continue;
-            }
-            let lt = target_lab.label(j, t);
-            if lt != NO_LABEL {
-                best = best.min(u64::from(via) + u64::from(lt));
-            }
-        }
+        target_lab.for_each_label(t, |j, lt| {
+            best = best.min(u64::from(self.via[j]) + u64::from(lt));
+        });
         best.min(u64::from(INF)) as Dist
     }
 }
 
 /// Eq. 3 over a `(source, highway, target)` labelling triple:
-/// `min_{i,j} ls_i + δ_H(r_i, r_j) + lt_j`. The packed path iterates
-/// *logical* entries — `O(|L(s)|·|L(t)|)` instead of the `O(|R|²)` of
-/// [`upper_bound_pair_exact`], which answers views without packed rows.
-/// Undirected callers pass the same labelling three times
-/// ([`Labelling::upper_bound`] does); directed callers pass
+/// `min_{i,j} ls_i + δ_H(r_i, r_j) + lt_j` over the labels the views
+/// walk, `O(|L(s)|·|L(t)|)`. Undirected callers pass the same labelling
+/// three times ([`Labelling::upper_bound`] does); directed callers pass
 /// `(bwd, fwd, fwd)`. Exact for every width tier (`u64` accumulation).
 pub fn upper_bound_pair<S: LabelView, H: LabelView, T: LabelView>(
     source_lab: &S,
@@ -201,35 +124,22 @@ pub fn upper_bound_pair<S: LabelView, H: LabelView, T: LabelView>(
     s: Vertex,
     t: Vertex,
 ) -> Dist {
-    let (Some(sb), Some(hb), Some(tb)) = (
-        source_lab.packed_base(s),
-        highway_lab.packed_base(s),
-        target_lab.packed_base(t),
-    ) else {
-        return upper_bound_pair_exact(source_lab, highway_lab, target_lab, s, t);
-    };
-    let srow = sb.packed().labels.row(s);
-    let trow = tb.packed().labels.row(t);
-    let hp = &hb.packed().highway;
+    let mut target = Vec::new();
+    target_lab.for_each_label(t, |j, lt| target.push((j, lt)));
     let mut best = u64::from(INF);
-    for a in 0..srow.len() {
-        let (i, ls) = srow.entry(a);
-        for b in 0..trow.len() {
-            let (j, lt) = trow.entry(b);
-            let h = hp.get(i as usize, j as usize);
-            if h != INF {
-                best = best.min(u64::from(ls) + u64::from(h) + u64::from(lt));
-            }
+    source_lab.for_each_label(s, |i, ls| {
+        for &(j, lt) in &target {
+            let h = highway_lab.highway(i, j);
+            best = best.min(u64::from(ls) + u64::from(h) + u64::from(lt));
         }
-    }
+    });
     best.min(u64::from(INF)) as Dist
 }
 
 /// Eq. 3 by the plain `|R| × |R|` double loop over the views'
-/// [`LabelView::label`] and [`LabelView::highway`] accessors: the path
-/// for views without packed rows (a non-empty what-if patch, grown
-/// vertices), and the scalar reference the equivalence suites hold the
-/// packed and SIMD paths to.
+/// [`LabelView::label`] and [`LabelView::highway`] accessors: the
+/// reference the equivalence suites hold [`upper_bound_pair`] and
+/// [`SourcePlan`] to.
 #[doc(hidden)]
 pub fn upper_bound_pair_exact<S: LabelView, H: LabelView, T: LabelView>(
     source_lab: &S,
@@ -593,7 +503,7 @@ mod tests {
             assert_eq!(plan.source(), s);
             for t in 0..100u32 {
                 assert_eq!(plan.bound_to(&lab, t), lab.upper_bound(s, t), "({s},{t})");
-                // Packed + kernel paths agree with the exact reference.
+                // The entry-walk loop agrees with the exact reference.
                 assert_eq!(
                     lab.upper_bound(s, t),
                     upper_bound_pair_exact(&lab, &lab, &lab, s, t),

@@ -37,8 +37,8 @@
 //! than attempting a multi-GB up-front allocation. A `BHL3` block
 //! decodes straight into packed rows: each row's ids and widened
 //! distances are validated and packed again, so a non-canonical width
-//! tier in the file cannot reach the kernels. A `BHL1` block is read
-//! into dense rows and packed once.
+//! tier in the file never reaches memory. A `BHL1` block is read into
+//! dense rows and packed once.
 
 use crate::labelling::{LabelError, Labelling, NO_LABEL};
 use crate::packed::{
@@ -307,7 +307,7 @@ fn read_packed_body<R: Read>(
         let width = tier_width(tiers[v]) as u8;
         dists.extend(read_narrow(inp, c as usize, width, false, "label row")?);
     }
-    let labels = PackedLabels::from_rows(r, n, |_, v, row_ids, row_dists| {
+    let labels = PackedLabels::from_rows(r, n, |v, row_ids, row_dists| {
         let (lo, hi) = (offsets[v as usize], offsets[v as usize + 1]);
         // An `INF` distance is no label, as in the dense layout.
         for (&i, &d) in ids[lo..hi].iter().zip(&dists[lo..hi]) {
@@ -498,13 +498,13 @@ mod tests {
 
     #[test]
     fn wide_distances_round_trip_through_escape_tiers() {
-        use crate::kernel::CLAMP_INF;
+        let wide = (1 << 29) + 17;
         let mut lab = Labelling::empty(8, vec![0, 5]).unwrap();
         lab.set_highway_sym(0, 1, 70_000); // u32 highway tier
         lab.set_label(0, 1, 254); // u8 row
         lab.set_label(0, 2, 65_000); // u16 row
         lab.set_label(1, 2, 3);
-        lab.set_label(0, 3, CLAMP_INF + 17); // exact-escape row
+        lab.set_label(0, 3, wide); // tier-8 escape row
         lab.set_label(1, 4, INF - 1);
         let mut buf = Vec::new();
         write_labelling(&lab, &mut buf).unwrap();
@@ -512,7 +512,8 @@ mod tests {
         let back = read_labelling(buf.as_slice()).unwrap();
         assert_eq!(lab, back);
         assert_eq!(back.highway(0, 1), 70_000);
-        assert_eq!(back.label(0, 3), CLAMP_INF + 17);
+        assert_eq!(back.label(0, 3), wide);
+        assert_eq!(back.packed().labels.row_tier(3), TIER_U32_EXACT);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use batchhl::graph::weighted::WeightedGraph;
 use batchhl::graph::{DynamicDiGraph, DynamicGraph, Vertex};
-use batchhl::hcl::kernel::CLAMP_SAFE_MAX;
+use batchhl::hcl::packed::CLAMP_SAFE_MAX;
 use batchhl::{Dist, DurabilityConfig, Edit, FsyncPolicy, LandmarkSelection, Oracle, OracleHealth};
 use proptest::prelude::*;
 use std::path::PathBuf;

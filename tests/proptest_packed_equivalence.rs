@@ -1,14 +1,11 @@
-//! Property-based equivalence of the packed label layout + SIMD
-//! kernels against exact references.
+//! Property-based equivalence of the packed label layout against exact
+//! references.
 //!
 //! A labelling is stored packed (`batchhl::hcl::packed`), and the Eq. 3
-//! bound runs min-plus kernels over it (`batchhl::hcl::kernel`). Every
-//! bound they produce must equal the exact scalar `|R| × |R|` loop over
-//! the `LabelView` accessors (`upper_bound_pair_exact`) — including at
-//! the width-tier boundaries (254/255, 65534/65535, the `CLAMP_INF`
-//! escape) and for unreachable pairs — and the runtime-dispatched SIMD
-//! kernels must be bit-identical to the branch-free scalar fallback on
-//! arbitrary plans.
+//! bound walks its packed rows. Every bound it produces must equal the
+//! exact scalar `|R| × |R|` loop over the `LabelView` accessors
+//! (`upper_bound_pair_exact`) — including at the width-tier boundaries
+//! (254/255, 65534/65535, the tier-8 escape) and for unreachable pairs.
 //!
 //! Published generations are built by patching the previous one with
 //! the repair deltas: after every batch of a random history, on every
@@ -22,12 +19,9 @@ use batchhl::core::weighted::WeightedBatchIndex;
 use batchhl::core::{Family, Index};
 use batchhl::graph::weighted::{Weight, WeightedGraph, WeightedUpdate};
 use batchhl::graph::{Batch, DynamicDiGraph, DynamicGraph, Reversed, Vertex};
-use batchhl::hcl::kernel::{
-    accumulate_via, accumulate_via_scalar, gather_min, gather_min_scalar, CLAMP_INF, CLAMP_SAFE_MAX,
-};
 use batchhl::hcl::labelling::Labelling;
 use batchhl::hcl::oracle::minimal_labelling_bruteforce;
-use batchhl::hcl::packed::{NarrowSlice, PackedIndex};
+use batchhl::hcl::packed::{PackedIndex, CLAMP_SAFE_MAX};
 use batchhl::hcl::serde_io::{read_labelling, write_labelling};
 use batchhl::hcl::{build_labelling, upper_bound_pair_exact, LandmarkSelection, SourcePlan};
 use batchhl::{Dist, INF};
@@ -54,8 +48,8 @@ const TIER_EDGE_DISTS: [Dist; 11] = [
     65_534,
     65_535,             // first value forcing the u32 tier
     CLAMP_SAFE_MAX,     // largest clamp-safe value
-    CLAMP_SAFE_MAX + 1, // exact-escape tier: outside the SIMD clamp domain
-    CLAMP_INF + 17,
+    CLAMP_SAFE_MAX + 1, // first value forcing the tier-8 escape
+    (1 << 29) + 17,
     INF - 1,
 ];
 
@@ -394,62 +388,5 @@ proptest! {
         let mut buf = Vec::new();
         write_labelling(&lab, &mut buf).unwrap();
         prop_assert_eq!(&read_labelling(buf.as_slice()).unwrap(), &lab);
-    }
-
-    // The dispatched kernels (AVX2/SSE2 where the CPU has them) are
-    // bit-identical to the scalar fallback on arbitrary plans, at every
-    // distance width.
-    #[test]
-    fn simd_kernels_match_scalar(
-        via_seed in prop::collection::vec(0..CLAMP_INF + 1, 1..70),
-        ls in 0..CLAMP_INF,
-        row8_raw in prop::collection::vec(0u16..256, 1..70),
-        row16_raw in prop::collection::vec(0u32..65_536, 1..70),
-        row32_seed in prop::collection::vec(0..CLAMP_INF, 1..70),
-    ) {
-        // Each tier's unreachable sentinel lands in the ranges above
-        // (u8::MAX / u16::MAX); plant the u32 sentinel explicitly. The
-        // finite-u32 cap of CLAMP_INF is the kernels' documented
-        // highway-row domain (the clamp_safe gates enforce it).
-        let row8: Vec<u8> = row8_raw.iter().map(|&x| x as u8).collect();
-        let row16: Vec<u16> = row16_raw.iter().map(|&x| x as u16).collect();
-        let mut row32 = row32_seed;
-        row32[0] = INF;
-        // Gather inputs are label rows, which never hold a sentinel.
-        let g32: Vec<u32> = row32.iter().map(|&x| if x == INF { 7 } else { x }).collect();
-        let r = via_seed.len();
-        let rows = [
-            NarrowSlice::U8(&row8[..r.min(row8.len())]),
-            NarrowSlice::U16(&row16[..r.min(row16.len())]),
-            NarrowSlice::U32(&row32[..r.min(row32.len())]),
-        ];
-        for hrow in rows {
-            let k = hrow.len();
-            let mut simd = via_seed[..k].to_vec();
-            let mut scalar = simd.clone();
-            accumulate_via(&mut simd, ls, hrow);
-            accumulate_via_scalar(&mut scalar, ls, hrow);
-            prop_assert_eq!(&simd, &scalar, "accumulate width {}", hrow.len());
-
-            // Gather over every index of the plan, then over a sparse
-            // stride-3 subset (exercises the tail paths). Label rows
-            // carry no sentinel, so gather dists use the raw values.
-            let ids: Vec<u16> = (0..k as u16).collect();
-            let gdists = match hrow {
-                NarrowSlice::U32(_) => NarrowSlice::U32(&g32[..k]),
-                other => other,
-            };
-            prop_assert_eq!(
-                gather_min(&scalar, &ids, gdists),
-                gather_min_scalar(&scalar, &ids, gdists)
-            );
-            let sparse: Vec<u16> = (0..k as u16).step_by(3).collect();
-            let sub16: Vec<u16> =
-                sparse.iter().map(|&i| row16[i as usize % row16.len()]).collect();
-            prop_assert_eq!(
-                gather_min(&scalar, &sparse, NarrowSlice::U16(&sub16)),
-                gather_min_scalar(&scalar, &sparse, NarrowSlice::U16(&sub16))
-            );
-        }
     }
 }
