@@ -124,6 +124,7 @@ pub fn upper_bound_pair<S: LabelView, H: LabelView, T: LabelView>(
     s: Vertex,
     t: Vertex,
 ) -> Dist {
+    // The target row is walked once, not once per source label.
     let mut target = Vec::new();
     target_lab.for_each_label(t, |j, lt| target.push((j, lt)));
     let mut best = u64::from(INF);
