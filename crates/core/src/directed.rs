@@ -32,8 +32,8 @@ use crate::persist::PersistError;
 use crate::whatif::{grown_n, rewrite_lists};
 use batchhl_common::{Dist, LexDialQueue, Vertex};
 use batchhl_graph::bfs::{bfs_distances, BiBfs};
-use batchhl_graph::csr::{CompactionPolicy, Frozen};
-use batchhl_graph::io::{digraph_bin_len, read_digraph_bin, write_digraph_bin, BinGraphError};
+use batchhl_graph::csr::CompactionPolicy;
+use batchhl_graph::io::{digraph_bin_len, read_digraph_csr, write_digraph_bin, BinGraphError};
 use batchhl_graph::{AdjacencyView, Batch, CsrDiDelta, DynamicDiGraph, Reversed, Update};
 use batchhl_hcl::{build_labelling_parallel, oracle, upper_bound_pair, LabelError, Labelling};
 use std::io::{Read, Write};
@@ -166,7 +166,7 @@ impl Family for DirectedSnapshot {
     }
 
     fn read_graph<R: Read>(r: &mut R) -> Result<CsrDiDelta, BinGraphError> {
-        read_digraph_bin(r).map(|g| CsrDiDelta::freeze(&g))
+        read_digraph_csr(r)
     }
 
     fn audit(&self) -> Result<(), String> {
@@ -211,6 +211,7 @@ impl DirectedBatchIndex {
 mod tests {
     use super::*;
     use crate::index::testing::{config, random_batch};
+    use batchhl_graph::csr::Frozen;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

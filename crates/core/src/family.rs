@@ -195,8 +195,9 @@ pub trait Family: Clone + Debug + Send + Sync + Sized + 'static {
 
     /// One-source-to-many-targets distances (aligned with `targets`,
     /// `None` for disconnected or out of range): one source-side label
-    /// plan for every target, then per-target searches under the pooled
-    /// fair share, with one bounded sweep once they overrun it.
+    /// plan and one source-side search for every target, each target
+    /// running its own side under the pooled fair share, and the source
+    /// side finishing as a sweep once they overrun it.
     fn distances_from(
         &self,
         search: &mut Self::Search,

@@ -40,7 +40,7 @@ use crate::workspace::UpdateWorkspace;
 use batchhl_common::{Dist, LexDialQueue, Vertex, INF};
 use batchhl_graph::bfs::{bfs_distances, BiBfs};
 use batchhl_graph::csr::Frozen;
-use batchhl_graph::io::{graph_bin_len, read_graph_bin, write_graph_bin, BinGraphError};
+use batchhl_graph::io::{graph_bin_len, read_graph_csr, write_graph_bin, BinGraphError};
 use batchhl_graph::{Batch, CsrDelta, DynamicGraph, Update, VertexRemap};
 use batchhl_hcl::{
     build_labelling_parallel, oracle, DegreeOrder, LabelError, LabelStore, Labelling,
@@ -261,9 +261,9 @@ impl<F: Family> Index<F> {
     }
 
     /// One-source-to-many-targets distances (the batched fast path:
-    /// one generation, one source plan, per-target searches or one
-    /// sweep by measured work). `None` marks disconnected or
-    /// out-of-range endpoints.
+    /// one generation, one source plan, one shared source-side search
+    /// that finishes as a sweep by measured work). `None` marks
+    /// disconnected or out-of-range endpoints.
     pub fn distances_from(&mut self, s: Vertex, targets: &[Vertex]) -> Vec<Option<Dist>> {
         self.current.distances_from(&mut self.engine, s, targets)
     }
@@ -457,7 +457,7 @@ impl Family for IndexSnapshot {
     }
 
     fn read_graph<R: Read>(r: &mut R) -> Result<CsrDelta, BinGraphError> {
-        read_graph_bin(r).map(|g| CsrDelta::freeze(&g))
+        read_graph_csr(r)
     }
 
     fn audit(&self) -> Result<(), String> {

@@ -29,8 +29,8 @@ use crate::metric::{Seed, Weighted};
 use crate::persist::PersistError;
 use crate::whatif::{grown_n, rewrite_lists};
 use batchhl_common::{Dist, FxHashMap, RadixHeap, Vertex};
-use batchhl_graph::csr::{CompactionPolicy, Frozen};
-use batchhl_graph::io::{read_weighted_bin, weighted_bin_len, write_weighted_bin, BinGraphError};
+use batchhl_graph::csr::CompactionPolicy;
+use batchhl_graph::io::{read_weighted_csr, weighted_bin_len, write_weighted_bin, BinGraphError};
 use batchhl_graph::weighted::{dijkstra, BiDijkstra, Weight, WeightedGraph, WeightedUpdate};
 use batchhl_graph::WeightedCsrDelta;
 use batchhl_hcl::{oracle, LabelError, Labelling, LandmarkSelection};
@@ -234,7 +234,7 @@ impl Family for WeightedSnapshot {
     }
 
     fn read_graph<R: Read>(r: &mut R) -> Result<WeightedCsrDelta, BinGraphError> {
-        read_weighted_bin(r).map(|g| WeightedCsrDelta::freeze(&g))
+        read_weighted_csr(r)
     }
 
     /// The minimal labelling is unique, so it must equal a fresh

@@ -119,7 +119,8 @@ impl BfsWorkspace {
 /// that distance is strictly below `bound`; otherwise reports `None`.
 /// The search expands the side with the smaller frontier volume (sum of
 /// degrees), the optimization credited to BiBFS in the paper's baseline
-/// list.
+/// list. Through [`BoundedSearch`] one source side, grown level by level,
+/// serves the target sides of a whole fan-out.
 #[derive(Debug, Default)]
 pub struct BiBfs {
     ds: Vec<Dist>,
@@ -129,6 +130,11 @@ pub struct BiBfs {
     frontier_s: Vec<Vertex>,
     frontier_t: Vec<Vertex>,
     next: Vec<Vertex>,
+    /// Depth of the source side: every vertex within it is discovered,
+    /// and `frontier_s` holds the vertices at exactly this distance.
+    ls: Dist,
+    /// Sum of the out-degrees of `frontier_s`.
+    vol_s: usize,
 }
 
 impl BiBfs {
@@ -164,122 +170,7 @@ impl BiBfs {
         A: AdjacencyView,
         F: Fn(Vertex) -> bool,
     {
-        let mut unlimited = usize::MAX;
-        self.run_budgeted(g, s, t, bound, &mut unlimited, allowed)
-            .found()
-    }
-
-    /// [`BiBfs::run`] under an expansion budget. Expanding a level costs
-    /// one expansion per vertex of the frontier it expands, taken off
-    /// `budget` before the level runs; a level larger than what is left
-    /// abandons the search as [`SearchOutcome::OutOfBudget`]. The
-    /// workspace stays reusable either way.
-    pub fn run_budgeted<A, F>(
-        &mut self,
-        g: &A,
-        s: Vertex,
-        t: Vertex,
-        bound: Dist,
-        budget: &mut usize,
-        allowed: F,
-    ) -> SearchOutcome
-    where
-        A: AdjacencyView,
-        F: Fn(Vertex) -> bool,
-    {
-        debug_assert!(allowed(s) && allowed(t), "endpoints must be allowed");
-        if bound == 0 {
-            return SearchOutcome::NotBelow;
-        }
-        if s == t {
-            return SearchOutcome::Found(0);
-        }
-        self.clear();
-        self.grow(g.num_vertices());
-        self.ds[s as usize] = 0;
-        self.dt[t as usize] = 0;
-        self.touched_s.push(s);
-        self.touched_t.push(t);
-        self.frontier_s.push(s);
-        self.frontier_t.push(t);
-        let (mut ls, mut lt) = (0 as Dist, 0 as Dist);
-        let mut best = INF;
-        // Frontier volumes (sum of out/in degrees) are maintained
-        // incrementally: each expansion accumulates the degrees of the
-        // vertices it discovers, so choosing the cheaper side is O(1)
-        // per level instead of a rescan of both frontiers. On CSR views
-        // the degree reads are two offset loads.
-        let mut vol_s = g.out_degree(s);
-        let mut vol_t = g.in_degree(t);
-
-        while !self.frontier_s.is_empty() && !self.frontier_t.is_empty() {
-            // No undiscovered path can be shorter than ls + lt + 1.
-            let horizon = dist_add1(ls.saturating_add(lt));
-            if horizon >= best || horizon >= bound {
-                break;
-            }
-            // Expand the cheaper side; `next` is the shared scratch
-            // buffer for whichever direction runs, so switching sides
-            // reuses the same allocation.
-            let expand_s = vol_s <= vol_t;
-            let width = if expand_s {
-                self.frontier_s.len()
-            } else {
-                self.frontier_t.len()
-            };
-            if width > *budget {
-                return SearchOutcome::OutOfBudget;
-            }
-            *budget -= width;
-            if expand_s {
-                ls += 1;
-                self.next.clear();
-                let mut vol = 0usize;
-                for i in 0..self.frontier_s.len() {
-                    let v = self.frontier_s[i];
-                    for &w in g.out_neighbors(v) {
-                        if !allowed(w) || self.ds[w as usize] != INF {
-                            continue;
-                        }
-                        if self.dt[w as usize] != INF {
-                            best = best.min(ls.saturating_add(self.dt[w as usize]));
-                        }
-                        self.ds[w as usize] = ls;
-                        self.touched_s.push(w);
-                        self.next.push(w);
-                        vol += g.out_degree(w);
-                    }
-                }
-                vol_s = vol;
-                std::mem::swap(&mut self.frontier_s, &mut self.next);
-            } else {
-                lt += 1;
-                self.next.clear();
-                let mut vol = 0usize;
-                for i in 0..self.frontier_t.len() {
-                    let v = self.frontier_t[i];
-                    for &w in g.in_neighbors(v) {
-                        if !allowed(w) || self.dt[w as usize] != INF {
-                            continue;
-                        }
-                        if self.ds[w as usize] != INF {
-                            best = best.min(lt.saturating_add(self.ds[w as usize]));
-                        }
-                        self.dt[w as usize] = lt;
-                        self.touched_t.push(w);
-                        self.next.push(w);
-                        vol += g.in_degree(w);
-                    }
-                }
-                vol_t = vol;
-                std::mem::swap(&mut self.frontier_t, &mut self.next);
-            }
-        }
-        if best < bound {
-            SearchOutcome::Found(best)
-        } else {
-            SearchOutcome::NotBelow
-        }
+        BoundedSearch::run(self, g, s, t, bound, allowed)
     }
 
     /// One-sided bounded BFS from `s` over the subgraph of vertices
@@ -289,12 +180,10 @@ impl BiBfs {
     ///
     /// The one-to-many counterpart of [`BiBfs::run`]: a single sweep
     /// discovers `d(s, v)` for *every* vertex within `bound` hops (or
-    /// until at least `cap` vertices have been discovered), so a caller
-    /// with many targets pays one traversal instead of one bidirectional
-    /// search per target. Afterwards [`BiBfs::swept`] lists the
-    /// discovered vertices in nondecreasing-distance order and
-    /// [`BiBfs::sweep_dist`] reads their distances; undiscovered
-    /// vertices read `INF`.
+    /// until at least `cap` vertices have been discovered). Afterwards
+    /// [`BiBfs::swept`] lists the discovered vertices in
+    /// nondecreasing-distance order and [`BiBfs::sweep_dist`] reads their
+    /// distances; undiscovered vertices read `INF`.
     ///
     /// The cap is checked at level boundaries only: the level in which
     /// it is crossed always completes, so the swept set is closed under
@@ -310,45 +199,19 @@ impl BiBfs {
         A: AdjacencyView,
         F: Fn(Vertex) -> bool,
     {
-        debug_assert!(allowed(s), "sweep source must be allowed");
-        self.clear();
-        self.grow(g.num_vertices());
-        if cap == 0 {
-            return;
-        }
-        self.ds[s as usize] = 0;
-        self.touched_s.push(s);
-        self.frontier_s.push(s);
-        let mut level: Dist = 0;
-        while !self.frontier_s.is_empty() && level < bound && self.touched_s.len() < cap {
-            level += 1;
-            self.next.clear();
-            for i in 0..self.frontier_s.len() {
-                let v = self.frontier_s[i];
-                for &w in g.out_neighbors(v) {
-                    if !allowed(w) || self.ds[w as usize] != INF {
-                        continue;
-                    }
-                    self.ds[w as usize] = level;
-                    self.touched_s.push(w);
-                    self.next.push(w);
-                }
-            }
-            std::mem::swap(&mut self.frontier_s, &mut self.next);
-        }
-        self.frontier_s.clear();
-        self.next.clear();
+        BoundedSearch::sweep(self, g, s, bound, cap, allowed)
     }
 
-    /// The vertices discovered by the last [`BiBfs::sweep`], in
-    /// nondecreasing-distance (BFS) order; the source comes first.
+    /// The vertices the source side has discovered (by the last
+    /// [`BiBfs::sweep`], say), in nondecreasing-distance (BFS) order;
+    /// the source comes first.
     #[inline]
     pub fn swept(&self) -> &[Vertex] {
         &self.touched_s
     }
 
-    /// Distance recorded by the last [`BiBfs::sweep`] (`INF` when the
-    /// sweep did not reach `v`).
+    /// The source side's distance to `v` (`INF` when it did not reach
+    /// `v`).
     #[inline]
     pub fn sweep_dist(&self, v: Vertex) -> Dist {
         self.ds[v as usize]
@@ -362,14 +225,53 @@ impl BiBfs {
         for &v in &self.touched_s {
             self.ds[v as usize] = INF;
         }
+        self.touched_s.clear();
+        self.frontier_s.clear();
+        self.clear_target();
+    }
+
+    fn clear_target(&mut self) {
         for &v in &self.touched_t {
             self.dt[v as usize] = INF;
         }
-        self.touched_s.clear();
         self.touched_t.clear();
-        self.frontier_s.clear();
         self.frontier_t.clear();
+    }
+
+    /// Discover the source side's next level. Returns the shortest
+    /// meeting with the target side it found (`INF` for none). With
+    /// `MEET` off (a sweep, which has no target to meet) the meetings and
+    /// the frontier volume go unread and unkept.
+    #[inline]
+    fn grow_source_level<const MEET: bool, A, F>(&mut self, g: &A, allowed: &F) -> Dist
+    where
+        A: AdjacencyView,
+        F: Fn(Vertex) -> bool,
+    {
+        self.ls += 1;
+        let ls = self.ls;
+        let mut best = INF;
+        let mut vol = 0usize;
         self.next.clear();
+        for &v in &self.frontier_s {
+            for &w in g.out_neighbors(v) {
+                if !allowed(w) || self.ds[w as usize] != INF {
+                    continue;
+                }
+                if MEET {
+                    if self.dt[w as usize] != INF {
+                        best = best.min(ls.saturating_add(self.dt[w as usize]));
+                    }
+                    vol += g.out_degree(w);
+                }
+                self.ds[w as usize] = ls;
+                self.touched_s.push(w);
+                self.next.push(w);
+            }
+        }
+        self.vol_s = vol;
+        std::mem::swap(&mut self.frontier_s, &mut self.next);
+        best
     }
 }
 
@@ -379,29 +281,96 @@ impl<A: AdjacencyView> BoundedSearch<A> for BiBfs {
         g.num_vertices()
     }
 
-    #[inline]
-    fn run_budgeted<F: Fn(Vertex) -> bool>(
+    fn start_source(&mut self, g: &A, s: Vertex) {
+        self.clear();
+        self.grow(g.num_vertices());
+        self.ds[s as usize] = 0;
+        self.touched_s.push(s);
+        self.frontier_s.push(s);
+        self.ls = 0;
+        self.vol_s = g.out_degree(s);
+    }
+
+    /// Expanding a level costs one expansion per vertex of the frontier
+    /// it expands, taken off `budget` before the level runs.
+    fn search_target<F: Fn(Vertex) -> bool>(
         &mut self,
         g: &A,
-        s: Vertex,
         t: Vertex,
         bound: Dist,
+        open: usize,
         budget: &mut usize,
         allowed: F,
     ) -> SearchOutcome {
-        BiBfs::run_budgeted(self, g, s, t, bound, budget, allowed)
+        debug_assert!(allowed(t), "target must be allowed");
+        self.clear_target();
+        if bound == 0 {
+            return SearchOutcome::NotBelow;
+        }
+        self.dt[t as usize] = 0;
+        self.touched_t.push(t);
+        self.frontier_t.push(t);
+        let mut lt: Dist = 0;
+        // The source side may already hold `t`: a meeting at `t` itself.
+        let mut best = self.ds[t as usize];
+        // Frontier volumes (sum of out/in degrees) are maintained
+        // incrementally: each expansion accumulates the degrees of the
+        // vertices it discovers, so choosing the cheaper side is O(1)
+        // per level instead of a rescan of both frontiers.
+        let mut vol_t = g.in_degree(t);
+        while !self.frontier_s.is_empty() && !self.frontier_t.is_empty() {
+            // No undiscovered path can be shorter than ls + lt + 1.
+            let horizon = dist_add1(self.ls.saturating_add(lt));
+            if horizon >= best || horizon >= bound {
+                break;
+            }
+            let expand_s = self.vol_s <= vol_t.saturating_mul(open);
+            let width = if expand_s {
+                self.frontier_s.len()
+            } else {
+                self.frontier_t.len()
+            };
+            if width > *budget {
+                return SearchOutcome::OutOfBudget;
+            }
+            *budget -= width;
+            if expand_s {
+                best = best.min(self.grow_source_level::<true, _, _>(g, &allowed));
+                continue;
+            }
+            // `next` is the shared scratch buffer for whichever side
+            // runs, so switching sides reuses the same allocation.
+            lt += 1;
+            self.next.clear();
+            let mut vol = 0usize;
+            for &v in &self.frontier_t {
+                for &w in g.in_neighbors(v) {
+                    if !allowed(w) || self.dt[w as usize] != INF {
+                        continue;
+                    }
+                    if self.ds[w as usize] != INF {
+                        best = best.min(lt.saturating_add(self.ds[w as usize]));
+                    }
+                    self.dt[w as usize] = lt;
+                    self.touched_t.push(w);
+                    self.next.push(w);
+                    vol += g.in_degree(w);
+                }
+            }
+            vol_t = vol;
+            std::mem::swap(&mut self.frontier_t, &mut self.next);
+        }
+        if best < bound {
+            SearchOutcome::Found(best)
+        } else {
+            SearchOutcome::NotBelow
+        }
     }
 
-    #[inline]
-    fn sweep<F: Fn(Vertex) -> bool>(
-        &mut self,
-        g: &A,
-        s: Vertex,
-        bound: Dist,
-        cap: usize,
-        allowed: F,
-    ) {
-        BiBfs::sweep(self, g, s, bound, cap, allowed)
+    fn extend_source<F: Fn(Vertex) -> bool>(&mut self, g: &A, bound: Dist, cap: usize, allowed: F) {
+        while !self.frontier_s.is_empty() && self.ls < bound && self.touched_s.len() < cap {
+            self.grow_source_level::<false, _, _>(g, &allowed);
+        }
     }
 
     #[inline]
@@ -541,6 +510,13 @@ mod tests {
         assert_eq!(bi.sweep_dist(5), INF, "filter blocks the path");
         bi.sweep(&g, 0, INF, 0, |_| true);
         assert!(bi.swept().is_empty());
+        let mut fresh = BiBfs::default();
+        fresh.sweep(&g, 0, INF, 0, |_| true);
+        assert_eq!(
+            fresh.sweep_dist(9),
+            INF,
+            "a cap-0 sweep still sizes the workspace"
+        );
     }
 
     #[test]

@@ -141,6 +141,20 @@ impl<T: Copy> Csr<T> {
         Csr { offsets, items }
     }
 
+    /// Assemble from per-vertex degrees and the lists laid end to end in
+    /// vertex order (the layout of the binary graph blocks).
+    pub(crate) fn from_degrees(degrees: &[u32], items: Vec<T>) -> Self {
+        let mut offsets = Vec::with_capacity(degrees.len() + 1);
+        offsets.push(0);
+        let mut total = 0usize;
+        for &d in degrees {
+            total += d as usize;
+            offsets.push(total);
+        }
+        assert_eq!(total, items.len(), "degrees disagree with the lists");
+        Csr { offsets, items }
+    }
+
     pub fn num_vertices(&self) -> usize {
         self.offsets.len() - 1
     }
@@ -175,6 +189,29 @@ impl CsrGraph {
     /// Freeze the out-adjacency of any [`AdjacencyView`].
     pub fn from_adjacency<A: AdjacencyView + ?Sized>(g: &A) -> Self {
         Csr::build(g.num_vertices(), |v| g.out_neighbors(v))
+    }
+
+    /// The reverse adjacency, every list sorted: `u` lands in the list
+    /// of each `v` in `u`'s list. Every entry must be `< n`.
+    pub(crate) fn transposed(&self) -> Self {
+        let n = self.num_vertices();
+        let mut offsets = vec![0usize; n + 1];
+        for &v in &self.items {
+            offsets[v as usize + 1] += 1;
+        }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        let mut fill = offsets[..n].to_vec();
+        let mut items = vec![0; self.items.len()];
+        // `u` ascends, so each reverse list fills in sorted order.
+        for u in 0..n as Vertex {
+            for &v in self.list(u) {
+                items[fill[v as usize]] = u;
+                fill[v as usize] += 1;
+            }
+        }
+        Csr { offsets, items }
     }
 }
 

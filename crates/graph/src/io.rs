@@ -32,6 +32,9 @@
 //! the decoded lists pass the same structural validation the dynamic
 //! graphs enforce on every mutation.
 
+use crate::csr::{
+    Csr, CsrDelta, CsrDiDelta, CsrGraph, CsrOverlay, Frozen, WeightedCsrDelta, WeightedCsrGraph,
+};
 use crate::digraph::DynamicDiGraph;
 use crate::graph::DynamicGraph;
 use crate::weighted::{Weight, WeightedAdjacencyView, WeightedGraph};
@@ -264,14 +267,58 @@ fn write_csr_block<W: Write, const K: usize, I: ExactSizeIterator<Item = [u32; K
 }
 
 /// Read a `BGU2` CSR block back into a [`DynamicGraph`].
-pub fn read_graph_bin<R: Read>(mut r: R) -> Result<DynamicGraph, BinGraphError> {
+pub fn read_graph_bin<R: Read>(r: R) -> Result<DynamicGraph, BinGraphError> {
+    read_graph_csr(r).map(|view| view.thaw())
+}
+
+/// Read a `BGU2` CSR block straight into a CSR view (the checkpoint load
+/// path): the lists land in one array, with no per-vertex lists in
+/// between, and pass the checks of [`DynamicGraph::validate`].
+pub fn read_graph_csr<R: Read>(mut r: R) -> Result<CsrDelta, BinGraphError> {
     read_block_magic(&mut r, MAGIC_UND)?;
-    let (n, _m, degrees) = read_degree_header(&mut r, |m| m.checked_mul(2))?;
-    let mut adj = Vec::with_capacity(n.min(CHUNK_ENTRIES));
-    for &d in &degrees {
-        adj.push(read_bin_u32s(&mut r, d as usize, "adjacency")?);
-    }
-    DynamicGraph::try_from_adjacency(adj).map_err(|reason| BinGraphError::Invalid { reason })
+    let (_n, m, degrees) = read_degree_header(&mut r, |m| m.checked_mul(2))?;
+    let items = read_bin_u32s(&mut r, 2 * m as usize, "adjacency")?;
+    let csr = CsrGraph::from_degrees(&degrees, items);
+    check_lists(
+        &csr,
+        |v| v,
+        |u, v| match csr.list(v).binary_search(&u) {
+            Ok(_) => Ok(()),
+            Err(_) => Err(format!("edge ({u},{v}) not mirrored")),
+        },
+    )?;
+    Ok(CsrOverlay::new(csr))
+}
+
+/// The structural checks of the dynamic graphs' `validate` on a decoded
+/// CSR: every list strictly sorted by neighbour, no self-loop, no
+/// dangling id, then `entry_ok` on each `(u, entry)`.
+fn check_lists<T: Copy>(
+    csr: &Csr<T>,
+    neighbour: impl Fn(T) -> Vertex,
+    entry_ok: impl Fn(Vertex, T) -> Result<(), String>,
+) -> Result<(), BinGraphError> {
+    let n = csr.num_vertices();
+    let check = |u: Vertex| {
+        let list = csr.list(u);
+        if !list.windows(2).all(|w| neighbour(w[0]) < neighbour(w[1])) {
+            return Err(format!("adjacency of {u} not strictly sorted"));
+        }
+        for &e in list {
+            let v = neighbour(e);
+            if v == u {
+                return Err(format!("self-loop at {u}"));
+            }
+            if v as usize >= n {
+                return Err(format!("dangling neighbour {v} of {u}"));
+            }
+            entry_ok(u, e)?;
+        }
+        Ok(())
+    };
+    (0..n as Vertex)
+        .try_for_each(check)
+        .map_err(|reason| BinGraphError::Invalid { reason })
 }
 
 /// Write a directed graph (or a view of it) as a `BGD2` CSR block
@@ -288,14 +335,23 @@ pub fn digraph_bin_len<A: AdjacencyView + ?Sized>(g: &A) -> u64 {
 }
 
 /// Read a `BGD2` CSR block back into a [`DynamicDiGraph`].
-pub fn read_digraph_bin<R: Read>(mut r: R) -> Result<DynamicDiGraph, BinGraphError> {
+pub fn read_digraph_bin<R: Read>(r: R) -> Result<DynamicDiGraph, BinGraphError> {
+    read_digraph_csr(r).map(|view| view.thaw())
+}
+
+/// Read a `BGD2` CSR block straight into a directed CSR view, the
+/// in-lists transposed from the out-lists (see [`read_graph_csr`]).
+pub fn read_digraph_csr<R: Read>(mut r: R) -> Result<CsrDiDelta, BinGraphError> {
     read_block_magic(&mut r, MAGIC_DIR)?;
-    let (n, _m, degrees) = read_degree_header(&mut r, Some)?;
-    let mut out = Vec::with_capacity(n.min(CHUNK_ENTRIES));
-    for &d in &degrees {
-        out.push(read_bin_u32s(&mut r, d as usize, "adjacency")?);
-    }
-    DynamicDiGraph::try_from_out_adjacency(out).map_err(|reason| BinGraphError::Invalid { reason })
+    let (_n, m, degrees) = read_degree_header(&mut r, Some)?;
+    let items = read_bin_u32s(&mut r, m as usize, "adjacency")?;
+    let out = CsrGraph::from_degrees(&degrees, items);
+    check_lists(&out, |v| v, |_, _| Ok(()))?;
+    let inn = out.transposed();
+    Ok(CsrDiDelta::from_directions(
+        CsrOverlay::new(out),
+        CsrOverlay::new(inn),
+    ))
 }
 
 /// Write a weighted graph (or a view of it) as a `BGW2` CSR block.
@@ -324,19 +380,38 @@ fn weighted_half_edges<G: WeightedAdjacencyView + ?Sized>(g: &G) -> usize {
 }
 
 /// Read a `BGW2` CSR block back into a [`WeightedGraph`].
-pub fn read_weighted_bin<R: Read>(mut r: R) -> Result<WeightedGraph, BinGraphError> {
+pub fn read_weighted_bin<R: Read>(r: R) -> Result<WeightedGraph, BinGraphError> {
+    read_weighted_csr(r).map(|view| view.thaw())
+}
+
+/// Read a `BGW2` CSR block straight into a weighted CSR view, with the
+/// checks of [`WeightedGraph::validate`] (see [`read_graph_csr`]).
+pub fn read_weighted_csr<R: Read>(mut r: R) -> Result<WeightedCsrDelta, BinGraphError> {
     read_block_magic(&mut r, MAGIC_WTD)?;
-    let (n, _m, degrees) = read_degree_header(&mut r, |m| m.checked_mul(2))?;
-    let mut adj = Vec::with_capacity(n.min(CHUNK_ENTRIES));
+    let (_n, m, degrees) = read_degree_header(&mut r, |m| m.checked_mul(2))?;
+    let mut items = Vec::with_capacity((2 * m as usize).min(CHUNK_ENTRIES));
     for &d in &degrees {
         let flat = read_bin_u32s(&mut r, d as usize * 2, "adjacency")?;
-        adj.push(
+        items.extend(
             flat.chunks_exact(2)
-                .map(|p| (p[0] as Vertex, p[1] as Weight))
-                .collect::<Vec<_>>(),
+                .map(|p| (p[0] as Vertex, p[1] as Weight)),
         );
     }
-    WeightedGraph::try_from_adjacency(adj).map_err(|reason| BinGraphError::Invalid { reason })
+    let csr = WeightedCsrGraph::from_degrees(&degrees, items);
+    check_lists(
+        &csr,
+        |(v, _)| v,
+        |u, (v, w)| {
+            if w == 0 {
+                return Err(format!("zero weight on ({u},{v})"));
+            }
+            match csr.list(v).binary_search_by_key(&u, |&(x, _)| x) {
+                Ok(i) if csr.list(v)[i].1 == w => Ok(()),
+                _ => Err(format!("edge ({u},{v}) not mirrored with weight {w}")),
+            }
+        },
+    )?;
+    Ok(CsrOverlay::new(csr))
 }
 
 fn read_block_magic<R: Read>(r: &mut R, expected: &[u8; 4]) -> Result<(), BinGraphError> {
@@ -398,6 +473,35 @@ mod tests {
         write_weighted_bin(&wtd, &mut buf).unwrap();
         assert_eq!(buf.len() as u64, weighted_bin_len(&wtd));
         assert_eq!(read_weighted_bin(buf.as_slice()).unwrap(), wtd);
+    }
+
+    #[test]
+    fn binary_blocks_decode_straight_into_csr_views() {
+        let dir = DynamicDiGraph::from_edges(6, &[(0, 1), (1, 0), (3, 2), (4, 1), (5, 1), (0, 5)]);
+        let mut buf = Vec::new();
+        write_digraph_bin(&dir, &mut buf).unwrap();
+        let view = read_digraph_csr(buf.as_slice()).unwrap();
+        assert_eq!(view, CsrDiDelta::freeze(&dir), "in-lists transposed sorted");
+        // An arc to a vertex past n is caught before the transpose.
+        let last = buf.len() - 4;
+        buf[last..].copy_from_slice(&9u32.to_le_bytes());
+        assert!(matches!(
+            read_digraph_csr(buf.as_slice()),
+            Err(BinGraphError::Invalid { .. })
+        ));
+
+        let wtd = WeightedGraph::from_edges(4, &[(0, 1, 3), (1, 2, 1), (0, 3, 9)]);
+        let mut buf = Vec::new();
+        write_weighted_bin(&wtd, &mut buf).unwrap();
+        let view = read_weighted_csr(buf.as_slice()).unwrap();
+        assert_eq!(view.thaw(), wtd);
+        // The last entry is 3's mirror of (0, 3, 9): change its weight.
+        let last = buf.len() - 4;
+        buf[last..].copy_from_slice(&8u32.to_le_bytes());
+        assert!(matches!(
+            read_weighted_csr(buf.as_slice()),
+            Err(BinGraphError::Invalid { .. })
+        ));
     }
 
     #[test]

@@ -83,16 +83,60 @@ impl SearchOutcome {
     }
 }
 
-/// The search half of a Section 4 query over a graph type `G`: a
-/// distance-bounded bidirectional search for one pair plus a one-sided
-/// bounded sweep for one-to-many calls, both restricted to the vertices
-/// passing `allowed`. [`bfs::BiBfs`] implements it over any
-/// [`AdjacencyView`] and [`weighted::BiDijkstra`] over any
-/// [`WeightedAdjacencyView`]; every required method forwards to the
-/// inherent one of the same name, so the contracts are documented there.
+/// The search half of a Section 4 query over a graph type `G`, restricted
+/// to the vertices passing `allowed`. [`bfs::BiBfs`] implements it over
+/// any [`AdjacencyView`] and [`weighted::BiDijkstra`] over any
+/// [`WeightedAdjacencyView`].
+///
+/// A search is split into a **source side** and a **target side** so
+/// that one source side can serve many targets:
+/// [`BoundedSearch::start_source`] seeds it at `s`, each
+/// [`BoundedSearch::search_target`] runs one target's side against it
+/// (growing the source side when that is cheaper, and leaving what it
+/// grew for the next target), and [`BoundedSearch::extend_source`] grows
+/// it alone, as a one-to-many sweep. A point query is one source side and
+/// one target side ([`BoundedSearch::run_budgeted`]).
+///
+/// Expansions are counted as BFS levels' frontier vertices or Dijkstra
+/// settles, on either side, and taken off a caller's budget.
 pub trait BoundedSearch<G> {
     /// Number of vertices of `g` (`0..n` ids are valid endpoints).
     fn num_vertices(g: &G) -> usize;
+
+    /// Forget the last search and seed a source side at `s`, which must
+    /// be allowed.
+    fn start_source(&mut self, g: &G, s: Vertex);
+
+    /// Exact `d(s, t)` in the allowed subgraph if it is `< bound`, with
+    /// `s` the source side's seed; `t` must be allowed. The target side
+    /// checks every vertex it reaches against the source side's
+    /// distances, and the source side checks the target's when it grows,
+    /// so meetings with source vertices reached for earlier targets count.
+    ///
+    /// The source side grows when its frontier volume divided by `open`
+    /// (the targets still to be served by it, this one included) is no
+    /// larger than the target side's, so a shared source side takes a
+    /// larger share of the work. Every expansion is taken off `budget`;
+    /// a step that would need more than is left returns
+    /// [`SearchOutcome::OutOfBudget`] with the source side intact, so
+    /// [`BoundedSearch::extend_source`] can continue it.
+    fn search_target<F: Fn(Vertex) -> bool>(
+        &mut self,
+        g: &G,
+        t: Vertex,
+        bound: Dist,
+        open: usize,
+        budget: &mut usize,
+        allowed: F,
+    ) -> SearchOutcome;
+
+    /// Grow the source side alone until it has settled every vertex
+    /// within distance `bound` of `s`, or `cap` vertices (a BFS completes
+    /// the level it crosses `cap` in). Unless `cap` stopped it,
+    /// [`BoundedSearch::sweep_dist`] is then exact for every vertex
+    /// within `bound` and reads `INF` or a value above `bound` elsewhere,
+    /// so `min(b, sweep_dist(v))` is exact for any bound `b ≤ bound`.
+    fn extend_source<F: Fn(Vertex) -> bool>(&mut self, g: &G, bound: Dist, cap: usize, allowed: F);
 
     /// Exact `d(s, t)` in the allowed subgraph if it is `< bound`.
     fn run<F: Fn(Vertex) -> bool>(
@@ -108,11 +152,8 @@ pub trait BoundedSearch<G> {
             .found()
     }
 
-    /// [`BoundedSearch::run`] under an expansion budget: one expansion
-    /// is one vertex of a BFS level's frontier or one Dijkstra settle.
-    /// Spent expansions are taken off `budget`; a step that would need
-    /// more than is left abandons the search as
-    /// [`SearchOutcome::OutOfBudget`].
+    /// [`BoundedSearch::run`] under an expansion budget: one source side
+    /// and one target side.
     fn run_budgeted<F: Fn(Vertex) -> bool>(
         &mut self,
         g: &G,
@@ -121,10 +162,13 @@ pub trait BoundedSearch<G> {
         bound: Dist,
         budget: &mut usize,
         allowed: F,
-    ) -> SearchOutcome;
+    ) -> SearchOutcome {
+        self.start_source(g, s);
+        self.search_target(g, t, bound, 1, budget, allowed)
+    }
 
     /// Bounded sweep from `s`, stopping past `bound` or once `cap`
-    /// vertices are reached.
+    /// vertices are reached (`cap = 0` reaches nothing).
     fn sweep<F: Fn(Vertex) -> bool>(
         &mut self,
         g: &G,
@@ -132,12 +176,22 @@ pub trait BoundedSearch<G> {
         bound: Dist,
         cap: usize,
         allowed: F,
-    );
+    ) {
+        debug_assert!(allowed(s), "sweep source must be allowed");
+        // Seeding sizes the workspace for `g`, so `sweep_dist` reads
+        // `INF` for every vertex even when `cap = 0` reaches none.
+        self.start_source(g, s);
+        if cap == 0 {
+            self.clear();
+        } else {
+            self.extend_source(g, bound, cap, allowed);
+        }
+    }
 
-    /// Vertices the last sweep reached, nondecreasing by distance.
+    /// Vertices the source side has settled, nondecreasing by distance.
     fn swept(&self) -> &[Vertex];
 
-    /// Distance recorded by the last sweep (`INF` when unreached).
+    /// The source side's distance to `v` (`INF` when unreached).
     fn sweep_dist(&self, v: Vertex) -> Dist;
 
     /// Forget the last search or sweep (see [`bfs::BiBfs::clear`]).

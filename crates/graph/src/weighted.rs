@@ -290,9 +290,10 @@ pub fn dijkstra<W: WeightedAdjacencyView>(g: &W, src: Vertex) -> Vec<Dist> {
 
 /// Distance-bounded bidirectional Dijkstra on the subgraph of vertices
 /// passing `allowed`, reporting `d(s,t)` only if `< bound`. Both sides
-/// (and the one-sided [`BiDijkstra::sweep`], on the `s` side) pop from
-/// monotone radix heaps held in the workspace, so repeated searches
-/// allocate nothing once the buckets have grown.
+/// pop from monotone radix heaps held in the workspace, so repeated
+/// searches allocate nothing once the buckets have grown. Through
+/// [`BoundedSearch`] one source side, grown settle by settle, serves the
+/// target sides of a whole fan-out.
 #[derive(Debug, Default)]
 pub struct BiDijkstra {
     ds: Vec<Dist>,
@@ -301,8 +302,90 @@ pub struct BiDijkstra {
     touched_t: Vec<Vertex>,
     qs: RadixHeap,
     qt: RadixHeap,
-    /// Settle order of the last [`BiDijkstra::sweep`].
+    /// Settle order of the source side.
     order: Vec<Vertex>,
+    /// Sum of the degrees of the source side's reached but unsettled
+    /// vertices: its frontier volume.
+    vol_s: usize,
+}
+
+/// One side of a [`BiDijkstra`] search, borrowed from the workspace.
+struct Side<'a> {
+    heap: &'a mut RadixHeap,
+    dist: &'a mut [Dist],
+    other: &'a [Dist],
+    touched: &'a mut Vec<Vertex>,
+    vol: &'a mut usize,
+}
+
+impl Side<'_> {
+    /// Settle the side's next vertex (skipping stale entries) if it lies
+    /// within `limit`, and relax its arcs. Returns the settled vertex and
+    /// the shortest meeting with the other side it saw (`INF` for none);
+    /// `None` when no live entry within `limit` was left;
+    /// [`SearchOutcome::OutOfBudget`] when `budget` is spent. Only a
+    /// settle changes the side. With `MEET` off (a sweep, which has no
+    /// target to meet) the meetings and the frontier volume go unread
+    /// and unkept.
+    fn settle<const MEET: bool, W, F>(
+        &mut self,
+        g: &W,
+        allowed: &F,
+        limit: u64,
+        budget: &mut usize,
+    ) -> Result<Option<(Vertex, Dist)>, SearchOutcome>
+    where
+        W: WeightedAdjacencyView,
+        F: Fn(Vertex) -> bool,
+    {
+        let (d, v) = loop {
+            let Some((d, v)) = self.heap.pop() else {
+                return Ok(None);
+            };
+            if d as Dist <= self.dist[v as usize] {
+                break (d, v);
+            }
+        };
+        if d > limit || *budget == 0 {
+            // The key is the heap's floor, so it can go back.
+            self.heap.push(d, v);
+            return if d > limit {
+                Ok(None)
+            } else {
+                Err(SearchOutcome::OutOfBudget)
+            };
+        }
+        *budget -= 1;
+        let d = d as Dist;
+        let nbrs = g.weighted_neighbors(v);
+        let mut best = INF;
+        if MEET {
+            *self.vol = self.vol.saturating_sub(nbrs.len());
+            if self.other[v as usize] != INF {
+                best = d.saturating_add(self.other[v as usize]);
+            }
+        }
+        for &(w, wt) in nbrs {
+            if !allowed(w) {
+                continue;
+            }
+            let nd = d.saturating_add(wt);
+            if nd < self.dist[w as usize] {
+                if self.dist[w as usize] == INF {
+                    self.touched.push(w);
+                    if MEET {
+                        *self.vol += g.weighted_degree(w);
+                    }
+                }
+                self.dist[w as usize] = nd;
+                self.heap.push(nd.into(), w);
+                if MEET && self.other[w as usize] != INF {
+                    best = best.min(nd.saturating_add(self.other[w as usize]));
+                }
+            }
+        }
+        Ok(Some((v, best)))
+    }
 }
 
 impl BiDijkstra {
@@ -331,89 +414,7 @@ impl BiDijkstra {
         bound: Dist,
         allowed: F,
     ) -> Option<Dist> {
-        let mut unlimited = usize::MAX;
-        self.run_budgeted(g, s, t, bound, &mut unlimited, allowed)
-            .found()
-    }
-
-    /// [`BiDijkstra::run`] under an expansion budget: each settle (a
-    /// non-stale heap pop, on either side) costs one expansion, taken
-    /// off `budget`; a settle with nothing left abandons the search as
-    /// [`SearchOutcome::OutOfBudget`]. The workspace stays reusable
-    /// either way.
-    pub fn run_budgeted<W: WeightedAdjacencyView, F: Fn(Vertex) -> bool>(
-        &mut self,
-        g: &W,
-        s: Vertex,
-        t: Vertex,
-        bound: Dist,
-        budget: &mut usize,
-        allowed: F,
-    ) -> SearchOutcome {
-        if bound == 0 {
-            return SearchOutcome::NotBelow;
-        }
-        if s == t {
-            return SearchOutcome::Found(0);
-        }
-        self.clear();
-        self.grow(g.num_vertices());
-        self.ds[s as usize] = 0;
-        self.dt[t as usize] = 0;
-        self.touched_s.push(s);
-        self.touched_t.push(t);
-        self.qs.push(0, s);
-        self.qt.push(0, t);
-        let mut best = INF;
-        // Alternate by smaller settled radius; stop when the radii sum
-        // can no longer beat the incumbent, or once either side is
-        // exhausted: it has then settled every vertex that meets it, the
-        // other endpoint included if connected, so `best` is final.
-        while let (Some(a), Some(b)) = (self.qs.peek(), self.qt.peek()) {
-            let (expand_s, radius_sum) = (a <= b, a.saturating_add(b));
-            if radius_sum >= u64::from(best) || radius_sum >= u64::from(bound) {
-                break;
-            }
-            let (heap, dist, other, touched) = if expand_s {
-                (&mut self.qs, &mut self.ds, &self.dt, &mut self.touched_s)
-            } else {
-                (&mut self.qt, &mut self.dt, &self.ds, &mut self.touched_t)
-            };
-            if let Some((d, v)) = heap.pop() {
-                let d = d as Dist;
-                if d > dist[v as usize] {
-                    continue;
-                }
-                if *budget == 0 {
-                    return SearchOutcome::OutOfBudget;
-                }
-                *budget -= 1;
-                if other[v as usize] != INF {
-                    best = best.min(d.saturating_add(other[v as usize]));
-                }
-                for &(w, wt) in g.weighted_neighbors(v) {
-                    if !allowed(w) {
-                        continue;
-                    }
-                    let nd = d.saturating_add(wt);
-                    if nd < dist[w as usize] {
-                        if dist[w as usize] == INF {
-                            touched.push(w);
-                        }
-                        dist[w as usize] = nd;
-                        heap.push(nd.into(), w);
-                        if other[w as usize] != INF {
-                            best = best.min(nd.saturating_add(other[w as usize]));
-                        }
-                    }
-                }
-            }
-        }
-        if best < bound {
-            SearchOutcome::Found(best)
-        } else {
-            SearchOutcome::NotBelow
-        }
+        BoundedSearch::run(self, g, s, t, bound, allowed)
     }
 
     /// One-sided bounded Dijkstra from `s` over the subgraph of
@@ -434,53 +435,20 @@ impl BiDijkstra {
         W: WeightedAdjacencyView,
         F: Fn(Vertex) -> bool,
     {
-        debug_assert!(allowed(s), "sweep source must be allowed");
-        self.clear();
-        self.grow(g.num_vertices());
-        if cap == 0 {
-            return;
-        }
-        self.ds[s as usize] = 0;
-        self.touched_s.push(s);
-        self.qs.push(0, s);
-        while let Some((d, v)) = self.qs.pop() {
-            let d = d as Dist;
-            if d > self.ds[v as usize] {
-                continue; // stale heap entry
-            }
-            if d > bound {
-                break;
-            }
-            self.order.push(v);
-            if self.order.len() >= cap {
-                break;
-            }
-            for &(w, wt) in g.weighted_neighbors(v) {
-                if !allowed(w) {
-                    continue;
-                }
-                let nd = d.saturating_add(wt);
-                if nd < self.ds[w as usize] {
-                    if self.ds[w as usize] == INF {
-                        self.touched_s.push(w);
-                    }
-                    self.ds[w as usize] = nd;
-                    self.qs.push(nd.into(), w);
-                }
-            }
-        }
+        BoundedSearch::sweep(self, g, s, bound, cap, allowed)
     }
 
-    /// The vertices settled by the last [`BiDijkstra::sweep`], in
-    /// nondecreasing-distance order; the source comes first.
+    /// The vertices the source side has settled (by the last
+    /// [`BiDijkstra::sweep`], say), in nondecreasing-distance order;
+    /// the source comes first.
     #[inline]
     pub fn swept(&self) -> &[Vertex] {
         &self.order
     }
 
-    /// Distance recorded by the last [`BiDijkstra::sweep`] (`INF` when
-    /// the sweep never reached `v`; only values of settled vertices —
-    /// those in [`BiDijkstra::swept`] — are final).
+    /// The source side's distance to `v` (`INF` when it never reached
+    /// `v`; only values of settled vertices — those in
+    /// [`BiDijkstra::swept`] — are final).
     #[inline]
     pub fn sweep_dist(&self, v: Vertex) -> Dist {
         self.ds[v as usize]
@@ -494,14 +462,28 @@ impl BiDijkstra {
         for &v in &self.touched_s {
             self.ds[v as usize] = INF;
         }
+        self.touched_s.clear();
+        self.qs.clear();
+        self.order.clear();
+        self.clear_target();
+    }
+
+    fn clear_target(&mut self) {
         for &v in &self.touched_t {
             self.dt[v as usize] = INF;
         }
-        self.touched_s.clear();
         self.touched_t.clear();
-        self.qs.clear();
         self.qt.clear();
-        self.order.clear();
+    }
+
+    fn source_side(&mut self) -> Side<'_> {
+        Side {
+            heap: &mut self.qs,
+            dist: &mut self.ds,
+            other: &self.dt,
+            touched: &mut self.touched_s,
+            vol: &mut self.vol_s,
+        }
     }
 }
 
@@ -511,29 +493,90 @@ impl<W: WeightedAdjacencyView> BoundedSearch<W> for BiDijkstra {
         g.num_vertices()
     }
 
-    #[inline]
-    fn run_budgeted<F: Fn(Vertex) -> bool>(
+    fn start_source(&mut self, g: &W, s: Vertex) {
+        self.clear();
+        self.grow(g.num_vertices());
+        self.ds[s as usize] = 0;
+        self.touched_s.push(s);
+        self.qs.push(0, s);
+        self.vol_s = g.weighted_degree(s);
+    }
+
+    /// Each settle (a non-stale heap pop, on either side) costs one
+    /// expansion. The search stops when the two sides' radii sum to the
+    /// incumbent or the bound, or once either side is exhausted: it has
+    /// then settled every vertex that meets it, the other endpoint
+    /// included if connected, so the incumbent is final.
+    fn search_target<F: Fn(Vertex) -> bool>(
         &mut self,
         g: &W,
-        s: Vertex,
         t: Vertex,
         bound: Dist,
+        open: usize,
         budget: &mut usize,
         allowed: F,
     ) -> SearchOutcome {
-        BiDijkstra::run_budgeted(self, g, s, t, bound, budget, allowed)
+        self.clear_target();
+        if bound == 0 {
+            return SearchOutcome::NotBelow;
+        }
+        self.dt[t as usize] = 0;
+        self.touched_t.push(t);
+        self.qt.push(0, t);
+        let mut vol_t = g.weighted_degree(t);
+        // The source side may already hold `t`: a path to `t` itself.
+        let mut best = self.ds[t as usize];
+        while let (Some(a), Some(b)) = (self.qs.peek(), self.qt.peek()) {
+            let radius_sum = a.saturating_add(b);
+            if radius_sum >= u64::from(best) || radius_sum >= u64::from(bound) {
+                break;
+            }
+            let settled = if self.vol_s <= vol_t.saturating_mul(open) {
+                let settled =
+                    self.source_side()
+                        .settle::<true, _, _>(g, &allowed, u64::MAX, budget);
+                if let Ok(Some((v, _))) = settled {
+                    self.order.push(v);
+                }
+                settled
+            } else {
+                Side {
+                    heap: &mut self.qt,
+                    dist: &mut self.dt,
+                    other: &self.ds,
+                    touched: &mut self.touched_t,
+                    vol: &mut vol_t,
+                }
+                .settle::<true, _, _>(g, &allowed, u64::MAX, budget)
+            };
+            match settled {
+                Ok(Some((_, meet))) => best = best.min(meet),
+                Ok(None) => {}
+                Err(out_of_budget) => return out_of_budget,
+            }
+        }
+        if best < bound {
+            SearchOutcome::Found(best)
+        } else {
+            SearchOutcome::NotBelow
+        }
     }
 
-    #[inline]
-    fn sweep<F: Fn(Vertex) -> bool>(
-        &mut self,
-        g: &W,
-        s: Vertex,
-        bound: Dist,
-        cap: usize,
-        allowed: F,
-    ) {
-        BiDijkstra::sweep(self, g, s, bound, cap, allowed)
+    fn extend_source<F: Fn(Vertex) -> bool>(&mut self, g: &W, bound: Dist, cap: usize, allowed: F) {
+        // A sweep keeps no frontier volume: that only steers the choice
+        // of side for a later target.
+        let mut unlimited = usize::MAX;
+        while self.order.len() < cap {
+            match self.source_side().settle::<false, _, _>(
+                g,
+                &allowed,
+                bound.into(),
+                &mut unlimited,
+            ) {
+                Ok(Some((v, _))) => self.order.push(v),
+                _ => break,
+            }
+        }
     }
 
     #[inline]

@@ -38,27 +38,40 @@
 //! every target costs a single `O(|R|)` pass over its own labels
 //! instead of re-reading the source row and the highway per pair.
 //!
-//! # Choosing the fan-out strategy: the pooled fair share
+//! # Fan-outs: one source side, a target side per target
 //!
-//! [`distances_from`] then refines each target that needs search in one
-//! of two ways. Per-target bidirectional searches stop early where the
-//! Eq. 3 bound is tight; **one** bounded sweep from `s` on `G[V\R]`
-//! settles every vertex within the largest bound once, whatever the
-//! number of targets. Which is cheaper depends on the graph (on a
-//! low-diameter graph the sweep's ball is most of the graph; on a road
-//! grid the searches rarely stop early), so the call measures instead of
-//! guessing. It runs the per-target searches in order under a pooled
-//! expansion budget: before searching target `j` of the `T` that need
-//! search, the searches together may have spent `⌊n·(j+1)/T⌋`
-//! expansions (a BFS frontier vertex or a Dijkstra settle). A search
-//! that would overrun its allowance is abandoned, and one sweep answers
-//! it and every later target. The searches spend at most `n` in all, and
-//! a sweep expands each vertex at most once, so a call never costs more
-//! than about twice a sweep of the whole graph, and when the searches
-//! stay within their shares it costs only them. No constant is fitted
-//! to a graph size. The returned [`FanOut`] says which way a call went,
-//! and the process-wide metrics registry counts fan-outs and those that
-//! swept.
+//! [`distances_from`] then refines each target that needs search with
+//! a bounded bidirectional search, but the source half is shared: the
+//! call starts **one** search from `s` on `G[V\R]` (BFS levels for
+//! [`BiBfs`], settles for `BiDijkstra`) and keeps it across its targets,
+//! so each target runs only its own side against it
+//! ([`BoundedSearch::search_target`]). A target side grows the source
+//! side when the source frontier's volume divided by the targets still
+//! open is no larger than its own frontier's, so the more targets remain
+//! to share a source step, the more of the work the source side takes.
+//! Each growth checks the open target's distances and each target step
+//! checks the source distances, so meetings with source vertices reached
+//! for earlier targets count, and every answer equals [`point_dist`].
+//!
+//! The targets are served in order under a pooled expansion budget:
+//! before target `j` of the `T` that need search, the searches together
+//! may have spent `⌊n·(j+1)/T⌋` expansions (a BFS frontier vertex or a
+//! Dijkstra settle, on either side; a source step is paid once, by the
+//! target it grew for). When a target side would overrun its allowance,
+//! the source side alone continues out to the largest remaining bound —
+//! a sweep that resumes where the shared search stopped rather than
+//! restarting — and answers that target and every later one. The
+//! searches spend at most `n` in all and a sweep expands each vertex at
+//! most once, so a call never costs more than about twice a sweep of the
+//! whole graph, and when the target sides stay within their shares it
+//! costs only them. On a low-diameter graph the source side stays
+//! shallow and targets meet it within a few levels; on a road grid the
+//! bounds rarely prune and the pool runs out, so those fan-outs end as
+//! sweeps. No constant is fitted to a graph size. The returned [`FanOut`]
+//! says which way a call ended, and the process-wide metrics registry
+//! counts fan-outs (`batchhl_query_fanouts_total`) and those whose
+//! target sides overran the pool and whose source side finished as a
+//! sweep (`batchhl_query_fanouts_swept_total`).
 
 use crate::labelling::{LabelView, Labelling, NO_LABEL};
 use batchhl_common::metrics::{self, Counter};
@@ -198,21 +211,21 @@ pub fn point_dist<G, L: LabelView, S: BoundedSearch<G>>(
         .unwrap_or(bound)
 }
 
-/// Which strategy a [`distances_from`] call used on the targets that
-/// needed search.
+/// How a [`distances_from`] call ended on the targets that needed
+/// search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FanOut {
-    /// Every such target got its own bounded search (also when none
-    /// needed one).
-    PerPair,
-    /// The per-target searches overran the pooled fair share at
-    /// searching target `j` (0-based, counting only targets that needed
-    /// search): it and every later one came from one bounded sweep.
+    /// Every such target's side met the shared source side within the
+    /// pooled fair share (also when no target needed search).
+    Searched,
+    /// The target sides overran the pooled fair share at target `j`
+    /// (0-based, counting only targets that needed search): the source
+    /// side finished as a sweep and answered it and every later one.
     SweptFrom(usize),
 }
 
 /// Process-wide fan-out counters: every [`distances_from`] call, and the
-/// calls that fell back to a sweep.
+/// calls whose source side finished as a sweep.
 fn fanout_counters() -> &'static (Arc<Counter>, Arc<Counter>) {
     static COUNTERS: OnceLock<(Arc<Counter>, Arc<Counter>)> = OnceLock::new();
     COUNTERS.get_or_init(|| {
@@ -226,15 +239,16 @@ fn fanout_counters() -> &'static (Arc<Counter>, Arc<Counter>) {
 
 /// One source, many targets (see the module docs): build a
 /// [`SourcePlan`] once, price every target's Eq. 3 bound in
-/// `O(|L(t)|)`, then refine the `T` non-landmark targets by per-target
-/// bounded searches under the pooled fair share: before target `j`, the
-/// searches together may have spent `⌊n·(j+1)/T⌋` expansions. The first
-/// search that would overrun it is abandoned, and one bounded sweep of
-/// `G[V\R]` from `s`, out to the largest remaining bound, answers it and
-/// every later target.
+/// `O(|L(t)|)`, then refine the `T` non-landmark targets in order, each
+/// by its own target side against one source side from `s` that persists
+/// across them, under the pooled fair share: before target `j`, the
+/// searches together may have spent `⌊n·(j+1)/T⌋` expansions. When a
+/// target side would overrun it, the source side alone continues out to
+/// the largest remaining bound and answers that target and every later
+/// one.
 ///
 /// Answers equal [`point_dist`] pair by pair; `INF` marks disconnected
-/// or out-of-range endpoints. The [`FanOut`] says which path was taken.
+/// or out-of-range endpoints. The [`FanOut`] says which way it ended.
 pub fn distances_from<G, L: LabelView, S: BoundedSearch<G>>(
     graph: &G,
     fwd: &L,
@@ -248,7 +262,7 @@ pub fn distances_from<G, L: LabelView, S: BoundedSearch<G>>(
     let n = S::num_vertices(graph);
     let mut out = vec![INF; targets.len()];
     if (s as usize) >= n {
-        return (out, FanOut::PerPair);
+        return (out, FanOut::Searched);
     }
     // Landmark sources are exact from the labelling alone (Eq. 2).
     if let Some(i) = fwd.landmark_index(s) {
@@ -257,7 +271,7 @@ pub fn distances_from<G, L: LabelView, S: BoundedSearch<G>>(
                 *slot = fwd.landmark_to_vertex(i, t);
             }
         }
-        return (out, FanOut::PerPair);
+        return (out, FanOut::Searched);
     }
     let plan = SourcePlan::new(bwd, fwd, s);
     let mut refine: Vec<usize> = Vec::new();
@@ -276,35 +290,43 @@ pub fn distances_from<G, L: LabelView, S: BoundedSearch<G>>(
         out[k] = plan.bound_to(fwd, t);
         refine.push(k);
     }
+    if refine.is_empty() {
+        return (out, FanOut::Searched);
+    }
     let allowed = |v| !fwd.is_landmark(v);
     // Target j deposits its share ⌊n·(j+1)/T⌋ − ⌊n·j/T⌋ into the pool;
-    // what a search leaves unspent carries over to the next.
+    // what a search leaves unspent carries over to the next, and the
+    // source side's growth is paid once, by the target it grew for.
     let share = |j: usize| (n as u128 * j as u128 / refine.len() as u128) as usize;
     let mut pool = 0usize;
+    let mut how = FanOut::Searched;
+    search.start_source(graph, s);
     for (j, &k) in refine.iter().enumerate() {
         pool += share(j + 1) - share(j);
-        match search.run_budgeted(graph, s, targets[k], out[k], &mut pool, allowed) {
+        let open = refine.len() - j;
+        match search.search_target(graph, targets[k], out[k], open, &mut pool, allowed) {
             SearchOutcome::Found(d) => out[k] = d,
             SearchOutcome::NotBelow => {}
             SearchOutcome::OutOfBudget => {
-                // One sweep bounded by the largest remaining bound: a
-                // restricted path shorter than its pair's bound lies
-                // within the horizon, so min(bound, sweep) is exact.
+                // The source side continues to the largest remaining
+                // bound: a restricted path shorter than its pair's bound
+                // lies within it, so min(bound, source distance) is exact.
                 swept.inc();
                 let rest = &refine[j..];
                 let horizon = rest.iter().map(|&k| out[k]).max().unwrap_or(0);
-                search.sweep(graph, s, horizon, usize::MAX, allowed);
+                search.extend_source(graph, horizon, usize::MAX, allowed);
                 for &k in rest {
                     out[k] = out[k].min(search.sweep_dist(targets[k]));
                 }
-                // Clear now, so the sweep's O(swept) reset is billed
-                // to this fan-out, not to the next search on `search`.
-                search.clear();
-                return (out, FanOut::SweptFrom(j));
+                how = FanOut::SweptFrom(j);
+                break;
             }
         }
     }
-    (out, FanOut::PerPair)
+    // Clear now, so the source side's O(reached) reset is billed to
+    // this fan-out, not to the next search on `search`.
+    search.clear();
+    (out, how)
 }
 
 /// The `k` vertices closest to `s` (excluding `s`), nondecreasing by
@@ -524,7 +546,7 @@ mod tests {
             let mut bibfs = BiBfs::new(g.num_vertices());
             // Every vertex twice: more searching targets than vertices,
             // so the first allowance is ⌊n/T⌋ = 0 and the call sweeps;
-            // and a short list that mostly stays per-pair.
+            // and a short list that mostly stays within its shares.
             let all: Vec<Vertex> = (0..60).chain(0..60).collect();
             let few: Vec<Vertex> = (0..60).step_by(11).collect();
             assert!(all.len() - 2 * (k + 1) > g.num_vertices());
@@ -545,31 +567,38 @@ mod tests {
     }
 
     /// Fan-outs from vertex 0 of the path 0–…–59 with the landmark 59
-    /// at its far end, plus the isolated vertices 60 and 61. Searching
-    /// targets near 0 cost a few expansions; 57 and 58 cost about 58,
-    /// since their Eq. 3 bound runs through 59.
+    /// at its far end, plus the isolated vertices 60 and 61. The shared
+    /// source side grows one step per expansion along the path (its
+    /// frontier is never larger than a target's times the open targets),
+    /// so a target at distance d costs what the source side still lacks
+    /// of d; an isolated target's side ends at once. 57 and 58 cost about
+    /// 58, since their Eq. 3 bound runs through 59.
     fn three_path_cases<G, S: BoundedSearch<G>>(graph: &G, lab: &Labelling, search: &mut S) {
         // A landmark (59), out of range (99), a duplicate (2), disconnected
         // (61, INF bound) and the source (0), around the searching
         // targets 1, 2, 2, 61, 58, 57: T = 6, n = 62, allowances
-        // ⌊62·(j+1)/6⌋ = 10, 20, 31, 41, 51, 62. The first four searches
-        // spend well under them, then 58 overruns.
+        // ⌊62·(j+1)/6⌋ = 10, 20, 31, 41, 51, 62. The first four targets
+        // spend 3 in all, then 58 needs 56 more and overruns 51.
         let switch: Vec<Vertex> = vec![1, 59, 2, 99, 2, 61, 58, 57, 0];
         // The same list without its far targets: T = 4, all cheap.
-        let per_pair: Vec<Vertex> = vec![1, 59, 2, 99, 2, 61, 0];
+        let near: Vec<Vertex> = vec![1, 59, 2, 99, 2, 61, 0];
+        // Targets spaced 5 apart: T = 6, and the source side grows 5 per
+        // target, 5, 10, …, 30 in all, within every allowance. Searches
+        // of their own would spend 5 + 10 + 15 + 20 = 50 > 41 by the
+        // fourth and sweep.
+        let spaced: Vec<Vertex> = vec![5, 10, 15, 20, 25, 30];
         // Eleven copies: T = 66 > n, so the first allowance is 0.
         let sweep_all: Vec<Vertex> = (0..11).flat_map(|_| switch.iter().copied()).collect();
         for (targets, want) in [
-            (&per_pair, FanOut::PerPair),
+            (&near, FanOut::Searched),
+            (&spaced, FanOut::Searched),
             (&switch, FanOut::SweptFrom(4)),
             (&sweep_all, FanOut::SweptFrom(0)),
         ] {
             let (got, how) = distances_from(graph, lab, lab, search, 0, targets);
             assert_eq!(how, want, "targets {targets:?}");
-            // A sweep's touched list is not left for the next search.
-            if want != FanOut::PerPair {
-                assert!(search.swept().is_empty(), "targets {targets:?}");
-            }
+            // The source side is not left for the next search.
+            assert!(search.swept().is_empty(), "targets {targets:?}");
             for (&t, &d) in targets.iter().zip(&got) {
                 assert_eq!(d, point_dist(graph, lab, lab, search, 0, t), "(0,{t})");
             }
@@ -588,7 +617,7 @@ mod tests {
         let wg = WeightedGraph::from_edges(62, &weighted);
         three_path_cases(&wg, &lab, &mut BiDijkstra::new(62));
         let (out, how) = distances_from(&g, &lab, &lab, &mut BiBfs::new(62), 0, &[]);
-        assert_eq!((out, how), (vec![], FanOut::PerPair));
+        assert_eq!((out, how), (vec![], FanOut::Searched));
     }
 
     #[test]
@@ -599,12 +628,18 @@ mod tests {
         let (f0, s0) = (fanouts.get(), swept.get());
         let g = path(8);
         let lab = build_labelling(&g, vec![7]).unwrap();
+        // T = 3, allowances 2, 5, 8: the source side grows 2 per target,
+        // so this call stays searched (searches of their own would spend
+        // 2 + 4 > 5 and sweep).
+        let mut bibfs = BiBfs::new(8);
+        let (_, how) = distances_from(&g, &lab, &lab, &mut bibfs, 0, &[2, 4, 6]);
+        assert_eq!(how, FanOut::Searched);
         // T = 12 > n = 8: this call must sweep. Other tests may count
         // concurrently, so the checks are monotone.
         let targets: Vec<Vertex> = (0..4).flat_map(|_| [2, 4, 6]).collect();
-        let (_, how) = distances_from(&g, &lab, &lab, &mut BiBfs::new(8), 0, &targets);
+        let (_, how) = distances_from(&g, &lab, &lab, &mut bibfs, 0, &targets);
         assert_eq!(how, FanOut::SweptFrom(0));
-        assert!(fanouts.get() > f0);
+        assert!(fanouts.get() >= f0 + 2);
         assert!(swept.get() > s0);
     }
 

@@ -86,16 +86,23 @@ impl<T> CoalesceShared<T> {
 
 /// Proof that a batch is executing: while any guard is alive the stage
 /// is busy and arriving items gather behind it. Dropping the guard (on
-/// success, panic or a discarded job alike) ends that batch and wakes
-/// the drainer.
+/// success, panic or a discarded job alike) ends that batch and, when
+/// items gathered behind it, wakes the drainer to drain them.
 pub struct Executing<T> {
     shared: Arc<CoalesceShared<T>>,
 }
 
 impl<T> Drop for Executing<T> {
     fn drop(&mut self) {
-        self.shared.lock().executing -= 1;
-        self.shared.cv.notify_one();
+        let mut stage = self.shared.lock();
+        stage.executing -= 1;
+        // With nothing queued the drainer sleeps until the next submit,
+        // which wakes it itself.
+        let gathered = !stage.queue.is_empty();
+        drop(stage);
+        if gathered {
+            self.shared.cv.notify_one();
+        }
     }
 }
 

@@ -4,11 +4,13 @@
 //!
 //! - **JSON lines** (the protocol in [`crate::protocol`]): each
 //!   connection gets a thread that parses request lines and dispatches
-//!   them — point queries to the [`Coalescer`] (answered inline on the
-//!   connection thread when the server is idle and the connection has
-//!   no further request buffered), everything else as jobs on the
-//!   [`WorkerPool`]. Responses carry the request's `id`, so clients may
-//!   pipeline.
+//!   them. Point queries, `query_many`, `distances_from` and
+//!   `top_k_closest` are answered inline on the connection thread when
+//!   the coalescer's stage is idle, the connection has no further
+//!   request buffered and no job of its own in the pool; otherwise point
+//!   queries go to the [`Coalescer`] and the rest, like every other
+//!   request, run as jobs on the [`WorkerPool`]. Responses carry the
+//!   request's `id`, so clients may pipeline.
 //! - **HTTP/1.1 shim**: a connection whose first line is an HTTP
 //!   request gets `GET /health` or `GET /metrics` answered and the
 //!   connection closed — enough for probes and scrapes, not a web
@@ -31,7 +33,7 @@ use crate::protocol::{
 use batchhl::{DistanceOracle, Edit, OracleHealth, OracleReader, TxnId, Vertex};
 use std::io::{self, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -79,12 +81,19 @@ impl Default for ServerConfig {
 /// lines is the syscall amortization the coalescer exists for.
 pub struct Conn {
     writer: Mutex<BufWriter<TcpStream>>,
+    /// Pool jobs submitted for this connection that have not finished.
+    /// While any is out, the connection's reads queue behind it instead
+    /// of being answered inline, so a single worker replies in request
+    /// order. A job's decrement (after its reply is written) releases,
+    /// and `claim_inline`'s load acquires.
+    jobs: AtomicUsize,
 }
 
 impl Conn {
     fn new(stream: TcpStream) -> Conn {
         Conn {
             writer: Mutex::new(BufWriter::new(stream)),
+            jobs: AtomicUsize::new(0),
         }
     }
 
@@ -525,9 +534,16 @@ fn dispatch(
     };
     let id = envelope.id;
     let deadline_ms = envelope.deadline_ms;
+    // The lone point query's path, for every read that may take it.
+    let inline = || claim_inline(coalescer, conn, pipelined);
+    let read = ReadReq {
+        id,
+        start,
+        deadline_ms,
+    };
     match envelope.request {
-        Request::Query { s, t } => {
-            if let Some(coalescer) = coalescer {
+        Request::Query { s, t } => match coalescer {
+            Some(coalescer) => {
                 let pending = PendingQuery {
                     s,
                     t,
@@ -536,14 +552,7 @@ fn dispatch(
                     start,
                     deadline_ms,
                 };
-                // A pipelined query goes to the coalescer even when idle:
-                // the requests behind it should share its batch.
-                let idle = if pipelined {
-                    None
-                } else {
-                    coalescer.try_claim_idle()
-                };
-                match idle {
+                match inline() {
                     Some(executing) => answer_inline(core, pending, executing),
                     None => {
                         if coalescer.submit(pending).is_err() {
@@ -551,80 +560,25 @@ fn dispatch(
                         }
                     }
                 }
-            } else {
-                submit_or_shed(core, conn, id, {
-                    let core = Arc::clone(core);
-                    let conn = Arc::clone(conn);
-                    Box::new(move || {
-                        if expired(start, deadline_ms) {
-                            refuse_expired(&core, &conn, id, deadline_ms.unwrap_or(0));
-                            return;
-                        }
-                        let d = core
-                            .reader
-                            .read()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .query(s, t);
-                        core.metrics.queries.inc();
-                        core.metrics.request_latency.observe(start.elapsed());
-                        let _ = conn.write_line(&resp_dist(id, d));
-                    })
-                });
             }
+            None => serve_read(core, conn, read, None, move |core| {
+                let d = reader(core).query(s, t);
+                (1, resp_dist(id, d))
+            }),
+        },
+        Request::QueryMany { pairs } => serve_read(core, conn, read, inline(), move |core| {
+            let ds = reader(core).query_many(&pairs);
+            (pairs.len(), resp_dists(id, &ds))
+        }),
+        Request::DistancesFrom { s, targets } => {
+            serve_read(core, conn, read, inline(), move |core| {
+                let ds = reader(core).distances_from(s, &targets);
+                (targets.len(), resp_dists(id, &ds))
+            })
         }
-        Request::QueryMany { pairs } => submit_or_shed(core, conn, id, {
-            let core = Arc::clone(core);
-            let conn = Arc::clone(conn);
-            Box::new(move || {
-                if expired(start, deadline_ms) {
-                    refuse_expired(&core, &conn, id, deadline_ms.unwrap_or(0));
-                    return;
-                }
-                let ds = core
-                    .reader
-                    .read()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .query_many(&pairs);
-                core.metrics.queries.add(pairs.len() as u64);
-                core.metrics.request_latency.observe(start.elapsed());
-                let _ = conn.write_line(&resp_dists(id, &ds));
-            })
-        }),
-        Request::DistancesFrom { s, targets } => submit_or_shed(core, conn, id, {
-            let core = Arc::clone(core);
-            let conn = Arc::clone(conn);
-            Box::new(move || {
-                if expired(start, deadline_ms) {
-                    refuse_expired(&core, &conn, id, deadline_ms.unwrap_or(0));
-                    return;
-                }
-                let ds = core
-                    .reader
-                    .read()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .distances_from(s, &targets);
-                core.metrics.queries.add(targets.len() as u64);
-                core.metrics.request_latency.observe(start.elapsed());
-                let _ = conn.write_line(&resp_dists(id, &ds));
-            })
-        }),
-        Request::TopKClosest { s, k } => submit_or_shed(core, conn, id, {
-            let core = Arc::clone(core);
-            let conn = Arc::clone(conn);
-            Box::new(move || {
-                if expired(start, deadline_ms) {
-                    refuse_expired(&core, &conn, id, deadline_ms.unwrap_or(0));
-                    return;
-                }
-                let closest = core
-                    .reader
-                    .read()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .top_k_closest(s, k);
-                core.metrics.queries.inc();
-                core.metrics.request_latency.observe(start.elapsed());
-                let _ = conn.write_line(&resp_top_k(id, &closest));
-            })
+        Request::TopKClosest { s, k } => serve_read(core, conn, read, inline(), move |core| {
+            let closest = reader(core).top_k_closest(s, k);
+            (1, resp_top_k(id, &closest))
         }),
         Request::Commit { edits, txn } => {
             if core.config.read_only {
@@ -641,33 +595,16 @@ fn dispatch(
                 Box::new(move || run_commit(&core, &conn, id, &edits, txn, start, deadline_ms))
             });
         }
-        Request::WhatIf { edits, pairs } => submit_or_shed(core, conn, id, {
-            // Read-only speculation: allowed on replicas, no health
-            // gate — the published generation is never touched.
-            let core = Arc::clone(core);
-            let conn = Arc::clone(conn);
-            Box::new(move || {
-                if expired(start, deadline_ms) {
-                    refuse_expired(&core, &conn, id, deadline_ms.unwrap_or(0));
-                    return;
+        // Read-only speculation: allowed on replicas, no health gate —
+        // the published generation is never touched.
+        Request::WhatIf { edits, pairs } => serve_read(core, conn, read, None, move |core| {
+            match reader(core).what_if(&edits) {
+                Ok(mut session) => {
+                    let ds = session.query_many(&pairs);
+                    (pairs.len(), resp_what_if(id, session.version(), &ds))
                 }
-                let session = core
-                    .reader
-                    .read()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .what_if(&edits);
-                match session {
-                    Ok(mut session) => {
-                        let ds = session.query_many(&pairs);
-                        core.metrics.queries.add(pairs.len() as u64);
-                        core.metrics.request_latency.observe(start.elapsed());
-                        let _ = conn.write_line(&resp_what_if(id, session.version(), &ds));
-                    }
-                    Err(e) => {
-                        let _ = conn.write_line(&resp_error(id, "bad_request", &format!("{e:?}")));
-                    }
-                }
-            })
+                Err(e) => (0, resp_error(id, "bad_request", &format!("{e:?}"))),
+            }
         }),
         Request::Recover => {
             if core.config.read_only {
@@ -750,7 +687,29 @@ fn shed(core: &Core, conn: &Conn, id: Option<u64>, what: &str) {
     ));
 }
 
+/// One pool job of a connection, counted in [`Conn::jobs`] from its
+/// submission until it finishes, panics or is dropped unrun.
+struct ConnJob(Arc<Conn>);
+
+impl ConnJob {
+    fn new(conn: &Arc<Conn>) -> ConnJob {
+        conn.jobs.fetch_add(1, Ordering::AcqRel);
+        ConnJob(Arc::clone(conn))
+    }
+}
+
+impl Drop for ConnJob {
+    fn drop(&mut self) {
+        self.0.jobs.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
 fn submit_or_shed(core: &Arc<Core>, conn: &Arc<Conn>, id: Option<u64>, job: crate::pool::Job) {
+    let counted = ConnJob::new(conn);
+    let job: crate::pool::Job = Box::new(move || {
+        let _counted = counted;
+        job()
+    });
     match core.pool.submit(job) {
         Ok(()) => {}
         Err(SubmitError::Full { depth }) => {
@@ -866,6 +825,69 @@ fn run_recover(core: &Core, conn: &Conn, id: Option<u64>) {
     }
 }
 
+/// The published generation's reader.
+fn reader(core: &Core) -> std::sync::RwLockReadGuard<'_, OracleReader> {
+    core.reader.read().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Claim the coalescer's idle stage for a read answered on the
+/// connection thread: only when no further request line is buffered
+/// (pipelined requests should share a batch or queue in order), the
+/// connection has no job in the pool (its reply would overtake that
+/// job's) and nothing executes or waits in the coalescer.
+fn claim_inline(
+    coalescer: Option<&Coalescer<PendingQuery>>,
+    conn: &Conn,
+    pipelined: bool,
+) -> Option<Executing<PendingQuery>> {
+    if pipelined || conn.jobs.load(Ordering::Acquire) > 0 {
+        return None;
+    }
+    coalescer?.try_claim_idle()
+}
+
+/// A read request's reply id, arrival and latency budget.
+#[derive(Clone, Copy)]
+struct ReadReq {
+    id: Option<u64>,
+    start: Instant,
+    deadline_ms: Option<u64>,
+}
+
+/// Answer a read: on the connection thread behind the pool's panic
+/// boundary while `inline` holds the coalescer's stage, otherwise as a
+/// pool job. `answer` returns how many queries it answered and the reply
+/// line. Either way an expired deadline is refused first.
+fn serve_read(
+    core: &Arc<Core>,
+    conn: &Arc<Conn>,
+    read: ReadReq,
+    inline: Option<Executing<PendingQuery>>,
+    answer: impl FnOnce(&Core) -> (usize, String) + Send + 'static,
+) {
+    let run = move |core: &Core, conn: &Conn| {
+        if expired(read.start, read.deadline_ms) {
+            refuse_expired(core, conn, read.id, read.deadline_ms.unwrap_or(0));
+            return;
+        }
+        let (queries, line) = answer(core);
+        core.metrics.queries.add(queries as u64);
+        core.metrics.request_latency.observe(read.start.elapsed());
+        let _ = conn.write_line(&line);
+    };
+    match inline {
+        Some(executing) => {
+            core.pool.run_contained(|| run(core, conn));
+            drop(executing);
+        }
+        None => submit_or_shed(core, conn, read.id, {
+            let core = Arc::clone(core);
+            let conn = Arc::clone(conn);
+            Box::new(move || run(&core, &conn))
+        }),
+    }
+}
+
 /// Answer a lone query on the connection thread, as a coalesced batch
 /// of one, while `executing` holds the coalescer's idle stage.
 fn answer_inline(core: &Core, query: PendingQuery, executing: Executing<PendingQuery>) {
@@ -887,11 +909,7 @@ fn execute_coalesced(core: &Core, batch: Vec<PendingQuery>) {
         refuse_expired(core, &q.conn, q.id, q.deadline_ms.unwrap_or(0));
     }
     let pairs: Vec<(Vertex, Vertex)> = live.iter().map(|q| (q.s, q.t)).collect();
-    let dists = core
-        .reader
-        .read()
-        .unwrap_or_else(|e| e.into_inner())
-        .query_many(&pairs);
+    let dists = reader(core).query_many(&pairs);
     core.metrics.queries.add(live.len() as u64);
     let mut groups: Vec<(Arc<Conn>, Vec<String>)> = Vec::new();
     for (q, d) in live.iter().zip(&dists) {
@@ -1060,8 +1078,10 @@ mod tests {
             .pool
             .submit(Box::new(|| panic!("injected job panic")))
             .expect("submit");
-        // This connection's next pool job runs after the panicking one.
-        let got = client.query_many(&[(1, 150)]).expect("query_many");
+        // This connection's next pool job runs after the panicking one
+        // (an idle `query_many` would be answered inline; `what_if`
+        // always runs on the pool).
+        let (_, got) = client.what_if(&[], &[(1, 150)]).expect("what_if");
         assert_eq!(got, vec![want]);
         assert_eq!(server.metrics().job_panics.get(), 1);
         let (_, body) = http_get(server.addr(), "/metrics").expect("GET /metrics");
@@ -1070,5 +1090,79 @@ mod tests {
             "{body}"
         );
         assert_eq!(client.query(1, 150).expect("query"), want);
+    }
+
+    #[test]
+    fn idle_reads_skip_the_pool_and_pipelined_reads_keep_their_order() {
+        use std::io::{BufRead, BufReader};
+        use std::sync::mpsc;
+        let build = || {
+            Oracle::builder()
+                .top_degree_landmarks(4)
+                .build(barabasi_albert(200, 3, 5))
+                .expect("build oracle")
+        };
+        let mut twin = build();
+        let targets: Vec<Vertex> = (0..64).map(|t| t * 3).collect();
+        let fan = twin.distances_from(1, &targets);
+        let pairs = [(1, 150), (7, 8)];
+        let many = twin.query_many(&pairs);
+        let config = ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        };
+        let server = Server::start(build(), config).expect("start server");
+        // Park the only worker until the test releases it.
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        server
+            .core()
+            .pool
+            .submit(Box::new(move || {
+                started_tx.send(()).unwrap();
+                let _ = release_rx.recv();
+            }))
+            .expect("submit");
+        started_rx.recv().unwrap();
+
+        // An idle connection's reads are answered on its own thread.
+        let mut client = Client::connect(server.addr()).expect("connect");
+        assert_eq!(client.distances_from(1, &targets).expect("fan-out"), fan);
+        assert_eq!(client.query_many(&pairs).expect("query_many"), many);
+        assert_eq!(client.top_k_closest(1, 3).expect("top_k").len(), 3);
+        // An expired budget is still refused, inline too.
+        client.set_deadline_ms(Some(0));
+        let err = client.distances_from(1, &targets).unwrap_err();
+        assert_eq!(err.code(), Some("deadline_exceeded"));
+
+        // Pipelined reads queue behind the parked job; the last line has
+        // nothing buffered behind it, but its connection has jobs out,
+        // so it queues too and every reply comes in request order.
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let list = |ts: &[Vertex]| {
+            let ts: Vec<String> = ts.iter().map(|t| t.to_string()).collect();
+            ts.join(",")
+        };
+        let fan_line = |id: u64| {
+            format!(
+                "{{\"op\":\"distances_from\",\"s\":1,\"targets\":[{}],\"id\":{id}}}\n",
+                list(&targets)
+            )
+        };
+        let many_line =
+            |id: u64| format!("{{\"op\":\"query_many\",\"pairs\":[[1,150],[7,8]],\"id\":{id}}}\n");
+        let batch = [fan_line(10), many_line(11), fan_line(12), many_line(13)].concat();
+        stream.write_all(batch.as_bytes()).unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        release_tx.send(()).unwrap();
+        let mut replies = BufReader::new(stream);
+        for (id, want) in [(10, &fan), (11, &many), (12, &fan), (13, &many)] {
+            let mut line = String::new();
+            replies.read_line(&mut line).expect("reply");
+            assert_eq!(line.trim_end(), resp_dists(Some(id), want), "reply {id}");
+        }
     }
 }
