@@ -33,11 +33,11 @@
 //! graphs enforce on every mutation.
 
 use crate::csr::{
-    Csr, CsrDelta, CsrDiDelta, CsrGraph, CsrOverlay, Frozen, WeightedCsrDelta, WeightedCsrGraph,
+    Csr, CsrDelta, CsrDiDelta, CsrGraph, CsrOverlay, WeightedCsrDelta, WeightedCsrGraph,
 };
 use crate::digraph::DynamicDiGraph;
 use crate::graph::DynamicGraph;
-use crate::weighted::{Weight, WeightedAdjacencyView, WeightedGraph};
+use crate::weighted::{Weight, WeightedAdjacencyView};
 use crate::AdjacencyView;
 use batchhl_common::{binio, Vertex};
 use std::fmt;
@@ -266,11 +266,6 @@ fn write_csr_block<W: Write, const K: usize, I: ExactSizeIterator<Item = [u32; K
     Ok(())
 }
 
-/// Read a `BGU2` CSR block back into a [`DynamicGraph`].
-pub fn read_graph_bin<R: Read>(r: R) -> Result<DynamicGraph, BinGraphError> {
-    read_graph_csr(r).map(|view| view.thaw())
-}
-
 /// Read a `BGU2` CSR block straight into a CSR view (the checkpoint load
 /// path): the lists land in one array, with no per-vertex lists in
 /// between, and pass the checks of [`DynamicGraph::validate`].
@@ -334,11 +329,6 @@ pub fn digraph_bin_len<A: AdjacencyView + ?Sized>(g: &A) -> u64 {
     4 + 8 + 8 + 4 * g.num_vertices() as u64 + 4 * half_edges(g) as u64
 }
 
-/// Read a `BGD2` CSR block back into a [`DynamicDiGraph`].
-pub fn read_digraph_bin<R: Read>(r: R) -> Result<DynamicDiGraph, BinGraphError> {
-    read_digraph_csr(r).map(|view| view.thaw())
-}
-
 /// Read a `BGD2` CSR block straight into a directed CSR view, the
 /// in-lists transposed from the out-lists (see [`read_graph_csr`]).
 pub fn read_digraph_csr<R: Read>(mut r: R) -> Result<CsrDiDelta, BinGraphError> {
@@ -379,13 +369,8 @@ fn weighted_half_edges<G: WeightedAdjacencyView + ?Sized>(g: &G) -> usize {
         .sum()
 }
 
-/// Read a `BGW2` CSR block back into a [`WeightedGraph`].
-pub fn read_weighted_bin<R: Read>(r: R) -> Result<WeightedGraph, BinGraphError> {
-    read_weighted_csr(r).map(|view| view.thaw())
-}
-
 /// Read a `BGW2` CSR block straight into a weighted CSR view, with the
-/// checks of [`WeightedGraph::validate`] (see [`read_graph_csr`]).
+/// checks of [`crate::weighted::WeightedGraph::validate`] (see [`read_graph_csr`]).
 pub fn read_weighted_csr<R: Read>(mut r: R) -> Result<WeightedCsrDelta, BinGraphError> {
     read_block_magic(&mut r, MAGIC_WTD)?;
     let (_n, m, degrees) = read_degree_header(&mut r, |m| m.checked_mul(2))?;
@@ -430,6 +415,8 @@ fn read_block_magic<R: Read>(r: &mut R, expected: &[u8; 4]) -> Result<(), BinGra
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::Frozen;
+    use crate::weighted::WeightedGraph;
 
     #[test]
     fn parses_comments_and_extra_columns() {
@@ -460,19 +447,19 @@ mod tests {
         let mut buf = Vec::new();
         write_graph_bin(&und, &mut buf).unwrap();
         assert_eq!(buf.len() as u64, graph_bin_len(&und));
-        assert_eq!(read_graph_bin(buf.as_slice()).unwrap(), und);
+        assert_eq!(read_graph_csr(buf.as_slice()).unwrap().thaw(), und);
 
         let dir = DynamicDiGraph::from_edges(5, &[(0, 1), (1, 0), (3, 2), (4, 1)]);
         let mut buf = Vec::new();
         write_digraph_bin(&dir, &mut buf).unwrap();
         assert_eq!(buf.len() as u64, digraph_bin_len(&dir));
-        assert_eq!(read_digraph_bin(buf.as_slice()).unwrap(), dir);
+        assert_eq!(read_digraph_csr(buf.as_slice()).unwrap().thaw(), dir);
 
         let wtd = WeightedGraph::from_edges(5, &[(0, 1, 3), (1, 2, 1), (0, 4, 9)]);
         let mut buf = Vec::new();
         write_weighted_bin(&wtd, &mut buf).unwrap();
         assert_eq!(buf.len() as u64, weighted_bin_len(&wtd));
-        assert_eq!(read_weighted_bin(buf.as_slice()).unwrap(), wtd);
+        assert_eq!(read_weighted_csr(buf.as_slice()).unwrap().thaw(), wtd);
     }
 
     #[test]
@@ -508,12 +495,12 @@ mod tests {
     fn binary_blocks_reject_corruption_with_typed_errors() {
         // Wrong magic.
         assert!(matches!(
-            read_graph_bin(&b"XXXX"[..]),
+            read_graph_csr(&b"XXXX"[..]),
             Err(BinGraphError::BadMagic { .. })
         ));
         // Truncated mid-header.
         assert!(matches!(
-            read_graph_bin(&b"BGU2\x01\x02"[..]),
+            read_graph_csr(&b"BGU2\x01\x02"[..]),
             Err(BinGraphError::Truncated { .. })
         ));
         // Huge n with a short stream must fail without a giant
@@ -524,7 +511,7 @@ mod tests {
         buf.extend_from_slice(&0u64.to_le_bytes()); // m
         buf.extend_from_slice(&[0u8; 256]);
         assert!(matches!(
-            read_graph_bin(buf.as_slice()),
+            read_graph_csr(buf.as_slice()),
             Err(BinGraphError::Truncated { .. })
         ));
         // n beyond the u32 id space is rejected at the header.
@@ -533,7 +520,7 @@ mod tests {
         buf.extend_from_slice(&(1u64 << 41).to_le_bytes());
         buf.extend_from_slice(&0u64.to_le_bytes());
         assert!(matches!(
-            read_graph_bin(buf.as_slice()),
+            read_graph_csr(buf.as_slice()),
             Err(BinGraphError::Header { .. })
         ));
         // An edge count that would overflow the half-edge computation
@@ -543,7 +530,7 @@ mod tests {
         buf.extend_from_slice(&0u64.to_le_bytes()); // n = 0
         buf.extend_from_slice(&(1u64 << 63).to_le_bytes()); // m = 2^63
         assert!(matches!(
-            read_graph_bin(buf.as_slice()),
+            read_graph_csr(buf.as_slice()),
             Err(BinGraphError::Header { .. })
         ));
         // Degree sum contradicting the edge count.
@@ -552,7 +539,7 @@ mod tests {
         write_graph_bin(&g, &mut buf).unwrap();
         buf[12] = 9; // m = 9, degrees still sum to 2
         assert!(matches!(
-            read_graph_bin(buf.as_slice()),
+            read_graph_csr(buf.as_slice()),
             Err(BinGraphError::Header { .. })
         ));
         // Unmirrored adjacency is caught by structural validation.
@@ -565,7 +552,7 @@ mod tests {
         buf.extend_from_slice(&1u32.to_le_bytes()); // 0 → 1 …
         buf.extend_from_slice(&1u32.to_le_bytes()); // … twice, unsorted+unmirrored
         assert!(matches!(
-            read_graph_bin(buf.as_slice()),
+            read_graph_csr(buf.as_slice()),
             Err(BinGraphError::Invalid { .. })
         ));
     }

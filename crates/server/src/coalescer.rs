@@ -178,6 +178,14 @@ impl<T: Send + 'static> Coalescer<T> {
         })
     }
 
+    /// Is the stage idle: no batch executing and nothing queued? A
+    /// snapshot, for callers that run other work outside the stage
+    /// only while it has nothing to do.
+    pub fn is_idle(&self) -> bool {
+        let stage = self.shared.lock();
+        stage.executing == 0 && stage.queue.is_empty()
+    }
+
     /// Items currently waiting to be drained.
     pub fn pending(&self) -> usize {
         self.shared.lock().queue.len()

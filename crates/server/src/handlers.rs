@@ -4,13 +4,13 @@
 //!
 //! - **JSON lines** (the protocol in [`crate::protocol`]): each
 //!   connection gets a thread that parses request lines and dispatches
-//!   them. Point queries, `query_many`, `distances_from` and
-//!   `top_k_closest` are answered inline on the connection thread when
-//!   the coalescer's stage is idle, the connection has no further
-//!   request buffered and no job of its own in the pool; otherwise point
-//!   queries go to the [`Coalescer`] and the rest, like every other
-//!   request, run as jobs on the [`WorkerPool`]. Responses carry the
-//!   request's `id`, so clients may pipeline.
+//!   them. When the connection has no further request line buffered
+//!   and the coalescer is idle, a point query claims the coalescer's
+//!   idle stage and a `distances_from` fan-out claims the one inline
+//!   read slot, and either is answered on the connection thread.
+//!   Otherwise point queries go to the [`Coalescer`] and fan-outs, like
+//!   every other request, run as jobs on the [`WorkerPool`]. Responses
+//!   carry the request's `id`, so clients may pipeline.
 //! - **HTTP/1.1 shim**: a connection whose first line is an HTTP
 //!   request gets `GET /health` or `GET /metrics` answered and the
 //!   connection closed — enough for probes and scrapes, not a web
@@ -33,7 +33,7 @@ use crate::protocol::{
 use batchhl::{DistanceOracle, Edit, OracleHealth, OracleReader, TxnId, Vertex};
 use std::io::{self, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -81,19 +81,12 @@ impl Default for ServerConfig {
 /// lines is the syscall amortization the coalescer exists for.
 pub struct Conn {
     writer: Mutex<BufWriter<TcpStream>>,
-    /// Pool jobs submitted for this connection that have not finished.
-    /// While any is out, the connection's reads queue behind it instead
-    /// of being answered inline, so a single worker replies in request
-    /// order. A job's decrement (after its reply is written) releases,
-    /// and `claim_inline`'s load acquires.
-    jobs: AtomicUsize,
 }
 
 impl Conn {
     fn new(stream: TcpStream) -> Conn {
         Conn {
             writer: Mutex::new(BufWriter::new(stream)),
-            jobs: AtomicUsize::new(0),
         }
     }
 
@@ -157,6 +150,9 @@ pub(crate) struct Core {
     commit_cv: Condvar,
     pub(crate) metrics: ServerMetrics,
     pub(crate) pool: WorkerPool,
+    /// Held by the fan-out being answered on a connection thread, so
+    /// at most one fan-out runs outside the pool at a time.
+    inline_read: AtomicBool,
     shutdown: AtomicBool,
     config: ServerConfig,
     conns: Mutex<Vec<JoinHandle<()>>>,
@@ -250,6 +246,7 @@ impl Server {
             commit_cv: Condvar::new(),
             metrics,
             pool,
+            inline_read: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
             config: config.clone(),
             conns: Mutex::new(Vec::new()),
@@ -534,8 +531,6 @@ fn dispatch(
     };
     let id = envelope.id;
     let deadline_ms = envelope.deadline_ms;
-    // The lone point query's path, for every read that may take it.
-    let inline = || claim_inline(coalescer, conn, pipelined);
     let read = ReadReq {
         id,
         start,
@@ -552,7 +547,14 @@ fn dispatch(
                     start,
                     deadline_ms,
                 };
-                match inline() {
+                // A pipelined query goes to the coalescer even when idle:
+                // the requests behind it should share its batch.
+                let idle = if pipelined {
+                    None
+                } else {
+                    coalescer.try_claim_idle()
+                };
+                match idle {
                     Some(executing) => answer_inline(core, pending, executing),
                     None => {
                         if coalescer.submit(pending).is_err() {
@@ -561,22 +563,23 @@ fn dispatch(
                     }
                 }
             }
-            None => serve_read(core, conn, read, None, move |core| {
+            None => serve_read(core, conn, read, false, move |core| {
                 let d = reader(core).query(s, t);
                 (1, resp_dist(id, d))
             }),
         },
-        Request::QueryMany { pairs } => serve_read(core, conn, read, inline(), move |core| {
+        Request::QueryMany { pairs } => serve_read(core, conn, read, false, move |core| {
             let ds = reader(core).query_many(&pairs);
             (pairs.len(), resp_dists(id, &ds))
         }),
         Request::DistancesFrom { s, targets } => {
-            serve_read(core, conn, read, inline(), move |core| {
+            let inline = claim_inline_read(core, coalescer, pipelined);
+            serve_read(core, conn, read, inline, move |core| {
                 let ds = reader(core).distances_from(s, &targets);
                 (targets.len(), resp_dists(id, &ds))
             })
         }
-        Request::TopKClosest { s, k } => serve_read(core, conn, read, inline(), move |core| {
+        Request::TopKClosest { s, k } => serve_read(core, conn, read, false, move |core| {
             let closest = reader(core).top_k_closest(s, k);
             (1, resp_top_k(id, &closest))
         }),
@@ -597,7 +600,7 @@ fn dispatch(
         }
         // Read-only speculation: allowed on replicas, no health gate —
         // the published generation is never touched.
-        Request::WhatIf { edits, pairs } => serve_read(core, conn, read, None, move |core| {
+        Request::WhatIf { edits, pairs } => serve_read(core, conn, read, false, move |core| {
             match reader(core).what_if(&edits) {
                 Ok(mut session) => {
                     let ds = session.query_many(&pairs);
@@ -687,29 +690,7 @@ fn shed(core: &Core, conn: &Conn, id: Option<u64>, what: &str) {
     ));
 }
 
-/// One pool job of a connection, counted in [`Conn::jobs`] from its
-/// submission until it finishes, panics or is dropped unrun.
-struct ConnJob(Arc<Conn>);
-
-impl ConnJob {
-    fn new(conn: &Arc<Conn>) -> ConnJob {
-        conn.jobs.fetch_add(1, Ordering::AcqRel);
-        ConnJob(Arc::clone(conn))
-    }
-}
-
-impl Drop for ConnJob {
-    fn drop(&mut self) {
-        self.0.jobs.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
 fn submit_or_shed(core: &Arc<Core>, conn: &Arc<Conn>, id: Option<u64>, job: crate::pool::Job) {
-    let counted = ConnJob::new(conn);
-    let job: crate::pool::Job = Box::new(move || {
-        let _counted = counted;
-        job()
-    });
     match core.pool.submit(job) {
         Ok(()) => {}
         Err(SubmitError::Full { depth }) => {
@@ -830,20 +811,23 @@ fn reader(core: &Core) -> std::sync::RwLockReadGuard<'_, OracleReader> {
     core.reader.read().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Claim the coalescer's idle stage for a read answered on the
-/// connection thread: only when no further request line is buffered
-/// (pipelined requests should share a batch or queue in order), the
-/// connection has no job in the pool (its reply would overtake that
-/// job's) and nothing executes or waits in the coalescer.
-fn claim_inline(
+/// Claim the inline read slot for a fan-out answered on the connection
+/// thread: only when no further request line is buffered (pipelined
+/// requests queue on the pool), nothing executes or waits in the
+/// coalescer, and no other fan-out holds the slot. The coalescer's stage
+/// stays unclaimed, so point queries arriving meanwhile are still
+/// answered inline instead of gathering behind the fan-out.
+fn claim_inline_read(
+    core: &Core,
     coalescer: Option<&Coalescer<PendingQuery>>,
-    conn: &Conn,
     pipelined: bool,
-) -> Option<Executing<PendingQuery>> {
-    if pipelined || conn.jobs.load(Ordering::Acquire) > 0 {
-        return None;
-    }
-    coalescer?.try_claim_idle()
+) -> bool {
+    !pipelined
+        && coalescer.is_some_and(Coalescer::is_idle)
+        && core
+            .inline_read
+            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+            .is_ok()
 }
 
 /// A read request's reply id, arrival and latency budget.
@@ -855,14 +839,15 @@ struct ReadReq {
 }
 
 /// Answer a read: on the connection thread behind the pool's panic
-/// boundary while `inline` holds the coalescer's stage, otherwise as a
-/// pool job. `answer` returns how many queries it answered and the reply
-/// line. Either way an expired deadline is refused first.
+/// boundary when `inline` (the caller holds the inline read slot, which
+/// this releases), otherwise as a pool job. `answer` returns how many
+/// queries it answered and the reply line. Either way an expired
+/// deadline is refused first.
 fn serve_read(
     core: &Arc<Core>,
     conn: &Arc<Conn>,
     read: ReadReq,
-    inline: Option<Executing<PendingQuery>>,
+    inline: bool,
     answer: impl FnOnce(&Core) -> (usize, String) + Send + 'static,
 ) {
     let run = move |core: &Core, conn: &Conn| {
@@ -875,16 +860,15 @@ fn serve_read(
         core.metrics.request_latency.observe(read.start.elapsed());
         let _ = conn.write_line(&line);
     };
-    match inline {
-        Some(executing) => {
-            core.pool.run_contained(|| run(core, conn));
-            drop(executing);
-        }
-        None => submit_or_shed(core, conn, read.id, {
+    if inline {
+        core.pool.run_contained(|| run(core, conn));
+        core.inline_read.store(false, Ordering::Release);
+    } else {
+        submit_or_shed(core, conn, read.id, {
             let core = Arc::clone(core);
             let conn = Arc::clone(conn);
             Box::new(move || run(&core, &conn))
-        }),
+        });
     }
 }
 
@@ -1078,10 +1062,8 @@ mod tests {
             .pool
             .submit(Box::new(|| panic!("injected job panic")))
             .expect("submit");
-        // This connection's next pool job runs after the panicking one
-        // (an idle `query_many` would be answered inline; `what_if`
-        // always runs on the pool).
-        let (_, got) = client.what_if(&[], &[(1, 150)]).expect("what_if");
+        // This connection's next pool job runs after the panicking one.
+        let got = client.query_many(&[(1, 150)]).expect("query_many");
         assert_eq!(got, vec![want]);
         assert_eq!(server.metrics().job_panics.get(), 1);
         let (_, body) = http_get(server.addr(), "/metrics").expect("GET /metrics");
@@ -1093,7 +1075,7 @@ mod tests {
     }
 
     #[test]
-    fn idle_reads_skip_the_pool_and_pipelined_reads_keep_their_order() {
+    fn idle_fanouts_skip_the_pool_one_at_a_time() {
         use std::io::{BufRead, BufReader};
         use std::sync::mpsc;
         let build = || {
@@ -1125,44 +1107,68 @@ mod tests {
             .expect("submit");
         started_rx.recv().unwrap();
 
-        // An idle connection's reads are answered on its own thread.
+        // An idle connection's fan-out is answered on its own thread.
         let mut client = Client::connect(server.addr()).expect("connect");
         assert_eq!(client.distances_from(1, &targets).expect("fan-out"), fan);
-        assert_eq!(client.query_many(&pairs).expect("query_many"), many);
-        assert_eq!(client.top_k_closest(1, 3).expect("top_k").len(), 3);
         // An expired budget is still refused, inline too.
         client.set_deadline_ms(Some(0));
         let err = client.distances_from(1, &targets).unwrap_err();
         assert_eq!(err.code(), Some("deadline_exceeded"));
 
-        // Pipelined reads queue behind the parked job; the last line has
-        // nothing buffered behind it, but its connection has jobs out,
-        // so it queues too and every reply comes in request order.
+        // While another fan-out holds the inline slot, even an unpipelined
+        // fan-out queues on the pool, as pipelined reads always do.
+        // The slot is released after the reply is written, so the
+        // refused fan-out above may still hold it for a moment.
+        let slot = &server.core().inline_read;
+        while slot
+            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+            .is_err()
+        {
+            std::thread::yield_now();
+        }
         let mut stream = TcpStream::connect(server.addr()).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        let list = |ts: &[Vertex]| {
-            let ts: Vec<String> = ts.iter().map(|t| t.to_string()).collect();
-            ts.join(",")
-        };
+        let list: Vec<String> = targets.iter().map(|t| t.to_string()).collect();
         let fan_line = |id: u64| {
             format!(
                 "{{\"op\":\"distances_from\",\"s\":1,\"targets\":[{}],\"id\":{id}}}\n",
-                list(&targets)
+                list.join(",")
             )
         };
         let many_line =
             |id: u64| format!("{{\"op\":\"query_many\",\"pairs\":[[1,150],[7,8]],\"id\":{id}}}\n");
-        let batch = [fan_line(10), many_line(11), fan_line(12), many_line(13)].concat();
+        let batch = [fan_line(10), many_line(11), fan_line(12), fan_line(13)].concat();
         stream.write_all(batch.as_bytes()).unwrap();
-        std::thread::sleep(Duration::from_millis(50));
-        release_tx.send(()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_millis(100)))
+            .unwrap();
         let mut replies = BufReader::new(stream);
-        for (id, want) in [(10, &fan), (11, &many), (12, &fan), (13, &many)] {
-            let mut line = String::new();
-            replies.read_line(&mut line).expect("reply");
-            assert_eq!(line.trim_end(), resp_dists(Some(id), want), "reply {id}");
-        }
+        let mut line = String::new();
+        assert!(
+            replies.read_line(&mut line).is_err(),
+            "answered while the worker is parked: {line}"
+        );
+        slot.store(false, Ordering::Release);
+        release_tx.send(()).unwrap();
+        // Replies are matched by id, as the protocol asks of clients.
+        replies
+            .get_ref()
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut got: Vec<String> = (0..4)
+            .map(|_| {
+                let mut line = String::new();
+                replies.read_line(&mut line).expect("reply");
+                line.trim_end().to_string()
+            })
+            .collect();
+        got.sort();
+        let mut want = vec![
+            resp_dists(Some(10), &fan),
+            resp_dists(Some(11), &many),
+            resp_dists(Some(12), &fan),
+            resp_dists(Some(13), &fan),
+        ];
+        want.sort();
+        assert_eq!(got, want);
     }
 }
